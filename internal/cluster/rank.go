@@ -174,6 +174,10 @@ func RunRank(opt RankOptions) error {
 					break
 				}
 			}
+			// Leave only once every rank has: each arrives after all its
+			// sends were acknowledged, so no peer is still retransmitting
+			// into this process when its transport stops lingering.
+			c.Barrier()
 			done = true
 		})
 		if err != nil {

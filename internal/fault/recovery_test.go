@@ -98,11 +98,16 @@ func runSession(t *testing.T, opts parallel.Options, a *tensor.Symmetric, xs [][
 // TestChaosRecoverySession is the tentpole acceptance check: under every
 // seeded crash plan, both wirings, q ∈ {2, 3}, a recovering session
 // reproduces the crash-free session bit-for-bit with unchanged logical
-// meters, and the supervisor's interventions appear in RecoveryStats.
+// meters, and the supervisor's interventions appear in RecoveryStats. The
+// reliable transport takes every plan; the direct transport, which cannot
+// repair packet loss, takes the crash-only plans ("direct/…" subtests), so
+// its epoch adoption — discarding every buffered payload — is exercised by
+// the same recovery checks. Sending no acks, the direct transport makes
+// fewer deliveries, so a late crash can fall past a rank's last one (seed 2
+// at q=2); such a run checks that the armed supervisor stays out of the way.
 func TestChaosRecoverySession(t *testing.T) {
 	for _, q := range []int{2, 3} {
 		part, a, xs, b := recoverySetup(t, q)
-		_ = part
 		for _, wiring := range []parallel.Wiring{parallel.WiringP2P, parallel.WiringAllToAll} {
 			name := "p2p"
 			if wiring == parallel.WiringAllToAll {
@@ -110,65 +115,98 @@ func TestChaosRecoverySession(t *testing.T) {
 			}
 			t.Run(name+"/q="+string(rune('0'+q)), func(t *testing.T) {
 				want := runSession(t, parallel.Options{Part: part, B: b, Wiring: wiring}, a, xs)
+				recovering := func(t *testing.T, tf machine.TransportFactory) (*sessionOutcome, *obs.Trace) {
+					var rec obs.Recorder
+					got := runSession(t, parallel.Options{
+						Part: part, B: b, Wiring: wiring,
+						Machine: machine.RunConfig{
+							Transport: tf,
+							Timeout:   2 * time.Second,
+							Observer:  rec.Observer(),
+						},
+						Recovery: &parallel.RecoveryOptions{},
+					}, a, xs)
+					return got, rec.Trace()
+				}
 				for _, plan := range recoveryPlans {
 					plan := plan
 					t.Run(plan.String(), func(t *testing.T) {
-						var rec obs.Recorder
-						got := runSession(t, parallel.Options{
-							Part: part, B: b, Wiring: wiring,
-							Machine: machine.RunConfig{
-								Transport: fault.TransportRecoverable(plan, fault.ReliableOptions{MaxAttempts: 1 << 20}),
-								Timeout:   2 * time.Second,
-								Observer:  rec.Observer(),
-							},
-							Recovery: &parallel.RecoveryOptions{},
-						}, a, xs)
-
-						for k := range want.ys {
-							for i := range want.ys[k] {
-								if got.ys[k][i] != want.ys[k][i] {
-									t.Fatalf("apply %d: Y[%d] = %g differs from crash-free %g",
-										k, i, got.ys[k][i], want.ys[k][i])
-								}
-							}
-							if !reflect.DeepEqual(got.phases[k], want.phases[k]) {
-								t.Errorf("apply %d: per-phase meters differ from crash-free session", k)
-							}
-							assertSameLogicalMeters(t, want.reports[k], got.reports[k])
-						}
-						// Session-lifetime wire meters carry the recovery
-						// traffic; logical meters stay those of committed work.
-						assertSameLogicalMeters(t, want.final, got.final)
-						if gotW, wantW := got.final.TotalWireSentWords(), got.final.TotalSentWords(); gotW < wantW {
-							t.Errorf("lifetime wire words %d below logical words %d", gotW, wantW)
-						}
-						if got.stats.RankDowns < 1 {
-							t.Errorf("RecoveryStats.RankDowns = %d, want ≥ 1", got.stats.RankDowns)
-						}
-						if got.stats.Rollbacks < 1 {
-							t.Errorf("RecoveryStats.Rollbacks = %d, want ≥ 1", got.stats.Rollbacks)
-						}
-						if got.stats.Retries < 1 {
-							t.Errorf("RecoveryStats.Retries = %d, want ≥ 1", got.stats.Retries)
-						}
-						if got.stats.Verifications < got.stats.Rollbacks {
-							t.Errorf("RecoveryStats.Verifications = %d below Rollbacks = %d: every restore must verify",
-								got.stats.Verifications, got.stats.Rollbacks)
-						}
-						if got.stats.Mismatches != 0 {
-							t.Errorf("RecoveryStats.Mismatches = %d on uncorrupted restores", got.stats.Mismatches)
-						}
-						// Epoch-aware trace conformance: with the aborted
-						// attempts cut away at the per-rank rollback markers,
-						// the committed logical trace must equal the
-						// session-lifetime report exactly.
-						if err := rec.Trace().CheckCommittedAgainstReport(got.final); err != nil {
-							t.Errorf("committed trace conformance: %v", err)
-						}
+						got, trace := recovering(t, fault.TransportRecoverable(plan, fault.ReliableOptions{MaxAttempts: 1 << 20}))
+						assertRecovered(t, want, got, trace, true)
+					})
+				}
+				for _, plan := range recoveryPlans {
+					packetFaults := plan
+					packetFaults.Crash = nil
+					if packetFaults.Active() {
+						continue // lost packets need the reliable transport
+					}
+					plan := plan
+					t.Run("direct/"+plan.String(), func(t *testing.T) {
+						reg := &fault.CrashRegistry{}
+						got, trace := recovering(t, func(w machine.Wire) machine.Transport {
+							return machine.NewDirectTransport(fault.InjectRecoverable(w, plan, reg))
+						})
+						assertRecovered(t, want, got, trace, len(reg.Fired()) > 0)
 					})
 				}
 			})
 		}
+	}
+}
+
+// assertRecovered checks a recovering session against the crash-free one:
+// bit-identical Y, identical per-phase and logical meters per operation
+// and over the session lifetime, evidence of the supervisor's work in
+// RecoveryStats (none when no crash fired), and an epoch-aware committed
+// trace matching the report.
+func assertRecovered(t *testing.T, want, got *sessionOutcome, trace *obs.Trace, crashed bool) {
+	t.Helper()
+	for k := range want.ys {
+		for i := range want.ys[k] {
+			if got.ys[k][i] != want.ys[k][i] {
+				t.Fatalf("apply %d: Y[%d] = %g differs from crash-free %g",
+					k, i, got.ys[k][i], want.ys[k][i])
+			}
+		}
+		if !reflect.DeepEqual(got.phases[k], want.phases[k]) {
+			t.Errorf("apply %d: per-phase meters differ from crash-free session", k)
+		}
+		assertSameLogicalMeters(t, want.reports[k], got.reports[k])
+	}
+	// Session-lifetime wire meters carry the recovery traffic; logical
+	// meters stay those of committed work.
+	assertSameLogicalMeters(t, want.final, got.final)
+	if gotW, wantW := got.final.TotalWireSentWords(), got.final.TotalSentWords(); gotW < wantW {
+		t.Errorf("lifetime wire words %d below logical words %d", gotW, wantW)
+	}
+	if !crashed {
+		if got.stats.RankDowns != 0 || got.stats.Rollbacks != 0 {
+			t.Errorf("no crash fired, yet RecoveryStats = %+v", got.stats)
+		}
+	} else {
+		if got.stats.RankDowns < 1 {
+			t.Errorf("RecoveryStats.RankDowns = %d, want ≥ 1", got.stats.RankDowns)
+		}
+		if got.stats.Rollbacks < 1 {
+			t.Errorf("RecoveryStats.Rollbacks = %d, want ≥ 1", got.stats.Rollbacks)
+		}
+		if got.stats.Retries < 1 {
+			t.Errorf("RecoveryStats.Retries = %d, want ≥ 1", got.stats.Retries)
+		}
+	}
+	if got.stats.Verifications < got.stats.Rollbacks {
+		t.Errorf("RecoveryStats.Verifications = %d below Rollbacks = %d: every restore must verify",
+			got.stats.Verifications, got.stats.Rollbacks)
+	}
+	if got.stats.Mismatches != 0 {
+		t.Errorf("RecoveryStats.Mismatches = %d on uncorrupted restores", got.stats.Mismatches)
+	}
+	// Epoch-aware trace conformance: with the aborted attempts cut away at
+	// the per-rank rollback markers, the committed logical trace must equal
+	// the session-lifetime report exactly.
+	if err := trace.CheckCommittedAgainstReport(got.final); err != nil {
+		t.Errorf("committed trace conformance: %v", err)
 	}
 }
 

@@ -68,7 +68,7 @@ func NewReliable(w machine.Wire, opt ReliableOptions) machine.Transport {
 		nextSeq: make([]int, p),
 		expect:  make([]int, p),
 		parked:  make([]map[int]machine.Packet, p),
-		pending: make(map[[2]int][][]float64),
+		pending: make(map[[2]int][]machine.Packet),
 	}
 	base := seqBase(r.epoch)
 	for i := 0; i < p; i++ {
@@ -103,9 +103,9 @@ type reliable struct {
 	expect []int
 	// parked[from] holds intact packets that arrived ahead of sequence.
 	parked []map[int]machine.Packet
-	// pending holds released payloads not yet consumed by Recv, keyed by
+	// pending holds released packets not yet consumed by Recv, keyed by
 	// [2]int{from, tag}, FIFO per key.
-	pending map[[2]int][][]float64
+	pending map[[2]int][]machine.Packet
 }
 
 func (r *reliable) Send(to, tag int, data []float64) {
@@ -152,14 +152,16 @@ func (r *reliable) Send(to, tag int, data []float64) {
 	}
 }
 
-func (r *reliable) Recv(from, tag int) []float64 {
+// Recv never lets a payload be recycled: the sender's retransmission
+// window may still alias the buffer.
+func (r *reliable) Recv(from, tag int) ([]float64, bool) {
 	key := [2]int{from, tag}
 	for {
 		if q := r.pending[key]; len(q) > 0 {
-			data := q[0]
+			data := q[0].Data
 			r.pending[key] = q[1:]
 			r.publishPending()
-			return data
+			return data, false
 		}
 		in := r.w.Pull()
 		if in.Kind == machine.PacketData && in.Epoch == r.epoch {
@@ -205,10 +207,19 @@ func (r *reliable) handleData(pkt machine.Packet) {
 	}
 }
 
-// Idle services the wire in full while the rank waits at a barrier:
-// intact data packets are acknowledged, de-duplicated and buffered for
-// later Recvs, exactly as during Send's ack-wait.
-func (r *reliable) Idle(stop <-chan struct{}) { r.service(stop, false) }
+// Wait runs block on a helper goroutine while the rank goroutine services
+// the wire in full: intact data packets are acknowledged, de-duplicated
+// and buffered for later Recvs, exactly as during Send's ack-wait. The
+// protocol state stays owned by the rank goroutine; block only waits (at
+// a barrier, or for host input) and touches none of it.
+func (r *reliable) Wait(block func()) {
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		block()
+	}()
+	r.service(done, false)
+}
 
 // Linger answers retransmissions after the rank's body has returned: only
 // duplicates of already-released packets are re-acked. A genuinely new
@@ -216,8 +227,6 @@ func (r *reliable) Idle(stop <-chan struct{}) { r.service(stop, false) }
 // UnreachableError, because the receiving body really did exit without
 // consuming it.
 func (r *reliable) Linger(stop <-chan struct{}) { r.service(stop, true) }
-
-var _ machine.Idler = (*reliable)(nil)
 
 func (r *reliable) service(stop <-chan struct{}, dupOnly bool) {
 	for {
@@ -239,7 +248,7 @@ func (r *reliable) service(stop <-chan struct{}, dupOnly bool) {
 
 func (r *reliable) release(pkt machine.Packet) {
 	key := [2]int{pkt.From, pkt.Tag}
-	r.pending[key] = append(r.pending[key], pkt.Data)
+	r.pending[key] = append(r.pending[key], pkt)
 	r.publishPending()
 }
 
@@ -284,8 +293,6 @@ func (r *reliable) AdoptEpoch(epoch int64, resetPeers []int) {
 	}
 	r.publishPending()
 }
-
-var _ machine.EpochAdopter = (*reliable)(nil)
 
 // checksum is FNV-1a over the payload's IEEE-754 bit patterns.
 func checksum(data []float64) uint64 {

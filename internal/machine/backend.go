@@ -3,7 +3,6 @@ package machine
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -23,7 +22,7 @@ import (
 type Backend interface {
 	// NewWire returns rank's raw endpoint on a machine of the given size.
 	// Called once per local rank at machine start; the wire stays valid
-	// across rank restarts (SimBackend swaps the mailbox underneath it).
+	// across rank restarts.
 	NewWire(rank, size int) (BackendWire, error)
 	// Close releases the backend's resources (sockets, listeners,
 	// goroutines). The machine never calls it — the backend's creator
@@ -37,8 +36,9 @@ type Backend interface {
 type BackendWire interface {
 	// Deliver pushes pkt toward pkt.To. It may block on backpressure (a
 	// capped sim mailbox, a full TCP send buffer). Delivery to an
-	// unreachable peer is dropped silently — lossy-close semantics; a
-	// recovery supervisor, not the wire, resolves the resulting stall.
+	// unreachable peer is dropped without an error — lossy-close
+	// semantics, reported only through OnDrop; a recovery supervisor, not
+	// the wire, resolves the resulting stall.
 	Deliver(pkt Packet)
 	// Pull blocks until a packet addressed to this rank arrives. A close
 	// of the abort channel wakes the wait with ok == false.
@@ -50,47 +50,18 @@ type BackendWire interface {
 	Depth() int
 	// Drain discards every buffered packet (epoch rollover).
 	Drain()
-}
-
-// PacketCoster is an optional BackendWire extension that prices a packet
-// for the wire meters. Without it a packet costs len(Data) words — the
-// simulator's accounting. A real-network wire returns the framed size in
-// 8-byte words (header, payload, and frame checksum included), so the
-// Report's wire-vs-logical split measures what actually crossed the
-// socket.
-type PacketCoster interface {
+	// PacketCost prices pkt for the wire meters. The simulator charges
+	// len(Data) words; a real-network wire returns the framed size in
+	// 8-byte words (header, payload and frame checksum included), so the
+	// Report's wire-vs-logical split measures what actually crossed the
+	// socket.
 	PacketCost(pkt Packet) int64
-}
-
-// BarrierWire is an optional BackendWire extension required for
-// distributed runs (fewer local ranks than machine size): the in-process
-// counting barrier cannot see remote ranks, so Comm.Barrier delegates to
-// the wire. Barrier blocks until all size ranks of the given epoch have
-// arrived and returns the global barrier generation (the trace's step
-// identifier, identical on all participants and monotonic across epochs).
-// A close of the abort channel — or a remote abort decision — wakes the
-// wait with ok == false; the caller unwinds with the abort sentinel.
-type BarrierWire interface {
-	Barrier(epoch int64, abort <-chan struct{}) (gen int, ok bool)
-}
-
-// DropReporter is an optional BackendWire extension for lossy wires that
-// can tell when they lose a datagram — a send to a dead peer, a write
-// error, an injected chaos fault. The machine registers a hook that turns
-// each loss into an EventDrop wire event, so dropped sends are countable
-// in traces instead of only visible under ad-hoc debug logging. The hook
-// is called from whatever goroutine performed the Deliver.
-type DropReporter interface {
+	// OnDrop registers fn to be called for every packet the wire loses —
+	// a send to a dead peer, a write error, an injected chaos fault — so
+	// the machine can count drops as EventDrop wire events. fn runs on
+	// whatever goroutine performed the Deliver. A wire that never drops a
+	// packet ignores it.
 	OnDrop(fn func(pkt Packet, reason string))
-}
-
-// RankResetter is an optional Backend extension for backends that can
-// hand a restarting rank a fresh inbound state (Handle.RestartRank).
-// SimBackend implements it by swapping the rank's mailbox; a distributed
-// backend typically does not — there a dead rank is a dead OS process,
-// respawned by a process-level supervisor with a fresh backend of its own.
-type RankResetter interface {
-	ResetRank(rank int)
 }
 
 // PacketQueue is an unbounded (or capacity-capped) FIFO packet queue with
@@ -227,7 +198,7 @@ type SimBackend struct {
 	inboxCap int
 	mu       sync.Mutex
 	size     int
-	boxes    []atomic.Pointer[PacketQueue]
+	boxes    []*PacketQueue
 }
 
 // NewSimBackend returns an in-memory mailbox backend. inboxCap caps each
@@ -243,9 +214,9 @@ func (b *SimBackend) NewWire(rank, size int) (BackendWire, error) {
 	defer b.mu.Unlock()
 	if b.boxes == nil {
 		b.size = size
-		b.boxes = make([]atomic.Pointer[PacketQueue], size)
+		b.boxes = make([]*PacketQueue, size)
 		for i := range b.boxes {
-			b.boxes[i].Store(NewPacketQueue(b.inboxCap))
+			b.boxes[i] = NewPacketQueue(b.inboxCap)
 		}
 	}
 	if size != b.size {
@@ -260,18 +231,10 @@ func (b *SimBackend) NewWire(rank, size int) (BackendWire, error) {
 // Close is a no-op: mailboxes hold no OS resources.
 func (b *SimBackend) Close() error { return nil }
 
-// ResetRank swaps in a fresh mailbox for a restarting rank (RankResetter).
-// The rank's existing wire picks the new mailbox up on its next Pull, and
-// in-flight Delivers land in whichever mailbox the push resolves — exactly
-// the pre-backend restart semantics (stale packets are epoch-fenced
-// anyway).
-func (b *SimBackend) ResetRank(rank int) {
-	b.boxes[rank].Store(NewPacketQueue(b.inboxCap))
-}
+func (b *SimBackend) box(rank int) *PacketQueue { return b.boxes[rank] }
 
-func (b *SimBackend) box(rank int) *PacketQueue { return b.boxes[rank].Load() }
-
-// simWire is a rank's raw endpoint on the mailbox backend.
+// simWire is a rank's raw endpoint on the mailbox backend. It prices a
+// packet at its payload words and never drops one.
 type simWire struct {
 	be   *SimBackend
 	rank int
@@ -282,47 +245,5 @@ func (w *simWire) Pull(abort <-chan struct{}) (Packet, bool)  { return w.be.box(
 func (w *simWire) PullTimeout(d time.Duration) (Packet, bool) { return w.be.box(w.rank).PullTimeout(d) }
 func (w *simWire) Depth() int                                 { return w.be.box(w.rank).Depth() }
 func (w *simWire) Drain()                                     { w.be.box(w.rank).Drain() }
-
-// Cluster binds a machine size and backend into a reusable launcher —
-// the NewWithBackend form of the run API. It exists so callers selecting
-// a backend do it in one place:
-//
-//	cl, _ := machine.NewWithBackend(p, netBackend, machine.RunConfig{...})
-//	rep, err := cl.Run(body)
-//
-// is RunWith with cfg.Backend set; Start is the supervised (Handle) form.
-type Cluster struct {
-	p   int
-	be  Backend
-	cfg RunConfig
-}
-
-// NewWithBackend returns a launcher for P ranks over the given backend
-// (nil selects the in-memory SimBackend) under the base configuration.
-// The cluster does not own the backend: close it after the last run.
-func NewWithBackend(p int, be Backend, cfg RunConfig) (*Cluster, error) {
-	if p < 1 {
-		return nil, fmt.Errorf("machine: P = %d", p)
-	}
-	cfg.Backend = be
-	return &Cluster{p: p, be: be, cfg: cfg}, nil
-}
-
-// Start launches body over the cluster's backend without waiting.
-func (cl *Cluster) Start(body func(c *Comm)) (*Handle, error) {
-	return StartWith(cl.p, cl.cfg, body)
-}
-
-// Run executes body over the cluster's backend and returns the metered
-// report.
-func (cl *Cluster) Run(body func(c *Comm)) (*Report, error) {
-	return RunWith(cl.p, cl.cfg, body)
-}
-
-// Close closes the underlying backend (a no-op for the SimBackend).
-func (cl *Cluster) Close() error {
-	if cl.be == nil {
-		return nil
-	}
-	return cl.be.Close()
-}
+func (w *simWire) PacketCost(pkt Packet) int64                { return int64(len(pkt.Data)) }
+func (w *simWire) OnDrop(func(Packet, string))                {}

@@ -6,9 +6,9 @@ import (
 	"time"
 )
 
-// TestNewWithBackendSim runs a ping over an explicitly-selected SimBackend
-// and checks the report matches the default path exactly.
-func TestNewWithBackendSim(t *testing.T) {
+// TestExplicitSimBackend runs a ping over an explicitly-selected
+// SimBackend and checks the report matches the default path exactly.
+func TestExplicitSimBackend(t *testing.T) {
 	body := func(c *Comm) {
 		if c.Rank() == 0 {
 			c.Send(1, 7, []float64{1, 2, 3})
@@ -18,12 +18,7 @@ func TestNewWithBackendSim(t *testing.T) {
 			}
 		}
 	}
-	cl, err := NewWithBackend(2, NewSimBackend(0), RunConfig{Timeout: 10 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	rep, err := cl.Run(body)
+	rep, err := RunWith(2, RunConfig{Timeout: 10 * time.Second, Backend: NewSimBackend(0)}, body)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,23 +70,16 @@ func TestPacketQueueAbortWake(t *testing.T) {
 	}
 }
 
-// TestRestartRankRequiresResetter: a backend without RankResetter reports
-// a clear error instead of silently reusing a dead rank's queue.
-func TestRestartRankRequiresResetter(t *testing.T) {
-	h, err := StartWith(1, RunConfig{Backend: fixedBackend{NewSimBackend(0)}}, func(c *Comm) {})
-	if err != nil {
-		t.Fatal(err)
+// TestDistributedRunNeedsControlBarrier: a distributed run over a wire
+// without a control-plane barrier fails at StartWith, before any body
+// runs, instead of panicking at its first Barrier.
+func TestDistributedRunNeedsControlBarrier(t *testing.T) {
+	ran := false
+	_, err := StartWith(2, RunConfig{LocalRanks: []int{0}}, func(c *Comm) { ran = true })
+	if err == nil || !strings.Contains(err.Error(), "control-plane Barrier") {
+		t.Errorf("want missing-barrier error, got %v", err)
 	}
-	if _, err := h.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if err := h.RestartRank(0); err == nil || !strings.Contains(err.Error(), "cannot reset") {
-		t.Errorf("want resetter error, got %v", err)
+	if ran {
+		t.Error("body ran despite the StartWith error")
 	}
 }
-
-// fixedBackend hides SimBackend's RankResetter implementation.
-type fixedBackend struct{ be *SimBackend }
-
-func (f fixedBackend) NewWire(rank, size int) (BackendWire, error) { return f.be.NewWire(rank, size) }
-func (f fixedBackend) Close() error                                { return f.be.Close() }

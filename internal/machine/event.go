@@ -149,7 +149,7 @@ type Event struct {
 
 // rankObsState is a rank's event-emission bookkeeping. The scope fields
 // are touched only from the owning rank's goroutine (transports, including
-// fault injectors and the reliable protocol's Idle/Linger loops, all run
+// fault injectors and the reliable protocol's Wait/Linger loops, all run
 // on that goroutine); seq is atomic because a recovery supervisor reads it
 // from the host to segment committed from rolled-back events, and restores
 // it across a degraded relaunch so per-rank ordering stays monotonic.

@@ -9,9 +9,9 @@ import (
 
 // Handle is a running simulated machine with supervisor access: beyond
 // waiting for completion (the RunWith path), a supervisor can abort the
-// current epoch, wait for the survivors to park, restart crashed ranks on
-// fresh mailboxes, and roll the machine into a new epoch that fences all
-// stale wire traffic. parallel.Session's crash-recovery loop is the
+// current epoch, wait for the survivors to park, restart crashed ranks,
+// and roll the machine into a new epoch that fences all stale wire
+// traffic. parallel.Session's crash-recovery loop is the
 // intended caller; everything here assumes a resident body that parks in
 // AwaitHost between host-fed operations.
 //
@@ -25,11 +25,12 @@ type Handle struct {
 	body    func(c *Comm)
 
 	// Two completion stages: bodies counts returned (or panicked) rank
-	// bodies; wg counts fully exited goroutines. Between the two, a rank
-	// whose transport implements Idler lingers — answering peers'
-	// retransmissions — until every body has returned, so a lost final
-	// ack cannot strand a still-running sender. Crashed ranks do not
-	// linger: their silence is the fault being modelled.
+	// bodies; wg counts fully exited goroutines. Between the two, a
+	// finished rank lingers in its transport (Transport.Linger) —
+	// answering peers' retransmissions — until every local body has
+	// returned, so a lost final ack cannot strand a still-running sender.
+	// Crashed ranks do not linger: their silence is the fault being
+	// modelled.
 	bodies     sync.WaitGroup
 	wg         sync.WaitGroup
 	stopLinger chan struct{}
@@ -43,6 +44,13 @@ type Handle struct {
 // StartWith launches body on the ranks this process owns (all P by
 // default; cfg.LocalRanks restricts to a subset for distributed runs) and
 // returns without waiting. RunWith is StartWith + Wait.
+//
+// In a distributed run the in-process counting barrier cannot see remote
+// ranks, so every local rank's backend wire must provide a control-plane
+// barrier — Barrier(epoch, abort) (gen, ok), blocking until all P ranks of
+// the epoch have arrived and returning the global generation, or ok ==
+// false once abort closes or a remote abort decision lands. StartWith
+// looks it up once per rank and fails when a wire has none.
 func StartWith(p int, cfg RunConfig, body func(c *Comm)) (*Handle, error) {
 	if p < 1 {
 		return nil, fmt.Errorf("machine: P = %d", p)
@@ -80,28 +88,36 @@ func StartWith(p int, cfg RunConfig, body func(c *Comm)) (*Handle, error) {
 		isLocal[r] = true
 	}
 	m := &Machine{
-		p:           p,
-		be:          be,
-		raws:        make([]BackendWire, p),
-		localRanks:  append([]int(nil), locals...),
-		isLocal:     isLocal,
-		distributed: len(locals) < p,
-		sent:        make([]counter, p),
-		recv:        make([]counter, p),
-		wireSent:    make([]counter, p),
-		wireRecv:    make([]counter, p),
-		barrier:     newBarrier(len(locals)),
-		observer:    cfg.Observer,
-		wireEvents:  cfg.WireEvents,
-		obsState:    make([]rankObsState, p),
-		diags:       make([]rankDiag, p),
-		abortCh:     make(chan struct{}),
-		recovering:  cfg.OnRankDown != nil,
-		start:       time.Now(),
+		p:          p,
+		raws:       make([]BackendWire, p),
+		localRanks: append([]int(nil), locals...),
+		isLocal:    isLocal,
+		sent:       make([]counter, p),
+		recv:       make([]counter, p),
+		wireSent:   make([]counter, p),
+		wireRecv:   make([]counter, p),
+		barrier:    newBarrier(len(locals)),
+		ctlBarrier: make([]func(int64, <-chan struct{}) (int, bool), p),
+		observer:   cfg.Observer,
+		wireEvents: cfg.WireEvents,
+		obsState:   make([]rankObsState, p),
+		diags:      make([]rankDiag, p),
+		abortCh:    make(chan struct{}),
+		recovering: cfg.OnRankDown != nil,
+		start:      time.Now(),
 	}
 	m.epoch.Store(cfg.StartEpoch)
 	for _, r := range locals {
 		w, err := be.NewWire(r, p)
+		if err == nil && len(locals) < p {
+			if bw, ok := w.(interface {
+				Barrier(epoch int64, abort <-chan struct{}) (gen int, ok bool)
+			}); ok {
+				m.ctlBarrier[r] = bw.Barrier
+			} else {
+				err = fmt.Errorf("machine: distributed run over %T, which provides no control-plane Barrier", w)
+			}
+		}
 		if err != nil {
 			if owned != nil {
 				owned.Close()
@@ -161,8 +177,7 @@ func (h *Handle) runRank(rank int) {
 	}()
 	m := h.m
 	d := &m.diags[rank]
-	w := Wire(newLink(m, rank, m.raws[rank]))
-	tp := h.factory(w)
+	tp := h.factory(newLink(m, rank, m.raws[rank]))
 	var panicVal any
 	panicked := func() (panicked bool) {
 		defer h.bodies.Done()
@@ -173,7 +188,7 @@ func (h *Handle) runRank(rank int) {
 				panicked = true
 			}
 		}()
-		h.body(&Comm{m: m, rank: rank, t: tp, diag: d, w: w, factory: h.factory})
+		h.body(m.newComm(rank, tp))
 		return false
 	}()
 	if panicked {
@@ -183,9 +198,7 @@ func (h *Handle) runRank(rank int) {
 		return
 	}
 	d.setDone()
-	if idler, ok := tp.(Idler); ok {
-		idler.Linger(h.stopLinger)
-	}
+	tp.Linger(h.stopLinger)
 }
 
 // panicToError converts a rank's panic value into the structured error
@@ -308,13 +321,14 @@ func (h *Handle) BeginEpoch() int64 {
 	return epoch
 }
 
-// RestartRank respawns a crashed rank's body on a fresh mailbox with
-// fresh transport state, clearing its recorded panic so the eventual
+// RestartRank respawns a crashed rank's body with fresh transport state
+// over its existing wire, clearing its recorded panic so the eventual
 // Wait does not resurrect an already-recovered crash. Call between
-// BeginEpoch and the replay dispatch; the respawned body starts in the
-// new epoch, parks, and sees no need to Rebind. The backend must be a
-// RankResetter (SimBackend is); a socket backend's ranks are OS
-// processes, restarted by the cluster supervisor, not here.
+// BeginEpoch and the replay dispatch: BeginEpoch has drained the rank's
+// mailbox, and the epoch fence drops any older packet still in flight.
+// The respawned body starts in the new epoch, parks, and needs no
+// Refence. A distributed run's ranks are OS processes, restarted by the
+// cluster supervisor, not here.
 func (h *Handle) RestartRank(rank int) error {
 	if rank < 0 || rank >= h.m.p {
 		return fmt.Errorf("machine: restart of rank %d of %d", rank, h.m.p)
@@ -322,15 +336,10 @@ func (h *Handle) RestartRank(rank int) error {
 	if !h.m.isLocal[rank] {
 		return fmt.Errorf("machine: restart of remote rank %d", rank)
 	}
-	rr, ok := h.m.be.(RankResetter)
-	if !ok {
-		return fmt.Errorf("machine: backend %T cannot reset a rank in-process; respawn the rank's process instead", h.m.be)
-	}
 	kind, _, _, _ := h.m.diags[rank].snapshot()
 	if kind != BlockCrashed {
 		return fmt.Errorf("machine: restart of rank %d in state %v (want crashed)", rank, kind)
 	}
-	rr.ResetRank(rank)
 	h.m.diags[rank].reset()
 	// A crashed rank's goroutine has fully exited, so alive is strictly
 	// below P here, and the parked survivors keep it above zero — the

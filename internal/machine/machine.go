@@ -12,13 +12,19 @@
 //
 // The package is layered: logical point-to-point Send/Recv with tags (plus
 // a combined Exchange, barriers, and per-rank counters) ride on a pluggable
-// Transport over a raw packet Wire. The default direct transport maps one
-// logical message to one packet on the perfect simulated network; package
-// fault perturbs the wire (drop/duplicate/reorder/corrupt/stall/crash) and
-// provides a reliable transport that restores logical semantics on top.
-// Logical and wire traffic are metered separately, so recovery overhead
-// never contaminates the communication counts the theory is compared
-// against. Collectives are layered on top in package collective.
+// Transport over a raw packet Wire, which the machine layers over one
+// BackendWire per rank from a Backend. Those four interfaces are the whole
+// seam, and every method on them is required: a Transport sends, receives
+// (reporting whether the payload may be pooled), waits while its rank is
+// parked, lingers after its body returns, and adopts a recovery epoch; a
+// BackendWire moves, prices and reports lost packets. The default direct
+// transport maps one logical message to one packet on the perfect
+// simulated network; package fault perturbs the wire
+// (drop/duplicate/reorder/corrupt/stall/crash) and provides a reliable
+// transport that restores logical semantics on top. Logical and wire
+// traffic are metered separately, so recovery overhead never contaminates
+// the communication counts the theory is compared against. Collectives are
+// layered on top in package collective.
 package machine
 
 import (
@@ -30,24 +36,26 @@ import (
 
 // Machine is the shared state of one simulated run.
 type Machine struct {
-	p           int
-	be          Backend       // packet layer (SimBackend unless configured)
-	raws        []BackendWire // per-rank raw endpoints; nil for remote ranks
-	localRanks  []int         // ranks running in this process, ascending
-	isLocal     []bool        // indexed by rank
-	distributed bool          // len(localRanks) < p: peers live in other processes
-	sent        []counter     // logical, metered at Send
-	recv        []counter     // logical, metered at Recv
-	wireSent    []counter     // raw packets pushed, retransmits and acks included
-	wireRecv    []counter     // raw packets pulled
-	barrier     *barrier
-	observer    func(Event)
-	wireEvents  bool
-	obsState    []rankObsState
-	diags       []rankDiag
-	progress    atomic.Int64 // bumped on every completed logical operation
-	pool        payloadPool  // recycles Send's payload copies (see pool.go)
-	start       time.Time    // incarnation start; Event.Wall is measured from it
+	p          int
+	raws       []BackendWire // per-rank raw endpoints; nil for remote ranks
+	localRanks []int         // ranks running in this process, ascending
+	isLocal    []bool        // indexed by rank
+	sent       []counter     // logical, metered at Send
+	recv       []counter     // logical, metered at Recv
+	wireSent   []counter     // raw packets pushed, retransmits and acks included
+	wireRecv   []counter     // raw packets pulled
+	barrier    *barrier
+	// ctlBarrier holds, per local rank of a distributed run, the backend
+	// wire's control-plane barrier (see StartWith); nil entries use the
+	// in-process counting barrier.
+	ctlBarrier []func(epoch int64, abort <-chan struct{}) (gen int, ok bool)
+	observer   func(Event)
+	wireEvents bool
+	obsState   []rankObsState
+	diags      []rankDiag
+	progress   atomic.Int64 // bumped on every completed logical operation
+	pool       payloadPool  // recycles Send's payload copies (see pool.go)
+	start      time.Time    // incarnation start; Event.Wall is measured from it
 
 	// Crash-recovery state (see handle.go). epoch fences stale wire
 	// traffic across recoveries; aborting/abortCh unwind blocked ranks out
@@ -121,12 +129,32 @@ func (c *counter) set(words, msgs int64) {
 // Comm is a rank's handle to the machine. Exactly one goroutine may use a
 // given Comm.
 type Comm struct {
-	m       *Machine
-	rank    int
-	t       Transport
-	diag    *rankDiag
-	w       Wire             // raw endpoint, retained for Rebind
-	factory TransportFactory // retained for Rebind
+	m    *Machine
+	rank int
+	t    Transport
+	diag *rankDiag
+	// arrive enters the barrier and stores the released generation in
+	// gen (-1 when an epoch abort cut the wait short). It is built once
+	// per rank so that Barrier allocates nothing.
+	arrive func()
+	gen    int
+}
+
+// newComm binds rank's handle over transport t.
+func (m *Machine) newComm(rank int, t Transport) *Comm {
+	c := &Comm{m: m, rank: rank, t: t, diag: &m.diags[rank]}
+	if ctl := m.ctlBarrier[rank]; ctl != nil {
+		c.arrive = func() {
+			gen, ok := ctl(m.epoch.Load(), m.abortChan())
+			if !ok {
+				gen = -1
+			}
+			c.gen = gen
+		}
+	} else {
+		c.arrive = func() { c.gen = m.barrier.await() }
+	}
+	return c
 }
 
 // Rank returns this processor's id in 0..P-1.
@@ -137,34 +165,20 @@ func (c *Comm) Size() int { return c.m.p }
 
 // Epoch returns the machine's current recovery epoch (0 until the first
 // crash recovery). A resident body compares it against the epoch it last
-// ran an operation in to decide whether its transport needs a Rebind.
+// ran an operation in to decide whether its transport needs a Refence.
 func (c *Comm) Epoch() int64 { return c.m.epoch.Load() }
 
-// Rebind rebuilds this rank's transport over its raw wire endpoint. A
-// surviving rank calls it when it picks up the first operation of a new
-// epoch: the old transport's protocol state (sequence numbers, parked
-// out-of-order packets, retransmission windows) refers to conversations
-// that were rolled back, and a respawned peer starts from fresh protocol
-// state, so the two would disagree forever without the rebind.
-func (c *Comm) Rebind() {
-	c.t = c.factory(c.w)
-}
-
-// Refence moves this rank's transport into the current epoch with
-// per-pair state resets limited to resetPeers, when the transport
-// supports it (see EpochAdopter); otherwise it falls back to a full
-// Rebind. It returns true when the partial path was taken. resetPeers
+// Refence moves this rank's transport into the current epoch
+// (Transport.AdoptEpoch), resetting protocol state for the peers in
+// resetPeers. A surviving rank calls it when it picks up the first
+// operation of a new epoch: state kept for a rolled-back conversation
+// would disagree forever with a respawned peer's fresh state. resetPeers
 // must be the supervisor-computed symmetric set of disturbed pairs for
-// this rank; every surviving rank must call Refence (or Rebind) on every
-// epoch change even with an empty reset list, because a transport left
-// on the old epoch ignores all new-epoch traffic.
-func (c *Comm) Refence(resetPeers []int) bool {
-	if a, ok := c.t.(EpochAdopter); ok {
-		a.AdoptEpoch(c.m.epoch.Load(), resetPeers)
-		return true
-	}
-	c.Rebind()
-	return false
+// this rank; every surviving rank must call Refence on every epoch change
+// even with an empty reset list, because a transport left on the old
+// epoch ignores all new-epoch traffic.
+func (c *Comm) Refence(resetPeers []int) {
+	c.t.AdoptEpoch(c.m.epoch.Load(), resetPeers)
 }
 
 // Send transmits a copy of data to the destination rank with the given
@@ -196,7 +210,7 @@ func (c *Comm) Send(to, tag int, data []float64) {
 func (c *Comm) Recv(from, tag int) []float64 {
 	c.m.checkAbort()
 	c.diag.setBlocked(BlockRecv, from, tag)
-	data := c.t.Recv(from, tag)
+	data, _ := c.t.Recv(from, tag)
 	c.diag.setRunning()
 	c.m.recv[c.rank].add(int64(len(data)))
 	c.m.emit(c.rank, Event{Kind: EventRecv, From: from, To: c.rank, Tag: tag, Words: len(data), Step: -1})
@@ -218,13 +232,7 @@ func (c *Comm) Recv(from, tag int) []float64 {
 func (c *Comm) RecvInto(from, tag int, dst []float64) int {
 	c.m.checkAbort()
 	c.diag.setBlocked(BlockRecv, from, tag)
-	var data []float64
-	recycle := false
-	if pr, ok := c.t.(PayloadReceiver); ok {
-		data, recycle = pr.RecvPayload(from, tag)
-	} else {
-		data = c.t.Recv(from, tag)
-	}
+	data, recycle := c.t.Recv(from, tag)
 	c.diag.setRunning()
 	if len(data) > len(dst) {
 		panic(fmt.Sprintf("machine: rank %d RecvInto(%d, %d): payload %d words, buffer %d",
@@ -248,68 +256,20 @@ func (c *Comm) Exchange(peer, tag int, data []float64) []float64 {
 	return c.Recv(peer, tag)
 }
 
-// Barrier blocks until all P ranks have entered it. A transport that
-// implements Idler keeps servicing the wire while waiting, so peers
-// retransmitting a message whose ack was lost are still answered.
-//
-// In a distributed run (some ranks in other processes) the in-process
-// counting barrier cannot see the remote ranks, so the wait is delegated
-// to the backend's BarrierWire — the coordinator counts all P arrivals
-// and hands back the global generation. The Idler servicing loop still
-// applies there: socket backends drain frames into the inbox on dedicated
-// reader goroutines, but only the transport can acknowledge them, so a
-// rank parked at the control-plane barrier without idling would strand
-// any peer retransmitting a message whose ack was lost.
+// Barrier blocks until all P ranks have entered it. The transport's Wait
+// runs the wait, so a transport that owes peers answers (a reliable
+// transport whose ack was lost) keeps servicing the wire meanwhile. In a
+// distributed run the wait is the backend wire's control-plane barrier,
+// which counts all P arrivals across processes (see StartWith).
 func (c *Comm) Barrier() {
 	c.m.checkAbort()
 	c.diag.setBlocked(BlockBarrier, -1, -1)
-	var gen int
-	if c.m.distributed {
-		l, ok := c.w.(*link)
-		if !ok {
-			panic("machine: distributed barrier over a non-link wire")
-		}
-		bw, ok := l.barrier()
-		if !ok {
-			panic(fmt.Sprintf("machine: distributed run over %T, which provides no BarrierWire", l.raw))
-		}
-		epoch, abort := c.m.epoch.Load(), c.m.abortChan()
-		var g int
-		var bok bool
-		if idler, ok := c.t.(Idler); ok {
-			// BarrierWire.Barrier blocks on the control plane only, so it
-			// is safe off the rank goroutine; the rank goroutine itself
-			// keeps servicing the data plane (acks, dedup) until release.
-			// The channel close orders g/bok before the reads below.
-			done := make(chan struct{})
-			go func() {
-				defer close(done)
-				g, bok = bw.Barrier(epoch, abort)
-			}()
-			idler.Idle(done)
-		} else {
-			g, bok = bw.Barrier(epoch, abort)
-		}
-		if !bok {
-			panic(abortPanic{})
-		}
-		gen = g
-	} else if idler, ok := c.t.(Idler); ok {
-		ch, g := c.m.barrier.arriveChan()
-		idler.Idle(ch)
-		// An abort closes the release channel early; a barrier that
-		// happened to complete at the same moment is retried with the rest
-		// of the operation, which is harmless — the replay reruns it.
-		c.m.checkAbort()
-		gen = g
-	} else {
-		gen = c.m.barrier.await()
-		if gen < 0 {
-			panic(abortPanic{})
-		}
+	c.t.Wait(c.arrive)
+	if c.gen < 0 {
+		panic(abortPanic{})
 	}
 	c.diag.setRunning()
-	c.m.emit(c.rank, Event{Kind: EventBarrier, From: c.rank, To: c.rank, Step: gen})
+	c.m.emit(c.rank, Event{Kind: EventBarrier, From: c.rank, To: c.rank, Step: c.gen})
 	c.m.progress.Add(1)
 }
 
@@ -318,24 +278,13 @@ func (c *Comm) Barrier() {
 // the stall watchdog can tell an idle session — every unfinished rank
 // waiting for the host to feed it work — from a genuine deadlock. wait
 // typically blocks on a host-owned channel; returning from it counts as
-// progress.
-//
-// Like Barrier, a parked rank keeps servicing the wire when the transport
-// implements Idler: peers may still be finishing the previous operation
-// (or retransmitting a message whose ack was lost), and a rank that went
-// quiet the moment its own part completed would stall them forever.
+// progress. Like Barrier, the wait runs under the transport's Wait: peers
+// may still be finishing the previous operation (or retransmitting a
+// message whose ack was lost), and a rank that went quiet the moment its
+// own part completed would stall them forever.
 func (c *Comm) AwaitHost(wait func()) {
 	c.diag.parkForHost()
-	if idler, ok := c.t.(Idler); ok {
-		stop := make(chan struct{})
-		go func() {
-			wait()
-			close(stop)
-		}()
-		idler.Idle(stop)
-	} else {
-		wait()
-	}
+	c.t.Wait(wait)
 	c.diag.setRunning()
 	c.m.progress.Add(1)
 }
@@ -385,21 +334,16 @@ func (c *Comm) RecvMsgs() int64 { return c.m.recv[c.rank].msgs.Load() }
 // so far, retransmissions included.
 func (c *Comm) WireSentWords() int64 { return c.m.wireSent[c.rank].words.Load() }
 
-// barrier is a reusable counting barrier with two wait paths: a
-// condition-variable path for plain transports (no allocation per
-// generation — part of the zero-allocation steady-state exchange) and a
-// release-channel path for Idler transports, which need something they can
-// select on while servicing the wire. The channel is created lazily, only
-// for generations in which a channel-waiter actually arrives, so direct-
-// transport runs never pay for it.
+// barrier is a reusable in-process counting barrier. Its condition-
+// variable wait allocates nothing per generation — part of the
+// zero-allocation steady-state exchange.
 type barrier struct {
 	mu      sync.Mutex
 	cond    sync.Cond
 	p       int
 	count   int
 	gen     int
-	release chan struct{} // nil until an Idler arrives this generation
-	aborted bool          // epoch abort in progress: release everyone, arrivals void
+	aborted bool // epoch abort in progress: release everyone, arrivals void
 }
 
 func newBarrier(p int) *barrier {
@@ -408,25 +352,10 @@ func newBarrier(p int) *barrier {
 	return b
 }
 
-// arriveLocked registers one arrival; the last arriver releases both wait
-// paths. Callers hold b.mu.
-func (b *barrier) arriveLocked() {
-	b.count++
-	if b.count == b.p {
-		b.count = 0
-		b.gen++
-		if b.release != nil {
-			close(b.release)
-			b.release = nil
-		}
-		b.cond.Broadcast()
-	}
-}
-
 // await arrives and blocks until the generation completes, returning the
 // generation index (identical for all P participants of one
-// synchronization — the trace's step identifier). Allocation-free.
-// Returns -1 when the wait was cut short by an epoch abort.
+// synchronization — the trace's step identifier). Returns -1 when the
+// wait was cut short by an epoch abort.
 func (b *barrier) await() int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -434,7 +363,12 @@ func (b *barrier) await() int {
 		return -1
 	}
 	gen := b.gen
-	b.arriveLocked()
+	b.count++
+	if b.count == b.p {
+		b.count = 0
+		b.gen++
+		b.cond.Broadcast()
+	}
 	for b.gen == gen && !b.aborted {
 		b.cond.Wait()
 	}
@@ -442,25 +376,6 @@ func (b *barrier) await() int {
 		return -1 // released by the abort, not by the last arriver
 	}
 	return gen
-}
-
-// arriveChan arrives and hands back the current generation's release
-// channel — closed when the last rank arrives — so a waiting rank can
-// select on it while doing other work (see Comm.Barrier).
-func (b *barrier) arriveChan() (<-chan struct{}, int) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.aborted {
-		ch := make(chan struct{})
-		close(ch)
-		return ch, -1
-	}
-	if b.release == nil {
-		b.release = make(chan struct{})
-	}
-	ch, gen := b.release, b.gen
-	b.arriveLocked()
-	return ch, gen
 }
 
 // abort releases every waiter with a void generation; arrivals until
@@ -471,10 +386,6 @@ func (b *barrier) arriveChan() (<-chan struct{}, int) {
 func (b *barrier) abort() {
 	b.mu.Lock()
 	b.aborted = true
-	if b.release != nil {
-		close(b.release)
-		b.release = nil
-	}
 	b.cond.Broadcast()
 	b.mu.Unlock()
 }
@@ -486,7 +397,6 @@ func (b *barrier) reset() {
 	b.mu.Lock()
 	b.aborted = false
 	b.count = 0
-	b.release = nil
 	b.mu.Unlock()
 }
 
@@ -533,9 +443,9 @@ type RunConfig struct {
 	// LocalRanks names the ranks this process runs; nil means all P (the
 	// single-process default). A distributed launcher starts one machine
 	// per process, each naming its own rank(s) here over a shared
-	// network backend; barriers then require the backend to provide a
-	// BarrierWire, and the stall watchdog should stay disabled (it
-	// cannot see remote progress).
+	// network backend, whose wires must then provide the control-plane
+	// barrier StartWith looks up; the stall watchdog should stay disabled
+	// (it cannot see remote progress).
 	LocalRanks []int
 	// StartEpoch is the recovery epoch the machine starts in (normally
 	// zero). A respawned rank process sets it to the cluster's current

@@ -100,61 +100,44 @@ type Wire interface {
 // that preserves logical semantics over a faulty wire.
 type Transport interface {
 	Send(to, tag int, data []float64)
-	Recv(from, tag int) []float64
+	// Recv blocks until a message with the given source and tag arrives.
+	// recycle reports whether the payload buffer may go back to the
+	// machine's payload pool once the caller has copied it out; a
+	// transport that retains or re-delivers payloads returns false.
+	Recv(from, tag int) (data []float64, recycle bool)
+	// Wait runs block, which parks the rank outside Send/Recv (at a
+	// barrier, or waiting for host input), and returns after block has.
+	// A transport whose peers may still need answers meanwhile — a lost
+	// acknowledgement strands its sender once the receiver stops pulling
+	// its mailbox — services the wire in full while block runs, so block
+	// may run on another goroutine and must not touch the transport.
+	Wait(block func())
+	// Linger services protocol echoes only (re-acking duplicates of
+	// already-delivered messages) until stop is closed; the machine calls
+	// it after the rank's body returns, so peers retransmitting into this
+	// rank's mailbox can still complete. A message the body never received
+	// must NOT be acknowledged here — its sender is entitled to an
+	// UnreachableError.
+	//
+	// stop closes once every local body has returned. In a distributed run
+	// that is this process's bodies only, so a body must end with a
+	// Barrier: every rank then leaves only after each send it made was
+	// acknowledged, and no peer is left retransmitting into silence.
+	Linger(stop <-chan struct{})
+	// AdoptEpoch moves the transport into a new recovery epoch, resetting
+	// per-peer protocol state (sequence counters, parked out-of-order
+	// packets, undelivered buffered messages) for the listed peers — the
+	// pairs the supervisor found disturbed by the aborted epoch. Pairs not
+	// listed keep their counters: a completed, acknowledged exchange
+	// advanced both ends consistently. Resets must be pair-symmetric: the
+	// supervisor computes one global set of disturbed pairs and hands each
+	// rank its side of it.
+	AdoptEpoch(epoch int64, resetPeers []int)
 }
 
 // TransportFactory builds one rank's transport around its raw wire
 // endpoint. It is called once per rank, from that rank's goroutine.
 type TransportFactory func(w Wire) Transport
-
-// PayloadReceiver is an optional Transport extension that exposes payload
-// buffer provenance: RecvPayload behaves like Recv but additionally
-// reports whether the returned buffer may be recycled into the machine's
-// payload pool once the caller has copied it out. Comm.RecvInto uses it;
-// transports that retain or re-deliver payloads must either not implement
-// it or return recycle == false.
-type PayloadReceiver interface {
-	Transport
-	RecvPayload(from, tag int) (data []float64, recycle bool)
-}
-
-// EpochAdopter is an optional Transport extension for protocols that can
-// carry their sequence state across a recovery epoch instead of being
-// rebuilt from scratch. AdoptEpoch moves the transport into the given
-// epoch and resets per-peer protocol state (sequence counters, parked
-// out-of-order packets, undelivered buffered messages) for exactly the
-// listed peers — the pairs the supervisor determined were disturbed by
-// the aborted epoch. Pairs not listed keep their counters: a completed,
-// acknowledged exchange advanced both ends consistently, so rebuilding
-// them would discard valid state for nothing.
-//
-// Resets must be pair-symmetric: the supervisor computes one global set
-// of disturbed pairs and hands each rank its side of it. A transport that
-// resets a pair unilaterally while the peer keeps counting would either
-// dedup-drop real messages or park them forever.
-type EpochAdopter interface {
-	Transport
-	AdoptEpoch(epoch int64, resetPeers []int)
-}
-
-// Idler is an optional Transport extension for protocols that must keep
-// servicing the wire while their rank is blocked outside Send/Recv. A
-// reliable (ack-based) transport needs both hooks: without them, a lost
-// acknowledgement strands the sender once the receiver stops pulling its
-// mailbox — at a barrier, or after its body returns.
-type Idler interface {
-	Transport
-	// Idle services incoming packets in full until stop is closed; the
-	// machine calls it while the rank waits at a barrier.
-	Idle(stop <-chan struct{})
-	// Linger services protocol echoes only (e.g. re-acking duplicates of
-	// already-delivered messages) until stop is closed; the machine calls
-	// it after the rank's body returns, so peers retransmitting into this
-	// rank's mailbox can still complete. A message the body never
-	// received must NOT be acknowledged here — its sender is entitled to
-	// an UnreachableError.
-	Linger(stop <-chan struct{})
-}
 
 // link is the concrete Wire implementation: the machine's metering,
 // epoch-stamping and abort-unwinding decorator over a backend's raw wire.
@@ -164,25 +147,18 @@ type link struct {
 	m    *Machine
 	rank int
 	raw  BackendWire
-	cost func(Packet) int64 // wire-meter pricing (PacketCoster or payload words)
 }
 
 func newLink(m *Machine, rank int, raw BackendWire) *link {
-	l := &link{m: m, rank: rank, raw: raw}
-	if pc, ok := raw.(PacketCoster); ok {
-		l.cost = pc.PacketCost
-	} else {
-		l.cost = func(pkt Packet) int64 { return int64(len(pkt.Data)) }
-	}
-	if dr, ok := raw.(DropReporter); ok && m.wireEvents {
+	if m.wireEvents {
 		// Promote the wire's loss reports into the structured event
 		// stream: one EventDrop per lost datagram. Wire-only — drops never
 		// touch the logical meters the paper's bounds are checked against.
-		dr.OnDrop(func(pkt Packet, reason string) {
+		raw.OnDrop(func(pkt Packet, reason string) {
 			m.emit(rank, Event{Kind: EventDrop, From: rank, To: pkt.To, Tag: pkt.Tag, Words: len(pkt.Data), Step: -1, Wire: true})
 		})
 	}
-	return l
+	return &link{m: m, rank: rank, raw: raw}
 }
 
 func (l *link) Rank() int { return l.rank }
@@ -193,7 +169,7 @@ func (l *link) Deliver(pkt Packet) {
 		panic(fmt.Sprintf("machine: deliver to rank %d of %d", pkt.To, l.m.p))
 	}
 	pkt.Epoch = l.m.epoch.Load()
-	l.m.wireSent[l.rank].add(l.cost(pkt))
+	l.m.wireSent[l.rank].add(l.raw.PacketCost(pkt))
 	if l.m.wireEvents {
 		l.m.emit(l.rank, Event{Kind: EventSend, From: l.rank, To: pkt.To, Tag: pkt.Tag, Words: len(pkt.Data), Step: -1, Wire: true})
 	}
@@ -212,7 +188,7 @@ func (l *link) Pull() Packet {
 		if pkt.Epoch != l.m.epoch.Load() {
 			continue // stale retransmission from a pre-recovery epoch
 		}
-		l.m.wireRecv[l.rank].add(l.cost(pkt))
+		l.m.wireRecv[l.rank].add(l.raw.PacketCost(pkt))
 		if l.m.wireEvents {
 			l.m.emit(l.rank, Event{Kind: EventRecv, From: pkt.From, To: l.rank, Tag: pkt.Tag, Words: len(pkt.Data), Step: -1, Wire: true})
 		}
@@ -224,12 +200,12 @@ func (l *link) PullTimeout(d time.Duration) (Packet, bool) {
 	pkt, ok := l.raw.PullTimeout(d)
 	if ok && pkt.Epoch != l.m.epoch.Load() {
 		// A stale-epoch packet reads as silence, never as a panic: this
-		// path also serves the Idle/Linger/park loops, which must survive
+		// path also serves the transports' Wait and Linger loops, which must survive
 		// an epoch abort intact.
 		return Packet{}, false
 	}
 	if ok {
-		l.m.wireRecv[l.rank].add(l.cost(pkt))
+		l.m.wireRecv[l.rank].add(l.raw.PacketCost(pkt))
 		if l.m.wireEvents {
 			l.m.emit(l.rank, Event{Kind: EventRecv, From: pkt.From, To: l.rank, Tag: pkt.Tag, Words: len(pkt.Data), Step: -1, Wire: true})
 		}
@@ -245,13 +221,6 @@ func (l *link) Pending(entries []PendingEntry) {
 	l.m.diags[l.rank].setPending(entries)
 }
 
-// barrier delegates a distributed barrier wait to the raw wire; ok is
-// false when the wire does not support one.
-func (l *link) barrier() (BarrierWire, bool) {
-	bw, ok := l.raw.(BarrierWire)
-	return bw, ok
-}
-
 // directTransport is the default transport: a logical message is exactly
 // one packet, delivery is exact and in order (the simulated network is
 // perfect), so no acks, sequence numbers, or retransmission are needed.
@@ -259,20 +228,13 @@ func (l *link) barrier() (BarrierWire, bool) {
 // per key, FIFO, preserving the per-(sender, tag) ordering guarantee.
 type directTransport struct {
 	w       Wire
-	pending map[[2]int][]bufferedPayload
-}
-
-// bufferedPayload is one out-of-order payload held by a transport,
-// remembering whether its buffer may still be recycled on consumption.
-type bufferedPayload struct {
-	data    []float64
-	recycle bool
+	pending map[[2]int][]Packet
 }
 
 // NewDirectTransport returns the default transport over w. It is exported
 // so fault injectors can compose it over a perturbed wire.
 func NewDirectTransport(w Wire) Transport {
-	return &directTransport{w: w, pending: make(map[[2]int][]bufferedPayload)}
+	return &directTransport{w: w, pending: make(map[[2]int][]Packet)}
 }
 
 func (t *directTransport) Send(to, tag int, data []float64) {
@@ -281,21 +243,16 @@ func (t *directTransport) Send(to, tag int, data []float64) {
 	t.w.Deliver(Packet{From: t.w.Rank(), To: to, Tag: tag, Kind: PacketData, Data: data, Recycle: true})
 }
 
-func (t *directTransport) Recv(from, tag int) []float64 {
-	data, _ := t.RecvPayload(from, tag)
-	return data
-}
-
-// RecvPayload implements PayloadReceiver: the returned flag propagates the
-// packet's Recycle mark so Comm.RecvInto can pool the buffer.
-func (t *directTransport) RecvPayload(from, tag int) ([]float64, bool) {
+// Recv propagates the packet's Recycle mark so Comm.RecvInto can pool the
+// buffer.
+func (t *directTransport) Recv(from, tag int) ([]float64, bool) {
 	key := [2]int{from, tag}
 	if q := t.pending[key]; len(q) > 0 {
-		bp := q[0]
-		q[0] = bufferedPayload{}
+		pkt := q[0]
+		q[0] = Packet{}
 		t.pending[key] = q[1:]
-		t.w.Pending(summarizeBuffered(t.pending))
-		return bp.data, bp.recycle
+		t.w.Pending(SummarizePending(t.pending))
+		return pkt.Data, pkt.Recycle
 	}
 	for {
 		pkt := t.w.Pull()
@@ -303,37 +260,30 @@ func (t *directTransport) RecvPayload(from, tag int) ([]float64, bool) {
 			return pkt.Data, pkt.Recycle
 		}
 		k := [2]int{pkt.From, pkt.Tag}
-		t.pending[k] = append(t.pending[k], bufferedPayload{data: pkt.Data, recycle: pkt.Recycle})
-		t.w.Pending(summarizeBuffered(t.pending))
+		t.pending[k] = append(t.pending[k], pkt)
+		t.w.Pending(SummarizePending(t.pending))
 	}
 }
 
-// summarizeBuffered is SummarizePending for the direct transport's
-// provenance-tracking pending map.
-func summarizeBuffered(pending map[[2]int][]bufferedPayload) []PendingEntry {
-	var out []PendingEntry
-	for key, msgs := range pending {
-		if len(msgs) == 0 {
-			continue
-		}
-		words := 0
-		for _, m := range msgs {
-			words += len(m.data)
-		}
-		out = append(out, PendingEntry{From: key[0], Tag: key[1], Msgs: len(msgs), Words: words})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].From != out[j].From {
-			return out[i].From < out[j].From
-		}
-		return out[i].Tag < out[j].Tag
-	})
-	return out
+// Wait runs block inline: nothing on a perfect wire needs answering while
+// the rank waits, and the barrier's condition-variable wait stays
+// allocation-free.
+func (t *directTransport) Wait(block func()) { block() }
+
+// Linger returns at once: no peer ever waits on this rank's replies.
+func (t *directTransport) Linger(<-chan struct{}) {}
+
+// AdoptEpoch discards every buffered payload — each belongs to an
+// operation the aborted epoch rolled back. With no per-peer sequence
+// state there is nothing narrower to reset.
+func (t *directTransport) AdoptEpoch(int64, []int) {
+	clear(t.pending)
+	t.w.Pending(nil)
 }
 
-// SummarizePending condenses a transport's pending map (keyed by
+// SummarizePending condenses a transport's buffered packets (keyed by
 // [2]int{from, tag}) into sorted diagnostic entries for Wire.Pending.
-func SummarizePending(pending map[[2]int][][]float64) []PendingEntry {
+func SummarizePending(pending map[[2]int][]Packet) []PendingEntry {
 	var out []PendingEntry
 	for key, msgs := range pending {
 		if len(msgs) == 0 {
@@ -341,7 +291,7 @@ func SummarizePending(pending map[[2]int][][]float64) []PendingEntry {
 		}
 		words := 0
 		for _, m := range msgs {
-			words += len(m)
+			words += len(m.Data)
 		}
 		out = append(out, PendingEntry{From: key[0], Tag: key[1], Msgs: len(msgs), Words: words})
 	}

@@ -143,13 +143,13 @@ func TestSocketChaosCrashRecoveryComposition(t *testing.T) {
 }
 
 // TestDistributedBarrierServicesTransport is the regression test for the
-// barrier/Idler deadlock: rank 0 receives a message, sends the ack, the
+// barrier/ack deadlock: rank 0 receives a message, sends the ack, the
 // ack is lost, and rank 0 parks at the control-plane barrier. Rank 1 is
-// still blocked in Send, retransmitting — only rank 0's Idle servicing
-// loop can re-acknowledge the duplicate while the barrier blocks. Before
-// the fix rank 0 sat in the coordinator barrier with its transport
-// parked, rank 1 retransmitted into silence until its attempt budget
-// died, and the run failed.
+// still blocked in Send, retransmitting — only rank 0's transport,
+// servicing the wire inside Transport.Wait, can re-acknowledge the
+// duplicate while the barrier blocks. Before the fix rank 0 sat in the
+// coordinator barrier with its transport parked, rank 1 retransmitted
+// into silence until its attempt budget died, and the run failed.
 func TestDistributedBarrierServicesTransport(t *testing.T) {
 	const p = 2
 	co, err := netwire.NewCoordinator("tcp", "127.0.0.1:0", p)

@@ -17,9 +17,9 @@ import (
 // node (frames on sockets, like Loopback but hosting a single rank) plus
 // a persistent control connection to the Coordinator. It implements
 // machine.Backend for a machine whose LocalRanks is exactly this rank;
-// the wire it hands out adds the BarrierWire the distributed machine
-// requires, realized as a barrier/release round-trip on the control
-// plane.
+// the wire it hands out adds the control-plane Barrier the distributed
+// machine requires (see machine.StartWith), realized as a barrier/release
+// round-trip on the control plane.
 type Client struct {
 	network string
 	rank    int

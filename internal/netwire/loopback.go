@@ -17,10 +17,8 @@ import (
 // are exercised exactly as in a distributed run, while the machine itself
 // (and everything above it: transports, sessions, recovery) runs
 // unchanged. This is the conformance configuration: logical meters and
-// results must match the SimBackend bit for bit.
-//
-// Loopback implements machine.RankResetter, so the in-process crash
-// recovery suite (Handle.RestartRank) runs over sockets too.
+// results must match the SimBackend bit for bit. The in-process crash
+// recovery suite (Handle.RestartRank) runs over it too.
 type Loopback struct {
 	network string
 	plan    fault.Plan
@@ -128,17 +126,6 @@ func (b *Loopback) setupLocked(size int) error {
 	b.wires = wires
 	b.addrs = addrs
 	return nil
-}
-
-// ResetRank hands a restarting rank a fresh inbound queue
-// (machine.RankResetter). In-flight frames already in kernel buffers
-// still decode into the new queue, where the machine's epoch fence
-// discards them — the same semantics the SimBackend's mailbox swap has.
-func (b *Loopback) ResetRank(rank int) {
-	b.mu.Lock()
-	nd := b.nodes[rank]
-	b.mu.Unlock()
-	nd.resetInbox()
 }
 
 // Close shuts every listener and connection and removes unix socket

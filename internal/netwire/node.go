@@ -47,8 +47,8 @@ type node struct {
 	ln      net.Listener
 	resolve resolver
 	dial    dialer
-	chaos   *faultWire                          // nil: faithful writes
-	inbox   atomic.Pointer[machine.PacketQueue] // swappable for ResetRank
+	chaos   *faultWire // nil: faithful writes
+	inbox   *machine.PacketQueue
 	onDrop  atomic.Pointer[func(machine.Packet, string)]
 
 	mu       sync.Mutex
@@ -94,8 +94,8 @@ func newNode(network, addr string, rank int, resolve resolver) (*node, error) {
 		down:     make(map[int]*dialFailure),
 		accepted: make(map[net.Conn]struct{}),
 		done:     make(chan struct{}),
+		inbox:    machine.NewPacketQueue(0),
 	}
-	nd.inbox.Store(machine.NewPacketQueue(0))
 	nd.wg.Add(1)
 	go nd.acceptLoop()
 	return nd, nil
@@ -159,7 +159,7 @@ func (nd *node) readLoop(c net.Conn) {
 			return
 		default:
 		}
-		nd.inbox.Load().Push(pkt)
+		nd.inbox.Push(pkt)
 	}
 }
 
@@ -288,13 +288,6 @@ func (nd *node) invalidate(to int, pc *peerConn) {
 	pc.conn.Close()
 }
 
-// resetInbox swaps in a fresh packet queue (rank restart); packets already
-// decoded into the old queue are dropped with it.
-func (nd *node) resetInbox() {
-	old := nd.inbox.Swap(machine.NewPacketQueue(0))
-	old.Drain()
-}
-
 // close shuts the listener, every connection in both directions, and
 // waits for the reader goroutines to exit.
 func (nd *node) close() {
@@ -323,7 +316,8 @@ func (nd *node) close() {
 }
 
 // Wire is one rank's raw socket endpoint (machine.BackendWire). Its wire
-// meters price packets at their framed size via PacketCost.
+// meters price packets at their framed size via PacketCost, and it reports
+// every packet the socket layer loses through OnDrop.
 type Wire struct {
 	nd *node
 }
@@ -340,7 +334,7 @@ func (w *Wire) Deliver(pkt machine.Packet) {
 		if len(pkt.Data) > 0 {
 			pkt.Data = append([]float64(nil), pkt.Data...)
 		}
-		w.nd.inbox.Load().Push(pkt)
+		w.nd.inbox.Push(pkt)
 		return
 	}
 	if err := w.nd.send(pkt.To, pkt); err != nil {
@@ -354,7 +348,7 @@ func (w *Wire) Deliver(pkt machine.Packet) {
 var debugDrops = os.Getenv("NETWIRE_DEBUG") != ""
 
 // OnDrop registers fn to be called for every packet the socket layer
-// loses, with a short reason (machine.DropReporter).
+// loses, with a short reason.
 func (w *Wire) OnDrop(fn func(pkt machine.Packet, reason string)) {
 	if fn == nil {
 		w.nd.onDrop.Store(nil)
@@ -366,20 +360,20 @@ func (w *Wire) OnDrop(fn func(pkt machine.Packet, reason string)) {
 // Pull blocks for the next inbound packet; a closed abort channel wakes
 // it with ok == false.
 func (w *Wire) Pull(abort <-chan struct{}) (machine.Packet, bool) {
-	return w.nd.inbox.Load().Pull(abort)
+	return w.nd.inbox.Pull(abort)
 }
 
 // PullTimeout is Pull with a deadline.
 func (w *Wire) PullTimeout(d time.Duration) (machine.Packet, bool) {
-	return w.nd.inbox.Load().PullTimeout(d)
+	return w.nd.inbox.PullTimeout(d)
 }
 
 // Depth reports the decoded-but-unpulled packet count.
-func (w *Wire) Depth() int { return w.nd.inbox.Load().Depth() }
+func (w *Wire) Depth() int { return w.nd.inbox.Depth() }
 
 // Drain discards every decoded-but-unpulled packet.
-func (w *Wire) Drain() { w.nd.inbox.Load().Drain() }
+func (w *Wire) Drain() { w.nd.inbox.Drain() }
 
-// PacketCost prices pkt at its framed size in 8-byte words
-// (machine.PacketCoster), so wire meters count what crossed the socket.
+// PacketCost prices pkt at its framed size in 8-byte words, so wire
+// meters count what crossed the socket.
 func (w *Wire) PacketCost(pkt machine.Packet) int64 { return FrameWords(len(pkt.Data)) }

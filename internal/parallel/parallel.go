@@ -222,25 +222,6 @@ func buildPlans(part *partition.Tetrahedral, sched *schedule.Schedule) [][]plann
 	return plans
 }
 
-// runScheduledPhase executes one phase of the point-to-point schedule.
-// pack builds the message for a destination (given the shared rows, in
-// sorted order); unpack consumes a received message from a source.
-func runScheduledPhase(c *machine.Comm, plan []plannedTransfer, tagBase int,
-	pack func(to int, rows []int) []float64,
-	unpack func(from int, rows []int, payload []float64),
-) {
-	for si, tr := range plan {
-		tag := tagBase + si
-		if tr.sendTo >= 0 {
-			c.Send(tr.sendTo, tag, pack(tr.sendTo, tr.sendRows))
-		}
-		if tr.recvFrom >= 0 {
-			unpack(tr.recvFrom, tr.recvRows, c.Recv(tr.recvFrom, tag))
-		}
-		c.Barrier() // enforce the stepwise semantics of §7.2
-	}
-}
-
 // The former runAllToAllPhase and its per-peer sharedRowsOf/OwnedRange
 // scans (O(P·q) repeated work per phase) are gone: the All-to-All wiring
 // now runs on the Session's precomputed a2aPeer tables (see layout.go),

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/machine"
@@ -74,13 +75,10 @@ type RecoveryStats struct {
 	// Mismatches counts restores whose fingerprint verification failed
 	// (each surfaced a RestoreMismatchError instead of replaying).
 	Mismatches int
-	// Refences counts partial transport refences at epoch changes (one
-	// per surviving rank picking up a new epoch; only disturbed peer
-	// pairs had their sequence state reset).
+	// Refences counts transport refences at epoch changes (one per
+	// surviving rank picking up a new epoch; only disturbed peer pairs
+	// had their sequence state reset).
 	Refences int
-	// FullRebinds counts full transport rebuilds at epoch changes — the
-	// fallback for transports without partial-reset support.
-	FullRebinds int
 	// CheckpointWords counts dirty words the incremental checkpointer
 	// copied over the session lifetime. Apply-style operations contribute
 	// zero; power-method iterations contribute their owned spans.
@@ -96,7 +94,6 @@ type RecoveryStats struct {
 func (s *Session) RecoveryStats() RecoveryStats {
 	st := s.stats
 	st.Refences = int(s.refences.Load())
-	st.FullRebinds = int(s.rebinds.Load())
 	if s.cur != nil {
 		st.Epoch = s.cur.h.Epoch()
 	}
@@ -122,6 +119,13 @@ type launch struct {
 	// the supervisor installs the next epoch's lists.
 	mu     sync.Mutex
 	resets [][]int
+
+	// claims counts ranks inside serve — between taking an op off the
+	// queue and finishing (or skipping) it. A rank can dequeue an op just
+	// before Quiesce polls it and still look parked, so the recovery
+	// supervisor waits for claims to drain before it rolls rank state
+	// back (see recoverInPlace).
+	claims atomic.Int64
 }
 
 func (l *launch) setResets(r [][]int) {
@@ -137,6 +141,18 @@ func (l *launch) resetsFor(me int) []int {
 		return nil
 	}
 	return l.resets[me]
+}
+
+// awaitClaims polls until no rank holds a claim, failing after timeout.
+func (l *launch) awaitClaims(timeout time.Duration) bool {
+	deadline := time.Now().Add(timeout)
+	for l.claims.Load() != 0 {
+		if time.Now().After(deadline) {
+			return false
+		}
+		time.Sleep(200 * time.Microsecond)
+	}
+	return true
 }
 
 // rankDown is a crash notification from the machine's OnRankDown hook.
@@ -178,15 +194,7 @@ func (s *Session) launchMachine() error {
 }
 
 // rankBodyFor is the resident body every simulated rank of launch l runs:
-// serve host-fed operations until the op channel closes. The body tracks
-// the machine's wire epoch; when a recovery advanced it while the rank
-// was parked, the rank refences its transport before touching the wire:
-// only pairs the supervisor found disturbed by the aborted epoch have
-// their sequence state reset, while clean survivor↔survivor pairs keep
-// their counters (every exchange they completed was acknowledged on both
-// ends, so the state is consistent). Transports without partial-reset
-// support fall back to a full Rebind. A rank respawned by RestartRank
-// starts inside the new epoch and needs neither.
+// serve host-fed operations until the op channel closes.
 func (s *Session) rankBodyFor(l *launch) func(c *machine.Comm) {
 	return func(c *machine.Comm) {
 		me := c.Rank()
@@ -197,43 +205,45 @@ func (s *Session) rankBodyFor(l *launch) func(c *machine.Comm) {
 			if op == nil {
 				return
 			}
-			if e := c.Epoch(); e != epoch {
-				if c.Refence(l.resetsFor(me)) {
-					s.refences.Add(1)
-				} else {
-					s.rebinds.Add(1)
-				}
-				epoch = e
-			}
-			runSessionOp(op, me, c)
+			s.serve(l, op, c, &epoch)
 		}
 	}
 }
 
-// runSessionOp runs one op, absorbing an epoch abort: the sentinel
-// unwinds the op body mid-communication, and the rank re-parks without
-// completing the op (no pending decrement — the supervisor abandoned
-// that op object and will dispatch a fresh one after rollback). Any
-// other panic (an injected CrashError, a genuine bug) propagates and
-// kills the rank.
-func runSessionOp(op *sessionOp, me int, c *machine.Comm) {
-	aborted := false
-	func() {
-		defer func() {
-			if r := recover(); r != nil {
-				if machine.IsAbort(r) {
-					aborted = true
-					return
-				}
-				panic(r)
-			}
-		}()
-		op.run(me, c)
-	}()
-	if !aborted {
-		if op.pending.Add(-1) == 0 {
-			close(op.done)
+// serve runs one dequeued op under a claim on l, skipping it when a
+// recovery abandoned it while this rank was parked. The body tracks the
+// machine's wire epoch; when a recovery advanced it, the rank refences its
+// transport before touching the wire: only pairs the supervisor found
+// disturbed by the aborted epoch have their sequence state reset, while
+// clean survivor↔survivor pairs keep their counters (every exchange they
+// completed was acknowledged on both ends, so the state is consistent). A
+// rank respawned by RestartRank starts inside the new epoch and needs no
+// refence.
+//
+// An epoch abort unwinds the op mid-communication and the rank re-parks
+// without completing it (no pending decrement — the supervisor abandoned
+// that op object and will dispatch a fresh one after rollback). Any other
+// panic (an injected CrashError, a genuine bug) propagates and kills the
+// rank; the claim is released either way.
+func (s *Session) serve(l *launch, op *sessionOp, c *machine.Comm, epoch *int64) {
+	l.claims.Add(1)
+	defer l.claims.Add(-1)
+	if op.abandoned.Load() {
+		return
+	}
+	if e := c.Epoch(); e != *epoch {
+		c.Refence(l.resetsFor(c.Rank()))
+		s.refences.Add(1)
+		*epoch = e
+	}
+	defer func() {
+		if r := recover(); r != nil && !machine.IsAbort(r) {
+			panic(r)
 		}
+	}()
+	op.run(c.Rank(), c)
+	if op.pending.Add(-1) == 0 {
+		close(op.done)
 	}
 }
 
@@ -352,6 +362,10 @@ func (s *Session) tryOnce(run func(me int, c *machine.Comm)) (ok, dead bool) {
 	case <-l.runDone:
 		return false, true
 	case <-s.crashCh:
+		// Abandon the op before recoverInPlace aborts the epoch: a rank
+		// that dequeues it from here on skips it instead of running it
+		// against state the rollback is about to rewrite.
+		op.abandoned.Store(true)
 		return false, false
 	}
 }
@@ -366,6 +380,12 @@ func (s *Session) tryOnce(run func(me int, c *machine.Comm)) (ok, dead bool) {
 func (s *Session) recoverInPlace(attempt int) bool {
 	l := s.cur
 	l.h.Abort()
+	// Ranks still running an op unwind at their next machine operation;
+	// wait for them to release their claims, then for every rank to park
+	// (parking records the abort context computeResets reads).
+	if !l.awaitClaims(s.rec.QuiesceTimeout) {
+		return false
+	}
 	if err := l.h.Quiesce(s.rec.QuiesceTimeout); err != nil {
 		return false
 	}

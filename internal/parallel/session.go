@@ -60,20 +60,21 @@ type Session struct {
 
 	// Recovery-only state (nil / unused on fail-fast sessions): the
 	// incremental checkpoint store, the static exchange graph feeding the
-	// partial-rebind reset computation, and the refence counters (atomics
-	// because rank goroutines increment them).
+	// partial-rebind reset computation, and the refence counter (atomic
+	// because rank goroutines increment it).
 	ck          *ckStore
 	staticPeers [][]int
 	refences    atomic.Int64
-	rebinds     atomic.Int64
 }
 
 // sessionOp is one host-dispatched operation: every rank runs the closure,
-// and the last one to finish releases the host.
+// and the last one to finish releases the host. abandoned is set when a
+// recovery gives the op up; a rank that dequeues it afterwards skips it.
 type sessionOp struct {
-	run     func(me int, c *machine.Comm)
-	pending atomic.Int64
-	done    chan struct{}
+	run       func(me int, c *machine.Comm)
+	pending   atomic.Int64
+	done      chan struct{}
+	abandoned atomic.Bool
 }
 
 // sessionRank is one rank's resident state: dense arenas replacing the

@@ -468,7 +468,6 @@ func (p *Pool) RecoveryStats() parallel.RecoveryStats {
 		total.Verifications += st.Verifications
 		total.Mismatches += st.Mismatches
 		total.Refences += st.Refences
-		total.FullRebinds += st.FullRebinds
 		total.CheckpointWords += st.CheckpointWords
 		total.CheckpointNanos += st.CheckpointNanos
 		total.RestoreNanos += st.RestoreNanos
