@@ -520,7 +520,7 @@ func runRecoveryDrill(out, check string) {
 
 	// Crash three ranks at three depths: mid first exchange, mid-run, and
 	// deep enough to land several applies in (the supervisor sees them as
-	// separate incidents, each one abort-respawn-rollback-replay cycle).
+	// separate incidents, each one abort-relaunch-rollback-replay cycle).
 	plan := fault.Plan{Seed: 7, Crash: map[int]int{1: 10, 4: 90, 7: 400}}
 	faulted := base
 	faulted.Machine = machine.RunConfig{
@@ -546,8 +546,8 @@ func runRecoveryDrill(out, check string) {
 	fmt.Printf("  clean session      %10v  (%d wire words)\n", cleanT, cleanWire)
 	fmt.Printf("  crashed+recovered  %10v  (%d wire words, +%d recovery traffic)\n",
 		recT, recWire, recWire-cleanWire)
-	fmt.Printf("  recovery: %d rank deaths, %d retries, %d rollbacks, %d respawns, %d relaunches (epoch %d)\n",
-		stats.RankDowns, stats.Retries, stats.Rollbacks, stats.Restarts, stats.Relaunches, stats.Epoch)
+	fmt.Printf("  recovery: %d rank deaths, %d retries, %d rollbacks, %d relaunches (epoch %d)\n",
+		stats.RankDowns, stats.Retries, stats.Rollbacks, stats.Relaunches, stats.Epoch)
 	fmt.Printf("  verification: %d fingerprint passes, %d mismatches\n", stats.Verifications, stats.Mismatches)
 	fmt.Printf("  results bit-identical across all %d applies; logical meters preserved=%v\n",
 		applies, cleanRep.TotalSentWords() == recRep.TotalSentWords() &&

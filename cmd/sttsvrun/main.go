@@ -66,7 +66,7 @@ func main() {
 	seed := flag.Int64("seed", 1, "random seed")
 	q := flag.Int("q", 0, "also run parallel Algorithm 5 with this prime power (0 = skip)")
 	faults := flag.String("faults", "", "fault schedule for the simulated machine (with -q), e.g. seed=7,drop=0.2,dup=0.1,reorder=0.1,corrupt=0.05,stall=0.01,crash=2@40")
-	rec := flag.Bool("recover", false, "run the faulted configuration through a crash-recovering session: rank deaths are respawned and replayed instead of failing the run (with -q and -faults)")
+	rec := flag.Bool("recover", false, "run the faulted configuration through a crash-recovering session: rank deaths relaunch the machine and replay instead of failing the run (with -q and -faults)")
 	runHopm := flag.Bool("hopm", false, "run the higher-order power method")
 	shift := flag.Float64("shift", 0, "SS-HOPM shift (with -hopm)")
 	bf := backendflag.RegisterDistributed(flag.CommandLine)
@@ -321,7 +321,7 @@ func runFaulted(a *tensor.Symmetric, x []float64, wiring parallel.Wiring,
 	var err error
 	if recoverCrash {
 		// The recovering path: crashes are claimed once per rank by the
-		// shared registry, so a respawned rank does not re-crash on the
+		// shared registry, so a relaunched machine does not re-crash on the
 		// replay.
 		opts.Machine.Transport = fault.TransportRecoverable(plan, fault.ReliableOptions{MaxAttempts: 1 << 20})
 		opts.Recovery = &parallel.RecoveryOptions{}
@@ -331,8 +331,8 @@ func runFaulted(a *tensor.Symmetric, x []float64, wiring parallel.Wiring,
 			res, err = s.Apply(x)
 			if err == nil {
 				st := s.RecoveryStats()
-				fmt.Printf("              recovery: %d rank deaths, %d retries, %d rollbacks, %d respawns, %d relaunches (epoch %d)\n",
-					st.RankDowns, st.Retries, st.Rollbacks, st.Restarts, st.Relaunches, st.Epoch)
+				fmt.Printf("              recovery: %d rank deaths, %d retries, %d rollbacks, %d relaunches (epoch %d)\n",
+					st.RankDowns, st.Retries, st.Rollbacks, st.Relaunches, st.Epoch)
 			}
 			s.Close()
 		}

@@ -9,10 +9,10 @@ import (
 
 // CrashRegistry remembers which ranks have already fired their scheduled
 // crash, shared across every transport incarnation of a recovering
-// session — the original launch, respawned ranks, and degraded
-// relaunches all consult the same registry. Without it a respawned
-// rank's fresh injector would reset its delivery clock and re-fire the
-// same crash forever, so no retry budget could ever converge.
+// session — the original launch and every relaunch consult the same
+// registry. Without it a relaunched rank's fresh injector would reset its
+// delivery clock and re-fire the same crash forever, so no retry budget
+// could ever converge.
 type CrashRegistry struct {
 	mu    sync.Mutex
 	fired map[int]bool
@@ -59,7 +59,7 @@ func InjectRecoverable(w machine.Wire, plan Plan, reg *CrashRegistry) machine.Wi
 // TransportRecoverable builds the transport factory for a crash-recovery
 // session: the reliable protocol over the plan's injected wire, with all
 // crash faults sharing one registry so a recovered rank stays recovered
-// across respawns and degraded relaunches.
+// across relaunches.
 func TransportRecoverable(plan Plan, opt ReliableOptions) machine.TransportFactory {
 	reg := &CrashRegistry{}
 	return func(w machine.Wire) machine.Transport {

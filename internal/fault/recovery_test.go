@@ -2,17 +2,19 @@ package fault_test
 
 // The chaos-recovery suite: for a grid of seeded crash schedules ×
 // wirings × partition sizes, a session opened with Options.Recovery must
-// absorb rank deaths mid-run — respawn the dead ranks, fence the stale
-// wire traffic behind a new epoch, roll every rank back to the last
-// checkpoint, and replay — and still reproduce the crash-free session
-// bit-identically: same Y bits, same per-phase meters, same logical
-// per-rank communication counts. All recovery work is visible only on
-// the wire meters, in RecoveryStats, and in the obs trace markers.
+// absorb rank deaths mid-run — retire the machine, relaunch it one epoch
+// later, roll every rank back to the last checkpoint, and replay — and
+// still reproduce the crash-free session bit-identically: same Y bits,
+// same per-phase meters, same logical per-rank communication counts. All
+// recovery work is visible only on the wire meters, in RecoveryStats,
+// and in the obs trace markers.
 
 import (
 	"bytes"
+	"errors"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -101,10 +103,10 @@ func runSession(t *testing.T, opts parallel.Options, a *tensor.Symmetric, xs [][
 // meters, and the supervisor's interventions appear in RecoveryStats. The
 // reliable transport takes every plan; the direct transport, which cannot
 // repair packet loss, takes the crash-only plans ("direct/…" subtests), so
-// its epoch adoption — discarding every buffered payload — is exercised by
-// the same recovery checks. Sending no acks, the direct transport makes
-// fewer deliveries, so a late crash can fall past a rank's last one (seed 2
-// at q=2); such a run checks that the armed supervisor stays out of the way.
+// both transports run under the same relaunch protocol. Sending no acks,
+// the direct transport makes fewer deliveries, so a late crash can fall
+// past a rank's last one (seed 2 at q=2); such a run checks that the armed
+// supervisor stays out of the way.
 func TestChaosRecoverySession(t *testing.T) {
 	for _, q := range []int{2, 3} {
 		part, a, xs, b := recoverySetup(t, q)
@@ -350,9 +352,8 @@ func TestChaosRecoveryMTTKRP(t *testing.T) {
 }
 
 // TestChaosRecoveryObservability: recovery must be visible in the obs
-// layer — rank-down and recovery span markers in the trace, an epoch
-// fence > 0 after an in-place recovery, and a "recovery" scope record in
-// the metrics export.
+// layer — rank-down and recovery span markers in the trace, an epoch > 0
+// after a relaunch, and a "recovery" scope record in the metrics export.
 func TestChaosRecoveryObservability(t *testing.T) {
 	part, a, xs, b := recoverySetup(t, 2)
 	var rec obs.Recorder
@@ -388,7 +389,7 @@ func TestChaosRecoveryObservability(t *testing.T) {
 		t.Errorf("trace counts %+v disagree with RecoveryStats %+v", rc, stats)
 	}
 	if rc.MaxEpoch < 1 {
-		t.Errorf("trace max epoch %d: in-place recovery must fence a new epoch", rc.MaxEpoch)
+		t.Errorf("trace max epoch %d: a relaunch must advance the epoch", rc.MaxEpoch)
 	}
 
 	var buf bytes.Buffer
@@ -414,13 +415,13 @@ func TestChaosRecoveryObservability(t *testing.T) {
 	}
 }
 
-// TestRecoveryDegradedRelaunchThenCrash walks the hardest lifecycle edge:
-// a dispatch exhausts its retry budget (two crashes inside one Apply with
-// MaxRetries = 1) and degrades to a full machine relaunch — and then a
-// third rank crashes on the relaunched machine, which must absorb it with
-// an ordinary in-place recovery. The crash registry persists across the
-// relaunch, so each rank's scheduled crash fires exactly once for the
-// session lifetime, and the whole run stays bit-identical to crash-free.
+// TestRecoveryDegradedRelaunchThenCrash walks the budget edge: two
+// crashes inside one Apply with MaxRetries = 1 spend the whole budget of
+// MaxRetries+1 replays (each crash costs one relaunch), and a third rank
+// then crashes on a later Apply, which the relaunched machine absorbs the
+// same way. The crash registry persists across relaunches, so each rank's
+// scheduled crash fires exactly once for the session lifetime, and the
+// whole run stays bit-identical to crash-free.
 func TestRecoveryDegradedRelaunchThenCrash(t *testing.T) {
 	part, a, _, b := recoverySetup(t, 2)
 	n := part.M * b
@@ -468,25 +469,179 @@ func TestRecoveryDegradedRelaunchThenCrash(t *testing.T) {
 	}
 	assertSameLogicalMeters(t, want.final, s.Report())
 
-	if afterFirst.Relaunches != 1 {
-		t.Fatalf("first Apply ended with %d relaunches, want the retry budget exhausted exactly once (stats %+v)",
-			afterFirst.Relaunches, afterFirst)
+	// One protocol: every crash costs one relaunch, one replay, one
+	// rollback, and one epoch.
+	if afterFirst.RankDowns != 2 || afterFirst.Relaunches != 2 || afterFirst.Retries != 2 {
+		t.Fatalf("first Apply: %d rank downs, %d relaunches, %d retries; want 2 of each (the whole budget of MaxRetries+1 replays)",
+			afterFirst.RankDowns, afterFirst.Relaunches, afterFirst.Retries)
 	}
-	if stats.Relaunches != 1 {
-		t.Errorf("session ended with %d relaunches, want 1", stats.Relaunches)
+	if stats.RankDowns != 3 || stats.Relaunches != 3 || stats.Retries != 3 || stats.Rollbacks != 3 {
+		t.Errorf("session: %+v; want 3 rank downs, relaunches, retries and rollbacks", stats)
 	}
-	if stats.RankDowns <= afterFirst.RankDowns {
-		t.Errorf("no rank died after the relaunch: %d → %d rank downs", afterFirst.RankDowns, stats.RankDowns)
+	if stats.Epoch != 3 {
+		t.Errorf("machine epoch %d after 3 relaunches, want 3", stats.Epoch)
 	}
-	if stats.Restarts <= afterFirst.Restarts {
-		t.Errorf("the post-relaunch crash was not recovered in place: %d → %d restarts",
-			afterFirst.Restarts, stats.Restarts)
-	}
-	if stats.Epoch < 1 {
-		t.Errorf("relaunched machine epoch %d: the in-place recovery after the relaunch must fence", stats.Epoch)
-	}
-	if stats.Verifications < stats.Rollbacks || stats.Mismatches != 0 {
+	if stats.Verifications != stats.Rollbacks || stats.Mismatches != 0 {
 		t.Errorf("verification accounting off: %+v", stats)
+	}
+}
+
+// crashingTransport wraps rank 1's transport with the test's fault: fire
+// reports whether to crash on the current call of the overridden method.
+type crashingTransport struct {
+	machine.Transport
+	onSend bool // crash in Send; otherwise in Wait
+	fire   func() bool
+}
+
+func (t *crashingTransport) Send(to, tag int, data []float64) {
+	if t.onSend && t.fire() {
+		panic(machine.CrashError{Rank: 1})
+	}
+	t.Transport.Send(to, tag, data)
+}
+
+// Wait crashes the way a parked reliable transport does when an injected
+// crash fires while it services a peer's retransmission: block is already
+// running on a helper goroutine (here, the rank's op-channel receive) and
+// outlives the dead rank.
+func (t *crashingTransport) Wait(block func()) {
+	if !t.onSend && t.fire() {
+		go block()
+		panic(machine.CrashError{Rank: 1})
+	}
+	t.Transport.Wait(block)
+}
+
+// crashRank1 builds a reliable-transport factory whose rank-1 transport
+// crashes wherever ct says.
+func crashRank1(ct crashingTransport) machine.TransportFactory {
+	inner := fault.TransportOpts(fault.Plan{}, fault.ReliableOptions{MaxAttempts: 1 << 20})
+	return func(w machine.Wire) machine.Transport {
+		t := inner(w)
+		if w.Rank() != 1 {
+			return t
+		}
+		c := ct
+		c.Transport = t
+		return &c
+	}
+}
+
+// TestRecoveryCrashInsideHostWait: a crash inside rank 1's host park —
+// right after its part of an Apply — leaves the park's helper goroutine
+// blocked on the op channel, where it takes the next op meant for rank 1.
+// The relaunch retires that channel with the machine, so every Apply stays
+// bit-identical to crash-free and finishes far below the 20 s stall
+// watchdog, which must not be what rescues it.
+func TestRecoveryCrashInsideHostWait(t *testing.T) {
+	part, a, xs, b := recoverySetup(t, 2)
+	run := func(fireAt int64) (*sessionOutcome, int64, time.Duration) {
+		var waits atomic.Int64
+		ct := crashingTransport{fire: func() bool { return waits.Add(1) == fireAt }}
+		s, err := parallel.OpenSession(a, parallel.Options{
+			Part: part, B: b, Wiring: parallel.WiringP2P,
+			Machine:  machine.RunConfig{Transport: crashRank1(ct), Timeout: 20 * time.Second},
+			Recovery: &parallel.RecoveryOptions{},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := &sessionOutcome{}
+		var slowest time.Duration
+		for k, x := range xs {
+			start := time.Now()
+			res, err := s.Apply(x)
+			if el := time.Since(start); el > slowest {
+				slowest = el
+			}
+			if err != nil {
+				s.Close()
+				t.Fatalf("apply %d: %v", k, err)
+			}
+			out.ys = append(out.ys, res.Y)
+			out.reports = append(out.reports, res.Report)
+		}
+		out.stats = s.RecoveryStats()
+		if err := s.Close(); err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+		out.final = s.Report()
+		return out, waits.Load(), slowest
+	}
+
+	// Crash-free, rank 1 waits once in its first park, then per Apply once
+	// per barrier and once in the park after it.
+	want, total, _ := run(0)
+	perApply := (total - 1) / int64(len(xs))
+	if perApply < 2 || 1+perApply*int64(len(xs)) != total {
+		t.Fatalf("rank 1 made %d Wait calls over %d Applies: not one park plus a fixed count per Apply", total, len(xs))
+	}
+	t.Logf("crash-free: rank 1 waits %d times per Apply (its barriers and its park)", perApply)
+
+	got, _, slowest := run(1 + perApply) // the park after the first Apply
+	for k := range want.ys {
+		for i := range want.ys[k] {
+			if got.ys[k][i] != want.ys[k][i] {
+				t.Fatalf("apply %d: Y[%d] = %g differs from crash-free %g", k, i, got.ys[k][i], want.ys[k][i])
+			}
+		}
+		assertSameLogicalMeters(t, want.reports[k], got.reports[k])
+	}
+	assertSameLogicalMeters(t, want.final, got.final)
+	if got.stats.RankDowns != 1 || got.stats.Relaunches != 1 {
+		t.Errorf("stats %+v: want the one crash absorbed by one relaunch", got.stats)
+	}
+	if slowest > 5*time.Second {
+		t.Errorf("slowest Apply took %v: the stall watchdog, not the relaunch, rescued the dispatch", slowest)
+	}
+}
+
+// TestRecoveryBudgetExhausted: a rank that crashes on every incarnation
+// defeats any budget. The dispatch fails after MaxRetries+1 replays with
+// the crash as its cause, the session rolls back to its last committed
+// state on a fresh machine (so no logical traffic is left behind), and
+// Close returns promptly.
+func TestRecoveryBudgetExhausted(t *testing.T) {
+	part, a, xs, b := recoverySetup(t, 2)
+	s, err := parallel.OpenSession(a, parallel.Options{
+		Part: part, B: b, Wiring: parallel.WiringP2P,
+		Machine: machine.RunConfig{
+			Transport: crashRank1(crashingTransport{onSend: true, fire: func() bool { return true }}),
+			Timeout:   2 * time.Second,
+		},
+		Recovery: &parallel.RecoveryOptions{MaxRetries: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = s.Apply(xs[0])
+	var crash machine.CrashError
+	if !errors.As(err, &crash) {
+		s.Close()
+		t.Fatalf("Apply under an unrecoverable crash returned %v, want a budget error wrapping the CrashError", err)
+	}
+	stats := s.RecoveryStats()
+	if stats.Retries != 2 || stats.RankDowns != 3 {
+		t.Errorf("stats %+v: want 2 replays (MaxRetries+1) after 3 crashes", stats)
+	}
+	if stats.Relaunches != 3 || stats.Rollbacks != 3 {
+		t.Errorf("stats %+v: want 3 relaunches and rollbacks (2 replays + the final rollback)", stats)
+	}
+
+	closed := make(chan error, 1)
+	go func() { closed <- s.Close() }()
+	select {
+	case err := <-closed:
+		if err != nil {
+			t.Errorf("Close after an exhausted dispatch: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close hung after an exhausted dispatch")
+	}
+	if rep := s.Report(); rep.TotalSentWords() != 0 || rep.TotalWireSentWords() == 0 {
+		t.Errorf("after a failed dispatch: %d logical words (want 0, nothing committed), %d wire words (want > 0)",
+			rep.TotalSentWords(), rep.TotalWireSentWords())
 	}
 }
 

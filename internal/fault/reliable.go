@@ -64,39 +64,22 @@ func TransportOpts(plan Plan, opt ReliableOptions) machine.TransportFactory {
 // so that two ranks sending to each other cannot deadlock.
 func NewReliable(w machine.Wire, opt ReliableOptions) machine.Transport {
 	p := w.Size()
-	r := &reliable{w: w, opt: opt.withDefaults(), epoch: w.Epoch(),
+	return &reliable{w: w, opt: opt.withDefaults(),
 		nextSeq: make([]int, p),
 		expect:  make([]int, p),
 		parked:  make([]map[int]machine.Packet, p),
 		pending: make(map[[2]int][]machine.Packet),
 	}
-	base := seqBase(r.epoch)
-	for i := 0; i < p; i++ {
-		r.nextSeq[i] = base + 1
-		r.expect[i] = base + 1
-	}
-	return r
 }
 
-// seqBase namespaces sequence numbers by recovery epoch: counters of
-// epoch e live in [e<<32+1, (e+1)<<32). A pair reset at an epoch change
-// rebases both ends to the new epoch's base, so any packet of a
-// rolled-back conversation — retransmitted, duplicated, or reordered into
-// the new epoch — sits below the receiver's expected sequence and is
-// dedup-dropped, never confused with replay traffic.
-func seqBase(epoch int64) int { return int(epoch) << 32 }
-
+// reliable is one machine incarnation's transport. Its sequence state
+// never has to survive a recovery: a recovering supervisor relaunches the
+// whole machine one epoch later with fresh transports, and the link's
+// epoch fence keeps every packet of the retired incarnation away from
+// them.
 type reliable struct {
 	w   machine.Wire
 	opt ReliableOptions
-	// epoch is the machine epoch this incarnation was built in. Packets
-	// from any other epoch are ignored without acknowledgement: after a
-	// crash recovery a parked pre-recovery incarnation would otherwise
-	// service the replay's fresh traffic with stale sequence state —
-	// dup-acking a replayed message and silently discarding it. Leaving
-	// the packet unacknowledged makes the sender retransmit until this
-	// rank rebinds into the new epoch.
-	epoch int64
 	// nextSeq[to] is the sequence number for the next message to rank to.
 	nextSeq []int
 	// expect[from] is the next in-order sequence number from rank from.
@@ -125,9 +108,6 @@ func (r *reliable) Send(to, tag int, data []float64) {
 			machine.Aborted()
 		}
 		in, ok := r.w.PullTimeout(timeout)
-		if ok && in.Epoch != r.epoch {
-			continue // cross-epoch packet: not ours to acknowledge
-		}
 		if !ok {
 			if attempts >= r.opt.MaxAttempts {
 				panic(machine.UnreachableError{Rank: r.w.Rank(), Peer: to, Tag: tag, Attempts: attempts})
@@ -164,7 +144,7 @@ func (r *reliable) Recv(from, tag int) ([]float64, bool) {
 			return data, false
 		}
 		in := r.w.Pull()
-		if in.Kind == machine.PacketData && in.Epoch == r.epoch {
+		if in.Kind == machine.PacketData {
 			r.handleData(in)
 		}
 		// Stray acks while not sending are duplicates; drop them.
@@ -236,7 +216,7 @@ func (r *reliable) service(stop <-chan struct{}, dupOnly bool) {
 		default:
 		}
 		in, ok := r.w.PullTimeout(200 * time.Microsecond)
-		if !ok || in.Kind != machine.PacketData || in.Epoch != r.epoch {
+		if !ok || in.Kind != machine.PacketData {
 			continue
 		}
 		if dupOnly && in.Seq >= r.expect[in.From] {
@@ -254,10 +234,7 @@ func (r *reliable) release(pkt machine.Packet) {
 
 // publishPending publishes a diagnostics summary of everything this
 // transport has buffered: released payloads awaiting a Recv plus parked
-// out-of-order packets. The stall watchdog prints it, and the recovery
-// supervisor reads it after an abort to find pairs with torn protocol
-// state — a parked packet is exactly as much evidence of a disturbed
-// conversation as an unconsumed released one, so both must be visible.
+// out-of-order packets. The stall watchdog prints both.
 func (r *reliable) publishPending() {
 	entries := machine.SummarizePending(r.pending)
 	for from, parked := range r.parked {
@@ -266,32 +243,6 @@ func (r *reliable) publishPending() {
 		}
 	}
 	r.w.Pending(entries)
-}
-
-// AdoptEpoch moves the transport into a new recovery epoch in place.
-// Sequence state is rebased to the new epoch's namespace only for the
-// listed peers — the pairs the supervisor found disturbed by the aborted
-// epoch; their parked packets and undelivered pending payloads belong to
-// rolled-back conversations and are discarded. Untouched pairs keep their
-// counters: every exchange they completed was acknowledged on both ends,
-// so their state is consistent and the replay continues it seamlessly.
-func (r *reliable) AdoptEpoch(epoch int64, resetPeers []int) {
-	r.epoch = epoch
-	base := seqBase(epoch)
-	for _, p := range resetPeers {
-		if p < 0 || p >= len(r.nextSeq) || p == r.w.Rank() {
-			continue
-		}
-		r.nextSeq[p] = base + 1
-		r.expect[p] = base + 1
-		r.parked[p] = nil
-		for key := range r.pending {
-			if key[0] == p {
-				delete(r.pending, key)
-			}
-		}
-	}
-	r.publishPending()
 }
 
 // checksum is FNV-1a over the payload's IEEE-754 bit patterns.

@@ -21,8 +21,10 @@ import (
 // over any backend.
 type Backend interface {
 	// NewWire returns rank's raw endpoint on a machine of the given size.
-	// Called once per local rank at machine start; the wire stays valid
-	// across rank restarts.
+	// Called once per local rank at machine start. A backend that outlives
+	// a machine may hand the same wire to the next incarnation: packets
+	// still buffered from the old one carry its epoch, and the successor's
+	// epoch fence drops them on Pull.
 	NewWire(rank, size int) (BackendWire, error)
 	// Close releases the backend's resources (sockets, listeners,
 	// goroutines). The machine never calls it — the backend's creator
@@ -48,8 +50,6 @@ type BackendWire interface {
 	// Depth reports the number of buffered undelivered packets (deadlock
 	// diagnostics).
 	Depth() int
-	// Drain discards every buffered packet (epoch rollover).
-	Drain()
 	// PacketCost prices pkt for the wire meters. The simulator charges
 	// len(Data) words; a real-network wire returns the framed size in
 	// 8-byte words (header, payload and frame checksum included), so the
@@ -113,7 +113,7 @@ func (b *PacketQueue) Push(p Packet) {
 
 // Pull removes the oldest packet, blocking until one arrives. A close of
 // the abort channel (nil to wait forever) wakes the wait with ok == false
-// so a rank blocked on an empty queue can unwind during an epoch abort.
+// so a rank blocked on an empty queue can unwind during an abort.
 func (b *PacketQueue) Pull(abort <-chan struct{}) (Packet, bool) {
 	return b.pull(0, abort)
 }
@@ -166,21 +166,6 @@ func (b *PacketQueue) pull(d time.Duration, abort <-chan struct{}) (Packet, bool
 			return Packet{}, false
 		}
 	}
-}
-
-// Drain discards every queued packet. Discarded payloads go to the
-// garbage collector, never back to the payload pool: a pre-crash sender's
-// transport may still hold a retransmission reference to the buffer, so
-// recycling here could alias a pooled buffer into a post-recovery Send.
-func (b *PacketQueue) Drain() {
-	b.mu.Lock()
-	for i := range b.q {
-		b.q[i] = Packet{}
-	}
-	b.q = b.q[:0]
-	b.head = 0
-	b.space.Broadcast()
-	b.mu.Unlock()
 }
 
 // Depth returns the number of buffered packets.
@@ -244,6 +229,5 @@ func (w *simWire) Deliver(pkt Packet)                         { w.be.box(pkt.To)
 func (w *simWire) Pull(abort <-chan struct{}) (Packet, bool)  { return w.be.box(w.rank).Pull(abort) }
 func (w *simWire) PullTimeout(d time.Duration) (Packet, bool) { return w.be.box(w.rank).PullTimeout(d) }
 func (w *simWire) Depth() int                                 { return w.be.box(w.rank).Depth() }
-func (w *simWire) Drain()                                     { w.be.box(w.rank).Drain() }
 func (w *simWire) PacketCost(pkt Packet) int64                { return int64(len(pkt.Data)) }
 func (w *simWire) OnDrop(func(Packet, string))                {}

@@ -157,41 +157,12 @@ type rankDiag struct {
 	peer, tag int
 	pending   []PendingEntry
 	panicVal  any
-	// abortKind/abortPeer record the operation the rank was inside the
-	// last time it parked for the host: BlockSend or BlockRecv when an
-	// abort unwound it mid-exchange (setRunning never ran), BlockNone when
-	// the previous operation completed cleanly. The recovery supervisor
-	// consumes them to decide which transport pairs carry torn protocol
-	// state and need a sequence reset.
-	abortKind BlockKind
-	abortPeer int
 }
 
 func (d *rankDiag) setBlocked(k BlockKind, peer, tag int) {
 	d.mu.Lock()
 	d.kind, d.peer, d.tag = k, peer, tag
 	d.mu.Unlock()
-}
-
-// parkForHost atomically captures the abort context of the operation the
-// rank is abandoning and transitions to BlockHost. Quiesce observing
-// BlockHost therefore guarantees the context has been recorded.
-func (d *rankDiag) parkForHost() {
-	d.mu.Lock()
-	if d.kind == BlockSend || d.kind == BlockRecv {
-		d.abortKind, d.abortPeer = d.kind, d.peer
-	}
-	d.kind, d.peer, d.tag = BlockHost, -1, -1
-	d.mu.Unlock()
-}
-
-// takeAbortContext returns and clears the recorded mid-exchange context.
-func (d *rankDiag) takeAbortContext() (BlockKind, int) {
-	d.mu.Lock()
-	k, p := d.abortKind, d.abortPeer
-	d.abortKind, d.abortPeer = BlockNone, 0
-	d.mu.Unlock()
-	return k, p
 }
 
 func (d *rankDiag) setRunning() {
@@ -209,19 +180,6 @@ func (d *rankDiag) setPending(entries []PendingEntry) {
 func (d *rankDiag) setDone() {
 	d.mu.Lock()
 	d.kind = BlockDone
-	d.mu.Unlock()
-}
-
-// reset returns the slot to its launch state; the recovery supervisor
-// calls it when respawning a crashed rank so the eventual machine report
-// does not resurrect an already-recovered panic.
-func (d *rankDiag) reset() {
-	d.mu.Lock()
-	d.kind = BlockNone
-	d.peer, d.tag = 0, 0
-	d.pending = nil
-	d.panicVal = nil
-	d.abortKind, d.abortPeer = BlockNone, 0
 	d.mu.Unlock()
 }
 

@@ -39,7 +39,7 @@ const (
 	// goroutine.
 	EventRankDown
 	// EventRecoveryBegin and EventRecoveryEnd bracket one recovery span:
-	// the supervisor's abort-rollback-restart sequence between the crash
+	// the supervisor's abort-relaunch-rollback sequence between the crash
 	// and the replay dispatch. Step carries the retry attempt index
 	// (1-based) on EventRecoveryBegin. Replay-transparent: the α-β-γ
 	// engine ignores kinds it does not model.
@@ -51,8 +51,8 @@ const (
 	// attempt and is superseded by the replay that follows the marker.
 	EventRecoveryEnd
 	// EventRestoreVerify records a fingerprint verification pass over the
-	// restored arenas after a rollback or a degraded relaunch; Words
-	// carries the number of pages checked.
+	// restored arenas after a rollback; Words carries the number of pages
+	// checked.
 	EventRestoreVerify
 	// EventRestoreMismatch records a page whose post-restore fingerprint
 	// disagreed with the checkpoint-time fingerprint; From and To are the
@@ -152,7 +152,7 @@ type Event struct {
 // fault injectors and the reliable protocol's Wait/Linger loops, all run
 // on that goroutine); seq is atomic because a recovery supervisor reads it
 // from the host to segment committed from rolled-back events, and restores
-// it across a degraded relaunch so per-rank ordering stays monotonic.
+// it across a relaunch so per-rank ordering stays monotonic.
 type rankObsState struct {
 	phase   string
 	op      string
@@ -172,7 +172,7 @@ func (m *Machine) emit(rank int, e Event) {
 		e.Phase = st.phase
 	}
 	e.Op = st.op
-	e.Epoch = m.epoch.Load()
+	e.Epoch = m.epoch
 	e.Seq = st.seq.Add(1) - 1
 	e.Wall = int64(time.Since(m.start))
 	m.observer(e)

@@ -9,15 +9,14 @@ import (
 
 // Handle is a running simulated machine with supervisor access: beyond
 // waiting for completion (the RunWith path), a supervisor can abort the
-// current epoch, wait for the survivors to park, restart crashed ranks,
-// and roll the machine into a new epoch that fences all stale wire
-// traffic. parallel.Session's crash-recovery loop is the
-// intended caller; everything here assumes a resident body that parks in
-// AwaitHost between host-fed operations.
+// machine, list its crashed ranks, and seed a successor incarnation —
+// started one epoch later (RunConfig.StartEpoch) — with the meters and
+// event sequences it must carry on. parallel.Session's crash-recovery
+// loop is the intended caller.
 //
-// Supervisor methods (Abort, Quiesce, BeginEpoch, RestartRank,
-// RestoreMeters, Emit) are called from one host goroutine; RankMeters is
-// safe whenever the rank in question is parked, crashed, or done.
+// Supervisor methods (Abort, RestoreMeters, RestoreEventSeq, Emit) are
+// called from one host goroutine; RankMeters is safe whenever the rank in
+// question is parked, crashed, or done.
 type Handle struct {
 	m       *Machine
 	cfg     RunConfig
@@ -25,14 +24,13 @@ type Handle struct {
 	body    func(c *Comm)
 
 	// Two completion stages: bodies counts returned (or panicked) rank
-	// bodies; wg counts fully exited goroutines. Between the two, a
+	// bodies; alive counts goroutines not yet exited. Between the two, a
 	// finished rank lingers in its transport (Transport.Linger) —
 	// answering peers' retransmissions — until every local body has
 	// returned, so a lost final ack cannot strand a still-running sender.
 	// Crashed ranks do not linger: their silence is the fault being
 	// modelled.
 	bodies     sync.WaitGroup
-	wg         sync.WaitGroup
 	stopLinger chan struct{}
 	stopOnce   sync.Once
 	done       chan struct{}
@@ -91,7 +89,6 @@ func StartWith(p int, cfg RunConfig, body func(c *Comm)) (*Handle, error) {
 		p:          p,
 		raws:       make([]BackendWire, p),
 		localRanks: append([]int(nil), locals...),
-		isLocal:    isLocal,
 		sent:       make([]counter, p),
 		recv:       make([]counter, p),
 		wireSent:   make([]counter, p),
@@ -103,10 +100,10 @@ func StartWith(p int, cfg RunConfig, body func(c *Comm)) (*Handle, error) {
 		obsState:   make([]rankObsState, p),
 		diags:      make([]rankDiag, p),
 		abortCh:    make(chan struct{}),
+		epoch:      cfg.StartEpoch,
 		recovering: cfg.OnRankDown != nil,
 		start:      time.Now(),
 	}
-	m.epoch.Store(cfg.StartEpoch)
 	for _, r := range locals {
 		w, err := be.NewWire(r, p)
 		if err == nil && len(locals) < p {
@@ -140,8 +137,9 @@ func StartWith(p int, cfg RunConfig, body func(c *Comm)) (*Handle, error) {
 		ownedBE:    owned,
 	}
 	h.alive.Add(int64(len(locals))) // before any goroutine can exit and close done
+	h.bodies.Add(len(locals))
 	for _, rank := range locals {
-		h.spawnRank(rank)
+		go h.runRank(rank)
 	}
 	go func() {
 		h.bodies.Wait()
@@ -152,20 +150,10 @@ func StartWith(p int, cfg RunConfig, body func(c *Comm)) (*Handle, error) {
 
 func (h *Handle) endLinger() { h.stopOnce.Do(func() { close(h.stopLinger) }) }
 
-// spawnRank launches one rank's goroutine, maintaining the two
-// completion stages and the done channel. The done channel closes when
-// the outstanding goroutine count reaches zero; a RestartRank racing
-// that close is impossible because restarts are only legal while the
-// supervisor holds survivors parked (their goroutines are alive).
-func (h *Handle) spawnRank(rank int) {
-	h.bodies.Add(1)
-	h.wg.Add(1)
-	go h.runRank(rank)
-}
-
+// runRank is one rank goroutine, maintaining the two completion stages
+// and the done channel, which closes when the last goroutine exits.
 func (h *Handle) runRank(rank int) {
 	defer func() {
-		h.wg.Done()
 		if h.alive.Add(-1) == 0 {
 			h.doneOnce.Do(func() {
 				close(h.done)
@@ -233,55 +221,26 @@ func (h *Handle) Wait() (*Report, error) {
 	return h.m.reportNow(), nil
 }
 
-// Epoch returns the machine's current recovery epoch.
-func (h *Handle) Epoch() int64 { return h.m.epoch.Load() }
+// Epoch returns the epoch the machine runs in (RunConfig.StartEpoch).
+func (h *Handle) Epoch() int64 { return h.m.epoch }
 
-// Abort starts unwinding the current epoch: every rank blocked inside a
-// machine operation (Send ack-waits, Recv, Barrier) panics with the
-// abort sentinel the moment it next touches the machine, and a resident
-// body recovers the sentinel and re-parks. Parked ranks are unaffected —
-// their AwaitHost wait is host input, not epoch work. Idempotent.
+// Abort unwinds the machine: every rank blocked inside a machine
+// operation (Send ack-waits, Recv, Barrier) panics with the abort
+// sentinel the moment it next touches the machine, and a resident body
+// recovers the sentinel and re-parks. Parked ranks are unaffected — their
+// AwaitHost wait is host input, not epoch work. An aborted machine stays
+// aborted: its supervisor releases the parked bodies and starts a
+// successor one epoch later. Idempotent.
 func (h *Handle) Abort() {
 	m := h.m
-	m.abortMu.Lock()
 	if !m.aborting.Swap(true) {
 		close(m.abortCh)
 	}
-	m.abortMu.Unlock()
 	m.barrier.abort()
 }
 
-// Quiesce polls until every rank is parked (BlockHost), crashed, or done
-// — the precondition for BeginEpoch/RestartRank — failing after timeout.
-// Call it after Abort; survivors unwind to their park within a few
-// scheduler quanta unless one is stuck in a long local compute.
-func (h *Handle) Quiesce(timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	for {
-		if h.quiescent() {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("machine: ranks still unwinding after %v abort window", timeout)
-		}
-		time.Sleep(200 * time.Microsecond)
-	}
-}
-
-func (h *Handle) quiescent() bool {
-	for _, r := range h.m.localRanks {
-		kind, _, _, _ := h.m.diags[r].snapshot()
-		switch kind {
-		case BlockHost, BlockCrashed, BlockDone:
-		default:
-			return false
-		}
-	}
-	return true
-}
-
-// CrashedRanks lists the local ranks whose bodies have panicked and not
-// been restarted. A remote rank's death is an OS-process event its own
+// CrashedRanks lists the local ranks whose bodies have panicked. A remote
+// rank's death is an OS-process event its own
 // supervisor observes; this machine only ever sees the silence.
 func (h *Handle) CrashedRanks() []int {
 	var out []int
@@ -294,66 +253,11 @@ func (h *Handle) CrashedRanks() []int {
 	return out
 }
 
-// BeginEpoch rolls the machine into a new epoch after an Abort has
-// quiesced it: the abort flag clears, every mailbox is drained (stale
-// packets from the aborted epoch would otherwise confuse fresh protocol
-// state — and any that survive the drain in flight are fenced by their
-// epoch stamp), the barrier re-arms, and every rank's trace phase scope
-// resets (an aborted operation can die mid-phase, and the replay begins
-// the phase again). Returns the new epoch. Drained payloads are never
-// recycled into the payload pool: a pre-crash transport may still hold
-// retransmission references to them.
-func (h *Handle) BeginEpoch() int64 {
-	m := h.m
-	m.abortMu.Lock()
-	m.aborting.Store(false)
-	m.abortCh = make(chan struct{})
-	epoch := m.epoch.Add(1)
-	m.abortMu.Unlock()
-	m.barrier.reset()
-	for _, r := range m.localRanks {
-		m.raws[r].Drain()
-		st := &m.obsState[r]
-		st.phase = ""
-		st.op = ""
-		st.opDepth = 0
-	}
-	return epoch
-}
-
-// RestartRank respawns a crashed rank's body with fresh transport state
-// over its existing wire, clearing its recorded panic so the eventual
-// Wait does not resurrect an already-recovered crash. Call between
-// BeginEpoch and the replay dispatch: BeginEpoch has drained the rank's
-// mailbox, and the epoch fence drops any older packet still in flight.
-// The respawned body starts in the new epoch, parks, and needs no
-// Refence. A distributed run's ranks are OS processes, restarted by the
-// cluster supervisor, not here.
-func (h *Handle) RestartRank(rank int) error {
-	if rank < 0 || rank >= h.m.p {
-		return fmt.Errorf("machine: restart of rank %d of %d", rank, h.m.p)
-	}
-	if !h.m.isLocal[rank] {
-		return fmt.Errorf("machine: restart of remote rank %d", rank)
-	}
-	kind, _, _, _ := h.m.diags[rank].snapshot()
-	if kind != BlockCrashed {
-		return fmt.Errorf("machine: restart of rank %d in state %v (want crashed)", rank, kind)
-	}
-	h.m.diags[rank].reset()
-	// A crashed rank's goroutine has fully exited, so alive is strictly
-	// below P here, and the parked survivors keep it above zero — the
-	// increment cannot race the done close.
-	h.alive.Add(1)
-	h.spawnRank(rank)
-	return nil
-}
-
 // RankMeters reads one rank's counter snapshot from the host. Valid
 // whenever the rank cannot be mid-operation: parked, crashed, done — or
 // the whole machine dead (unlike Comm.Meters, no live rank goroutine is
-// needed, which is what the degraded-relaunch path relies on to carry
-// counters across machines).
+// needed, which is what a recovery relaunch relies on to carry counters
+// across machines).
 func (h *Handle) RankMeters(rank int) Meters {
 	m := h.m
 	return Meters{
@@ -364,20 +268,17 @@ func (h *Handle) RankMeters(rank int) Meters {
 	}
 }
 
-// RestoreMeters overwrites one rank's logical counters with mt — the
-// rollback that makes logical meters count committed work exactly once.
-// With wire set, the wire counters are overwritten too (the degraded
-// relaunch carries cumulative wire totals onto the fresh machine);
-// otherwise they keep accumulating, which is where recovery overhead is
-// supposed to show.
-func (h *Handle) RestoreMeters(rank int, mt Meters, wire bool) {
+// RestoreMeters overwrites one rank's eight counters with mt. A recovery
+// relaunch seeds the fresh machine with the checkpoint's logical counters
+// (committed work only, so logical meters count it exactly once) and the
+// retired machine's cumulative wire counters (where recovery overhead is
+// supposed to show).
+func (h *Handle) RestoreMeters(rank int, mt Meters) {
 	m := h.m
 	m.sent[rank].set(mt.SentWords, mt.SentMsgs)
 	m.recv[rank].set(mt.RecvWords, mt.RecvMsgs)
-	if wire {
-		m.wireSent[rank].set(mt.WireSentWords, mt.WireSentMsgs)
-		m.wireRecv[rank].set(mt.WireRecvWords, mt.WireRecvMsgs)
-	}
+	m.wireSent[rank].set(mt.WireSentWords, mt.WireSentMsgs)
+	m.wireRecv[rank].set(mt.WireRecvWords, mt.WireRecvMsgs)
 }
 
 // Emit injects a trace event on a rank's stream from the host — recovery
@@ -396,28 +297,10 @@ func (h *Handle) RankEventSeq(rank int) int64 {
 	return h.m.obsState[rank].seq.Load()
 }
 
-// RestoreEventSeq overwrites a rank's event sequence counter. The
-// degraded-relaunch path uses it to carry per-rank trace ordering onto a
-// fresh machine, whose counters would otherwise restart at zero and
-// scramble the canonical (rank, seq) event order.
+// RestoreEventSeq overwrites a rank's event sequence counter. A recovery
+// relaunch uses it to carry per-rank trace ordering onto the fresh
+// machine, whose counters would otherwise restart at zero and scramble
+// the canonical (rank, seq) event order.
 func (h *Handle) RestoreEventSeq(rank int, seq int64) {
 	h.m.obsState[rank].seq.Store(seq)
-}
-
-// TakeAbortContext returns and clears the operation the rank was unwound
-// out of by the last abort: BlockSend or BlockRecv plus the peer when the
-// rank re-parked mid-exchange, BlockNone when its previous operation
-// completed cleanly. Valid after Quiesce (parking records the context
-// before the rank becomes host-blocked).
-func (h *Handle) TakeAbortContext(rank int) (BlockKind, int) {
-	return h.m.diags[rank].takeAbortContext()
-}
-
-// RankPending snapshots the messages a rank's transport has buffered —
-// pulled off the wire (or parked out of order) but never consumed by a
-// logical Recv. After an abort these are conversations torn mid-flight;
-// the recovery supervisor reads them to find disturbed transport pairs.
-func (h *Handle) RankPending(rank int) []PendingEntry {
-	_, _, _, pending := h.m.diags[rank].snapshot()
-	return pending
 }

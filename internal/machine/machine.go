@@ -16,15 +16,14 @@
 // BackendWire per rank from a Backend. Those four interfaces are the whole
 // seam, and every method on them is required: a Transport sends, receives
 // (reporting whether the payload may be pooled), waits while its rank is
-// parked, lingers after its body returns, and adopts a recovery epoch; a
-// BackendWire moves, prices and reports lost packets. The default direct
-// transport maps one logical message to one packet on the perfect
-// simulated network; package fault perturbs the wire
-// (drop/duplicate/reorder/corrupt/stall/crash) and provides a reliable
-// transport that restores logical semantics on top. Logical and wire
-// traffic are metered separately, so recovery overhead never contaminates
-// the communication counts the theory is compared against. Collectives are
-// layered on top in package collective.
+// parked, and lingers after its body returns; a BackendWire moves, prices
+// and reports lost packets. The default direct transport maps one logical
+// message to one packet on the perfect simulated network; package fault
+// perturbs the wire (drop/duplicate/reorder/corrupt/stall/crash) and
+// provides a reliable transport that restores logical semantics on top.
+// Logical and wire traffic are metered separately, so recovery overhead
+// never contaminates the communication counts the theory is compared
+// against. Collectives are layered on top in package collective.
 package machine
 
 import (
@@ -39,7 +38,6 @@ type Machine struct {
 	p          int
 	raws       []BackendWire // per-rank raw endpoints; nil for remote ranks
 	localRanks []int         // ranks running in this process, ascending
-	isLocal    []bool        // indexed by rank
 	sent       []counter     // logical, metered at Send
 	recv       []counter     // logical, metered at Recv
 	wireSent   []counter     // raw packets pushed, retransmits and acks included
@@ -57,28 +55,19 @@ type Machine struct {
 	pool       payloadPool  // recycles Send's payload copies (see pool.go)
 	start      time.Time    // incarnation start; Event.Wall is measured from it
 
-	// Crash-recovery state (see handle.go). epoch fences stale wire
-	// traffic across recoveries; aborting/abortCh unwind blocked ranks out
-	// of the current operation; recovering relaxes the watchdog's treatment
-	// of crashed ranks, because a supervisor will restart them.
-	epoch      atomic.Int64
+	// Crash-recovery state (see handle.go). epoch is stamped on every
+	// packet and fences off any other incarnation's traffic on reused
+	// wires; aborting/abortCh (closed by Abort) unwind blocked ranks out of
+	// the current operation; recovering relaxes the watchdog's treatment
+	// of crashed ranks, because a supervisor will relaunch the machine.
+	epoch      int64
 	aborting   atomic.Bool
-	abortMu    sync.Mutex
 	abortCh    chan struct{}
 	recovering bool
 }
 
-// abortChan returns the current epoch's abort channel; closed while an
-// abort is in progress.
-func (m *Machine) abortChan() <-chan struct{} {
-	m.abortMu.Lock()
-	ch := m.abortCh
-	m.abortMu.Unlock()
-	return ch
-}
-
-// checkAbort unwinds the calling rank out of the current operation when
-// an epoch abort is in progress.
+// checkAbort unwinds the calling rank out of the current operation once
+// the machine is aborted.
 func (m *Machine) checkAbort() {
 	if m.aborting.Load() {
 		panic(abortPanic{})
@@ -86,20 +75,20 @@ func (m *Machine) checkAbort() {
 }
 
 // abortPanic is the sentinel a rank panics with to unwind out of a
-// blocking machine operation during an epoch abort. A resident body
+// blocking machine operation once the machine is aborted. A resident body
 // recovers it and re-parks; it is never a run error.
 type abortPanic struct{}
 
-// IsAbort reports whether a recovered panic value is the epoch-abort
-// sentinel (see Handle.Abort). Resident bodies use it to tell "this
-// operation was rolled back, re-park and wait for the replay" from a
-// genuine rank death.
+// IsAbort reports whether a recovered panic value is the abort sentinel
+// (see Handle.Abort). Resident bodies use it to tell "the machine is
+// being retired: re-park and wait to be released" from a genuine rank
+// death.
 func IsAbort(v any) bool {
 	_, ok := v.(abortPanic)
 	return ok
 }
 
-// Aborted panics with the epoch-abort sentinel. Transports that loop on
+// Aborted panics with the abort sentinel. Transports that loop on
 // PullTimeout call it when Wire.Aborting reports an abort, since the
 // timeout path deliberately never panics on its own.
 func Aborted() {
@@ -107,10 +96,9 @@ func Aborted() {
 }
 
 // counter is one direction of a rank's traffic meter. The fields are
-// atomic because a recovery supervisor reads (and rolls back) counters
-// from the host while a parked rank's transport may still be servicing
-// a peer's late retransmission; everything else is single-writer per
-// rank.
+// atomic because the host reads counters between operations while a
+// parked rank's transport may still be servicing a peer's late
+// retransmission; everything else is single-writer per rank.
 type counter struct {
 	words atomic.Int64
 	msgs  atomic.Int64
@@ -134,7 +122,7 @@ type Comm struct {
 	t    Transport
 	diag *rankDiag
 	// arrive enters the barrier and stores the released generation in
-	// gen (-1 when an epoch abort cut the wait short). It is built once
+	// gen (-1 when an abort cut the wait short). It is built once
 	// per rank so that Barrier allocates nothing.
 	arrive func()
 	gen    int
@@ -145,7 +133,7 @@ func (m *Machine) newComm(rank int, t Transport) *Comm {
 	c := &Comm{m: m, rank: rank, t: t, diag: &m.diags[rank]}
 	if ctl := m.ctlBarrier[rank]; ctl != nil {
 		c.arrive = func() {
-			gen, ok := ctl(m.epoch.Load(), m.abortChan())
+			gen, ok := ctl(m.epoch, m.abortCh)
 			if !ok {
 				gen = -1
 			}
@@ -162,24 +150,6 @@ func (c *Comm) Rank() int { return c.rank }
 
 // Size returns P.
 func (c *Comm) Size() int { return c.m.p }
-
-// Epoch returns the machine's current recovery epoch (0 until the first
-// crash recovery). A resident body compares it against the epoch it last
-// ran an operation in to decide whether its transport needs a Refence.
-func (c *Comm) Epoch() int64 { return c.m.epoch.Load() }
-
-// Refence moves this rank's transport into the current epoch
-// (Transport.AdoptEpoch), resetting protocol state for the peers in
-// resetPeers. A surviving rank calls it when it picks up the first
-// operation of a new epoch: state kept for a rolled-back conversation
-// would disagree forever with a respawned peer's fresh state. resetPeers
-// must be the supervisor-computed symmetric set of disturbed pairs for
-// this rank; every surviving rank must call Refence on every epoch change
-// even with an empty reset list, because a transport left on the old
-// epoch ignores all new-epoch traffic.
-func (c *Comm) Refence(resetPeers []int) {
-	c.t.AdoptEpoch(c.m.epoch.Load(), resetPeers)
-}
 
 // Send transmits a copy of data to the destination rank with the given
 // tag, metering len(data) words. Sending to self is an error by panic —
@@ -283,7 +253,7 @@ func (c *Comm) Barrier() {
 // message whose ack was lost), and a rank that went quiet the moment its
 // own part completed would stall them forever.
 func (c *Comm) AwaitHost(wait func()) {
-	c.diag.parkForHost()
+	c.diag.setBlocked(BlockHost, -1, -1)
 	c.t.Wait(wait)
 	c.diag.setRunning()
 	c.m.progress.Add(1)
@@ -343,7 +313,7 @@ type barrier struct {
 	p       int
 	count   int
 	gen     int
-	aborted bool // epoch abort in progress: release everyone, arrivals void
+	aborted bool // machine aborted: release everyone, arrivals void
 }
 
 func newBarrier(p int) *barrier {
@@ -355,7 +325,7 @@ func newBarrier(p int) *barrier {
 // await arrives and blocks until the generation completes, returning the
 // generation index (identical for all P participants of one
 // synchronization — the trace's step identifier). Returns -1 when the
-// wait was cut short by an epoch abort.
+// wait was cut short by an abort.
 func (b *barrier) await() int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -378,25 +348,12 @@ func (b *barrier) await() int {
 	return gen
 }
 
-// abort releases every waiter with a void generation; arrivals until
-// reset are void too. The generation counter is NOT reset across
-// recoveries — keeping it monotonic keeps barrier step identifiers
-// globally unique in the trace, so a replayed operation's barriers are
-// distinguishable from the aborted attempt's.
+// abort releases every waiter with a void generation; every later
+// arrival is void too.
 func (b *barrier) abort() {
 	b.mu.Lock()
 	b.aborted = true
 	b.cond.Broadcast()
-	b.mu.Unlock()
-}
-
-// reset re-arms the barrier for a new epoch: the partial arrivals of the
-// aborted generation are discarded. Callers guarantee no rank is inside
-// the barrier (Handle.Quiesce).
-func (b *barrier) reset() {
-	b.mu.Lock()
-	b.aborted = false
-	b.count = 0
 	b.mu.Unlock()
 }
 
@@ -447,17 +404,19 @@ type RunConfig struct {
 	// barrier StartWith looks up; the stall watchdog should stay disabled
 	// (it cannot see remote progress).
 	LocalRanks []int
-	// StartEpoch is the recovery epoch the machine starts in (normally
-	// zero). A respawned rank process sets it to the cluster's current
-	// epoch so the first packets it sends are not fenced off by the
-	// survivors.
+	// StartEpoch is the epoch the machine runs in (normally zero). Every
+	// packet is stamped with it, and a receiving link drops packets of any
+	// other epoch — so a successor incarnation started one epoch later over
+	// reused wires (a session's recovery relaunch on a caller-owned socket
+	// backend, a cluster rank's next resume) never sees its predecessor's
+	// stale traffic, and no wire needs draining.
 	StartEpoch int64
 	// OnRankDown, when set, is invoked once from a dying rank's goroutine
-	// after its body panics with anything other than the epoch-abort
-	// sentinel. Setting it marks the run as supervised: the stall watchdog
-	// then treats crashed ranks as non-blocking while the survivors park,
+	// after its body panics with anything other than the abort sentinel.
+	// Setting it marks the run as supervised: the stall watchdog then
+	// treats crashed ranks as non-blocking while the survivors park,
 	// because a supervisor (parallel.Session's recovery loop) is expected
-	// to restart them. The callback must not block for long and must be
+	// to relaunch the machine. The callback must not block for long and must be
 	// safe for concurrent invocation from multiple dying ranks.
 	OnRankDown func(rank int, err error)
 }
@@ -466,8 +425,8 @@ type RunConfig struct {
 // processors under the given configuration (transport selection, stall
 // watchdog, trace observer, mailbox capacity) and returns the metered
 // report. It is StartWith followed by Wait; callers that supervise the
-// run — restarting crashed ranks, rolling epochs — use the Handle form
-// directly (see handle.go).
+// run — aborting it, carrying its meters onto a successor — use the
+// Handle form directly (see handle.go).
 func RunWith(p int, cfg RunConfig, body func(c *Comm)) (*Report, error) {
 	h, err := StartWith(p, cfg, body)
 	if err != nil {

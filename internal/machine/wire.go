@@ -40,11 +40,11 @@ type Packet struct {
 	// Check is a payload checksum set and verified by transports that
 	// detect corruption; the direct transport ignores it.
 	Check uint64
-	// Epoch is the machine epoch the packet was delivered in, stamped by
-	// the wire on Deliver. After a crash recovery advances the epoch
-	// (Handle.BeginEpoch), packets stamped with an earlier epoch — stale
-	// retransmissions from before the rollback — are fenced at the
-	// receiving end and never reach a transport.
+	// Epoch is the epoch of the machine that delivered the packet, stamped
+	// by the wire on Deliver. A receiving machine drops packets of any
+	// other epoch before they reach its transport: on wires reused across
+	// incarnations (RunConfig.StartEpoch) that fences off a retired
+	// machine's stale retransmissions.
 	Epoch int64
 	// Recycle marks Data as eligible for the machine's payload pool once
 	// the final consumer has copied it out (see Comm.RecvInto). Only a
@@ -78,20 +78,12 @@ type Wire interface {
 	// Pending publishes a snapshot of the transport's buffered-but-
 	// undelivered messages for the deadlock monitor's diagnostics.
 	Pending(entries []PendingEntry)
-	// Aborting reports whether the machine is unwinding the current epoch
-	// (a crash-recovery abort). A transport looping on PullTimeout —
-	// waiting for an acknowledgement, say — must check it each iteration
-	// and call Aborted() to unwind, because PullTimeout itself never
-	// panics (it also runs inside park/linger loops that must survive the
-	// abort).
+	// Aborting reports whether the machine is aborted (Handle.Abort). A
+	// transport looping on PullTimeout — waiting for an acknowledgement,
+	// say — must check it each iteration and call Aborted() to unwind,
+	// because PullTimeout itself never panics (it also runs inside
+	// park/linger loops that must survive the abort).
 	Aborting() bool
-	// Epoch returns the machine's current recovery epoch. A transport
-	// incarnation records it at construction and must ignore packets
-	// stamped with any other epoch: a parked pre-recovery incarnation
-	// otherwise services a replay's fresh traffic with stale protocol
-	// state (acknowledging a replayed sequence number as a duplicate and
-	// discarding it — a silently lost message).
-	Epoch() int64
 }
 
 // Transport mediates a rank's logical Send/Recv over the raw wire. The
@@ -124,19 +116,11 @@ type Transport interface {
 	// Barrier: every rank then leaves only after each send it made was
 	// acknowledged, and no peer is left retransmitting into silence.
 	Linger(stop <-chan struct{})
-	// AdoptEpoch moves the transport into a new recovery epoch, resetting
-	// per-peer protocol state (sequence counters, parked out-of-order
-	// packets, undelivered buffered messages) for the listed peers — the
-	// pairs the supervisor found disturbed by the aborted epoch. Pairs not
-	// listed keep their counters: a completed, acknowledged exchange
-	// advanced both ends consistently. Resets must be pair-symmetric: the
-	// supervisor computes one global set of disturbed pairs and hands each
-	// rank its side of it.
-	AdoptEpoch(epoch int64, resetPeers []int)
 }
 
 // TransportFactory builds one rank's transport around its raw wire
-// endpoint. It is called once per rank, from that rank's goroutine.
+// endpoint. It is called once per rank and machine incarnation, from that
+// rank's goroutine, so a transport never outlives its machine's epoch.
 type TransportFactory func(w Wire) Transport
 
 // link is the concrete Wire implementation: the machine's metering,
@@ -168,7 +152,7 @@ func (l *link) Deliver(pkt Packet) {
 	if pkt.To < 0 || pkt.To >= l.m.p {
 		panic(fmt.Sprintf("machine: deliver to rank %d of %d", pkt.To, l.m.p))
 	}
-	pkt.Epoch = l.m.epoch.Load()
+	pkt.Epoch = l.m.epoch
 	l.m.wireSent[l.rank].add(l.raw.PacketCost(pkt))
 	if l.m.wireEvents {
 		l.m.emit(l.rank, Event{Kind: EventSend, From: l.rank, To: pkt.To, Tag: pkt.Tag, Words: len(pkt.Data), Step: -1, Wire: true})
@@ -181,12 +165,12 @@ func (l *link) Pull() Packet {
 		if l.m.aborting.Load() {
 			panic(abortPanic{})
 		}
-		pkt, ok := l.raw.Pull(l.m.abortChan())
+		pkt, ok := l.raw.Pull(l.m.abortCh)
 		if !ok {
 			continue // the abort channel woke us; the check above unwinds
 		}
-		if pkt.Epoch != l.m.epoch.Load() {
-			continue // stale retransmission from a pre-recovery epoch
+		if pkt.Epoch != l.m.epoch {
+			continue // stale traffic of a retired incarnation
 		}
 		l.m.wireRecv[l.rank].add(l.raw.PacketCost(pkt))
 		if l.m.wireEvents {
@@ -198,10 +182,10 @@ func (l *link) Pull() Packet {
 
 func (l *link) PullTimeout(d time.Duration) (Packet, bool) {
 	pkt, ok := l.raw.PullTimeout(d)
-	if ok && pkt.Epoch != l.m.epoch.Load() {
+	if ok && pkt.Epoch != l.m.epoch {
 		// A stale-epoch packet reads as silence, never as a panic: this
-		// path also serves the transports' Wait and Linger loops, which must survive
-		// an epoch abort intact.
+		// path also serves the transports' Wait and Linger loops, which
+		// must survive an abort intact.
 		return Packet{}, false
 	}
 	if ok {
@@ -214,8 +198,6 @@ func (l *link) PullTimeout(d time.Duration) (Packet, bool) {
 }
 
 func (l *link) Aborting() bool { return l.m.aborting.Load() }
-
-func (l *link) Epoch() int64 { return l.m.epoch.Load() }
 
 func (l *link) Pending(entries []PendingEntry) {
 	l.m.diags[l.rank].setPending(entries)
@@ -272,14 +254,6 @@ func (t *directTransport) Wait(block func()) { block() }
 
 // Linger returns at once: no peer ever waits on this rank's replies.
 func (t *directTransport) Linger(<-chan struct{}) {}
-
-// AdoptEpoch discards every buffered payload — each belongs to an
-// operation the aborted epoch rolled back. With no per-peer sequence
-// state there is nothing narrower to reset.
-func (t *directTransport) AdoptEpoch(int64, []int) {
-	clear(t.pending)
-	t.w.Pending(nil)
-}
 
 // SummarizePending condenses a transport's buffered packets (keyed by
 // [2]int{from, tag}) into sorted diagnostic entries for Wire.Pending.

@@ -110,8 +110,9 @@ func (fw *faultWire) decide(nd *node, to int, pkt machine.Packet) ([]frameAction
 	defer fw.mu.Unlock()
 	fw.ops++
 	// The crash clock passes each op index exactly once, so == fires the
-	// crash exactly once: a restarted rank reuses this node and continues
-	// the count past the crash point instead of re-dying on every send.
+	// crash exactly once: a relaunched machine reuses this node and
+	// continues the count past the crash point instead of re-dying on
+	// every send.
 	if at, ok := fw.plan.Crash[nd.rank]; ok && fw.ops == at {
 		return nil, &machine.CrashError{Rank: nd.rank, Op: fw.ops}
 	}

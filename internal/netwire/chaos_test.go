@@ -106,9 +106,10 @@ func TestSocketChaosConformance(t *testing.T) {
 // TestSocketChaosCrashRecoveryComposition composes the socket fault layer
 // with in-process crash recovery: a plan that both perturbs frames and
 // crashes a rank mid-run, over a TCP loopback, with the recovery
-// supervisor armed. The respawned rank's node (and its chaos clock)
-// survives the restart, the survivors roll back, and the committed result
-// still matches the fault-free sim bit for bit.
+// supervisor armed. The relaunched machine reuses every node (and its
+// chaos clock), the epoch fence drops the retired machine's stale frames,
+// the ranks roll back, and the committed result still matches the
+// fault-free sim bit for bit.
 func TestSocketChaosCrashRecoveryComposition(t *testing.T) {
 	part := sphericalPart(t, 2)
 	b := 2

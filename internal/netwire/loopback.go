@@ -18,7 +18,9 @@ import (
 // (and everything above it: transports, sessions, recovery) runs
 // unchanged. This is the conformance configuration: logical meters and
 // results must match the SimBackend bit for bit. The in-process crash
-// recovery suite (Handle.RestartRank) runs over it too.
+// recovery suite runs over it too: a recovering session relaunches its
+// machine one epoch later over the same wires, and the epoch fence drops
+// whatever the retired incarnation left in flight.
 type Loopback struct {
 	network string
 	plan    fault.Plan

@@ -371,9 +371,6 @@ func (w *Wire) PullTimeout(d time.Duration) (machine.Packet, bool) {
 // Depth reports the decoded-but-unpulled packet count.
 func (w *Wire) Depth() int { return w.nd.inbox.Depth() }
 
-// Drain discards every decoded-but-unpulled packet.
-func (w *Wire) Drain() { w.nd.inbox.Drain() }
-
 // PacketCost prices pkt at its framed size in 8-byte words, so wire
 // meters count what crossed the socket.
 func (w *Wire) PacketCost(pkt machine.Packet) int64 { return FrameWords(len(pkt.Data)) }

@@ -223,8 +223,8 @@ func (t *Trace) RankTotals() *PhaseTotals {
 }
 
 // RecoveryCounts summarizes the recovery markers a supervised session
-// left in the trace: rank deaths, recovery spans (one per replay
-// attempt or degraded relaunch), completed rollbacks, restore
+// left in the trace: rank deaths, recovery spans (one per machine
+// relaunch), completed rollbacks, restore
 // fingerprint verifications and mismatches, and the highest wire epoch
 // reached.
 type RecoveryCounts struct {

@@ -50,10 +50,10 @@ const (
 )
 
 // RestoreMismatchError reports a checkpoint page whose fingerprint did
-// not survive a rollback or a degraded relaunch: the restored arena
-// differs from the state the checkpoint captured. The supervisor returns
-// it instead of replaying on corrupt state; the failing location is also
-// emitted as a machine.EventRestoreMismatch trace event and counted in
+// not survive a rollback: the restored arena differs from the state the
+// checkpoint captured. The supervisor returns it instead of replaying on
+// corrupt state; the failing location is also emitted as a
+// machine.EventRestoreMismatch trace event and counted in
 // RecoveryStats.Mismatches.
 type RestoreMismatchError struct {
 	// Rank owns the corrupted chunk arena; Page is the failing
@@ -233,16 +233,13 @@ func (s *Session) checkpoint(pr *phaseRecorder, dk dirtyKind) *ckSlot {
 	return slot
 }
 
-// restore rolls every rank back to the checkpoint: logical meters (wire
-// meters keep running — that is where recovery overhead belongs), the
-// chunk iterate from the shadow mirror, the power-method scalars, and the
-// phase recorder rows. Collective groups are dropped so they rebind to
-// the current Comm on the next use (a respawned rank and a relaunched
-// machine both carry fresh Comms).
+// restore rolls every rank back to the checkpoint on the relaunched
+// machine (relaunch has already carried the meters over): the chunk
+// iterate from the shadow mirror, the power-method scalars, and the phase
+// recorder rows.
 //
 // Every restored arena is then re-verified page by page against the
-// checkpoint-time fingerprints — on the in-place rollback path and on the
-// degraded-relaunch path alike. A mismatch is surfaced as a
+// checkpoint-time fingerprints. A mismatch is surfaced as a
 // RestoreMismatchError (plus a trace event and a stats counter), never
 // absorbed into a replay.
 func (s *Session) restore(ck *ckSlot, pr *phaseRecorder) error {
@@ -250,11 +247,9 @@ func (s *Session) restore(ck *ckSlot, pr *phaseRecorder) error {
 	l := s.cur
 	p := s.part.P
 	for r := 0; r < p; r++ {
-		l.h.RestoreMeters(r, ck.meters[r], false)
 		copy(s.rk[r].chunk, s.ck.shadow[r])
 		s.rk[r].pmLambda = ck.pmLambda[r]
 		s.rk[r].pmPrev = ck.pmPrev[r]
-		s.rk[r].world = nil
 	}
 	if pr != nil {
 		pr.restore(ck.phases)

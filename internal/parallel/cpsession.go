@@ -17,7 +17,6 @@ package parallel
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/collective"
 	"repro/internal/machine"
@@ -125,19 +124,7 @@ func OpenCPSession(op *sttsv.CPOperator, copts CPOptions) (*Session, error) {
 		maxCols = 1
 	}
 	s.grow(maxCols)
-
-	if opts.Recovery != nil {
-		rec := opts.Recovery.withDefaults()
-		s.rec = &rec
-		s.crashCh = make(chan rankDown, p)
-		if s.opts.Machine.Timeout == 0 {
-			// Same watchdog backstop a recovering dense session arms.
-			s.opts.Machine.Timeout = 5 * time.Second
-		}
-		s.ck = newCkStore(s.rk)
-		s.staticPeers = s.buildStaticPeers()
-	}
-	if err := s.launchMachine(); err != nil {
+	if err := s.start(); err != nil {
 		return nil, err
 	}
 	return s, nil

@@ -218,7 +218,7 @@ func TestCPSessionCrashRecovery(t *testing.T) {
 	if math.Float64bits(ge.Lambda) != math.Float64bits(we.Lambda) || !bitsEqual(ge.X, we.X) {
 		t.Fatal("recovered CP PowerMethod differs from crash-free run")
 	}
-	if st := faulty.RecoveryStats(); st.Restarts == 0 {
-		t.Error("crash plan injected no rank restarts; recovery untested")
+	if st := faulty.RecoveryStats(); st.Relaunches == 0 {
+		t.Error("crash plan triggered no relaunch; recovery untested")
 	}
 }

@@ -108,11 +108,10 @@ type Options struct {
 	MaxCols int
 	// Recovery, when non-nil, arms the session's crash-recovery
 	// supervisor: injected rank crashes (and genuine panics) are caught,
-	// dead ranks are respawned onto fresh mailboxes in a new wire epoch,
-	// every rank rolls back to the last dispatch-boundary checkpoint, and
-	// the operation replays under bounded retries with exponential
-	// backoff, degrading to a full machine relaunch as the last resort.
-	// The zero RecoveryOptions value selects all defaults. Nil (the
+	// the machine is relaunched one wire epoch later, every rank rolls
+	// back to the last dispatch-boundary checkpoint, and the operation
+	// replays under a bounded budget (see RecoveryOptions). The zero
+	// RecoveryOptions value selects all defaults. Nil (the
 	// default) keeps the fail-fast semantics: any crash kills the run.
 	Recovery *RecoveryOptions
 }

@@ -2,7 +2,6 @@ package parallel
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/machine"
 	"repro/internal/partition"
@@ -105,26 +104,10 @@ func NewRankEngine(a *tensor.Symmetric, opts Options, rank int) (*RankEngine, er
 }
 
 // SeedPower initializes the rank's iterate chunks from the deterministic
-// unit start vector of PowerMethod — the full x0 is generated and
-// normalized exactly as the host does, then restricted to the owned spans,
-// so the distributed seed is bit-identical to the simulated one.
+// unit start vector of PowerMethod (see seedPower), so the distributed
+// seed is bit-identical to the simulated one.
 func (e *RankEngine) SeedPower(seed int64) {
-	x0 := make([]float64, e.padded)
-	norm := 0.0
-	for i := 0; i < e.n; i++ {
-		x0[i] = math.Sin(float64(i+1)*1.7 + float64(seed))
-		norm += x0[i] * x0[i]
-	}
-	norm = math.Sqrt(norm)
-	for i := 0; i < e.n; i++ {
-		x0[i] /= norm
-	}
-	rk := e.rk
-	for k, row := range rk.lay.rows {
-		lo, hi := rk.lay.myLo[k], rk.lay.myHi[k]
-		copy(rk.chunk[k*e.b+lo:k*e.b+hi], x0[row*e.b+lo:row*e.b+hi])
-	}
-	rk.pmLambda, rk.pmPrev = 0, math.Inf(1)
+	seedPower([]*sessionRank{e.rk}, e.n, e.padded, seed)
 }
 
 // Iterate runs one power-method round on the supplied communicator (whose

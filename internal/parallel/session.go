@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/collective"
 	"repro/internal/la"
@@ -51,30 +50,20 @@ type Session struct {
 
 	cur      *launch          // current machine incarnation
 	rec      *RecoveryOptions // nil: fail fast on any crash
-	crashCh  chan rankDown
+	ck       *ckStore         // incremental checkpoint store; nil when fail-fast
 	stats    RecoveryStats
 	inflight atomic.Bool
 	report   *machine.Report
 	closed   bool
 	closeErr error
-
-	// Recovery-only state (nil / unused on fail-fast sessions): the
-	// incremental checkpoint store, the static exchange graph feeding the
-	// partial-rebind reset computation, and the refence counter (atomic
-	// because rank goroutines increment it).
-	ck          *ckStore
-	staticPeers [][]int
-	refences    atomic.Int64
 }
 
 // sessionOp is one host-dispatched operation: every rank runs the closure,
-// and the last one to finish releases the host. abandoned is set when a
-// recovery gives the op up; a rank that dequeues it afterwards skips it.
+// and the last one to finish releases the host.
 type sessionOp struct {
-	run       func(me int, c *machine.Comm)
-	pending   atomic.Int64
-	done      chan struct{}
-	abandoned atomic.Bool
+	run     func(me int, c *machine.Comm)
+	pending atomic.Int64
+	done    chan struct{}
 }
 
 // sessionRank is one rank's resident state: dense arenas replacing the
@@ -192,22 +181,7 @@ func OpenSession(a *tensor.Symmetric, opts Options) (*Session, error) {
 		maxCols = 1
 	}
 	s.grow(maxCols)
-
-	if opts.Recovery != nil {
-		rec := opts.Recovery.withDefaults()
-		s.rec = &rec
-		s.crashCh = make(chan rankDown, part.P)
-		if s.opts.Machine.Timeout == 0 {
-			// A crashed rank can strand a peer in a parked transport wait
-			// the abort fence cannot reach; the watchdog is the recovery
-			// supervisor's backstop, so a recovering session always runs
-			// with one.
-			s.opts.Machine.Timeout = 5 * time.Second
-		}
-		s.ck = newCkStore(s.rk)
-		s.staticPeers = s.buildStaticPeers()
-	}
-	if err := s.launchMachine(); err != nil {
+	if err := s.start(); err != nil {
 		return nil, err
 	}
 	return s, nil
@@ -273,13 +247,9 @@ func (s *Session) Close() error {
 		return s.closeErr
 	}
 	s.closed = true
-	l := s.cur
-	for r := range l.ops {
-		close(l.ops[r])
-	}
-	<-l.runDone
-	s.report = l.report
-	s.closeErr = l.runErr
+	s.cur.stop()
+	s.report = s.cur.report
+	s.closeErr = s.cur.runErr
 	return s.closeErr
 }
 
@@ -649,6 +619,33 @@ func (s *Session) ApplyBatch(X [][]float64) (*BatchResult, error) {
 	}, nil
 }
 
+// seedPower starts the power method on ranks: the deterministic unit
+// vector x0_i ∝ sin(1.7(i+1) + seed) over the first n of padded entries
+// (the padded tail stays zero) is scattered into each rank's owned chunk
+// spans, and the convergence scalars reset. Session.PowerMethod seeds
+// every rank and a RankEngine only its own, from the same arithmetic, so a
+// distributed run starts bit-identical to the simulated one.
+func seedPower(rks []*sessionRank, n, padded int, seed int64) {
+	x0 := make([]float64, padded)
+	norm := 0.0
+	for i := 0; i < n; i++ {
+		x0[i] = math.Sin(float64(i+1)*1.7 + float64(seed))
+		norm += x0[i] * x0[i]
+	}
+	norm = math.Sqrt(norm)
+	for i := 0; i < n; i++ {
+		x0[i] /= norm
+	}
+	for _, rk := range rks {
+		b := rk.b
+		for k, row := range rk.lay.rows {
+			lo, hi := rk.lay.myLo[k], rk.lay.myHi[k]
+			copy(rk.chunk[k*b+lo:k*b+hi], x0[row*b+lo:row*b+hi])
+		}
+		rk.pmLambda, rk.pmPrev = 0, math.Inf(1)
+	}
+}
+
 // powerIterState carries one iteration's per-rank outcome flags from the
 // dispatched op back to the host loop. Every rank writes only its own
 // slot; the slots agree across ranks because the convergence test runs on
@@ -782,29 +779,12 @@ func (s *Session) PowerMethod(po PowerOptions) (*EigenResult, error) {
 	}
 	defer s.inflight.Store(false)
 
-	// Deterministic unit start, padded region zero.
-	x0 := make([]float64, s.padded)
-	norm := 0.0
-	for i := 0; i < n; i++ {
-		x0[i] = math.Sin(float64(i+1)*1.7 + float64(po.Seed))
-		norm += x0[i] * x0[i]
-	}
-	norm = math.Sqrt(norm)
-	for i := 0; i < n; i++ {
-		x0[i] /= norm
-	}
+	// Seed the distributed iterate host-side (every rank is parked
+	// between operations, so its chunk arena is the host's to write).
+	seedPower(s.rk, n, s.padded, po.Seed)
 
 	p := s.part.P
 	b := s.b
-	// Seed the distributed iterate host-side (every rank is parked
-	// between operations, so its chunk arena is the host's to write).
-	for _, rk := range s.rk {
-		for k, row := range rk.lay.rows {
-			lo, hi := rk.lay.myLo[k], rk.lay.myHi[k]
-			copy(rk.chunk[k*b+lo:k*b+hi], x0[row*b+lo:row*b+hi])
-		}
-		rk.pmLambda, rk.pmPrev = 0, math.Inf(1)
-	}
 
 	var pr *phaseRecorder
 	if s.cp != nil {

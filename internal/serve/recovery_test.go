@@ -89,7 +89,7 @@ func TestBatchRecoveryComposition(t *testing.T) {
 	if st.RankDowns != 1 {
 		t.Errorf("RankDowns = %d, want exactly 1: one crash, one incident, however many columns rode the batch", st.RankDowns)
 	}
-	if st.Retries == 0 && st.Rollbacks == 0 && st.Restarts == 0 {
-		t.Error("recovery supervisor recorded no intervention; crash plan never fired")
+	if st.Relaunches != 1 || st.Retries != 1 || st.Rollbacks != 1 {
+		t.Errorf("stats %+v: want one relaunch, one replay and one rollback for the one crash", st)
 	}
 }

@@ -463,11 +463,9 @@ func (p *Pool) RecoveryStats() parallel.RecoveryStats {
 		total.RankDowns += st.RankDowns
 		total.Retries += st.Retries
 		total.Rollbacks += st.Rollbacks
-		total.Restarts += st.Restarts
 		total.Relaunches += st.Relaunches
 		total.Verifications += st.Verifications
 		total.Mismatches += st.Mismatches
-		total.Refences += st.Refences
 		total.CheckpointWords += st.CheckpointWords
 		total.CheckpointNanos += st.CheckpointNanos
 		total.RestoreNanos += st.RestoreNanos

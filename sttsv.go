@@ -217,9 +217,9 @@ type Session = parallel.Session
 type BatchResult = parallel.BatchResult
 
 // RecoveryOptions opts a session into crash recovery (set
-// ParallelOptions.Recovery): rank deaths are absorbed by checkpointed
-// rollback and replay behind an epoch fence, with bounded retries and a
-// degraded full-relaunch fallback. Committed results stay bit-identical
+// ParallelOptions.Recovery): a rank death relaunches the machine one
+// epoch later, rolls it back to the last checkpoint and replays, within a
+// bounded replay budget. Committed results stay bit-identical
 // to the crash-free session and logical meters count committed work
 // exactly once; recovery overhead appears only on the wire meters.
 type RecoveryOptions = parallel.RecoveryOptions
