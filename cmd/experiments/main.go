@@ -89,7 +89,7 @@ func timelineExp() error {
 		x := make([]float64, n)
 		var rec obs.Recorder
 		res, err := parallel.Run(nil, x, parallel.Options{
-			Part: part, Sched: sched, B: b, Wiring: parallel.WiringP2P,
+			Part: part, B: b, Wiring: parallel.WiringP2P,
 			Machine: machine.RunConfig{Timeout: time.Minute, Observer: rec.Observer()},
 		})
 		if err != nil {
@@ -185,7 +185,7 @@ func seqApproach() error {
 		for i := range x {
 			x[i] = rng.NormFloat64()
 		}
-		seqRes, err := parallel.RunSequenceBaseline(a, x, part.P)
+		seqRes, err := parallel.RunSequenceBaseline(a, x, part.P, machine.RunConfig{})
 		if err != nil {
 			return err
 		}
@@ -396,7 +396,7 @@ func baseline() error {
 		if err != nil {
 			return err
 		}
-		base, err := parallel.RunRowBaseline(a, x, part.P)
+		base, err := parallel.RunRowBaseline(a, x, part.P, machine.RunConfig{})
 		if err != nil {
 			return err
 		}

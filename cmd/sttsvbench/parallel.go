@@ -524,7 +524,7 @@ func runRecoveryDrill(out, check string) {
 	plan := fault.Plan{Seed: 7, Crash: map[int]int{1: 10, 4: 90, 7: 400}}
 	faulted := base
 	faulted.Machine = machine.RunConfig{
-		Transport: fault.TransportRecoverable(plan, fault.ReliableOptions{MaxAttempts: 1 << 20}),
+		Transport: fault.Transport(plan, fault.ReliableOptions{MaxAttempts: 1 << 20}),
 		Timeout:   5 * time.Second,
 	}
 	backend.Apply(&faulted.Machine)

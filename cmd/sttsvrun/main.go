@@ -312,7 +312,7 @@ func runFaulted(a *tensor.Symmetric, x []float64, wiring parallel.Wiring,
 	opts := parallel.Options{
 		Part: part, B: b, Wiring: wiring,
 		Machine: machine.RunConfig{
-			Transport: fault.TransportOpts(plan, fault.ReliableOptions{MaxAttempts: 1 << 20}),
+			Transport: fault.Transport(plan, fault.ReliableOptions{MaxAttempts: 1 << 20}),
 			Timeout:   5 * time.Second,
 		},
 	}
@@ -320,10 +320,8 @@ func runFaulted(a *tensor.Symmetric, x []float64, wiring parallel.Wiring,
 	var res *parallel.Result
 	var err error
 	if recoverCrash {
-		// The recovering path: crashes are claimed once per rank by the
-		// shared registry, so a relaunched machine does not re-crash on the
-		// replay.
-		opts.Machine.Transport = fault.TransportRecoverable(plan, fault.ReliableOptions{MaxAttempts: 1 << 20})
+		// The factory fires each rank's crash once, so a relaunched
+		// machine does not re-crash on the replay.
 		opts.Recovery = &parallel.RecoveryOptions{}
 		var s *parallel.Session
 		s, err = parallel.OpenSession(a, opts)

@@ -29,11 +29,14 @@
 //	GET  /v1/info     serving configuration
 //
 // A full admission queue answers 429 with a Retry-After header derived
-// from the pool's measured batch service time. On SIGINT/SIGTERM the
+// from the pool's measured batch service time. A request body larger than
+// any vector of the served dimension answers 413, and a result with no
+// JSON form (an overflow to ±Inf) answers 422. On SIGINT/SIGTERM the
 // server stops admitting, drains every queued request, and exits.
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -100,11 +103,36 @@ type server struct {
 	info infoResponse
 }
 
+// HTTP server timeouts, so a slow or stalled client cannot hold a
+// connection open indefinitely. There is no write timeout: an admitted
+// apply may legitimately wait in the batching queue.
+const (
+	readHeaderTimeout = 5 * time.Second
+	readTimeout       = 30 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// maxApplyBody bounds an apply request body for an n-dimensional
+// operator: 64 bytes per element covers any float64 in JSON plus its
+// separator and indentation, and 64 KiB covers the tenant name and the
+// object framing.
+func maxApplyBody(n int) int64 { return 64*int64(n) + 1<<16 }
+
+// writeJSON encodes v before committing the status line. A value with no
+// JSON form — a result that overflowed to ±Inf or NaN — answers 422 with
+// a JSON error instead of a 200 with an empty body.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	var buf bytes.Buffer
+	if err := json.NewEncoder(&buf).Encode(v); err != nil {
+		status = http.StatusUnprocessableEntity
+		buf.Reset()
+		// An errorResponse holds a string and zero numbers, so it encodes.
+		_ = json.NewEncoder(&buf).Encode(errorResponse{Error: "response not representable as JSON: " + err.Error()})
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	_ = enc.Encode(v)
+	// A failed write means the client has gone; there is no one to tell.
+	_, _ = w.Write(buf.Bytes())
 }
 
 func (s *server) handleApply(w http.ResponseWriter, r *http.Request) {
@@ -113,7 +141,14 @@ func (s *server) handleApply(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req applyRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	body := http.MaxBytesReader(w, r.Body, maxApplyBody(s.info.N))
+	if err := json.NewDecoder(body).Decode(&req); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			writeJSON(w, http.StatusRequestEntityTooLarge, errorResponse{
+				Error: fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit)})
+			return
+		}
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad JSON: " + err.Error()})
 		return
 	}
@@ -288,7 +323,13 @@ func main() {
 	mux.HandleFunc("/v1/apply", srv.handleApply)
 	mux.HandleFunc("/v1/metrics", srv.handleMetrics)
 	mux.HandleFunc("/v1/info", srv.handleInfo)
-	hs := &http.Server{Addr: *addr, Handler: mux}
+	hs := &http.Server{
+		Addr:              *addr,
+		Handler:           mux,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)

@@ -38,12 +38,12 @@ func main() {
 		a.Data[i] = planted.Data[i] + 0.01*noise.Data[i]
 	}
 
-	// Build the schedule once; reuse it across iterations.
-	sched, err := sttsv.BuildSchedule(part)
+	// One resident session serves every iteration: the machine launch,
+	// schedule and packed blocks are paid once, not per application.
+	s, err := sttsv.OpenSession(a, sttsv.ParallelOptions{Part: part, B: b, Wiring: sttsv.WiringP2P})
 	if err != nil {
 		log.Fatal(err)
 	}
-	opts := sttsv.ParallelOptions{Part: part, B: b, Sched: sched, Wiring: sttsv.WiringP2P}
 
 	x := make([]float64, n)
 	for i := range x {
@@ -54,7 +54,7 @@ func main() {
 	var totalWords int64
 	iters := 0
 	for it := 1; it <= 200; it++ {
-		res, err := sttsv.ParallelCompute(a, x, opts)
+		res, err := s.Apply(x)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -67,6 +67,9 @@ func main() {
 		prev = lambda
 		copy(x, res.Y)
 		normalize(x)
+	}
+	if err := s.Close(); err != nil {
+		log.Fatal(err)
 	}
 
 	align := math.Abs(dot(x, v))

@@ -84,7 +84,7 @@ func DPowerMethod(t *DTensor, seed int64, shift float64, maxIter int, tol float6
 // operations and Ω(n) words per processor — the trade-off Algorithm 5
 // avoids.
 func SequenceBaselineCompute(a *Tensor, x []float64, p int) (*ParallelResult, error) {
-	return parallel.RunSequenceBaseline(a, x, p)
+	return parallel.RunSequenceBaseline(a, x, p, RunConfig{})
 }
 
 // SQSDoubled returns the Steiner quadruple system SQS(8·2^k) built by the

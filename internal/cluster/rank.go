@@ -54,7 +54,7 @@ func RunRank(opt RankOptions) error {
 		}
 		copt.Bind = cfg.Hosts[opt.Rank]
 	}
-	cl, err := netwire.NewClientOpts(cfg.Network, opt.CtlAddr, opt.Rank, part.P, copt)
+	cl, err := netwire.NewClient(cfg.Network, opt.CtlAddr, opt.Rank, part.P, copt)
 	if err != nil {
 		return err
 	}
@@ -149,7 +149,7 @@ func RunRank(opt RankOptions) error {
 			// wire. The retry budget is effectively unbounded — the
 			// supervisor's abort, not the transport, decides when a silent
 			// peer means a dead rank.
-			runCfg.Transport = fault.TransportOpts(fault.Plan{}, fault.ReliableOptions{MaxAttempts: 1 << 20})
+			runCfg.Transport = fault.Transport(fault.Plan{}, fault.ReliableOptions{MaxAttempts: 1 << 20})
 		}
 		h, err := machine.StartWith(part.P, runCfg, func(c *machine.Comm) {
 			defer func() {

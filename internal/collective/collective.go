@@ -1,13 +1,12 @@
 // Package collective layers MPI-style collective operations over the
-// machine simulator: All-to-All (both the variable-size form and the
-// fixed-width form whose cost the paper charges in §7.2), all-gather,
-// reduce-scatter, broadcast, and all-reduce, all available on arbitrary
-// process groups (sub-communicators).
+// machine simulator: the fixed-width All-to-All whose cost the paper
+// charges in §7.2, all-gather, reduce-scatter, broadcast, and all-reduce,
+// all available on arbitrary process groups (sub-communicators).
 //
-// The All-to-All implementations use the P−1-step pairwise-exchange
-// schedule that Thakur et al. describe as bandwidth-optimal — the algorithm
-// the paper's All-to-All analysis assumes. In step r each member sends to
-// the member r positions ahead and receives from the member r positions
+// The exchange collectives use the P−1-step pairwise-exchange schedule
+// that Thakur et al. describe as bandwidth-optimal — the algorithm the
+// paper's All-to-All analysis assumes. In step r each member sends to the
+// member r positions ahead and receives from the member r positions
 // behind, so every rank sends and receives at most one message per step.
 //
 // Every collective labels the trace events it generates with its operation
@@ -77,93 +76,16 @@ func World(c *machine.Comm) *Group {
 // Size returns the number of group members.
 func (g *Group) Size() int { return len(g.ranks) }
 
-// GroupRank returns the caller's index within the group.
-func (g *Group) GroupRank() int { return g.me }
-
-// GlobalRank translates a group index to a machine rank.
-func (g *Group) GlobalRank(i int) int { return g.ranks[i] }
-
-// AllToAllV performs a personalized all-to-all exchange: send[i] is
-// delivered to group member i, and the result's slot i holds what member i
-// sent to the caller. send must have length Size(); send[me] is delivered
-// locally without communication (and without being metered). Empty slices
-// skip the wire entirely — only words that are actually needed move, which
-// is what makes this the *optimal* wiring rather than the paper's
-// fixed-width accounting (see AllToAllFixed).
-func (g *Group) AllToAllV(tag int, send [][]float64) [][]float64 {
-	g.c.BeginOp("all-to-all-v")
-	defer g.c.EndOp()
-	p := g.Size()
-	if len(send) != p {
-		panic(fmt.Sprintf("collective: AllToAllV with %d buffers for group of %d", len(send), p))
-	}
-	out := make([][]float64, p)
-	out[g.me] = append([]float64(nil), send[g.me]...)
-	for r := 1; r < p; r++ {
-		to := (g.me + r) % p
-		from := (g.me - r + p) % p
-		if len(send[to]) > 0 {
-			g.c.Send(g.ranks[to], tag, send[to])
-		}
-		if recvNeeded(send, from, g.me) {
-			// The symmetric-schedule property of our use sites (each pair
-			// exchanges equal-shaped data) lets the receiver know whether
-			// a message is coming: member `from` sends to us exactly when
-			// we send to them.
-			out[from] = g.c.Recv(g.ranks[from], tag)
-		}
-	}
-	return out
-}
-
-// recvNeeded reports whether group member `from` will have sent to `me`.
-// AllToAllV requires the exchange pattern to be symmetric: member a sends a
-// nonempty buffer to b exactly when b sends one to a. Both use sites in
-// this repository (vector gather and result scatter of Algorithm 5) have
-// this property by construction.
-func recvNeeded(send [][]float64, from, me int) bool {
-	return len(send[from]) > 0
-}
-
-// AllToAllFixed performs an all-to-all where every ordered pair exchanges
-// exactly width words, padding short buffers and truncating is an error.
-// This is the MPI_Alltoall-style fixed-width collective whose bandwidth the
-// paper charges in §7.2: each of the P−1 steps costs width words even
-// between pairs that share nothing, which is why Algorithm 5 wired this way
-// costs twice the lower bound.
-func (g *Group) AllToAllFixed(tag, width int, send [][]float64) [][]float64 {
-	g.c.BeginOp("all-to-all")
-	defer g.c.EndOp()
-	p := g.Size()
-	if len(send) != p {
-		panic(fmt.Sprintf("collective: AllToAllFixed with %d buffers for group of %d", len(send), p))
-	}
-	padded := make([][]float64, p)
-	for i, s := range send {
-		if len(s) > width {
-			panic(fmt.Sprintf("collective: buffer %d has %d words, width %d", i, len(s), width))
-		}
-		buf := make([]float64, width)
-		copy(buf, s)
-		padded[i] = buf
-	}
-	out := make([][]float64, p)
-	out[g.me] = padded[g.me]
-	for r := 1; r < p; r++ {
-		to := (g.me + r) % p
-		from := (g.me - r + p) % p
-		g.c.Send(g.ranks[to], tag, padded[to])
-		out[from] = g.c.Recv(g.ranks[from], tag)
-	}
-	return out
-}
-
-// AllToAllFixedInto is AllToAllFixed over caller-owned buffers: send[i]
-// and recv[i] must all hold exactly width words (the caller pads once and
-// reuses the buffers across calls), and incoming payloads are copied into
-// recv via RecvInto so a steady-state loop performs no allocations. The
-// wire traffic, metering, and trace labeling are identical to
-// AllToAllFixed; the self slot is copied locally without communication.
+// AllToAllFixedInto performs an all-to-all where every ordered pair
+// exchanges exactly width words. This is the MPI_Alltoall-style
+// fixed-width collective whose bandwidth the paper charges in §7.2: each
+// of the P−1 steps costs width words even between pairs that share
+// nothing, which is why Algorithm 5 wired this way costs twice the lower
+// bound. send[i] and recv[i] are caller-owned and must all hold exactly
+// width words (the caller pads once and reuses the buffers across calls);
+// incoming payloads are copied into recv via RecvInto, so a steady-state
+// loop performs no allocations. The self slot is copied locally without
+// communication.
 func (g *Group) AllToAllFixedInto(tag, width int, send, recv [][]float64) {
 	g.c.BeginOp("all-to-all")
 	defer g.c.EndOp()
@@ -279,51 +201,4 @@ func (g *Group) AllReduceSum(tag int, mine []float64) []float64 {
 		g.c.Send(g.ranks[0], tag, acc)
 	}
 	return g.Bcast(tag, 0, acc)
-}
-
-// GatherV collects every member's buffer on the root (by group index):
-// the root's result slot i holds member i's mine; non-root callers receive
-// nil.
-func (g *Group) GatherV(tag, root int, mine []float64) [][]float64 {
-	g.c.BeginOp("gather-v")
-	defer g.c.EndOp()
-	p := g.Size()
-	if root < 0 || root >= p {
-		panic(fmt.Sprintf("collective: GatherV root %d of %d", root, p))
-	}
-	if g.me != root {
-		g.c.Send(g.ranks[root], tag, mine)
-		return nil
-	}
-	out := make([][]float64, p)
-	out[root] = append([]float64(nil), mine...)
-	for i := 0; i < p; i++ {
-		if i != root {
-			out[i] = g.c.Recv(g.ranks[i], tag)
-		}
-	}
-	return out
-}
-
-// ScatterV distributes root's per-member buffers: member i receives
-// send[i]. Non-root callers pass nil and get their slice.
-func (g *Group) ScatterV(tag, root int, send [][]float64) []float64 {
-	g.c.BeginOp("scatter-v")
-	defer g.c.EndOp()
-	p := g.Size()
-	if root < 0 || root >= p {
-		panic(fmt.Sprintf("collective: ScatterV root %d of %d", root, p))
-	}
-	if g.me != root {
-		return g.c.Recv(g.ranks[root], tag)
-	}
-	if len(send) != p {
-		panic(fmt.Sprintf("collective: ScatterV with %d buffers for group of %d", len(send), p))
-	}
-	for i := 0; i < p; i++ {
-		if i != root {
-			g.c.Send(g.ranks[i], tag, send[i])
-		}
-	}
-	return append([]float64(nil), send[root]...)
 }

@@ -21,7 +21,7 @@ func run(t *testing.T, p int, body func(c *machine.Comm)) *machine.Report {
 func TestWorldGroup(t *testing.T) {
 	run(t, 5, func(c *machine.Comm) {
 		g := World(c)
-		if g.Size() != 5 || g.GroupRank() != c.Rank() || g.GlobalRank(3) != 3 {
+		if g.Size() != 5 || g.me != c.Rank() || g.ranks[3] != 3 {
 			t.Errorf("world group wrong at rank %d", c.Rank())
 		}
 	})
@@ -44,65 +44,23 @@ func TestNewGroupValidation(t *testing.T) {
 	})
 }
 
-func TestAllToAllV(t *testing.T) {
-	const p = 6
-	run(t, p, func(c *machine.Comm) {
-		g := World(c)
-		send := make([][]float64, p)
-		for i := range send {
-			// Rank r sends {100r + i} to member i.
-			send[i] = []float64{float64(100*c.Rank() + i)}
-		}
-		got := g.AllToAllV(0, send)
-		for i := range got {
-			want := float64(100*i + c.Rank())
-			if len(got[i]) != 1 || got[i][0] != want {
-				t.Errorf("rank %d slot %d: %v, want %g", c.Rank(), i, got[i], want)
-			}
-		}
-	})
-}
-
-func TestAllToAllVSkipsEmpty(t *testing.T) {
-	// A symmetric sparse pattern: only adjacent even/odd pairs exchange.
-	const p = 4
-	rep := run(t, p, func(c *machine.Comm) {
-		g := World(c)
-		send := make([][]float64, p)
-		peer := c.Rank() ^ 1
-		send[peer] = []float64{float64(c.Rank()), 0, 0}
-		got := g.AllToAllV(0, send)
-		if got[peer][0] != float64(peer) {
-			t.Errorf("rank %d: got %v", c.Rank(), got[peer])
-		}
-		for i := range got {
-			if i != peer && i != c.Rank() && got[i] != nil {
-				t.Errorf("rank %d: unexpected data from %d", c.Rank(), i)
-			}
-		}
-	})
-	// Each rank sent exactly 3 words (one message), not p-1 messages.
-	for r, w := range rep.SentWords {
-		if w != 3 {
-			t.Errorf("rank %d sent %d words, want 3", r, w)
-		}
-	}
-}
-
 func TestAllToAllFixedPadsEveryPair(t *testing.T) {
 	const p, width = 5, 4
 	rep := run(t, p, func(c *machine.Comm) {
 		g := World(c)
-		send := make([][]float64, p)
-		send[(c.Rank()+1)%p] = []float64{1} // almost everything empty
-		got := g.AllToAllFixed(0, width, send)
+		send, recv := widthBuffers(p, width), widthBuffers(p, width)
+		send[(c.Rank()+1)%p][0] = 1 // almost everything padding
+		g.AllToAllFixedInto(0, width, send, recv)
 		from := (c.Rank() - 1 + p) % p
-		if got[from][0] != 1 {
-			t.Errorf("rank %d: payload lost", c.Rank())
-		}
-		for i := range got {
-			if len(got[i]) != width {
-				t.Errorf("rank %d slot %d: len %d, want %d", c.Rank(), i, len(got[i]), width)
+		for i := range recv {
+			for k, v := range recv[i] {
+				want := 0.0
+				if i == from && k == 0 {
+					want = 1
+				}
+				if v != want {
+					t.Errorf("rank %d slot %d word %d: %g, want %g", c.Rank(), i, k, v, want)
+				}
 			}
 		}
 	})
@@ -240,76 +198,23 @@ func TestOverlappingGroupsSequential(t *testing.T) {
 	})
 }
 
-func TestAllToAllVConservation(t *testing.T) {
-	const p = 9
-	rep := run(t, p, func(c *machine.Comm) {
-		g := World(c)
-		send := make([][]float64, p)
-		for i := range send {
-			send[i] = make([]float64, (c.Rank()+i)%3+1)
-		}
-		g.AllToAllV(0, send)
-	})
-	var sent, recv int64
-	for i := 0; i < p; i++ {
-		sent += rep.SentWords[i]
-		recv += rep.RecvWords[i]
+// widthBuffers returns p zeroed buffers of width words each.
+func widthBuffers(p, width int) [][]float64 {
+	bufs := make([][]float64, p)
+	for i := range bufs {
+		bufs[i] = make([]float64, width)
 	}
-	if sent != recv {
-		t.Fatalf("sent %d != recv %d", sent, recv)
-	}
+	return bufs
 }
 
-func BenchmarkAllToAllFixed(b *testing.B) {
+func BenchmarkAllToAllFixedInto(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_, err := machine.RunWith(16, machine.RunConfig{Timeout: time.Minute}, func(c *machine.Comm) {
 			g := World(c)
-			send := make([][]float64, 16)
-			g.AllToAllFixed(0, 32, send)
+			g.AllToAllFixedInto(0, 32, widthBuffers(16, 32), widthBuffers(16, 32))
 		})
 		if err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func TestGatherVScatterV(t *testing.T) {
-	const p, root = 5, 2
-	run(t, p, func(c *machine.Comm) {
-		g := World(c)
-		mine := []float64{float64(c.Rank() * 10)}
-		got := g.GatherV(0, root, mine)
-		if c.Rank() == root {
-			for i := 0; i < p; i++ {
-				if len(got[i]) != 1 || got[i][0] != float64(i*10) {
-					t.Errorf("gather slot %d: %v", i, got[i])
-				}
-			}
-			send := make([][]float64, p)
-			for i := range send {
-				send[i] = []float64{float64(i + 100)}
-			}
-			mine2 := g.ScatterV(1, root, send)
-			if mine2[0] != float64(root+100) {
-				t.Errorf("root scatter: %v", mine2)
-			}
-		} else {
-			if got != nil {
-				t.Errorf("non-root gather returned data")
-			}
-			mine2 := g.ScatterV(1, root, nil)
-			if len(mine2) != 1 || mine2[0] != float64(c.Rank()+100) {
-				t.Errorf("rank %d scatter: %v", c.Rank(), mine2)
-			}
-		}
-	})
-}
-
-func TestGatherVBadRootPanics(t *testing.T) {
-	_, err := machine.RunWith(2, machine.RunConfig{Timeout: time.Second}, func(c *machine.Comm) {
-		World(c).GatherV(0, 5, nil)
-	})
-	if err == nil {
-		t.Fatal("bad root accepted")
 	}
 }

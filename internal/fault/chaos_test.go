@@ -82,14 +82,14 @@ func chaosAlgos(t *testing.T) []chaosAlgo {
 			return flat, res.Report
 		}},
 		{"row-baseline", func(t *testing.T, cfg machine.RunConfig) ([]float64, *machine.Report) {
-			res, err := parallel.RunRowBaselineWith(a, x, 6, cfg)
+			res, err := parallel.RunRowBaseline(a, x, 6, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			return res.Y, res.Report
 		}},
 		{"sequence-baseline", func(t *testing.T, cfg machine.RunConfig) ([]float64, *machine.Report) {
-			res, err := parallel.RunSequenceBaselineWith(a, x, 5, cfg)
+			res, err := parallel.RunSequenceBaseline(a, x, 5, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -127,7 +127,7 @@ func TestChaosConformance(t *testing.T) {
 				plan := plan
 				t.Run(plan.String(), func(t *testing.T) {
 					gotY, gotRep := algo.run(t, machine.RunConfig{
-						Transport: fault.Transport(plan),
+						Transport: fault.Transport(plan, fault.ReliableOptions{}),
 						Timeout:   time.Minute, // watchdog armed: a protocol bug fails fast with diagnostics
 					})
 					if len(gotY) != len(wantY) {
@@ -199,7 +199,7 @@ func TestChaosCrash(t *testing.T) {
 	_, err := parallel.Run(a, x, parallel.Options{
 		Part: part, B: b, Wiring: parallel.WiringP2P,
 		Machine: machine.RunConfig{
-			Transport: fault.TransportOpts(
+			Transport: fault.Transport(
 				fault.Plan{Seed: 1, Crash: map[int]int{2: 5}},
 				// A retry budget far beyond the watchdog window, so the
 				// stall monitor — not retry exhaustion — classifies the
@@ -239,7 +239,7 @@ func TestChaosCrashAllToAll(t *testing.T) {
 	_, err := parallel.Run(a, x, parallel.Options{
 		Part: part, B: b, Wiring: parallel.WiringAllToAll,
 		Machine: machine.RunConfig{
-			Transport: fault.TransportOpts(
+			Transport: fault.Transport(
 				fault.Plan{Seed: 4, Crash: map[int]int{7: 3}},
 				fault.ReliableOptions{MaxAttempts: 1 << 20},
 			),

@@ -154,7 +154,7 @@ func TestReliableUnderEachFaultClass(t *testing.T) {
 	} {
 		plan := plan
 		t.Run(plan.String(), func(t *testing.T) {
-			rep := reliableRun(t, fault.Transport(plan))
+			rep := reliableRun(t, fault.Transport(plan, fault.ReliableOptions{}))
 			if !reflect.DeepEqual(rep.SentWords, clean.SentWords) || !reflect.DeepEqual(rep.RecvWords, clean.RecvWords) ||
 				!reflect.DeepEqual(rep.SentMsgs, clean.SentMsgs) || !reflect.DeepEqual(rep.RecvMsgs, clean.RecvMsgs) {
 				t.Errorf("logical meters differ from fault-free run:\n got %v/%v\nwant %v/%v",
@@ -175,7 +175,7 @@ func TestReliableRestoresOrder(t *testing.T) {
 	// tag) must survive.
 	const msgs = 60
 	_, err := machine.RunWith(2, machine.RunConfig{
-		Transport: fault.Transport(fault.Plan{Seed: 21, Reorder: 0.6}),
+		Transport: fault.Transport(fault.Plan{Seed: 21, Reorder: 0.6}, fault.ReliableOptions{}),
 		Timeout:   time.Minute,
 	}, func(c *machine.Comm) {
 		if c.Rank() == 0 {
@@ -203,7 +203,7 @@ func TestUnreachablePeerIsStructured(t *testing.T) {
 	// Rank 1 exits without ever receiving; rank 0's bounded retransmit
 	// budget must exhaust into a structured UnreachableError.
 	_, err := machine.RunWith(2, machine.RunConfig{
-		Transport: fault.TransportOpts(fault.Plan{}, fault.ReliableOptions{
+		Transport: fault.Transport(fault.Plan{}, fault.ReliableOptions{
 			MaxAttempts: 3, AckTimeout: time.Millisecond, MaxAckTimeout: 2 * time.Millisecond,
 		}),
 	}, func(c *machine.Comm) {

@@ -55,14 +55,3 @@ func InjectRecoverable(w machine.Wire, plan Plan, reg *CrashRegistry) machine.Wi
 	}
 	return iw
 }
-
-// TransportRecoverable builds the transport factory for a crash-recovery
-// session: the reliable protocol over the plan's injected wire, with all
-// crash faults sharing one registry so a recovered rank stays recovered
-// across relaunches.
-func TransportRecoverable(plan Plan, opt ReliableOptions) machine.TransportFactory {
-	reg := &CrashRegistry{}
-	return func(w machine.Wire) machine.Transport {
-		return NewReliable(InjectRecoverable(w, plan, reg), opt)
-	}
-}

@@ -133,7 +133,7 @@ func TestChaosRecoverySession(t *testing.T) {
 				for _, plan := range recoveryPlans {
 					plan := plan
 					t.Run(plan.String(), func(t *testing.T) {
-						got, trace := recovering(t, fault.TransportRecoverable(plan, fault.ReliableOptions{MaxAttempts: 1 << 20}))
+						got, trace := recovering(t, fault.Transport(plan, fault.ReliableOptions{MaxAttempts: 1 << 20}))
 						assertRecovered(t, want, got, trace, true)
 					})
 				}
@@ -234,7 +234,7 @@ func TestChaosRecoveryPowerMethod(t *testing.T) {
 	got, stats := runPM(parallel.Options{
 		Part: part, B: b, Wiring: parallel.WiringP2P,
 		Machine: machine.RunConfig{
-			Transport: fault.TransportRecoverable(fault.Plan{Seed: 5, Crash: map[int]int{2: 30}},
+			Transport: fault.Transport(fault.Plan{Seed: 5, Crash: map[int]int{2: 30}},
 				fault.ReliableOptions{MaxAttempts: 1 << 20}),
 			Timeout: 2 * time.Second,
 		},
@@ -321,7 +321,7 @@ func TestChaosRecoveryMTTKRP(t *testing.T) {
 						got := runM(t, parallel.Options{
 							Part: part, B: b, Wiring: wiring,
 							Machine: machine.RunConfig{
-								Transport: fault.TransportRecoverable(plan, fault.ReliableOptions{MaxAttempts: 1 << 20}),
+								Transport: fault.Transport(plan, fault.ReliableOptions{MaxAttempts: 1 << 20}),
 								Timeout:   2 * time.Second,
 							},
 							Recovery: &parallel.RecoveryOptions{},
@@ -360,7 +360,7 @@ func TestChaosRecoveryObservability(t *testing.T) {
 	s, err := parallel.OpenSession(a, parallel.Options{
 		Part: part, B: b, Wiring: parallel.WiringP2P,
 		Machine: machine.RunConfig{
-			Transport: fault.TransportRecoverable(fault.Plan{Seed: 1, Crash: map[int]int{1: 4}},
+			Transport: fault.Transport(fault.Plan{Seed: 1, Crash: map[int]int{1: 4}},
 				fault.ReliableOptions{MaxAttempts: 1 << 20}),
 			Timeout:  2 * time.Second,
 			Observer: rec.Observer(),
@@ -439,7 +439,7 @@ func TestRecoveryDegradedRelaunchThenCrash(t *testing.T) {
 	s, err := parallel.OpenSession(a, parallel.Options{
 		Part: part, B: b, Wiring: parallel.WiringP2P,
 		Machine: machine.RunConfig{
-			Transport: fault.TransportRecoverable(plan, fault.ReliableOptions{MaxAttempts: 1 << 20}),
+			Transport: fault.Transport(plan, fault.ReliableOptions{MaxAttempts: 1 << 20}),
 			Timeout:   2 * time.Second,
 		},
 		Recovery: &parallel.RecoveryOptions{MaxRetries: 1},
@@ -516,7 +516,7 @@ func (t *crashingTransport) Wait(block func()) {
 // crashRank1 builds a reliable-transport factory whose rank-1 transport
 // crashes wherever ct says.
 func crashRank1(ct crashingTransport) machine.TransportFactory {
-	inner := fault.TransportOpts(fault.Plan{}, fault.ReliableOptions{MaxAttempts: 1 << 20})
+	inner := fault.Transport(fault.Plan{}, fault.ReliableOptions{MaxAttempts: 1 << 20})
 	return func(w machine.Wire) machine.Transport {
 		t := inner(w)
 		if w.Rank() != 1 {
@@ -652,7 +652,7 @@ func TestRecoveryStatsStableAfterClose(t *testing.T) {
 	s, err := parallel.OpenSession(a, parallel.Options{
 		Part: part, B: b, Wiring: parallel.WiringP2P,
 		Machine: machine.RunConfig{
-			Transport: fault.TransportRecoverable(fault.Plan{Seed: 1, Crash: map[int]int{1: 4}},
+			Transport: fault.Transport(fault.Plan{Seed: 1, Crash: map[int]int{1: 4}},
 				fault.ReliableOptions{MaxAttempts: 1 << 20}),
 			Timeout: 2 * time.Second,
 		},
@@ -689,7 +689,7 @@ func TestRecoveryDisabledStaysFailFast(t *testing.T) {
 	s, err := parallel.OpenSession(a, parallel.Options{
 		Part: part, B: b, Wiring: parallel.WiringP2P,
 		Machine: machine.RunConfig{
-			Transport: fault.TransportRecoverable(fault.Plan{Seed: 1, Crash: map[int]int{1: 4}},
+			Transport: fault.Transport(fault.Plan{Seed: 1, Crash: map[int]int{1: 4}},
 				fault.ReliableOptions{MaxAttempts: 1 << 20}),
 			Timeout: 2 * time.Second,
 		},

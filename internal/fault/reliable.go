@@ -34,22 +34,22 @@ func (o ReliableOptions) withDefaults() ReliableOptions {
 }
 
 // Transport returns a machine.TransportFactory that runs the reliable
-// transport over a wire perturbed by plan — the standard way to wire
-// fault injection into a simulated run:
+// transport, tuned by opt, over a wire perturbed by plan — the standard
+// way to wire fault injection into a simulated run:
 //
-//	machine.RunWith(p, machine.RunConfig{Transport: fault.Transport(plan)}, body)
+//	cfg := machine.RunConfig{Transport: fault.Transport(plan, fault.ReliableOptions{})}
+//	machine.RunWith(p, cfg, body)
 //
 // Logical results and logical communication meters are identical to the
 // fault-free run for any benign plan (no crash); recovery traffic shows
-// up only in the wire meters.
-func Transport(plan Plan) machine.TransportFactory {
-	return TransportOpts(plan, ReliableOptions{})
-}
-
-// TransportOpts is Transport with explicit protocol tuning.
-func TransportOpts(plan Plan, opt ReliableOptions) machine.TransportFactory {
+// up only in the wire meters. Every transport the factory builds shares
+// one CrashRegistry, so each rank's scheduled crash fires once per
+// factory: a recovering session's relaunched ranks stay recovered, and a
+// one-shot run, which dies at its first crash, is unaffected.
+func Transport(plan Plan, opt ReliableOptions) machine.TransportFactory {
+	reg := &CrashRegistry{}
 	return func(w machine.Wire) machine.Transport {
-		return NewReliable(Inject(w, plan), opt)
+		return NewReliable(InjectRecoverable(w, plan, reg), opt)
 	}
 }
 

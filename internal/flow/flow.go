@@ -32,9 +32,6 @@ func NewNetwork(n int) *Network {
 	return &Network{n: n, heads: make([][]int, n)}
 }
 
-// NumVertices returns the vertex count.
-func (nw *Network) NumVertices() int { return nw.n }
-
 // AddEdge adds a directed edge u→v with the given capacity and returns its
 // id, usable with Flow after a max-flow computation. A reverse edge of
 // capacity 0 is added internally.

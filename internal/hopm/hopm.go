@@ -35,17 +35,6 @@ func PackedSTTSV(a *tensor.Symmetric) STTSV {
 	return func(x []float64) []float64 { return sttsv.Packed(a, x, nil) }
 }
 
-// BlockedSTTSV adapts the reusable block-packed operator: the tensor is
-// extracted into tiled block storage once, and every evaluation — one per
-// power iteration — reuses it, optionally across `workers` cores
-// (0 selects GOMAXPROCS, 1 is sequential). This is the local-compute
-// engine the repeated-STTSV drivers should prefer over re-packing per
-// iteration.
-func BlockedSTTSV(a *tensor.Symmetric, m, workers int) STTSV {
-	op := sttsv.NewOperator(a, m, workers)
-	return func(x []float64) []float64 { return op.Apply(x, nil) }
-}
-
 // Options configures the power method.
 type Options struct {
 	// MaxIter bounds the iteration count (default 1000).

@@ -37,10 +37,10 @@ type Backend interface {
 // epoch semantics (the machine decorates those on).
 type BackendWire interface {
 	// Deliver pushes pkt toward pkt.To. It may block on backpressure (a
-	// capped sim mailbox, a full TCP send buffer). Delivery to an
-	// unreachable peer is dropped without an error — lossy-close
-	// semantics, reported only through OnDrop; a recovery supervisor, not
-	// the wire, resolves the resulting stall.
+	// full TCP send buffer). Delivery to an unreachable peer is dropped
+	// without an error — lossy-close semantics, reported only through
+	// OnDrop; a recovery supervisor, not the wire, resolves the resulting
+	// stall.
 	Deliver(pkt Packet)
 	// Pull blocks until a packet addressed to this rank arrives. A close
 	// of the abort channel wakes the wait with ok == false.
@@ -64,36 +64,28 @@ type BackendWire interface {
 	OnDrop(fn func(pkt Packet, reason string))
 }
 
-// PacketQueue is an unbounded (or capacity-capped) FIFO packet queue with
-// a single consumer and many producers — the mailbox the simulator runs
-// on, exported so socket backends can reuse it as their inbound queue.
-// Unlike a fixed-capacity channel it cannot silently deadlock a protocol
-// whose in-flight message count exceeds a preset buffer size; the backing
-// array compacts in place, so a steady-state producer/consumer pair stops
+// PacketQueue is an unbounded FIFO packet queue with a single consumer
+// and many producers — the mailbox the simulator runs on, exported so
+// socket backends can reuse it as their inbound queue. Unlike a
+// fixed-capacity channel it cannot silently deadlock a protocol whose
+// in-flight message count exceeds a preset buffer size; the backing array
+// compacts in place, so a steady-state producer/consumer pair stops
 // allocating once it has grown to the high-water depth.
 type PacketQueue struct {
 	mu     sync.Mutex
-	space  *sync.Cond // producers wait here when capped and full
 	q      []Packet
 	head   int
-	cap    int           // <= 0 means unbounded
 	notify chan struct{} // best-effort consumer wakeup
 }
 
-// NewPacketQueue returns a queue holding at most capacity packets;
-// capacity <= 0 means unbounded.
-func NewPacketQueue(capacity int) *PacketQueue {
-	b := &PacketQueue{cap: capacity, notify: make(chan struct{}, 1)}
-	b.space = sync.NewCond(&b.mu)
-	return b
+// NewPacketQueue returns an empty queue.
+func NewPacketQueue() *PacketQueue {
+	return &PacketQueue{notify: make(chan struct{}, 1)}
 }
 
-// Push appends a packet, blocking while the queue is at capacity.
+// Push appends a packet; it never blocks.
 func (b *PacketQueue) Push(p Packet) {
 	b.mu.Lock()
-	for b.cap > 0 && len(b.q)-b.head >= b.cap {
-		b.space.Wait()
-	}
 	if b.head > 0 && len(b.q) == cap(b.q) {
 		// Reclaim the consumed prefix before growing the array.
 		n := copy(b.q, b.q[b.head:])
@@ -141,7 +133,6 @@ func (b *PacketQueue) pull(d time.Duration, abort <-chan struct{}) (Packet, bool
 				b.q = b.q[:0]
 				b.head = 0
 			}
-			b.space.Signal()
 			b.mu.Unlock()
 			return p, true
 		}
@@ -180,17 +171,14 @@ func (b *PacketQueue) Depth() int {
 // The zero value is unusable; use NewSimBackend. A SimBackend serves one
 // machine at a time (its mailboxes are sized at the first NewWire).
 type SimBackend struct {
-	inboxCap int
-	mu       sync.Mutex
-	size     int
-	boxes    []*PacketQueue
+	mu    sync.Mutex
+	size  int
+	boxes []*PacketQueue
 }
 
-// NewSimBackend returns an in-memory mailbox backend. inboxCap caps each
-// rank's mailbox (senders block when full); <= 0 means unbounded.
-func NewSimBackend(inboxCap int) *SimBackend {
-	return &SimBackend{inboxCap: inboxCap}
-}
+// NewSimBackend returns an in-memory mailbox backend with unbounded
+// mailboxes.
+func NewSimBackend() *SimBackend { return &SimBackend{} }
 
 // NewWire returns rank's mailbox endpoint, allocating the mailbox array on
 // first use.
@@ -201,7 +189,7 @@ func (b *SimBackend) NewWire(rank, size int) (BackendWire, error) {
 		b.size = size
 		b.boxes = make([]*PacketQueue, size)
 		for i := range b.boxes {
-			b.boxes[i] = NewPacketQueue(b.inboxCap)
+			b.boxes[i] = NewPacketQueue()
 		}
 	}
 	if size != b.size {

@@ -18,7 +18,7 @@ func TestExplicitSimBackend(t *testing.T) {
 			}
 		}
 	}
-	rep, err := RunWith(2, RunConfig{Timeout: 10 * time.Second, Backend: NewSimBackend(0)}, body)
+	rep, err := RunWith(2, RunConfig{Timeout: 10 * time.Second, Backend: NewSimBackend()}, body)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func TestExplicitSimBackend(t *testing.T) {
 
 // TestSimBackendSizeMismatch: one SimBackend serves one machine size.
 func TestSimBackendSizeMismatch(t *testing.T) {
-	be := NewSimBackend(0)
+	be := NewSimBackend()
 	if _, err := be.NewWire(0, 2); err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TestSimBackendSizeMismatch(t *testing.T) {
 // TestPacketQueueAbortWake: a blocked Pull wakes with ok == false when the
 // abort channel closes, and PullTimeout expires on silence.
 func TestPacketQueueAbortWake(t *testing.T) {
-	q := NewPacketQueue(0)
+	q := NewPacketQueue()
 	abort := make(chan struct{})
 	done := make(chan bool, 1)
 	go func() {

@@ -15,7 +15,7 @@ const (
 	// BlockNone: the rank is computing (not inside a machine operation).
 	BlockNone BlockKind = iota
 	// BlockSend: inside Send — under a reliable transport this means
-	// waiting for an acknowledgement (or for mailbox space when capped).
+	// waiting for an acknowledgement.
 	BlockSend
 	// BlockRecv: inside Recv, waiting for a matching message.
 	BlockRecv

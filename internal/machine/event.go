@@ -2,7 +2,6 @@ package machine
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -234,43 +233,4 @@ func (c *Comm) EndOp() {
 // replay engine charges γ time units per.
 func (c *Comm) LocalCompute(ternary int64) {
 	c.m.emit(c.rank, Event{Kind: EventLocalCompute, From: c.rank, To: c.rank, Step: -1, Ternary: ternary})
-}
-
-// Trace is a minimal thread-safe event collector for RunConfig.Observer.
-//
-// Deprecated: package obs provides Recorder, whose Trace offers per-rank
-// ordering, phase-scoped meters, α-β-γ replay, and exporters. Trace is
-// kept for tests that only need the raw event slice.
-type Trace struct {
-	mu     sync.Mutex
-	events []Event
-}
-
-// Observer returns the callback to pass to RunConfig.Observer.
-func (t *Trace) Observer() func(Event) {
-	return func(e Event) {
-		t.mu.Lock()
-		t.events = append(t.events, e)
-		t.mu.Unlock()
-	}
-}
-
-// Events returns a copy of the collected events (arbitrary interleaving
-// order across ranks; per-rank order is emission order).
-func (t *Trace) Events() []Event {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return append([]Event(nil), t.events...)
-}
-
-// Sends returns only the logical send events — the view the pre-redesign
-// Trace collected.
-func (t *Trace) Sends() []Event {
-	var out []Event
-	for _, e := range t.Events() {
-		if e.Kind == EventSend && !e.Wire {
-			out = append(out, e)
-		}
-	}
-	return out
 }

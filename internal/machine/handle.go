@@ -63,7 +63,7 @@ func StartWith(p int, cfg RunConfig, body func(c *Comm)) (*Handle, error) {
 		be, owned = b, b
 	}
 	if be == nil {
-		be = NewSimBackend(cfg.InboxCap)
+		be = NewSimBackend()
 	}
 	locals := cfg.LocalRanks
 	if locals == nil {

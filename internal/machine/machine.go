@@ -380,12 +380,6 @@ type RunConfig struct {
 	// Transport builds each rank's transport; nil selects the direct
 	// transport (exact in-order delivery, no protocol overhead).
 	Transport TransportFactory
-	// InboxCap caps each rank's mailbox; a sender delivering to a full
-	// mailbox blocks until the receiver drains it. Zero or negative
-	// means unbounded (the default) — no correct protocol can deadlock
-	// on mailbox space. Applies to the default SimBackend only; an
-	// explicit Backend brings its own buffering policy.
-	InboxCap int
 	// Backend supplies the raw packet layer; nil selects the in-memory
 	// SimBackend. See internal/netwire for TCP and unix-socket backends.
 	// The machine does not close the backend — its creator does.
@@ -423,10 +417,10 @@ type RunConfig struct {
 
 // RunWith is the single run entry point: it executes body on P simulated
 // processors under the given configuration (transport selection, stall
-// watchdog, trace observer, mailbox capacity) and returns the metered
-// report. It is StartWith followed by Wait; callers that supervise the
-// run — aborting it, carrying its meters onto a successor — use the
-// Handle form directly (see handle.go).
+// watchdog, trace observer, backend) and returns the metered report. It
+// is StartWith followed by Wait; callers that supervise the run —
+// aborting it, carrying its meters onto a successor — use the Handle
+// form directly (see handle.go).
 func RunWith(p int, cfg RunConfig, body func(c *Comm)) (*Report, error) {
 	h, err := StartWith(p, cfg, body)
 	if err != nil {

@@ -3,6 +3,7 @@ package machine
 import (
 	"math"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -16,6 +17,21 @@ func mustRun(tb testing.TB, p int, body func(c *Comm)) *Report {
 		tb.Fatal(err)
 	}
 	return rep
+}
+
+// sendLog is a RunConfig.Observer collecting the logical send events of a
+// run; safe for concurrent ranks. Read sends only after the run returns.
+type sendLog struct {
+	mu    sync.Mutex
+	sends []Event
+}
+
+func (l *sendLog) observe(e Event) {
+	if e.Kind == EventSend && !e.Wire {
+		l.mu.Lock()
+		l.sends = append(l.sends, e)
+		l.mu.Unlock()
+	}
 }
 
 // TestRunWithEntryPoint covers the single run entry point in its common
@@ -34,12 +50,12 @@ func TestRunWithEntryPoint(t *testing.T) {
 	if rep, err := RunWith(2, RunConfig{Timeout: time.Second}, body); err != nil || rep.SentWords[0] != 2 {
 		t.Errorf("RunWith timeout: rep %v err %v", rep, err)
 	}
-	var tr Trace
-	if rep, err := RunWith(2, RunConfig{Timeout: time.Second, Observer: tr.Observer()}, body); err != nil || rep.SentWords[0] != 2 {
+	var tr sendLog
+	if rep, err := RunWith(2, RunConfig{Timeout: time.Second, Observer: tr.observe}, body); err != nil || rep.SentWords[0] != 2 {
 		t.Errorf("RunWith traced: rep %v err %v", rep, err)
 	}
-	if len(tr.Sends()) != 1 {
-		t.Errorf("RunWith observer saw %d sends, want 1", len(tr.Sends()))
+	if len(tr.sends) != 1 {
+		t.Errorf("RunWith observer saw %d sends, want 1", len(tr.sends))
 	}
 }
 

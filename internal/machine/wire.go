@@ -67,8 +67,7 @@ type Wire interface {
 	// Size returns P.
 	Size() int
 	// Deliver pushes pkt into the mailbox of pkt.To, metering wire words
-	// and messages at the sender. It blocks while the destination mailbox
-	// is at capacity (only possible with a finite InboxCap).
+	// and messages at the sender.
 	Deliver(pkt Packet)
 	// Pull blocks until a packet addressed to this rank arrives and
 	// returns it, metering wire words at the receiver.

@@ -46,7 +46,7 @@ func TestBarrierSurvivesReleaseFlood(t *testing.T) {
 		io.Copy(io.Discard, c) // keep the control connection open
 	}()
 
-	cl, err := NewClient("tcp", ln.Addr().String(), 0, 1)
+	cl, err := NewClient("tcp", ln.Addr().String(), 0, 1, ClientOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

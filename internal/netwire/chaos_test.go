@@ -32,7 +32,7 @@ var chaosPlans = []fault.Plan{
 // reset faults tear whole connections, so a burst of losses must not
 // exhaust it.
 func chaosTransport() machine.TransportFactory {
-	return fault.TransportOpts(fault.Plan{}, fault.ReliableOptions{MaxAttempts: 1 << 12})
+	return fault.Transport(fault.Plan{}, fault.ReliableOptions{MaxAttempts: 1 << 12})
 }
 
 func newChaosLoopback(t *testing.T, network string, plan fault.Plan) *netwire.Loopback {
@@ -167,7 +167,7 @@ func TestDistributedBarrierServicesTransport(t *testing.T) {
 			// for rank 1's message. Every later frame passes.
 			copt.FaultPlan = fault.Plan{Seed: 1, Drop: 1.0, MaxFaults: 1}
 		}
-		cl, err := netwire.NewClientOpts("tcp", co.Addr(), r, p, copt)
+		cl, err := netwire.NewClient("tcp", co.Addr(), r, p, copt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -197,7 +197,7 @@ func TestDistributedBarrierServicesTransport(t *testing.T) {
 				Backend:    clients[r],
 				LocalRanks: []int{r},
 				Timeout:    10 * time.Second,
-				Transport:  fault.TransportOpts(fault.Plan{}, fault.ReliableOptions{MaxAttempts: 64, AckTimeout: 2 * time.Millisecond}),
+				Transport:  fault.Transport(fault.Plan{}, fault.ReliableOptions{MaxAttempts: 64, AckTimeout: 2 * time.Millisecond}),
 			}, func(c *machine.Comm) {
 				if c.Rank() == 1 {
 					// Blocks until acked; the first ack is eaten by rank 0's
@@ -253,7 +253,7 @@ func TestMultiHostPortmap(t *testing.T) {
 
 	clients := make([]*netwire.Client, p)
 	for r := 0; r < p; r++ {
-		cl, err := netwire.NewClientOpts("tcp", co.Addr(), r, p, netwire.ClientOptions{Bind: hosts[r]})
+		cl, err := netwire.NewClient("tcp", co.Addr(), r, p, netwire.ClientOptions{Bind: hosts[r]})
 		if err != nil {
 			t.Fatal(err)
 		}

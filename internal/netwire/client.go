@@ -42,19 +42,14 @@ type Client struct {
 }
 
 // ClientOptions configures a rank's data plane beyond the loopback
-// defaults: where to bind, what address to advertise to peers, and an
-// optional socket-level fault plan.
+// defaults: where to bind, and an optional socket-level fault plan.
 type ClientOptions struct {
 	// Bind is the local address ("host" or "host:port") the rank's data
 	// listener binds; empty means 127.0.0.1 with an ephemeral port. A
-	// bare host gets an ephemeral port. tcp only; ignored for unix.
+	// bare host gets an ephemeral port. The bound listener address is
+	// what the coordinator's portmap advertises to peers. tcp only;
+	// ignored for unix.
 	Bind string
-	// Advertise is the address peers dial to reach this rank, registered
-	// with the coordinator's portmap. Empty advertises the bound listener
-	// address; a bare host is joined with the listener's actual port —
-	// the multi-host case, where a rank binds a NIC (or wildcard) and
-	// advertises the name other hosts route to. tcp only.
-	Advertise string
 	// FaultPlan attaches seeded socket-level chaos (see fault.Plan) to
 	// every outbound data frame. An inactive plan attaches nothing.
 	FaultPlan fault.Plan
@@ -62,14 +57,9 @@ type ClientOptions struct {
 
 // NewClient creates rank's data listener, dials the coordinator at
 // ctlAddr, and registers with hello. network is "tcp" or "unix"; for
-// "unix" the data socket lives in a fresh temporary directory.
-func NewClient(network, ctlAddr string, rank, size int) (*Client, error) {
-	return NewClientOpts(network, ctlAddr, rank, size, ClientOptions{})
-}
-
-// NewClientOpts is NewClient with explicit bind/advertise addresses and
-// an optional fault plan.
-func NewClientOpts(network, ctlAddr string, rank, size int, opt ClientOptions) (*Client, error) {
+// "unix" the data socket lives in a fresh temporary directory. The zero
+// ClientOptions binds the loopback defaults with no fault plan.
+func NewClient(network, ctlAddr string, rank, size int, opt ClientOptions) (*Client, error) {
 	switch network {
 	case "tcp", "unix":
 	default:
@@ -106,11 +96,6 @@ func NewClientOpts(network, ctlAddr string, rank, size int, opt ClientOptions) (
 	cl.nd = nd
 	cl.wire = &clientWire{Wire: &Wire{nd: nd}, cl: cl}
 
-	advertise := nd.addr()
-	if network == "tcp" && opt.Advertise != "" {
-		advertise = advertiseAddr(opt.Advertise, nd.addr())
-	}
-
 	ctl, err := net.DialTimeout(network, ctlAddr, dialTimeout)
 	if err != nil {
 		cl.nd.close()
@@ -121,7 +106,7 @@ func NewClientOpts(network, ctlAddr string, rank, size int, opt ClientOptions) (
 	}
 	cl.ctl = ctl
 	cl.enc = json.NewEncoder(ctl)
-	if err := cl.sendCtl(ctlMsg{Type: "hello", Rank: rank, Addr: advertise}); err != nil {
+	if err := cl.sendCtl(ctlMsg{Type: "hello", Rank: rank, Addr: nd.addr()}); err != nil {
 		cl.Close()
 		return nil, err
 	}
@@ -142,25 +127,8 @@ func listenAddr(bind string) string {
 	return net.JoinHostPort(bind, "0")
 }
 
-// advertiseAddr resolves the address registered in the portmap: a full
-// host:port passes through, a bare host is joined with the port the
-// listener actually bound.
-func advertiseAddr(advertise, bound string) string {
-	if _, _, err := net.SplitHostPort(advertise); err == nil {
-		return advertise
-	}
-	_, port, err := net.SplitHostPort(bound)
-	if err != nil {
-		return advertise
-	}
-	return net.JoinHostPort(advertise, port)
-}
-
 // Rank returns the rank this client hosts.
 func (cl *Client) Rank() int { return cl.rank }
-
-// DataAddr returns the rank's data-plane listener address.
-func (cl *Client) DataAddr() string { return cl.nd.addr() }
 
 // Events delivers coordinator orders: resume, go, abort, stop. The channel
 // is closed when the control connection dies, which a rank process treats

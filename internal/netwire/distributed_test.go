@@ -25,7 +25,7 @@ func TestDistributedClients(t *testing.T) {
 
 	clients := make([]*netwire.Client, p)
 	for r := 0; r < p; r++ {
-		cl, err := netwire.NewClient("tcp", co.Addr(), r, p)
+		cl, err := netwire.NewClient("tcp", co.Addr(), r, p, netwire.ClientOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

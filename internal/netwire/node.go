@@ -94,7 +94,7 @@ func newNode(network, addr string, rank int, resolve resolver) (*node, error) {
 		down:     make(map[int]*dialFailure),
 		accepted: make(map[net.Conn]struct{}),
 		done:     make(chan struct{}),
-		inbox:    machine.NewPacketQueue(0),
+		inbox:    machine.NewPacketQueue(),
 	}
 	nd.wg.Add(1)
 	go nd.acceptLoop()

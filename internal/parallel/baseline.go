@@ -18,14 +18,9 @@ import (
 // received) and produces partial results across the whole output (a
 // reduce-scatter, ≈ n words sent): Θ(n) communication per processor
 // independent of P. This is the baseline Algorithm 5's Θ(n/P^{1/3})
-// improves upon (experiment E6).
-func RunRowBaseline(a *tensor.Symmetric, x []float64, p int) (*Result, error) {
-	return RunRowBaselineWith(a, x, p, machine.RunConfig{})
-}
-
-// RunRowBaselineWith is RunRowBaseline on a configured machine (fault
-// transport, watchdog, observer).
-func RunRowBaselineWith(a *tensor.Symmetric, x []float64, p int, cfg machine.RunConfig) (*Result, error) {
+// improves upon (experiment E6). cfg configures the machine (fault
+// transport, watchdog, observer); its zero value is the plain simulator.
+func RunRowBaseline(a *tensor.Symmetric, x []float64, p int, cfg machine.RunConfig) (*Result, error) {
 	if a == nil {
 		return nil, fmt.Errorf("parallel: row baseline requires a tensor")
 	}
@@ -130,12 +125,8 @@ func RunRowBaselineWith(a *tensor.Symmetric, x []float64, p int, cfg machine.Run
 // The trade-off the paper describes: ≈ 2n³ elementary operations (no
 // symmetry reuse — twice Algorithm 5's work) and Ω(n) bandwidth when
 // P <= n, versus Algorithm 5's n³ operations and Θ(n/P^{1/3}) words.
-func RunSequenceBaseline(a *tensor.Symmetric, x []float64, p int) (*Result, error) {
-	return RunSequenceBaselineWith(a, x, p, machine.RunConfig{})
-}
-
-// RunSequenceBaselineWith is RunSequenceBaseline on a configured machine.
-func RunSequenceBaselineWith(a *tensor.Symmetric, x []float64, p int, cfg machine.RunConfig) (*Result, error) {
+// cfg configures the machine as for RunRowBaseline.
+func RunSequenceBaseline(a *tensor.Symmetric, x []float64, p int, cfg machine.RunConfig) (*Result, error) {
 	if a == nil {
 		return nil, fmt.Errorf("parallel: sequence baseline requires a tensor")
 	}

@@ -71,43 +71,9 @@ func TestRunRejectsMismatchedBlocks(t *testing.T) {
 	}
 }
 
-// TestRunMulticoreLocalPhase: Workers > 1 distributes each rank's local
-// compute across the shared-memory executor; the result must match the
-// Algorithm 4 oracle and stay bit-deterministic across runs for a fixed
-// worker count.
-func TestRunMulticoreLocalPhase(t *testing.T) {
-	rng := rand.New(rand.NewSource(92))
-	part := sphericalPart(t, 2)
-	b := 7 // non-divisible chunking
-	n := part.M*b - 3
-	a := tensor.Random(n, rng)
-	x := randVec(n, rng)
-	want := sttsv.Packed(a, x, nil)
-
-	var first []float64
-	for run := 0; run < 3; run++ {
-		res, err := Run(a, x, Options{Part: part, B: b, Workers: 3})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d := maxAbsDiff(res.Y, want); d > tol {
-			t.Fatalf("run %d: differs from Algorithm 4 by %g", run, d)
-		}
-		if first == nil {
-			first = res.Y
-			continue
-		}
-		for i := range res.Y {
-			if math.Float64bits(res.Y[i]) != math.Float64bits(first[i]) {
-				t.Fatalf("run %d: y[%d] bits differ across repeated multicore runs", run, i)
-			}
-		}
-	}
-}
-
-// TestPowerMethodWithCachedBlocksAndWorkers: the distributed HOPM accepts
-// the same cache and executor plumbing.
-func TestPowerMethodWithCachedBlocksAndWorkers(t *testing.T) {
+// TestPowerMethodWithCachedBlocks: the distributed HOPM accepts the same
+// block cache.
+func TestPowerMethodWithCachedBlocks(t *testing.T) {
 	rng := rand.New(rand.NewSource(93))
 	part := sphericalPart(t, 2)
 	b := 4
@@ -132,8 +98,7 @@ func TestPowerMethodWithCachedBlocksAndWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cached, err := RunPowerMethod(a, Options{Part: part, B: b, Blocks: rb, Workers: 2},
-		PowerOptions{MaxIter: 50})
+	cached, err := RunPowerMethod(a, Options{Part: part, B: b, Blocks: rb}, PowerOptions{MaxIter: 50})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +106,7 @@ func TestPowerMethodWithCachedBlocksAndWorkers(t *testing.T) {
 		t.Fatalf("convergence: plain=%v cached=%v", plain.Converged, cached.Converged)
 	}
 	if d := math.Abs(plain.Lambda - cached.Lambda); d > 1e-8 {
-		t.Fatalf("lambda differs by %g between plain and cached/multicore runs", d)
+		t.Fatalf("lambda differs by %g between plain and cached runs", d)
 	}
 }
 
@@ -167,7 +132,7 @@ func TestMTTKRPWithCachedBlocks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cached, _, err := RunMTTKRP(a, xm, r, Options{Part: part, B: b, Blocks: rb, Workers: 2})
+	cached, _, err := RunMTTKRP(a, xm, r, Options{Part: part, B: b, Blocks: rb})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,7 +26,7 @@ func TestExecutedMessagesConformToSchedule(t *testing.T) {
 	// checked by other tests.
 	var rec obs.Recorder
 	_, err = Run(nil, make([]float64, part.M*b), Options{
-		Part: part, Sched: sched, B: b, Wiring: WiringP2P,
+		Part: part, B: b, Wiring: WiringP2P,
 		Machine: machine.RunConfig{Observer: rec.Observer()},
 	})
 	if err != nil {
@@ -63,26 +63,5 @@ func TestExecutedMessagesConformToSchedule(t *testing.T) {
 	}
 	if len(planned) != 0 {
 		t.Fatalf("%d planned transfers never executed (%d executed)", len(planned), executed)
-	}
-}
-
-// TestTraceCollector exercises the deprecated machine.Trace shim: its
-// Sends view must keep reporting exactly the logical sends so pre-obs
-// callers survive the richer event stream.
-func TestTraceCollector(t *testing.T) {
-	var trace machine.Trace
-	_, err := machine.RunWith(2, machine.RunConfig{Observer: trace.Observer()}, func(c *machine.Comm) {
-		if c.Rank() == 0 {
-			c.Send(1, 7, []float64{1, 2})
-		} else {
-			c.Recv(0, 7)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ev := trace.Sends()
-	if len(ev) != 1 || ev[0].From != 0 || ev[0].To != 1 || ev[0].Tag != 7 || ev[0].Words != 2 {
-		t.Fatalf("trace = %+v", ev)
 	}
 }

@@ -182,7 +182,7 @@ func TestCPSessionCrashRecovery(t *testing.T) {
 	faulty, err := OpenCPSession(op, CPOptions{
 		P: p,
 		Machine: machine.RunConfig{
-			Transport: fault.TransportRecoverable(fault.Plan{Seed: 7, Crash: map[int]int{1: 3}},
+			Transport: fault.Transport(fault.Plan{Seed: 7, Crash: map[int]int{1: 3}},
 				fault.ReliableOptions{MaxAttempts: 1 << 20}),
 			Timeout: 2 * time.Second,
 		},

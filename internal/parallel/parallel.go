@@ -63,11 +63,9 @@ func (w Wiring) String() string {
 
 // Options configures a parallel STTSV run.
 type Options struct {
-	// Part is the tetrahedral block partition (determines P and m).
+	// Part is the tetrahedral block partition (determines P and m). The
+	// point-to-point schedule of WiringP2P is built from it.
 	Part *partition.Tetrahedral
-	// Sched is the point-to-point schedule; built on demand when nil and
-	// the wiring is WiringP2P.
-	Sched *schedule.Schedule
 	// B is the block edge length; the padded dimension is m·B, which must
 	// be at least len(x).
 	B int
@@ -75,8 +73,8 @@ type Options struct {
 	Wiring Wiring
 	// Machine configures the simulated run: stall watchdog, transport
 	// factory (fault injection / reliable transport — see package
-	// fault), observer, and mailbox capacity. The zero value is the
-	// perfect direct-wire machine with no watchdog.
+	// fault), observer, and backend. The zero value is the perfect
+	// direct-wire machine with no watchdog.
 	Machine machine.RunConfig
 	// Blocks optionally supplies pre-packed per-rank block sets
 	// (PackRankBlocks), so repeated applications of the same tensor skip
@@ -91,11 +89,6 @@ type Options struct {
 	// dense session, and the output bits match a dense scalar-kernel
 	// session on the materialized tensor.
 	Sparse *SparseRankBlocks
-	// Workers sets the per-rank local-compute worker count (the shared-
-	// memory executor inside each simulated rank). 0 or 1 runs the local
-	// phase sequentially; values above 1 distribute blocks across that
-	// many workers with a deterministic tree reduction.
-	Workers int
 	// ScalarKernel makes the dense executor use the scalar reference
 	// kernel (sttsv.BlockContributeScalar) instead of the tiled kernels.
 	// Slower, but its association order is the one the sparse kernels
@@ -116,16 +109,13 @@ type Options struct {
 	Recovery *RecoveryOptions
 }
 
-// executor returns the rank-local compute executor for the options.
+// executor returns the rank-local compute executor for the options: one
+// worker per rank, since the simulated ranks already occupy the cores.
 func (o *Options) executor() *sttsv.Executor {
-	w := o.Workers
-	if w < 1 {
-		w = 1
-	}
 	if o.ScalarKernel {
-		return sttsv.NewScalarExecutor(w)
+		return sttsv.NewScalarExecutor(1)
 	}
-	return sttsv.NewExecutor(w)
+	return sttsv.NewExecutor(1)
 }
 
 // Result reports the outcome of a simulated parallel STTSV.

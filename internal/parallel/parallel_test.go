@@ -6,7 +6,10 @@ import (
 	"testing"
 
 	"repro/internal/costmodel"
+	"repro/internal/machine"
 	"repro/internal/partition"
+	"repro/internal/schedule"
+	"repro/internal/steiner"
 	"repro/internal/sttsv"
 	"repro/internal/tensor"
 )
@@ -271,7 +274,7 @@ func TestRowBaselineCorrect(t *testing.T) {
 		a := tensor.Random(c.n, rng)
 		x := randVec(c.n, rng)
 		want := sttsv.Packed(a, x, nil)
-		res, err := RunRowBaseline(a, x, c.p)
+		res, err := RunRowBaseline(a, x, c.p, machine.RunConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -292,7 +295,7 @@ func TestRowBaselineCommIsThetaN(t *testing.T) {
 	a := tensor.Random(n, rng)
 	x := randVec(n, rng)
 
-	base, err := RunRowBaseline(a, x, part.P)
+	base, err := RunRowBaseline(a, x, part.P, machine.RunConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +320,7 @@ func TestRowBaselineTernaryTotal(t *testing.T) {
 	n, p := 24, 6
 	a := tensor.Random(n, rng)
 	x := randVec(n, rng)
-	res, err := RunRowBaseline(a, x, p)
+	res, err := RunRowBaseline(a, x, p, machine.RunConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,11 +349,68 @@ func TestRunValidation(t *testing.T) {
 	if _, err := Run(a, x, Options{Part: part, B: 6}); err == nil {
 		t.Error("mismatched tensor accepted")
 	}
-	if _, err := RunRowBaseline(nil, x, 3); err == nil {
+	if _, err := RunRowBaseline(nil, x, 3, machine.RunConfig{}); err == nil {
 		t.Error("nil tensor baseline accepted")
 	}
-	if _, err := RunRowBaseline(tensor.NewSymmetric(4), make([]float64, 4), 9); err == nil {
+	if _, err := RunRowBaseline(tensor.NewSymmetric(4), make([]float64, 4), 9, machine.RunConfig{}); err == nil {
 		t.Error("P > n baseline accepted")
+	}
+}
+
+// TestAlg5OnEverySystem sweeps each Steiner system family the repo
+// builds partitions from — spherical q=2,3,4, SQS(8) and the doubled
+// SQS(16) — through the structural validators (triple coverage, block
+// ownership and counting lemmas, schedule executability and
+// completeness), then checks Algorithm 5 end to end at b=4 against the
+// sequential Algorithm 4 kernel on the machine each system defines.
+func TestAlg5OnEverySystem(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		sys  func() (*steiner.System, error)
+	}{
+		{"spherical-q2", func() (*steiner.System, error) { return steiner.Spherical(2) }},
+		{"spherical-q3", func() (*steiner.System, error) { return steiner.Spherical(3) }},
+		{"spherical-q4", func() (*steiner.System, error) { return steiner.Spherical(4) }},
+		{"SQS8", func() (*steiner.System, error) { return steiner.SQS8(), nil }},
+		{"SQS16", func() (*steiner.System, error) { return steiner.SQSDoubled(1) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sys, err := tc.sys()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sys.Verify(); err != nil {
+				t.Fatalf("steiner %s: %v", sys, err)
+			}
+			part, err := partition.New(sys)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := part.Validate(); err != nil {
+				t.Fatalf("partition P=%d: %v", part.P, err)
+			}
+			sched, err := schedule.Build(part)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sched.Validate(part); err != nil {
+				t.Fatalf("schedule P=%d: %v", part.P, err)
+			}
+
+			b := 4
+			n := part.M * b
+			rng := rand.New(rand.NewSource(1))
+			a := tensor.Random(n, rng)
+			x := randVec(n, rng)
+			want := sttsv.Packed(a, x, nil)
+			res, err := Run(a, x, Options{Part: part, B: b, Wiring: WiringP2P})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d := maxAbsDiff(res.Y, want); d > tol {
+				t.Fatalf("P=%d: differs from Algorithm 4 by %g", part.P, d)
+			}
+		})
 	}
 }
 

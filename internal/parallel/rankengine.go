@@ -60,13 +60,9 @@ func NewRankEngine(a *tensor.Symmetric, opts Options, rank int) (*RankEngine, er
 	if a.N > padded {
 		return nil, fmt.Errorf("parallel: n=%d exceeds padded dimension %d", a.N, padded)
 	}
-	sched := opts.Sched
-	if sched == nil {
-		s, err := schedule.Build(part)
-		if err != nil {
-			return nil, err
-		}
-		sched = s
+	sched, err := schedule.Build(part)
+	if err != nil {
+		return nil, err
 	}
 	lay, err := buildLayout(part, sched, WiringP2P, b)
 	if err != nil {

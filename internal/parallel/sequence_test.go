@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/machine"
 	"repro/internal/sttsv"
 	"repro/internal/tensor"
 )
@@ -14,7 +15,7 @@ func TestSequenceBaselineCorrect(t *testing.T) {
 		a := tensor.Random(c.n, rng)
 		x := randVec(c.n, rng)
 		want := sttsv.Packed(a, x, nil)
-		res, err := RunSequenceBaseline(a, x, c.p)
+		res, err := RunSequenceBaseline(a, x, c.p, machine.RunConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -31,7 +32,7 @@ func TestSequenceBaselineCommIsAllGatherOnly(t *testing.T) {
 	n, p := 40, 8
 	a := tensor.Random(n, rng)
 	x := randVec(n, rng)
-	res, err := RunSequenceBaseline(a, x, p)
+	res, err := RunSequenceBaseline(a, x, p, machine.RunConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,13 +51,13 @@ func TestSequenceBaselineCommIsAllGatherOnly(t *testing.T) {
 func TestSequenceBaselineValidation(t *testing.T) {
 	a := tensor.NewSymmetric(4)
 	x := make([]float64, 4)
-	if _, err := RunSequenceBaseline(nil, x, 2); err == nil {
+	if _, err := RunSequenceBaseline(nil, x, 2, machine.RunConfig{}); err == nil {
 		t.Error("nil tensor accepted")
 	}
-	if _, err := RunSequenceBaseline(a, x[:3], 2); err == nil {
+	if _, err := RunSequenceBaseline(a, x[:3], 2, machine.RunConfig{}); err == nil {
 		t.Error("short vector accepted")
 	}
-	if _, err := RunSequenceBaseline(a, x, 5); err == nil {
+	if _, err := RunSequenceBaseline(a, x, 5, machine.RunConfig{}); err == nil {
 		t.Error("P > n accepted")
 	}
 }

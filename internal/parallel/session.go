@@ -34,7 +34,6 @@ type Session struct {
 	a      *tensor.Symmetric
 	opts   Options
 	part   *partition.Tetrahedral
-	sched  *schedule.Schedule
 	b      int
 	padded int
 	n      int // logical operator dimension; 0 when unknown (nil tensor)
@@ -117,8 +116,8 @@ func OpenSession(a *tensor.Symmetric, opts Options) (*Session, error) {
 	if b < 1 {
 		return nil, fmt.Errorf("parallel: block edge %d", b)
 	}
-	sched := opts.Sched
-	if opts.Wiring == WiringP2P && sched == nil {
+	var sched *schedule.Schedule
+	if opts.Wiring == WiringP2P {
 		s, err := schedule.Build(part)
 		if err != nil {
 			return nil, err
@@ -169,7 +168,6 @@ func OpenSession(a *tensor.Symmetric, opts Options) (*Session, error) {
 		a:      a,
 		opts:   opts,
 		part:   part,
-		sched:  sched,
 		b:      b,
 		padded: part.M * b,
 		n:      n,

@@ -75,37 +75,6 @@ func TestSessionApplyConformance(t *testing.T) {
 	}
 }
 
-// TestSessionApplyWorkersConformance repeats the conformance check with a
-// multi-worker local executor: the reused Scratch accumulators must
-// reproduce the fresh-buffer tree reduction bit for bit.
-func TestSessionApplyWorkersConformance(t *testing.T) {
-	part := sphericalPart(t, 2)
-	b := 9
-	n := part.M * b
-	rng := rand.New(rand.NewSource(17))
-	a := tensor.Random(n, rng)
-	opts := Options{Part: part, B: b, Wiring: WiringP2P, Workers: 3}
-	s, err := OpenSession(a, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	for iter := 0; iter < 10; iter++ {
-		x := randVec(n, rng)
-		got, err := s.Apply(x)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := Run(a, x, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bitsEqual(got.Y, want.Y) {
-			t.Fatalf("iter %d: multi-worker session Y not bit-identical to Run", iter)
-		}
-	}
-}
-
 // TestSessionBatchColumns: ApplyBatch column l must be bit-identical to
 // Apply(X[l]), while the per-phase message count is that of a single
 // application (the α amortization) and the words are cols× one column.

@@ -163,7 +163,7 @@ func TestSparseSessionCrashRecovery(t *testing.T) {
 	faulty, err := OpenSession(nil, Options{
 		Part: part, B: b, Wiring: WiringP2P, Sparse: srb,
 		Machine: machine.RunConfig{
-			Transport: fault.TransportRecoverable(fault.Plan{Seed: 7, Crash: map[int]int{1: 4}},
+			Transport: fault.Transport(fault.Plan{Seed: 7, Crash: map[int]int{1: 4}},
 				fault.ReliableOptions{MaxAttempts: 1 << 20}),
 			Timeout: 2 * time.Second,
 		},

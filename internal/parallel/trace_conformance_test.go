@@ -72,7 +72,7 @@ func TestTraceConformanceP2P(t *testing.T) {
 		}
 		var rec obs.Recorder
 		res, err := Run(nil, x, Options{
-			Part: part, Sched: sched, B: b, Wiring: WiringP2P,
+			Part: part, B: b, Wiring: WiringP2P,
 			Machine: machine.RunConfig{Timeout: 10 * time.Second, Observer: rec.Observer()},
 		})
 		if err != nil {
@@ -181,7 +181,7 @@ func TestTraceConformanceUnderFaults(t *testing.T) {
 			Timeout:    20 * time.Second,
 			Observer:   rec.Observer(),
 			WireEvents: true,
-			Transport:  fault.Transport(plan),
+			Transport:  fault.Transport(plan, fault.ReliableOptions{}),
 		},
 	})
 	if err != nil {

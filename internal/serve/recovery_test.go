@@ -44,7 +44,7 @@ func TestBatchRecoveryComposition(t *testing.T) {
 	// mid-schedule inside that flush.
 	crashed := so
 	crashed.Machine = machine.RunConfig{
-		Transport: fault.TransportRecoverable(fault.Plan{Seed: 7, Crash: map[int]int{1: 4}},
+		Transport: fault.Transport(fault.Plan{Seed: 7, Crash: map[int]int{1: 4}},
 			fault.ReliableOptions{MaxAttempts: 1 << 20}),
 		Timeout: 2 * time.Second,
 	}

@@ -44,10 +44,10 @@ import (
 type Options struct {
 	// Session is the engine configuration template every pooled session
 	// is opened with: partition, block edge, wiring, machine config,
-	// workers, recovery. Session.Blocks, when nil, is packed once at pool
-	// open and shared read-only across all sessions — the tensor is
-	// extracted once, not once per session. Session.MaxCols is raised to
-	// the pool's MaxCols so arenas are presized for full batches.
+	// recovery. Session.Blocks, when nil, is packed once at pool open and
+	// shared read-only across all sessions — the tensor is extracted
+	// once, not once per session. Session.MaxCols is raised to the pool's
+	// MaxCols so arenas are presized for full batches.
 	Session parallel.Options
 	// Sessions is the pool size N. Default 1.
 	Sessions int

@@ -48,9 +48,6 @@ func NewScalarExecutor(workers int) *Executor {
 // Workers returns the configured worker count.
 func (e *Executor) Workers() int { return e.workers }
 
-// Scalar reports whether this executor uses the scalar reference kernel.
-func (e *Executor) Scalar() bool { return e.scalar }
-
 // contribute applies one block with the executor's configured kernel.
 func (e *Executor) contribute(blk *tensor.Block, xI, xJ, xK, yI, yJ, yK []float64, stats *Stats) {
 	if e.scalar {
@@ -67,17 +64,14 @@ func (e *Executor) contribute(blk *tensor.Block, xI, xJ, xK, yI, yJ, yK []float6
 // workers have finished. With one worker (or one block) the blocks are
 // applied directly in input order — identical to the plain sequential
 // loop.
-func (e *Executor) Contribute(blocks []*tensor.Block, b int, xRow, yRow func(int) []float64, stats *Stats) {
-	e.ContributeWith(nil, blocks, b, xRow, yRow, stats)
-}
-
-// ContributeWith is Contribute drawing its per-worker accumulators from sc
-// so repeated applications over the same blocks allocate nothing after the
-// first. A nil sc allocates fresh accumulators per call (Contribute's
-// behaviour). The output bits are identical either way: row tables start
-// all-nil and rows are zeroed on first touch, so the deterministic tree
-// reduction sees exactly the state it would with fresh buffers.
-func (e *Executor) ContributeWith(sc *Scratch, blocks []*tensor.Block, b int, xRow, yRow func(int) []float64, stats *Stats) {
+//
+// The per-worker accumulators come from sc, so repeated applications over
+// the same blocks allocate nothing after the first; a nil sc allocates
+// fresh accumulators per call. The output bits are identical either way:
+// row tables start all-nil and rows are zeroed on first touch, so the
+// deterministic tree reduction sees exactly the state it would with fresh
+// buffers.
+func (e *Executor) Contribute(sc *Scratch, blocks []*tensor.Block, b int, xRow, yRow func(int) []float64, stats *Stats) {
 	if len(blocks) == 0 {
 		return
 	}
@@ -169,14 +163,14 @@ func (e *Executor) ContributeWith(sc *Scratch, blocks []*tensor.Block, b int, xR
 
 // ContributeCols applies the block list to cols independent right-hand
 // sides: xRow(i, l) and yRow(i, l) address the length-b row block of row i
-// for column l. Columns are processed one at a time through ContributeWith,
+// for column l. Columns are processed one at a time through Contribute,
 // so column l's output bits are identical to a single-column Contribute
 // over that column — batching changes the communication schedule (see
 // parallel.Session.ApplyBatch), never the arithmetic.
 func (e *Executor) ContributeCols(sc *Scratch, blocks []*tensor.Block, b, cols int, xRow, yRow func(i, l int) []float64, stats *Stats) {
 	for l := 0; l < cols; l++ {
 		l := l
-		e.ContributeWith(sc, blocks, b,
+		e.Contribute(sc, blocks, b,
 			func(i int) []float64 { return xRow(i, l) },
 			func(i int) []float64 { return yRow(i, l) }, stats)
 	}

@@ -82,18 +82,11 @@ func (op *Operator) Apply(x []float64, stats *Stats) []float64 {
 		op.yp[i] = 0
 	}
 	b := op.b
-	op.exec.Contribute(op.packed.Blocks, b,
+	op.exec.Contribute(nil, op.packed.Blocks, b,
 		func(i int) []float64 { return op.xp[i*b : (i+1)*b] },
 		func(i int) []float64 { return op.yp[i*b : (i+1)*b] },
 		stats)
 	y := make([]float64, op.n)
 	copy(y, op.yp)
 	return y
-}
-
-// BlockedParallel computes y = A ×₂ x ×₃ x through a one-shot Operator:
-// the multicore counterpart of Blocked. For repeated applications build
-// the Operator once and call Apply.
-func BlockedParallel(a *tensor.Symmetric, x []float64, m, workers int, stats *Stats) []float64 {
-	return NewOperator(a, m, workers).Apply(x, stats)
 }

@@ -38,8 +38,8 @@ const (
 )
 
 // RunConfig configures a simulated machine run: stall watchdog, trace
-// observer, wire-event emission, transport factory and mailbox capacity.
-// Assign it to ParallelOptions.Machine.
+// observer, wire-event emission, transport factory and backend. Assign it
+// to ParallelOptions.Machine.
 type RunConfig = machine.RunConfig
 
 // MachineReport carries a run's per-rank logical and wire communication
@@ -53,9 +53,6 @@ type TraceRecorder = obs.Recorder
 // Trace is an ordered set of run events with phase/rank aggregation
 // helpers and the trace-conformance check against a MachineReport.
 type Trace = obs.Trace
-
-// NewTrace canonicalizes a raw event slice into a Trace.
-func NewTrace(events []Event) *Trace { return obs.NewTrace(events) }
 
 // PhaseTotals aggregates one phase label's trace traffic (per-rank words,
 // messages, ternary multiplications, and barrier step count).

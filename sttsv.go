@@ -144,29 +144,6 @@ func ComputeBlocked(a *Tensor, x []float64, m int, stats *Stats) []float64 {
 	return internalsttsv.Blocked(a, x, m, stats)
 }
 
-// ComputeBlockedParallel evaluates STTSV through the block kernels with
-// the shared-memory executor: blocks are distributed across `workers`
-// goroutines (0 selects GOMAXPROCS) with per-worker accumulators and a
-// deterministic tree reduction, so output bits are reproducible for a
-// fixed worker count. For repeated applications of one tensor, build a
-// BlockedOperator instead.
-func ComputeBlockedParallel(a *Tensor, x []float64, m, workers int, stats *Stats) []float64 {
-	return internalsttsv.BlockedParallel(a, x, m, workers, stats)
-}
-
-// BlockedOperator is a reusable blocked STTSV applier: the tensor is
-// extracted once into contiguous kind-grouped block storage and every
-// Apply reuses it, optionally multicore. Not safe for concurrent Apply
-// calls.
-type BlockedOperator = internalsttsv.Operator
-
-// NewBlockedOperator packs a on an m×m×m block grid for repeated
-// applications with `workers` local-compute goroutines (0 = GOMAXPROCS,
-// 1 = sequential).
-func NewBlockedOperator(a *Tensor, m, workers int) *BlockedOperator {
-	return internalsttsv.NewOperator(a, m, workers)
-}
-
 // Lambda returns A ×₁x ×₂x ×₃x = xᵀ(A ×₂x ×₃x).
 func Lambda(a *Tensor, x []float64) float64 {
 	return internalsttsv.Dot(x, internalsttsv.Packed(a, x, nil))
@@ -253,7 +230,7 @@ func PackRankBlocks(a *Tensor, part *Partition, b int) (*RankBlocks, error) {
 // RowBaselineCompute runs the 1D row-partition baseline (Θ(n) words per
 // processor) on the simulated machine.
 func RowBaselineCompute(a *Tensor, x []float64, p int) (*ParallelResult, error) {
-	return parallel.RunRowBaseline(a, x, p)
+	return parallel.RunRowBaseline(a, x, p, RunConfig{})
 }
 
 // --- applications ---
@@ -262,13 +239,6 @@ func RowBaselineCompute(a *Tensor, x []float64, p int) (*ParallelResult, error) 
 // opts.Shift != 0) to find a Z-eigenpair of a.
 func PowerMethod(a *Tensor, opts EigenOptions) (*Eigenpair, error) {
 	return hopm.PowerMethod(hopm.PackedSTTSV(a), a.N, opts)
-}
-
-// PowerMethodBlocked runs Algorithm 1 through a reusable block-packed
-// operator: the tensor is tiled once and every iteration reuses it, with
-// `workers` local-compute goroutines (0 = GOMAXPROCS, 1 = sequential).
-func PowerMethodBlocked(a *Tensor, m, workers int, opts EigenOptions) (*Eigenpair, error) {
-	return hopm.PowerMethod(hopm.BlockedSTTSV(a, m, workers), a.N, opts)
 }
 
 // SuggestedShift returns a shift making SS-HOPM provably convergent on a.
