@@ -43,11 +43,34 @@ func TestParsePlanEmptyAndErrors(t *testing.T) {
 	if p, err := fault.ParsePlan(""); err != nil || p.Active() {
 		t.Errorf("empty spec: plan %+v err %v", p, err)
 	}
-	for _, bad := range []string{"drop", "drop=2", "drop=-0.1", "wibble=1", "crash=3", "crash=x@1", "crash=-1@5", "stalldelay=zz"} {
+	for _, bad := range []string{"drop", "drop=2", "drop=-0.1", "wibble=1", "crash=3", "crash=x@1", "crash=-1@5", "stalldelay=zz",
+		"drop=NaN", "maxfaults=-3", "stalldelay=-5s"} {
 		if _, err := fault.ParsePlan(bad); err == nil {
 			t.Errorf("spec %q accepted", bad)
 		}
 	}
+}
+
+// FuzzParsePlan checks that every spec ParsePlan accepts renders, through
+// Plan.String, to a spec that parses back to an equal plan.
+func FuzzParsePlan(f *testing.F) {
+	for _, spec := range []string{"", "none", "seed=42,drop=0.1,dup=0.05,reorder=0.2,corrupt=0.02,stall=0.01,stalldelay=2ms,crash=3@40,crash=1@7,maxfaults=100",
+		"reset=0.3,seed=-7", "drop=NaN", "maxfaults=-3", "stalldelay=-5s", "DROP = 0x1p-2 ,crash=0@1"} {
+		f.Add(spec)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		p, err := fault.ParsePlan(spec)
+		if err != nil {
+			return
+		}
+		q, err := fault.ParsePlan(p.String())
+		if err != nil {
+			t.Fatalf("ParsePlan(%q) rendered as %q, which fails to parse: %v", spec, p.String(), err)
+		}
+		if !reflect.DeepEqual(p, q) {
+			t.Fatalf("ParsePlan(%q) = %#v, but its rendering %q parses to %#v", spec, p, p.String(), q)
+		}
+	})
 }
 
 // recordWire captures deliveries for injector unit tests.
@@ -56,13 +79,13 @@ type recordWire struct {
 	delivered  []machine.Packet
 }
 
-func (w *recordWire) Rank() int                      { return w.rank }
-func (w *recordWire) Size() int                      { return w.size }
-func (w *recordWire) Deliver(p machine.Packet)       { w.delivered = append(w.delivered, p) }
-func (w *recordWire) Pull() machine.Packet           { panic("recordWire: Pull") }
-func (w *recordWire) Pending([]machine.PendingEntry) {}
-func (w *recordWire) Aborting() bool                 { return false }
-func (w *recordWire) Epoch() int64                   { return 0 }
+func (w *recordWire) Rank() int                { return w.rank }
+func (w *recordWire) Size() int                { return w.size }
+func (w *recordWire) Deliver(p machine.Packet) { w.delivered = append(w.delivered, p) }
+func (w *recordWire) Pull() machine.Packet     { panic("recordWire: Pull") }
+func (w *recordWire) Hold(machine.Packet)      {}
+func (w *recordWire) Aborting() bool           { return false }
+func (w *recordWire) Epoch() int64             { return 0 }
 func (w *recordWire) PullTimeout(time.Duration) (machine.Packet, bool) {
 	return machine.Packet{}, false
 }
@@ -130,7 +153,8 @@ func reliableRun(t *testing.T, factory machine.TransportFactory) *machine.Report
 	rep, err := machine.RunWith(2, machine.RunConfig{Transport: factory, Timeout: time.Minute}, func(c *machine.Comm) {
 		for i := 0; i < rounds; i++ {
 			payload := []float64{float64(i), float64(c.Rank()), float64(i * 31)}
-			got := c.Exchange(1-c.Rank(), i%3, payload)
+			c.Send(1-c.Rank(), i%3, payload)
+			got := c.Recv(1-c.Rank(), i%3)
 			if len(got) != 3 || got[0] != float64(i) || got[1] != float64(1-c.Rank()) || got[2] != float64(i*31) {
 				t.Errorf("rank %d round %d received %v", c.Rank(), i, got)
 				return
@@ -218,4 +242,43 @@ func TestUnreachablePeerIsStructured(t *testing.T) {
 	if ue.Rank != 0 || ue.Peer != 1 || ue.Attempts != 3 {
 		t.Errorf("unreachable = %+v, want rank 0 → peer 1 after 3 attempts", ue)
 	}
+}
+
+func TestAckWaitReportsHeldMessages(t *testing.T) {
+	// Rank 2 dies before acking rank 0's message, so rank 0 never leaves
+	// its ack wait. The message rank 1 sends meanwhile is acknowledged and
+	// released there, and the deadlock report must still list it.
+	h, err := machine.StartWith(3, machine.RunConfig{
+		Transport: fault.Transport(fault.Plan{Crash: map[int]int{2: 1}}, fault.ReliableOptions{MaxAttempts: 1 << 20}),
+		Timeout:   200 * time.Millisecond,
+	}, func(c *machine.Comm) {
+		switch c.Rank() {
+		case 0:
+			c.Send(2, 0, []float64{1})
+		case 1:
+			c.Send(0, 5, []float64{1, 2, 3})
+		case 2:
+			c.Recv(0, 0) // its ack is the crashing delivery
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = h.Wait()
+	h.Abort() // unwind rank 0's retransmission loop
+	var dead *machine.DeadlockError
+	if !errors.As(err, &dead) {
+		t.Fatalf("err %T (%v), want *machine.DeadlockError", err, err)
+	}
+	want := []machine.PendingEntry{{From: 1, Tag: 5, Msgs: 1, Words: 3}}
+	for _, w := range dead.Waits {
+		if w.Rank != 0 {
+			continue
+		}
+		if w.Kind != machine.BlockSend || w.Peer != 2 || !reflect.DeepEqual(w.Pending, want) {
+			t.Errorf("rank 0 wait = %+v, want a send to rank 2 holding %+v", w, want)
+		}
+		return
+	}
+	t.Fatalf("rank 0 not in waits: %+v", dead.Waits)
 }

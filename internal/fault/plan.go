@@ -133,9 +133,13 @@ func ParsePlan(spec string) (Plan, error) {
 		case "reset":
 			p.Reset, err = parseProb(val)
 		case "stalldelay":
-			p.StallDelay, err = time.ParseDuration(val)
+			if p.StallDelay, err = time.ParseDuration(val); err == nil && p.StallDelay < 0 {
+				err = fmt.Errorf("negative delay %v", p.StallDelay)
+			}
 		case "maxfaults":
-			p.MaxFaults, err = strconv.Atoi(val)
+			if p.MaxFaults, err = strconv.Atoi(val); err == nil && p.MaxFaults < 0 {
+				err = fmt.Errorf("negative cap %d", p.MaxFaults)
+			}
 		case "crash":
 			rs, os, ok := strings.Cut(val, "@")
 			if !ok {
@@ -169,7 +173,7 @@ func parseProb(s string) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if v < 0 || v > 1 {
+	if !(v >= 0 && v <= 1) { // NaN fails both comparisons
 		return 0, fmt.Errorf("probability %g outside [0, 1]", v)
 	}
 	return v, nil

@@ -58,17 +58,18 @@ func Transport(plan Plan, opt ReliableOptions) machine.TransportFactory {
 // number and a payload checksum; the receiver acknowledges every intact
 // data packet (including duplicates), drops corrupt ones silently,
 // de-duplicates by sequence number, and releases payloads strictly in
-// sequence order, parking out-of-order arrivals until the gap fills. The
-// sender blocks until its packet is acknowledged, retransmitting with
-// exponential backoff, and services incoming data packets while it waits
-// so that two ranks sending to each other cannot deadlock.
+// sequence order, parking out-of-order arrivals until the gap fills. Every
+// released payload goes to the machine through Wire.Hold, whether Recv,
+// Send or Wait released it. The sender blocks until its packet is
+// acknowledged, retransmitting with exponential backoff, and services
+// incoming data packets while it waits so that two ranks sending to each
+// other cannot deadlock.
 func NewReliable(w machine.Wire, opt ReliableOptions) machine.Transport {
 	p := w.Size()
 	return &reliable{w: w, opt: opt.withDefaults(),
 		nextSeq: make([]int, p),
 		expect:  make([]int, p),
 		parked:  make([]map[int]machine.Packet, p),
-		pending: make(map[[2]int][]machine.Packet),
 	}
 }
 
@@ -85,10 +86,9 @@ type reliable struct {
 	// expect[from] is the next in-order sequence number from rank from.
 	expect []int
 	// parked[from] holds intact packets that arrived ahead of sequence.
+	// They are protocol state, not messages: no Recv can take one until
+	// the gap before it heals.
 	parked []map[int]machine.Packet
-	// pending holds released packets not yet consumed by Recv, keyed by
-	// [2]int{from, tag}, FIFO per key.
-	pending map[[2]int][]machine.Packet
 }
 
 func (r *reliable) Send(to, tag int, data []float64) {
@@ -132,23 +132,15 @@ func (r *reliable) Send(to, tag int, data []float64) {
 	}
 }
 
-// Recv never lets a payload be recycled: the sender's retransmission
-// window may still alias the buffer.
-func (r *reliable) Recv(from, tag int) ([]float64, bool) {
-	key := [2]int{from, tag}
-	for {
-		if q := r.pending[key]; len(q) > 0 {
-			data := q[0].Data
-			r.pending[key] = q[1:]
-			r.publishPending()
-			return data, false
-		}
-		in := r.w.Pull()
-		if in.Kind == machine.PacketData {
-			r.handleData(in)
-		}
-		// Stray acks while not sending are duplicates; drop them.
+// Recv services one packet and returns !ok: whatever it releases has gone
+// to Wire.Hold. The sender's Recycle mark is never set, because the
+// sender's retransmission window may still alias the buffer.
+func (r *reliable) Recv() (machine.Packet, bool) {
+	if in := r.w.Pull(); in.Kind == machine.PacketData {
+		r.handleData(in)
 	}
+	// Stray acks while not sending are duplicates; drop them.
+	return machine.Packet{}, false
 }
 
 // handleData acknowledges, de-duplicates, order-restores and releases an
@@ -171,9 +163,8 @@ func (r *reliable) handleData(pkt machine.Packet) {
 			r.parked[from] = make(map[int]machine.Packet)
 		}
 		r.parked[from][pkt.Seq] = pkt // idempotent for duplicates
-		r.publishPending()
 	default:
-		r.release(pkt)
+		r.w.Hold(pkt)
 		r.expect[from]++
 		for {
 			next, ok := r.parked[from][r.expect[from]]
@@ -181,7 +172,7 @@ func (r *reliable) handleData(pkt machine.Packet) {
 				break
 			}
 			delete(r.parked[from], r.expect[from])
-			r.release(next)
+			r.w.Hold(next)
 			r.expect[from]++
 		}
 	}
@@ -189,9 +180,9 @@ func (r *reliable) handleData(pkt machine.Packet) {
 
 // Wait runs block on a helper goroutine while the rank goroutine services
 // the wire in full: intact data packets are acknowledged, de-duplicated
-// and buffered for later Recvs, exactly as during Send's ack-wait. The
-// protocol state stays owned by the rank goroutine; block only waits (at
-// a barrier, or for host input) and touches none of it.
+// and released to the machine for later Recvs, exactly as during Send's
+// ack-wait. The protocol state stays owned by the rank goroutine; block
+// only waits (at a barrier, or for host input) and touches none of it.
 func (r *reliable) Wait(block func()) {
 	done := make(chan struct{})
 	go func() {
@@ -224,25 +215,6 @@ func (r *reliable) service(stop <-chan struct{}, dupOnly bool) {
 		}
 		r.handleData(in)
 	}
-}
-
-func (r *reliable) release(pkt machine.Packet) {
-	key := [2]int{pkt.From, pkt.Tag}
-	r.pending[key] = append(r.pending[key], pkt)
-	r.publishPending()
-}
-
-// publishPending publishes a diagnostics summary of everything this
-// transport has buffered: released payloads awaiting a Recv plus parked
-// out-of-order packets. The stall watchdog prints both.
-func (r *reliable) publishPending() {
-	entries := machine.SummarizePending(r.pending)
-	for from, parked := range r.parked {
-		for _, pkt := range parked {
-			entries = append(entries, machine.PendingEntry{From: from, Tag: pkt.Tag, Msgs: 1, Words: len(pkt.Data)})
-		}
-	}
-	r.w.Pending(entries)
 }
 
 // checksum is FNV-1a over the payload's IEEE-754 bit patterns.

@@ -16,9 +16,9 @@ import (
 // The seam sits below machine.Wire: a backend wire only moves packets.
 // Everything the Wire contract promises on top — logical/wire metering,
 // epoch stamping on Deliver and epoch fencing on Pull, abort unwinding,
-// pending-state diagnostics — is layered on uniformly by the machine, so a
-// TransportFactory (direct, reliable, fault-injected) composes unchanged
-// over any backend.
+// holding released messages for Recv and the deadlock report — is layered
+// on uniformly by the machine, so a TransportFactory (direct, reliable,
+// fault-injected) composes unchanged over any backend.
 type Backend interface {
 	// NewWire returns rank's raw endpoint on a machine of the given size.
 	// Called once per local rank at machine start. A backend that outlives

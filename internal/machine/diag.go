@@ -1,7 +1,9 @@
 package machine
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -52,8 +54,8 @@ func (k BlockKind) String() string {
 	return fmt.Sprintf("BlockKind(%d)", int(k))
 }
 
-// PendingEntry summarizes messages a transport has buffered (pulled from
-// the wire but not yet consumed by a logical Recv) for one (from, tag).
+// PendingEntry summarizes the messages a rank holds (released by its
+// transport but not yet taken by a logical Recv) for one (from, tag).
 type PendingEntry struct {
 	From, Tag, Msgs, Words int
 }
@@ -69,8 +71,8 @@ type RankWait struct {
 	// InboxPackets counts raw packets sitting undrained in the rank's
 	// mailbox at the time of the snapshot.
 	InboxPackets int
-	// Pending lists messages the rank's transport buffered while waiting
-	// for something else.
+	// Pending lists the messages the rank holds: released to it while it
+	// waited for something else, and not yet taken by a Recv.
 	Pending []PendingEntry
 }
 
@@ -100,8 +102,8 @@ func (w RankWait) describe() string {
 // DeadlockError is returned by the progress monitor when no rank
 // completes a logical operation for a full timeout window: each
 // unfinished rank is named with the operation it is blocked on and the
-// messages its transport has buffered, so a stuck protocol can be read
-// off the error instead of debugged from a bare "timed out".
+// messages it holds, so a stuck protocol can be read off the error
+// instead of debugged from a bare "timed out".
 type DeadlockError struct {
 	P       int
 	Timeout time.Duration
@@ -150,13 +152,16 @@ func (e UnreachableError) Error() string {
 
 // rankDiag is one rank's monitor-visible state. The owning rank updates
 // it at blocking-operation boundaries; the watchdog reads it when a run
-// stalls. All access goes through the mutex.
+// stalls. All access goes through the mutex, except that the owning rank
+// — the only writer of held — may read len(held) without it.
 type rankDiag struct {
 	mu        sync.Mutex
 	kind      BlockKind
 	peer, tag int
-	pending   []PendingEntry
-	panicVal  any
+	// held lists the messages released to the rank that no Recv has
+	// taken yet, in release order.
+	held     []Packet
+	panicVal any
 }
 
 func (d *rankDiag) setBlocked(k BlockKind, peer, tag int) {
@@ -168,12 +173,6 @@ func (d *rankDiag) setBlocked(k BlockKind, peer, tag int) {
 func (d *rankDiag) setRunning() {
 	d.mu.Lock()
 	d.kind = BlockNone
-	d.mu.Unlock()
-}
-
-func (d *rankDiag) setPending(entries []PendingEntry) {
-	d.mu.Lock()
-	d.pending = entries
 	d.mu.Unlock()
 }
 
@@ -196,8 +195,52 @@ func (d *rankDiag) panicValue() any {
 	return d.panicVal
 }
 
-func (d *rankDiag) snapshot() (BlockKind, int, int, []PendingEntry) {
+func (d *rankDiag) blocked() (BlockKind, int, int) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.kind, d.peer, d.tag, append([]PendingEntry(nil), d.pending...)
+	return d.kind, d.peer, d.tag
+}
+
+// hold appends pkt to the held list.
+func (d *rankDiag) hold(pkt Packet) {
+	d.mu.Lock()
+	d.held = append(d.held, pkt)
+	d.mu.Unlock()
+}
+
+// take removes and returns the oldest held message from (from, tag). The
+// list keeps its backing array, so a steady out-of-order exchange stops
+// allocating once the list has grown to its high-water length.
+func (d *rankDiag) take(from, tag int) (Packet, bool) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	for i, pkt := range d.held {
+		if pkt.From == from && pkt.Tag == tag {
+			n := copy(d.held[i:], d.held[i+1:])
+			d.held[i+n] = Packet{}
+			d.held = d.held[:i+n]
+			return pkt, true
+		}
+	}
+	return Packet{}, false
+}
+
+// pending summarizes the held list per (from, tag), sorted by sender then
+// tag.
+func (d *rankDiag) pending() []PendingEntry {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	var out []PendingEntry
+	for _, pkt := range d.held {
+		key := PendingEntry{From: pkt.From, Tag: pkt.Tag}
+		i, found := slices.BinarySearchFunc(out, key, func(a, b PendingEntry) int {
+			return cmp.Or(cmp.Compare(a.From, b.From), cmp.Compare(a.Tag, b.Tag))
+		})
+		if !found {
+			out = slices.Insert(out, i, key)
+		}
+		out[i].Msgs++
+		out[i].Words += len(pkt.Data)
+	}
+	return out
 }

@@ -245,8 +245,7 @@ func (h *Handle) Abort() {
 func (h *Handle) CrashedRanks() []int {
 	var out []int
 	for _, r := range h.m.localRanks {
-		kind, _, _, _ := h.m.diags[r].snapshot()
-		if kind == BlockCrashed {
+		if kind, _, _ := h.m.diags[r].blocked(); kind == BlockCrashed {
 			out = append(out, r)
 		}
 	}

@@ -11,19 +11,21 @@
 // endpoints.
 //
 // The package is layered: logical point-to-point Send/Recv with tags (plus
-// a combined Exchange, barriers, and per-rank counters) ride on a pluggable
-// Transport over a raw packet Wire, which the machine layers over one
-// BackendWire per rank from a Backend. Those four interfaces are the whole
-// seam, and every method on them is required: a Transport sends, receives
-// (reporting whether the payload may be pooled), waits while its rank is
-// parked, and lingers after its body returns; a BackendWire moves, prices
-// and reports lost packets. The default direct transport maps one logical
-// message to one packet on the perfect simulated network; package fault
-// perturbs the wire (drop/duplicate/reorder/corrupt/stall/crash) and
-// provides a reliable transport that restores logical semantics on top.
-// Logical and wire traffic are metered separately, so recovery overhead
-// never contaminates the communication counts the theory is compared
-// against. Collectives are layered on top in package collective.
+// barriers and per-rank counters) ride on a pluggable Transport over a raw
+// packet Wire, which the machine layers over one BackendWire per rank from
+// a Backend. Those four interfaces are the whole seam, and every method on
+// them is required: a Transport sends, delivers each rank's logical
+// messages in per-sender order, waits while its rank is parked, and
+// lingers after its body returns; a BackendWire moves, prices and reports
+// lost packets. Matching a message to a Recv by (source, tag) happens
+// once, in Comm, which holds any message that arrives before its Recv.
+// The default direct transport maps one logical message to one packet on
+// the perfect simulated network; package fault perturbs the wire
+// (drop/duplicate/reorder/corrupt/stall/crash) and provides a reliable
+// transport that restores logical semantics on top. Logical and wire
+// traffic are metered separately, so recovery overhead never contaminates
+// the communication counts the theory is compared against. Collectives
+// are layered on top in package collective.
 package machine
 
 import (
@@ -178,10 +180,7 @@ func (c *Comm) Send(to, tag int, data []float64) {
 // returns its payload. Messages from the same (source, tag) are delivered
 // in send order.
 func (c *Comm) Recv(from, tag int) []float64 {
-	c.m.checkAbort()
-	c.diag.setBlocked(BlockRecv, from, tag)
-	data, _ := c.t.Recv(from, tag)
-	c.diag.setRunning()
+	data, _ := c.recv(from, tag)
 	c.m.recv[c.rank].add(int64(len(data)))
 	c.m.emit(c.rank, Event{Kind: EventRecv, From: from, To: c.rank, Tag: tag, Words: len(data), Step: -1})
 	c.m.progress.Add(1)
@@ -200,10 +199,7 @@ func (c *Comm) Recv(from, tag int) []float64 {
 // receiver that preplans exact message sizes (parallel.Session) can only
 // reach that state through a protocol bug.
 func (c *Comm) RecvInto(from, tag int, dst []float64) int {
-	c.m.checkAbort()
-	c.diag.setBlocked(BlockRecv, from, tag)
-	data, recycle := c.t.Recv(from, tag)
-	c.diag.setRunning()
+	data, recycle := c.recv(from, tag)
 	if len(data) > len(dst) {
 		panic(fmt.Sprintf("machine: rank %d RecvInto(%d, %d): payload %d words, buffer %d",
 			c.rank, from, tag, len(data), len(dst)))
@@ -218,12 +214,29 @@ func (c *Comm) RecvInto(from, tag int, dst []float64) int {
 	return len(data)
 }
 
-// Exchange sends data to peer and receives peer's message with the same
-// tag — the bidirectional-link primitive of the model (a processor can
-// send and receive one message at the same time).
-func (c *Comm) Exchange(peer, tag int, data []float64) []float64 {
-	c.Send(peer, tag, data)
-	return c.Recv(peer, tag)
+// recv is the one receive path: it returns the payload of the oldest held
+// message from (from, tag), else waits on the transport, holding every
+// other message it delivers for a later Recv. recycle is the message's
+// pool mark. The inline length check keeps the common case — nothing
+// held — free of the diagnostic lock.
+func (c *Comm) recv(from, tag int) (data []float64, recycle bool) {
+	c.m.checkAbort()
+	c.diag.setBlocked(BlockRecv, from, tag)
+	for {
+		if len(c.diag.held) > 0 {
+			if pkt, ok := c.diag.take(from, tag); ok {
+				c.diag.setRunning()
+				return pkt.Data, pkt.Recycle
+			}
+		}
+		if pkt, ok := c.t.Recv(); ok {
+			if pkt.From == from && pkt.Tag == tag {
+				c.diag.setRunning()
+				return pkt.Data, pkt.Recycle
+			}
+			c.diag.hold(pkt)
+		}
+	}
 }
 
 // Barrier blocks until all P ranks have entered it. The transport's Wait
@@ -504,7 +517,7 @@ func (m *Machine) watch(done <-chan struct{}, timeout time.Duration) error {
 func (m *Machine) hostQuiescent() bool {
 	idle := false
 	for _, r := range m.localRanks {
-		kind, _, _, _ := m.diags[r].snapshot()
+		kind, _, _ := m.diags[r].blocked()
 		switch kind {
 		case BlockDone:
 		case BlockCrashed:
@@ -529,7 +542,7 @@ func (m *Machine) hostQuiescent() bool {
 func (m *Machine) deadlockError(timeout time.Duration) *DeadlockError {
 	e := &DeadlockError{P: m.p, Timeout: timeout}
 	for _, r := range m.localRanks {
-		kind, peer, tag, pending := m.diags[r].snapshot()
+		kind, peer, tag := m.diags[r].blocked()
 		switch kind {
 		case BlockDone:
 			continue
@@ -543,7 +556,7 @@ func (m *Machine) deadlockError(timeout time.Duration) *DeadlockError {
 			Peer:         peer,
 			Tag:          tag,
 			InboxPackets: m.raws[r].Depth(),
-			Pending:      pending,
+			Pending:      m.diags[r].pending(),
 		})
 	}
 	return e

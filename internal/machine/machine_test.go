@@ -139,7 +139,8 @@ func TestFIFOPerSenderTag(t *testing.T) {
 func TestExchange(t *testing.T) {
 	rep := mustRun(t, 4, func(c *Comm) {
 		peer := c.Rank() ^ 1
-		got := c.Exchange(peer, 0, []float64{float64(c.Rank())})
+		c.Send(peer, 0, []float64{float64(c.Rank())})
+		got := c.Recv(peer, 0)
 		if got[0] != float64(peer) {
 			t.Errorf("rank %d exchanged, got %v", c.Rank(), got)
 		}
@@ -317,7 +318,8 @@ func BenchmarkExchange(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		mustRun(b, 8, func(c *Comm) {
 			peer := c.Rank() ^ 1
-			c.Exchange(peer, 0, make([]float64, 64))
+			c.Send(peer, 0, make([]float64, 64))
+			c.Recv(peer, 0)
 		})
 	}
 }

@@ -50,22 +50,56 @@ func TestPayloadPoolClassBound(t *testing.T) {
 	}
 }
 
+// steadyMallocs runs two ranks, each looping over the round newRound
+// builds for it: three warm-up rounds (payload pool, held list, barrier
+// path), then rounds measured ones. It returns the run's report and the
+// mallocs counted across the measured rounds. Rank 0 counts; rank 1
+// mirrors the same loop and every round ends at a barrier, so an
+// allocation on either side shows up in the global malloc counter.
+func steadyMallocs(t *testing.T, rounds int, newRound func(c *Comm) func()) (*Report, uint64) {
+	t.Helper()
+	var mallocs uint64
+	rep, err := RunWith(2, RunConfig{}, func(c *Comm) {
+		round := newRound(c)
+		for i := 0; i < 3; i++ {
+			round()
+		}
+		c.Barrier()
+		if c.Rank() != 0 {
+			for i := 0; i < rounds; i++ {
+				round()
+			}
+			return
+		}
+		defer debug.SetGCPercent(debug.SetGCPercent(-1))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < rounds; i++ {
+			round()
+		}
+		runtime.ReadMemStats(&after)
+		mallocs = after.Mallocs - before.Mallocs
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep, mallocs
+}
+
 // TestSteadyStateExchangeZeroAlloc pins the machine-layer half of the
 // session engine's zero-allocation guarantee: a Send/RecvInto/Barrier
 // loop over the direct transport allocates nothing after one warm-up
 // round, because Send draws its defensive copy from the payload pool and
 // RecvInto recycles it on delivery.
 func TestSteadyStateExchangeZeroAlloc(t *testing.T) {
-	const p = 2
 	const words = 96
 	const rounds = 200
-	var mallocs uint64
-	rep, err := RunWith(p, RunConfig{}, func(c *Comm) {
+	rep, mallocs := steadyMallocs(t, rounds, func(c *Comm) func() {
 		me := c.Rank()
 		peer := 1 - me
 		src := make([]float64, words)
 		dst := make([]float64, words)
-		exchange := func() {
+		return func() {
 			if me == 0 {
 				c.Send(peer, 7, src)
 				c.RecvInto(peer, 7, dst)
@@ -75,31 +109,7 @@ func TestSteadyStateExchangeZeroAlloc(t *testing.T) {
 			}
 			c.Barrier()
 		}
-		for i := 0; i < 3; i++ { // warm the pool and the barrier path
-			exchange()
-		}
-		c.Barrier()
-		if me == 0 {
-			// Measure from rank 0 only; rank 1 mirrors the same loop, so
-			// any allocation on either side shows up in the global
-			// malloc counter read after both ranks pass the barrier.
-			defer debug.SetGCPercent(debug.SetGCPercent(-1))
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			for i := 0; i < rounds; i++ {
-				exchange()
-			}
-			runtime.ReadMemStats(&after)
-			mallocs = after.Mallocs - before.Mallocs
-		} else {
-			for i := 0; i < rounds; i++ {
-				exchange()
-			}
-		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if want := int64((rounds + 3) * words); rep.SentWords[0] != want {
 		t.Fatalf("sent words %d, want %d", rep.SentWords[0], want)
 	}
@@ -108,5 +118,35 @@ func TestSteadyStateExchangeZeroAlloc(t *testing.T) {
 	// per-message allocation would show up as >=400.
 	if mallocs > 50 {
 		t.Fatalf("steady-state exchange performed %d mallocs over %d rounds, want ~0 — Send or RecvInto is allocating per message", mallocs, rounds)
+	}
+}
+
+// TestOutOfOrderReceiveZeroAlloc pins the held list's reuse: rank 1
+// receives each round's two messages in the opposite order rank 0 sent
+// them, so every round holds one message, and after warm-up the loop
+// still allocates nothing.
+func TestOutOfOrderReceiveZeroAlloc(t *testing.T) {
+	const words = 96
+	const rounds = 200
+	_, mallocs := steadyMallocs(t, rounds, func(c *Comm) func() {
+		src := [3][]float64{nil, make([]float64, words), make([]float64, words)}
+		src[1][0], src[2][0] = 1, 2
+		dst := make([]float64, words)
+		return func() {
+			if c.Rank() == 0 {
+				c.Send(1, 1, src[1])
+				c.Send(1, 2, src[2])
+			} else {
+				for _, tag := range [2]int{2, 1} {
+					if c.RecvInto(0, tag, dst); dst[0] != float64(tag) {
+						t.Errorf("tag %d delivered the payload of tag %g", tag, dst[0])
+					}
+				}
+			}
+			c.Barrier()
+		}
+	})
+	if mallocs > 50 {
+		t.Fatalf("out-of-order exchange performed %d mallocs over %d rounds, want ~0 — holding a message is allocating", mallocs, rounds)
 	}
 }

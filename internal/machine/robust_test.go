@@ -157,14 +157,16 @@ func TestTraceConcurrentSenders(t *testing.T) {
 }
 
 func TestExchangeMultiTagOrdering(t *testing.T) {
-	// Interleaved Exchange streams on several tags between both peers:
-	// per-(sender, tag) FIFO must hold for each direction independently.
+	// Interleaved send-then-receive streams on several tags between both
+	// peers: per-(sender, tag) FIFO must hold for each direction
+	// independently.
 	const rounds = 30
 	_, err := RunWith(2, RunConfig{Timeout: 5 * time.Second}, func(c *Comm) {
 		next := map[int]int{0: 0, 1: 0, 2: 0}
 		for i := 0; i < rounds; i++ {
 			tag := i % 3
-			got := c.Exchange(1-c.Rank(), tag, []float64{float64(tag), float64(next[tag])})
+			c.Send(1-c.Rank(), tag, []float64{float64(tag), float64(next[tag])})
+			got := c.Recv(1-c.Rank(), tag)
 			if int(got[0]) != tag || int(got[1]) != next[tag] {
 				t.Errorf("rank %d round %d tag %d: got %v, want seq %d",
 					c.Rank(), i, tag, got, next[tag])
@@ -183,7 +185,8 @@ func TestWireMetersMatchLogicalOnDirectTransport(t *testing.T) {
 	// overhead is zero.
 	rep := mustRun(t, 4, func(c *Comm) {
 		peer := c.Rank() ^ 1
-		c.Exchange(peer, 0, make([]float64, 3+c.Rank()))
+		c.Send(peer, 0, make([]float64, 3+c.Rank()))
+		c.Recv(peer, 0)
 	})
 	for i := 0; i < rep.P; i++ {
 		if rep.WireSentWords[i] != rep.SentWords[i] || rep.WireSentMsgs[i] != rep.SentMsgs[i] ||

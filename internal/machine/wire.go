@@ -2,7 +2,6 @@ package machine
 
 import (
 	"fmt"
-	"sort"
 	"time"
 )
 
@@ -60,7 +59,7 @@ type Packet struct {
 // rank. Wire traffic is metered separately from the logical meters, so
 // retransmissions and acks never perturb the communication counts the
 // paper's theory bounds. Exactly one goroutine (the owning rank) may call
-// Pull/PullTimeout on a given Wire.
+// Pull/PullTimeout/Hold on a given Wire.
 type Wire interface {
 	// Rank returns the owning processor's id in 0..P-1.
 	Rank() int
@@ -74,9 +73,10 @@ type Wire interface {
 	Pull() Packet
 	// PullTimeout is Pull with a deadline; ok is false on timeout.
 	PullTimeout(d time.Duration) (Packet, bool)
-	// Pending publishes a snapshot of the transport's buffered-but-
-	// undelivered messages for the deadlock monitor's diagnostics.
-	Pending(entries []PendingEntry)
+	// Hold hands a released logical message to the machine, which keeps
+	// it, in hold order, until a Recv for its (From, Tag) takes it. The
+	// deadlock report lists whatever is still held.
+	Hold(pkt Packet)
 	// Aborting reports whether the machine is aborted (Handle.Abort). A
 	// transport looping on PullTimeout — waiting for an acknowledgement,
 	// say — must check it each iteration and call Aborted() to unwind,
@@ -85,17 +85,22 @@ type Wire interface {
 	Aborting() bool
 }
 
-// Transport mediates a rank's logical Send/Recv over the raw wire. The
-// direct transport maps them 1:1 onto packets; package fault provides a
-// reliable transport (acks, retransmission, dedup, reordering repair)
-// that preserves logical semantics over a faulty wire.
+// Transport carries a rank's logical messages over the raw wire and
+// delivers them in per-sender order; the machine's Comm matches them to
+// Recvs by (source, tag). The direct transport maps one message onto one
+// packet; package fault provides a reliable transport (acks,
+// retransmission, dedup, reordering repair) that preserves logical
+// semantics over a faulty wire.
 type Transport interface {
 	Send(to, tag int, data []float64)
-	// Recv blocks until a message with the given source and tag arrives.
-	// recycle reports whether the payload buffer may go back to the
-	// machine's payload pool once the caller has copied it out; a
-	// transport that retains or re-delivers payloads returns false.
-	Recv(from, tag int) (data []float64, recycle bool)
+	// Recv blocks until the transport has a logical message for this rank
+	// and returns it with ok true; pkt.Recycle tells whether the payload
+	// may go back to the machine's payload pool once copied out. A
+	// transport may instead hand what it released to Wire.Hold and return
+	// ok false; the caller then looks at its held messages again. Messages
+	// released outside Recv — during a Send's ack wait, or in Wait — must
+	// go to Wire.Hold too.
+	Recv() (pkt Packet, ok bool)
 	// Wait runs block, which parks the rank outside Send/Recv (at a
 	// barrier, or waiting for host input), and returns after block has.
 	// A transport whose peers may still need answers meanwhile — a lost
@@ -159,13 +164,15 @@ func (l *link) Deliver(pkt Packet) {
 	l.raw.Deliver(pkt)
 }
 
-func (l *link) Pull() Packet {
+// Pull returns into a named result for the reason directTransport.Recv
+// does: it saves two copies of the packet on every pull.
+func (l *link) Pull() (pkt Packet) {
 	for {
 		if l.m.aborting.Load() {
 			panic(abortPanic{})
 		}
-		pkt, ok := l.raw.Pull(l.m.abortCh)
-		if !ok {
+		var ok bool
+		if pkt, ok = l.raw.Pull(l.m.abortCh); !ok {
 			continue // the abort channel woke us; the check above unwinds
 		}
 		if pkt.Epoch != l.m.epoch {
@@ -198,25 +205,16 @@ func (l *link) PullTimeout(d time.Duration) (Packet, bool) {
 
 func (l *link) Aborting() bool { return l.m.aborting.Load() }
 
-func (l *link) Pending(entries []PendingEntry) {
-	l.m.diags[l.rank].setPending(entries)
-}
+func (l *link) Hold(pkt Packet) { l.m.diags[l.rank].hold(pkt) }
 
 // directTransport is the default transport: a logical message is exactly
 // one packet, delivery is exact and in order (the simulated network is
 // perfect), so no acks, sequence numbers, or retransmission are needed.
-// Messages pulled while waiting for a specific (from, tag) are buffered
-// per key, FIFO, preserving the per-(sender, tag) ordering guarantee.
-type directTransport struct {
-	w       Wire
-	pending map[[2]int][]Packet
-}
+type directTransport struct{ w Wire }
 
 // NewDirectTransport returns the default transport over w. It is exported
 // so fault injectors can compose it over a perturbed wire.
-func NewDirectTransport(w Wire) Transport {
-	return &directTransport{w: w, pending: make(map[[2]int][]Packet)}
-}
+func NewDirectTransport(w Wire) Transport { return &directTransport{w: w} }
 
 func (t *directTransport) Send(to, tag int, data []float64) {
 	// Recycle: the direct transport keeps no reference past Deliver, so
@@ -224,26 +222,12 @@ func (t *directTransport) Send(to, tag int, data []float64) {
 	t.w.Deliver(Packet{From: t.w.Rank(), To: to, Tag: tag, Kind: PacketData, Data: data, Recycle: true})
 }
 
-// Recv propagates the packet's Recycle mark so Comm.RecvInto can pool the
-// buffer.
-func (t *directTransport) Recv(from, tag int) ([]float64, bool) {
-	key := [2]int{from, tag}
-	if q := t.pending[key]; len(q) > 0 {
-		pkt := q[0]
-		q[0] = Packet{}
-		t.pending[key] = q[1:]
-		t.w.Pending(SummarizePending(t.pending))
-		return pkt.Data, pkt.Recycle
-	}
-	for {
-		pkt := t.w.Pull()
-		if pkt.From == from && pkt.Tag == tag {
-			return pkt.Data, pkt.Recycle
-		}
-		k := [2]int{pkt.From, pkt.Tag}
-		t.pending[k] = append(t.pending[k], pkt)
-		t.w.Pending(SummarizePending(t.pending))
-	}
+// Recv returns the next packet as it arrives. With the named result the
+// compiler copies the packet once; returning t.w.Pull() directly copies
+// it three times (go1.24 amd64 listing).
+func (t *directTransport) Recv() (pkt Packet, ok bool) {
+	pkt = t.w.Pull()
+	return pkt, true
 }
 
 // Wait runs block inline: nothing on a perfect wire needs answering while
@@ -253,26 +237,3 @@ func (t *directTransport) Wait(block func()) { block() }
 
 // Linger returns at once: no peer ever waits on this rank's replies.
 func (t *directTransport) Linger(<-chan struct{}) {}
-
-// SummarizePending condenses a transport's buffered packets (keyed by
-// [2]int{from, tag}) into sorted diagnostic entries for Wire.Pending.
-func SummarizePending(pending map[[2]int][]Packet) []PendingEntry {
-	var out []PendingEntry
-	for key, msgs := range pending {
-		if len(msgs) == 0 {
-			continue
-		}
-		words := 0
-		for _, m := range msgs {
-			words += len(m.Data)
-		}
-		out = append(out, PendingEntry{From: key[0], Tag: key[1], Msgs: len(msgs), Words: words})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].From != out[j].From {
-			return out[i].From < out[j].From
-		}
-		return out[i].Tag < out[j].Tag
-	})
-	return out
-}

@@ -182,6 +182,9 @@ func ReadTraceJSONL(r io.Reader) (*Trace, error) {
 		if !ok {
 			return nil, fmt.Errorf("obs: trace line %d: unknown kind %q", line, je.Kind)
 		}
+		if je.Rank < 0 || je.From < 0 || je.To < 0 {
+			return nil, fmt.Errorf("obs: trace line %d: negative rank (rank %d, from %d, to %d)", line, je.Rank, je.From, je.To)
+		}
 		e := machine.Event{
 			Kind: kind, Rank: je.Rank, From: je.From, To: je.To,
 			Tag: je.Tag, Words: je.Words, Phase: je.Phase, Op: je.Op,

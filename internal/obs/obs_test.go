@@ -198,6 +198,21 @@ func TestTraceJSONLRoundTrip(t *testing.T) {
 	}
 }
 
+func TestReadTraceJSONLRejectsNegativeRank(t *testing.T) {
+	// A negative rank used to parse and then panic in Trace.PerRank.
+	for _, line := range []string{
+		`{"kind":"send","rank":-1,"from":-1,"to":0,"seq":0,"words":1}`,
+		`{"kind":"send","rank":0,"from":0,"to":-2,"seq":0,"words":1}`,
+		`{"kind":"recv","rank":1,"from":-1,"to":1,"seq":0,"words":1}`,
+	} {
+		in := `{"kind":"barrier","rank":0,"from":0,"to":0,"seq":0}` + "\n" + line + "\n"
+		_, err := ReadTraceJSONL(strings.NewReader(in))
+		if err == nil || !strings.Contains(err.Error(), "line 2") || !strings.Contains(err.Error(), "negative rank") {
+			t.Errorf("%s: err = %v, want a line-2 negative-rank error", line, err)
+		}
+	}
+}
+
 func TestMetricsJSONLWellFormed(t *testing.T) {
 	tr, _ := runPipeline(t, 3)
 	tl, err := Replay(tr, DefaultTimeModel())

@@ -8,12 +8,10 @@ import (
 	"repro/internal/machine"
 )
 
-// This file is the session's incremental checkpoint store. The PR 5
-// supervisor copied every rank's full chunk arena at every dispatch
-// boundary — O(P·b·chunk) per operation whether or not anything changed.
-// The store replaces that with dirty-region tracking: each operation
-// declares (via dirtyKind) which state it mutates, and the checkpointer
-// copies only those regions into a persistent per-rank shadow mirror.
+// This file is the session's incremental checkpoint store. It tracks
+// dirty regions: each operation declares (via dirtyKind) which state it
+// mutates, and the checkpointer copies only those regions into a
+// persistent per-rank shadow mirror.
 // Apply/ApplyBatch/MTTKRP never touch the checkpointed state at all (the
 // x/y arenas are rebuilt from host staging on every attempt), so their
 // steady-state checkpoint cost is a handful of scalar snapshots — zero

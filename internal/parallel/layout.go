@@ -46,8 +46,7 @@ type sessStep struct {
 // a2aPeer is one rank's precomputed exchange with one peer under the
 // All-to-All wiring: mySegs are the rank's own chunks of the shared rows
 // (gather pack / scatter unpack), peerSegs the peer's chunks (gather
-// unpack / scatter pack). Replaces the per-peer sharedRowsOf + OwnedRange
-// scans of the former runAllToAllPhase.
+// unpack / scatter pack).
 type a2aPeer struct {
 	peer     int
 	mySegs   []segment
@@ -140,40 +139,40 @@ func segsFor(part *partition.Tetrahedral, lay *rankLayout, owner int, rows []int
 	return segs, words, nil
 }
 
+// buildP2PLayout fills every rank's sessStep table straight from the
+// schedule's transfers.
 func buildP2PLayout(L *sessionLayout, part *partition.Tetrahedral, sched *schedule.Schedule, b int) error {
-	plans := buildPlans(part, sched)
 	L.steps = sched.NumSteps()
-	for p := 0; p < part.P; p++ {
+	for p := range L.perRank {
 		rk := &L.perRank[p]
 		rk.steps = make([]sessStep, L.steps)
-		for si, tr := range plans[p] {
-			st := &rk.steps[si]
-			st.sendTo, st.recvFrom = tr.sendTo, tr.recvFrom
+		for si := range rk.steps {
+			rk.steps[si].sendTo, rk.steps[si].recvFrom = -1, -1
+		}
+	}
+	for si, step := range sched.Steps {
+		for _, tr := range step {
+			snd, rcv := &L.perRank[tr.From], &L.perRank[tr.To]
+			ss, rs := &snd.steps[si], &rcv.steps[si]
+			ss.sendTo, rs.recvFrom = tr.To, tr.From
+			// Gather sends the sender's chunks, which the receiver copies
+			// in; scatter sends partials for the receiver's chunks, which
+			// the receiver adds into its own.
 			var err error
-			if tr.sendTo >= 0 {
-				// Gather sends my chunks; scatter sends the receiver's.
-				if st.gSend, st.gSendW, err = segsFor(part, rk, p, tr.sendRows, b); err != nil {
-					return err
-				}
-				if st.sSend, st.sSendW, err = segsFor(part, rk, tr.sendTo, tr.sendRows, b); err != nil {
-					return err
-				}
+			if ss.gSend, ss.gSendW, err = segsFor(part, snd, tr.From, tr.Rows, b); err != nil {
+				return err
 			}
-			if tr.recvFrom >= 0 {
-				// Gather receives the sender's chunks; scatter receives
-				// partials for my chunks.
-				if st.gRecv, st.gRecvW, err = segsFor(part, rk, tr.recvFrom, tr.recvRows, b); err != nil {
-					return err
-				}
-				if st.sRecv, st.sRecvW, err = segsFor(part, rk, p, tr.recvRows, b); err != nil {
-					return err
-				}
+			if ss.sSend, ss.sSendW, err = segsFor(part, snd, tr.To, tr.Rows, b); err != nil {
+				return err
 			}
-			for _, w := range [...]int{st.gSendW, st.gRecvW, st.sSendW, st.sRecvW} {
-				if w > rk.maxMsgW {
-					rk.maxMsgW = w
-				}
+			if rs.gRecv, rs.gRecvW, err = segsFor(part, rcv, tr.From, tr.Rows, b); err != nil {
+				return err
 			}
+			if rs.sRecv, rs.sRecvW, err = segsFor(part, rcv, tr.To, tr.Rows, b); err != nil {
+				return err
+			}
+			snd.maxMsgW = max(snd.maxMsgW, ss.gSendW, ss.sSendW)
+			rcv.maxMsgW = max(rcv.maxMsgW, rs.gRecvW, rs.sRecvW)
 		}
 	}
 	return nil

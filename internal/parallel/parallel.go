@@ -34,7 +34,6 @@ import (
 
 	"repro/internal/machine"
 	"repro/internal/partition"
-	"repro/internal/schedule"
 	"repro/internal/sttsv"
 	"repro/internal/tensor"
 )
@@ -149,14 +148,6 @@ func (r *Result) Phase(label string) *PhaseMeter {
 	return nil
 }
 
-// plannedTransfer is one rank's role in a schedule step.
-type plannedTransfer struct {
-	sendTo   int // -1 when idle
-	sendRows []int
-	recvFrom int // -1 when idle
-	recvRows []int
-}
-
 // Run executes Algorithm 5 for y = A ×₂ x ×₃ x. The tensor may be nil, in
 // which case all blocks are zero (useful for pure communication
 // measurements at sizes where materializing A would be wasteful).
@@ -190,29 +181,3 @@ func Run(a *tensor.Symmetric, x []float64, opts Options) (*Result, error) {
 	defer s.Close()
 	return s.Apply(x)
 }
-
-// buildPlans converts a schedule into per-rank step plans.
-func buildPlans(part *partition.Tetrahedral, sched *schedule.Schedule) [][]plannedTransfer {
-	plans := make([][]plannedTransfer, part.P)
-	for p := range plans {
-		plans[p] = make([]plannedTransfer, sched.NumSteps())
-		for s := range plans[p] {
-			plans[p][s] = plannedTransfer{sendTo: -1, recvFrom: -1}
-		}
-	}
-	for si, step := range sched.Steps {
-		for _, tr := range step {
-			plans[tr.From][si].sendTo = tr.To
-			plans[tr.From][si].sendRows = tr.Rows
-			plans[tr.To][si].recvFrom = tr.From
-			plans[tr.To][si].recvRows = tr.Rows
-		}
-	}
-	return plans
-}
-
-// The former runAllToAllPhase and its per-peer sharedRowsOf/OwnedRange
-// scans (O(P·q) repeated work per phase) are gone: the All-to-All wiring
-// now runs on the Session's precomputed a2aPeer tables (see layout.go),
-// and the fixed message width 2·maxChunk·cols is derived once at session
-// open from sessionLayout.maxChunk.
