@@ -65,10 +65,12 @@ func main() {
 }
 
 // timelineExp (E11) traces fault-free Algorithm 5 runs, replays them on
-// the simulated α-β clock, and checks the observed barrier-step count and
-// phase time against the closed-form schedule-length formulas: the P2P
-// wiring's q³/2+3q²/2−1 steps replaying to Σ(α + maxWords·β), and the
-// All-to-All wiring's nominal P−1 rounds (metered, barrier-free).
+// the simulated α-β clock, and checks the observed step count (one
+// message tag per step) and phase time against the closed-form
+// schedule-length formulas: the barrier-free P2P wiring's q³/2+3q²/2−1
+// steps replaying to Σ(α + maxWords·β) — at these b every rank sends equal
+// words in every step, so the dependency critical path is the stepwise
+// sum — and the All-to-All wiring's nominal P−1 rounds (metered).
 func timelineExp() error {
 	fmt.Println("## E11: replayed timeline vs schedule-length formulas (α=10µs, β=10ns, γ=0)")
 	fmt.Println()

@@ -570,16 +570,14 @@ func TestRecoveryCrashInsideHostWait(t *testing.T) {
 		return out, waits.Load(), slowest
 	}
 
-	// Crash-free, rank 1 waits once in its first park, then per Apply once
-	// per barrier and once in the park after it.
+	// Crash-free, rank 1 waits once in its first park, then once per
+	// Apply in the park after it: the scheduled exchange has no barrier.
 	want, total, _ := run(0)
-	perApply := (total - 1) / int64(len(xs))
-	if perApply < 2 || 1+perApply*int64(len(xs)) != total {
-		t.Fatalf("rank 1 made %d Wait calls over %d Applies: not one park plus a fixed count per Apply", total, len(xs))
+	if total != 1+int64(len(xs)) {
+		t.Fatalf("rank 1 made %d Wait calls over %d Applies, want one park before and one after each", total, len(xs))
 	}
-	t.Logf("crash-free: rank 1 waits %d times per Apply (its barriers and its park)", perApply)
 
-	got, _, slowest := run(1 + perApply) // the park after the first Apply
+	got, _, slowest := run(2) // the park after the first Apply
 	for k := range want.ys {
 		for i := range want.ys[k] {
 			if got.ys[k][i] != want.ys[k][i] {

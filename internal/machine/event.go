@@ -23,7 +23,9 @@ const (
 	EventRecv
 	// EventBarrier records a rank passing a global barrier. Event.Step
 	// carries the barrier generation, identical across all P ranks of one
-	// synchronization, so a replayer can reconstruct the step structure.
+	// synchronization, so a replayer can align their clocks there. A
+	// barrier does not mark a schedule step: the scheduled exchange runs
+	// without barriers, and obs counts its steps from message tags.
 	EventBarrier
 	// EventPhaseBegin and EventPhaseEnd bracket an algorithm phase on one
 	// rank; every event in between carries the phase's label.

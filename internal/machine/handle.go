@@ -99,12 +99,13 @@ func StartWith(p int, cfg RunConfig, body func(c *Comm)) (*Handle, error) {
 		wireEvents: cfg.WireEvents,
 		obsState:   make([]rankObsState, p),
 		diags:      make([]rankDiag, p),
-		abortCh:    make(chan struct{}),
+		abortCh:    make([]chan struct{}, p),
 		epoch:      cfg.StartEpoch,
 		recovering: cfg.OnRankDown != nil,
 		start:      time.Now(),
 	}
 	for _, r := range locals {
+		m.abortCh[r] = make(chan struct{})
 		w, err := be.NewWire(r, p)
 		if err == nil && len(locals) < p {
 			if bw, ok := w.(interface {
@@ -234,7 +235,9 @@ func (h *Handle) Epoch() int64 { return h.m.epoch }
 func (h *Handle) Abort() {
 	m := h.m
 	if !m.aborting.Swap(true) {
-		close(m.abortCh)
+		for _, r := range m.localRanks {
+			close(m.abortCh[r])
+		}
 	}
 	m.barrier.abort()
 }

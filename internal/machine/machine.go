@@ -59,12 +59,16 @@ type Machine struct {
 
 	// Crash-recovery state (see handle.go). epoch is stamped on every
 	// packet and fences off any other incarnation's traffic on reused
-	// wires; aborting/abortCh (closed by Abort) unwind blocked ranks out of
-	// the current operation; recovering relaxes the watchdog's treatment
-	// of crashed ranks, because a supervisor will relaunch the machine.
+	// wires; aborting and abortCh (one channel per local rank, all closed
+	// by Abort) unwind blocked ranks out of the current operation;
+	// recovering relaxes the watchdog's treatment of crashed ranks,
+	// because a supervisor will relaunch the machine. Every blocked
+	// mailbox Pull selects on its rank's abort channel, so the channels
+	// are per rank: one shared channel's lock would serialize the wake-ups
+	// of all P ranks.
 	epoch      int64
 	aborting   atomic.Bool
-	abortCh    chan struct{}
+	abortCh    []chan struct{}
 	recovering bool
 }
 
@@ -135,7 +139,7 @@ func (m *Machine) newComm(rank int, t Transport) *Comm {
 	c := &Comm{m: m, rank: rank, t: t, diag: &m.diags[rank]}
 	if ctl := m.ctlBarrier[rank]; ctl != nil {
 		c.arrive = func() {
-			gen, ok := ctl(m.epoch, m.abortCh)
+			gen, ok := ctl(m.epoch, m.abortCh[rank])
 			if !ok {
 				gen = -1
 			}
@@ -193,7 +197,8 @@ func (c *Comm) Recv(from, tag int) []float64 {
 // Recv. When the payload is poolable (delivered by the direct transport,
 // which holds no reference after delivery), the internal buffer is
 // recycled for future Sends — after warm-up a steady-state exchange loop
-// built on Send/RecvInto/Barrier allocates nothing.
+// built on Send/RecvInto allocates nothing, also when peers run ahead and
+// their messages wait in the held list.
 //
 // The payload must fit: a message longer than dst panics, because a
 // receiver that preplans exact message sizes (parallel.Session) can only
@@ -217,25 +222,32 @@ func (c *Comm) RecvInto(from, tag int, dst []float64) int {
 // recv is the one receive path: it returns the payload of the oldest held
 // message from (from, tag), else waits on the transport, holding every
 // other message it delivers for a later Recv. recycle is the message's
-// pool mark. The inline length check keeps the common case — nothing
-// held — free of the diagnostic lock.
+// pool mark. The held list is scanned on entry and after the transport
+// held what it released (ok false), never right after recv held its own
+// mismatch, which cannot match. The inline length check keeps the common
+// case — nothing held — free of the diagnostic lock.
 func (c *Comm) recv(from, tag int) (data []float64, recycle bool) {
 	c.m.checkAbort()
 	c.diag.setBlocked(BlockRecv, from, tag)
+	scan := true
 	for {
-		if len(c.diag.held) > 0 {
+		if scan && len(c.diag.held) > 0 {
 			if pkt, ok := c.diag.take(from, tag); ok {
 				c.diag.setRunning()
 				return pkt.Data, pkt.Recycle
 			}
 		}
-		if pkt, ok := c.t.Recv(); ok {
-			if pkt.From == from && pkt.Tag == tag {
-				c.diag.setRunning()
-				return pkt.Data, pkt.Recycle
-			}
-			c.diag.hold(pkt)
+		pkt, ok := c.t.Recv()
+		if !ok {
+			scan = true
+			continue
 		}
+		if pkt.From == from && pkt.Tag == tag {
+			c.diag.setRunning()
+			return pkt.Data, pkt.Recycle
+		}
+		c.diag.hold(pkt)
+		scan = false
 	}
 }
 

@@ -172,7 +172,7 @@ func (l *link) Pull() (pkt Packet) {
 			panic(abortPanic{})
 		}
 		var ok bool
-		if pkt, ok = l.raw.Pull(l.m.abortCh); !ok {
+		if pkt, ok = l.raw.Pull(l.m.abortCh[l.rank]); !ok {
 			continue // the abort channel woke us; the check above unwinds
 		}
 		if pkt.Epoch != l.m.epoch {

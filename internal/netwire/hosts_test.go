@@ -3,6 +3,7 @@ package netwire
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -57,4 +58,29 @@ func TestLoadHosts(t *testing.T) {
 	if _, err := LoadHosts(filepath.Join(t.TempDir(), "absent")); err == nil {
 		t.Error("LoadHosts on a missing file succeeded")
 	}
+}
+
+// FuzzParseHosts checks that every hosts file ParseHosts accepts, written
+// back one host per line, parses to the same list.
+func FuzzParseHosts(f *testing.F) {
+	for _, in := range []string{
+		"10.0.0.1\n10.0.0.1:7710\n\n10.0.0.2   # trailing comment\n",
+		"# only comments\n\n", "10.0.0.1 10.0.0.2", "\t[::1]:7710\r\n127.0.0.2", "a\vb\n#\n",
+	} {
+		f.Add(in)
+	}
+	f.Fuzz(func(t *testing.T, in string) {
+		hosts, err := ParseHosts(strings.NewReader(in))
+		if err != nil {
+			return
+		}
+		out := strings.Join(hosts, "\n") + "\n"
+		back, err := ParseHosts(strings.NewReader(out))
+		if err != nil {
+			t.Fatalf("ParseHosts(%q) = %q, whose rendering %q fails to parse: %v", in, hosts, out, err)
+		}
+		if !slices.Equal(hosts, back) {
+			t.Fatalf("ParseHosts(%q) = %q, but its rendering %q parses to %q", in, hosts, out, back)
+		}
+	})
 }

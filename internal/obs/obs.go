@@ -10,9 +10,10 @@
 //
 // The layer closes the loop between the closed-form cost model
 // (internal/costmodel, internal/schedule) and measured runs: a trace of a
-// fault-free point-to-point Algorithm 5 run replays to exactly the
-// schedule's q³/2+3q²/2−1 barrier steps per phase and to the
-// Σ(α + β·maxWords) makespan of schedule.Makespan, and its logical event
+// fault-free point-to-point Algorithm 5 run counts exactly the schedule's
+// q³/2+3q²/2−1 steps per phase (one message tag per step) and replays to
+// the Σ(α + β·maxWords) makespan of schedule.Makespan at the block sizes
+// where every rank sends equal words in every step, and its logical event
 // sums reproduce the machine.Report meters bit-for-bit — per rank and per
 // phase — even when a fault plan perturbs the wire underneath (the
 // logical-vs-wire invariant of the fault layer).
@@ -127,9 +128,9 @@ func (t *Trace) Logical() *Trace {
 }
 
 // PhaseTotals aggregates one phase label's traffic across the whole
-// trace: per-rank logical words/messages sent and received, barrier step
-// count, and ternary multiplications. The same shape is produced for wire
-// events by WireTotals.
+// trace: per-rank logical words/messages sent and received, communication
+// step count, and ternary multiplications. The same shape is produced for
+// wire events by WireTotals.
 type PhaseTotals struct {
 	Label     string
 	SentWords []int64
@@ -137,9 +138,60 @@ type PhaseTotals struct {
 	SentMsgs  []int64
 	RecvMsgs  []int64
 	Ternary   []int64
-	// Steps counts the distinct barrier generations passed inside the
-	// phase (the §7.2 step count for a scheduled phase).
+	// Steps counts the phase's communication steps as its distinct
+	// (phase occurrence, tag) pairs over the logical sends (see
+	// stepCounter): the §7.2 step count for a scheduled phase, summed over
+	// its occurrences, and 0 for a compute phase. Always 0 for wire totals.
 	Steps int
+}
+
+// stepCounter counts communication steps from the logical sends. Each
+// step of a scheduled exchange sends under its own tag, and each
+// occurrence of a phase — one per power iteration — opens with its own
+// PhaseBegin, so a step is a distinct (phase occurrence, tag) pair. The
+// count needs no barrier: the exchange may run without one. Each rank's
+// events must be noted in emission order; ranks may interleave.
+type stepCounter struct {
+	occ   map[rankPhase]int
+	steps map[string]map[[2]int]bool // label -> {occurrence, tag}
+}
+
+type rankPhase struct {
+	rank  int
+	label string
+}
+
+func newStepCounter() *stepCounter {
+	return &stepCounter{occ: make(map[rankPhase]int), steps: make(map[string]map[[2]int]bool)}
+}
+
+func (sc *stepCounter) note(e machine.Event) {
+	if e.Wire {
+		return
+	}
+	switch e.Kind {
+	case machine.EventPhaseBegin:
+		sc.occ[rankPhase{e.Rank, e.Phase}]++
+	case machine.EventSend:
+		set := sc.steps[e.Phase]
+		if set == nil {
+			set = make(map[[2]int]bool)
+			sc.steps[e.Phase] = set
+		}
+		set[[2]int{sc.occ[rankPhase{e.Rank, e.Phase}], e.Tag}] = true
+	}
+}
+
+// count returns the step count of one phase label.
+func (sc *stepCounter) count(label string) int { return len(sc.steps[label]) }
+
+// total returns the step count summed over every phase label.
+func (sc *stepCounter) total() int {
+	n := 0
+	for _, set := range sc.steps {
+		n += len(set)
+	}
+	return n
 }
 
 // newPhaseTotals allocates zeroed per-rank slices.
@@ -155,7 +207,7 @@ func newPhaseTotals(label string, p int) *PhaseTotals {
 }
 
 // accumulate folds one event into the totals.
-func (pt *PhaseTotals) accumulate(e machine.Event, steps map[int]bool) {
+func (pt *PhaseTotals) accumulate(e machine.Event) {
 	switch e.Kind {
 	case machine.EventSend:
 		pt.SentWords[e.Rank] += int64(e.Words)
@@ -163,8 +215,6 @@ func (pt *PhaseTotals) accumulate(e machine.Event, steps map[int]bool) {
 	case machine.EventRecv:
 		pt.RecvWords[e.Rank] += int64(e.Words)
 		pt.RecvMsgs[e.Rank]++
-	case machine.EventBarrier:
-		steps[e.Step] = true
 	case machine.EventLocalCompute:
 		pt.Ternary[e.Rank] += e.Ternary
 	}
@@ -173,7 +223,7 @@ func (pt *PhaseTotals) accumulate(e machine.Event, steps map[int]bool) {
 // totalsOf aggregates events passing the filter, grouped by phase label.
 func (t *Trace) totalsOf(wire bool) (map[string]*PhaseTotals, []string) {
 	totals := make(map[string]*PhaseTotals)
-	steps := make(map[string]map[int]bool)
+	steps := newStepCounter()
 	var order []string
 	for _, e := range t.Events {
 		if e.Wire != wire {
@@ -183,13 +233,13 @@ func (t *Trace) totalsOf(wire bool) (map[string]*PhaseTotals, []string) {
 		if !ok {
 			pt = newPhaseTotals(e.Phase, t.P)
 			totals[e.Phase] = pt
-			steps[e.Phase] = make(map[int]bool)
 			order = append(order, e.Phase)
 		}
-		pt.accumulate(e, steps[e.Phase])
+		pt.accumulate(e)
+		steps.note(e)
 	}
 	for label, pt := range totals {
-		pt.Steps = len(steps[label])
+		pt.Steps = steps.count(label)
 	}
 	return totals, order
 }
@@ -211,14 +261,15 @@ func (t *Trace) WireTotals() (map[string]*PhaseTotals, []string) {
 // shape of a machine.Report's logical meters.
 func (t *Trace) RankTotals() *PhaseTotals {
 	out := newPhaseTotals("", t.P)
-	steps := make(map[int]bool)
+	steps := newStepCounter()
 	for _, e := range t.Events {
 		if e.Wire {
 			continue
 		}
-		out.accumulate(e, steps)
+		out.accumulate(e)
+		steps.note(e)
 	}
-	out.Steps = len(steps)
+	out.Steps = steps.total()
 	return out
 }
 
@@ -285,7 +336,7 @@ func (t *Trace) CheckAgainstReport(rep *machine.Report) error {
 // it degenerates to RankTotals.
 func (t *Trace) CommittedTotals() *PhaseTotals {
 	out := newPhaseTotals("", t.P)
-	steps := make(map[int]bool)
+	steps := newStepCounter()
 	for _, evs := range t.PerRank() {
 		kept := make([]machine.Event, 0, len(evs))
 		for _, e := range evs {
@@ -300,11 +351,12 @@ func (t *Trace) CommittedTotals() *PhaseTotals {
 		}
 		for _, e := range kept {
 			if !e.Wire {
-				out.accumulate(e, steps)
+				out.accumulate(e)
+				steps.note(e)
 			}
 		}
 	}
-	out.Steps = len(steps)
+	out.Steps = steps.total()
 	return out
 }
 

@@ -7,6 +7,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -88,8 +89,10 @@ func TestTraceCanonicalOrderAndPhaseTotals(t *testing.T) {
 			t.Errorf("work rank %d ternary = %d", r, work.Ternary[r])
 		}
 	}
-	if work.Steps != 1 {
-		t.Errorf("work steps = %d, want 1", work.Steps)
+	// A compute phase sends nothing, so it counts no steps (as
+	// PhaseMeter.Steps defines compute phases), barrier or not.
+	if work.Steps != 0 {
+		t.Errorf("work steps = %d, want 0", work.Steps)
 	}
 }
 
@@ -198,6 +201,44 @@ func TestTraceJSONLRoundTrip(t *testing.T) {
 	}
 }
 
+// FuzzReadTraceJSONL checks that every trace ReadTraceJSONL accepts
+// writes back through WriteTraceJSONL to a trace that reads as the same
+// events, tags and step fields included: the tags carry a phase's step
+// count.
+func FuzzReadTraceJSONL(f *testing.F) {
+	var buf bytes.Buffer
+	if err := WriteTraceJSONL(&buf, NewTrace(fixtureEvents())); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.String())
+	for _, in := range []string{
+		`{"kind":"send","rank":1,"from":1,"to":0,"tag":101,"words":6,"phase":"gather","seq":3}`,
+		`{"kind":"barrier","rank":0,"from":0,"to":0,"seq":0,"step":1}` + "\n" + `{"kind":"recovery-end","rank":0,"seq":1,"step":-4}`,
+		`{"kind":"send","rank":-1,"from":0,"to":0,"seq":0}`,
+		`{"kind":"phase-begin","rank":2,"phase":"<\u00e9>","seq":-9,"wall_ns":5,"epoch":3,"wire":true}`,
+		"\n\n{}\n",
+	} {
+		f.Add(in)
+	}
+	f.Fuzz(func(t *testing.T, in string) {
+		tr, err := ReadTraceJSONL(strings.NewReader(in))
+		if err != nil {
+			return
+		}
+		var out bytes.Buffer
+		if err := WriteTraceJSONL(&out, tr); err != nil {
+			t.Fatalf("WriteTraceJSONL: %v", err)
+		}
+		back, err := ReadTraceJSONL(&out)
+		if err != nil {
+			t.Fatalf("trace read from %q writes as %q, which fails to read: %v", in, out.String(), err)
+		}
+		if back.P != tr.P || !slices.Equal(back.Events, tr.Events) {
+			t.Fatalf("trace read from %q round-trips to different events:\n got %+v\nwant %+v", in, back.Events, tr.Events)
+		}
+	})
+}
+
 func TestReadTraceJSONLRejectsNegativeRank(t *testing.T) {
 	// A negative rank used to parse and then panic in Trace.PerRank.
 	for _, line := range []string{
@@ -260,10 +301,9 @@ func TestGanttSmoke(t *testing.T) {
 	}
 }
 
-// fixtureTimeline replays a hand-built trace so the golden Chrome file is
-// fully deterministic (no goroutine scheduling involved at all).
-func fixtureTimeline(t *testing.T) *Timeline {
-	t.Helper()
+// fixtureEvents is a hand-built two-rank trace, fully deterministic (no
+// goroutine scheduling or wall clock involved at all).
+func fixtureEvents() []machine.Event {
 	mk := func(rank int, seq int64, kind machine.EventKind, e machine.Event) machine.Event {
 		e.Kind = kind
 		e.Rank = rank
@@ -294,7 +334,14 @@ func fixtureTimeline(t *testing.T) *Timeline {
 		mk(1, 6, machine.EventLocalCompute, machine.Event{Phase: "local", Ternary: 8000}),
 		mk(1, 7, machine.EventPhaseEnd, machine.Event{Phase: "local"}),
 	}
-	tl, err := Replay(NewTrace(events), TimeModel{Alpha: 1e-6, Beta: 1e-9, Gamma: 1e-9})
+	return events
+}
+
+// fixtureTimeline replays fixtureEvents so the golden Chrome file is
+// fully deterministic.
+func fixtureTimeline(t *testing.T) *Timeline {
+	t.Helper()
+	tl, err := Replay(NewTrace(fixtureEvents()), TimeModel{Alpha: 1e-6, Beta: 1e-9, Gamma: 1e-9})
 	if err != nil {
 		t.Fatal(err)
 	}

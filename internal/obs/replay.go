@@ -15,8 +15,10 @@ import (
 // transfer completes (sends and receives overlap on the bidirectional
 // links of the model), and a local-compute stage of T ternary
 // multiplications costs T·Gamma seconds. Barriers cost no time of their
-// own — they only synchronize, exactly as the stepwise semantics of §7.2
-// assume.
+// own — they only synchronize. The scheduled exchange runs without them,
+// so a phase replays to its dependency critical path, which never exceeds
+// the stepwise Σ(α + maxWords·β) of §7.2 and equals it when every rank
+// sends the same words in every step.
 type TimeModel struct {
 	// Alpha is the per-message latency in seconds.
 	Alpha float64
@@ -83,8 +85,10 @@ type Timeline struct {
 	// Spans holds each rank's timeline intervals in time order
 	// (phase spans first, then the fine-grained slices inside them).
 	Spans [][]Span
-	// PhaseSteps maps each phase label to the number of distinct barrier
-	// generations passed inside it (the §7.2 communication step count).
+	// PhaseSteps maps each phase label to its communication step count,
+	// counted as in PhaseTotals.Steps: the distinct (phase occurrence,
+	// tag) pairs of its logical sends (the §7.2 step count of a scheduled
+	// phase).
 	PhaseSteps map[string]int
 	// PhaseOrder lists phase labels in first-appearance order.
 	PhaseOrder []string
@@ -160,22 +164,12 @@ func Replay(t *Trace, m TimeModel) (*Timeline, error) {
 	barrArriveAt := make(map[int][]float64) // generation -> per-rank arrival clock
 	barrCount := make(map[int]int)
 	phaseStart := make([]float64, p)
-	phaseStepSeen := make(map[string]map[int]bool)
+	phaseSeen := make(map[string]bool)
+	steps := newStepCounter()
 
-	noteStep := func(label string, gen int) {
-		seen, ok := phaseStepSeen[label]
-		if !ok {
-			seen = make(map[int]bool)
-			phaseStepSeen[label] = seen
-			if label != "" {
-				tl.PhaseOrder = append(tl.PhaseOrder, label)
-			}
-		}
-		seen[gen] = true
-	}
 	notePhase := func(label string) {
-		if _, ok := phaseStepSeen[label]; !ok {
-			phaseStepSeen[label] = make(map[int]bool)
+		if !phaseSeen[label] {
+			phaseSeen[label] = true
 			if label != "" {
 				tl.PhaseOrder = append(tl.PhaseOrder, label)
 			}
@@ -242,15 +236,13 @@ func Replay(t *Trace, m TimeModel) (*Timeline, error) {
 			}
 			if wait := done - clock[r]; wait > 0 {
 				tl.Spans[r] = append(tl.Spans[r], Span{Rank: r, Kind: SpanBarrierWait,
-					Label: fmt.Sprintf("step %d", gen), Start: clock[r], End: done})
+					Label: fmt.Sprintf("barrier %d", gen), Start: clock[r], End: done})
 				tl.BarrierWait[r] += wait
 				clock[r] = done
 			}
-			noteStep(e.Phase, gen)
 
 		case machine.EventPhaseBegin:
 			phaseStart[r] = clock[r]
-			notePhase(e.Phase)
 
 		case machine.EventPhaseEnd:
 			tl.Spans[r] = append(tl.Spans[r], Span{Rank: r, Kind: SpanPhase,
@@ -264,6 +256,8 @@ func Replay(t *Trace, m TimeModel) (*Timeline, error) {
 			clock[r] += dt
 			tl.Compute[r] += dt
 		}
+		notePhase(e.Phase)
+		steps.note(e)
 		idx[r]++
 		return true
 	}
@@ -298,8 +292,8 @@ func Replay(t *Trace, m TimeModel) (*Timeline, error) {
 	}
 
 	copy(tl.Finish, clock)
-	for label, seen := range phaseStepSeen {
-		tl.PhaseSteps[label] = len(seen)
+	for label := range phaseSeen {
+		tl.PhaseSteps[label] = steps.count(label)
 	}
 	// Phase spans were appended at EventPhaseEnd, after the slices inside
 	// them; re-sort each rank's spans by (start, -end) so containers come

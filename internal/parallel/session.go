@@ -21,7 +21,10 @@ import (
 // (Comm.AwaitHost), so the machine, its transports, the packed tensor
 // blocks, and every pack/unpack buffer survive from one application to the
 // next. After one warm-up application the per-rank exchange path (pack →
-// Send → RecvInto → unpack → Barrier) performs no allocations.
+// Send → RecvInto → unpack) performs no allocations. The exchange has no
+// global barrier: each schedule step sends under its own tag, so the data
+// dependencies alone order it, and a message that arrives before its Recv
+// waits in the receiving Comm.
 //
 // Results are bit-identical to the one-shot Run/RunPowerMethod/RunMTTKRP
 // (which are implemented on top of Session), and each operation's Result
@@ -309,7 +312,9 @@ func (rk *sessionRank) unpackAdd(payload, arena []float64, segs []segment, cols 
 	}
 }
 
-// gatherP2P runs the gather phase over the point-to-point schedule.
+// gatherP2P runs the gather phase over the point-to-point schedule. Step
+// si is a matching sent under tag 100+si, so a rank moves on to the next
+// step as soon as its own receive completes; no barrier separates steps.
 func (rk *sessionRank) gatherP2P(c *machine.Comm, cols int) {
 	for si := range rk.lay.steps {
 		st := &rk.lay.steps[si]
@@ -323,11 +328,11 @@ func (rk *sessionRank) gatherP2P(c *machine.Comm, cols int) {
 			c.RecvInto(st.recvFrom, tag, rk.recvBuf[:w])
 			rk.unpackCopy(rk.recvBuf[:w], rk.xA, st.gRecv, cols)
 		}
-		c.Barrier() // stepwise semantics of §7.2
 	}
 }
 
-// scatterP2P runs the reduce-scatter phase over the schedule.
+// scatterP2P runs the reduce-scatter phase over the schedule, step si
+// under tag 200+si, barrier-free like gatherP2P.
 func (rk *sessionRank) scatterP2P(c *machine.Comm, cols int) {
 	for si := range rk.lay.steps {
 		st := &rk.lay.steps[si]
@@ -341,7 +346,6 @@ func (rk *sessionRank) scatterP2P(c *machine.Comm, cols int) {
 			c.RecvInto(st.recvFrom, tag, rk.recvBuf[:w])
 			rk.unpackAdd(rk.recvBuf[:w], rk.yA, st.sRecv, cols)
 		}
-		c.Barrier()
 	}
 }
 

@@ -18,7 +18,7 @@ import (
 // Result's snapshot-based PhaseMeters exactly, per rank — two independent
 // measurement paths (event stream vs counter deltas) agreeing on every
 // number.
-func checkTraceMatchesPhases(t *testing.T, tr *obs.Trace, phases []PhaseMeter, p int) {
+func checkTraceMatchesPhases(t *testing.T, tr *obs.Trace, phases []PhaseMeter, p int, wiring Wiring) {
 	t.Helper()
 	totals, _ := tr.PhaseTotals()
 	for _, m := range phases {
@@ -43,10 +43,12 @@ func checkTraceMatchesPhases(t *testing.T, tr *obs.Trace, phases []PhaseMeter, p
 					m.Label, r, pt.Ternary[r], m.Ternary[r])
 			}
 		}
-		// The trace counts barrier generations; only the stepwise P2P
-		// schedule barriers per step, so compare only when the phase
-		// synchronized at all (All-to-All collectives run barrier-free).
-		if pt.Steps > 0 && m.Steps > 0 && pt.Steps != m.Steps {
+		// The trace counts one step per message tag in each phase
+		// occurrence. Only the P2P schedule sends each of its steps under
+		// its own tag; an All-to-All sends its P−1 rounds under one tag,
+		// and the meter does not count the all-reduce's steps.
+		scheduled := m.Label == "gather" || m.Label == "reduce-scatter"
+		if wiring == WiringP2P && scheduled && pt.Steps != m.Steps {
 			t.Errorf("phase %q: trace counts %d steps, meter %d", m.Label, pt.Steps, m.Steps)
 		}
 	}
@@ -83,12 +85,12 @@ func TestTraceConformanceP2P(t *testing.T) {
 		if err := tr.CheckAgainstReport(res.Report); err != nil {
 			t.Fatalf("q=%d: %v", q, err)
 		}
-		checkTraceMatchesPhases(t, tr, res.Phases, part.P)
+		checkTraceMatchesPhases(t, tr, res.Phases, part.P, WiringP2P)
 
 		// γ=0 keeps every rank's phase entry synchronized, so each phase
 		// replays to exactly the closed-form stepwise makespan (with γ>0
 		// the compute imbalance would bleed wait time into the second
-		// exchange's first barrier).
+		// exchange's first receives).
 		model := obs.TimeModel{Alpha: 1e-5, Beta: 1e-8, Gamma: 0}
 		tl, err := obs.Replay(tr, model)
 		if err != nil {
@@ -108,8 +110,9 @@ func TestTraceConformanceP2P(t *testing.T) {
 			t.Errorf("q=%d: Result.Steps = %d, want %d", q, res.Steps, wantSteps)
 		}
 
-		// The replay semantics reproduce the closed-form stepwise cost: a
-		// phase of the schedule replays to exactly Σ(α + maxWords·β).
+		// The replay semantics reproduce the closed-form stepwise cost: at
+		// this b every rank sends equal words in every step, so the
+		// barrier-free exchange's critical path is exactly Σ(α + maxWords·β).
 		want := sched.Makespan(part, b, model.Alpha, model.Beta)
 		for _, label := range []string{"gather", "reduce-scatter"} {
 			got := tl.PhaseTime(label)
@@ -140,18 +143,18 @@ func TestTraceConformanceAllToAll(t *testing.T) {
 	if err := tr.CheckAgainstReport(res.Report); err != nil {
 		t.Fatal(err)
 	}
-	checkTraceMatchesPhases(t, tr, res.Phases, part.P)
+	checkTraceMatchesPhases(t, tr, res.Phases, part.P, WiringAllToAll)
 
-	// The All-to-All wiring synchronizes nowhere inside a phase, so the
-	// replay observes zero barrier steps; the nominal P−1 lives on the
-	// meter instead.
+	// The All-to-All collective sends all P−1 rounds of a phase under one
+	// tag, so the trace counts exactly one step per phase; the nominal
+	// P−1 lives on the meter instead.
 	tl, err := obs.Replay(tr, obs.DefaultTimeModel())
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, label := range []string{"gather", "reduce-scatter"} {
-		if tl.PhaseSteps[label] != 0 {
-			t.Errorf("phase %q: replay observed %d barrier steps in a barrier-free wiring", label, tl.PhaseSteps[label])
+		if tl.PhaseSteps[label] != 1 {
+			t.Errorf("phase %q: replay counts %d steps, want 1 (one tag)", label, tl.PhaseSteps[label])
 		}
 		if m := res.Phase(label); m == nil || m.Steps != part.P-1 {
 			t.Errorf("phase %q: meter steps = %+v, want P-1 = %d", label, m, part.P-1)
@@ -193,7 +196,7 @@ func TestTraceConformanceUnderFaults(t *testing.T) {
 	if err := tr.CheckAgainstReport(res.Report); err != nil {
 		t.Fatal(err)
 	}
-	checkTraceMatchesPhases(t, tr, res.Phases, part.P)
+	checkTraceMatchesPhases(t, tr, res.Phases, part.P, WiringP2P)
 
 	// The wire actually diverged: acks at minimum, plus retransmissions
 	// and duplicates, mean strictly more wire packets than logical
@@ -254,7 +257,7 @@ func TestTraceConformancePowerMethod(t *testing.T) {
 	if err := tr.CheckAgainstReport(res.Report); err != nil {
 		t.Fatal(err)
 	}
-	checkTraceMatchesPhases(t, tr, res.Phases, part.P)
+	checkTraceMatchesPhases(t, tr, res.Phases, part.P, WiringP2P)
 
 	wantSteps := schedule.TheoreticalSteps(q) * iters
 	for _, label := range []string{"gather", "reduce-scatter"} {

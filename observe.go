@@ -55,7 +55,8 @@ type TraceRecorder = obs.Recorder
 type Trace = obs.Trace
 
 // PhaseTotals aggregates one phase label's trace traffic (per-rank words,
-// messages, ternary multiplications, and barrier step count).
+// messages, ternary multiplications, and the step count read off the
+// message tags).
 type PhaseTotals = obs.PhaseTotals
 
 // PhaseMeter is one labeled phase's per-rank meters in a ParallelResult:
