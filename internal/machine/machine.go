@@ -197,8 +197,9 @@ func (c *Comm) Recv(from, tag int) []float64 {
 // Recv. When the payload is poolable (delivered by the direct transport,
 // which holds no reference after delivery), the internal buffer is
 // recycled for future Sends — after warm-up a steady-state exchange loop
-// built on Send/RecvInto allocates nothing, also when peers run ahead and
-// their messages wait in the held list.
+// built on Send/RecvInto allocates nothing, also when peers post a whole
+// phase of messages ahead of their receives and those wait in the held
+// list (the pool keeps every buffer returned to it; see payloadPool).
 //
 // The payload must fit: a message longer than dst panics, because a
 // receiver that preplans exact message sizes (parallel.Session) can only

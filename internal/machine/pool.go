@@ -16,6 +16,14 @@ import (
 // left to the garbage collector — so a recycled buffer can always serve
 // any request that maps to its class.
 //
+// Size: the pool allocates only when a class is empty, so each class
+// holds at most as many buffers as were outstanding together at its peak.
+// A parallel.Session posts every message of a phase before its first
+// receive, and a rank starts the next application (Apply, batch or power
+// iteration) only after every rank has received this one's exchange
+// messages, so the pool holds about one application's message words,
+// each rounded up to a power of two. It is freed with its machine.
+//
 // Safety under faults: a buffer re-enters the pool only via RecvInto, and
 // only for packets whose Recycle flag is set. The direct transport sets
 // the flag (it holds no reference after delivery); the reliable transport
@@ -25,10 +33,6 @@ type payloadPool struct {
 	mu      sync.Mutex
 	classes map[int][][]float64
 }
-
-// maxPooledPerClass bounds each size class so a burst can't pin memory
-// forever; overflow buffers are dropped to the garbage collector.
-const maxPooledPerClass = 1024
 
 // classSize returns the power-of-two capacity class for a payload of n
 // words (n >= 1).
@@ -66,8 +70,6 @@ func (pp *payloadPool) put(buf []float64) {
 	if pp.classes == nil {
 		pp.classes = make(map[int][][]float64)
 	}
-	if list := pp.classes[c]; len(list) < maxPooledPerClass {
-		pp.classes[c] = append(list, buf[:c])
-	}
+	pp.classes[c] = append(pp.classes[c], buf[:c])
 	pp.mu.Unlock()
 }

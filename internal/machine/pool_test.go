@@ -40,16 +40,6 @@ func TestPayloadPoolReuse(t *testing.T) {
 	}
 }
 
-func TestPayloadPoolClassBound(t *testing.T) {
-	var pp payloadPool
-	for i := 0; i < maxPooledPerClass+10; i++ {
-		pp.put(make([]float64, 8))
-	}
-	if got := len(pp.classes[8]); got != maxPooledPerClass {
-		t.Fatalf("class 8 holds %d buffers, want the %d cap", got, maxPooledPerClass)
-	}
-}
-
 // steadyMallocs runs two ranks, each looping over the round newRound
 // builds for it: three warm-up rounds (payload pool, held list, barrier
 // path), then rounds measured ones. It returns the run's report and the

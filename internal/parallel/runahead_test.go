@@ -3,7 +3,6 @@ package parallel
 import (
 	"math/rand"
 	"reflect"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -12,21 +11,29 @@ import (
 	"repro/internal/tensor"
 )
 
+// runAhead is the state the runAheadTransports of one machine share:
+// how many gather messages rank 0 expects and how many its peers have
+// sent, in all and when rank 0's hold ended.
+type runAhead struct {
+	want   int64
+	sent   atomic.Int64
+	all    chan struct{} // closed once sent reaches want
+	sentAt atomic.Int64
+}
+
 // runAheadTransport is the direct transport with rank 0's first Recv held
-// until some peer has sent a gather message of step 1 or later.
+// until its peers have sent every gather message addressed to rank 0.
 type runAheadTransport struct {
 	machine.Transport
-	rank    int
-	stepped chan struct{} // closed once a peer sends tag ≥ 101
-	once    *sync.Once
-	expired *atomic.Bool
-	waited  bool
+	rank   int
+	shared *runAhead
+	waited bool
 }
 
 func (t *runAheadTransport) Send(to, tag int, data []float64) {
 	t.Transport.Send(to, tag, data)
-	if t.rank != 0 && tag > 100 && tag < 200 {
-		t.once.Do(func() { close(t.stepped) })
+	if to == 0 && tag >= 100 && tag < 200 && t.shared.sent.Add(1) == t.shared.want {
+		close(t.shared.all)
 	}
 }
 
@@ -34,19 +41,19 @@ func (t *runAheadTransport) Recv() (machine.Packet, bool) {
 	if t.rank == 0 && !t.waited {
 		t.waited = true
 		select {
-		case <-t.stepped:
+		case <-t.shared.all:
 		case <-time.After(2 * time.Second):
-			t.expired.Store(true)
 		}
+		t.shared.sentAt.Store(t.shared.sent.Load())
 	}
 	return t.Transport.Recv()
 }
 
-// TestScheduledExchangeRunsAhead: the scheduled exchange has no global
-// step barrier, so while rank 0 is held in its step-0 receive its peers
-// move on and send their step-1 gather messages, which wait in the
-// receivers' held lists. A per-step barrier would keep every peer in step
-// 0 until rank 0 arrives, and the 2 s hold would expire. The Apply must
+// TestScheduledExchangeRunsAhead: every rank posts all of a phase's
+// messages before its first receive, so while rank 0 is held in its first
+// receive its peers still send it every gather message, which wait in
+// rank 0's held list. An exchange that receives step s before it sends
+// step s+1 stalls behind rank 0, and the 2 s hold expires. The Apply must
 // still match an unhindered run bit for bit, meters included.
 func TestScheduledExchangeRunsAhead(t *testing.T) {
 	for _, q := range []int{2, 3} {
@@ -64,20 +71,24 @@ func TestScheduledExchangeRunsAhead(t *testing.T) {
 			t.Fatalf("q=%d: %v", q, err)
 		}
 
-		stepped := make(chan struct{})
-		var once sync.Once
-		var expired atomic.Bool
+		ra := &runAhead{all: make(chan struct{})}
 		opts.Machine.Transport = func(w machine.Wire) machine.Transport {
-			return &runAheadTransport{Transport: machine.NewDirectTransport(w), rank: w.Rank(),
-				stepped: stepped, once: &once, expired: &expired}
+			return &runAheadTransport{Transport: machine.NewDirectTransport(w), rank: w.Rank(), shared: ra}
 		}
 		s, err := OpenSession(a, opts)
 		if err != nil {
 			t.Fatalf("q=%d: %v", q, err)
 		}
-		if s.lay.perRank[0].steps[0].recvFrom < 0 {
+		// The ranks send nothing before the first Apply, whose dispatch
+		// orders this write before every read in Send.
+		for _, st := range s.lay.perRank[0].steps {
+			if st.recvFrom >= 0 {
+				ra.want++
+			}
+		}
+		if ra.want < 2 {
 			s.Close()
-			t.Fatalf("q=%d: rank 0 receives nothing in step 0; the hold would not test run-ahead", q)
+			t.Fatalf("q=%d: rank 0 receives %d gather messages; the hold would not test run-ahead", q, ra.want)
 		}
 		got, err := s.Apply(x)
 		if cerr := s.Close(); err == nil {
@@ -86,8 +97,8 @@ func TestScheduledExchangeRunsAhead(t *testing.T) {
 		if err != nil {
 			t.Fatalf("q=%d: %v", q, err)
 		}
-		if expired.Load() {
-			t.Errorf("q=%d: no peer reached gather step 1 while rank 0 waited in step 0 for 2s", q)
+		if n := ra.sentAt.Load(); n < ra.want {
+			t.Errorf("q=%d: peers had sent %d of rank 0's %d gather messages when its first receive gave up after 2s", q, n, ra.want)
 		}
 		if !bitsEqual(got.Y, want.Y) {
 			t.Errorf("q=%d: Y differs from an unhindered run", q)

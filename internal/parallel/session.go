@@ -22,9 +22,10 @@ import (
 // blocks, and every pack/unpack buffer survive from one application to the
 // next. After one warm-up application the per-rank exchange path (pack →
 // Send → RecvInto → unpack) performs no allocations. The exchange has no
-// global barrier: each schedule step sends under its own tag, so the data
-// dependencies alone order it, and a message that arrives before its Recv
-// waits in the receiving Comm.
+// global barrier: each schedule step sends under its own tag, and every
+// rank posts all of its messages for a phase before it receives its
+// peers' in step order. A message that arrives before its Recv waits in
+// the receiving Comm.
 //
 // Results are bit-identical to the one-shot Run/RunPowerMethod/RunMTTKRP
 // (which are implemented on top of Session), and each operation's Result
@@ -312,38 +313,43 @@ func (rk *sessionRank) unpackAdd(payload, arena []float64, segs []segment, cols 
 	}
 }
 
-// gatherP2P runs the gather phase over the point-to-point schedule. Step
-// si is a matching sent under tag 100+si, so a rank moves on to the next
-// step as soon as its own receive completes; no barrier separates steps.
+// gatherP2P runs the gather phase over the point-to-point schedule, step
+// si under tag 100+si. A gather message carries only the sender's owned
+// chunks, which no receive of the phase writes, so the rank first sends
+// every step's message and then receives in step order; a peer's later
+// steps never wait for this rank's earlier receives.
 func (rk *sessionRank) gatherP2P(c *machine.Comm, cols int) {
 	for si := range rk.lay.steps {
-		st := &rk.lay.steps[si]
-		tag := 100 + si
-		if st.sendTo >= 0 {
+		if st := &rk.lay.steps[si]; st.sendTo >= 0 {
 			n := rk.pack(rk.sendBuf, rk.xA, st.gSend, cols)
-			c.Send(st.sendTo, tag, rk.sendBuf[:n])
+			c.Send(st.sendTo, 100+si, rk.sendBuf[:n])
 		}
-		if st.recvFrom >= 0 {
+	}
+	for si := range rk.lay.steps {
+		if st := &rk.lay.steps[si]; st.recvFrom >= 0 {
 			w := st.gRecvW * cols
-			c.RecvInto(st.recvFrom, tag, rk.recvBuf[:w])
+			c.RecvInto(st.recvFrom, 100+si, rk.recvBuf[:w])
 			rk.unpackCopy(rk.recvBuf[:w], rk.xA, st.gRecv, cols)
 		}
 	}
 }
 
 // scatterP2P runs the reduce-scatter phase over the schedule, step si
-// under tag 200+si, barrier-free like gatherP2P.
+// under tag 200+si, sends first like gatherP2P: a message carries the
+// finished partial sums of the receiver's chunks, and receives add only
+// into this rank's own chunks. Receiving in step order keeps the
+// addition order, and so the result bits, of the stepwise exchange.
 func (rk *sessionRank) scatterP2P(c *machine.Comm, cols int) {
 	for si := range rk.lay.steps {
-		st := &rk.lay.steps[si]
-		tag := 200 + si
-		if st.sendTo >= 0 {
+		if st := &rk.lay.steps[si]; st.sendTo >= 0 {
 			n := rk.pack(rk.sendBuf, rk.yA, st.sSend, cols)
-			c.Send(st.sendTo, tag, rk.sendBuf[:n])
+			c.Send(st.sendTo, 200+si, rk.sendBuf[:n])
 		}
-		if st.recvFrom >= 0 {
+	}
+	for si := range rk.lay.steps {
+		if st := &rk.lay.steps[si]; st.recvFrom >= 0 {
 			w := st.sRecvW * cols
-			c.RecvInto(st.recvFrom, tag, rk.recvBuf[:w])
+			c.RecvInto(st.recvFrom, 200+si, rk.recvBuf[:w])
 			rk.unpackAdd(rk.recvBuf[:w], rk.yA, st.sRecv, cols)
 		}
 	}

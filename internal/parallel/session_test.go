@@ -2,6 +2,7 @@ package parallel
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -122,6 +123,68 @@ func TestSessionBatchColumns(t *testing.T) {
 			if bg.SentWords[r] != cols*sg.SentWords[r] {
 				t.Fatalf("wiring=%v rank %d: batch gather words %d, want %d (cols×single)",
 					wiring, r, bg.SentWords[r], cols*sg.SentWords[r])
+			}
+		}
+	}
+}
+
+// TestBatchNonFiniteIsolation: columns carrying NaN and ±Inf entries must
+// not leak into their batch siblings. Each trial poisons a random proper
+// subset of a batch's columns with NaN, +Inf and −Inf at random entries;
+// every output column must equal its solo Apply bit for bit, and the
+// per-column meter shares must equal those of an all-finite batch of the
+// same width.
+func TestBatchNonFiniteIsolation(t *testing.T) {
+	const cols, trials = 4, 6
+	nonFinite := []float64{math.NaN(), math.Inf(1), math.Inf(-1)}
+	for _, q := range []int{2, 3} {
+		for _, wiring := range []Wiring{WiringP2P, WiringAllToAll} {
+			part := sphericalPart(t, q)
+			b := 4
+			n := part.M * b
+			rng := rand.New(rand.NewSource(int64(90 + q)))
+			a := tensor.Random(n, rng)
+			s, err := OpenSession(a, Options{Part: part, B: b, Wiring: wiring, MaxCols: cols})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			X := make([][]float64, cols)
+			for l := range X {
+				X[l] = randVec(n, rng)
+			}
+			ref, err := s.ApplyBatch(X)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := ref.Shares()
+			for trial := 0; trial < trials; trial++ {
+				for l := range X {
+					X[l] = randVec(n, rng)
+				}
+				for _, l := range rng.Perm(cols)[:1+rng.Intn(cols-1)] {
+					for _, v := range nonFinite {
+						for k := 1 + rng.Intn(3); k > 0; k-- {
+							X[l][rng.Intn(n)] = v
+						}
+					}
+				}
+				br, err := s.ApplyBatch(X)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for l := range X {
+					solo, err := s.Apply(X[l])
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !bitsEqual(br.Y[l], solo.Y) {
+						t.Fatalf("q=%d wiring=%v trial %d: batch column %d differs from its solo Apply", q, wiring, trial, l)
+					}
+				}
+				if got := br.Shares(); !reflect.DeepEqual(got, want) {
+					t.Fatalf("q=%d wiring=%v trial %d: shares %+v, all-finite batch %+v", q, wiring, trial, got, want)
+				}
 			}
 		}
 	}
@@ -249,36 +312,71 @@ func TestSessionPackUnpackZeroAlloc(t *testing.T) {
 // TestSessionApplySteadyStateAllocs bounds the whole warm Apply: total
 // allocations must not scale with the schedule length — only the small
 // constant host-side overhead (op dispatch, result assembly, meters)
-// remains once the exchange path is warm.
+// remains once the exchange path is warm. The q=4, b=24 session puts a
+// whole phase's 3,740 messages in flight at once, 2,232 of them 2-word
+// payloads of one size class, so a payload pool that drops buffers past a
+// fixed count per class allocates per message there.
 func TestSessionApplySteadyStateAllocs(t *testing.T) {
-	part := sphericalPart(t, 3)
-	b := 6
-	n := part.M * b
-	rng := rand.New(rand.NewSource(58))
+	for _, tc := range []struct{ q, b int }{{3, 6}, {4, 24}} {
+		t.Run(fmt.Sprintf("q=%d,b=%d", tc.q, tc.b), func(t *testing.T) {
+			part := sphericalPart(t, tc.q)
+			n := part.M * tc.b
+			rng := rand.New(rand.NewSource(58))
+			a := tensor.Random(n, rng)
+			s, err := OpenSession(a, Options{Part: part, B: tc.b, Wiring: WiringP2P})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			x := randVec(n, rng)
+			for i := 0; i < 3; i++ { // warm-up
+				if _, err := s.Apply(x); err != nil {
+					t.Fatal(err)
+				}
+			}
+			allocs := testing.AllocsPerRun(20, func() {
+				if _, err := s.Apply(x); err != nil {
+					t.Fatal(err)
+				}
+			})
+			// The schedule has q³/2+3q²/2−1 steps (26 at q=3, 55 at q=4)
+			// on P = 30 or 68 ranks; a per-message or per-step allocation
+			// would push this into the thousands. The observed warm
+			// overhead is host-side result assembly plus the executor's
+			// per-op bookkeeping, all independent of schedule length.
+			const budget = 700
+			if allocs > budget {
+				t.Fatalf("warm Session.Apply allocates %.0f objects, budget %d — steady-state path is allocating per step or per message", allocs, budget)
+			}
+		})
+	}
+}
+
+// BenchmarkSessionApply times one warm dense Apply at perfbench's apply
+// shape (q=3, P=30, b=4), where the 2×26-step scheduled exchange rather
+// than the kernel sets the cost; run it with -cpuprofile to profile the
+// exchange.
+func BenchmarkSessionApply(b *testing.B) {
+	part := sphericalPart(b, 3)
+	const blockEdge = 4
+	n := part.M * blockEdge
+	rng := rand.New(rand.NewSource(7))
 	a := tensor.Random(n, rng)
-	s, err := OpenSession(a, Options{Part: part, B: b, Wiring: WiringP2P})
+	s, err := OpenSession(a, Options{Part: part, B: blockEdge, Wiring: WiringP2P})
 	if err != nil {
-		t.Fatal(err)
+		b.Fatal(err)
 	}
 	defer s.Close()
 	x := randVec(n, rng)
-	for i := 0; i < 3; i++ { // warm-up
-		if _, err := s.Apply(x); err != nil {
-			t.Fatal(err)
-		}
+	if _, err := s.Apply(x); err != nil { // warm-up
+		b.Fatal(err)
 	}
-	allocs := testing.AllocsPerRun(20, func() {
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
 		if _, err := s.Apply(x); err != nil {
-			t.Fatal(err)
+			b.Fatal(err)
 		}
-	})
-	// The schedule has q³/2+3q²/2−1 = 26 steps and P = 13 ranks; a per-
-	// message or per-step allocation would push this into the thousands.
-	// The observed warm overhead is host-side result assembly plus the
-	// executor's per-op bookkeeping, all independent of schedule length.
-	const budget = 700
-	if allocs > budget {
-		t.Fatalf("warm Session.Apply allocates %.0f objects, budget %d — steady-state path is allocating per step or per message", allocs, budget)
 	}
 }
 
