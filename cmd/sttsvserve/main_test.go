@@ -1,7 +1,9 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -15,7 +17,7 @@ import (
 )
 
 // newTestServer serves a random tensor on a q=2, b=2 pool (n=10).
-func newTestServer(t *testing.T) *server {
+func newTestServer(t testing.TB) *server {
 	t.Helper()
 	part, err := partition.NewSpherical(2)
 	if err != nil {
@@ -75,4 +77,45 @@ func TestApplyOversizeBodyRejected(t *testing.T) {
 	if code != http.StatusRequestEntityTooLarge || er.Error == "" {
 		t.Fatalf("oversize body: status %d, error %q; want 413 with a JSON error", code, er.Error)
 	}
+}
+
+// FuzzApplyHandler posts arbitrary bodies to the apply handler. Every
+// response must be one JSON object with status 200, 400, 413 or 422, and a
+// 200 must carry the operator's n outputs, all finite.
+func FuzzApplyHandler(f *testing.F) {
+	s := newTestServer(f)
+	n := s.info.N
+	f.Add(xBody("t", n, "1"))
+	f.Add(xBody("t", n, "1e200"))
+	f.Add(xBody(strings.Repeat("a", int(maxApplyBody(n))), n, "1"))
+	f.Fuzz(func(t *testing.T, body string) {
+		rec := httptest.NewRecorder()
+		s.handleApply(rec, httptest.NewRequest(http.MethodPost, "/v1/apply", strings.NewReader(body)))
+		switch rec.Code {
+		case http.StatusOK, http.StatusBadRequest, http.StatusRequestEntityTooLarge, http.StatusUnprocessableEntity:
+		default:
+			t.Fatalf("body %q: status %d", body, rec.Code)
+		}
+		out := bytes.TrimSpace(rec.Body.Bytes())
+		dec := json.NewDecoder(bytes.NewReader(out))
+		var obj map[string]json.RawMessage
+		if len(out) == 0 || out[0] != '{' || dec.Decode(&obj) != nil || dec.InputOffset() != int64(len(out)) {
+			t.Fatalf("body %q: status %d with a response that is not one JSON object: %q", body, rec.Code, rec.Body.String())
+		}
+		if rec.Code != http.StatusOK {
+			return
+		}
+		var resp applyResponse
+		if err := json.Unmarshal(out, &resp); err != nil {
+			t.Fatalf("body %q: 200 response does not decode: %v", body, err)
+		}
+		if len(resp.Y) != n {
+			t.Fatalf("body %q: 200 carries %d y values, want %d", body, len(resp.Y), n)
+		}
+		for i, v := range resp.Y {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				t.Fatalf("body %q: 200 carries y[%d] = %g", body, i, v)
+			}
+		}
+	})
 }

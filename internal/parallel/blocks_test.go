@@ -144,3 +144,24 @@ func TestMTTKRPWithCachedBlocks(t *testing.T) {
 		}
 	}
 }
+
+// packedSink keeps BenchmarkPackRankBlocks' result live.
+var packedSink *RankBlocks
+
+// BenchmarkPackRankBlocks times a dense session's set-up extraction at
+// perfbench power's shape (q=2, P=10, b=24, n=120): every rank copies its
+// ≈ n³/6P words out of the packed lower tetrahedron.
+func BenchmarkPackRankBlocks(b *testing.B) {
+	part := sphericalPart(b, 2)
+	const blockEdge = 24
+	a := tensor.Random(part.M*blockEdge, rand.New(rand.NewSource(7)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rb, err := PackRankBlocks(a, part, blockEdge)
+		if err != nil {
+			b.Fatal(err)
+		}
+		packedSink = rb
+	}
+}

@@ -3,6 +3,7 @@ package parallel
 import (
 	"repro/internal/sparse"
 	"repro/internal/sttsv"
+	"repro/internal/tensor"
 )
 
 // localOperator is the session's rank-local compute seam: the one point
@@ -16,20 +17,38 @@ type localOperator interface {
 	// reading x row blocks and accumulating y row blocks through the
 	// rank's arena accessors, and returns the ternary-multiplication
 	// count for the logical compute meters.
-	contribute(me int, rk *sessionRank, b, cols int) int64
+	contribute(me int, rk *sessionRank, cols int) int64
 }
 
-// denseOp applies a rank's dense packed block set through the shared
-// executor (tiled kernels, or the scalar reference kernel under
-// Options.ScalarKernel).
+// denseOp applies a rank's dense packed block set with the tiled block
+// kernels, or the scalar reference kernel under Options.ScalarKernel.
 type denseOp struct {
-	exec   *sttsv.Executor
 	blocks *RankBlocks
+	scalar bool
 }
 
-func (o *denseOp) contribute(me int, rk *sessionRank, b, cols int) int64 {
+func (o *denseOp) contribute(me int, rk *sessionRank, cols int) int64 {
+	return rk.contributeDense(o.blocks.Rank(me), cols, o.scalar)
+}
+
+// contributeDense applies blocks to cols staged columns, column by column
+// and each column's blocks in their kind-grouped order, so column l's bits
+// equal a single-column application's. The rank works on one goroutine —
+// the simulated ranks already occupy the cores — and the arena accessors
+// return reslices of the resident arenas, so this allocates nothing.
+func (rk *sessionRank) contributeDense(blocks []*tensor.Block, cols int, scalar bool) int64 {
 	var st sttsv.Stats
-	o.exec.ContributeCols(rk.scratch, o.blocks.Rank(me), b, cols, rk.xRowCol, rk.yRowCol, &st)
+	for l := 0; l < cols; l++ {
+		for _, blk := range blocks {
+			xI, xJ, xK := rk.xRowCol(blk.I, l), rk.xRowCol(blk.J, l), rk.xRowCol(blk.K, l)
+			yI, yJ, yK := rk.yRowCol(blk.I, l), rk.yRowCol(blk.J, l), rk.yRowCol(blk.K, l)
+			if scalar {
+				sttsv.BlockContributeScalar(blk, xI, xJ, xK, yI, yJ, yK, &st)
+			} else {
+				sttsv.BlockContribute(blk, xI, xJ, xK, yI, yJ, yK, &st)
+			}
+		}
+	}
 	return st.TernaryMults
 }
 
@@ -43,7 +62,7 @@ type sparseOp struct {
 	blocks *SparseRankBlocks
 }
 
-func (o *sparseOp) contribute(me int, rk *sessionRank, b, cols int) int64 {
+func (o *sparseOp) contribute(me int, rk *sessionRank, cols int) int64 {
 	var st sttsv.Stats
 	blocks := o.blocks.Rank(me)
 	for l := 0; l < cols; l++ {

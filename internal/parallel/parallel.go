@@ -34,7 +34,6 @@ import (
 
 	"repro/internal/machine"
 	"repro/internal/partition"
-	"repro/internal/sttsv"
 	"repro/internal/tensor"
 )
 
@@ -88,8 +87,8 @@ type Options struct {
 	// dense session, and the output bits match a dense scalar-kernel
 	// session on the materialized tensor.
 	Sparse *SparseRankBlocks
-	// ScalarKernel makes the dense executor use the scalar reference
-	// kernel (sttsv.BlockContributeScalar) instead of the tiled kernels.
+	// ScalarKernel makes a dense session use the scalar reference kernel
+	// (sttsv.BlockContributeScalar) instead of the tiled kernels.
 	// Slower, but its association order is the one the sparse kernels
 	// reproduce — a dense scalar session is the bit-exact conformance
 	// oracle for a sparse session.
@@ -106,15 +105,6 @@ type Options struct {
 	// RecoveryOptions value selects all defaults. Nil (the
 	// default) keeps the fail-fast semantics: any crash kills the run.
 	Recovery *RecoveryOptions
-}
-
-// executor returns the rank-local compute executor for the options: one
-// worker per rank, since the simulated ranks already occupy the cores.
-func (o *Options) executor() *sttsv.Executor {
-	if o.ScalarKernel {
-		return sttsv.NewScalarExecutor(1)
-	}
-	return sttsv.NewExecutor(1)
 }
 
 // Result reports the outcome of a simulated parallel STTSV.

@@ -6,7 +6,6 @@ import (
 	"repro/internal/machine"
 	"repro/internal/partition"
 	"repro/internal/schedule"
-	"repro/internal/sttsv"
 	"repro/internal/tensor"
 )
 
@@ -29,7 +28,7 @@ type RankEngine struct {
 	padded int
 	n      int
 
-	exec   *sttsv.Executor
+	scalar bool
 	blocks []*tensor.Block
 	rk     *sessionRank
 	pr     *phaseRecorder
@@ -76,7 +75,7 @@ func NewRankEngine(a *tensor.Symmetric, opts Options, rank int) (*RankEngine, er
 	}
 	packed := tensor.PackBlocks(a, coords, b)
 
-	rk := &sessionRank{lay: &lay.perRank[rank], b: b, maxCols: 1, scratch: sttsv.NewScratch()}
+	rk := &sessionRank{lay: &lay.perRank[rank], b: b, maxCols: 1}
 	rows := len(rk.lay.rows)
 	rk.xA = make([]float64, rows*b)
 	rk.yA = make([]float64, rows*b)
@@ -92,7 +91,7 @@ func NewRankEngine(a *tensor.Symmetric, opts Options, rank int) (*RankEngine, er
 		b:      b,
 		padded: padded,
 		n:      a.N,
-		exec:   opts.executor(),
+		scalar: opts.ScalarKernel,
 		blocks: packed.Blocks,
 		rk:     rk,
 		pr:     newPhaseRecorder(part.P, "gather", "local", "reduce-scatter", "all-reduce"),
@@ -115,9 +114,7 @@ func (e *RankEngine) Iterate(c *machine.Comm, tol float64) (stop, converged, sin
 		tol = 1e-12
 	}
 	return e.rk.powerIterate(c, func() int64 {
-		var stats sttsv.Stats
-		e.exec.ContributeCols(e.rk.scratch, e.blocks, e.b, 1, e.rk.xRowCol, e.rk.yRowCol, &stats)
-		return stats.TernaryMults
+		return e.rk.contributeDense(e.blocks, 1, e.scalar)
 	}, tol, e.pr)
 }
 

@@ -10,7 +10,6 @@ import (
 	"repro/internal/machine"
 	"repro/internal/partition"
 	"repro/internal/schedule"
-	"repro/internal/sttsv"
 	"repro/internal/tensor"
 )
 
@@ -100,9 +99,8 @@ type sessionRank struct {
 	a2aRecv     [][]float64
 	a2aPay      []int // high-water payload per peer, for stale-tail zeroing
 
-	scratch *sttsv.Scratch
-	world   *collective.Group
-	pbuf    [2]float64
+	world *collective.Group
+	pbuf  [2]float64
 }
 
 func (rk *sessionRank) stride() int { return rk.maxCols * rk.b }
@@ -148,7 +146,7 @@ func OpenSession(a *tensor.Symmetric, opts Options) (*Session, error) {
 		if err != nil {
 			return nil, err
 		}
-		op = &denseOp{exec: opts.executor(), blocks: blocks}
+		op = &denseOp{blocks: blocks, scalar: opts.ScalarKernel}
 		if a != nil {
 			n = a.N
 		}
@@ -197,7 +195,7 @@ func (s *Session) grow(maxCols int) {
 	if s.rk == nil {
 		s.rk = make([]*sessionRank, s.part.P)
 		for p := range s.rk {
-			s.rk[p] = &sessionRank{lay: &s.lay.perRank[p], b: s.b, scratch: sttsv.NewScratch()}
+			s.rk[p] = &sessionRank{lay: &s.lay.perRank[p], b: s.b}
 		}
 	}
 	for _, rk := range s.rk {
@@ -425,7 +423,7 @@ func (rk *sessionRank) publish(stageY [][]float64, cols int) {
 
 func (rk *sessionRank) zeroY() { clear(rk.yA) }
 
-// xRowCol and yRowCol are the executor's arena accessors.
+// xRowCol and yRowCol are the local compute's arena accessors.
 func (rk *sessionRank) xRowCol(i, l int) []float64 {
 	base := rk.lay.rowIdx[i]*rk.stride() + l*rk.b
 	return rk.xA[base : base+rk.b]
@@ -457,7 +455,7 @@ func (s *Session) applyOp(cols int, pr *phaseRecorder, deltas []machine.Meters) 
 		})
 		rk.zeroY()
 		pr.local(c, "local", func() int64 {
-			return s.op.contribute(me, rk, s.b, cols)
+			return s.op.contribute(me, rk, cols)
 		})
 		pr.comm(c, "reduce-scatter", func() {
 			if s.opts.Wiring == WiringP2P {
@@ -751,7 +749,7 @@ func (s *Session) powerIterOp(tol float64, pr *phaseRecorder, st *powerIterState
 	return func(me int, c *machine.Comm) {
 		rk := s.rk[me]
 		st.stop[me], st.converged[me], st.singular[me] = rk.powerIterate(c, func() int64 {
-			return s.op.contribute(me, rk, s.b, 1)
+			return s.op.contribute(me, rk, 1)
 		}, tol, pr)
 	}
 }

@@ -315,22 +315,33 @@ func TestSessionPackUnpackZeroAlloc(t *testing.T) {
 // remains once the exchange path is warm. The q=4, b=24 session puts a
 // whole phase's 3,740 messages in flight at once, 2,232 of them 2-word
 // payloads of one size class, so a payload pool that drops buffers past a
-// fixed count per class allocates per message there.
+// fixed count per class allocates per message there. A warm 8-column
+// ApplyBatch must cost at most a few objects more than Apply (its extra
+// result slices), so the ranks' local compute allocates nothing per
+// column.
 func TestSessionApplySteadyStateAllocs(t *testing.T) {
+	const cols = 8
 	for _, tc := range []struct{ q, b int }{{3, 6}, {4, 24}} {
 		t.Run(fmt.Sprintf("q=%d,b=%d", tc.q, tc.b), func(t *testing.T) {
 			part := sphericalPart(t, tc.q)
 			n := part.M * tc.b
 			rng := rand.New(rand.NewSource(58))
 			a := tensor.Random(n, rng)
-			s, err := OpenSession(a, Options{Part: part, B: tc.b, Wiring: WiringP2P})
+			s, err := OpenSession(a, Options{Part: part, B: tc.b, Wiring: WiringP2P, MaxCols: cols})
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer s.Close()
 			x := randVec(n, rng)
+			X := make([][]float64, cols)
+			for l := range X {
+				X[l] = randVec(n, rng)
+			}
 			for i := 0; i < 3; i++ { // warm-up
 				if _, err := s.Apply(x); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := s.ApplyBatch(X); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -342,11 +353,23 @@ func TestSessionApplySteadyStateAllocs(t *testing.T) {
 			// The schedule has q³/2+3q²/2−1 steps (26 at q=3, 55 at q=4)
 			// on P = 30 or 68 ranks; a per-message or per-step allocation
 			// would push this into the thousands. The observed warm
-			// overhead is host-side result assembly plus the executor's
-			// per-op bookkeeping, all independent of schedule length.
+			// overhead is host-side op dispatch, result assembly and
+			// meters, all independent of schedule length.
 			const budget = 700
 			if allocs > budget {
 				t.Fatalf("warm Session.Apply allocates %.0f objects, budget %d — steady-state path is allocating per step or per message", allocs, budget)
+			}
+			batchAllocs := testing.AllocsPerRun(20, func() {
+				if _, err := s.ApplyBatch(X); err != nil {
+					t.Fatal(err)
+				}
+			})
+			// Per-rank per-column allocations would add cols·P = 240 or
+			// 544 objects.
+			const batchSlack = 32
+			if batchAllocs > allocs+batchSlack {
+				t.Fatalf("warm %d-column ApplyBatch allocates %.0f objects, Apply %.0f: more than %d extra — local compute is allocating per column",
+					cols, batchAllocs, allocs, batchSlack)
 			}
 		})
 	}

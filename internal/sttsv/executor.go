@@ -18,10 +18,9 @@ import (
 // to a few ulps).
 //
 // An Executor is stateless and safe for concurrent use by multiple
-// callers (e.g. all ranks of the simulated machine sharing one).
+// callers.
 type Executor struct {
 	workers int
-	scalar  bool
 }
 
 // NewExecutor returns an executor with the given worker count;
@@ -33,29 +32,8 @@ func NewExecutor(workers int) *Executor {
 	return &Executor{workers: workers}
 }
 
-// NewScalarExecutor returns an executor that applies blocks with the
-// scalar reference kernel (BlockContributeScalar) instead of the tiled
-// kernels. With one worker its output is bit-for-bit the seed sequential
-// behavior — the exact oracle the sparse block kernels are conformance-
-// tested against (they reproduce the scalar association order over the
-// stored nonzeros).
-func NewScalarExecutor(workers int) *Executor {
-	e := NewExecutor(workers)
-	e.scalar = true
-	return e
-}
-
 // Workers returns the configured worker count.
 func (e *Executor) Workers() int { return e.workers }
-
-// contribute applies one block with the executor's configured kernel.
-func (e *Executor) contribute(blk *tensor.Block, xI, xJ, xK, yI, yJ, yK []float64, stats *Stats) {
-	if e.scalar {
-		BlockContributeScalar(blk, xI, xJ, xK, yI, yJ, yK, stats)
-		return
-	}
-	BlockContribute(blk, xI, xJ, xK, yI, yJ, yK, stats)
-}
 
 // Contribute applies every block to the input row blocks and accumulates
 // into the output row blocks: xRow(i) and yRow(i) return the length-b row
@@ -64,14 +42,7 @@ func (e *Executor) contribute(blk *tensor.Block, xI, xJ, xK, yI, yJ, yK []float6
 // workers have finished. With one worker (or one block) the blocks are
 // applied directly in input order — identical to the plain sequential
 // loop.
-//
-// The per-worker accumulators come from sc, so repeated applications over
-// the same blocks allocate nothing after the first; a nil sc allocates
-// fresh accumulators per call. The output bits are identical either way:
-// row tables start all-nil and rows are zeroed on first touch, so the
-// deterministic tree reduction sees exactly the state it would with fresh
-// buffers.
-func (e *Executor) Contribute(sc *Scratch, blocks []*tensor.Block, b int, xRow, yRow func(int) []float64, stats *Stats) {
+func (e *Executor) Contribute(blocks []*tensor.Block, b int, xRow, yRow func(int) []float64, stats *Stats) {
 	if len(blocks) == 0 {
 		return
 	}
@@ -81,7 +52,7 @@ func (e *Executor) Contribute(sc *Scratch, blocks []*tensor.Block, b int, xRow, 
 	}
 	if w <= 1 {
 		for _, blk := range blocks {
-			e.contribute(blk,
+			BlockContribute(blk,
 				xRow(blk.I), xRow(blk.J), xRow(blk.K),
 				yRow(blk.I), yRow(blk.J), yRow(blk.K), stats)
 		}
@@ -94,15 +65,6 @@ func (e *Executor) Contribute(sc *Scratch, blocks []*tensor.Block, b int, xRow, 
 			maxRow = blk.I
 		}
 	}
-	var workers []workerScratch
-	if sc != nil {
-		workers = sc.acquire(w, maxRow)
-	} else {
-		workers = make([]workerScratch, w)
-		for wi := range workers {
-			workers[wi].rows = make([][]float64, maxRow+1)
-		}
-	}
 	acc := make([][][]float64, w) // acc[worker][row block] — private accumulators
 	counts := make([]int64, w)
 	var wg sync.WaitGroup
@@ -110,16 +72,23 @@ func (e *Executor) Contribute(sc *Scratch, blocks []*tensor.Block, b int, xRow, 
 		wg.Add(1)
 		go func(wi int) {
 			defer wg.Done()
-			ws := &workers[wi]
-			row := func(i int) []float64 { return ws.row(i, b) }
+			// Rows no block touches stay nil: the tree reduction below
+			// moves or skips nil rows.
+			rows := make([][]float64, maxRow+1)
+			row := func(i int) []float64 {
+				if rows[i] == nil {
+					rows[i] = make([]float64, b)
+				}
+				return rows[i]
+			}
 			var st Stats
 			for bi := wi; bi < len(blocks); bi += w {
 				blk := blocks[bi]
-				e.contribute(blk,
+				BlockContribute(blk,
 					xRow(blk.I), xRow(blk.J), xRow(blk.K),
 					row(blk.I), row(blk.J), row(blk.K), &st)
 			}
-			acc[wi] = ws.rows
+			acc[wi] = rows
 			counts[wi] = st.TernaryMults
 		}(wi)
 	}
@@ -159,19 +128,4 @@ func (e *Executor) Contribute(sc *Scratch, blocks []*tensor.Block, b int, xRow, 
 		total += c
 	}
 	stats.add(total)
-}
-
-// ContributeCols applies the block list to cols independent right-hand
-// sides: xRow(i, l) and yRow(i, l) address the length-b row block of row i
-// for column l. Columns are processed one at a time through Contribute,
-// so column l's output bits are identical to a single-column Contribute
-// over that column — batching changes the communication schedule (see
-// parallel.Session.ApplyBatch), never the arithmetic.
-func (e *Executor) ContributeCols(sc *Scratch, blocks []*tensor.Block, b, cols int, xRow, yRow func(i, l int) []float64, stats *Stats) {
-	for l := 0; l < cols; l++ {
-		l := l
-		e.Contribute(sc, blocks, b,
-			func(i int) []float64 { return xRow(i, l) },
-			func(i int) []float64 { return yRow(i, l) }, stats)
-	}
 }

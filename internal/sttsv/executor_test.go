@@ -41,8 +41,7 @@ func TestExecutorMatchesSequential(t *testing.T) {
 // count the executor must produce identical bytes on every run — the
 // static round-robin block deal, private per-worker accumulators and the
 // fixed pairwise tree reduction leave no scheduling dependence. A second
-// independently-packed Operator must reproduce the same bits too, and so
-// must a warm Scratch reused across applications.
+// independently-packed Operator must reproduce the same bits too.
 func TestExecutorDeterministicBits(t *testing.T) {
 	rng := rand.New(rand.NewSource(81))
 	n, m, workers := 41, 6, 4
@@ -64,22 +63,6 @@ func TestExecutorDeterministicBits(t *testing.T) {
 	for i := range got {
 		if math.Float64bits(got[i]) != math.Float64bits(ref[i]) {
 			t.Fatalf("fresh operator: y[%d] bits differ", i)
-		}
-	}
-
-	b := op.B()
-	xp := make([]float64, m*b)
-	copy(xp, x)
-	sc := NewScratch()
-	for run := 0; run < 3; run++ {
-		yp := make([]float64, m*b)
-		NewExecutor(workers).Contribute(sc, op.Packed().Blocks, b,
-			func(i int) []float64 { return xp[i*b : (i+1)*b] },
-			func(i int) []float64 { return yp[i*b : (i+1)*b] }, nil)
-		for i := range ref {
-			if math.Float64bits(yp[i]) != math.Float64bits(ref[i]) {
-				t.Fatalf("scratch run %d: y[%d] bits differ", run, i)
-			}
 		}
 	}
 }

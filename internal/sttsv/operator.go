@@ -82,7 +82,7 @@ func (op *Operator) Apply(x []float64, stats *Stats) []float64 {
 		op.yp[i] = 0
 	}
 	b := op.b
-	op.exec.Contribute(nil, op.packed.Blocks, b,
+	op.exec.Contribute(op.packed.Blocks, b,
 		func(i int) []float64 { return op.xp[i*b : (i+1)*b] },
 		func(i int) []float64 { return op.yp[i*b : (i+1)*b] },
 		stats)

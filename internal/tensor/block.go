@@ -167,21 +167,40 @@ func (blk *Block) GlobalIndices(di, dj, dk int) (i, j, k int) {
 }
 
 // fillBlock overwrites every stored entry of blk with the corresponding
-// value of t (zero where the global indices fall in the padding region).
-// The stored entries of any valid block are sorted global triples — the
-// block coordinates satisfy I >= J >= K and the kind-specific local
-// ordering keeps i >= j >= k — so no per-element sorting is needed.
+// value of t (zero where the global indices fall in the padding region),
+// one contiguous copy per stored (di, dj) row. The stored entries of any
+// valid block are sorted global triples — the block coordinates satisfy
+// I >= J >= K and the kind-specific local ordering keeps i >= j >= k —
+// and k is the packed layout's fastest index, so a row's dk run is one
+// run of t.Data: b long when K < J, dj+1 long when J == K. Sortedness
+// also means a row is padding exactly when i >= t.N, and every later row
+// of the block is then padding too.
 func fillBlock(blk *Block, t *Symmetric) {
+	b := blk.B
+	pairIJ := blk.Kind == DiagPairHigh || blk.Kind == Central // dj <= di
+	pairJK := blk.Kind == DiagPairLow || blk.Kind == Central  // dk <= dj
+	k0 := blk.K * b
 	idx := 0
-	blk.ForEach(func(di, dj, dk int, _ float64) {
-		i, j, k := blk.GlobalIndices(di, dj, dk)
-		v := 0.0
-		if i < t.N && j < t.N && k < t.N {
-			v = t.Data[PackedIndex(i, j, k)]
+	for di := 0; di < b; di++ {
+		i := blk.I*b + di
+		if i >= t.N {
+			clear(blk.Data[idx:])
+			return
 		}
-		blk.Data[idx] = v
-		idx++
-	})
+		rows := b
+		if pairIJ {
+			rows = di + 1
+		}
+		for dj := 0; dj < rows; dj++ {
+			l := b
+			if pairJK {
+				l = dj + 1
+			}
+			p := PackedIndex(i, blk.J*b+dj, k0)
+			copy(blk.Data[idx:idx+l], t.Data[p:p+l])
+			idx += l
+		}
+	}
 }
 
 // ExtractBlock copies block (I, J, K) of edge b out of a packed symmetric

@@ -1,6 +1,8 @@
 package tensor
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -94,38 +96,38 @@ func TestBlockOffsetPanicsOnInvalidLocal(t *testing.T) {
 	}
 }
 
+// TestExtractBlockMatchesGlobal checks every stored entry of every block
+// against the a.At oracle, through both ExtractBlock and ExtractBlockInto
+// on a NaN-poisoned scratch, so padding must be written, not inherited
+// from a fresh allocation. The shapes cover n % b != 0 (padded rows in
+// every kind, down to a last central block cut at n) and b = 1.
 func TestExtractBlockMatchesGlobal(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	n, b := 12, 3 // m = 4 blocks per mode
-	a := Random(n, rng)
-	m := n / b
-	BlocksOfTetrahedron(m, func(I, J, K int) {
-		blk := ExtractBlock(a, I, J, K, b)
-		blk.ForEach(func(di, dj, dk int, v float64) {
-			i, j, k := blk.GlobalIndices(di, dj, dk)
-			if want := a.At(i, j, k); v != want {
-				t.Fatalf("block (%d,%d,%d) local (%d,%d,%d): %g want %g",
-					I, J, K, di, dj, dk, v, want)
-			}
+	for _, c := range []struct{ n, b int }{{12, 3}, {10, 3}, {7, 4}, {5, 1}, {120, 24}} {
+		t.Run(fmt.Sprintf("n=%d,b=%d", c.n, c.b), func(t *testing.T) {
+			a := Random(c.n, rand.New(rand.NewSource(int64(10*c.n+c.b))))
+			m := (c.n + c.b - 1) / c.b
+			poisoned := make([]float64, c.b*c.b*c.b)
+			BlocksOfTetrahedron(m, func(I, J, K int) {
+				for i := range poisoned {
+					poisoned[i] = math.NaN()
+				}
+				into := ExtractBlockInto(&Block{Data: poisoned}, a, I, J, K, c.b)
+				for _, blk := range []*Block{ExtractBlock(a, I, J, K, c.b), into} {
+					blk.ForEach(func(di, dj, dk int, v float64) {
+						i, j, k := blk.GlobalIndices(di, dj, dk)
+						want := 0.0
+						if i < c.n && j < c.n && k < c.n {
+							want = a.At(i, j, k)
+						}
+						if math.Float64bits(v) != math.Float64bits(want) {
+							t.Fatalf("block (%d,%d,%d) local (%d,%d,%d): %g want %g",
+								I, J, K, di, dj, dk, v, want)
+						}
+					})
+				}
+			})
 		})
-	})
-}
-
-func TestExtractBlockPadding(t *testing.T) {
-	// n=10 padded to 12 with b=3: global indices 10, 11 read as zero.
-	rng := rand.New(rand.NewSource(11))
-	a := Random(10, rng)
-	blk := ExtractBlock(a, 3, 3, 3, 3) // covers globals 9..11
-	blk.ForEach(func(di, dj, dk int, v float64) {
-		i, j, k := blk.GlobalIndices(di, dj, dk)
-		if i >= 10 || j >= 10 || k >= 10 {
-			if v != 0 {
-				t.Fatalf("padded entry (%d,%d,%d) = %g, want 0", i, j, k, v)
-			}
-		} else if v != a.At(i, j, k) {
-			t.Fatalf("in-range entry (%d,%d,%d) wrong", i, j, k)
-		}
-	})
+	}
 }
 
 func TestBlockStorageTotalsMatchTensor(t *testing.T) {

@@ -29,8 +29,11 @@ type BlockPacked struct {
 var kindOrder = [...]BlockKind{OffDiagonal, DiagPairHigh, DiagPairLow, Central}
 
 // PackBlocks extracts the listed blocks (coordinates I >= J >= K) of edge b
-// into one contiguous kind-grouped buffer. A nil tensor yields zero blocks
-// (useful for pure communication measurements, mirroring parallel.Run).
+// into one contiguous kind-grouped buffer. Each block is filled with one
+// copy per stored row out of a's packed storage (see fillBlock), so the
+// cost is about one pass over the packed words plus zeroing the buffer. A
+// nil tensor yields zero blocks (useful for pure communication
+// measurements, mirroring parallel.Run).
 func PackBlocks(a *Symmetric, coords [][3]int, b int) *BlockPacked {
 	total := 0
 	for _, c := range coords {
