@@ -21,7 +21,8 @@ import (
 // --- sparse sessions ---
 
 // SparseRankBlocks is each rank's tetrahedral block set extracted from a
-// sparse tensor as packed fiber blocks — the sparse analogue of
+// sparse tensor as blocks of sorted coordinate runs (local indices and
+// values of the stored nonzeros only) — the sparse analogue of
 // RankBlocks, shareable read-only across sessions.
 type SparseRankBlocks = parallel.SparseRankBlocks
 

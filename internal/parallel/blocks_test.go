@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/la"
+	"repro/internal/sparse"
 	"repro/internal/sttsv"
 	"repro/internal/tensor"
 )
@@ -163,5 +164,31 @@ func BenchmarkPackRankBlocks(b *testing.B) {
 			b.Fatal(err)
 		}
 		packedSink = rb
+	}
+}
+
+// sparsePackedSink keeps BenchmarkPackSparseRankBlocks' result live.
+var sparsePackedSink *SparseRankBlocks
+
+// BenchmarkPackSparseRankBlocks times a sparse session's set-up packing
+// at perfbench sparse's shape (q=3, P=30, b=1,500, n=15,000, 360,000
+// hyperedges): one counting sort of the nonzeros into blocks, then every
+// rank's block selection.
+func BenchmarkPackSparseRankBlocks(b *testing.B) {
+	part := sphericalPart(b, 3)
+	const blockEdge = 1500
+	n := part.M * blockEdge
+	sp, err := sparse.SkewedHypergraph(n, 24*n, 1, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		srb, err := PackSparseRankBlocks(sp, part, blockEdge)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sparsePackedSink = srb
 	}
 }

@@ -34,13 +34,13 @@ func randSparseTensor(t testing.TB, n int, density float64, rng *rand.Rand) *spa
 	return sp
 }
 
-// sparseSessionPair opens the sparse session under test and its oracle:
-// a dense session on the materialized tensor running the scalar kernel,
-// whose association order the sparse kernels reproduce exactly.
-func sparseSessionPair(t testing.TB, q, b int, density float64, seed int64) (sp *sparse.Tensor, sparseSess, denseSess *Session) {
+// sparseSessionPair opens the sparse session under test, over a random
+// tensor of dimension n <= M·b, and its oracle: a dense session on the
+// materialized tensor running the scalar kernel, whose association order
+// the sparse kernels reproduce exactly.
+func sparseSessionPair(t testing.TB, q, b, n int, density float64, seed int64) (sp *sparse.Tensor, sparseSess, denseSess *Session) {
 	t.Helper()
 	part := sphericalPart(t, q)
-	n := part.M * b
 	rng := rand.New(rand.NewSource(seed))
 	sp = randSparseTensor(t, n, density, rng)
 	srb, err := PackSparseRankBlocks(sp, part, b)
@@ -64,16 +64,19 @@ func sparseSessionPair(t testing.TB, q, b int, density float64, seed int64) (sp 
 // must be bit-identical to a dense scalar-kernel session on the
 // materialized tensor — same schedule, same communication, same local
 // association order, so every intermediate (and hence every output bit
-// and every logical meter) coincides.
+// and every logical meter) coincides. The q=2, b=3, n=11 case packs 4
+// row blocks against the partition's 5, so its last row block is all
+// padding and every block coordinate in it must be skipped.
 func TestSparseSessionConformance(t *testing.T) {
 	for _, tc := range []struct {
-		q, b    int
+		q, b, n int
 		density float64
 	}{
-		{q: 2, b: 6, density: 0.15},
-		{q: 3, b: 4, density: 0.10},
+		{q: 2, b: 6, n: 30, density: 0.15},
+		{q: 3, b: 4, n: 40, density: 0.10},
+		{q: 2, b: 3, n: 11, density: 0.3},
 	} {
-		sp, ss, ds := sparseSessionPair(t, tc.q, tc.b, tc.density, int64(900+tc.q))
+		sp, ss, ds := sparseSessionPair(t, tc.q, tc.b, tc.n, tc.density, int64(900+tc.q))
 		rng := rand.New(rand.NewSource(int64(910 + tc.q)))
 		n := sp.N
 

@@ -9,11 +9,12 @@ import (
 
 // SparseRankBlocks is the sparse analogue of RankBlocks: each rank's
 // tetrahedral block set (TB₃(R_p) ∪ N_p ∪ D_p) extracted from a sparse
-// tensor as packed fiber blocks (sparse.Pack) instead of dense b³ panels.
-// A rank holds only the nonzeros its blocks contain — O(nnz/P + fibers)
-// words where the dense extraction needs ≈ n³/6P — which is what lets a
-// session serve hypergraph problems at n ≥ 10⁶, where a single dense
-// block would already be too large to allocate.
+// tensor as sorted coordinate runs (sparse.Pack) instead of dense b³
+// panels. A rank holds only the nonzeros its blocks contain — 20 bytes
+// per nonzero (three int32 local indices and a float64 value) where the
+// dense extraction needs ≈ n³/6P words — which is what lets a session
+// serve hypergraph problems at n ≥ 10⁶, where a single dense block would
+// already be too large to allocate.
 //
 // The per-rank block lists are kind-grouped in exactly the order
 // tensor.PackBlocks groups dense blocks, and each sparse block kernel
@@ -33,9 +34,12 @@ type SparseRankBlocks struct {
 	per [][]*sparse.Block
 }
 
-// PackSparseRankBlocks packs the tensor once (one pass over the sorted
-// entries) and selects every rank's kind-grouped block set from the
-// shared packing.
+// PackSparseRankBlocks packs the tensor once (a two-pass counting sort
+// of the sorted entries into exact-size arrays, see sparse.Pack) and
+// selects every rank's kind-grouped block set from the shared packing.
+// n may be less than the partition's padded dimension M·b: block
+// coordinates past the tensor's last row block hold no entries and are
+// skipped.
 func PackSparseRankBlocks(sp *sparse.Tensor, part *partition.Tetrahedral, b int) (*SparseRankBlocks, error) {
 	if sp == nil {
 		return nil, fmt.Errorf("parallel: nil sparse tensor")
@@ -67,30 +71,6 @@ func PackSparseRankBlocks(sp *sparse.Tensor, part *partition.Tetrahedral, b int)
 
 // Rank returns rank p's packed sparse block set.
 func (srb *SparseRankBlocks) Rank(p int) []*sparse.Block { return srb.per[p] }
-
-// Words returns the total packed storage across all ranks in 8-byte
-// words (values, fiber indices, and fiber headers).
-func (srb *SparseRankBlocks) Words() int {
-	total := 0
-	for _, blocks := range srb.per {
-		for _, blk := range blocks {
-			total += blk.Words()
-		}
-	}
-	return total
-}
-
-// NNZ returns the total stored nonzeros across all ranks. Every stored
-// entry lands on exactly one rank, so this equals the tensor's NNZ.
-func (srb *SparseRankBlocks) NNZ() int64 {
-	var total int64
-	for _, blocks := range srb.per {
-		for _, blk := range blocks {
-			total += int64(blk.NNZ())
-		}
-	}
-	return total
-}
 
 // Loads returns each rank's stored-nonzero count — the load vector the
 // nnz-aware partition balances (obs.ComputeLoadStats summarizes it).

@@ -209,9 +209,9 @@ func Open(a *tensor.Symmetric, opts Options) (*Pool, error) {
 }
 
 // OpenSparse launches a pool of sparse sessions over one shared packed
-// sparse block set: the tensor's nonzeros are packed once (CSF fiber
-// blocks, O(nnz) words) and every pooled session reads the same
-// immutable cache — the sparse analogue of Open's one-time dense
+// sparse block set: the tensor's nonzeros are packed once (sorted
+// coordinate runs, 20 bytes per nonzero) and every pooled session reads
+// the same immutable cache — the sparse analogue of Open's one-time dense
 // extraction, and the configuration that serves hypergraph problems at
 // n ≥ 10⁶ where a dense pool could not allocate a single session.
 // Responses are bit-identical to a solo sparse Session.Apply, which the

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -283,47 +284,150 @@ func TestQueueFullBusy(t *testing.T) {
 
 // TestCloseSemantics: Close drains already-admitted requests (served,
 // not errored), later Applies get ErrPoolClosed, and Close is
-// idempotent.
+// idempotent. Under a flood of 10× QueueCap callers looping on Apply,
+// every call still ends in bounded time — with a result, a *BusyError or
+// ErrPoolClosed — and Close leaves no goroutine behind, on a dense and on
+// a sparse pool.
 func TestCloseSemantics(t *testing.T) {
-	a, so := testSetup(t, 2, 2, 1108)
-	pool, err := Open(a, Options{Session: so, MaxCols: 8, MaxWait: time.Minute})
+	t.Run("drain", func(t *testing.T) {
+		a, so := testSetup(t, 2, 2, 1108)
+		pool, err := Open(a, Options{Session: so, MaxCols: 8, MaxWait: time.Minute})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(1109))
+		const inflight = 3
+		var wg sync.WaitGroup
+		for i := 0; i < inflight; i++ {
+			x := randVec(a.N, rng)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				resp, err := pool.Apply("drain", x)
+				if err != nil {
+					t.Errorf("admitted request errored on close: %v", err)
+					return
+				}
+				if resp.Trigger != TriggerDrain {
+					t.Errorf("Trigger = %v, want %v", resp.Trigger, TriggerDrain)
+				}
+			}()
+		}
+		// Give the requests time to be admitted (the minute-long window
+		// guarantees they are still queued, not flushed).
+		time.Sleep(20 * time.Millisecond)
+		if err := pool.Close(); err != nil {
+			t.Fatal(err)
+		}
+		wg.Wait()
+
+		if _, err := pool.Apply("late", randVec(a.N, rng)); !errors.Is(err, ErrPoolClosed) {
+			t.Errorf("Apply after Close: %v, want ErrPoolClosed", err)
+		}
+		if err := pool.Close(); err != nil {
+			t.Fatalf("second Close: %v", err)
+		}
+		if m := pool.Metrics(); m.DrainFlushes == 0 {
+			t.Error("DrainFlushes = 0 after draining close")
+		}
+	})
+	t.Run("flood/dense", func(t *testing.T) {
+		a, so := testSetup(t, 2, 2, 1113)
+		floodClose(t, a.N, func(o Options) (*Pool, error) {
+			o.Session = so
+			return Open(a, o)
+		})
+	})
+	t.Run("flood/sparse", func(t *testing.T) {
+		sp, so := sparseSetup(t, 2, 3, 0.2, 1114)
+		floodClose(t, sp.N, func(o Options) (*Pool, error) {
+			o.Session = so
+			return OpenSparse(sp, o)
+		})
+	})
+}
+
+// floodClose opens a pool with a small queue, floods it with 10×
+// QueueCap callers that each call Apply in a loop, and closes it once
+// the flood has been both served and turned away.
+func floodClose(t *testing.T, n int, open func(Options) (*Pool, error)) {
+	const (
+		queueCap = 4
+		callers  = 10 * queueCap
+		bound    = 30 * time.Second // per Apply, for Close, for the callers to leave
+	)
+	before := runtime.NumGoroutine()
+	pool, err := open(Options{MaxCols: 2, MaxWait: time.Millisecond, QueueCap: queueCap})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(1109))
-	const inflight = 3
+	defer pool.Close()
+	x := randVec(n, rand.New(rand.NewSource(1115)))
+	served, rejected := make(chan struct{}), make(chan struct{})
+	var servedOnce, rejectedOnce sync.Once
+	var closed atomic.Int64
 	var wg sync.WaitGroup
-	for i := 0; i < inflight; i++ {
-		x := randVec(a.N, rng)
+	for i := 0; i < callers; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			resp, err := pool.Apply("drain", x)
-			if err != nil {
-				t.Errorf("admitted request errored on close: %v", err)
-				return
-			}
-			if resp.Trigger != TriggerDrain {
-				t.Errorf("Trigger = %v, want %v", resp.Trigger, TriggerDrain)
+			for {
+				start := time.Now()
+				_, err := pool.Apply("flood", x)
+				if d := time.Since(start); d > bound {
+					t.Errorf("Apply took %v under flood, bound %v", d, bound)
+				}
+				var be *BusyError
+				switch {
+				case err == nil:
+					servedOnce.Do(func() { close(served) })
+				case errors.As(err, &be):
+					rejectedOnce.Do(func() { close(rejected) })
+				case errors.Is(err, ErrPoolClosed):
+					closed.Add(1)
+					return
+				default:
+					t.Errorf("Apply under flood: %v", err)
+					return
+				}
 			}
 		}()
 	}
-	// Give the requests time to be admitted (the minute-long window
-	// guarantees they are still queued, not flushed).
-	time.Sleep(20 * time.Millisecond)
-	if err := pool.Close(); err != nil {
-		t.Fatal(err)
+	for _, ev := range []chan struct{}{served, rejected} {
+		select {
+		case <-ev:
+		case <-time.After(bound):
+			t.Fatal("flood neither served nor rejected a request")
+		}
 	}
-	wg.Wait()
 
-	if _, err := pool.Apply("late", randVec(a.N, rng)); !errors.Is(err, ErrPoolClosed) {
-		t.Errorf("Apply after Close: %v, want ErrPoolClosed", err)
+	closeErr := make(chan error, 1)
+	go func() { closeErr <- pool.Close() }()
+	select {
+	case err := <-closeErr:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(bound):
+		t.Fatal("Close did not return under flood")
 	}
-	if err := pool.Close(); err != nil {
-		t.Fatalf("second Close: %v", err)
+	left := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(left)
+	}()
+	select {
+	case <-left:
+	case <-time.After(bound):
+		t.Fatal("callers still inside Apply after Close")
 	}
-	if m := pool.Metrics(); m.DrainFlushes == 0 {
-		t.Error("DrainFlushes = 0 after draining close")
+	if got := closed.Load(); got != callers {
+		t.Errorf("%d of %d callers ended on ErrPoolClosed", got, callers)
+	}
+	for deadline := time.Now().Add(bound); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Close, %d before Open", runtime.NumGoroutine(), before)
+		}
 	}
 }
 

@@ -1,7 +1,7 @@
 // Sparse block kernels: BlockApply is the sparse analogue of
 // sttsv.BlockContributeScalar. It visits only the stored nonzeros but
-// reproduces the scalar kernel's association order exactly — fibers in
-// (di, dj) ascending order, dk ascending within a fiber, the same fused
+// reproduces the scalar kernel's association order exactly — (di, dj)
+// runs in ascending order, dk ascending within a run, the same fused
 // update expressions per Algorithm-4 multiplicity case. Skipping a zero
 // element is bitwise neutral for finite inputs: a zero tensor entry
 // contributes ±0.0 to every accumulator it touches, the kernel's
@@ -32,131 +32,112 @@ func checkBlockLens(blk *Block, xI, xJ, xK, yI, yJ, yK []float64) {
 // output row blocks, in O(nnz) work. Slice contract is identical to
 // sttsv.BlockContributeScalar: xI/xJ/xK and yI/yJ/yK are the length-b
 // row blocks for the block's I, J, K coordinates (aliased when they
-// coincide; the kernel only accumulates, so aliasing is safe).
+// coincide; the kernel only accumulates, so aliasing is safe). A (di, dj)
+// run ends where the next nonzero's (di, dj) differs from its own, and
+// each run is folded exactly as the scalar kernel folds that row.
 func BlockApply(blk *Block, xI, xJ, xK, yI, yJ, yK []float64, stats *sttsv.Stats) {
 	checkBlockLens(blk, xI, xJ, xK, yI, yJ, yK)
-	dks, vals := blk.DKs, blk.Vals
+	vals := blk.Vals
+	n := len(vals)
+	dis, djs, dks := blk.DI[:n], blk.DJ[:n], blk.DK[:n]
 	switch blk.Kind {
 	case tensor.OffDiagonal:
 		// Every element is a strict global triple i > j > k. The dense
-		// kernel keeps a per-di accumulator across the dj row; fibers
+		// kernel keeps a per-di accumulator across the dj row; runs
 		// sharing a di are contiguous, so one outer pass per di group
 		// reproduces it.
-		f, nf := 0, len(blk.Fibers)
-		for f < nf {
-			di := blk.Fibers[f].Di
+		for t := 0; t < n; {
+			di := dis[t]
 			xi := xI[di]
 			acc := 0.0
-			for ; f < nf && blk.Fibers[f].Di == di; f++ {
-				fb := &blk.Fibers[f]
-				xj := xJ[fb.Dj]
+			for t < n && dis[t] == di {
+				dj := djs[t]
+				end := runEnd(dis, djs, t)
+				xj := xJ[dj]
 				s := 0.0
 				txi2 := 2 * xi
 				txij2 := 2 * xi * xj
-				for t := fb.Lo; t < fb.Hi; t++ {
+				for ; t < end; t++ {
 					v := vals[t]
-					s += v * xK[dks[t]]
-					yK[dks[t]] += txij2 * v
+					k := dks[t]
+					s += v * xK[k]
+					yK[k] += txij2 * v
 				}
 				acc += s * xj
-				yJ[fb.Dj] += txi2 * s
+				yJ[dj] += txi2 * s
 			}
 			yI[di] += 2 * acc
 		}
 	case tensor.DiagPairHigh:
 		// I == J > K: di > dj is a strict triple, di == dj is i == j > k.
-		for f := range blk.Fibers {
-			fb := &blk.Fibers[f]
-			di, dj := fb.Di, fb.Dj
+		for t := 0; t < n; {
+			di, dj := dis[t], djs[t]
+			end := runEnd(dis, djs, t)
 			xi := xI[di]
+			s := 0.0
 			if di > dj {
 				xj := xJ[dj]
-				s := 0.0
 				txij2 := 2 * xi * xj
-				for t := fb.Lo; t < fb.Hi; t++ {
+				for ; t < end; t++ {
 					v := vals[t]
-					s += v * xK[dks[t]]
-					yK[dks[t]] += txij2 * v
+					k := dks[t]
+					s += v * xK[k]
+					yK[k] += txij2 * v
 				}
 				yI[di] += 2 * s * xj
 				yJ[dj] += 2 * s * xi
 			} else {
-				s := 0.0
 				xi2 := xi * xi
-				for t := fb.Lo; t < fb.Hi; t++ {
+				for ; t < end; t++ {
 					v := vals[t]
-					s += v * xK[dks[t]]
-					yK[dks[t]] += xi2 * v
+					k := dks[t]
+					s += v * xK[k]
+					yK[k] += xi2 * v
 				}
 				yI[di] += 2 * s * xi
 			}
 		}
-	case tensor.DiagPairLow:
-		// I > J == K: dk <= dj within a fiber; the dk == dj diagonal
-		// element (ascending order puts it last when stored) folds into
-		// the dense kernel's fused row updates, so it is split off the
+	case tensor.DiagPairLow, tensor.Central:
+		// A DiagPairLow block (I > J == K) and a central block's di > dj
+		// rows are both i > j, with dk <= dj: the dk == dj diagonal
+		// element (sorted last in its run when stored) folds into the
+		// dense kernel's fused row updates, so it is split off the
 		// s-loop and substituted — 0.0 when absent, which leaves the
-		// fused expressions bitwise unchanged.
-		for f := range blk.Fibers {
-			fb := &blk.Fibers[f]
-			di, dj := fb.Di, fb.Dj
-			xi, xj := xI[di], xJ[dj]
-			txij2 := 2 * xi * xj
-			s := 0.0
-			vd := 0.0
-			hi := fb.Hi
-			if hi > fb.Lo && dks[hi-1] == dj {
-				vd = vals[hi-1]
-				hi--
+		// fused expressions bitwise unchanged. A central block's
+		// di == dj rows split off dk == di the same way.
+		low := blk.Kind == tensor.DiagPairLow
+		for t := 0; t < n; {
+			di, dj := dis[t], djs[t]
+			end := runEnd(dis, djs, t)
+			last, vd := end, 0.0
+			if dks[end-1] == dj {
+				last--
+				vd = vals[last]
 			}
-			for t := fb.Lo; t < hi; t++ {
-				v := vals[t]
-				s += v * xK[dks[t]]
-				yK[dks[t]] += txij2 * v
-			}
-			yI[di] += 2*s*xj + vd*xj*xj
-			yJ[dj] += 2*s*xi + 2*vd*xi*xj
-		}
-	case tensor.Central:
-		// I == J == K: full element-level classification, split per
-		// fiber exactly as the dense scalar kernel splits its rows.
-		for f := range blk.Fibers {
-			fb := &blk.Fibers[f]
-			di, dj := fb.Di, fb.Dj
 			xi := xI[di]
-			if di > dj {
+			s := 0.0
+			if low || di > dj {
 				xj := xJ[dj]
 				txij2 := 2 * xi * xj
-				s := 0.0
-				vd := 0.0
-				hi := fb.Hi
-				if hi > fb.Lo && dks[hi-1] == dj {
-					vd = vals[hi-1]
-					hi--
-				}
-				for t := fb.Lo; t < hi; t++ {
+				for ; t < last; t++ {
 					v := vals[t]
-					s += v * xK[dks[t]]
-					yK[dks[t]] += txij2 * v
+					k := dks[t]
+					s += v * xK[k]
+					yK[k] += txij2 * v
 				}
 				yI[di] += 2*s*xj + vd*xj*xj
 				yJ[dj] += 2*s*xi + 2*vd*xi*xj
 			} else {
 				xi2 := xi * xi
-				s := 0.0
-				vc := 0.0
-				hi := fb.Hi
-				if hi > fb.Lo && dks[hi-1] == di {
-					vc = vals[hi-1]
-					hi--
-				}
-				for t := fb.Lo; t < hi; t++ {
+				for ; t < last; t++ {
 					v := vals[t]
-					s += v * xK[dks[t]]
-					yK[dks[t]] += xi2 * v
+					k := dks[t]
+					s += v * xK[k]
+					yK[k] += xi2 * v
 				}
-				yI[di] += 2*s*xi + vc*xi2
+				yI[di] += 2*s*xi + vd*xi2
 			}
+			t = end
 		}
 	default:
 		panic("sparse: unknown block kind")
@@ -164,6 +145,17 @@ func BlockApply(blk *Block, xI, xJ, xK, yI, yJ, yK []float64, stats *sttsv.Stats
 	if stats != nil {
 		stats.TernaryMults += blk.Ternary
 	}
+}
+
+// runEnd returns the end of the (di, dj) run that starts at nonzero t:
+// the first later nonzero whose (di, dj) differs from t's.
+func runEnd(dis, djs []int32, t int) int {
+	di, dj := dis[t], djs[t]
+	end := t + 1
+	for end < len(dis) && dis[end] == di && djs[end] == dj {
+		end++
+	}
+	return end
 }
 
 // Contribute applies a block list against padded row-major vectors:

@@ -1,6 +1,7 @@
 package sparse
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -32,6 +33,20 @@ func randSparse(n int, drop float64, rng *rand.Rand) (*tensor.Symmetric, *Tensor
 	return a, FromPacked(a, 0)
 }
 
+// allCoords lists every block coordinate I >= J >= K of m row blocks in
+// (I, J, K) order.
+func allCoords(m int) [][3]int {
+	var out [][3]int
+	for i := 0; i < m; i++ {
+		for j := 0; j <= i; j++ {
+			for k := 0; k <= j; k++ {
+				out = append(out, [3]int{i, j, k})
+			}
+		}
+	}
+	return out
+}
+
 // TestPackTernaryOracle: the packed blocks' exact ternary count must
 // equal the COO Apply count — the nnz/Stats accounting oracle.
 func TestPackTernaryOracle(t *testing.T) {
@@ -46,11 +61,17 @@ func TestPackTernaryOracle(t *testing.T) {
 		}
 		var coo sttsv.Stats
 		sp.Apply(make([]float64, n), &coo)
-		if pk.TernaryCount() != coo.TernaryMults {
-			t.Fatalf("n=%d b=%d: packed ternary %d, COO %d", n, b, pk.TernaryCount(), coo.TernaryMults)
+		var ternary int64
+		nnz := 0
+		for _, blk := range pk.Select(allCoords(pk.M)) {
+			ternary += blk.Ternary
+			nnz += blk.NNZ()
 		}
-		if pk.NNZ() != sp.NNZ() {
-			t.Fatalf("n=%d b=%d: packed nnz %d, tensor nnz %d", n, b, pk.NNZ(), sp.NNZ())
+		if ternary != coo.TernaryMults {
+			t.Fatalf("n=%d b=%d: packed ternary %d, COO %d", n, b, ternary, coo.TernaryMults)
+		}
+		if nnz != sp.NNZ() {
+			t.Fatalf("n=%d b=%d: packed nnz %d, tensor nnz %d", n, b, nnz, sp.NNZ())
 		}
 		var st sttsv.Stats
 		x := make([]float64, n)
@@ -66,32 +87,33 @@ func TestPackTernaryOracle(t *testing.T) {
 
 // TestBlockApplyBitwiseScalarOracle: BlockApply on a sparse block must be
 // bit-for-bit BlockContributeScalar on the dense expansion of the same
-// block — across all four kinds, paddings and sparsity levels.
+// block — across all four kinds, paddings, sparsity levels and run
+// shapes. DiagPairLow and central runs must end both with and without
+// their dk == dj diagonal element, the one element the kernel splits off
+// a run.
 func TestBlockApplyBitwiseScalarOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
-	for trial := 0; trial < 40; trial++ {
-		n := rng.Intn(40) + 4
-		b := rng.Intn(6) + 2
-		drop := []float64{0.3, 0.8, 0.97}[trial%3]
-		a, sp := randSparse(n, drop, rng)
+	// runEnds[kind][d] counts the runs of that kind that end with (d = 1)
+	// and without (d = 0) their diagonal element.
+	runEnds := map[tensor.BlockKind]*[2]int{tensor.DiagPairLow: {}, tensor.Central: {}}
+	check := func(name string, sp *Tensor, b int) {
+		t.Helper()
+		n := sp.N
 		pk, err := Pack(sp, b)
 		if err != nil {
 			t.Fatal(err)
 		}
-		m := pk.M
-		padded := m * b
+		padded := pk.M * b
 		// Padded dense copy for block extraction.
 		ad := tensor.NewSymmetric(padded)
-		a.ForEach(func(i, j, k int, v float64) { ad.Set(i, j, k, v) })
+		sp.ForEach(func(e Entry) { ad.Set(e.I, e.J, e.K, e.V) })
 		x := make([]float64, padded)
 		for i := 0; i < n; i++ {
 			x[i] = rng.NormFloat64()
 		}
 		row := func(buf []float64, i int) []float64 { return buf[i*b : (i+1)*b] }
-		kinds := make(map[tensor.BlockKind]bool)
-		for _, c := range pk.Coords() {
-			blk := pk.Block(c[0], c[1], c[2])
-			dblk := tensor.ExtractBlock(ad, c[0], c[1], c[2], b)
+		for _, blk := range pk.Select(allCoords(pk.M)) {
+			dblk := tensor.ExtractBlock(ad, blk.I, blk.J, blk.K, b)
 			ys := make([]float64, padded)
 			yd := make([]float64, padded)
 			BlockApply(blk, row(x, blk.I), row(x, blk.J), row(x, blk.K),
@@ -99,12 +121,47 @@ func TestBlockApplyBitwiseScalarOracle(t *testing.T) {
 			sttsv.BlockContributeScalar(dblk, row(x, dblk.I), row(x, dblk.J), row(x, dblk.K),
 				row(yd, dblk.I), row(yd, dblk.J), row(yd, dblk.K), nil)
 			if !bitsEqual(ys, yd) {
-				t.Fatalf("trial %d: block (%d,%d,%d) kind %v: sparse kernel not bit-identical to scalar kernel", trial, c[0], c[1], c[2], blk.Kind)
+				t.Fatalf("%s (n=%d b=%d): block (%d,%d,%d) kind %v: sparse kernel not bit-identical to scalar kernel",
+					name, n, b, blk.I, blk.J, blk.K, blk.Kind)
 			}
-			kinds[blk.Kind] = true
+			if ends := runEnds[blk.Kind]; ends != nil {
+				for t0 := 0; t0 < blk.NNZ(); {
+					end := runEnd(blk.DI, blk.DJ, t0)
+					if blk.DK[end-1] == blk.DJ[t0] {
+						ends[1]++
+					} else {
+						ends[0]++
+					}
+					t0 = end
+				}
+			}
 		}
-		if trial == 0 && len(kinds) < 4 {
-			t.Logf("trial 0 covered %d kinds", len(kinds))
+	}
+	for trial := 0; trial < 40; trial++ {
+		n := rng.Intn(40) + 4
+		b := rng.Intn(6) + 2
+		drop := []float64{0.3, 0.8, 0.97}[trial%3]
+		_, sp := randSparse(n, drop, rng)
+		check(fmt.Sprintf("trial %d", trial), sp, b)
+	}
+	// Run shapes the random grid leaves to chance: b = 1 (every block a
+	// single element), runs up to 16 long, a ragged last row block, and a
+	// hypergraph whose strict triples give runs of mostly one element and
+	// no diagonal element.
+	_, unit := randSparse(12, 0.5, rng)
+	check("b=1", unit, 1)
+	_, long := randSparse(48, 0.3, rng)
+	check("b=16", long, 16)
+	_, ragged := randSparse(37, 0.5, rng)
+	check("n%b!=0", ragged, 8)
+	hyper, err := SkewedHypergraph(60, 600, 1, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("hypergraph", hyper, 8)
+	for kind, ends := range runEnds {
+		if ends[0] == 0 || ends[1] == 0 {
+			t.Errorf("%v runs: %d end without the diagonal element, %d with it; want both", kind, ends[0], ends[1])
 		}
 	}
 }
@@ -135,7 +192,7 @@ func TestApplyPackedBitwiseBlockedOracle(t *testing.T) {
 		copy(xp, x)
 		yp := make([]float64, padded)
 		row := func(buf []float64, i int) []float64 { return buf[i*b : (i+1)*b] }
-		for _, blk := range pk.Select(pk.Coords()) {
+		for _, blk := range pk.Select(allCoords(pk.M)) {
 			dblk := tensor.ExtractBlock(ad, blk.I, blk.J, blk.K, b)
 			sttsv.BlockContributeScalar(dblk, row(xp, blk.I), row(xp, blk.J), row(xp, blk.K),
 				row(yp, blk.I), row(yp, blk.J), row(yp, blk.K), nil)
@@ -154,9 +211,9 @@ func TestApplyPackedBitwiseBlockedOracle(t *testing.T) {
 	}
 }
 
-// TestPackBlocksSelect: PackBlocks restricted to a coordinate subset
-// returns exactly those blocks, kind-grouped, and Select skips empty
-// coordinates.
+// TestPackBlocksSelect: Select restricted to a coordinate subset
+// returns exactly those blocks, kind-grouped, and skips empty
+// coordinates and coordinates past the last row block.
 func TestPackBlocksSelect(t *testing.T) {
 	sp, err := New(8, []Entry{
 		{7, 3, 1, 1.0}, // block (3,1,0) off-diagonal at b=2
@@ -166,12 +223,13 @@ func TestPackBlocksSelect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blocks, err := PackBlocks(sp, [][3]int{{0, 0, 0}, {3, 1, 0}, {1, 1, 1}}, 2)
+	pk, err := Pack(sp, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
+	blocks := pk.Select([][3]int{{0, 0, 0}, {3, 1, 0}, {1, 1, 1}, {4, 1, 0}})
 	if len(blocks) != 2 {
-		t.Fatalf("selected %d blocks, want 2 (empty (1,1,1) skipped)", len(blocks))
+		t.Fatalf("selected %d blocks, want 2 (empty (1,1,1) and out-of-range (4,1,0) skipped)", len(blocks))
 	}
 	// Kind grouping: off-diagonal before central.
 	if blocks[0].Kind != tensor.OffDiagonal || blocks[1].Kind != tensor.Central {
@@ -192,16 +250,16 @@ func TestBlockCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	direct := BlockCounts(sp, 3)
-	fromPack := pk.BlockCounts()
-	if len(direct) != len(fromPack) {
-		t.Fatalf("BlockCounts has %d blocks, packed %d", len(direct), len(fromPack))
+	blocks := pk.Select(allCoords(pk.M))
+	if len(direct) != len(blocks) {
+		t.Fatalf("BlockCounts has %d blocks, packed %d", len(direct), len(blocks))
 	}
 	var total int64
-	for c, cnt := range direct {
-		if fromPack[c] != cnt {
-			t.Fatalf("block %v: direct %d, packed %d", c, cnt, fromPack[c])
+	for _, blk := range blocks {
+		if cnt := direct[[3]int{blk.I, blk.J, blk.K}]; cnt != int64(blk.NNZ()) {
+			t.Fatalf("block (%d,%d,%d): direct %d, packed %d", blk.I, blk.J, blk.K, cnt, blk.NNZ())
 		}
-		total += cnt
+		total += int64(blk.NNZ())
 	}
 	if total != int64(sp.NNZ()) {
 		t.Fatalf("counts sum %d, nnz %d", total, sp.NNZ())
