@@ -1,0 +1,129 @@
+package main
+
+import (
+	"bytes"
+	"strings"
+	"testing"
+)
+
+// sections splits a command's output at blank lines, dropping empty
+// sections.
+func sections(out string) [][]string {
+	var secs [][]string
+	for _, s := range strings.Split(out, "\n\n") {
+		if s = strings.TrimSpace(s); s != "" {
+			secs = append(secs, strings.Split(s, "\n"))
+		}
+	}
+	return secs
+}
+
+// countPrefix counts the lines of out that start with prefix.
+func countPrefix(out, prefix string) int {
+	n := 0
+	for _, l := range strings.Split(out, "\n") {
+		if strings.HasPrefix(l, prefix) {
+			n++
+		}
+	}
+	return n
+}
+
+// TestCommands runs each paper-artifact subcommand in-process and checks
+// the paper's facts in its output: the shapes of Tables 1–3, the 12 steps
+// of Figure 1, a verified Steiner system and one recommended machine. An
+// unknown experiment or subcommand name must exit 2 and list the valid
+// names on stderr instead of printing nothing. A check reads stdout when
+// the command succeeds and stderr when it fails.
+func TestCommands(t *testing.T) {
+	// tableRows checks a partition printout: title, then the processor
+	// table (R_p, N_p, D_p) and the Q_i table, each under a header line.
+	tableRows := func(procs, rowBlocks int) func(*testing.T, string) {
+		return func(t *testing.T, out string) {
+			secs := sections(out)
+			if len(secs) != 3 {
+				t.Fatalf("got %d sections, want title, processor table and Q_i table", len(secs))
+			}
+			if got := len(secs[1]) - 1; got != procs {
+				t.Errorf("processor rows = %d, want %d", got, procs)
+			}
+			if got := len(secs[2]) - 1; got != rowBlocks {
+				t.Errorf("Q_i rows = %d, want %d", got, rowBlocks)
+			}
+		}
+	}
+	listsNames := func(t *testing.T, stderr string) {
+		for _, e := range experiments {
+			if !strings.Contains(stderr, e.name) {
+				t.Errorf("stderr does not name experiment %q", e.name)
+			}
+		}
+		for _, c := range subcommands {
+			if !strings.Contains(stderr, c.name) {
+				t.Errorf("stderr does not name subcommand %q", c.name)
+			}
+		}
+	}
+	cases := []struct {
+		args  []string
+		code  int
+		check func(*testing.T, string)
+	}{
+		// Tables 1 and 2, Table 3, Figure 1.
+		{[]string{"partition", "-q", "3"}, 0, tableRows(30, 10)},
+		{[]string{"partition", "-sqs8"}, 0, tableRows(14, 8)},
+		{[]string{"commsched", "-sqs8"}, 0, func(t *testing.T, out string) {
+			if got := countPrefix(out, "step "); got != 12 {
+				t.Errorf("steps = %d, want 12", got)
+			}
+		}},
+		{[]string{"steiner", "-q", "3"}, 0, func(t *testing.T, out string) {
+			if !strings.Contains(out, "every triple in exactly 1") {
+				t.Error("no verified triple count")
+			}
+			if secs := sections(out); len(secs) != 2 || len(secs[1]) != 30 {
+				t.Errorf("want 30 blocks of the (10, 4, 3) system, got %d sections", len(secs))
+			}
+		}},
+		{[]string{"plan", "-n", "1000", "-maxp", "400"}, 0, func(t *testing.T, out string) {
+			marked := 0
+			for _, l := range strings.Split(out, "\n") {
+				if strings.HasSuffix(l, " *") {
+					marked++
+				}
+			}
+			if marked != 1 {
+				t.Errorf("%d rows marked recommended, want 1", marked)
+			}
+		}},
+		{[]string{"-e", "figure"}, 0, func(t *testing.T, out string) {
+			if !strings.Contains(out, "| schedule steps | 12 | 12 |") {
+				t.Error("F1 does not measure 12 steps")
+			}
+		}},
+		{[]string{"-e", "timline"}, 2, listsNames},
+		{[]string{"partitoin", "-q", "3"}, 2, listsNames},
+		{[]string{"-e", "figure", "partition"}, 2, nil},
+		{[]string{"plan", "-maxp"}, 2, nil},
+	}
+	for _, c := range cases {
+		t.Run(strings.Join(c.args, " "), func(t *testing.T) {
+			var stdout, stderr bytes.Buffer
+			if code := run(c.args, &stdout, &stderr); code != c.code {
+				t.Fatalf("exit %d, want %d; stderr:\n%s", code, c.code, stderr.String())
+			}
+			out := stdout.String()
+			if c.code != 0 {
+				if out != "" {
+					t.Errorf("failed command printed to stdout:\n%s", out)
+				}
+				if out = stderr.String(); out == "" {
+					t.Error("failed command printed nothing to stderr")
+				}
+			}
+			if c.check != nil {
+				c.check(t, out)
+			}
+		})
+	}
+}

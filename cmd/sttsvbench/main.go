@@ -1,7 +1,7 @@
 // Command sttsvbench is the local-kernel regression harness: it measures
 // the per-kind block kernels (seed scalar reference vs register-tiled) and
-// the packed-operator local phase (scalar baseline vs tiled at several
-// worker counts), then writes BENCH_kernels.json for the experiment log.
+// the packed-operator local phase (scalar baseline vs tiled), then writes
+// BENCH_kernels.json for the experiment log.
 //
 // Cost accounting follows the paper's §3 unit — one ternary multiplication
 // a_ijk·x_j·x_k contributing to an output row. Each ternary multiplication
@@ -77,8 +77,7 @@ type localResult struct {
 	M           int     `json:"m"`
 	BlockEdge   int     `json:"block_edge"`
 	N           int     `json:"n"`
-	Variant     string  `json:"variant"` // "scalar" or "workers=k"
-	Workers     int     `json:"workers,omitempty"`
+	Variant     string  `json:"variant"` // "scalar" or "tiled"
 	TernaryOps  int64   `json:"ternary_ops"`
 	NsPerOp     float64 `json:"ns_per_op"`
 	NsPerTern   float64 `json:"ns_per_ternary"`
@@ -128,7 +127,7 @@ func measureKernel(I, J, K, edge int, fn kernelFn) testing.BenchmarkResult {
 }
 
 // scalarLocalPhase applies the seed scalar kernel to every packed block —
-// the single-thread baseline all speedups are quoted against.
+// the baseline the tiled speedup is quoted against.
 func scalarLocalPhase(op *sttsv.Operator, x []float64) {
 	n, m, b := op.N(), op.M(), op.B()
 	xp := make([]float64, m*b)
@@ -265,16 +264,16 @@ func main() {
 		}
 		ternary := sttsv.PackedTernaryCount(n)
 
-		opSeq := sttsv.NewOperator(a, shape.m, 1)
+		op := sttsv.NewOperator(a, shape.m)
 		scalarNs := nsPerOp(testing.Benchmark(func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				scalarLocalPhase(opSeq, x)
+				scalarLocalPhase(op, x)
 			}
 		}))
-		add := func(variant string, workers int, ns float64) {
+		add := func(variant string, ns float64) {
 			r := localResult{
 				M: shape.m, BlockEdge: shape.edge, N: n,
-				Variant: variant, Workers: workers,
+				Variant:    variant,
 				TernaryOps: ternary,
 				NsPerOp:    ns,
 				NsPerTern:  ns / float64(ternary),
@@ -291,16 +290,12 @@ func main() {
 			}
 			fmt.Println()
 		}
-		add("scalar", 0, scalarNs)
-		for _, workers := range []int{1, 2, 4} {
-			op := sttsv.NewOperator(a, shape.m, workers)
-			ns := nsPerOp(testing.Benchmark(func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					op.Apply(x, nil)
-				}
-			}))
-			add(fmt.Sprintf("workers=%d", workers), workers, ns)
-		}
+		add("scalar", scalarNs)
+		add("tiled", nsPerOp(testing.Benchmark(func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				op.Apply(x, nil)
+			}
+		})))
 	}
 
 	data, err := json.MarshalIndent(&rep, "", "  ")

@@ -134,10 +134,10 @@ func runSparseBench(out, check string, benchtime time.Duration) {
 	for i := range x {
 		x[i] = rng.NormFloat64()
 	}
-	// Dense baseline: the production operator, single worker (the sparse
-	// path is also single-threaded here — kernel vs kernel).
+	// Dense baseline: the production operator, single-threaded like the
+	// sparse path here — kernel vs kernel.
 	denseRef := randSparse(xoN, 0.10, 32).Dense()
-	denseOp := sttsv.NewOperator(denseRef, xoM, 1)
+	denseOp := sttsv.NewOperator(denseRef, xoM)
 	denseNs := nsPerOp(testing.Benchmark(func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			denseOp.Apply(x, nil)

@@ -3,6 +3,9 @@ package sttsv
 import (
 	"math"
 	"testing"
+
+	"repro/internal/dsym"
+	"repro/internal/parallel"
 )
 
 func TestFacadeMTTKRP(t *testing.T) {
@@ -75,16 +78,16 @@ func TestFacadeDTensor(t *testing.T) {
 	for i := range v {
 		v[i] = 1 / math.Sqrt(float64(n))
 	}
-	a := RankOneDTensor(3, v, d)
+	a := dsym.RankOne(3, v, d)
 	y := DCompute(a, v)
 	for i := range y {
 		if math.Abs(y[i]-3*v[i]) > 1e-9 {
 			t.Fatalf("order-4 rank-one identity violated at %d", i)
 		}
 	}
-	lambda, x, _, converged := DPowerMethod(a, 1, 0, 2000, 1e-12)
+	lambda, x, _, converged := dsym.PowerMethod(a, 1, 0, 2000, 1e-12)
 	if !converged || math.Abs(lambda-3) > 1e-6 {
-		t.Fatalf("DPowerMethod: lambda=%g converged=%v", lambda, converged)
+		t.Fatalf("dsym.PowerMethod: lambda=%g converged=%v", lambda, converged)
 	}
 	if a := math.Abs(dotVec(x, v)); math.Abs(a-1) > 1e-6 {
 		t.Fatalf("alignment %g", a)
@@ -94,15 +97,8 @@ func TestFacadeDTensor(t *testing.T) {
 	if rt.N != 6 || rt.D != 5 {
 		t.Fatal("RandomDTensor shape wrong")
 	}
-	if NewDTensor(4, 3).At(1, 2, 3) != 0 {
+	if dsym.New(4, 3).At(1, 2, 3) != 0 {
 		t.Fatal("zero tensor not zero")
-	}
-}
-
-func TestFacadeDLowerBound(t *testing.T) {
-	// d=3 must agree with the core formula.
-	if math.Abs(DLowerBoundWords(120, 3, 30)-LowerBoundWords(120, 30)) > 1e-9 {
-		t.Fatal("d=3 bound mismatch")
 	}
 }
 
@@ -133,9 +129,9 @@ func TestFacadeDistributedPowerMethod(t *testing.T) {
 		v[i] = 1 / math.Sqrt(float64(n))
 	}
 	a := RankOneTensor(2, v)
-	res, err := DistributedPowerMethod(a,
+	res, err := parallel.RunPowerMethod(a,
 		ParallelOptions{Part: part, B: b, Wiring: WiringP2P},
-		PowerOptions{MaxIter: 100, Tol: 1e-12, Seed: 5})
+		parallel.PowerOptions{MaxIter: 100, Tol: 1e-12, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}

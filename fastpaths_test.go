@@ -4,6 +4,13 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"repro/internal/obs"
+	"repro/internal/parallel"
+	"repro/internal/partition"
+	"repro/internal/serve"
+	"repro/internal/sparse"
+	internalsttsv "repro/internal/sttsv"
 )
 
 func bitsSame(a, b []float64) bool {
@@ -18,8 +25,20 @@ func bitsSame(a, b []float64) bool {
 	return true
 }
 
-// TestFacadeSparseSession: the root-level sparse session must reproduce
-// the sequential sparse oracle bit-for-bit end to end.
+// openSparseSession packs sp's rank blocks for opts' partition and opens
+// a session over them.
+func openSparseSession(sp *sparse.Tensor, opts ParallelOptions) (*Session, error) {
+	srb, err := parallel.PackSparseRankBlocks(sp, opts.Part, opts.B)
+	if err != nil {
+		return nil, err
+	}
+	opts.Sparse = srb
+	return OpenSession(nil, opts)
+}
+
+// TestFacadeSparseSession: a session over packed sparse rank blocks must
+// reproduce, bit for bit, a facade session running the scalar kernel on
+// the same tensor stored densely.
 func TestFacadeSparseSession(t *testing.T) {
 	part, err := NewPartition(2)
 	if err != nil {
@@ -27,11 +46,11 @@ func TestFacadeSparseSession(t *testing.T) {
 	}
 	const b = 5
 	n := part.M * b
-	sp, err := SparseRandomHypergraph(n, 4*n, 17)
+	sp, err := sparse.RandomHypergraph(n, 4*n, 17)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := OpenSparseSession(sp, ParallelOptions{Part: part, B: b})
+	s, err := openSparseSession(sp, ParallelOptions{Part: part, B: b})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,12 +75,13 @@ func TestFacadeSparseSession(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bitsSame(res.Y, dres.Y) {
-		t.Fatal("facade sparse session differs from dense session")
+		t.Fatal("sparse session differs from dense session")
 	}
 }
 
-// TestFacadeWeightedPartition: nnz-weighted assignment reachable from the
-// facade must reduce the load imbalance of a skewed hypergraph.
+// TestFacadeWeightedPartition: nnz-weighted assignment must reduce the
+// load imbalance of a skewed hypergraph against the facade's uniform
+// partition.
 func TestFacadeWeightedPartition(t *testing.T) {
 	const q, b = 2, 16
 	uni, err := NewPartition(q)
@@ -69,22 +89,24 @@ func TestFacadeWeightedPartition(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := uni.M * b
-	sp, err := SparseSkewedHypergraph(n, 32*n, 1.3, 19)
+	sp, err := sparse.SkewedHypergraph(n, 32*n, 1.3, 19)
 	if err != nil {
 		t.Fatal(err)
 	}
-	weight := SparseBlockWeights(sp, b)
-	wp, err := NewWeightedPartition(q, weight)
+	counts := sparse.BlockCounts(sp, b)
+	wp, err := partition.NewSphericalWeighted(q, func(c partition.Coord) int64 {
+		return counts[[3]int{c.I, c.J, c.K}]
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	loadsOf := func(p *Partition) LoadStats {
-		srb, err := PackSparseRankBlocks(sp, p, b)
+	loadsOf := func(p *Partition) obs.LoadStats {
+		srb, err := parallel.PackSparseRankBlocks(sp, p, b)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return ComputeLoadStats(srb.Loads())
+		return obs.ComputeLoadStats(srb.Loads())
 	}
 	before, after := loadsOf(uni), loadsOf(wp)
 	if after.Imbalance > before.Imbalance {
@@ -95,8 +117,8 @@ func TestFacadeWeightedPartition(t *testing.T) {
 	}
 }
 
-// TestFacadeCPSession: the root-level CP session must match the
-// sequential factored apply oracle bit-for-bit.
+// TestFacadeCPSession: a CP session must match the sequential factored
+// apply oracle bit for bit.
 func TestFacadeCPSession(t *testing.T) {
 	const n, r, p = 90, 4, 3
 	rng := rand.New(rand.NewSource(20))
@@ -110,11 +132,11 @@ func TestFacadeCPSession(t *testing.T) {
 		}
 		vectors[k] = v
 	}
-	op, err := NewCPOperator(weights, vectors)
+	op, err := internalsttsv.NewCPOperator(weights, vectors)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := OpenCPSession(op, CPSessionOptions{P: p})
+	s, err := parallel.OpenCPSession(op, parallel.CPOptions{P: p})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,12 +151,12 @@ func TestFacadeCPSession(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bitsSame(res.Y, op.ApplyChunked(x, p, nil)) {
-		t.Fatal("facade CP session differs from ApplyChunked oracle")
+		t.Fatal("CP session differs from ApplyChunked oracle")
 	}
 }
 
-// TestFacadeFastPathPools: the sparse and CP serving pools must answer
-// through the facade.
+// TestFacadeFastPathPools: the sparse and CP serving pools must answer,
+// the sparse pool bit-identically to a solo sparse session.
 func TestFacadeFastPathPools(t *testing.T) {
 	part, err := NewPartition(2)
 	if err != nil {
@@ -142,11 +164,11 @@ func TestFacadeFastPathPools(t *testing.T) {
 	}
 	const b = 4
 	n := part.M * b
-	sp, err := SparseRandomHypergraph(n, 3*n, 21)
+	sp, err := sparse.RandomHypergraph(n, 3*n, 21)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool, err := OpenSparseServePool(sp, ServeOptions{Session: ParallelOptions{Part: part, B: b}})
+	pool, err := serve.OpenSparse(sp, serve.Options{Session: ParallelOptions{Part: part, B: b}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +179,7 @@ func TestFacadeFastPathPools(t *testing.T) {
 	for i := range x {
 		x[i] = rng.NormFloat64()
 	}
-	solo, err := OpenSparseSession(sp, ParallelOptions{Part: part, B: b})
+	solo, err := openSparseSession(sp, ParallelOptions{Part: part, B: b})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,11 +196,11 @@ func TestFacadeFastPathPools(t *testing.T) {
 		t.Fatal("sparse pool response differs from a solo sparse session")
 	}
 
-	op, err := NewCPOperator([]float64{1.5, -0.5}, [][]float64{make([]float64, n), make([]float64, n)})
+	op, err := internalsttsv.NewCPOperator([]float64{1.5, -0.5}, [][]float64{make([]float64, n), make([]float64, n)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cpPool, err := OpenCPServePool(op, 2, ServeOptions{})
+	cpPool, err := serve.OpenCP(op, 2, serve.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

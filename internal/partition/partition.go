@@ -275,17 +275,20 @@ func (t *Tetrahedral) RowBlockChunks(i, b int) []Chunk {
 }
 
 // OwnedRange returns processor p's chunk [lo, hi) of row block i, or ok ==
-// false when p ∉ Q_i.
+// false when p ∉ Q_i. It is p's entry of RowBlockChunks(i, b), computed
+// from p's position in the sorted Q_i without building the chunk list.
 func (t *Tetrahedral) OwnedRange(p, i, b int) (lo, hi int, ok bool) {
 	if !t.Owns(p, i) {
 		return 0, 0, false
 	}
-	for _, ch := range t.RowBlockChunks(i, b) {
-		if ch.Proc == p {
-			return ch.Lo, ch.Hi, true
-		}
+	idx := sort.SearchInts(t.Qi[i], p)
+	base, rem := b/len(t.Qi[i]), b%len(t.Qi[i])
+	lo = idx*base + min(idx, rem)
+	hi = lo + base
+	if idx < rem {
+		hi++
 	}
-	return 0, 0, false
+	return lo, hi, true
 }
 
 // StorageWords returns the number of tensor words processor p stores for

@@ -189,18 +189,44 @@ func TestVectorWordsPerProcessor(t *testing.T) {
 	}
 }
 
+// TestOwnedRange: OwnedRange must return p's entry of RowBlockChunks for
+// every (p, i), including block edges below |Q_i| where chunks are empty,
+// and must allocate nothing: layout set-up calls it once per segment.
 func TestOwnedRange(t *testing.T) {
-	part := mustSpherical(t, 2)
-	b := 12
-	for i := 0; i < part.M; i++ {
-		for p := 0; p < part.P; p++ {
-			lo, hi, ok := part.OwnedRange(p, i, b)
-			if ok != part.Owns(p, i) {
-				t.Fatalf("OwnedRange ok mismatch at p=%d i=%d", p, i)
+	sqs8, err := New(steiner.SQS8())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, part := range []*Tetrahedral{mustSpherical(t, 2), mustSpherical(t, 3), mustSpherical(t, 4), sqs8} {
+		nq := len(part.Qi[0])
+		for b := 1; b <= nq+2; b++ {
+			for i := 0; i < part.M; i++ {
+				want := make(map[int]Chunk)
+				for _, ch := range part.RowBlockChunks(i, b) {
+					want[ch.Proc] = ch
+				}
+				for p := 0; p < part.P; p++ {
+					lo, hi, ok := part.OwnedRange(p, i, b)
+					ch, owned := want[p]
+					if ok != owned || ok != part.Owns(p, i) {
+						t.Fatalf("m=%d b=%d: OwnedRange(%d, %d) ok=%v, Q_i membership %v", part.M, b, p, i, ok, owned)
+					}
+					if ok && (lo != ch.Lo || hi != ch.Hi) {
+						t.Fatalf("m=%d b=%d: OwnedRange(%d, %d) = [%d,%d), RowBlockChunks [%d,%d)",
+							part.M, b, p, i, lo, hi, ch.Lo, ch.Hi)
+					}
+				}
 			}
-			if ok && (lo < 0 || hi > b || lo >= hi) {
-				t.Fatalf("OwnedRange p=%d i=%d: [%d,%d)", p, i, lo, hi)
+		}
+		allocs := testing.AllocsPerRun(3, func() {
+			for i := 0; i < part.M; i++ {
+				for p := 0; p < part.P; p++ {
+					part.OwnedRange(p, i, nq+1)
+				}
 			}
+		})
+		if allocs != 0 {
+			t.Fatalf("m=%d: OwnedRange allocates %.0f objects per sweep, want 0", part.M, allocs)
 		}
 	}
 }

@@ -172,7 +172,7 @@ func BlockTernaryCount(kind tensor.BlockKind, b int) int64 {
 // and is the sequential skeleton of Algorithm 5's local phase. Blocks are
 // streamed through one scratch buffer (no per-block allocation); for
 // repeated applications of the same tensor use Operator, which extracts
-// all blocks once and can additionally run multicore.
+// all blocks once.
 func Blocked(a *tensor.Symmetric, x []float64, m int, stats *Stats) []float64 {
 	n := a.N
 	if len(x) != n {

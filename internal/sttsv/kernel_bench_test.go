@@ -59,8 +59,8 @@ func BenchmarkBlockContributeCentral(b *testing.B) {
 
 // BenchmarkLocalPhase measures one rank-local STTSV application — the
 // compute phase the paper's communication lower bound trades against —
-// through the packed-operator path, across worker counts: the paper's
-// (q=3 ⇒ m=10) grid at a small edge, a cache-resident b=32 shape
+// through the packed-operator path, scalar kernel against tiled: the
+// paper's (q=3 ⇒ m=10) grid at a small edge, a cache-resident b=32 shape
 // (m=4 ⇒ ~2.9 MB packed, where the kernel speedup is visible), and the
 // large streamed m=10, b=32 shape (~44 MB packed, DRAM-bandwidth-bound).
 func BenchmarkLocalPhase(b *testing.B) {
@@ -70,30 +70,24 @@ func BenchmarkLocalPhase(b *testing.B) {
 		a := tensor.Random(n, rng)
 		x := randVec(n, rng)
 		ternary := PackedTernaryCount(n)
+		op := NewOperator(a, shape.m)
 		b.Run(fmt.Sprintf("m=%d/b=%d/scalar", shape.m, shape.edge), func(b *testing.B) {
-			op := NewOperator(a, shape.m, 1)
-			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				scalarApply(op, x)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(ternary), "ns/ternary")
 		})
-		for _, workers := range []int{1, 2, 4} {
-			b.Run(fmt.Sprintf("m=%d/b=%d/workers=%d", shape.m, shape.edge, workers), func(b *testing.B) {
-				op := NewOperator(a, shape.m, workers)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					op.Apply(x, nil)
-				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(ternary), "ns/ternary")
-			})
-		}
+		b.Run(fmt.Sprintf("m=%d/b=%d/tiled", shape.m, shape.edge), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				op.Apply(x, nil)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(ternary), "ns/ternary")
+		})
 	}
 }
 
 // scalarApply runs the packed blocks through the seed scalar kernel
-// sequentially — the baseline the tiled/parallel speedups are quoted
-// against.
+// sequentially — the baseline the tiled speedup is quoted against.
 func scalarApply(op *Operator, x []float64) []float64 {
 	n, m, b := op.N(), op.M(), op.B()
 	xp := make([]float64, m*b)

@@ -10,10 +10,10 @@ import (
 // Operator is a reusable blocked STTSV applier: it extracts all
 // tetrahedral blocks of a tensor once into contiguous kind-grouped storage
 // (tensor.BlockPacked) and applies y = A ×₂ x ×₃ x repeatedly without
-// re-extraction, through the register-tiled kernels and, optionally, the
-// multicore Executor. This is the local-compute engine behind repeated
-// STTSV applications — power iterations, CP gradient sweeps — where the
-// seed paid full repacking cost per application.
+// re-extraction, through the register-tiled kernels. This is the
+// local-compute engine behind repeated STTSV applications — power
+// iterations, CP gradient sweeps — where the seed paid full repacking cost
+// per application.
 //
 // An Operator holds scratch buffers and is NOT safe for concurrent Apply
 // calls; share the tensor by building one Operator per goroutine (the
@@ -22,14 +22,12 @@ import (
 type Operator struct {
 	n, m, b int
 	packed  *tensor.BlockPacked
-	exec    *Executor
 	xp, yp  []float64
 }
 
 // NewOperator packs the tensor on an m×m×m block grid and returns the
-// reusable applier. workers selects the local-compute parallelism:
-// 1 is sequential, 0 selects GOMAXPROCS.
-func NewOperator(a *tensor.Symmetric, m, workers int) *Operator {
+// reusable applier.
+func NewOperator(a *tensor.Symmetric, m int) *Operator {
 	if m < 1 {
 		panic(fmt.Sprintf("sttsv: NewOperator with m=%d", m))
 	}
@@ -42,7 +40,6 @@ func NewOperator(a *tensor.Symmetric, m, workers int) *Operator {
 		m:      m,
 		b:      b,
 		packed: tensor.PackTetrahedron(a, m, b),
-		exec:   NewExecutor(workers),
 		xp:     make([]float64, m*b),
 		yp:     make([]float64, m*b),
 	}
@@ -57,9 +54,6 @@ func (op *Operator) M() int { return op.m }
 // B returns the block edge length ceil(n/m).
 func (op *Operator) B() int { return op.b }
 
-// Workers returns the local-compute worker count.
-func (op *Operator) Workers() int { return op.exec.Workers() }
-
 // Words returns the packed block storage in 8-byte words.
 func (op *Operator) Words() int { return op.packed.Words() }
 
@@ -67,9 +61,9 @@ func (op *Operator) Words() int { return op.packed.Words() }
 // callers that iterate the blocks themselves, e.g. benchmark baselines.
 func (op *Operator) Packed() *tensor.BlockPacked { return op.packed }
 
-// Apply computes y = A ×₂ x ×₃ x, reusing the packed blocks. The output
-// bits are reproducible: for a fixed Operator configuration (tensor, m,
-// workers) the same x always yields the same y.
+// Apply computes y = A ×₂ x ×₃ x, reusing the packed blocks. The blocks
+// are applied in packed order, so for a fixed (tensor, m) the same x
+// always yields the same y bits.
 func (op *Operator) Apply(x []float64, stats *Stats) []float64 {
 	if len(x) != op.n {
 		panic(fmt.Sprintf("sttsv: vector length %d, tensor dimension %d", len(x), op.n))
@@ -82,10 +76,12 @@ func (op *Operator) Apply(x []float64, stats *Stats) []float64 {
 		op.yp[i] = 0
 	}
 	b := op.b
-	op.exec.Contribute(op.packed.Blocks, b,
-		func(i int) []float64 { return op.xp[i*b : (i+1)*b] },
-		func(i int) []float64 { return op.yp[i*b : (i+1)*b] },
-		stats)
+	for _, blk := range op.packed.Blocks {
+		I, J, K := blk.I, blk.J, blk.K
+		BlockContribute(blk,
+			op.xp[I*b:(I+1)*b], op.xp[J*b:(J+1)*b], op.xp[K*b:(K+1)*b],
+			op.yp[I*b:(I+1)*b], op.yp[J*b:(J+1)*b], op.yp[K*b:(K+1)*b], stats)
+	}
 	y := make([]float64, op.n)
 	copy(y, op.yp)
 	return y

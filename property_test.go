@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/partition"
+	"repro/internal/sparse"
 )
 
 // Property-based tests (testing/quick) over the core invariants of the
@@ -166,11 +167,11 @@ func TestPropertySparseDenseAgree(t *testing.T) {
 				a.Data[i] = 0
 			}
 		}
-		sp := SparseFromTensor(a, 0)
+		sp := sparse.FromPacked(a, 0)
 		x := make([]float64, n)
 		r := RandomTensor(n, seed+1)
 		copy(x, r.Data[:n])
-		ys := SparseCompute(sp, x, nil)
+		ys := sp.Apply(x, nil)
 		yd := Compute(a, x, nil)
 		for i := range ys {
 			if math.Abs(ys[i]-yd[i]) > 1e-10*(1+math.Abs(yd[i])) {

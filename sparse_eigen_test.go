@@ -3,11 +3,15 @@ package sttsv
 import (
 	"math"
 	"testing"
+
+	"repro/internal/hopm"
+	"repro/internal/sparse"
+	"repro/internal/steiner"
 )
 
 func TestFacadeSparse(t *testing.T) {
 	edges := [][3]int{{0, 1, 2}, {1, 2, 3}, {0, 3, 4}}
-	sp, err := SparseFromHypergraph(5, edges)
+	sp, err := sparse.FromHypergraph(5, edges)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -20,7 +24,7 @@ func TestFacadeSparse(t *testing.T) {
 	}
 	x := []float64{1, -1, 2, 0.5, 3}
 	var st Stats
-	ys := SparseCompute(sp, x, &st)
+	ys := sp.Apply(x, &st)
 	yd := Compute(dense, x, nil)
 	for i := range ys {
 		if math.Abs(ys[i]-yd[i]) > 1e-12 {
@@ -31,12 +35,12 @@ func TestFacadeSparse(t *testing.T) {
 		t.Fatalf("ternary count %d, want 9", st.TernaryMults)
 	}
 	// Sparsify round trip.
-	sp2 := SparseFromTensor(dense, 0)
+	sp2 := sparse.FromPacked(dense, 0)
 	if sp2.NNZ() != 3 {
-		t.Fatalf("SparseFromTensor NNZ = %d", sp2.NNZ())
+		t.Fatalf("sparse.FromPacked NNZ = %d", sp2.NNZ())
 	}
 	// Power method parity.
-	p1, err := SparsePowerMethod(sp, EigenOptions{Seed: 1, MaxIter: 3000})
+	p1, err := hopm.PowerMethod(sp.STTSV(), sp.N, EigenOptions{Seed: 1, MaxIter: 3000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +59,7 @@ func TestFacadeHEigen(t *testing.T) {
 	for i := range a.Data {
 		a.Data[i] = 1
 	}
-	pair, err := HEigenPowerMethod(a, 1000, 1e-12)
+	pair, err := hopm.HEigenPowerMethod(hopm.PackedSTTSV(a), a.N, 1000, 1e-12)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,14 +77,14 @@ func TestFacadeAdaptiveAndEnumerate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pair, err := AdaptivePowerMethod(a, SuggestedShift(a), EigenOptions{Seed: 2, MaxIter: 20000, Tol: 1e-11})
+	pair, err := hopm.AdaptivePowerMethod(hopm.PackedSTTSV(a), a.N, SuggestedShift(a), EigenOptions{Seed: 2, MaxIter: 20000, Tol: 1e-11})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !pair.Converged {
 		t.Fatal("adaptive did not converge")
 	}
-	pairs, err := EnumerateEigenpairs(a, 30, EigenOptions{Seed: 3, MaxIter: 3000})
+	pairs, err := hopm.EnumerateEigenpairs(hopm.PackedSTTSV(a), a.N, 30, EigenOptions{Seed: 3, MaxIter: 3000}, 1e-6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +113,7 @@ func TestFacadeSequenceBaseline(t *testing.T) {
 }
 
 func TestFacadeSQSDoubled(t *testing.T) {
-	s, err := SQSDoubled(1)
+	s, err := steiner.SQSDoubled(1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,23 +17,32 @@
 //   - the applications of §1: the higher-order power method (plus the
 //     shifted SS-HOPM variant) and the symmetric CP gradient with a
 //     gradient-descent decomposition driver;
+//   - the two generalizations §8 names as future work: symmetric MTTKRP
+//     and d-dimensional symmetric tensors;
 //   - the closed-form cost model of the paper (lower bounds, algorithm
-//     costs, schedule lengths) for experiment regeneration.
+//     costs, schedule lengths) and the α-β-γ trace replay.
 //
-// This root package is a facade: the implementation lives in internal
-// packages (tensor, sttsv, partition, schedule, machine, collective,
-// parallel, hopm, steiner, gf, costmodel) and the most useful entry points
-// are re-exported here under stable names.
+// This root package is a facade over the internal packages (tensor, sttsv,
+// partition, schedule, parallel, hopm, steiner, costmodel, obs, …) and the
+// only surface a module outside this one can import. It exports the entry
+// points the examples/ programs and the paper regenerators (bench_test.go,
+// ablation_bench_test.go, example_test.go) use, plus the types their
+// signatures name.
 package sttsv
 
 import (
 	"math/rand"
 
 	"repro/internal/costmodel"
+	"repro/internal/dsym"
 	"repro/internal/hopm"
 	"repro/internal/la"
+	"repro/internal/machine"
+	"repro/internal/mttkrp"
+	"repro/internal/obs"
 	"repro/internal/parallel"
 	"repro/internal/partition"
+	"repro/internal/plan"
 	"repro/internal/schedule"
 	"repro/internal/steiner"
 	internalsttsv "repro/internal/sttsv"
@@ -92,6 +101,11 @@ const (
 	WiringAllToAll = parallel.WiringAllToAll
 )
 
+// RunConfig configures a simulated machine run: stall watchdog, trace
+// observer, wire-event emission, transport factory and backend. Assign it
+// to ParallelOptions.Machine.
+type RunConfig = machine.RunConfig
+
 // --- tensor construction ---
 
 // NewTensor returns the zero symmetric tensor of dimension n.
@@ -137,13 +151,6 @@ func ComputeNaive(a *Dense, x []float64, stats *Stats) []float64 {
 	return internalsttsv.Naive(a, x, stats)
 }
 
-// ComputeBlocked evaluates STTSV through the tetrahedral block kernels on
-// an m×m×m block grid — the sequential skeleton of Algorithm 5's local
-// phase.
-func ComputeBlocked(a *Tensor, x []float64, m int, stats *Stats) []float64 {
-	return internalsttsv.Blocked(a, x, m, stats)
-}
-
 // Lambda returns A ×₁x ×₂x ×₃x = xᵀ(A ×₂x ×₃x).
 func Lambda(a *Tensor, x []float64) float64 {
 	return internalsttsv.Dot(x, internalsttsv.Packed(a, x, nil))
@@ -157,7 +164,7 @@ func Lambda(a *Tensor, x []float64) float64 {
 func NewPartition(q int) (*Partition, error) { return partition.NewSpherical(q) }
 
 // NewPartitionFromSteiner builds a partition from any Steiner (m, r, 3)
-// system (for example steiner.SQS8() with P = 14, the paper's Appendix A).
+// system (for example SQS8() with P = 14, the paper's Appendix A).
 func NewPartitionFromSteiner(sys *SteinerSystem) (*Partition, error) {
 	return partition.New(sys)
 }
@@ -165,10 +172,6 @@ func NewPartitionFromSteiner(sys *SteinerSystem) (*Partition, error) {
 // SQS8 returns the Steiner (8,4,3) quadruple system of the paper's
 // Appendix A example.
 func SQS8() *SteinerSystem { return steiner.SQS8() }
-
-// SphericalSteiner returns the Steiner (q²+1, q+1, 3) system for prime
-// power q.
-func SphericalSteiner(q int) (*SteinerSystem, error) { return steiner.Spherical(q) }
 
 // BuildSchedule constructs the point-to-point communication schedule of
 // §7.2 for a partition.
@@ -184,30 +187,9 @@ func ParallelCompute(a *Tensor, x []float64, opts ParallelOptions) (*ParallelRes
 // launched once against a fixed (tensor, partition, schedule, block edge,
 // wiring) configuration and then serves a stream of operations — Apply,
 // ApplyBatch, PowerMethod, MTTKRP — until Close. Every result is
-// bit-identical to the corresponding one-shot call (ParallelCompute,
-// DistributedPowerMethod, ParallelMTTKRP), but the machine launch, plan
-// precomputation and all message buffers are paid once: the steady-state
-// exchange path performs no allocations.
+// bit-identical to the corresponding one-shot call, but the machine
+// launch, plan precomputation and all message buffers are paid once.
 type Session = parallel.Session
-
-// BatchResult reports a multi-column session application.
-type BatchResult = parallel.BatchResult
-
-// RecoveryOptions opts a session into crash recovery (set
-// ParallelOptions.Recovery): a rank death relaunches the machine one
-// epoch later, rolls it back to the last checkpoint and replays, within a
-// bounded replay budget. Committed results stay bit-identical
-// to the crash-free session and logical meters count committed work
-// exactly once; recovery overhead appears only on the wire meters.
-type RecoveryOptions = parallel.RecoveryOptions
-
-// RecoveryStats counts the supervisor's interventions over a session's
-// lifetime (Session.RecoveryStats).
-type RecoveryStats = parallel.RecoveryStats
-
-// ErrSessionBusy is returned (wrapped) by Session operations invoked
-// while another operation is in flight; match with errors.Is.
-var ErrSessionBusy = parallel.ErrSessionBusy
 
 // OpenSession launches a persistent session. The tensor may be nil for
 // pure communication measurements. Callers must Close the session to stop
@@ -216,21 +198,18 @@ func OpenSession(a *Tensor, opts ParallelOptions) (*Session, error) {
 	return parallel.OpenSession(a, opts)
 }
 
-// RankBlocks caches per-rank extracted block sets so repeated
-// ParallelCompute calls on one tensor skip re-extraction (set
-// ParallelOptions.Blocks).
-type RankBlocks = parallel.RankBlocks
-
-// PackRankBlocks extracts every rank's tetrahedral block set once for
-// reuse across simulated applications.
-func PackRankBlocks(a *Tensor, part *Partition, b int) (*RankBlocks, error) {
-	return parallel.PackRankBlocks(a, part, b)
-}
-
 // RowBaselineCompute runs the 1D row-partition baseline (Θ(n) words per
 // processor) on the simulated machine.
 func RowBaselineCompute(a *Tensor, x []float64, p int) (*ParallelResult, error) {
 	return parallel.RunRowBaseline(a, x, p, RunConfig{})
+}
+
+// SequenceBaselineCompute runs the §8 two-step approach (M = A ×₃ x in
+// parallel, then y = M·x) on the simulated machine: ≈ 2n³ elementary
+// operations and Ω(n) words per processor — the trade-off Algorithm 5
+// avoids.
+func SequenceBaselineCompute(a *Tensor, x []float64, p int) (*ParallelResult, error) {
+	return parallel.RunSequenceBaseline(a, x, p, RunConfig{})
 }
 
 // --- applications ---
@@ -267,6 +246,58 @@ func ExtractRankOnes(a *Tensor, r int, opts EigenOptions) ([]float64, [][]float6
 // NewFactors returns a zero n×r factor matrix.
 func NewFactors(n, r int) *Factors { return la.NewMatrix(n, r) }
 
+// FactorsFromColumns builds an n×r factor matrix from column vectors.
+func FactorsFromColumns(cols [][]float64) *Factors {
+	if len(cols) == 0 {
+		return la.NewMatrix(0, 0)
+	}
+	m := la.NewMatrix(len(cols[0]), len(cols))
+	for l, c := range cols {
+		m.SetCol(l, c)
+	}
+	return m
+}
+
+// --- symmetric MTTKRP and d-dimensional tensors (§8) ---
+
+// MTTKRP computes the symmetric Matricized-Tensor Times Khatri-Rao
+// Product Y_iℓ = Σ_jk a_ijk·X_jℓ·X_kℓ in a single fused pass over the
+// packed tensor (each column is an STTSV; the tensor is read once for all
+// r columns).
+func MTTKRP(a *Tensor, x *Factors, stats *Stats) *Factors {
+	return mttkrp.Fused(a, x, stats)
+}
+
+// MTTKRPColumnwise computes the same result as r independent STTSV calls
+// (r passes over the tensor) — the baseline the fused kernel is measured
+// against.
+func MTTKRPColumnwise(a *Tensor, x *Factors, stats *Stats) *Factors {
+	return mttkrp.Columnwise(a, x, stats)
+}
+
+// ParallelMTTKRP runs the symmetric MTTKRP on the simulated machine with
+// the tetrahedral partition: the same schedule as Algorithm 5 carrying all
+// r columns per message, so bandwidth is exactly r× the single-vector cost
+// at unchanged message counts.
+func ParallelMTTKRP(a *Tensor, x *Factors, r int, opts ParallelOptions) (*Factors, *ParallelResult, error) {
+	return parallel.RunMTTKRP(a, x, r, opts)
+}
+
+// DTensor is a fully symmetric order-d tensor of dimension n in packed
+// multiset storage (C(n+d−1, d) values); the d=3 layout matches Tensor.
+type DTensor = dsym.Tensor
+
+// RandomDTensor fills the stored entries with uniform(-1,1) values drawn
+// deterministically from seed.
+func RandomDTensor(n, d int, seed int64) *DTensor {
+	return dsym.Random(n, d, rand.New(rand.NewSource(seed)))
+}
+
+// DCompute evaluates the d-dimensional STTSV y = A ×₂x ⋯ ×_d x with the
+// symmetry-exploiting generalization of Algorithm 4 (≈ d·n^d/d! merged
+// operations instead of the naive n^d).
+func DCompute(t *DTensor, x []float64) []float64 { return dsym.Apply(t, x, nil) }
+
 // --- cost model (paper formulas) ---
 
 // LowerBoundWords returns the Theorem 5.2 communication lower bound
@@ -281,9 +312,44 @@ func OptimalWords(n, q int) float64 { return costmodel.OptimalWords(n, q) }
 // 4n/(q+1)·(1−1/P) — twice the lower bound's leading term.
 func AllToAllWords(n, q int) float64 { return costmodel.AllToAllWords(n, q) }
 
-// Processors returns P = q(q²+1).
-func Processors(q int) int { return costmodel.Processors(q) }
-
 // ScheduleSteps returns the §7.2.2 point-to-point step count
 // q³/2 + 3q²/2 − 1.
 func ScheduleSteps(q int) int { return schedule.TheoreticalSteps(q) }
+
+// MachineConfig is one admissible machine configuration with predicted
+// costs (see internal/plan).
+type MachineConfig = plan.Config
+
+// BestMachine recommends the configuration with the smallest predicted
+// per-processor communication within the processor budget.
+func BestMachine(n, maxP int) (MachineConfig, error) { return plan.Best(n, maxP) }
+
+// --- tracing and replay ---
+
+// TraceRecorder is a thread-safe collector of trace events; pass
+// Observer() as RunConfig.Observer, then Trace() for analysis.
+type TraceRecorder = obs.Recorder
+
+// Trace is an ordered set of run events with phase/rank aggregation
+// helpers and the trace-conformance check against a run's meters.
+type Trace = obs.Trace
+
+// TimeModel is the α-β-γ cost model used to replay a trace on a
+// simulated clock: per-message latency, per-word inverse bandwidth, and
+// per-ternary-multiplication compute time (§3.1).
+type TimeModel = obs.TimeModel
+
+// DefaultTimeModel returns a plausible commodity-cluster operating point
+// (2 µs latency, ≈6.4 GB/s bandwidth, 4·10⁹ ternary mults/s).
+func DefaultTimeModel() TimeModel { return obs.DefaultTimeModel() }
+
+// Timeline is a replayed trace: per-rank critical-path times, activity
+// attribution (compute / send / recv-wait / barrier-wait / overlap),
+// Gantt spans and per-phase step counts.
+type Timeline = obs.Timeline
+
+// Replay executes a complete logical trace on a simulated clock under
+// the given α-β-γ model. For a fault-free point-to-point Algorithm 5 run
+// each exchange phase replays to exactly the schedule's
+// Σ(α + maxWords·β) makespan over its q³/2+3q²/2−1 steps.
+func Replay(t *Trace, m TimeModel) (*Timeline, error) { return obs.Replay(t, m) }

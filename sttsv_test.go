@@ -3,7 +3,16 @@ package sttsv
 import (
 	"math"
 	"testing"
+
+	"repro/internal/costmodel"
+	"repro/internal/steiner"
+	internalsttsv "repro/internal/sttsv"
 )
+
+// The root tests drive the public entry points end to end. Where a check
+// needs a function the facade does not export (the blocked driver, the
+// sparse and CP fast paths, the extra eigensolvers), it calls the internal
+// package directly, next to the facade calls it is checked against.
 
 func TestFacadeSequentialPipeline(t *testing.T) {
 	// End-to-end through the public API: build, compute, cross-check.
@@ -18,7 +27,7 @@ func TestFacadeSequentialPipeline(t *testing.T) {
 		t.Fatalf("ternary count %d", st.TernaryMults)
 	}
 	yn := ComputeNaive(a.Dense(), x, nil)
-	yb := ComputeBlocked(a, x, 4, nil)
+	yb := internalsttsv.Blocked(a, x, 4, nil)
 	for i := range y {
 		if math.Abs(y[i]-yn[i]) > 1e-9 || math.Abs(y[i]-yb[i]) > 1e-9 {
 			t.Fatalf("algorithms disagree at %d: %g %g %g", i, y[i], yn[i], yb[i])
@@ -99,7 +108,7 @@ func TestFacadeEigenAndCP(t *testing.T) {
 
 func TestFacadeCostModelConsistency(t *testing.T) {
 	q := 3
-	p := Processors(q)
+	p := costmodel.Processors(q)
 	if p != 30 {
 		t.Fatalf("Processors(3) = %d", p)
 	}
@@ -135,7 +144,7 @@ func TestFacadeSteinerAccess(t *testing.T) {
 	if sch.NumSteps() != 12 {
 		t.Fatalf("SQS8 schedule steps = %d, want 12 (Figure 1)", sch.NumSteps())
 	}
-	sys, err := SphericalSteiner(2)
+	sys, err := steiner.Spherical(2)
 	if err != nil {
 		t.Fatal(err)
 	}
