@@ -38,12 +38,11 @@ func steinerCmd(args []string, stdout, stderr io.Writer) int {
 	default:
 		sys, err = steiner.Spherical(*q)
 	}
-	if err != nil {
-		fmt.Fprintln(stderr, "steiner:", err)
-		return 1
+	if err == nil {
+		err = sys.Verify()
 	}
-	if err := sys.Verify(); err != nil {
-		fmt.Fprintln(stderr, "steiner: verification failed:", err)
+	if err != nil {
+		fmt.Fprintln(stderr, err)
 		return 1
 	}
 
@@ -82,12 +81,11 @@ func partitionCmd(args []string, stdout, stderr io.Writer) int {
 	}
 
 	part, err := buildPartition(*q, *sqs8)
-	if err != nil {
-		fmt.Fprintln(stderr, "partition:", err)
-		return 1
+	if err == nil {
+		err = part.Validate()
 	}
-	if err := part.Validate(); err != nil {
-		fmt.Fprintln(stderr, "partition: invalid:", err)
+	if err != nil {
+		fmt.Fprintln(stderr, err)
 		return 1
 	}
 
@@ -125,17 +123,15 @@ func commschedCmd(args []string, stdout, stderr io.Writer) int {
 	}
 
 	part, err := buildPartition(*q, *sqs8)
-	if err != nil {
-		fmt.Fprintln(stderr, "commsched:", err)
-		return 1
+	var sched *schedule.Schedule
+	if err == nil {
+		sched, err = schedule.Build(part)
 	}
-	sched, err := schedule.Build(part)
-	if err != nil {
-		fmt.Fprintln(stderr, "commsched:", err)
-		return 1
+	if err == nil {
+		err = sched.Validate(part)
 	}
-	if err := sched.Validate(part); err != nil {
-		fmt.Fprintln(stderr, "commsched: invalid schedule:", err)
+	if err != nil {
+		fmt.Fprintln(stderr, err)
 		return 1
 	}
 
@@ -180,7 +176,7 @@ func planCmd(args []string, stdout, stderr io.Writer) int {
 
 	cfgs, err := plan.Enumerate(*n, *maxP)
 	if err != nil {
-		fmt.Fprintln(stderr, "plan:", err)
+		fmt.Fprintln(stderr, err)
 		return 1
 	}
 	if len(cfgs) == 0 {
@@ -189,7 +185,7 @@ func planCmd(args []string, stdout, stderr io.Writer) int {
 	}
 	best, err := plan.Best(*n, *maxP)
 	if err != nil {
-		fmt.Fprintln(stderr, "plan:", err)
+		fmt.Fprintln(stderr, err)
 		return 1
 	}
 

@@ -33,8 +33,9 @@ func countPrefix(out, prefix string) int {
 // the paper's facts in its output: the shapes of Tables 1–3, the 12 steps
 // of Figure 1, a verified Steiner system and one recommended machine. An
 // unknown experiment or subcommand name must exit 2 and list the valid
-// names on stderr instead of printing nothing. A check reads stdout when
-// the command succeeds and stderr when it fails.
+// names on stderr instead of printing nothing, and a command that fails
+// prints its error once and exits 1. A check reads stdout when the command
+// succeeds and stderr when it fails.
 func TestCommands(t *testing.T) {
 	// tableRows checks a partition printout: title, then the processor
 	// table (R_p, N_p, D_p) and the Q_i table, each under a header line.
@@ -61,6 +62,15 @@ func TestCommands(t *testing.T) {
 		for _, c := range subcommands {
 			if !strings.Contains(stderr, c.name) {
 				t.Errorf("stderr does not name subcommand %q", c.name)
+			}
+		}
+	}
+	// printsOnce checks that a failure's stderr is its error, printed once
+	// with one package prefix.
+	printsOnce := func(want string) func(*testing.T, string) {
+		return func(t *testing.T, stderr string) {
+			if stderr != want+"\n" {
+				t.Errorf("stderr %q, want %q", stderr, want+"\n")
 			}
 		}
 	}
@@ -105,6 +115,8 @@ func TestCommands(t *testing.T) {
 		{[]string{"partitoin", "-q", "3"}, 2, listsNames},
 		{[]string{"-e", "figure", "partition"}, 2, nil},
 		{[]string{"plan", "-maxp"}, 2, nil},
+		{[]string{"steiner", "-q", "6"}, 1, printsOnce("steiner: q=6 is not a prime power")},
+		{[]string{"plan", "-n", "0"}, 1, printsOnce("plan: Enumerate(0, 400)")},
 	}
 	for _, c := range cases {
 		t.Run(strings.Join(c.args, " "), func(t *testing.T) {

@@ -4,11 +4,14 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/fault"
 	"repro/internal/machine"
+	"repro/internal/netwire"
 )
 
 func newRng(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
@@ -92,7 +95,7 @@ func (w *recordWire) PullTimeout(time.Duration) (machine.Packet, bool) {
 
 func injectSequence(seed int64, n int) []machine.Packet {
 	rec := &recordWire{rank: 0, size: 4}
-	w := fault.Inject(rec, fault.Plan{Seed: seed, Drop: 0.3, Dup: 0.2, Reorder: 0.3, Corrupt: 0.2})
+	w := fault.Inject(rec, fault.NewDecider(fault.Plan{Seed: seed, Drop: 0.3, Dup: 0.2, Reorder: 0.3, Corrupt: 0.2}, rec.rank))
 	for i := 0; i < n; i++ {
 		w.Deliver(machine.Packet{From: 0, To: 1 + i%3, Tag: i, Seq: i + 1,
 			Kind: machine.PacketData, Data: []float64{float64(i), float64(i * i)}})
@@ -117,7 +120,7 @@ func TestInjectorDeterministic(t *testing.T) {
 
 func TestInjectorMaxFaultsBudget(t *testing.T) {
 	rec := &recordWire{rank: 0, size: 2}
-	w := fault.Inject(rec, fault.Plan{Seed: 3, Drop: 1, MaxFaults: 5})
+	w := fault.Inject(rec, fault.NewDecider(fault.Plan{Seed: 3, Drop: 1, MaxFaults: 5}, rec.rank))
 	for i := 0; i < 50; i++ {
 		w.Deliver(machine.Packet{From: 0, To: 1, Kind: machine.PacketData, Data: []float64{1}})
 	}
@@ -128,7 +131,7 @@ func TestInjectorMaxFaultsBudget(t *testing.T) {
 
 func TestInjectorCrash(t *testing.T) {
 	rec := &recordWire{rank: 4, size: 8}
-	w := fault.Inject(rec, fault.Plan{Crash: map[int]int{4: 3}})
+	w := fault.Inject(rec, fault.NewDecider(fault.Plan{Crash: map[int]int{4: 3}}, rec.rank))
 	for i := 0; i < 2; i++ {
 		w.Deliver(machine.Packet{From: 4, To: 0, Kind: machine.PacketData})
 	}
@@ -143,6 +146,103 @@ func TestInjectorCrash(t *testing.T) {
 		}
 	}()
 	w.Deliver(machine.Packet{From: 4, To: 0, Kind: machine.PacketData})
+}
+
+// TestCrashFiresOncePerDecider pins the crash-once rule through both
+// realizations of a plan. Rank 1's crash at op 3 fires exactly once, on
+// the rank's third send, across every transport one sim factory builds
+// for the rank (a recovering session's relaunches) and across every
+// machine incarnation that reuses the rank's socket node; it never fires
+// again.
+func TestCrashFiresOncePerDecider(t *testing.T) {
+	const rank, at, incarnations = 1, 3, 3
+	plan := fault.Plan{Seed: 5, Crash: map[int]int{rank: at}}
+	type crash struct {
+		incarnation, send int
+		err               machine.CrashError
+	}
+	want := []crash{{0, at, machine.CrashError{Rank: rank, Op: at}}}
+	// check sends 4·at packets per incarnation through the sender that
+	// incarnation returns, and compares the crashes with want.
+	check := func(t *testing.T, incarnation func() (send func())) {
+		var got []crash
+		for inc := 0; inc < incarnations; inc++ {
+			send := incarnation()
+			for s := 1; s <= 4*at; s++ {
+				func() {
+					defer func() {
+						if r := recover(); r != nil {
+							ce, ok := r.(machine.CrashError)
+							if !ok {
+								panic(r)
+							}
+							got = append(got, crash{inc, s, ce})
+						}
+					}()
+					send()
+				}()
+			}
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("crashes %+v, want %+v", got, want)
+		}
+	}
+	t.Run("sim", func(t *testing.T) {
+		tf := fault.Unreliable(plan)
+		check(t, func() func() {
+			tp := tf(&recordWire{rank: rank, size: 2})
+			return func() { tp.Send(0, 0, []float64{1}) }
+		})
+	})
+	t.Run("socket", func(t *testing.T) {
+		be, err := netwire.NewChaosLoopback("tcp", plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer be.Close()
+		check(t, func() func() {
+			w, err := be.NewWire(rank, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return func() { w.Deliver(machine.Packet{From: rank, To: 0, Kind: machine.PacketData, Data: []float64{1}}) }
+		})
+	})
+}
+
+// TestDeciderSharedAcrossTransports drives one rank's decider from four
+// transports at once, as concurrent sessions opened from one options
+// template do: the rank's crash still fires exactly once. Run it under
+// -race.
+func TestDeciderSharedAcrossTransports(t *testing.T) {
+	const senders, sends = 4, 50
+	tf := fault.Unreliable(fault.Plan{Seed: 9, Drop: 0.2, Dup: 0.2, Reorder: 0.2, Crash: map[int]int{1: 37}})
+	var crashes atomic.Int64
+	var wg sync.WaitGroup
+	for g := 0; g < senders; g++ {
+		tp := tf(&recordWire{rank: 1, size: 2})
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for s := 0; s < sends; s++ {
+				func() {
+					defer func() {
+						if r := recover(); r != nil {
+							if _, ok := r.(machine.CrashError); !ok {
+								panic(r)
+							}
+							crashes.Add(1)
+						}
+					}()
+					tp.Send(0, s, []float64{1})
+				}()
+			}
+		}()
+	}
+	wg.Wait()
+	if got := crashes.Load(); got != 1 {
+		t.Fatalf("%d crashes across %d transports sharing rank 1's decider, want 1", got, senders)
+	}
 }
 
 // reliableRun executes a ping-pong workload under the given plan and

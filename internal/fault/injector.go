@@ -2,90 +2,60 @@ package fault
 
 import (
 	"math"
-	"math/rand"
-	"time"
+	"sync"
 
 	"repro/internal/machine"
 )
 
-// Inject wraps a rank's raw wire endpoint with the plan's fault
-// injectors. Faults fire on the delivery path (the sender's side of the
-// wire), which keeps them deterministic: each rank's deliveries happen in
-// its own program order, and each rank draws from its own PRNG seeded by
-// (Seed, rank). Acks and retransmissions pass through the same injector
-// as first transmissions — recovery traffic is not privileged.
+// Inject wraps a rank's raw wire endpoint with the packet realization of
+// d's verdicts; a nil d (a plan that injects nothing) leaves w as is.
+// Faults fire on the delivery path (the sender's side of the wire), which
+// keeps them deterministic: each rank's deliveries happen in its own
+// program order. They also fire above the machine's wire meters, so a
+// dropped packet is never metered and a duplicate is metered twice. Acks
+// and retransmissions pass through the same injector as first
+// transmissions — recovery traffic is not privileged.
 //
 // An injected wire violates the delivery guarantees the direct transport
 // assumes; pair it with the reliable transport (see Transport) unless the
 // plan is stall-only, the one fault class that preserves delivery.
-func Inject(w machine.Wire, plan Plan) machine.Wire {
-	if !plan.Active() {
+func Inject(w machine.Wire, d *Decider) machine.Wire {
+	if d == nil {
 		return w
 	}
-	return &injector{
-		Wire: w,
-		plan: plan,
-		rng:  rand.New(rand.NewSource(plan.Seed ^ (0x9e3779b97f4a7c * int64(w.Rank()+1)))),
-	}
+	return &injector{Wire: w, d: d}
 }
 
 type injector struct {
 	machine.Wire
-	plan   Plan
-	rng    *rand.Rand
-	ops    int            // Deliver calls so far (crash clock)
-	faults int            // injected faults so far (MaxFaults budget)
-	reg    *CrashRegistry // non-nil: crashes fire once per rank per registry
-	held   *machine.Packet
-}
-
-// budget consumes one fault from the per-rank allowance.
-func (i *injector) budget() bool {
-	if i.plan.MaxFaults > 0 && i.faults >= i.plan.MaxFaults {
-		return false
-	}
-	i.faults++
-	return true
+	d    *Decider
+	held *machine.Packet
 }
 
 func (i *injector) Deliver(pkt machine.Packet) {
-	i.ops++
-	if at, ok := i.plan.Crash[i.Rank()]; ok && i.ops >= at {
-		if i.reg == nil || i.reg.claim(i.Rank()) {
-			panic(machine.CrashError{Rank: i.Rank(), Op: i.ops})
-		}
+	v := i.d.Next(pkt, i.held != nil)
+	if v.Crash {
+		panic(machine.CrashError{Rank: i.Rank(), Op: v.Op})
 	}
-	// Draw every decision up front so the random stream advances the
-	// same way regardless of which faults fire.
-	rDrop := i.rng.Float64()
-	rDup := i.rng.Float64()
-	rReorder := i.rng.Float64()
-	rCorrupt := i.rng.Float64()
-	rStall := i.rng.Float64()
-	rReset := i.rng.Float64()
-
-	if rStall < i.plan.Stall && i.budget() {
-		d := i.plan.StallDelay
-		if d <= 0 {
-			d = time.Millisecond
-		}
-		time.Sleep(d)
+	if v.Corrupt {
+		// Flip one element's sign and low mantissa bit on a copy, leaving
+		// the caller's buffer — which a reliable transport may retransmit —
+		// intact.
+		pkt.Data = append([]float64(nil), pkt.Data...)
+		idx := v.Op % len(pkt.Data)
+		pkt.Data[idx] = math.Float64frombits(math.Float64bits(pkt.Data[idx]) ^ 0x8000000000000001)
 	}
-
-	var out []machine.Packet
-	if rDrop < i.plan.Drop && i.budget() {
-		// Dropped: the packet vanishes before reaching the wire.
-	} else if rReset < i.plan.Reset && i.budget() {
-		// Connection reset: the simulated wire has no connections to tear,
-		// so the packet is simply lost. The socket chaos layer
-		// (internal/netwire) realizes the same plan key as a torn frame
-		// plus a closed connection.
-	} else {
-		if rCorrupt < i.plan.Corrupt && pkt.Kind == machine.PacketData && len(pkt.Data) > 0 && i.budget() {
-			pkt.Data = corrupt(pkt.Data, i.ops)
-		}
-		out = append(out, pkt)
-		if rDup < i.plan.Dup && i.budget() {
+	switch {
+	case v.Drop, v.Reset:
+		// The packet vanishes before reaching the wire. The simulated wire
+		// has no connections to tear, so a reset is a drop here.
+	case v.Hold:
+		held := pkt
+		i.held = &held
+		return
+	default:
+		i.Wire.Deliver(pkt)
+		if v.Dup {
 			// The duplicate gets its own payload and must not carry the
 			// Recycle mark: if both copies aliased one poolable buffer, the
 			// receiver could recycle it after the first delivery and the
@@ -95,33 +65,15 @@ func (i *injector) Deliver(pkt machine.Packet) {
 				dup.Data = append([]float64(nil), pkt.Data...)
 			}
 			dup.Recycle = false
-			out = append(out, dup)
+			i.Wire.Deliver(dup)
 		}
 	}
-	if i.held != nil {
+	if held := i.held; held != nil {
 		// Deliver the held packet after the current one: the swap is the
-		// reordering. Flushing on every call bounds the delay to one
-		// delivery, so a held packet can never be lost outright.
-		out = append(out, *i.held)
+		// reordering.
 		i.held = nil
-	} else if len(out) == 1 && rReorder < i.plan.Reorder && i.budget() {
-		held := out[0]
-		i.held = &held
-		out = nil
+		i.Wire.Deliver(*held)
 	}
-	for _, p := range out {
-		i.Wire.Deliver(p)
-	}
-}
-
-// corrupt returns a copy of data with one element bit-flipped (sign and
-// low mantissa bit), leaving the caller's buffer — which a reliable
-// transport may retransmit — intact.
-func corrupt(data []float64, salt int) []float64 {
-	cp := append([]float64(nil), data...)
-	idx := salt % len(cp)
-	cp[idx] = math.Float64frombits(math.Float64bits(cp[idx]) ^ 0x8000000000000001)
-	return cp
 }
 
 // Unreliable is a transport factory that runs the plain direct transport
@@ -129,7 +81,20 @@ func corrupt(data []float64, salt int) []float64 {
 // stall-only plans (delay never violates delivery, so results stay
 // exact) and for demonstrating why the reliable transport exists.
 func Unreliable(plan Plan) machine.TransportFactory {
+	inject := perRank(plan)
 	return func(w machine.Wire) machine.Transport {
-		return machine.NewDirectTransport(Inject(w, plan))
+		return machine.NewDirectTransport(inject(w))
+	}
+}
+
+// perRank returns Inject bound to one Decider per rank, made at the
+// rank's first wire and kept for the life of the transport factory that
+// calls it. A recovering session's relaunched transports continue their
+// rank's fault clock, so each rank's crash fires once per factory.
+func perRank(plan Plan) func(machine.Wire) machine.Wire {
+	var deciders sync.Map // rank → *Decider
+	return func(w machine.Wire) machine.Wire {
+		d, _ := deciders.LoadOrStore(w.Rank(), NewDecider(plan, w.Rank()))
+		return Inject(w, d.(*Decider))
 	}
 }

@@ -1,7 +1,8 @@
-// Package fault perturbs the simulated machine's wire deterministically
-// and repairs the damage: seedable injectors for message drop,
-// duplication, reordering, payload corruption, per-rank stall (bounded
-// delay) and rank crash, plus a reliable transport (sequence numbers,
+// Package fault perturbs a machine's wire deterministically and repairs
+// the damage: a per-rank Decider gives a seeded Plan (drop, duplication,
+// reordering, corruption, stall, reset, crash) its meaning on every
+// packet, Inject carries it out on the simulated wire (internal/netwire
+// on sockets), and a reliable transport (sequence numbers,
 // acknowledgements, bounded retransmission with exponential backoff,
 // idempotent receive-side dedup and order restoration) under which every
 // algorithm in this repository produces bit-identical results and

@@ -145,16 +145,39 @@ func TestChaosRecoverySession(t *testing.T) {
 					}
 					plan := plan
 					t.Run("direct/"+plan.String(), func(t *testing.T) {
-						reg := &fault.CrashRegistry{}
-						got, trace := recovering(t, func(w machine.Wire) machine.Transport {
-							return machine.NewDirectTransport(fault.InjectRecoverable(w, plan, reg))
-						})
-						assertRecovered(t, want, got, trace, len(reg.Fired()) > 0)
+						var fired atomic.Bool
+						got, trace := recovering(t, crashSpy(fault.Unreliable(plan), &fired))
+						assertRecovered(t, want, got, trace, fired.Load())
 					})
 				}
 			})
 		}
 	}
+}
+
+// crashSpy wraps tf's transports to record, in fired, whether any of
+// them died of a scheduled crash.
+func crashSpy(tf machine.TransportFactory, fired *atomic.Bool) machine.TransportFactory {
+	return func(w machine.Wire) machine.Transport { return spiedTransport{tf(w), fired} }
+}
+
+// spiedTransport notes a machine.CrashError passing through Send, the
+// only direct-transport call that delivers a packet, and rethrows it.
+type spiedTransport struct {
+	machine.Transport
+	fired *atomic.Bool
+}
+
+func (s spiedTransport) Send(to, tag int, data []float64) {
+	defer func() {
+		if r := recover(); r != nil {
+			if _, ok := r.(machine.CrashError); ok {
+				s.fired.Store(true)
+			}
+			panic(r)
+		}
+	}()
+	s.Transport.Send(to, tag, data)
 }
 
 // assertRecovered checks a recovering session against the crash-free one:
@@ -419,9 +442,12 @@ func TestChaosRecoveryObservability(t *testing.T) {
 // crashes inside one Apply with MaxRetries = 1 spend the whole budget of
 // MaxRetries+1 replays (each crash costs one relaunch), and a third rank
 // then crashes on a later Apply, which the relaunched machine absorbs the
-// same way. The crash registry persists across relaunches, so each rank's
-// scheduled crash fires exactly once for the session lifetime, and the
-// whole run stays bit-identical to crash-free.
+// same way. Each rank's fault.Decider persists across relaunches, so each
+// rank's scheduled crash fires exactly once for the session lifetime, and
+// the whole run stays bit-identical to crash-free. The crash clock counts
+// a rank's deliveries over that lifetime, aborted attempts included: rank
+// 3 has made 61–75 of them when Apply 0 commits and 36 more per Apply, so
+// its crash at op 150 lands in Apply 2 or 3.
 func TestRecoveryDegradedRelaunchThenCrash(t *testing.T) {
 	part, a, _, b := recoverySetup(t, 2)
 	n := part.M * b
@@ -435,7 +461,7 @@ func TestRecoveryDegradedRelaunchThenCrash(t *testing.T) {
 	}
 	want := runSession(t, parallel.Options{Part: part, B: b, Wiring: parallel.WiringP2P}, a, xs)
 
-	plan := fault.Plan{Seed: 11, Crash: map[int]int{1: 4, 2: 30, 3: 65}}
+	plan := fault.Plan{Seed: 11, Crash: map[int]int{1: 4, 2: 30, 3: 150}}
 	s, err := parallel.OpenSession(a, parallel.Options{
 		Part: part, B: b, Wiring: parallel.WiringP2P,
 		Machine: machine.RunConfig{

@@ -42,34 +42,21 @@ func (o ReliableOptions) withDefaults() ReliableOptions {
 //
 // Logical results and logical communication meters are identical to the
 // fault-free run for any benign plan (no crash); recovery traffic shows
-// up only in the wire meters. Every transport the factory builds shares
-// one CrashRegistry, so each rank's scheduled crash fires once per
-// factory: a recovering session's relaunched ranks stay recovered, and a
-// one-shot run, which dies at its first crash, is unaffected.
+// up only in the wire meters. Every transport the factory builds for a
+// rank shares the rank's Decider, so each rank's scheduled crash fires
+// once per factory: a recovering session's relaunched ranks stay
+// recovered, and a one-shot run, which dies at its first crash, is
+// unaffected.
 func Transport(plan Plan, opt ReliableOptions) machine.TransportFactory {
-	reg := &CrashRegistry{}
+	inject := perRank(plan)
+	opt = opt.withDefaults()
 	return func(w machine.Wire) machine.Transport {
-		return NewReliable(InjectRecoverable(w, plan, reg), opt)
-	}
-}
-
-// NewReliable builds the reliable transport over an arbitrary wire. The
-// protocol: every data packet carries a per-(sender→receiver) sequence
-// number and a payload checksum; the receiver acknowledges every intact
-// data packet (including duplicates), drops corrupt ones silently,
-// de-duplicates by sequence number, and releases payloads strictly in
-// sequence order, parking out-of-order arrivals until the gap fills. Every
-// released payload goes to the machine through Wire.Hold, whether Recv,
-// Send or Wait released it. The sender blocks until its packet is
-// acknowledged, retransmitting with exponential backoff, and services
-// incoming data packets while it waits so that two ranks sending to each
-// other cannot deadlock.
-func NewReliable(w machine.Wire, opt ReliableOptions) machine.Transport {
-	p := w.Size()
-	return &reliable{w: w, opt: opt.withDefaults(),
-		nextSeq: make([]int, p),
-		expect:  make([]int, p),
-		parked:  make([]map[int]machine.Packet, p),
+		p := w.Size()
+		return &reliable{w: inject(w), opt: opt,
+			nextSeq: make([]int, p),
+			expect:  make([]int, p),
+			parked:  make([]map[int]machine.Packet, p),
+		}
 	}
 }
 
@@ -78,6 +65,17 @@ func NewReliable(w machine.Wire, opt ReliableOptions) machine.Transport {
 // whole machine one epoch later with fresh transports, and the link's
 // epoch fence keeps every packet of the retired incarnation away from
 // them.
+//
+// The protocol: every data packet carries a per-(sender→receiver)
+// sequence number and a payload checksum; the receiver acknowledges every
+// intact data packet (including duplicates), drops corrupt ones silently,
+// de-duplicates by sequence number, and releases payloads strictly in
+// sequence order, parking out-of-order arrivals until the gap fills. Every
+// released payload goes to the machine through Wire.Hold, whether Recv,
+// Send or Wait released it. The sender blocks until its packet is
+// acknowledged, retransmitting with exponential backoff, and services
+// incoming data packets while it waits so that two ranks sending to each
+// other cannot deadlock.
 type reliable struct {
 	w   machine.Wire
 	opt ReliableOptions

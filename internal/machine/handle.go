@@ -260,15 +260,7 @@ func (h *Handle) CrashedRanks() []int {
 // the whole machine dead (unlike Comm.Meters, no live rank goroutine is
 // needed, which is what a recovery relaunch relies on to carry counters
 // across machines).
-func (h *Handle) RankMeters(rank int) Meters {
-	m := h.m
-	return Meters{
-		SentWords: m.sent[rank].words.Load(), RecvWords: m.recv[rank].words.Load(),
-		SentMsgs: m.sent[rank].msgs.Load(), RecvMsgs: m.recv[rank].msgs.Load(),
-		WireSentWords: m.wireSent[rank].words.Load(), WireRecvWords: m.wireRecv[rank].words.Load(),
-		WireSentMsgs: m.wireSent[rank].msgs.Load(), WireRecvMsgs: m.wireRecv[rank].msgs.Load(),
-	}
-}
+func (h *Handle) RankMeters(rank int) Meters { return h.m.meters(rank) }
 
 // RestoreMeters overwrites one rank's eight counters with mt. A recovery
 // relaunch seeds the fresh machine with the checkpoint's logical counters

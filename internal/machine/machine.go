@@ -304,31 +304,17 @@ func (m Meters) Sub(o Meters) Meters {
 }
 
 // Meters returns this rank's current counter snapshot.
-func (c *Comm) Meters() Meters {
-	r := c.rank
+func (c *Comm) Meters() Meters { return c.m.meters(c.rank) }
+
+// meters snapshots rank r's eight counters.
+func (m *Machine) meters(r int) Meters {
 	return Meters{
-		SentWords: c.m.sent[r].words.Load(), RecvWords: c.m.recv[r].words.Load(),
-		SentMsgs: c.m.sent[r].msgs.Load(), RecvMsgs: c.m.recv[r].msgs.Load(),
-		WireSentWords: c.m.wireSent[r].words.Load(), WireRecvWords: c.m.wireRecv[r].words.Load(),
-		WireSentMsgs: c.m.wireSent[r].msgs.Load(), WireRecvMsgs: c.m.wireRecv[r].msgs.Load(),
+		SentWords: m.sent[r].words.Load(), RecvWords: m.recv[r].words.Load(),
+		SentMsgs: m.sent[r].msgs.Load(), RecvMsgs: m.recv[r].msgs.Load(),
+		WireSentWords: m.wireSent[r].words.Load(), WireRecvWords: m.wireRecv[r].words.Load(),
+		WireSentMsgs: m.wireSent[r].msgs.Load(), WireRecvMsgs: m.wireRecv[r].msgs.Load(),
 	}
 }
-
-// SentWords returns the words this rank has sent so far.
-func (c *Comm) SentWords() int64 { return c.m.sent[c.rank].words.Load() }
-
-// RecvWords returns the words this rank has received so far.
-func (c *Comm) RecvWords() int64 { return c.m.recv[c.rank].words.Load() }
-
-// SentMsgs returns the number of messages this rank has sent so far.
-func (c *Comm) SentMsgs() int64 { return c.m.sent[c.rank].msgs.Load() }
-
-// RecvMsgs returns the number of messages this rank has received so far.
-func (c *Comm) RecvMsgs() int64 { return c.m.recv[c.rank].msgs.Load() }
-
-// WireSentWords returns the raw words this rank has pushed onto the wire
-// so far, retransmissions included.
-func (c *Comm) WireSentWords() int64 { return c.m.wireSent[c.rank].words.Load() }
 
 // barrier is a reusable in-process counting barrier. Its condition-
 // variable wait allocates nothing per generation — part of the
@@ -455,31 +441,13 @@ func RunWith(p int, cfg RunConfig, body func(c *Comm)) (*Report, error) {
 	return h.Wait()
 }
 
-// report snapshots the machine's cumulative counters.
+// reportNow snapshots the machine's cumulative counters.
 func (m *Machine) reportNow() *Report {
-	p := m.p
-	rep := &Report{
-		P:             p,
-		SentWords:     make([]int64, p),
-		RecvWords:     make([]int64, p),
-		SentMsgs:      make([]int64, p),
-		RecvMsgs:      make([]int64, p),
-		WireSentWords: make([]int64, p),
-		WireRecvWords: make([]int64, p),
-		WireSentMsgs:  make([]int64, p),
-		WireRecvMsgs:  make([]int64, p),
+	ms := make([]Meters, m.p)
+	for r := range ms {
+		ms[r] = m.meters(r)
 	}
-	for i := 0; i < p; i++ {
-		rep.SentWords[i] = m.sent[i].words.Load()
-		rep.RecvWords[i] = m.recv[i].words.Load()
-		rep.SentMsgs[i] = m.sent[i].msgs.Load()
-		rep.RecvMsgs[i] = m.recv[i].msgs.Load()
-		rep.WireSentWords[i] = m.wireSent[i].words.Load()
-		rep.WireRecvWords[i] = m.wireRecv[i].words.Load()
-		rep.WireSentMsgs[i] = m.wireSent[i].msgs.Load()
-		rep.WireRecvMsgs[i] = m.wireRecv[i].msgs.Load()
-	}
-	return rep
+	return NewReport(ms)
 }
 
 // watch is the per-rank progress monitor: it polls the global progress

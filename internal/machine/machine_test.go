@@ -238,13 +238,13 @@ func TestCountersVisibleMidRun(t *testing.T) {
 	mustRun(t, 2, func(c *Comm) {
 		if c.Rank() == 0 {
 			c.Send(1, 0, make([]float64, 5))
-			if c.SentWords() != 5 || c.SentMsgs() != 1 {
-				t.Errorf("mid-run counters: %d words %d msgs", c.SentWords(), c.SentMsgs())
+			if m := c.Meters(); m.SentWords != 5 || m.SentMsgs != 1 {
+				t.Errorf("mid-run counters: %d words %d msgs", m.SentWords, m.SentMsgs)
 			}
 		} else {
 			c.Recv(0, 0)
-			if c.RecvWords() != 5 {
-				t.Errorf("mid-run recv words: %d", c.RecvWords())
+			if m := c.Meters(); m.RecvWords != 5 {
+				t.Errorf("mid-run recv words: %d", m.RecvWords)
 			}
 		}
 	})

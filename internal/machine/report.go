@@ -25,6 +25,33 @@ type Report struct {
 	WireRecvMsgs  []int64
 }
 
+// NewReport builds the report of per-rank meters ms, rank r's from ms[r].
+func NewReport(ms []Meters) *Report {
+	p := len(ms)
+	rep := &Report{
+		P:             p,
+		SentWords:     make([]int64, p),
+		RecvWords:     make([]int64, p),
+		SentMsgs:      make([]int64, p),
+		RecvMsgs:      make([]int64, p),
+		WireSentWords: make([]int64, p),
+		WireRecvWords: make([]int64, p),
+		WireSentMsgs:  make([]int64, p),
+		WireRecvMsgs:  make([]int64, p),
+	}
+	for r, m := range ms {
+		rep.SentWords[r] = m.SentWords
+		rep.RecvWords[r] = m.RecvWords
+		rep.SentMsgs[r] = m.SentMsgs
+		rep.RecvMsgs[r] = m.RecvMsgs
+		rep.WireSentWords[r] = m.WireSentWords
+		rep.WireRecvWords[r] = m.WireRecvWords
+		rep.WireSentMsgs[r] = m.WireSentMsgs
+		rep.WireRecvMsgs[r] = m.WireRecvMsgs
+	}
+	return rep
+}
+
 // MaxSentWords returns the maximum words sent by any rank.
 func (r *Report) MaxSentWords() int64 { return maxOf(r.SentWords) }
 

@@ -1,172 +1,84 @@
 package netwire
 
-import (
-	"math/rand"
-	"sync"
-	"time"
+import "repro/internal/machine"
 
-	"repro/internal/fault"
-	"repro/internal/machine"
-)
-
-// faultWire is the socket-level realization of a fault.Plan: it perturbs
-// the framed bytes a node writes, below the codec and below the reliable
-// transport, so retransmissions and acks cross a genuinely hostile wire.
-// One faultWire decorates one node (one rank); its PRNG is seeded with
-// the same per-rank formula as the simulated injector
-// (plan.Seed ^ (0x9e3779b97f4a7c * (rank+1))), so the same plan seeds
-// drive both the sim and the socket grids and the two runs are
-// comparable.
-//
-// The fault vocabulary maps onto frames as follows:
-//
-//	drop     the frame is never written
-//	dup      the frame is written twice
-//	reorder  the frame is held and flushed after the next outbound frame
-//	corrupt  one byte of the frame body is flipped; the receiver's FNV-1a
-//	         trailer check fails and the whole connection is dropped
-//	         (lossy-close semantics — heavier than the sim's single-packet
-//	         corruption, and deliberately so)
-//	stall    the sending rank sleeps StallDelay before the write
-//	reset    half the frame is written, then the connection is torn down;
-//	         the receiver sees a torn frame and drops the stream
-//	crash    the rank panics with machine.CrashError at its Nth send
-//
-// Every class except stall destroys or delays delivery, so a chaos-wired
-// run needs the reliable transport above it, exactly as in the simulator.
-type faultWire struct {
-	plan fault.Plan
-
-	mu     sync.Mutex
-	rng    *rand.Rand
-	ops    int // send calls so far (crash clock)
-	faults int // injected faults so far (MaxFaults budget)
-	held   *heldFrame
-}
-
-// heldFrame is one reordered frame waiting for the next send.
-type heldFrame struct {
+// frameWrite is one decided write of pkt's frame to rank to.
+type frameWrite struct {
 	to    int
 	frame []byte
-	pkt   machine.Packet // for drop reporting if the flush write fails
-}
-
-// frameAction is one decided write: a destination, the bytes, and whether
-// the write should be torn mid-frame with the connection closed after it.
-type frameAction struct {
-	to    int
-	frame []byte
-	reset bool
+	reset bool // write half the frame, then tear the connection down
 	pkt   machine.Packet
 }
 
-// newFaultWire returns the chaos state for one rank's node, or nil when
-// the plan injects nothing.
-func newFaultWire(plan fault.Plan, rank int) *faultWire {
-	if !plan.Active() {
-		return nil
+// chaosSend is send under a fault plan: the socket realization of the
+// plan. nd.chaos, the rank's fault.Decider, decides the packet's fate, and
+// chaosSend carries the verdict out on the packet's frame: below the
+// reliable transport and the codec, so retransmissions and acks cross a
+// genuinely hostile wire, and below the machine's wire meters, so a
+// dropped frame has been metered as sent. A corrupt frame has one payload
+// byte flipped, which fails the receiver's FNV-1a trailer check and drops
+// the whole connection; a reset writes half the frame and tears the
+// connection down. A node keeps its decider for its whole life, so a
+// relaunched machine that reuses the node does not crash again. Every
+// frame chaosSend loses it reports once.
+func (nd *node) chaosSend(to int, pkt machine.Packet) {
+	nd.chaosMu.Lock()
+	v := nd.chaos.Next(pkt, nd.held != nil)
+	if v.Crash {
+		nd.chaosMu.Unlock()
+		panic(machine.CrashError{Rank: nd.rank, Op: v.Op})
 	}
-	return &faultWire{
-		plan: plan,
-		rng:  rand.New(rand.NewSource(plan.Seed ^ (0x9e3779b97f4a7c * int64(rank+1)))),
-	}
-}
-
-// send perturbs and writes one outbound packet for nd. It mirrors the
-// simulated injector's structure: every probability is drawn up front so
-// the random stream advances identically regardless of which faults fire,
-// the crash clock counts send calls, and MaxFaults caps the budget.
-func (fw *faultWire) send(nd *node, to int, pkt machine.Packet) error {
-	actions, crash := fw.decide(nd, to, pkt)
-	if crash != nil {
-		panic(*crash)
-	}
-	var firstErr error
-	for _, a := range actions {
-		err := nd.writeFrame(a.to, a.frame, a.reset)
-		if a.reset {
-			// The torn write is the fault, not a wire failure: the frame is
-			// gone by design, which the drop hook records.
-			nd.reportDrop(a.pkt, "reset")
-			continue
-		}
-		if err != nil {
-			nd.reportDrop(a.pkt, err.Error())
-			if firstErr == nil {
-				firstErr = err
-			}
-		}
-	}
-	return firstErr
-}
-
-// decide draws this send's fault decisions and returns the writes to
-// perform. It holds fw.mu for the PRNG and the held-frame slot; the stall
-// sleep happens under the lock, which only serializes this rank's own
-// sends — the same semantics as the simulated injector sleeping on the
-// sending goroutine.
-func (fw *faultWire) decide(nd *node, to int, pkt machine.Packet) ([]frameAction, *machine.CrashError) {
-	fw.mu.Lock()
-	defer fw.mu.Unlock()
-	fw.ops++
-	// The crash clock passes each op index exactly once, so == fires the
-	// crash exactly once: a relaunched machine reuses this node and
-	// continues the count past the crash point instead of re-dying on
-	// every send.
-	if at, ok := fw.plan.Crash[nd.rank]; ok && fw.ops == at {
-		return nil, &machine.CrashError{Rank: nd.rank, Op: fw.ops}
-	}
-	rDrop := fw.rng.Float64()
-	rDup := fw.rng.Float64()
-	rReorder := fw.rng.Float64()
-	rCorrupt := fw.rng.Float64()
-	rStall := fw.rng.Float64()
-	rReset := fw.rng.Float64()
-
-	if rStall < fw.plan.Stall && fw.budget() {
-		d := fw.plan.StallDelay
-		if d <= 0 {
-			d = time.Millisecond
-		}
-		time.Sleep(d)
-	}
-
-	var out []frameAction
-	switch {
-	case rDrop < fw.plan.Drop && fw.budget():
+	var out []frameWrite
+	if v.Drop {
 		nd.reportDrop(pkt, "chaos drop")
-	case rReset < fw.plan.Reset && fw.budget():
-		out = append(out, frameAction{to: to, frame: AppendFrame(nil, pkt), reset: true, pkt: pkt})
-	default:
-		frame := AppendFrame(nil, pkt)
-		if rCorrupt < fw.plan.Corrupt && pkt.Kind == machine.PacketData && len(pkt.Data) > 0 && fw.budget() {
-			// Flip one payload byte without fixing the trailer: the
-			// receiver's checksum fails and the connection is dropped.
-			idx := framePrefixLen + frameHeaderLen + fw.ops%(8*len(pkt.Data))
-			frame[idx] ^= 0x81
+	} else {
+		w := frameWrite{to: to, frame: AppendFrame(nil, pkt), reset: v.Reset, pkt: pkt}
+		if v.Corrupt {
+			// Flip one payload byte without fixing the trailer.
+			w.frame[framePrefixLen+frameHeaderLen+v.Op%(8*len(pkt.Data))] ^= 0x81
 		}
-		out = append(out, frameAction{to: to, frame: frame, pkt: pkt})
-		if rDup < fw.plan.Dup && fw.budget() {
-			out = append(out, frameAction{to: to, frame: append([]byte(nil), frame...), pkt: pkt})
+		out = append(out, w)
+		if v.Dup {
+			out = append(out, w)
 		}
 	}
-	if fw.held != nil {
-		// Flush the held frame after the current one: the swap is the
-		// reordering, and flushing on every send bounds the delay.
-		out = append(out, frameAction{to: fw.held.to, frame: fw.held.frame, pkt: fw.held.pkt})
-		fw.held = nil
-	} else if len(out) == 1 && !out[0].reset && rReorder < fw.plan.Reorder && fw.budget() {
-		fw.held = &heldFrame{to: out[0].to, frame: out[0].frame, pkt: out[0].pkt}
+	if nd.held != nil {
+		out = append(out, *nd.held)
+		nd.held = nil
+	} else if v.Hold {
+		nd.held = &out[0]
 		out = nil
 	}
-	return out, nil
+	nd.chaosMu.Unlock()
+	for _, w := range out {
+		w.write(nd)
+	}
 }
 
-// budget consumes one fault from the per-rank allowance.
-func (fw *faultWire) budget() bool {
-	if fw.plan.MaxFaults > 0 && fw.faults >= fw.plan.MaxFaults {
-		return false
+// write writes the frame to rank w.to over nd's connection and reports
+// the frame if it is lost. A reset writes only the first half of the
+// frame and tears the connection down, so the receiver sees a torn frame
+// and drops the stream.
+func (w frameWrite) write(nd *node) {
+	pc, err := nd.conn(w.to)
+	if err != nil {
+		nd.reportDrop(w.pkt, err.Error())
+		return
 	}
-	fw.faults++
-	return true
+	frame := w.frame
+	if w.reset {
+		frame = frame[:len(frame)/2]
+	}
+	pc.mu.Lock()
+	_, err = pc.conn.Write(frame)
+	pc.mu.Unlock()
+	switch {
+	case w.reset:
+		// The torn write is the fault, not a wire failure.
+		nd.invalidate(w.to, pc)
+		nd.reportDrop(w.pkt, "reset")
+	case err != nil:
+		nd.invalidate(w.to, pc)
+		nd.reportDrop(w.pkt, err.Error())
+	}
 }

@@ -143,6 +143,27 @@ func TestSocketChaosCrashRecoveryComposition(t *testing.T) {
 	}
 }
 
+// TestSocketChaosReportsEachLostFrameOnce: a frame that cannot be written
+// because its node is closed is reported lost exactly once, with a chaos
+// plan attached as without one. The chaos layer reports its own losses,
+// so Wire.Deliver must not report the same frame again.
+func TestSocketChaosReportsEachLostFrameOnce(t *testing.T) {
+	for _, plan := range []fault.Plan{{}, {Seed: 1, Stall: 1e-12}} {
+		be := newChaosLoopback(t, "tcp", plan)
+		w, err := be.NewWire(1, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var reasons []string
+		w.OnDrop(func(_ machine.Packet, reason string) { reasons = append(reasons, reason) })
+		be.Close()
+		w.Deliver(machine.Packet{From: 1, To: 0, Kind: machine.PacketData, Data: []float64{1}})
+		if len(reasons) != 1 {
+			t.Errorf("plan %v: one lost frame reported %d times: %q", plan, len(reasons), reasons)
+		}
+	}
+}
+
 // TestDistributedBarrierServicesTransport is the regression test for the
 // barrier/ack deadlock: rank 0 receives a message, sends the ack, the
 // ack is lost, and rank 0 parks at the control-plane barrier. Rank 1 is

@@ -92,7 +92,7 @@ func NewClient(network, ctlAddr string, rank, size int, opt ClientOptions) (*Cli
 		}
 		return nil, err
 	}
-	nd.chaos = newFaultWire(opt.FaultPlan, rank)
+	nd.chaos = fault.NewDecider(opt.FaultPlan, rank)
 	cl.nd = nd
 	cl.wire = &clientWire{Wire: &Wire{nd: nd}, cl: cl}
 

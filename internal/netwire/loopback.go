@@ -47,9 +47,9 @@ func NewLoopback(network string) (*Loopback, error) {
 
 // NewChaosLoopback is NewLoopback with a seeded fault plan applied to
 // every rank's outbound frames at the socket level (see fault.Plan and
-// the faultWire mapping of fault classes onto framed bytes). Plan seeds
-// match the simulated injector's per-rank derivation, so the same plan
-// perturbs sim and socket runs comparably.
+// chaosSend's mapping of fault classes onto framed bytes). A rank's faults
+// are decided by a fault.Decider, as in the simulated injector, so the
+// same plan perturbs sim and socket runs comparably.
 func NewChaosLoopback(network string, plan fault.Plan) (*Loopback, error) {
 	b, err := NewLoopback(network)
 	if err != nil {
@@ -117,7 +117,7 @@ func (b *Loopback) setupLocked(size int) error {
 			}
 			return err
 		}
-		nd.chaos = newFaultWire(b.plan, r)
+		nd.chaos = fault.NewDecider(b.plan, r)
 		nodes[r] = nd
 		wires[r] = &Wire{nd: nd}
 		addrs[r] = nd.addr()

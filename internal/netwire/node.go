@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/fault"
 	"repro/internal/machine"
 )
 
@@ -47,7 +48,9 @@ type node struct {
 	ln      net.Listener
 	resolve resolver
 	dial    dialer
-	chaos   *faultWire // nil: faithful writes
+	chaos   *fault.Decider // nil: faithful writes (see chaosSend)
+	chaosMu sync.Mutex     // one chaos decision and held slot at a time
+	held    *frameWrite    // the frame chaos holds back for reordering
 	inbox   *machine.PacketQueue
 	onDrop  atomic.Pointer[func(machine.Packet, string)]
 
@@ -165,11 +168,12 @@ func (nd *node) readLoop(c net.Conn) {
 
 // send frames pkt onto the persistent connection to rank to, dialing it
 // first if needed. The caller treats any error as a silent drop. With a
-// chaos plan attached the write is routed through the fault layer, which
-// may drop, duplicate, reorder, corrupt or tear it.
+// chaos plan attached the write goes through the fault layer, which may
+// drop, duplicate, reorder, corrupt or tear it and reports what it loses.
 func (nd *node) send(to int, pkt machine.Packet) error {
 	if nd.chaos != nil {
-		return nd.chaos.send(nd, to, pkt)
+		nd.chaosSend(to, pkt)
+		return nil
 	}
 	pc, err := nd.conn(to)
 	if err != nil {
@@ -181,31 +185,6 @@ func (nd *node) send(to int, pkt machine.Packet) error {
 	if _, err := pc.conn.Write(pc.buf); err != nil {
 		nd.invalidate(to, pc)
 		return err
-	}
-	return nil
-}
-
-// writeFrame writes pre-framed bytes to rank to. With reset set, only the
-// first half of the frame is written and the connection is torn down —
-// the receiver sees a torn frame and drops the stream (the chaos layer's
-// connection-reset fault).
-func (nd *node) writeFrame(to int, frame []byte, reset bool) error {
-	pc, err := nd.conn(to)
-	if err != nil {
-		return err
-	}
-	pc.mu.Lock()
-	if reset {
-		pc.conn.Write(frame[:len(frame)/2])
-		pc.mu.Unlock()
-		nd.invalidate(to, pc)
-		return nil
-	}
-	_, werr := pc.conn.Write(frame)
-	pc.mu.Unlock()
-	if werr != nil {
-		nd.invalidate(to, pc)
-		return werr
 	}
 	return nil
 }

@@ -94,14 +94,15 @@ func (pr *phaseRecorder) meter(label string) *PhaseMeter {
 func (pr *phaseRecorder) comm(c *machine.Comm, label string, body func()) {
 	m := pr.meter(label)
 	r := c.Rank()
-	sw, rw, sm, rm := c.SentWords(), c.RecvWords(), c.SentMsgs(), c.RecvMsgs()
+	m0 := c.Meters()
 	c.BeginPhase(label)
 	body()
 	c.EndPhase()
-	m.SentWords[r] += c.SentWords() - sw
-	m.RecvWords[r] += c.RecvWords() - rw
-	m.SentMsgs[r] += c.SentMsgs() - sm
-	m.RecvMsgs[r] += c.RecvMsgs() - rm
+	d := c.Meters().Sub(m0)
+	m.SentWords[r] += d.SentWords
+	m.RecvWords[r] += d.RecvWords
+	m.SentMsgs[r] += d.SentMsgs
+	m.RecvMsgs[r] += d.RecvMsgs
 }
 
 // local runs a compute stage returning its ternary count, emitting the

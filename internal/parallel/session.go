@@ -537,7 +537,7 @@ func (s *Session) Apply(x []float64) (*Result, error) {
 	}
 	return &Result{
 		Y:       append([]float64(nil), s.stageY[0][:len(x)]...),
-		Report:  reportFromDeltas(deltas),
+		Report:  machine.NewReport(deltas),
 		Phases:  pr.results(),
 		Ternary: pr.meter("local").Ternary,
 		Steps:   s.lay.steps,
@@ -618,7 +618,7 @@ func (s *Session) ApplyBatch(X [][]float64) (*BatchResult, error) {
 	}
 	return &BatchResult{
 		Y:       ys,
-		Report:  reportFromDeltas(deltas),
+		Report:  machine.NewReport(deltas),
 		Phases:  pr.results(),
 		Ternary: pr.meter("local").Ternary,
 		Steps:   s.lay.steps,
@@ -847,7 +847,7 @@ func (s *Session) PowerMethod(po PowerOptions) (*EigenResult, error) {
 		Iterations: iterations,
 		Converged:  st.converged[0],
 		Singular:   st.singular[0],
-		Report:     reportFromDeltas(deltas),
+		Report:     machine.NewReport(deltas),
 		Phases:     pr.results(),
 	}, nil
 }
@@ -898,39 +898,10 @@ func (s *Session) MTTKRP(x *la.Matrix, r int) (*la.Matrix, *Result, error) {
 		}
 	}
 	res := &Result{
-		Report:  reportFromDeltas(deltas),
+		Report:  machine.NewReport(deltas),
 		Phases:  pr.results(),
 		Ternary: pr.meter("local").Ternary,
 		Steps:   s.lay.steps,
 	}
 	return y, res, nil
-}
-
-// reportFromDeltas assembles a per-operation machine report from the
-// ranks' counter deltas: identical to what a fresh run of just that
-// operation would report.
-func reportFromDeltas(d []machine.Meters) *machine.Report {
-	p := len(d)
-	rep := &machine.Report{
-		P:             p,
-		SentWords:     make([]int64, p),
-		RecvWords:     make([]int64, p),
-		SentMsgs:      make([]int64, p),
-		RecvMsgs:      make([]int64, p),
-		WireSentWords: make([]int64, p),
-		WireRecvWords: make([]int64, p),
-		WireSentMsgs:  make([]int64, p),
-		WireRecvMsgs:  make([]int64, p),
-	}
-	for i, m := range d {
-		rep.SentWords[i] = m.SentWords
-		rep.RecvWords[i] = m.RecvWords
-		rep.SentMsgs[i] = m.SentMsgs
-		rep.RecvMsgs[i] = m.RecvMsgs
-		rep.WireSentWords[i] = m.WireSentWords
-		rep.WireRecvWords[i] = m.WireRecvWords
-		rep.WireSentMsgs[i] = m.WireSentMsgs
-		rep.WireRecvMsgs[i] = m.WireRecvMsgs
-	}
-	return rep
 }

@@ -53,46 +53,6 @@ func TestFacadeSparse(t *testing.T) {
 	}
 }
 
-func TestFacadeHEigen(t *testing.T) {
-	n := 6
-	a := NewTensor(n)
-	for i := range a.Data {
-		a.Data[i] = 1
-	}
-	pair, err := hopm.HEigenPowerMethod(hopm.PackedSTTSV(a), a.N, 1000, 1e-12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !pair.Converged || math.Abs(pair.Lambda-float64(n*n)) > 1e-8 {
-		t.Fatalf("H-eigen of all-ones: λ=%g converged=%v, want %d", pair.Lambda, pair.Converged, n*n)
-	}
-}
-
-func TestFacadeAdaptiveAndEnumerate(t *testing.T) {
-	v1 := make([]float64, 8)
-	v1[0] = 1
-	v2 := make([]float64, 8)
-	v2[4] = 1
-	a, err := CPTensor([]float64{5, 2}, [][]float64{v1, v2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pair, err := hopm.AdaptivePowerMethod(hopm.PackedSTTSV(a), a.N, SuggestedShift(a), EigenOptions{Seed: 2, MaxIter: 20000, Tol: 1e-11})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !pair.Converged {
-		t.Fatal("adaptive did not converge")
-	}
-	pairs, err := hopm.EnumerateEigenpairs(hopm.PackedSTTSV(a), a.N, 30, EigenOptions{Seed: 3, MaxIter: 3000}, 1e-6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pairs) < 2 || math.Abs(pairs[0].Lambda-5) > 1e-6 {
-		t.Fatalf("enumerate found %d pairs, dominant %g", len(pairs), pairs[0].Lambda)
-	}
-}
-
 func TestFacadeSequenceBaseline(t *testing.T) {
 	n := 20
 	a := RandomTensor(n, 12)
