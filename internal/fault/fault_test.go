@@ -97,7 +97,7 @@ func injectSequence(seed int64, n int) []machine.Packet {
 	rec := &recordWire{rank: 0, size: 4}
 	w := fault.Inject(rec, fault.NewDecider(fault.Plan{Seed: seed, Drop: 0.3, Dup: 0.2, Reorder: 0.3, Corrupt: 0.2}, rec.rank))
 	for i := 0; i < n; i++ {
-		w.Deliver(machine.Packet{From: 0, To: 1 + i%3, Tag: i, Seq: i + 1,
+		w.Deliver(machine.Packet{From: 0, To: 1 + i%3, Tag: i, Seq: int32(i + 1),
 			Kind: machine.PacketData, Data: []float64{float64(i), float64(i * i)}})
 	}
 	return rec.delivered

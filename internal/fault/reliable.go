@@ -53,9 +53,9 @@ func Transport(plan Plan, opt ReliableOptions) machine.TransportFactory {
 	return func(w machine.Wire) machine.Transport {
 		p := w.Size()
 		return &reliable{w: inject(w), opt: opt,
-			nextSeq: make([]int, p),
-			expect:  make([]int, p),
-			parked:  make([]map[int]machine.Packet, p),
+			nextSeq: make([]int32, p),
+			expect:  make([]int32, p),
+			parked:  make([]map[int32]machine.Packet, p),
 		}
 	}
 }
@@ -80,14 +80,20 @@ type reliable struct {
 	w   machine.Wire
 	opt ReliableOptions
 	// nextSeq[to] is the sequence number for the next message to rank to.
-	nextSeq []int
+	// Sequence numbers wrap, and are compared by their int32 difference
+	// (seqAfter), which holds while fewer than 2³¹ messages are in flight
+	// between a pair.
+	nextSeq []int32
 	// expect[from] is the next in-order sequence number from rank from.
-	expect []int
+	expect []int32
 	// parked[from] holds intact packets that arrived ahead of sequence.
 	// They are protocol state, not messages: no Recv can take one until
 	// the gap before it heals.
-	parked []map[int]machine.Packet
+	parked []map[int32]machine.Packet
 }
+
+// seqAfter reports whether sequence number a comes after b.
+func seqAfter(a, b int32) bool { return a-b > 0 }
 
 func (r *reliable) Send(to, tag int, data []float64) {
 	seq := r.nextSeq[to]
@@ -153,12 +159,12 @@ func (r *reliable) handleData(pkt machine.Packet) {
 	})
 	from := pkt.From
 	switch {
-	case pkt.Seq < r.expect[from]:
+	case seqAfter(r.expect[from], pkt.Seq):
 		// Duplicate of an already-released packet; the re-ack above is
 		// all it needed.
-	case pkt.Seq > r.expect[from]:
+	case seqAfter(pkt.Seq, r.expect[from]):
 		if r.parked[from] == nil {
-			r.parked[from] = make(map[int]machine.Packet)
+			r.parked[from] = make(map[int32]machine.Packet)
 		}
 		r.parked[from][pkt.Seq] = pkt // idempotent for duplicates
 	default:
@@ -208,7 +214,7 @@ func (r *reliable) service(stop <-chan struct{}, dupOnly bool) {
 		if !ok || in.Kind != machine.PacketData {
 			continue
 		}
-		if dupOnly && in.Seq >= r.expect[in.From] {
+		if dupOnly && !seqAfter(r.expect[in.From], in.Seq) {
 			continue
 		}
 		r.handleData(in)

@@ -89,20 +89,19 @@ func StartWith(p int, cfg RunConfig, body func(c *Comm)) (*Handle, error) {
 		p:          p,
 		raws:       make([]BackendWire, p),
 		localRanks: append([]int(nil), locals...),
-		sent:       make([]counter, p),
-		recv:       make([]counter, p),
-		wireSent:   make([]counter, p),
-		wireRecv:   make([]counter, p),
+		ranks:      make([]rankState, p),
 		barrier:    newBarrier(len(locals)),
 		ctlBarrier: make([]func(int64, <-chan struct{}) (int, bool), p),
 		observer:   cfg.Observer,
 		wireEvents: cfg.WireEvents,
 		obsState:   make([]rankObsState, p),
-		diags:      make([]rankDiag, p),
 		abortCh:    make([]chan struct{}, p),
 		epoch:      cfg.StartEpoch,
 		recovering: cfg.OnRankDown != nil,
 		start:      time.Now(),
+	}
+	for r := range m.ranks {
+		m.ranks[r].pool.returns = make([]atomic.Pointer[returnRing], p)
 	}
 	for _, r := range locals {
 		m.abortCh[r] = make(chan struct{})
@@ -165,15 +164,14 @@ func (h *Handle) runRank(rank int) {
 		}
 	}()
 	m := h.m
-	d := &m.diags[rank]
+	st := &m.ranks[rank]
 	tp := h.factory(newLink(m, rank, m.raws[rank]))
-	var panicVal any
 	panicked := func() (panicked bool) {
 		defer h.bodies.Done()
 		defer func() {
 			if r := recover(); r != nil {
-				d.setPanic(r)
-				panicVal = r
+				st.panicVal = r
+				st.set(m, uint64(BlockCrashed))
 				panicked = true
 			}
 		}()
@@ -182,11 +180,11 @@ func (h *Handle) runRank(rank int) {
 	}()
 	if panicked {
 		if h.cfg.OnRankDown != nil {
-			h.cfg.OnRankDown(rank, panicToError(rank, panicVal))
+			h.cfg.OnRankDown(rank, panicToError(rank, st.panicVal))
 		}
 		return
 	}
-	d.setDone()
+	st.set(m, uint64(BlockDone))
 	tp.Linger(h.stopLinger)
 }
 
@@ -234,8 +232,9 @@ func (h *Handle) Epoch() int64 { return h.m.epoch }
 // successor one epoch later. Idempotent.
 func (h *Handle) Abort() {
 	m := h.m
-	if !m.aborting.Swap(true) {
+	if !m.aborted.Swap(true) {
 		for _, r := range m.localRanks {
+			m.ranks[r].aborting.Store(true)
 			close(m.abortCh[r])
 		}
 	}
@@ -248,7 +247,7 @@ func (h *Handle) Abort() {
 func (h *Handle) CrashedRanks() []int {
 	var out []int
 	for _, r := range h.m.localRanks {
-		if kind, _, _ := h.m.diags[r].blocked(); kind == BlockCrashed {
+		if kind, _, _ := h.m.ranks[r].blocked(); kind == BlockCrashed {
 			out = append(out, r)
 		}
 	}
@@ -256,10 +255,9 @@ func (h *Handle) CrashedRanks() []int {
 }
 
 // RankMeters reads one rank's counter snapshot from the host. Valid
-// whenever the rank cannot be mid-operation: parked, crashed, done — or
-// the whole machine dead (unlike Comm.Meters, no live rank goroutine is
-// needed, which is what a recovery relaunch relies on to carry counters
-// across machines).
+// whenever the rank cannot be mid-operation: parked, crashed, done, or
+// the whole machine dead, which lets a recovery relaunch carry counters
+// across machines.
 func (h *Handle) RankMeters(rank int) Meters { return h.m.meters(rank) }
 
 // RestoreMeters overwrites one rank's eight counters with mt. A recovery
@@ -268,11 +266,13 @@ func (h *Handle) RankMeters(rank int) Meters { return h.m.meters(rank) }
 // retired machine's cumulative wire counters (where recovery overhead is
 // supposed to show).
 func (h *Handle) RestoreMeters(rank int, mt Meters) {
-	m := h.m
-	m.sent[rank].set(mt.SentWords, mt.SentMsgs)
-	m.recv[rank].set(mt.RecvWords, mt.RecvMsgs)
-	m.wireSent[rank].set(mt.WireSentWords, mt.WireSentMsgs)
-	m.wireRecv[rank].set(mt.WireRecvWords, mt.WireRecvMsgs)
+	st := &h.m.ranks[rank]
+	st.sent = meter{mt.SentWords, mt.SentMsgs}
+	st.recv = meter{mt.RecvWords, mt.RecvMsgs}
+	st.wireSent.words.Store(mt.WireSentWords)
+	st.wireSent.msgs.Store(mt.WireSentMsgs)
+	st.wireRecv.words.Store(mt.WireRecvWords)
+	st.wireRecv.msgs.Store(mt.WireRecvMsgs)
 }
 
 // Emit injects a trace event on a rank's stream from the host — recovery

@@ -3,6 +3,7 @@ package machine
 import (
 	"runtime"
 	"runtime/debug"
+	"sync/atomic"
 	"testing"
 )
 
@@ -12,31 +13,40 @@ func TestClassSize(t *testing.T) {
 		{1023, 1024}, {1024, 1024}, {1025, 2048},
 	}
 	for _, c := range cases {
-		if got := classSize(c.n); got != c.want {
-			t.Errorf("classSize(%d) = %d, want %d", c.n, got, c.want)
+		if got := 1 << classOf(c.n); got != c.want {
+			t.Errorf("class of %d holds %d words, want %d", c.n, got, c.want)
 		}
 	}
 }
 
+// TestPayloadPoolReuse: a buffer a receiver hands back is the next one
+// its owner draws from the same class; foreign capacities are refused, and
+// a full return ring drops what does not fit.
 func TestPayloadPoolReuse(t *testing.T) {
-	var pp payloadPool
+	pp := payloadPool{returns: make([]atomic.Pointer[returnRing], 2)}
 	a := pp.get(5)
 	if len(a) != 5 || cap(a) != 8 {
 		t.Fatalf("get(5): len %d cap %d, want 5/8", len(a), cap(a))
 	}
-	pp.put(a)
+	pp.giveBack(1, a)
 	b := pp.get(7) // same class (8): must be the recycled buffer
 	if len(b) != 7 || &b[0] != &a[0] {
-		t.Fatal("get after put did not reuse the pooled buffer")
+		t.Fatal("get after giveBack did not reuse the returned buffer")
 	}
-	// Foreign capacities (not an exact class size) are rejected.
-	pp.put(make([]float64, 5, 6))
-	c := pp.get(5)
-	if cap(c) != 8 {
-		t.Fatalf("pool accepted a non-class-size buffer (cap %d)", cap(c))
+	// Foreign capacities (not an exact class size) are refused.
+	pp.giveBack(1, make([]float64, 5, 6))
+	if c := pp.get(5); cap(c) != 8 || &c[0] == &a[0] {
+		t.Fatalf("pool took back a non-class-size buffer (cap %d)", cap(c))
 	}
 	if pp.get(0) != nil {
 		t.Fatal("get(0) must be nil")
+	}
+	for i := 0; i < returnSlots+3; i++ {
+		pp.giveBack(0, make([]float64, 4))
+	}
+	pp.collect()
+	if got := len(pp.free[classOf(4)]); got != returnSlots {
+		t.Fatalf("collected %d buffers from one ring, want its %d slots", got, returnSlots)
 	}
 }
 

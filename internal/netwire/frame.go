@@ -114,7 +114,7 @@ func DecodeFrame(body []byte) (machine.Packet, error) {
 		From:  int(int32(binary.BigEndian.Uint32(body[0:]))),
 		To:    int(int32(binary.BigEndian.Uint32(body[4:]))),
 		Tag:   int(int32(binary.BigEndian.Uint32(body[8:]))),
-		Seq:   int(int64(binary.BigEndian.Uint64(body[12:]))),
+		Seq:   int32(int64(binary.BigEndian.Uint64(body[12:]))),
 		Kind:  machine.PacketKind(body[20]),
 		Check: binary.BigEndian.Uint64(body[21:]),
 		Epoch: int64(binary.BigEndian.Uint64(body[29:])),

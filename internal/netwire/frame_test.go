@@ -19,7 +19,7 @@ func randPacket(rng *rand.Rand, nwords int) machine.Packet {
 		From:  rng.Intn(64),
 		To:    rng.Intn(64),
 		Tag:   rng.Intn(1 << 20),
-		Seq:   int(rng.Int63()),
+		Seq:   rng.Int31(),
 		Kind:  machine.PacketKind(rng.Intn(2)),
 		Check: rng.Uint64(),
 		Epoch: rng.Int63(),
