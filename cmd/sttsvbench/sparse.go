@@ -64,15 +64,20 @@ type imbalanceResult struct {
 }
 
 type acceptanceRun struct {
-	Kind     string  `json:"kind"` // "hypergraph" or "cp"
-	N        int     `json:"n"`
-	NNZ      int     `json:"nnz,omitempty"`
-	R        int     `json:"r,omitempty"`
-	P        int     `json:"p"`
-	Lambda   float64 `json:"lambda"`
-	IterNs   float64 `json:"power_iter_ns"`
-	SetupNs  float64 `json:"setup_ns"`
-	RankMaxW int     `json:"rank_max_words,omitempty"` // largest per-rank packed storage
+	Kind    string  `json:"kind"` // "hypergraph" or "cp"
+	N       int     `json:"n"`
+	NNZ     int     `json:"nnz,omitempty"`
+	R       int     `json:"r,omitempty"`
+	P       int     `json:"p"`
+	Lambda  float64 `json:"lambda"`
+	IterNs  float64 `json:"power_iter_ns"`
+	SetupNs float64 `json:"setup_ns"`
+	// The hypergraph run's set-up by stage: generating the tensor,
+	// packing every rank's blocks, opening the session.
+	GenerateNs float64 `json:"generate_ns,omitempty"`
+	PackNs     float64 `json:"pack_ns,omitempty"`
+	OpenNs     float64 `json:"open_ns,omitempty"`
+	RankMaxW   int     `json:"rank_max_words,omitempty"` // largest per-rank packed storage
 }
 
 type sparseReport struct {
@@ -95,7 +100,7 @@ func randSparse(n int, density float64, seed int64) *sparse.Tensor {
 		for j := 0; j <= i; j++ {
 			for k := 0; k <= j; k++ {
 				if rng.Float64() < density {
-					entries = append(entries, sparse.Entry{I: i, J: j, K: k, V: rng.NormFloat64()})
+					entries = append(entries, sparse.Entry{I: int32(i), J: int32(j), K: int32(k), V: rng.NormFloat64()})
 				}
 			}
 		}
@@ -259,22 +264,31 @@ func runSparseBench(out, check string, benchtime time.Duration) {
 			fatal(err)
 		}
 		b := (accN + part.M - 1) / part.M
-		setup := time.Now()
+		stage := time.Now()
+		lap := func() float64 {
+			now := time.Now()
+			ns := float64(now.Sub(stage).Nanoseconds())
+			stage = now
+			return ns
+		}
 		sp, err := sparse.RandomHypergraph(accN, accEdges, 36)
 		if err != nil {
 			fatal(err)
 		}
+		genNs := lap()
 		srb, err := parallel.PackSparseRankBlocks(sp, part, b)
 		if err != nil {
 			fatal(err)
 		}
+		packNs := lap()
 		s, err := parallel.OpenSession(nil, parallel.Options{
 			Part: part, B: b, Wiring: parallel.WiringP2P, Sparse: srb,
 		})
 		if err != nil {
 			fatal(err)
 		}
-		setupNs := float64(time.Since(setup).Nanoseconds())
+		openNs := lap()
+		setupNs := genNs + packNs + openNs
 		maxW := 0
 		for p := 0; p < part.P; p++ {
 			w := 0
@@ -294,10 +308,11 @@ func runSparseBench(out, check string, benchtime time.Duration) {
 		s.Close()
 		rep.Acceptance = append(rep.Acceptance, acceptanceRun{
 			Kind: "hypergraph", N: accN, NNZ: sp.NNZ(), P: part.P,
-			Lambda: eig.Lambda, IterNs: iterNs, SetupNs: setupNs, RankMaxW: maxW,
+			Lambda: eig.Lambda, IterNs: iterNs, SetupNs: setupNs,
+			GenerateNs: genNs, PackNs: packNs, OpenNs: openNs, RankMaxW: maxW,
 		})
-		fmt.Printf("  acceptance hypergraph n=%d nnz=%d P=%d: power iter %.2fs (setup %.2fs), λ=%.3g\n",
-			accN, sp.NNZ(), part.P, iterNs/1e9, setupNs/1e9, eig.Lambda)
+		fmt.Printf("  acceptance hypergraph n=%d nnz=%d P=%d: power iter %.2fs (setup %.2fs: generate %.2fs, pack %.2fs, open %.2fs), λ=%.3g\n",
+			accN, sp.NNZ(), part.P, iterNs/1e9, setupNs/1e9, genNs/1e9, packNs/1e9, openNs/1e9, eig.Lambda)
 	}
 	{
 		const accN, accR, accP = 1_000_000, 16, 8

@@ -164,9 +164,22 @@ type rankObsState struct {
 // emit stamps an event with the rank's phase scope and sequence number
 // and hands it to the observer. No-op without an observer.
 func (m *Machine) emit(rank int, e Event) {
-	if m.observer == nil {
-		return
+	if m.observer != nil {
+		m.record(rank, e)
 	}
+}
+
+// emitMsg is emit for a send or receive event, which every message
+// makes. It inlines, and it builds the event only once it has found an
+// observer installed; emit's caller builds the whole event first.
+func (m *Machine) emitMsg(rank int, kind EventKind, from, to, tag, words int, wire bool) {
+	if m.observer != nil {
+		m.record(rank, Event{Kind: kind, From: from, To: to, Tag: tag, Words: words, Step: -1, Wire: wire})
+	}
+}
+
+// record is emit's body for an installed observer.
+func (m *Machine) record(rank int, e Event) {
 	st := &m.obsState[rank]
 	e.Rank = rank
 	if e.Phase == "" {

@@ -188,7 +188,7 @@ func (c *Comm) Send(to, tag int, data []float64) {
 	cp := st.pool.get(len(data))
 	copy(cp, data)
 	st.sent.add(int64(len(data)))
-	c.m.emit(c.rank, Event{Kind: EventSend, From: c.rank, To: to, Tag: tag, Words: len(data), Step: -1})
+	c.m.emitMsg(c.rank, EventSend, c.rank, to, tag, len(data), false)
 	st.enter(c.m, BlockSend, to, tag)
 	c.t.Send(to, tag, cp)
 	st.leave(c.m)
@@ -232,7 +232,7 @@ func (c *Comm) RecvInto(from, tag int, dst []float64) int {
 // received meters and traces a completed receive.
 func (c *Comm) received(from, tag, words int) {
 	c.st.recv.add(int64(words))
-	c.m.emit(c.rank, Event{Kind: EventRecv, From: from, To: c.rank, Tag: tag, Words: words, Step: -1})
+	c.m.emitMsg(c.rank, EventRecv, from, c.rank, tag, words, false)
 	c.st.progress.Add(1)
 }
 

@@ -163,7 +163,7 @@ func (l *link) Deliver(pkt Packet) {
 	pkt.Epoch = l.m.epoch
 	l.st.wireSent.add(l.raw.PacketCost(pkt))
 	if l.m.wireEvents {
-		l.m.emit(l.rank, Event{Kind: EventSend, From: l.rank, To: pkt.To, Tag: pkt.Tag, Words: len(pkt.Data), Step: -1, Wire: true})
+		l.m.emitMsg(l.rank, EventSend, l.rank, pkt.To, pkt.Tag, len(pkt.Data), true)
 	}
 	l.raw.Deliver(pkt)
 }
@@ -200,7 +200,7 @@ func (l *link) PullTimeout(d time.Duration) (Packet, bool) {
 func (l *link) pulled(pkt *Packet) {
 	l.st.wireRecv.add(l.raw.PacketCost(*pkt))
 	if l.m.wireEvents {
-		l.m.emit(l.rank, Event{Kind: EventRecv, From: pkt.From, To: l.rank, Tag: pkt.Tag, Words: len(pkt.Data), Step: -1, Wire: true})
+		l.m.emitMsg(l.rank, EventRecv, pkt.From, l.rank, pkt.Tag, len(pkt.Data), true)
 	}
 }
 

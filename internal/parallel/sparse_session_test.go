@@ -22,7 +22,7 @@ func randSparseTensor(t testing.TB, n int, density float64, rng *rand.Rand) *spa
 		for j := 0; j <= i; j++ {
 			for k := 0; k <= j; k++ {
 				if rng.Float64() < density {
-					entries = append(entries, sparse.Entry{I: i, J: j, K: k, V: rng.NormFloat64()})
+					entries = append(entries, sparse.Entry{I: int32(i), J: int32(j), K: int32(k), V: rng.NormFloat64()})
 				}
 			}
 		}

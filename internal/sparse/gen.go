@@ -1,10 +1,11 @@
 package sparse
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 )
 
 // RandomHypergraph generates a 3-uniform hypergraph adjacency tensor
@@ -14,40 +15,83 @@ import (
 // emits the translates {v, v+o1, v+o2}: triples from different families
 // differ in their index gaps and triples within a family differ in v,
 // so the construction is collision-free — no dedup structure, O(nnz)
-// memory, one final sort.
+// memory, and no sort: the families are merged in (i, j, k) order as
+// they are emitted (see mergeFamilies).
 func RandomHypergraph(n, edges int, seed int64) (*Tensor, error) {
 	if n < 3 {
 		return nil, fmt.Errorf("sparse: hypergraph needs n >= 3, got %d", n)
+	}
+	if err := checkDim(n); err != nil {
+		return nil, err
 	}
 	if edges < 0 {
 		return nil, fmt.Errorf("sparse: negative edge count %d", edges)
 	}
 	rng := rand.New(rand.NewSource(seed))
-	type family struct{ o1, o2 int }
-	seen := make(map[family]bool)
-	t := &Tensor{N: n, entries: make([]Entry, 0, edges)}
+	type offsets struct{ o1, o2 int }
+	seen := make(map[offsets]bool)
+	var fams []family
+	placed := 0
 	attempts := 0
-	for len(t.entries) < edges {
+	for placed < edges {
 		if attempts++; attempts > 1000+16*edges/(n/2+1)+len(seen)*4 {
 			return nil, fmt.Errorf("sparse: could not place %d edges on n=%d (families exhausted)", edges, n)
 		}
 		o1 := 1 + rng.Intn(n-2)
 		o2 := o1 + 1 + rng.Intn(n-1-o1)
-		f := family{o1, o2}
-		if seen[f] {
+		if seen[offsets{o1, o2}] {
 			continue
 		}
-		seen[f] = true
+		seen[offsets{o1, o2}] = true
 		take := n - o2 // translates that fit without wraparound
-		if rem := edges - len(t.entries); take > rem {
+		if rem := edges - placed; take > rem {
 			take = rem
 		}
-		for v := 0; v < take; v++ {
-			t.entries = append(t.entries, Entry{I: v + o2, J: v + o1, K: v, V: 0.5})
-		}
+		fams = append(fams, family{o1: o1, o2: o2, end: o2 + take})
+		placed += take
 	}
-	sortEntries(t.entries)
-	return t, nil
+	return &Tensor{N: n, entries: mergeFamilies(fams, placed)}, nil
+}
+
+// family is one translate family of RandomHypergraph: the entries
+// (i, i−o2+o1, i−o2) for o2 <= i < end, one per row i.
+type family struct{ o1, o2, end int }
+
+// compareInRow orders two families' entries of one row i: by j = i−(o2−o1),
+// then k = i−o2, so by gap o2−o1 descending, then o2 descending. The
+// order does not depend on i, and distinct families never tie.
+func compareInRow(a, b family) int {
+	if c := cmp.Compare(b.o2-b.o1, a.o2-a.o1); c != 0 {
+		return c
+	}
+	return cmp.Compare(b.o2, a.o2)
+}
+
+// mergeFamilies emits the families' nnz entries in (i, j, k) order
+// without a comparison sort of the entries. Each family holds at most
+// one entry per row i, and entries of equal i order by family
+// (compareInRow), so a sweep of i over the families active at i, kept
+// in that order, merges them: O(nnz + n) work, plus inserting each
+// family once.
+func mergeFamilies(fams []family, nnz int) []Entry {
+	entries := make([]Entry, 0, nnz)
+	slices.SortFunc(fams, func(a, b family) int { return cmp.Compare(a.o2, b.o2) })
+	active := make([]family, 0, len(fams))
+	for next, i := 0, 0; next < len(fams) || len(active) > 0; i++ {
+		for ; next < len(fams) && fams[next].o2 == i; next++ {
+			at, _ := slices.BinarySearchFunc(active, fams[next], compareInRow)
+			active = slices.Insert(active, at, fams[next])
+		}
+		live := active[:0]
+		for _, f := range active {
+			if i < f.end {
+				entries = append(entries, Entry{I: int32(i), J: int32(i - f.o2 + f.o1), K: int32(i - f.o2), V: 0.5})
+				live = append(live, f)
+			}
+		}
+		active = live
+	}
+	return entries
 }
 
 // SkewedHypergraph generates a hypergraph whose edges concentrate on
@@ -59,6 +103,9 @@ func RandomHypergraph(n, edges int, seed int64) (*Tensor, error) {
 func SkewedHypergraph(n, edges int, skew float64, seed int64) (*Tensor, error) {
 	if n < 3 {
 		return nil, fmt.Errorf("sparse: hypergraph needs n >= 3, got %d", n)
+	}
+	if err := checkDim(n); err != nil {
+		return nil, err
 	}
 	if skew <= 0 {
 		return nil, fmt.Errorf("sparse: skew must be positive, got %g", skew)
@@ -98,21 +145,21 @@ func SkewedHypergraph(n, edges int, skew float64, seed int64) (*Tensor, error) {
 			continue
 		}
 		seen[key] = true
-		t.entries = append(t.entries, Entry{I: i, J: j, K: k, V: 0.5})
+		t.entries = append(t.entries, Entry{I: int32(i), J: int32(j), K: int32(k), V: 0.5})
 	}
 	sortEntries(t.entries)
 	return t, nil
 }
 
+// sortEntries sorts entries by (I, J, K).
 func sortEntries(entries []Entry) {
-	sort.Slice(entries, func(a, b int) bool {
-		ea, eb := entries[a], entries[b]
-		if ea.I != eb.I {
-			return ea.I < eb.I
+	slices.SortFunc(entries, func(a, b Entry) int {
+		if c := cmp.Compare(a.I, b.I); c != 0 {
+			return c
 		}
-		if ea.J != eb.J {
-			return ea.J < eb.J
+		if c := cmp.Compare(a.J, b.J); c != 0 {
+			return c
 		}
-		return ea.K < eb.K
+		return cmp.Compare(a.K, b.K)
 	})
 }

@@ -11,6 +11,8 @@ package sparse
 
 import (
 	"fmt"
+	"runtime"
+	"sync"
 
 	"repro/internal/intmath"
 	"repro/internal/tensor"
@@ -45,7 +47,7 @@ func (blk *Block) Words() int { return len(blk.Vals) }
 
 // entryTernary classifies one stored entry by its global index equality
 // structure, mirroring the COO Apply multiplicity rules.
-func entryTernary(i, j, k int) int64 {
+func entryTernary(i, j, k int32) int64 {
 	switch {
 	case i > j && j > k:
 		return 3
@@ -80,26 +82,86 @@ type Packed struct {
 // lexicographic order.
 func slot(i, j, k int) int { return i*(i+1)*(i+2)/6 + j*(j+1)/2 + k }
 
-// countBlocks is the counting pass Pack and BlockCounts share. It
-// returns the row-block count m, the row-block table (row[i] = i / b,
-// so neither pass divides per entry) and each block slot's stored
-// nonzeros and ternary multiplications. There are Tetrahedral(m) slots,
-// no more than the partition's own block list when b is the
+// minPackChunk is the fewest entries one goroutine of Pack's passes
+// takes: on fewer, starting and joining it costs more than it saves.
+const minPackChunk = 1 << 15
+
+// packChunks returns how many contiguous entry ranges Pack's passes
+// split nnz entries into: GOMAXPROCS, fewer if a range would hold under
+// minPackChunk entries or under one entry per block slot (each range
+// counts into its own slot array).
+func packChunks(nnz, slots int) int {
+	return max(1, min(runtime.GOMAXPROCS(0), nnz/max(minPackChunk, slots)))
+}
+
+// eachChunk calls f(c, lo, hi) for the chunks contiguous ranges
+// [lo, hi) of nnz entries, chunk 0 on the calling goroutine and every
+// other chunk on its own, and returns once every call has.
+func eachChunk(nnz, chunks int, f func(c, lo, hi int)) {
+	var wg sync.WaitGroup
+	wg.Add(chunks - 1)
+	for c := 1; c < chunks; c++ {
+		go func() {
+			defer wg.Done()
+			f(c, c*nnz/chunks, (c+1)*nnz/chunks)
+		}()
+	}
+	f(0, 0, nnz/chunks)
+	wg.Wait()
+}
+
+// slotCounts holds the counting pass Pack and BlockCounts share: each
+// chunk's tally of every block slot's stored nonzeros and ternary
+// multiplications. Chunk c's tally of slot s sits at c·stride + s; the
+// stride leaves a cache line between two chunks' tallies, so no two
+// counting goroutines write one line.
+type slotCounts struct {
+	m      int // row blocks: ⌈n/b⌉
+	slots  int // Tetrahedral(m)
+	chunks int
+	stride int
+	row    []int32 // row-block table, row[i] = i / b, so neither pass divides per entry
+	nnz    []int
+	tern   []int64
+}
+
+// countSlots counts the sorted entries in `chunks` contiguous ranges
+// (packChunks' number when chunks is 0), each in its own goroutine.
+// There is one slot per block coordinate I >= J >= K of the m row
+// blocks, no more than the partition's own block list when b is the
 // partition's block edge.
-func countBlocks(t *Tensor, b int) (m int, row []int32, nnz []int, tern []int64) {
-	m = (t.N + b - 1) / b
-	row = make([]int32, t.N)
+func countSlots(t *Tensor, b, chunks int) *slotCounts {
+	m := (t.N + b - 1) / b
+	slots := intmath.Tetrahedral(m)
+	if chunks == 0 {
+		chunks = packChunks(len(t.entries), slots)
+	}
+	stride := slots + 8
+	row := make([]int32, t.N)
 	for i := range row {
 		row[i] = int32(i / b)
 	}
-	nnz, tern = make([]int, intmath.Tetrahedral(m)), make([]int64, intmath.Tetrahedral(m))
-	for x := range t.entries {
-		e := &t.entries[x]
-		s := slot(int(row[e.I]), int(row[e.J]), int(row[e.K]))
-		nnz[s]++
-		tern[s] += entryTernary(e.I, e.J, e.K)
+	sc := &slotCounts{m: m, slots: slots, chunks: chunks, stride: stride, row: row,
+		nnz: make([]int, chunks*stride), tern: make([]int64, chunks*stride)}
+	eachChunk(len(t.entries), chunks, func(c, lo, hi int) {
+		nnz, tern := sc.nnz[c*stride:][:slots], sc.tern[c*stride:][:slots]
+		for _, e := range t.entries[lo:hi] {
+			s := slot(int(row[e.I]), int(row[e.J]), int(row[e.K]))
+			nnz[s]++
+			tern[s] += entryTernary(e.I, e.J, e.K)
+		}
+	})
+	return sc
+}
+
+// total returns slot s's nonzeros and ternary multiplications over all
+// chunks.
+func (sc *slotCounts) total(s int) (nnz int, tern int64) {
+	for c := 0; c < sc.chunks; c++ {
+		nnz += sc.nnz[c*sc.stride+s]
+		tern += sc.tern[c*sc.stride+s]
 	}
-	return m, row, nnz, tern
+	return nnz, tern
 }
 
 // eachSlot visits the block coordinates I >= J >= K of m row blocks in
@@ -124,40 +186,68 @@ func eachSlot(m int, f func(s, i, j, k int)) {
 // second pass writes each entry at its block's cursor. The tensor's
 // entries are sorted by (i, j, k), and within one block that is
 // (di, dj, dk) order, so every block comes out sorted.
+//
+// Both passes split the entries into contiguous chunks, one goroutine
+// each (packChunks). Chunk c of a block takes the sub-range of the
+// block's range after chunks 0..c−1 and fills it in entry order, so the
+// chunks lay every block out exactly as one sequential pass would: the
+// packed form does not depend on the chunk count.
 func Pack(t *Tensor, b int) (*Packed, error) {
 	if b < 1 {
 		return nil, fmt.Errorf("sparse: block edge %d, want >= 1", b)
 	}
-	m, row, next, tern := countBlocks(t, b) // next: each slot's cursor once counted
-	p := &Packed{N: t.N, M: m, B: b, slots: make([]*Block, len(next))}
+	return pack(t, b, 0), nil
+}
+
+// pack is Pack over the given number of chunks, or packChunks' number
+// when chunks is 0.
+func pack(t *Tensor, b, chunks int) *Packed {
+	sc := countSlots(t, b, chunks)
+	p := &Packed{N: t.N, M: sc.m, B: b, slots: make([]*Block, sc.slots)}
+	occupied := 0
+	for s := range p.slots {
+		if nnz, _ := sc.total(s); nnz > 0 {
+			occupied++
+		}
+	}
+	blocks := make([]Block, 0, occupied)
+	p.coords = make([][3]int, 0, occupied)
 	nnz := len(t.entries)
 	di, dj, dk := make([]int32, nnz), make([]int32, nnz), make([]int32, nnz)
 	vals := make([]float64, nnz)
 	off := 0
-	eachSlot(m, func(s, i, j, k int) {
-		if next[s] == 0 {
+	// Turn each chunk's counts into its cursors (sc.nnz from here on).
+	eachSlot(sc.m, func(s, i, j, k int) {
+		total, tern := sc.total(s)
+		if total == 0 {
 			return
 		}
-		end := off + next[s]
-		p.slots[s] = &Block{
+		end := off + total
+		blocks = append(blocks, Block{
 			Kind: blockKind(i, j, k), I: i, J: j, K: k, B: b,
 			DI: di[off:end:end], DJ: dj[off:end:end], DK: dk[off:end:end], Vals: vals[off:end:end],
-			Ternary: tern[s],
-		}
+			Ternary: tern,
+		})
+		p.slots[s] = &blocks[len(blocks)-1]
 		p.coords = append(p.coords, [3]int{i, j, k})
-		next[s] = off
-		off = end
+		for c := 0; c < sc.chunks; c++ {
+			at := &sc.nnz[c*sc.stride+s]
+			*at, off = off, off+*at
+		}
 	})
-	for x := range t.entries {
-		e := &t.entries[x]
-		bi, bj, bk := int(row[e.I]), int(row[e.J]), int(row[e.K])
-		s := slot(bi, bj, bk)
-		at := next[s]
-		next[s]++
-		di[at], dj[at], dk[at] = int32(e.I-bi*b), int32(e.J-bj*b), int32(e.K-bk*b)
-		vals[at] = e.V
-	}
-	return p, nil
+	row, b32 := sc.row, int32(b)
+	eachChunk(nnz, sc.chunks, func(c, lo, hi int) {
+		next := sc.nnz[c*sc.stride:][:sc.slots]
+		for _, e := range t.entries[lo:hi] {
+			bi, bj, bk := row[e.I], row[e.J], row[e.K]
+			s := slot(int(bi), int(bj), int(bk))
+			at := next[s]
+			next[s]++
+			di[at], dj[at], dk[at] = e.I-bi*b32, e.J-bj*b32, e.K-bk*b32
+			vals[at] = e.V
+		}
+	})
+	return p
 }
 
 func blockKind(bi, bj, bk int) tensor.BlockKind {
@@ -209,11 +299,11 @@ func (p *Packed) Select(coords [][3]int) []*Block {
 // block coordinate, Tetrahedral(⌈n/b⌉) of them, so b is meant to be a
 // partition's block edge.
 func BlockCounts(t *Tensor, b int) map[[3]int]int64 {
-	m, _, nnz, _ := countBlocks(t, b)
+	sc := countSlots(t, b, 0)
 	out := make(map[[3]int]int64)
-	eachSlot(m, func(s, i, j, k int) {
-		if nnz[s] > 0 {
-			out[[3]int{i, j, k}] = int64(nnz[s])
+	eachSlot(sc.m, func(s, i, j, k int) {
+		if nnz, _ := sc.total(s); nnz > 0 {
+			out[[3]int{i, j, k}] = int64(nnz)
 		}
 	})
 	return out

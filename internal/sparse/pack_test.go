@@ -4,8 +4,11 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 
+	"repro/internal/intmath"
 	"repro/internal/sttsv"
 	"repro/internal/tensor"
 )
@@ -106,7 +109,7 @@ func TestBlockApplyBitwiseScalarOracle(t *testing.T) {
 		padded := pk.M * b
 		// Padded dense copy for block extraction.
 		ad := tensor.NewSymmetric(padded)
-		sp.ForEach(func(e Entry) { ad.Set(e.I, e.J, e.K, e.V) })
+		sp.ForEach(func(e Entry) { ad.Set(int(e.I), int(e.J), int(e.K), e.V) })
 		x := make([]float64, padded)
 		for i := 0; i < n; i++ {
 			x[i] = rng.NormFloat64()
@@ -318,4 +321,106 @@ func TestFromPackedThreshold(t *testing.T) {
 	if got := FromPacked(a, -1).NNZ(); got != 4 {
 		t.Errorf("threshold -1: kept %d entries, want 4 (negative = keep all nonzero, zeros never kept)", got)
 	}
+}
+
+// samePacked reports the first difference between two packings: slot
+// occupancy, block headers, ternary counts, and every coordinate and
+// value bit.
+func samePacked(a, b *Packed) error {
+	if a.N != b.N || a.M != b.M || a.B != b.B || len(a.slots) != len(b.slots) {
+		return fmt.Errorf("shape (%d,%d,%d,%d slots) vs (%d,%d,%d,%d slots)",
+			a.N, a.M, a.B, len(a.slots), b.N, b.M, b.B, len(b.slots))
+	}
+	if !slices.Equal(a.coords, b.coords) {
+		return fmt.Errorf("occupied coordinates %v vs %v", a.coords, b.coords)
+	}
+	for s, x := range a.slots {
+		y := b.slots[s]
+		if (x == nil) != (y == nil) {
+			return fmt.Errorf("slot %d occupied %v vs %v", s, x != nil, y != nil)
+		}
+		if x == nil {
+			continue
+		}
+		if x.Kind != y.Kind || x.I != y.I || x.J != y.J || x.K != y.K || x.B != y.B || x.Ternary != y.Ternary {
+			return fmt.Errorf("slot %d header %v (%d,%d,%d) b=%d tern=%d vs %v (%d,%d,%d) b=%d tern=%d",
+				s, x.Kind, x.I, x.J, x.K, x.B, x.Ternary, y.Kind, y.I, y.J, y.K, y.B, y.Ternary)
+		}
+		if !slices.Equal(x.DI, y.DI) || !slices.Equal(x.DJ, y.DJ) || !slices.Equal(x.DK, y.DK) || !bitsEqual(x.Vals, y.Vals) {
+			return fmt.Errorf("slot %d block (%d,%d,%d): coordinate runs or values differ", s, x.I, x.J, x.K)
+		}
+	}
+	return nil
+}
+
+// TestPackChunkCountInvariant: the packed form does not depend on how
+// many chunks Pack's passes split the entries into. Every chunk count
+// from 1 to 8 must give the one-chunk packing byte for byte, on inputs
+// where a chunk boundary falls inside one block's entries, blocks are
+// empty, n is not a multiple of b, and chunks hold no entries at all.
+func TestPackChunkCountInvariant(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	_, one := randSparse(10, 0.2, rng) // b >= n: every entry in block (0,0,0)
+	_, ragged := randSparse(37, 0.97, rng)
+	few, err := New(9, []Entry{{8, 4, 0, 1}, {2, 1, 0, 2}, {7, 7, 7, 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Above 2·minPackChunk entries, so Pack splits it on its own on a
+	// host with two or more cores; run with -race for the concurrency.
+	large, err := SkewedHypergraph(3000, 2*minPackChunk+1000, 1, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var splitBlock, emptyBlock, ragged8, emptyChunk bool
+	for _, c := range []struct {
+		name string
+		sp   *Tensor
+		b    int
+	}{
+		{"one block", one, 16},
+		{"ragged n=37 b=8", ragged, 8},
+		{"three entries", few, 3},
+		{"large", large, 500},
+	} {
+		want := pack(c.sp, c.b, 1)
+		ragged8 = ragged8 || c.sp.N%c.b != 0
+		for s := range want.slots {
+			emptyBlock = emptyBlock || want.slots[s] == nil
+		}
+		for chunks := 1; chunks <= 8; chunks++ {
+			got := pack(c.sp, c.b, chunks)
+			if err := samePacked(want, got); err != nil {
+				t.Fatalf("%s, %d chunks: %v", c.name, chunks, err)
+			}
+			nnz := c.sp.NNZ()
+			for k := 1; k < chunks; k++ {
+				if lo, hi := (k-1)*nnz/chunks, k*nnz/chunks; lo == hi {
+					emptyChunk = true
+				} else if hi < nnz && slotOf(c.sp.entries[hi-1], c.b) == slotOf(c.sp.entries[hi], c.b) {
+					splitBlock = true
+				}
+			}
+		}
+		if got, err := Pack(c.sp, c.b); err != nil {
+			t.Fatal(err)
+		} else if err := samePacked(want, got); err != nil {
+			t.Fatalf("%s, Pack's own %d chunks: %v", c.name, packChunks(c.sp.NNZ(), len(want.slots)), err)
+		}
+	}
+	if !splitBlock || !emptyBlock || !ragged8 || !emptyChunk {
+		t.Fatalf("cases not covered: split block %v, empty block %v, n%%b != 0 %v, empty chunk %v",
+			splitBlock, emptyBlock, ragged8, emptyChunk)
+	}
+	if runtime.GOMAXPROCS(0) > 1 {
+		if c := packChunks(large.NNZ(), intmath.Tetrahedral(6)); c < 2 {
+			t.Fatalf("Pack splits %d entries into %d chunk(s) at GOMAXPROCS %d, want >= 2",
+				large.NNZ(), c, runtime.GOMAXPROCS(0))
+		}
+	}
+}
+
+// slotOf returns the block slot an entry falls in at block edge b.
+func slotOf(e Entry, b int) int {
+	return slot(int(e.I)/b, int(e.J)/b, int(e.K)/b)
 }

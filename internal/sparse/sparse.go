@@ -14,16 +14,18 @@ package sparse
 
 import (
 	"fmt"
-	"sort"
+	"math"
 
 	"repro/internal/intmath"
 	"repro/internal/sttsv"
 	"repro/internal/tensor"
 )
 
-// Entry is one stored nonzero with sorted indices I >= J >= K.
+// Entry is one stored nonzero with sorted indices I >= J >= K. Its
+// coordinates are int32, so an entry is 24 bytes and a tensor's
+// dimension is at most 2³¹−1.
 type Entry struct {
-	I, J, K int
+	I, J, K int32
 	V       float64
 }
 
@@ -34,28 +36,31 @@ type Tensor struct {
 	entries []Entry
 }
 
+// checkDim rejects a dimension whose coordinates do not fit in an
+// Entry's int32 fields.
+func checkDim(n int) error {
+	if n > math.MaxInt32 {
+		return fmt.Errorf("sparse: dimension %d exceeds the int32 coordinate range", n)
+	}
+	return nil
+}
+
 // New builds a sparse symmetric tensor from (possibly unsorted-index)
 // coordinate data. Duplicate multisets are an error; indices must lie in
-// [0, n).
+// [0, n), and n must fit in int32.
 func New(n int, coords []Entry) (*Tensor, error) {
+	if err := checkDim(n); err != nil {
+		return nil, err
+	}
 	t := &Tensor{N: n, entries: make([]Entry, 0, len(coords))}
 	for _, e := range coords {
-		i, j, k := intmath.SortTriple(e.I, e.J, e.K)
+		i, j, k := intmath.SortTriple(int(e.I), int(e.J), int(e.K))
 		if k < 0 || i >= n {
 			return nil, fmt.Errorf("sparse: entry (%d,%d,%d) out of range [0,%d)", e.I, e.J, e.K, n)
 		}
-		t.entries = append(t.entries, Entry{I: i, J: j, K: k, V: e.V})
+		t.entries = append(t.entries, Entry{I: int32(i), J: int32(j), K: int32(k), V: e.V})
 	}
-	sort.Slice(t.entries, func(a, b int) bool {
-		ea, eb := t.entries[a], t.entries[b]
-		if ea.I != eb.I {
-			return ea.I < eb.I
-		}
-		if ea.J != eb.J {
-			return ea.J < eb.J
-		}
-		return ea.K < eb.K
-	})
+	sortEntries(t.entries)
 	for i := 1; i < len(t.entries); i++ {
 		a, b := t.entries[i-1], t.entries[i]
 		if a.I == b.I && a.J == b.J && a.K == b.K {
@@ -77,7 +82,7 @@ func FromPacked(a *tensor.Symmetric, threshold float64) *Tensor {
 	var coords []Entry
 	a.ForEach(func(i, j, k int, v float64) {
 		if v > threshold || v < -threshold {
-			coords = append(coords, Entry{I: i, J: j, K: k, V: v})
+			coords = append(coords, Entry{I: int32(i), J: int32(j), K: int32(k), V: v})
 		}
 	})
 	t, err := New(a.N, coords)
@@ -91,13 +96,19 @@ func FromPacked(a *tensor.Symmetric, threshold float64) *Tensor {
 // hypergraph directly (entries 1/2 per hyperedge, the centrality
 // normalization of package tensor).
 func FromHypergraph(n int, edges [][3]int) (*Tensor, error) {
+	if err := checkDim(n); err != nil {
+		return nil, err
+	}
 	coords := make([]Entry, 0, len(edges))
 	for ei, e := range edges {
 		i, j, k := intmath.SortTriple(e[0], e[1], e[2])
+		if k < 0 || i >= n {
+			return nil, fmt.Errorf("sparse: edge %d = %v out of range [0,%d)", ei, e, n)
+		}
 		if i == j || j == k {
 			return nil, fmt.Errorf("sparse: edge %d = %v has repeated vertices", ei, e)
 		}
-		coords = append(coords, Entry{I: i, J: j, K: k, V: 0.5})
+		coords = append(coords, Entry{I: int32(i), J: int32(j), K: int32(k), V: 0.5})
 	}
 	return New(n, coords)
 }
@@ -126,7 +137,7 @@ func (t *Tensor) ForEach(fn func(e Entry)) {
 func (t *Tensor) Dense() *tensor.Symmetric {
 	out := tensor.NewSymmetric(t.N)
 	for _, e := range t.entries {
-		out.Set(e.I, e.J, e.K, e.V)
+		out.Set(int(e.I), int(e.J), int(e.K), e.V)
 	}
 	return out
 }

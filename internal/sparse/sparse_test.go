@@ -65,6 +65,33 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
+// TestInt32Coordinates: a dimension or vertex that does not fit in
+// Entry's int32 coordinates is an error, never a panic or a silently
+// wrapped index.
+func TestInt32Coordinates(t *testing.T) {
+	const wide = math.MaxInt32 + 1
+	if _, err := New(wide, []Entry{{2, 1, 0, 1}}); err == nil {
+		t.Error("New accepted n = 2³¹")
+	}
+	if _, err := New(math.MaxInt32, []Entry{{math.MaxInt32 - 1, 1, 0, 1}}); err != nil {
+		t.Errorf("New rejected n = 2³¹−1: %v", err)
+	}
+	if _, err := FromHypergraph(wide, [][3]int{{wide - 1, 1, 0}}); err == nil {
+		t.Error("FromHypergraph accepted n = 2³¹")
+	}
+	// 2³² + 2 wraps to 2 as an int32; it must be out of range, not a
+	// duplicate of vertex 2.
+	if _, err := FromHypergraph(5, [][3]int{{1<<32 + 2, 1, 0}}); err == nil {
+		t.Error("FromHypergraph accepted vertex 2³²+2 on n = 5")
+	}
+	if _, err := RandomHypergraph(wide, 10, 1); err == nil {
+		t.Error("RandomHypergraph accepted n = 2³¹")
+	}
+	if _, err := SkewedHypergraph(wide, 10, 1, 1); err == nil {
+		t.Error("SkewedHypergraph accepted n = 2³¹")
+	}
+}
+
 func TestNewSortsIndices(t *testing.T) {
 	sp, err := New(5, []Entry{{1, 4, 2, 7}})
 	if err != nil {
