@@ -9,8 +9,9 @@
 // It finishes with two in-process acceptance runs at n ≥ 10⁶ — a
 // hypergraph power iteration through a sparse session and a CP power
 // iteration — sizes at which a dense session could not allocate a single
-// rank's blocks. Writes BENCH_sparse.json; with -check the gates are
-// enforced and the process fails on a violation.
+// rank's blocks. Writes BENCH_sparse.json, with the process's peak
+// resident set; with -check the gates are enforced and the process fails
+// on a violation.
 package main
 
 import (
@@ -20,6 +21,8 @@ import (
 	"math/rand"
 	"os"
 	"runtime"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -89,6 +92,9 @@ type sparseReport struct {
 	CP         cpScalingPoint   `json:"cp_scaling"`
 	Imbalance  imbalanceResult  `json:"imbalance"`
 	Acceptance []acceptanceRun  `json:"acceptance"`
+	// PeakRSSKB is the whole process's peak resident set (VmHWM) after
+	// the acceptance runs; 0 where /proc/self/status cannot be read.
+	PeakRSSKB int64 `json:"peak_rss_kb"`
 }
 
 // randSparse keeps each packed coordinate (i ≥ j ≥ k) with probability
@@ -316,6 +322,11 @@ func runSparseBench(out, check string, benchtime time.Duration) {
 	}
 	{
 		const accN, accR, accP = 1_000_000, 16, 8
+		// The two runs are independent. The hypergraph run leaves a GC
+		// goal of ≈900 MiB (twice the ≈450 MiB live after its packing),
+		// which this run would grow into before its first collection;
+		// collecting here bounds the process's peak.
+		runtime.GC()
 		setup := time.Now()
 		op := randCPBench(accN, accR, 37)
 		s, err := parallel.OpenCPSession(op, parallel.CPOptions{P: accP})
@@ -337,6 +348,9 @@ func runSparseBench(out, check string, benchtime time.Duration) {
 		fmt.Printf("  acceptance cp n=%d r=%d P=%d: power iter %.2fs (setup %.2fs), λ=%.3g\n",
 			accN, accR, accP, iterNs/1e9, setupNs/1e9, eig.Lambda)
 	}
+
+	rep.PeakRSSKB = peakRSSKB()
+	fmt.Printf("  peak RSS %d kB\n", rep.PeakRSSKB)
 
 	data, err := json.MarshalIndent(&rep, "", "  ")
 	if err != nil {
@@ -361,6 +375,7 @@ func checkSparseGates(rep *sparseReport) {
 		minSparseSpeedup = 5.0  // sparse ≥ 5× dense at ≤ 1% density
 		minCPSpeedup     = 50.0 // CP ≥ 50× predicted dense at n=4096
 		maxImbalance     = 1.3  // weighted nnz makespan / mean
+		maxPeakRSSKB     = 690_000
 	)
 	failed := false
 	for _, pt := range rep.Crossover {
@@ -396,10 +411,31 @@ func checkSparseGates(rep *sparseReport) {
 		fmt.Fprintf(os.Stderr, "sttsvbench: gate acceptance: %d of 2 n≥10⁶ runs completed\n", len(rep.Acceptance))
 		failed = true
 	}
+	fmt.Printf("check peak RSS: %d kB, ceiling %d kB\n", rep.PeakRSSKB, maxPeakRSSKB)
+	if rep.PeakRSSKB == 0 || rep.PeakRSSKB > maxPeakRSSKB {
+		fmt.Fprintf(os.Stderr, "sttsvbench: gate peak RSS: %d kB (0: unreadable) outside (0, %d] kB\n", rep.PeakRSSKB, maxPeakRSSKB)
+		failed = true
+	}
 	if failed {
 		os.Exit(1)
 	}
 	fmt.Println("check: ok")
+}
+
+// peakRSSKB reads the process's peak resident set size (VmHWM) in kB,
+// or 0 where /proc/self/status is unavailable.
+func peakRSSKB() int64 {
+	data, err := os.ReadFile("/proc/self/status")
+	if err != nil {
+		return 0
+	}
+	for _, line := range strings.Split(string(data), "\n") {
+		if f := strings.Fields(line); len(f) >= 2 && f[0] == "VmHWM:" {
+			kb, _ := strconv.ParseInt(f[1], 10, 64)
+			return kb
+		}
+	}
+	return 0
 }
 
 func gateTag(g string) string {

@@ -9,8 +9,8 @@
 // The coordinator re-execs its own binary with -rank=K and the identical
 // problem flags, so every process derives the same tensor, partition and
 // start vector from the scalars alone. A rank process killed mid-run
-// (kill -9) is respawned and the survivors replay from the last globally
-// committed checkpoint in a new wire epoch; the committed result is
+// (kill -9) is respawned and the interrupted iteration replays from the
+// last committed checkpoint in a new wire epoch; the committed result is
 // bit-identical to the in-process simulator, which the coordinator
 // verifies by default after the distributed run.
 package main
@@ -32,8 +32,8 @@ import (
 )
 
 // runRankMode hosts one machine rank: the whole process life is
-// cluster.RunRank's resume/ready/go/iterate loop against the coordinator
-// at -addr.
+// cluster.RunRank's resume/ready/op/done loop against the coordinator at
+// -addr.
 func runRankMode(bf *backendflag.Options, cfg cluster.Config) int {
 	err := cluster.RunRank(cluster.RankOptions{
 		Config:  cfg,

@@ -1,11 +1,13 @@
 // Package cluster turns the distributed pieces — the netwire control and
 // data planes, the per-rank power-method engine, durable checkpoints —
 // into a multi-process runtime: one coordinator process supervising P
-// rank processes over TCP or unix-domain sockets. A rank killed with
-// SIGKILL mid-run is respawned, every survivor rolls back to the last
-// globally committed checkpoint, and the method resumes in a new wire
-// epoch; the committed results are bit-identical to the single-process
-// simulated run.
+// rank processes over TCP or unix-domain sockets, with the Session's
+// recovery protocol. Each power iteration is one op the coordinator
+// dispatches; it commits once every rank has acknowledged it with a
+// durable checkpoint. A rank killed with SIGKILL mid-run is respawned,
+// every survivor rolls back to the committed boundary, and the op replays
+// in a new wire epoch; the committed results are bit-identical to the
+// single-process simulated run.
 package cluster
 
 import (
@@ -24,7 +26,7 @@ import (
 type Config struct {
 	// Network is "tcp" or "unix".
 	Network string
-	// Q selects the spherical partition (P = q²+q+1 ranks).
+	// Q selects the spherical partition (P = q(q²+1) ranks: 10 at q = 2).
 	Q int
 	// N is the problem dimension; the block edge is ceil(N/M).
 	N int

@@ -6,10 +6,12 @@ import (
 	"os"
 	"os/exec"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/netwire"
 	"repro/internal/parallel"
 	"repro/internal/partition"
 )
@@ -35,6 +37,21 @@ func TestHelperRankProcess(t *testing.T) {
 		}
 		return v
 	}
+	if os.Getenv("STTSV_CLUSTER_HELLO_EXIT") != "" {
+		// A respawn that registers and dies before it is ready.
+		part, err := partition.NewSpherical(atoi("STTSV_CLUSTER_Q"))
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(2)
+		}
+		cl, err := netwire.NewClient(os.Getenv("STTSV_CLUSTER_NET"), os.Getenv("STTSV_CLUSTER_CTL"), rank, part.P, netwire.ClientOptions{})
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
+		cl.Close()
+		os.Exit(0)
+	}
 	opt := RankOptions{
 		Config: Config{
 			Network: os.Getenv("STTSV_CLUSTER_NET"),
@@ -57,17 +74,30 @@ func TestHelperRankProcess(t *testing.T) {
 }
 
 // testSpawner re-execs the test binary as rank processes and remembers
-// the live process of each rank so the suite can kill one.
+// the live process of each rank so the suite can kill one, and every
+// command it started so the suite can check that each was reaped.
 type testSpawner struct {
-	t       *testing.T
-	cfg     Config
-	ctlAddr func() string
+	t     *testing.T
+	cfg   Config
+	flaky int // rank whose respawns register and exit at once; -1 for none
 
-	mu    sync.Mutex
-	procs map[int]*os.Process
+	mu     sync.Mutex
+	addr   string
+	procs  map[int]*os.Process
+	spawns map[int]int
+	cmds   []*exec.Cmd
+}
+
+func newTestSpawner(t *testing.T, cfg Config) *testSpawner {
+	return &testSpawner{t: t, cfg: cfg, flaky: -1, procs: map[int]*os.Process{}, spawns: map[int]int{}}
 }
 
 func (s *testSpawner) spawn(rank int) (Proc, error) {
+	s.mu.Lock()
+	respawn := s.spawns[rank] > 0
+	s.spawns[rank]++
+	ctlAddr := s.addr
+	s.mu.Unlock()
 	cmd := exec.Command(os.Args[0], "-test.run=TestHelperRankProcess$")
 	cmd.Env = append(os.Environ(),
 		"STTSV_CLUSTER_RANK="+strconv.Itoa(rank),
@@ -77,17 +107,41 @@ func (s *testSpawner) spawn(rank int) (Proc, error) {
 		"STTSV_CLUSTER_SEED="+strconv.FormatInt(s.cfg.Seed, 10),
 		"STTSV_CLUSTER_MAXITER="+strconv.Itoa(s.cfg.MaxIter),
 		"STTSV_CLUSTER_CKPT="+s.cfg.CkptDir,
-		"STTSV_CLUSTER_CTL="+s.ctlAddr(),
+		"STTSV_CLUSTER_CTL="+ctlAddr,
 		"STTSV_CLUSTER_FAULTS="+s.cfg.Faults,
 	)
+	if respawn && rank == s.flaky {
+		cmd.Env = append(cmd.Env, "STTSV_CLUSTER_HELLO_EXIT=1")
+	}
 	cmd.Stderr = os.Stderr
 	if err := cmd.Start(); err != nil {
 		return nil, err
 	}
 	s.mu.Lock()
 	s.procs[rank] = cmd.Process
+	s.cmds = append(s.cmds, cmd)
 	s.mu.Unlock()
 	return cmdProc{cmd}, nil
+}
+
+// supervise runs Supervise over re-exec'd rank processes; hook observes
+// every durable acknowledgement.
+func (s *testSpawner) supervise(hook func(s *testSpawner, rank, iter int)) (*Outcome, error) {
+	return Supervise(SuperviseOptions{
+		Config: s.cfg,
+		Spawn:  s.spawn,
+		OnListen: func(a string) {
+			s.mu.Lock()
+			s.addr = a
+			s.mu.Unlock()
+		},
+		OnCheckpoint: func(rank, iter int) {
+			if hook != nil {
+				hook(s, rank, iter)
+			}
+		},
+		Timeout: 90 * time.Second,
+	})
 }
 
 func (s *testSpawner) kill(rank int) {
@@ -144,33 +198,7 @@ func testConfig(t *testing.T) Config {
 
 func superviseWith(t *testing.T, cfg Config, hook func(s *testSpawner, rank, iter int)) *Outcome {
 	t.Helper()
-	var addr string
-	var addrMu sync.Mutex
-	sp := &testSpawner{
-		t:   t,
-		cfg: cfg,
-		ctlAddr: func() string {
-			addrMu.Lock()
-			defer addrMu.Unlock()
-			return addr
-		},
-		procs: map[int]*os.Process{},
-	}
-	out, err := Supervise(SuperviseOptions{
-		Config: cfg,
-		Spawn:  sp.spawn,
-		OnListen: func(a string) {
-			addrMu.Lock()
-			addr = a
-			addrMu.Unlock()
-		},
-		OnCheckpoint: func(rank, iter int) {
-			if hook != nil {
-				hook(sp, rank, iter)
-			}
-		},
-		Timeout: 90 * time.Second,
-	})
+	out, err := newTestSpawner(t, cfg).supervise(hook)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,46 +304,37 @@ func TestClusterRejectsCrashPlans(t *testing.T) {
 	}
 }
 
-// TestCheckpointRoundTrip: the durable checkpoint file restores the exact
-// state bits and rejects corruption.
-func TestCheckpointRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	st := parallel.PowerRankState{
-		Lambda: 1.25e-3,
-		Prev:   math.Inf(1),
-		Chunk:  []float64{0, -1.5, math.Pi, 1e-300, math.Copysign(0, -1)},
+// TestClusterBudgetExhausted: a rank that dies on every relaunch spends
+// the per-op recovery budget, and Supervise reports the exhausted budget
+// instead of waiting out its timeout. Rank 2 is killed mid-run as in
+// TestClusterKill9Recovery, and every respawn of it registers and exits
+// at once, so each relaunch fails before ready: the kill and MaxRetries+1
+// failed replays (the count a Session dispatch allows) end the run. No
+// rank process outlives Supervise.
+func TestClusterBudgetExhausted(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-process test")
 	}
-	if err := writeCkpt(dir, 4, 17, st); err != nil {
-		t.Fatal(err)
-	}
-	got, err := readCkpt(dir, 4, 17)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Float64bits(got.Lambda) != math.Float64bits(st.Lambda) ||
-		math.Float64bits(got.Prev) != math.Float64bits(st.Prev) {
-		t.Errorf("scalars differ: %+v vs %+v", got, st)
-	}
-	for i := range st.Chunk {
-		if math.Float64bits(got.Chunk[i]) != math.Float64bits(st.Chunk[i]) {
-			t.Errorf("chunk[%d] differs", i)
+	cfg := testConfig(t)
+	sp := newTestSpawner(t, cfg)
+	sp.flaky = 2
+	var once sync.Once
+	_, err := sp.supervise(func(sp *testSpawner, rank, iter int) {
+		if rank == 1 && iter == 3 {
+			once.Do(func() { sp.kill(2) })
 		}
+	})
+	t.Logf("Supervise: %v", err)
+	if err == nil || !strings.Contains(err.Error(), "recovery budget") {
+		t.Fatalf("Supervise = %v, want an exhausted recovery budget", err)
 	}
-	if _, err := readCkpt(dir, 4, 16); err == nil {
-		t.Error("missing checkpoint read succeeded")
+	maxRetries := 3 // parallel.RecoveryOptions' default
+	if got, want := sp.spawns[2], 1+maxRetries+1; got != want {
+		t.Errorf("rank 2 spawned %d times, want %d (first launch + MaxRetries+1 replays)", got, want)
 	}
-	if _, err := readCkpt(dir, 3, 17); err == nil {
-		t.Error("wrong-rank checkpoint read succeeded")
-	}
-	raw, err := os.ReadFile(ckptPath(dir, 4, 17))
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw[15] ^= 1
-	if err := os.WriteFile(ckptPath(dir, 4, 17), raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := readCkpt(dir, 4, 17); err == nil {
-		t.Error("corrupted checkpoint read succeeded")
+	for _, cmd := range sp.cmds {
+		if cmd.ProcessState == nil {
+			t.Errorf("rank process %d outlived Supervise", cmd.Process.Pid)
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"path/filepath"
 
 	"repro/internal/fault"
 	"repro/internal/machine"
@@ -20,14 +21,19 @@ type RankOptions struct {
 	Rank int
 }
 
+// rankProc is one rank process's state across epochs.
+type rankProc struct {
+	cfg       Config
+	p, rank   int
+	eng       *parallel.RankEngine
+	cl        *netwire.Client
+	transport machine.TransportFactory
+}
+
 // RunRank is a rank process's entire life: register with the coordinator,
-// then loop the resume → restore → ready → go → iterate cycle until told
-// to stop. Each go launches a fresh distributed machine incarnation whose
-// only local rank is this one; an epoch abort (someone else was killed)
-// unwinds the body through the machine's abort sentinel, reports
-// quiesced, and waits for the next resume. Loss of the control connection
-// terminates the process — an orphaned rank must not outlive its
-// supervisor.
+// then serve one epoch per resume until told to stop. Loss of the control
+// connection terminates the process — an orphaned rank must not outlive
+// its supervisor.
 func RunRank(opt RankOptions) error {
 	cfg := opt.Config.withDefaults()
 	part, a, b, err := cfg.problem()
@@ -59,195 +65,186 @@ func RunRank(opt RankOptions) error {
 		return err
 	}
 	defer cl.Close()
-	events := cl.Events()
-	trace := func(format string, a ...any) {
-		if os.Getenv("STTSV_CLUSTER_DEBUG") != "" {
-			fmt.Fprintf(os.Stderr, "rank %d: "+format+"\n", append([]any{opt.Rank}, a...)...)
-		}
+	rp := &rankProc{cfg: cfg, p: part.P, rank: opt.Rank, eng: eng, cl: cl}
+	if plan.Active() {
+		// Chaos-perturbed frames need the reliable transport above the
+		// wire. The retry budget is effectively unbounded — the
+		// coordinator's abort, not the transport, decides when a silent
+		// peer means a dead rank.
+		rp.transport = fault.Transport(fault.Plan{}, fault.ReliableOptions{MaxAttempts: 1 << 20})
 	}
 
 	for {
-		// Park until the coordinator resumes (or retires) us. An abort
-		// arriving here — this rank finished or was respawned while others
-		// still ran — needs only the quiesced acknowledgment.
-		var rs netwire.CtlEvent
-	await:
-		for {
-			ev, ok := <-events
-			if !ok {
-				return fmt.Errorf("cluster: rank %d lost the coordinator", opt.Rank)
-			}
-			switch ev.Type {
-			case "stop":
-				return nil
-			case "abort":
-				cl.Quiesced(ev.Epoch)
-			case "resume":
-				rs = ev
-				break await
-			default:
-				trace("await: ignoring %q", ev.Type)
-			}
+		ev, ok := <-cl.Events()
+		if !ok {
+			return rp.lost()
 		}
-		epoch, startIter := rs.Epoch, rs.Iter
-		trace("resume epoch %d iter %d", epoch, startIter)
-		if startIter == 0 {
-			eng.SeedPower(cfg.Seed)
-		} else {
-			st, err := readCkpt(cfg.CkptDir, opt.Rank, startIter)
-			if err != nil {
-				return err
-			}
-			if err := eng.Restore(st); err != nil {
-				return err
-			}
-		}
-		if err := cl.Ready(epoch); err != nil {
-			return err
-		}
-
-		// Await the go (all ranks restored) — or an abort, if another rank
-		// died between our ready and the release.
-		aborted := false
-	release:
-		for {
-			ev, ok := <-events
-			if !ok {
-				return fmt.Errorf("cluster: rank %d lost the coordinator", opt.Rank)
-			}
-			switch ev.Type {
-			case "stop":
-				return nil
-			case "abort":
-				cl.Quiesced(ev.Epoch)
-				aborted = true
-				break release
-			case "go":
-				trace("go (epoch %d)", epoch)
-				break release
-			}
-		}
-		if aborted {
-			continue
-		}
-
-		// One machine incarnation: iterate from startIter, checkpointing
-		// durably before each control-plane acknowledgment.
-		var (
-			finalIter           = startIter
-			converged, singular bool
-			done                bool
-			ckptErr             error
-		)
-		runCfg := machine.RunConfig{
-			Backend:    cl,
-			LocalRanks: []int{opt.Rank},
-			StartEpoch: epoch,
-		}
-		if plan.Active() {
-			// Chaos-perturbed frames need the reliable transport above the
-			// wire. The retry budget is effectively unbounded — the
-			// supervisor's abort, not the transport, decides when a silent
-			// peer means a dead rank.
-			runCfg.Transport = fault.Transport(fault.Plan{}, fault.ReliableOptions{MaxAttempts: 1 << 20})
-		}
-		h, err := machine.StartWith(part.P, runCfg, func(c *machine.Comm) {
-			defer func() {
-				if r := recover(); r != nil {
-					if machine.IsAbort(r) {
-						return // epoch fenced; state rolls back to the last checkpoint
-					}
-					panic(r)
-				}
-			}()
-			for iter := startIter; iter < cfg.MaxIter; {
-				stop, conv, sing := eng.Iterate(c, cfg.Tol)
-				iter++
-				trace("epoch %d: completed iter %d", epoch, iter)
-				if err := writeCkpt(cfg.CkptDir, opt.Rank, iter, eng.State()); err != nil {
-					ckptErr = err
-					return
-				}
-				cl.Ckpt(iter)
-				finalIter, converged, singular = iter, conv, sing
-				if stop {
-					break
-				}
-			}
-			// Leave only once every rank has: each arrives after all its
-			// sends were acknowledged, so no peer is still retransmitting
-			// into this process when its transport stops lingering.
-			c.Barrier()
-			done = true
-		})
-		if err != nil {
-			return err
-		}
-
-		// Drive the machine while watching the control plane: an abort
-		// order fences the epoch and unwinds the body.
-		waitCh := make(chan error, 1)
-		go func() {
-			_, werr := h.Wait()
-			waitCh <- werr
-		}()
-		var abortedEpoch = int64(-1)
-		stopping := false
-	running:
-		for {
-			select {
-			case ev, ok := <-events:
-				if !ok {
-					h.Abort()
-					<-waitCh
-					return fmt.Errorf("cluster: rank %d lost the coordinator", opt.Rank)
-				}
-				switch ev.Type {
-				case "abort":
-					abortedEpoch = ev.Epoch
-					h.Abort()
-				case "stop":
-					stopping = true
-					h.Abort()
-				}
-			case werr := <-waitCh:
-				if werr != nil {
-					return werr
-				}
-				break running
-			}
-		}
-		if ckptErr != nil {
-			return ckptErr
-		}
-		if stopping {
+		switch ev.Type {
+		case "stop":
 			return nil
-		}
-		if abortedEpoch >= 0 {
-			trace("aborted at epoch %d, quiescing", abortedEpoch)
-			cl.Quiesced(abortedEpoch)
-			continue
-		}
-		if !done {
-			trace("epoch %d: body unwound without done", epoch)
-			// The body unwound through the abort sentinel without a local
-			// abort order: the machine fenced the epoch internally. Park and
-			// report; the coordinator decides what happens next.
-			cl.Quiesced(epoch)
-			continue
-		}
-
-		// Completed every iteration: ship the outcome. The process then
-		// parks again — a peer killed after this rank finished still needs
-		// the survivors to replay from the committed checkpoint.
-		chunk := eng.OwnedWords()
-		bits := make([]uint64, len(chunk))
-		for i, v := range chunk {
-			bits[i] = math.Float64bits(v)
-		}
-		trace("epoch %d: result after iter %d", epoch, finalIter)
-		if err := cl.Result(math.Float64bits(eng.Lambda()), finalIter, converged, singular, bits); err != nil {
-			return err
+		case "abort":
+			// Parked between epochs: nothing to unwind.
+			if err := cl.Report(netwire.CtlMsg{Type: "quiesced", Epoch: ev.Epoch}); err != nil {
+				return err
+			}
+		case "resume":
+			if stop, err := rp.serve(ev.Epoch, ev.Iter); err != nil || stop {
+				return err
+			}
 		}
 	}
+}
+
+func (rp *rankProc) lost() error {
+	return fmt.Errorf("cluster: rank %d lost the coordinator", rp.rank)
+}
+
+// serve runs one epoch: restore boundary k, launch the epoch's resident
+// machine, report ready, then run every op the coordinator dispatches,
+// acknowledging each once its checkpoint is durable. An abort retires the
+// machine and reports quiesced (stop false); a stop retires it and ends
+// the process (stop true).
+func (rp *rankProc) serve(epoch int64, k int) (stop bool, err error) {
+	if k == 0 {
+		rp.eng.SeedPower(rp.cfg.Seed)
+	} else {
+		rec, err := os.ReadFile(ckptPath(rp.cfg.CkptDir, rp.rank, k))
+		if err != nil {
+			return false, err
+		}
+		if err := rp.eng.Resume(k, rec); err != nil {
+			return false, err
+		}
+	}
+
+	// The Session's park-and-serve loop on a one-rank machine: park in
+	// AwaitHost, which keeps the transport answering peers' retransmits,
+	// run one op fed from the control plane, repeat. An abort unwinds the
+	// op back to the park; closing ops releases the body.
+	ops := make(chan int, 1)
+	rounds := make(chan netwire.CtlMsg, 1)
+	h, err := machine.StartWith(rp.p, machine.RunConfig{
+		Backend:    rp.cl,
+		LocalRanks: []int{rp.rank},
+		StartEpoch: epoch,
+		Transport:  rp.transport,
+	}, func(c *machine.Comm) {
+		for {
+			var op int
+			ok := false
+			c.AwaitHost(func() { op, ok = <-ops })
+			if !ok {
+				return
+			}
+			if m, ok := rp.iterate(c, op); ok {
+				rounds <- m
+			}
+		}
+	})
+	if err != nil {
+		return false, err
+	}
+	exited := make(chan error, 1)
+	go func() {
+		_, err := h.Wait()
+		exited <- err
+	}()
+	retire := func() {
+		h.Abort()
+		close(ops)
+		<-exited
+	}
+
+	if err := rp.cl.Report(netwire.CtlMsg{Type: "ready", Epoch: epoch}); err != nil {
+		retire()
+		return false, err
+	}
+	for {
+		select {
+		case ev, ok := <-rp.cl.Events():
+			if !ok {
+				retire()
+				return false, rp.lost()
+			}
+			switch ev.Type {
+			case "op":
+				if ev.Epoch == epoch {
+					ops <- ev.Iter
+				}
+			case "abort":
+				retire()
+				return false, rp.cl.Report(netwire.CtlMsg{Type: "quiesced", Epoch: ev.Epoch})
+			case "stop":
+				retire()
+				return true, nil
+			}
+		case m := <-rounds:
+			if err := rp.commit(epoch, m); err != nil {
+				retire()
+				return false, err
+			}
+		case err := <-exited:
+			return false, fmt.Errorf("cluster: rank %d machine of epoch %d exited: %v", rp.rank, epoch, err)
+		}
+	}
+}
+
+// iterate runs op k on the rank's machine and returns its done message's
+// op index and flags; ok is false when an abort unwound it. Any other
+// panic kills the rank.
+func (rp *rankProc) iterate(c *machine.Comm, k int) (m netwire.CtlMsg, ok bool) {
+	defer func() {
+		if v := recover(); v != nil && !machine.IsAbort(v) {
+			panic(v)
+		}
+	}()
+	m.Iter = k
+	m.Stop, m.Converged, m.Singular = rp.eng.Iterate(c, rp.cfg.Tol)
+	return m, true
+}
+
+// commit makes boundary m.Iter+1 durable, then acknowledges op m.Iter.
+// The run's last op also carries the owned chunks for assembly. The body
+// is parked until the next op, so the engine's arena is this goroutine's
+// to read.
+func (rp *rankProc) commit(epoch int64, m netwire.CtlMsg) error {
+	if err := writeCkpt(rp.cfg.CkptDir, rp.rank, m.Iter+1, rp.eng.Checkpoint(m.Iter+1)); err != nil {
+		return err
+	}
+	m.Type, m.Epoch = "done", epoch
+	m.LambdaBits = math.Float64bits(rp.eng.Lambda())
+	if m.Stop || m.Iter+1 == rp.cfg.MaxIter {
+		for _, v := range rp.eng.OwnedWords() {
+			m.ChunkBits = append(m.ChunkBits, math.Float64bits(v))
+		}
+	}
+	return rp.cl.Report(m)
+}
+
+func ckptPath(dir string, rank, iter int) string {
+	return filepath.Join(dir, fmt.Sprintf("ckpt-r%03d-i%06d.bin", rank, iter))
+}
+
+// writeCkpt persists a rank's checkpoint record atomically: temp file,
+// fsync, rename. A rank acknowledges an op only after this returns, so
+// every boundary the coordinator resumes from names files every rank can
+// read.
+func writeCkpt(dir string, rank, iter int, rec []byte) error {
+	tmp, err := os.CreateTemp(dir, ".ckpt-*")
+	if err != nil {
+		return err
+	}
+	defer os.Remove(tmp.Name())
+	if _, err := tmp.Write(rec); err != nil {
+		tmp.Close()
+		return err
+	}
+	if err := tmp.Sync(); err != nil {
+		tmp.Close()
+		return err
+	}
+	if err := tmp.Close(); err != nil {
+		return err
+	}
+	return os.Rename(tmp.Name(), ckptPath(dir, rank, iter))
 }

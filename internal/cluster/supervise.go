@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"time"
@@ -33,12 +34,13 @@ type SuperviseOptions struct {
 	// OnListen, when set, receives the resolved control address before any
 	// rank is spawned.
 	OnListen func(addr string)
-	// OnCheckpoint, when set, observes every acknowledged checkpoint — the
+	// OnCheckpoint, when set, observes every durable acknowledgement: rank
+	// finished an op and its checkpoint for boundary iter is on disk. The
 	// kill-9 suite's injection point.
 	OnCheckpoint func(rank, iter int)
-	// MaxRespawns bounds recoveries before the run is declared lost
-	// (default 3).
-	MaxRespawns int
+	// Recovery bounds the failed attempts of one op exactly as it bounds
+	// a Session dispatch (MaxRetries+1 replays, default 3+1).
+	Recovery parallel.RecoveryOptions
 	// Timeout bounds the whole run (default 2 minutes).
 	Timeout time.Duration
 }
@@ -53,17 +55,42 @@ type Outcome struct {
 	// Respawns counts rank processes restarted after dying mid-run.
 	Respawns int
 	// FinalEpoch is the wire epoch the run committed in (0 when nothing
-	// died).
+	// failed).
 	FinalEpoch int64
 }
 
-// Supervise runs the coordinator side of a distributed power method: it
-// spawns the P rank processes, drives the resume/ready/go lifecycle,
-// tracks the globally committed checkpoint (the minimum acknowledged
-// iteration over all ranks), and — when a rank process dies — aborts the
-// epoch, waits for the survivors to quiesce, respawns the dead rank, and
-// resumes everyone from the committed iteration in the next epoch. The
-// assembled result is bit-identical to the single-process simulated run.
+// attemptError is an attempt that failed the way recovery absorbs: a rank
+// died, or fenced itself without being told to.
+type attemptError struct{ cause string }
+
+func (e *attemptError) Error() string { return e.cause }
+
+// supervisor is the coordinator's state: the rank processes, which of
+// them are registered, which owe a quiesced for the last aborted epoch,
+// and the current epoch.
+type supervisor struct {
+	opt      SuperviseOptions
+	co       *netwire.Coordinator
+	p        int
+	procs    []Proc
+	present  []bool
+	owes     []bool
+	epoch    int64
+	up       bool // every rank is ready in the current epoch
+	respawns int
+	timeout  time.Duration
+	deadline *time.Timer
+}
+
+// Supervise runs the coordinator side of a distributed power method with
+// the Session's recovery protocol: each iteration is one op dispatched
+// to all P rank processes, and the boundary after it commits once all P
+// have acknowledged it with a durable checkpoint. An attempt that fails —
+// a rank dies, or one fences itself — aborts the epoch, waits for the
+// survivors to quiesce, respawns the dead, resumes everyone from the
+// committed boundary one epoch later and replays the op, within the
+// per-op budget of SuperviseOptions.Recovery. The assembled result is
+// bit-identical to the single-process simulated run.
 func Supervise(opt SuperviseOptions) (*Outcome, error) {
 	cfg := opt.Config.withDefaults()
 	part, b, err := cfg.layout()
@@ -83,10 +110,6 @@ func Supervise(opt SuperviseOptions) (*Outcome, error) {
 	}
 	if opt.Spawn == nil {
 		return nil, fmt.Errorf("cluster: no spawner")
-	}
-	maxRespawns := opt.MaxRespawns
-	if maxRespawns <= 0 {
-		maxRespawns = 3
 	}
 	timeout := opt.Timeout
 	if timeout <= 0 {
@@ -109,193 +132,65 @@ func Supervise(opt SuperviseOptions) (*Outcome, error) {
 	if opt.OnListen != nil {
 		opt.OnListen(co.Addr())
 	}
-
-	procs := make([]Proc, p)
+	sv := &supervisor{
+		opt: opt, co: co, p: p,
+		procs:    make([]Proc, p),
+		present:  make([]bool, p),
+		owes:     make([]bool, p),
+		timeout:  timeout,
+		deadline: time.NewTimer(timeout),
+	}
+	defer sv.deadline.Stop()
 	defer func() {
-		for _, pr := range procs {
-			if pr != nil {
-				pr.Kill()
-				go pr.Wait()
-			}
+		for r := range sv.procs {
+			sv.reap(r)
 		}
 	}()
-	spawn := func(rank int) error {
-		if old := procs[rank]; old != nil {
-			go old.Wait() // reap the corpse
-			procs[rank] = nil
-		}
-		pr, err := opt.Spawn(rank)
-		if err != nil {
-			return fmt.Errorf("cluster: spawn rank %d: %w", rank, err)
-		}
-		procs[rank] = pr
-		return nil
-	}
 	for r := 0; r < p; r++ {
-		if err := spawn(r); err != nil {
+		if err := sv.spawn(r); err != nil {
 			return nil, err
 		}
 	}
 
-	// Lifecycle state. phase moves idle → readying → running; a death
-	// during readying/running detours through aborting.
-	const (
-		phaseIdle = iota // waiting for all ranks to register
-		phaseReadying
-		phaseRunning
-		phaseAborting
-	)
-	var (
-		phase     = phaseIdle
-		epoch     = int64(0)
-		respawns  = 0
-		refences  = 0 // self-fenced machines recovered without a death
-		present   = make([]bool, p)
-		nPresent  = 0
-		ready     = make([]bool, p)
-		nReady    = 0
-		pendQuies = map[int]bool{} // survivors owing a quiesced for the aborted epoch
-		ckpt      = make([]int, p)
-		results   = make([]*netwire.CtlEvent, p)
-		nResults  = 0
-	)
-	committed := func() int {
-		min := ckpt[0]
-		for _, i := range ckpt[1:] {
-			if i < min {
-				min = i
+	// One op per iteration; a failed attempt replays the op from the
+	// committed boundary k in the next epoch.
+	var done []netwire.CtlMsg
+	for k, failures := 0, 0; ; {
+		var err error
+		done, err = sv.attempt(k)
+		if err == nil {
+			if done[0].Stop || k+1 == cfg.MaxIter {
+				break
 			}
+			k, failures = k+1, 0
+			continue
 		}
-		return min
-	}
-	tryResume := func() error {
-		if nPresent == p && len(pendQuies) == 0 && (phase == phaseIdle || phase == phaseAborting) {
-			for i := range ready {
-				ready[i] = false
-			}
-			nReady = 0
-			for i := range results {
-				results[i] = nil
-			}
-			nResults = 0
-			if err := co.Resume(epoch, committed()); err != nil {
-				return err
-			}
-			phase = phaseReadying
+		var ae *attemptError
+		if !errors.As(err, &ae) {
+			return nil, err
 		}
-		return nil
-	}
-
-	deadline := time.NewTimer(timeout)
-	defer deadline.Stop()
-	for nResults < p {
-		var ev netwire.CtlEvent
-		select {
-		case ev = <-co.Events():
-		case <-deadline.C:
-			return nil, fmt.Errorf("cluster: run exceeded %v (phase %d, epoch %d, committed %d)", timeout, phase, epoch, committed())
+		failures++
+		if opt.Recovery.Exhausted(failures) {
+			return nil, fmt.Errorf("cluster: op %d failed %d times, last because %v; recovery budget of %d replays exhausted",
+				k, failures, err, failures-1)
 		}
-		switch ev.Type {
-		case "hello":
-			if !present[ev.Rank] {
-				present[ev.Rank] = true
-				nPresent++
-			}
-			if err := tryResume(); err != nil {
-				return nil, err
-			}
-		case "down":
-			respawns++
-			if respawns > maxRespawns {
-				return nil, fmt.Errorf("cluster: rank %d died; respawn budget (%d) exhausted", ev.Rank, maxRespawns)
-			}
-			if present[ev.Rank] {
-				present[ev.Rank] = false
-				nPresent--
-			}
-			delete(pendQuies, ev.Rank)
-			if phase == phaseReadying || phase == phaseRunning {
-				// Fence the epoch; every present survivor owes a quiesced.
-				old := epoch
-				epoch++
-				for r := 0; r < p; r++ {
-					if present[r] {
-						pendQuies[r] = true
-					}
-				}
-				co.AbortEpoch(old)
-				phase = phaseAborting
-			}
-			if err := spawn(ev.Rank); err != nil {
-				return nil, err
-			}
-		case "quiesced":
-			if phase == phaseReadying || phase == phaseRunning {
-				// The rank's machine fenced itself without a coordinator
-				// order — its wire saw something fatal. Re-fence the epoch
-				// for everyone else and replay from the committed iteration.
-				refences++
-				if refences > maxRespawns {
-					return nil, fmt.Errorf("cluster: rank %d self-fenced; recovery budget (%d) exhausted", ev.Rank, maxRespawns)
-				}
-				old := epoch
-				epoch++
-				for r := 0; r < p; r++ {
-					if present[r] && r != ev.Rank {
-						pendQuies[r] = true
-					}
-				}
-				co.AbortEpoch(old)
-				phase = phaseAborting
-			}
-			delete(pendQuies, ev.Rank)
-			if err := tryResume(); err != nil {
-				return nil, err
-			}
-		case "ready":
-			if ev.Epoch == epoch && phase == phaseReadying && !ready[ev.Rank] {
-				ready[ev.Rank] = true
-				nReady++
-				if nReady == p {
-					co.Go(committed())
-					phase = phaseRunning
-				}
-			}
-		case "ckpt":
-			if ev.Iter > ckpt[ev.Rank] {
-				ckpt[ev.Rank] = ev.Iter
-			}
-			if opt.OnCheckpoint != nil {
-				opt.OnCheckpoint(ev.Rank, ev.Iter)
-			}
-		case "result":
-			if phase != phaseRunning {
-				break // stale result from an epoch fenced after completion
-			}
-			if results[ev.Rank] == nil {
-				nResults++
-			}
-			e := ev
-			results[ev.Rank] = &e
-		}
+		sv.abort()
 	}
 	co.Stop()
 
-	// Every rank reported: the scalars must agree exactly, and the owned
-	// chunks assemble into the eigenvector.
-	first := results[0]
+	// The final op's acknowledgements agree on every flag and carry the
+	// owned chunks, which assemble into the eigenvector.
+	first := done[0]
 	owned := make([][]float64, p)
-	for r, res := range results {
-		if res.LambdaBits != first.LambdaBits || res.Iterations != first.Iterations ||
-			res.Converged != first.Converged || res.Singular != first.Singular {
-			return nil, fmt.Errorf("cluster: rank %d outcome diverges from rank 0 (λ bits %x vs %x, iters %d vs %d)",
-				r, res.LambdaBits, first.LambdaBits, res.Iterations, first.Iterations)
+	for r, d := range done {
+		if d.LambdaBits != first.LambdaBits || d.Stop != first.Stop ||
+			d.Converged != first.Converged || d.Singular != first.Singular {
+			return nil, fmt.Errorf("cluster: rank %d outcome diverges from rank 0 (λ bits %x vs %x)", r, d.LambdaBits, first.LambdaBits)
 		}
-		chunk := make([]float64, len(res.ChunkBits))
-		for i, bv := range res.ChunkBits {
-			chunk[i] = math.Float64frombits(bv)
+		owned[r] = make([]float64, len(d.ChunkBits))
+		for i, bv := range d.ChunkBits {
+			owned[r][i] = math.Float64frombits(bv)
 		}
-		owned[r] = chunk
 	}
 	x, err := parallel.AssemblePower(part, b, cfg.N, owned)
 	if err != nil {
@@ -304,10 +199,149 @@ func Supervise(opt SuperviseOptions) (*Outcome, error) {
 	return &Outcome{
 		Lambda:     math.Float64frombits(first.LambdaBits),
 		X:          x,
-		Iterations: first.Iterations,
+		Iterations: first.Iter + 1,
 		Converged:  first.Converged,
 		Singular:   first.Singular,
-		Respawns:   respawns,
-		FinalEpoch: epoch,
+		Respawns:   sv.respawns,
+		FinalEpoch: sv.epoch,
 	}, nil
+}
+
+// attempt runs op k once: bring every rank up at boundary k unless the
+// epoch already has them ready, dispatch the op, and collect all P done.
+func (sv *supervisor) attempt(k int) ([]netwire.CtlMsg, error) {
+	if !sv.up {
+		if err := sv.bringUp(k); err != nil {
+			return nil, err
+		}
+		sv.up = true
+	}
+	sv.co.Op(sv.epoch, k)
+	done := make([]netwire.CtlMsg, sv.p)
+	for n := 0; n < sv.p; {
+		ev, err := sv.next()
+		if err != nil {
+			return nil, err
+		}
+		if ev.Type != "done" || ev.Iter != k || done[ev.Rank].Type != "" {
+			continue
+		}
+		done[ev.Rank] = ev
+		n++
+		if sv.opt.OnCheckpoint != nil {
+			sv.opt.OnCheckpoint(ev.Rank, k+1)
+		}
+	}
+	return done, nil
+}
+
+// bringUp starts the current epoch at boundary k: respawn the dead, wait
+// until all P are registered and every survivor has quiesced, resume, and
+// wait for P ready.
+func (sv *supervisor) bringUp(k int) error {
+	for r, pr := range sv.procs {
+		if pr == nil {
+			if err := sv.spawn(r); err != nil {
+				return err
+			}
+			sv.respawns++
+		}
+	}
+	for !sv.settled() {
+		if _, err := sv.next(); err != nil {
+			return err
+		}
+	}
+	if err := sv.co.Resume(sv.epoch, k); err != nil {
+		return err
+	}
+	ready := make([]bool, sv.p)
+	for n := 0; n < sv.p; {
+		ev, err := sv.next()
+		if err != nil {
+			return err
+		}
+		if ev.Type == "ready" && !ready[ev.Rank] {
+			ready[ev.Rank] = true
+			n++
+		}
+	}
+	return nil
+}
+
+// settled reports whether every rank is registered and none owes a
+// quiesced.
+func (sv *supervisor) settled() bool {
+	for r := range sv.present {
+		if !sv.present[r] || sv.owes[r] {
+			return false
+		}
+	}
+	return true
+}
+
+// abort fences the current epoch: every registered rank owes a quiesced
+// for it, and the next attempt brings everyone up one epoch later.
+func (sv *supervisor) abort() {
+	sv.co.AbortEpoch(sv.epoch)
+	copy(sv.owes, sv.present)
+	sv.epoch++
+	sv.up = false
+}
+
+// next returns the next rank message after applying the registration
+// and quiesce bookkeeping it carries. A rank's death or self-fence fails
+// the attempt with an *attemptError; ready and done messages of fenced
+// epochs are dropped.
+func (sv *supervisor) next() (netwire.CtlMsg, error) {
+	for {
+		var ev netwire.CtlMsg
+		select {
+		case ev = <-sv.co.Events():
+		case <-sv.deadline.C:
+			return ev, fmt.Errorf("cluster: run exceeded %v (epoch %d)", sv.timeout, sv.epoch)
+		}
+		r := ev.Rank
+		switch ev.Type {
+		case "hello":
+			sv.present[r] = true
+		case "down":
+			sv.present[r], sv.owes[r] = false, false
+			sv.reap(r)
+			return ev, &attemptError{fmt.Sprintf("rank %d died", r)}
+		case "quiesced":
+			if ev.Epoch == sv.epoch {
+				return ev, &attemptError{fmt.Sprintf("rank %d fenced itself", r)}
+			}
+			if ev.Epoch == sv.epoch-1 {
+				sv.owes[r] = false
+			}
+		default:
+			if ev.Epoch != sv.epoch {
+				continue
+			}
+		}
+		return ev, nil
+	}
+}
+
+func (sv *supervisor) spawn(r int) error {
+	pr, err := sv.opt.Spawn(r)
+	if err != nil {
+		return fmt.Errorf("cluster: spawn rank %d: %w", r, err)
+	}
+	sv.procs[r] = pr
+	return nil
+}
+
+// reap puts rank r's process down and waits for it, so none outlives the
+// supervisor. Both errors are moot: Kill fails only on a process that has
+// already exited, and Wait reports a death the supervisor either caused
+// or learned of from the control connection.
+func (sv *supervisor) reap(r int) {
+	if pr := sv.procs[r]; pr != nil {
+		_ = pr.Kill()
+		_ = pr.Wait()
+		sv.procs[r] = nil
+	}
 }

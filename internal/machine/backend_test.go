@@ -70,16 +70,24 @@ func TestPacketQueueAbortWake(t *testing.T) {
 	}
 }
 
-// TestDistributedRunNeedsControlBarrier: a distributed run over a wire
-// without a control-plane barrier fails at StartWith, before any body
-// runs, instead of panicking at its first Barrier.
-func TestDistributedRunNeedsControlBarrier(t *testing.T) {
-	ran := false
-	_, err := StartWith(2, RunConfig{LocalRanks: []int{0}}, func(c *Comm) { ran = true })
-	if err == nil || !strings.Contains(err.Error(), "control-plane Barrier") {
-		t.Errorf("want missing-barrier error, got %v", err)
+// TestDistributedRunRejectsBarrier: StartWith accepts a distributed
+// machine (LocalRanks a proper subset of P) over a plain wire, and its
+// in-process Barrier, which cannot count remote ranks, panics with an
+// error that says so instead of waiting forever.
+func TestDistributedRunRejectsBarrier(t *testing.T) {
+	var got any
+	rep, err := RunWith(2, RunConfig{LocalRanks: []int{0}}, func(c *Comm) {
+		defer func() { got = recover() }()
+		c.Barrier()
+	})
+	if err != nil {
+		t.Fatalf("distributed run over a plain wire: %v", err)
 	}
-	if ran {
-		t.Error("body ran despite the StartWith error")
+	if rep == nil {
+		t.Fatal("no report")
+	}
+	perr, ok := got.(error)
+	if !ok || !strings.Contains(perr.Error(), "distributed machine") {
+		t.Errorf("Barrier on a distributed machine: recovered %v, want an error naming the distributed machine", got)
 	}
 }

@@ -42,13 +42,6 @@ type Handle struct {
 // StartWith launches body on the ranks this process owns (all P by
 // default; cfg.LocalRanks restricts to a subset for distributed runs) and
 // returns without waiting. RunWith is StartWith + Wait.
-//
-// In a distributed run the in-process counting barrier cannot see remote
-// ranks, so every local rank's backend wire must provide a control-plane
-// barrier — Barrier(epoch, abort) (gen, ok), blocking until all P ranks of
-// the epoch have arrived and returning the global generation, or ok ==
-// false once abort closes or a remote abort decision lands. StartWith
-// looks it up once per rank and fails when a wire has none.
 func StartWith(p int, cfg RunConfig, body func(c *Comm)) (*Handle, error) {
 	if p < 1 {
 		return nil, fmt.Errorf("machine: P = %d", p)
@@ -91,7 +84,6 @@ func StartWith(p int, cfg RunConfig, body func(c *Comm)) (*Handle, error) {
 		localRanks: append([]int(nil), locals...),
 		ranks:      make([]rankState, p),
 		barrier:    newBarrier(len(locals)),
-		ctlBarrier: make([]func(int64, <-chan struct{}) (int, bool), p),
 		observer:   cfg.Observer,
 		wireEvents: cfg.WireEvents,
 		obsState:   make([]rankObsState, p),
@@ -106,15 +98,6 @@ func StartWith(p int, cfg RunConfig, body func(c *Comm)) (*Handle, error) {
 	for _, r := range locals {
 		m.abortCh[r] = make(chan struct{})
 		w, err := be.NewWire(r, p)
-		if err == nil && len(locals) < p {
-			if bw, ok := w.(interface {
-				Barrier(epoch int64, abort <-chan struct{}) (gen int, ok bool)
-			}); ok {
-				m.ctlBarrier[r] = bw.Barrier
-			} else {
-				err = fmt.Errorf("machine: distributed run over %T, which provides no control-plane Barrier", w)
-			}
-		}
 		if err != nil {
 			if owned != nil {
 				owned.Close()

@@ -45,10 +45,6 @@ type Machine struct {
 	localRanks []int         // ranks running in this process, ascending
 	ranks      []rankState
 	barrier    *barrier
-	// ctlBarrier holds, per local rank of a distributed run, the backend
-	// wire's control-plane barrier (see StartWith); nil entries use the
-	// in-process counting barrier.
-	ctlBarrier []func(epoch int64, abort <-chan struct{}) (gen int, ok bool)
 	observer   func(Event)
 	wireEvents bool
 	obsState   []rankObsState
@@ -151,17 +147,7 @@ type Comm struct {
 // newComm binds rank's handle over transport t.
 func (m *Machine) newComm(rank int, t Transport) *Comm {
 	c := &Comm{m: m, rank: rank, t: t, st: &m.ranks[rank]}
-	if ctl := m.ctlBarrier[rank]; ctl != nil {
-		c.arrive = func() {
-			gen, ok := ctl(m.epoch, m.abortCh[rank])
-			if !ok {
-				gen = -1
-			}
-			c.gen = gen
-		}
-	} else {
-		c.arrive = func() { c.gen = m.barrier.await() }
-	}
+	c.arrive = func() { c.gen = m.barrier.await() }
 	return c
 }
 
@@ -271,10 +257,15 @@ func (c *Comm) recv(from, tag int) Packet {
 
 // Barrier blocks until all P ranks have entered it. The transport's Wait
 // runs the wait, so a transport that owes peers answers (a reliable
-// transport whose ack was lost) keeps servicing the wire meanwhile. In a
-// distributed run the wait is the backend wire's control-plane barrier,
-// which counts all P arrivals across processes (see StartWith).
+// transport whose ack was lost) keeps servicing the wire meanwhile. The
+// barrier counts in-process arrivals only, so it panics on a distributed
+// machine (LocalRanks a proper subset of P): a rank process parks in
+// AwaitHost between operations instead, and its coordinator, which sees
+// every rank, orders the run.
 func (c *Comm) Barrier() {
+	if n := len(c.m.localRanks); n < c.m.p {
+		panic(fmt.Errorf("machine: Barrier on rank %d of a distributed machine (%d of %d ranks local): the in-process barrier cannot count remote ranks", c.rank, n, c.m.p))
+	}
 	st := c.st
 	st.checkAbort()
 	st.enter(c.m, BlockBarrier, -1, -1)
@@ -426,9 +417,8 @@ type RunConfig struct {
 	// LocalRanks names the ranks this process runs; nil means all P (the
 	// single-process default). A distributed launcher starts one machine
 	// per process, each naming its own rank(s) here over a shared
-	// network backend, whose wires must then provide the control-plane
-	// barrier StartWith looks up; the stall watchdog should stay disabled
-	// (it cannot see remote progress).
+	// network backend. Comm.Barrier panics on such a machine, and the
+	// stall watchdog should stay disabled (it cannot see remote progress).
 	LocalRanks []int
 	// StartEpoch is the epoch the machine runs in (normally zero). Every
 	// packet is stamped with it, and a receiving link drops packets of any

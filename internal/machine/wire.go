@@ -119,9 +119,10 @@ type Transport interface {
 	// UnreachableError.
 	//
 	// stop closes once every local body has returned. In a distributed run
-	// that is this process's bodies only, so a body must end with a
-	// Barrier: every rank then leaves only after each send it made was
-	// acknowledged, and no peer is left retransmitting into silence.
+	// that is this process's bodies only, so a rank process keeps its body
+	// parked in AwaitHost (whose Wait services the wire) until its
+	// coordinator has heard every rank finish, and no peer is left
+	// retransmitting into silence.
 	Linger(stop <-chan struct{})
 }
 

@@ -1,9 +1,7 @@
 package netwire
 
 import (
-	"encoding/json"
 	"errors"
-	"io"
 	"net"
 	"sync/atomic"
 	"testing"
@@ -11,113 +9,6 @@ import (
 
 	"repro/internal/machine"
 )
-
-// TestBarrierSurvivesReleaseFlood is the regression test for the
-// release-channel overflow: a coordinator that aborted many epochs after
-// this rank arrived at their barriers floods the client with stale
-// releases. The buggy readLoop dropped the INCOMING message when the
-// buffer was full — so the one release that mattered, the current
-// epoch's, was the one lost, and Barrier hung forever. The fix evicts the
-// oldest buffered entry instead.
-func TestBarrierSurvivesReleaseFlood(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	go func() {
-		c, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		defer c.Close()
-		dec := json.NewDecoder(c)
-		var hello ctlMsg
-		if err := dec.Decode(&hello); err != nil || hello.Type != "hello" {
-			return
-		}
-		enc := json.NewEncoder(c)
-		// Far more stale releases than the buffer holds, then the live one.
-		for i := 0; i < 200; i++ {
-			enc.Encode(ctlMsg{Type: "release", Epoch: 1, Gen: i + 1})
-		}
-		enc.Encode(ctlMsg{Type: "release", Epoch: 5, Gen: 42})
-		enc.Encode(ctlMsg{Type: "go"})
-		io.Copy(io.Discard, c) // keep the control connection open
-	}()
-
-	cl, err := NewClient("tcp", ln.Addr().String(), 0, 1, ClientOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-
-	// The "go" event proves readLoop has sequenced past every release
-	// above — whatever it was going to drop is already dropped.
-	select {
-	case ev := <-cl.Events():
-		if ev.Type != "go" {
-			t.Fatalf("event %q, want go", ev.Type)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("no go event")
-	}
-
-	type result struct {
-		gen int
-		ok  bool
-	}
-	resCh := make(chan result, 1)
-	go func() {
-		g, ok := cl.wire.Barrier(5, nil)
-		resCh <- result{g, ok}
-	}()
-	select {
-	case r := <-resCh:
-		if !r.ok || r.gen != 42 {
-			t.Fatalf("Barrier = (%d, %v), want (42, true)", r.gen, r.ok)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("Barrier starved: the current epoch's release was evicted by the stale flood")
-	}
-}
-
-// TestAbortEpochClearsArrivals is the regression test for the coordinator
-// barrier-state leak: a barrier message racing AbortEpoch used to
-// re-create the aborted epoch's arrival set, which nothing ever deleted —
-// one dead map entry per crash, forever. The epoch fence discards such
-// stragglers outright.
-func TestAbortEpochClearsArrivals(t *testing.T) {
-	co, err := NewCoordinator("tcp", "127.0.0.1:0", 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer co.Close()
-
-	for e := int64(1); e <= 8; e++ {
-		co.arrive(0, e)
-		co.arrive(1, e)
-		co.AbortEpoch(e)
-		co.arrive(2, e) // straggler: must not resurrect the aborted epoch
-	}
-	co.mu.Lock()
-	leaked := len(co.arrivals)
-	co.mu.Unlock()
-	if leaked != 0 {
-		t.Fatalf("%d aborted epochs leaked barrier arrival state", leaked)
-	}
-
-	// A fresh epoch past the fence still completes its barrier.
-	co.arrive(0, 9)
-	co.arrive(1, 9)
-	co.arrive(2, 9)
-	co.mu.Lock()
-	gen, pending := co.gen, len(co.arrivals)
-	co.mu.Unlock()
-	if gen != 1 || pending != 0 {
-		t.Fatalf("post-fence barrier: gen=%d pending=%d, want gen=1 pending=0", gen, pending)
-	}
-}
 
 // TestDeadPeerSendFailsFast is the regression test for the dial stall: a
 // send to a dead peer used to pay the full synchronous dial timeout on

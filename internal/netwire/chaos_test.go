@@ -165,13 +165,13 @@ func TestSocketChaosReportsEachLostFrameOnce(t *testing.T) {
 }
 
 // TestDistributedBarrierServicesTransport is the regression test for the
-// barrier/ack deadlock: rank 0 receives a message, sends the ack, the
-// ack is lost, and rank 0 parks at the control-plane barrier. Rank 1 is
-// still blocked in Send, retransmitting — only rank 0's transport,
-// servicing the wire inside Transport.Wait, can re-acknowledge the
-// duplicate while the barrier blocks. Before the fix rank 0 sat in the
-// coordinator barrier with its transport parked, rank 1 retransmitted
-// into silence until its attempt budget died, and the run failed.
+// park/ack deadlock: rank 0 receives a message, sends the ack, the ack is
+// lost, and rank 0 parks in AwaitHost, as a rank process does between
+// control-plane ops. Rank 1 is still blocked in Send, retransmitting —
+// only rank 0's transport, servicing the wire inside Transport.Wait, can
+// re-acknowledge the duplicate while rank 0 is parked. A parked rank that
+// stopped servicing its transport would leave rank 1 retransmitting into
+// silence until its attempt budget died, and the run would fail.
 func TestDistributedBarrierServicesTransport(t *testing.T) {
 	const p = 2
 	co, err := netwire.NewCoordinator("tcp", "127.0.0.1:0", p)
@@ -208,6 +208,9 @@ func TestDistributedBarrierServicesTransport(t *testing.T) {
 		cl.Adopt(addrs)
 	}
 
+	// Rank 0 stays parked until rank 1's Send has returned, the order a
+	// coordinator gives by releasing the ranks only once all have reported.
+	sent := make(chan struct{})
 	var wg sync.WaitGroup
 	errs := make(chan error, p)
 	for r := 0; r < p; r++ {
@@ -223,15 +226,16 @@ func TestDistributedBarrierServicesTransport(t *testing.T) {
 				if c.Rank() == 1 {
 					// Blocks until acked; the first ack is eaten by rank 0's
 					// chaos layer, so completion needs rank 0 to service the
-					// retransmission from inside its barrier wait.
+					// retransmission from inside its park.
 					c.Send(0, 7, []float64{42})
-				} else {
-					got := c.Recv(1, 7)
-					if len(got) != 1 || got[0] != 42 {
-						errs <- errf("rank 0: got %v", got)
-					}
+					close(sent)
+					return
 				}
-				c.Barrier()
+				got := c.Recv(1, 7)
+				if len(got) != 1 || got[0] != 42 {
+					errs <- errf("rank 0: got %v", got)
+				}
+				c.AwaitHost(func() { <-sent })
 			})
 			if err != nil {
 				errs <- errf("rank %d: %v", r, err)
@@ -243,7 +247,7 @@ func TestDistributedBarrierServicesTransport(t *testing.T) {
 	select {
 	case <-waited:
 	case <-time.After(30 * time.Second):
-		t.Fatal("barrier never released: the transport was not serviced while blocked")
+		t.Fatal("rank 1's send never completed: the parked rank's transport was not serviced")
 	}
 	close(errs)
 	for err := range errs {
@@ -312,7 +316,6 @@ func TestMultiHostPortmap(t *testing.T) {
 			if len(got) != 2 || got[0] != float64(prev) {
 				t.Errorf("rank %d round %d: got %v", me, round, got)
 			}
-			c.Barrier()
 		}
 	}
 	ref, err := machine.RunWith(p, machine.RunConfig{Timeout: 30 * time.Second}, body)

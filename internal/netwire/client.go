@@ -16,26 +16,21 @@ import (
 // Client is one rank process's backend in a distributed run: a data-plane
 // node (frames on sockets, like Loopback but hosting a single rank) plus
 // a persistent control connection to the Coordinator. It implements
-// machine.Backend for a machine whose LocalRanks is exactly this rank;
-// the wire it hands out adds the control-plane Barrier the distributed
-// machine requires (see machine.StartWith), realized as a barrier/release
-// round-trip on the control plane.
+// machine.Backend for a machine whose LocalRanks is exactly this rank.
 type Client struct {
-	network string
-	rank    int
-	size    int
-	dir     string // unix socket directory, "" for tcp
+	rank int
+	size int
+	dir  string // unix socket directory, "" for tcp
 
 	nd   *node
-	wire *clientWire
+	wire *Wire
 
 	ctl  net.Conn
 	wmu  sync.Mutex // serializes control-plane writes
 	enc  *json.Encoder
 	port atomic.Pointer[[]string] // adopted portmap
 
-	rel    chan ctlMsg   // barrier releases, consumed by Barrier
-	events chan CtlEvent // resume / go / abort / stop, for the rank runtime
+	events chan CtlMsg // resume / op / abort / stop, for the rank runtime
 	done   chan struct{}
 	once   sync.Once
 	wg     sync.WaitGroup
@@ -69,12 +64,10 @@ func NewClient(network, ctlAddr string, rank, size int, opt ClientOptions) (*Cli
 		return nil, fmt.Errorf("netwire: client rank %d of %d", rank, size)
 	}
 	cl := &Client{
-		network: network,
-		rank:    rank,
-		size:    size,
-		rel:     make(chan ctlMsg, 64),
-		events:  make(chan CtlEvent, 64),
-		done:    make(chan struct{}),
+		rank:   rank,
+		size:   size,
+		events: make(chan CtlMsg, 64),
+		done:   make(chan struct{}),
 	}
 	listen := listenAddr(opt.Bind)
 	if network == "unix" {
@@ -94,7 +87,7 @@ func NewClient(network, ctlAddr string, rank, size int, opt ClientOptions) (*Cli
 	}
 	nd.chaos = fault.NewDecider(opt.FaultPlan, rank)
 	cl.nd = nd
-	cl.wire = &clientWire{Wire: &Wire{nd: nd}, cl: cl}
+	cl.wire = &Wire{nd: nd}
 
 	ctl, err := net.DialTimeout(network, ctlAddr, dialTimeout)
 	if err != nil {
@@ -106,7 +99,7 @@ func NewClient(network, ctlAddr string, rank, size int, opt ClientOptions) (*Cli
 	}
 	cl.ctl = ctl
 	cl.enc = json.NewEncoder(ctl)
-	if err := cl.sendCtl(ctlMsg{Type: "hello", Rank: rank, Addr: nd.addr()}); err != nil {
+	if err := cl.Report(CtlMsg{Type: "hello", Addr: nd.addr()}); err != nil {
 		cl.Close()
 		return nil, err
 	}
@@ -127,13 +120,10 @@ func listenAddr(bind string) string {
 	return net.JoinHostPort(bind, "0")
 }
 
-// Rank returns the rank this client hosts.
-func (cl *Client) Rank() int { return cl.rank }
-
-// Events delivers coordinator orders: resume, go, abort, stop. The channel
+// Events delivers coordinator orders: resume, op, abort, stop. The channel
 // is closed when the control connection dies, which a rank process treats
 // as an order to exit (an orphaned rank must not outlive its supervisor).
-func (cl *Client) Events() <-chan CtlEvent { return cl.events }
+func (cl *Client) Events() <-chan CtlMsg { return cl.events }
 
 func (cl *Client) resolve(peer int) (string, bool) {
 	addrs := cl.port.Load()
@@ -151,77 +141,34 @@ func (cl *Client) Adopt(addrs []string) {
 	cl.port.Store(&own)
 }
 
-func (cl *Client) sendCtl(m ctlMsg) error {
+// Report sends one rank → coordinator message (ready, done, quiesced),
+// stamped with this client's rank.
+func (cl *Client) Report(m CtlMsg) error {
+	m.Rank = cl.rank
 	cl.wmu.Lock()
 	defer cl.wmu.Unlock()
 	return cl.enc.Encode(m)
 }
 
-// Ready reports restored state for the epoch (reply to resume).
-func (cl *Client) Ready(epoch int64) error {
-	return cl.sendCtl(ctlMsg{Type: "ready", Rank: cl.rank, Epoch: epoch})
-}
-
-// Quiesced reports the rank parked after an epoch abort.
-func (cl *Client) Quiesced(epoch int64) error {
-	return cl.sendCtl(ctlMsg{Type: "quiesced", Rank: cl.rank, Epoch: epoch})
-}
-
-// Ckpt reports a durably committed checkpoint at iter.
-func (cl *Client) Ckpt(iter int) error {
-	return cl.sendCtl(ctlMsg{Type: "ckpt", Rank: cl.rank, Iter: iter})
-}
-
-// Result ships the rank's final outcome and owned iterate words.
-func (cl *Client) Result(lambdaBits uint64, iterations int, converged, singular bool, chunkBits []uint64) error {
-	return cl.sendCtl(ctlMsg{
-		Type: "result", Rank: cl.rank,
-		LambdaBits: lambdaBits, Iterations: iterations,
-		Converged: converged, Singular: singular, ChunkBits: chunkBits,
-	})
-}
-
-// readLoop demultiplexes the control stream: releases feed the barrier,
-// everything else feeds the events channel.
+// readLoop feeds the coordinator's orders to the events channel, adopting
+// the portmap a resume carries before the rank runtime sees it.
 func (cl *Client) readLoop() {
 	defer cl.wg.Done()
 	defer close(cl.events)
 	dec := json.NewDecoder(cl.ctl)
 	for {
-		var m ctlMsg
+		var m CtlMsg
 		if err := dec.Decode(&m); err != nil {
 			return
 		}
-		switch m.Type {
-		case "release":
-			// The buffer can fill with stale releases from epochs aborted
-			// after this rank arrived at their barriers. Evict the OLDEST
-			// entry when full — never the incoming message — so the release
-			// for the current epoch is the one guaranteed to survive;
-			// Barrier itself skips entries of non-matching epochs. The loop
-			// terminates because readLoop is the only producer.
-			for {
-				select {
-				case cl.rel <- m:
-				default:
-					select {
-					case <-cl.rel:
-					default:
-					}
-					continue
-				}
-				break
-			}
-		case "resume":
+		if m.Type == "resume" {
 			cl.Adopt(m.Addrs)
-			cl.deliver(eventOf(m))
-		case "go", "abort", "stop":
-			cl.deliver(eventOf(m))
 		}
+		cl.deliver(m)
 	}
 }
 
-func (cl *Client) deliver(ev CtlEvent) {
+func (cl *Client) deliver(ev CtlMsg) {
 	select {
 	case cl.events <- ev:
 	case <-cl.done:
@@ -255,33 +202,4 @@ func (cl *Client) Close() error {
 		cl.wg.Wait()
 	})
 	return nil
-}
-
-// clientWire is the rank's BackendWire plus the control-plane barrier the
-// distributed machine requires.
-type clientWire struct {
-	*Wire
-	cl *Client
-}
-
-// Barrier arrives at the coordinator and blocks for the matching release.
-// A close of the abort channel, a dead control connection, or a client
-// close wakes it with ok == false; releases of other (aborted) epochs are
-// skipped.
-func (w *clientWire) Barrier(epoch int64, abort <-chan struct{}) (int, bool) {
-	if err := w.cl.sendCtl(ctlMsg{Type: "barrier", Rank: w.cl.rank, Epoch: epoch}); err != nil {
-		return 0, false
-	}
-	for {
-		select {
-		case m := <-w.cl.rel:
-			if m.Epoch == epoch {
-				return m.Gen, true
-			}
-		case <-abort:
-			return 0, false
-		case <-w.cl.done:
-			return 0, false
-		}
-	}
 }

@@ -10,25 +10,20 @@ import (
 // Coordinator is the control-plane rendezvous of a distributed run: every
 // rank process keeps one persistent connection to it. The coordinator
 // collects registrations (building the portmap the ranks resolve each
-// other through), counts arrivals for the global barrier, and forwards
-// lifecycle messages between the ranks and the embedding supervisor
-// (internal/cluster), which owns the actual recovery policy. A rank whose
-// control connection drops while registered is reported as down — that is
-// how a kill -9 becomes a supervision event.
+// other through) and forwards lifecycle messages between the ranks and
+// the embedding supervisor (internal/cluster), which owns the recovery
+// policy. A rank whose control connection drops while registered is
+// reported as down — that is how a kill -9 becomes a supervision event.
 type Coordinator struct {
-	p       int
-	network string
-	ln      net.Listener
+	p  int
+	ln net.Listener
 
-	mu       sync.Mutex
-	conns    map[int]*ctlConn
-	addrs    map[int]string
-	arrivals map[int64]map[int]bool // epoch → ranks arrived at the barrier
-	fence    int64                  // epochs below this were aborted; their arrivals are ignored
-	gen      int
-	closed   bool
+	mu     sync.Mutex
+	conns  map[int]*ctlConn
+	addrs  map[int]string
+	closed bool
 
-	events chan CtlEvent
+	events chan CtlMsg
 	done   chan struct{}
 	wg     sync.WaitGroup
 }
@@ -41,7 +36,7 @@ type ctlConn struct {
 	enc  *json.Encoder
 }
 
-func (cc *ctlConn) send(m ctlMsg) error {
+func (cc *ctlConn) send(m CtlMsg) error {
 	cc.mu.Lock()
 	defer cc.mu.Unlock()
 	return cc.enc.Encode(m)
@@ -63,14 +58,12 @@ func NewCoordinator(network, addr string, p int) (*Coordinator, error) {
 		return nil, fmt.Errorf("netwire: coordinator listen %s %s: %w", network, addr, err)
 	}
 	co := &Coordinator{
-		p:        p,
-		network:  network,
-		ln:       ln,
-		conns:    make(map[int]*ctlConn),
-		addrs:    make(map[int]string),
-		arrivals: make(map[int64]map[int]bool),
-		events:   make(chan CtlEvent, 64),
-		done:     make(chan struct{}),
+		p:      p,
+		ln:     ln,
+		conns:  make(map[int]*ctlConn),
+		addrs:  make(map[int]string),
+		events: make(chan CtlMsg, 64),
+		done:   make(chan struct{}),
 	}
 	co.wg.Add(1)
 	go co.acceptLoop()
@@ -80,12 +73,12 @@ func NewCoordinator(network, addr string, p int) (*Coordinator, error) {
 // Addr returns the control endpoint ranks dial.
 func (co *Coordinator) Addr() string { return co.ln.Addr().String() }
 
-// Events delivers rank-originated control messages (hello, quiesced,
-// ready, ckpt, result) plus synthesized "down" events when a registered
-// rank's connection drops. The supervisor must keep draining it.
-func (co *Coordinator) Events() <-chan CtlEvent { return co.events }
+// Events delivers rank-originated control messages (hello, ready, done,
+// quiesced) plus synthesized "down" events when a registered rank's
+// connection drops. The supervisor must keep draining it.
+func (co *Coordinator) Events() <-chan CtlMsg { return co.events }
 
-func (co *Coordinator) emit(ev CtlEvent) {
+func (co *Coordinator) emit(ev CtlMsg) {
 	select {
 	case co.events <- ev:
 	case <-co.done:
@@ -112,7 +105,7 @@ func (co *Coordinator) serve(c net.Conn) {
 	defer co.wg.Done()
 	defer c.Close()
 	dec := json.NewDecoder(c)
-	var hello ctlMsg
+	var hello CtlMsg
 	if err := dec.Decode(&hello); err != nil || hello.Type != "hello" || hello.Rank < 0 || hello.Rank >= co.p {
 		return
 	}
@@ -130,19 +123,17 @@ func (co *Coordinator) serve(c net.Conn) {
 	co.conns[rank] = cc
 	co.addrs[rank] = hello.Addr
 	co.mu.Unlock()
-	co.emit(eventOf(hello))
+	co.emit(hello)
 
 	for {
-		var m ctlMsg
+		var m CtlMsg
 		if err := dec.Decode(&m); err != nil {
 			break
 		}
 		m.Rank = rank // never trust a relabeled rank
 		switch m.Type {
-		case "barrier":
-			co.arrive(rank, m.Epoch)
-		case "quiesced", "ready", "ckpt", "result":
-			co.emit(eventOf(m))
+		case "ready", "done", "quiesced":
+			co.emit(m)
 		}
 	}
 
@@ -154,39 +145,7 @@ func (co *Coordinator) serve(c net.Conn) {
 	closed := co.closed
 	co.mu.Unlock()
 	if registered && !closed {
-		co.emit(CtlEvent{Type: "down", Rank: rank})
-	}
-}
-
-// arrive counts a barrier arrival; the p-th arrival of an epoch advances
-// the global generation and releases everyone. Arrivals of fenced
-// (aborted) epochs are discarded outright: without the fence, a barrier
-// message that races AbortEpoch would re-create the epoch's arrival set,
-// which nothing ever deletes — the map would grow by one dead entry per
-// crash for the life of the coordinator.
-func (co *Coordinator) arrive(rank int, epoch int64) {
-	co.mu.Lock()
-	if epoch < co.fence {
-		co.mu.Unlock()
-		return
-	}
-	set := co.arrivals[epoch]
-	if set == nil {
-		set = make(map[int]bool, co.p)
-		co.arrivals[epoch] = set
-	}
-	set[rank] = true
-	if len(set) < co.p {
-		co.mu.Unlock()
-		return
-	}
-	delete(co.arrivals, epoch)
-	co.gen++
-	gen := co.gen
-	conns := co.snapshotLocked()
-	co.mu.Unlock()
-	for _, cc := range conns {
-		cc.send(ctlMsg{Type: "release", Epoch: epoch, Gen: gen})
+		co.emit(CtlMsg{Type: "down", Rank: rank})
 	}
 }
 
@@ -200,7 +159,7 @@ func (co *Coordinator) snapshotLocked() []*ctlConn {
 
 // broadcast sends m to every registered rank; a send that fails is
 // ignored (the reader will surface the down event).
-func (co *Coordinator) broadcast(m ctlMsg) {
+func (co *Coordinator) broadcast(m CtlMsg) {
 	co.mu.Lock()
 	conns := co.snapshotLocked()
 	co.mu.Unlock()
@@ -225,40 +184,28 @@ func (co *Coordinator) Portmap() ([]string, bool) {
 }
 
 // Resume broadcasts the (re)start order: adopt the portmap, restore state
-// as of iter (0 seeds fresh), reply ready. All p ranks must be registered.
+// as of boundary iter (0 seeds fresh), reply ready. All p ranks must be
+// registered.
 func (co *Coordinator) Resume(epoch int64, iter int) error {
 	addrs, ok := co.Portmap()
 	if !ok {
 		return fmt.Errorf("netwire: resume before all %d ranks registered", co.p)
 	}
-	co.broadcast(ctlMsg{Type: "resume", Epoch: epoch, Iter: iter, Addrs: addrs})
+	co.broadcast(CtlMsg{Type: "resume", Epoch: epoch, Iter: iter, Addrs: addrs})
 	return nil
 }
 
-// Go releases the ranks into the run once every one is ready.
-func (co *Coordinator) Go(iter int) { co.broadcast(ctlMsg{Type: "go", Iter: iter}) }
-
-// AbortEpoch fences the given epoch: survivors unwind, park, and report
-// quiesced. Barrier arrivals of the epoch are discarded — the barrier can
-// never complete once a participant is dead.
-func (co *Coordinator) AbortEpoch(epoch int64) {
-	co.mu.Lock()
-	// Fence the epoch (and every earlier one — epochs only move forward)
-	// so a straggling barrier message cannot resurrect its arrival state.
-	if epoch >= co.fence {
-		co.fence = epoch + 1
-	}
-	for e := range co.arrivals {
-		if e < co.fence {
-			delete(co.arrivals, e)
-		}
-	}
-	co.mu.Unlock()
-	co.broadcast(ctlMsg{Type: "abort", Epoch: epoch})
+// Op dispatches op iter of the epoch to every rank.
+func (co *Coordinator) Op(epoch int64, iter int) {
+	co.broadcast(CtlMsg{Type: "op", Epoch: epoch, Iter: iter})
 }
 
+// AbortEpoch fences the given epoch: survivors unwind, retire their
+// machines, and report quiesced.
+func (co *Coordinator) AbortEpoch(epoch int64) { co.broadcast(CtlMsg{Type: "abort", Epoch: epoch}) }
+
 // Stop orders a clean shutdown of every rank.
-func (co *Coordinator) Stop() { co.broadcast(ctlMsg{Type: "stop"}) }
+func (co *Coordinator) Stop() { co.broadcast(CtlMsg{Type: "stop"}) }
 
 // Close shuts the listener and every control connection. Safe to call
 // more than once.

@@ -7,59 +7,36 @@ package netwire
 // Rank → coordinator:
 //
 //	hello    {rank, addr}          — registration; addr is the data listener
-//	barrier  {rank, epoch}         — arrival at the global barrier
-//	quiesced {rank, epoch}         — survivors parked after an abort
-//	ready    {rank, epoch}         — state restored, safe to resume
-//	ckpt     {rank, iter}          — checkpoint at iter durably committed
-//	result   {rank, …}             — final per-rank outcome + owned chunks
+//	ready    {rank, epoch}         — state restored, machine parked
+//	done     {rank, epoch, iter,   — op iter finished and the checkpoint for
+//	          flags, λ[, chunk]}     boundary iter+1 is durable; the last op
+//	                                 of the run carries the owned chunks
+//	quiesced {rank, epoch}         — machine retired after an abort
 //
 // Coordinator → rank:
 //
 //	resume   {epoch, iter, addrs}  — (re)start: adopt the portmap, restore
-//	                                 iter (0 seeds fresh), reply ready
-//	go       {iter}                — all ranks ready: run from iter
-//	release  {epoch, gen}          — global barrier completed
+//	                                 boundary iter (0 seeds fresh), reply ready
+//	op       {epoch, iter}         — run op iter, reply done
 //	abort    {epoch}               — epoch abort: unwind and quiesce
 //	stop     {}                    — shut down cleanly
-type ctlMsg struct {
+
+// CtlMsg is one control-plane message, in either direction. The
+// coordinator stamps Rank from the connection a message arrived on, so a
+// rank cannot speak for another.
+type CtlMsg struct {
 	Type  string   `json:"type"`
 	Rank  int      `json:"rank,omitempty"`
 	Addr  string   `json:"addr,omitempty"`
 	Addrs []string `json:"addrs,omitempty"`
 	Epoch int64    `json:"epoch,omitempty"`
-	Gen   int      `json:"gen,omitempty"`
 	Iter  int      `json:"iter,omitempty"`
 
-	// result payload; float64s travel as IEEE-754 bit patterns so the
+	// done payload; float64s travel as IEEE-754 bit patterns so the
 	// assembled vector is bit-identical to the rank's arena.
-	LambdaBits uint64   `json:"lambdaBits,omitempty"`
-	Iterations int      `json:"iterations,omitempty"`
+	Stop       bool     `json:"stop,omitempty"`
 	Converged  bool     `json:"converged,omitempty"`
 	Singular   bool     `json:"singular,omitempty"`
+	LambdaBits uint64   `json:"lambdaBits,omitempty"`
 	ChunkBits  []uint64 `json:"chunkBits,omitempty"`
-}
-
-// CtlEvent is a control-plane message surfaced to the embedding
-// supervisor (coordinator side: hello/quiesced/ready/ckpt/result;
-// rank side: resume/go/abort/stop).
-type CtlEvent struct {
-	Type  string
-	Rank  int
-	Epoch int64
-	Iter  int
-	Addrs []string
-
-	LambdaBits uint64
-	Iterations int
-	Converged  bool
-	Singular   bool
-	ChunkBits  []uint64
-}
-
-func eventOf(m ctlMsg) CtlEvent {
-	return CtlEvent{
-		Type: m.Type, Rank: m.Rank, Epoch: m.Epoch, Iter: m.Iter, Addrs: m.Addrs,
-		LambdaBits: m.LambdaBits, Iterations: m.Iterations,
-		Converged: m.Converged, Singular: m.Singular, ChunkBits: m.ChunkBits,
-	}
 }

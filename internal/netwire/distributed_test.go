@@ -12,9 +12,9 @@ import (
 
 // TestDistributedClients drives the coordinator/client control plane with
 // every "process" as a goroutine: p machines of one local rank each,
-// exchanging over real TCP sockets with the control-plane barrier. This
-// is the distributed machine seam without the process-spawning layer on
-// top (internal/cluster owns that).
+// exchanging over real TCP sockets, each round under its own tag. This is
+// the distributed machine seam without the process-spawning layer on top
+// (internal/cluster owns that).
 func TestDistributedClients(t *testing.T) {
 	const p = 3
 	co, err := netwire.NewCoordinator("tcp", "127.0.0.1:0", p)
@@ -67,7 +67,6 @@ func TestDistributedClients(t *testing.T) {
 						errs <- errf("rank %d round %d: got %v", me, round, got)
 						return
 					}
-					c.Barrier()
 					data = []float64{data[0], data[1] + 1}
 				}
 				results[me] = data

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -108,13 +107,10 @@ func (nd *node) addr() string { return nd.ln.Addr().String() }
 
 // reportDrop surfaces a packet the socket layer lost — dial failure,
 // write error, injected fault — to the registered hook (the machine's
-// wire-event stream) and, under NETWIRE_DEBUG, to stderr.
+// wire-event stream).
 func (nd *node) reportDrop(pkt machine.Packet, reason string) {
 	if fn := nd.onDrop.Load(); fn != nil {
 		(*fn)(pkt, reason)
-	}
-	if debugDrops {
-		fmt.Fprintf(os.Stderr, "netwire: rank %d -> %d tag %d dropped: %s\n", nd.rank, pkt.To, pkt.Tag, reason)
 	}
 }
 
@@ -320,11 +316,6 @@ func (w *Wire) Deliver(pkt machine.Packet) {
 		w.nd.reportDrop(pkt, err.Error())
 	}
 }
-
-// debugDrops surfaces silently dropped sends on stderr (debugging only);
-// the structured path is OnDrop, which the machine wires into its event
-// stream.
-var debugDrops = os.Getenv("NETWIRE_DEBUG") != ""
 
 // OnDrop registers fn to be called for every packet the socket layer
 // loses, with a short reason.

@@ -26,8 +26,9 @@ type RankBlocks struct {
 	per []*tensor.BlockPacked
 }
 
-// PackRankBlocks extracts every rank's block set. A nil tensor yields zero
-// blocks (pure communication measurements).
+// PackRankBlocks extracts every rank's block set. A nil tensor yields
+// full-size, zero-valued blocks that the kernel still runs over (pure
+// communication measurements pay the local compute too).
 func PackRankBlocks(a *tensor.Symmetric, part *partition.Tetrahedral, b int) (*RankBlocks, error) {
 	if part == nil {
 		return nil, fmt.Errorf("parallel: nil partition")

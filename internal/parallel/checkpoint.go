@@ -1,7 +1,9 @@
 package parallel
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"math"
 	"time"
 
@@ -168,6 +170,19 @@ func (ck *ckStore) syncDirty(r int, rk *sessionRank) int64 {
 	return words
 }
 
+// mismatch verifies a restored chunk arena against the fingerprints of
+// store entry i and returns the first page that differs, or -1.
+func (ck *ckStore) mismatch(i int, chunk []float64) int {
+	prints := ck.prints[i]
+	for pg := range prints {
+		lo, hi := pageBounds(pg, len(chunk))
+		if pageprint(chunk[lo:hi]) != prints[pg] {
+			return pg
+		}
+	}
+	return -1
+}
+
 func pageBounds(pg, n int) (lo, hi int) {
 	lo = pg * checkpointPageWords
 	hi = lo + checkpointPageWords
@@ -255,17 +270,12 @@ func (s *Session) restore(ck *ckSlot, pr *phaseRecorder) error {
 	s.stats.Verifications++
 	pages := 0
 	for r := 0; r < p; r++ {
-		chunk := s.rk[r].chunk
-		prints := s.ck.prints[r]
-		for pg := range prints {
-			lo, hi := pageBounds(pg, len(chunk))
-			if pageprint(chunk[lo:hi]) != prints[pg] {
-				s.stats.Mismatches++
-				l.h.Emit(r, machine.Event{Kind: machine.EventRestoreMismatch, From: r, To: r, Step: pg})
-				return &RestoreMismatchError{Rank: r, Page: pg}
-			}
+		if pg := s.ck.mismatch(r, s.rk[r].chunk); pg >= 0 {
+			s.stats.Mismatches++
+			l.h.Emit(r, machine.Event{Kind: machine.EventRestoreMismatch, From: r, To: r, Step: pg})
+			return &RestoreMismatchError{Rank: r, Page: pg}
 		}
-		pages += len(prints)
+		pages += len(s.ck.prints[r])
 	}
 	l.h.Emit(0, machine.Event{Kind: machine.EventRestoreVerify, From: 0, To: 0, Words: pages, Step: -1})
 	s.stats.Rollbacks++
@@ -275,6 +285,90 @@ func (s *Session) restore(ck *ckSlot, pr *phaseRecorder) error {
 	// belongs to the aborted attempt (see obs.CheckCommittedAgainstReport).
 	for r := 0; r < p; r++ {
 		l.h.Emit(r, machine.Event{Kind: machine.EventRecoveryEnd, From: r, To: r, Step: int(ck.seqs[r])})
+	}
+	return nil
+}
+
+// The durable record of one store entry: what a Session checkpoint holds
+// for that rank, written by a multi-process rank after every round (see
+// RankEngine.Checkpoint). Format (big-endian):
+//
+//	u32 magic "STCK" | u32 rank | u32 iter | u64 λ bits | u64 prev bits |
+//	u32 npages | npages × u64 page fingerprint | u64 FNV-1a over all prior
+//	bytes | the owned span words in arena order
+//
+// The checksum covers the header, the scalars and the fingerprints; the
+// span words are checked by the fingerprints once they are restored.
+const recordMagic = 0x5354434b // "STCK"
+
+// recordSizes returns the length of entry i's record up to and including
+// the checksum, and its full length.
+func (ck *ckStore) recordSizes(i int, rk *sessionRank) (head, total int) {
+	head = 32 + 8*len(ck.prints[i]) + 8
+	total = head
+	for k := range rk.lay.rows {
+		total += 8 * (rk.lay.myHi[k] - rk.lay.myLo[k])
+	}
+	return head, total
+}
+
+// record encodes entry i, holding rank's state at boundary iter, with
+// rk's convergence scalars.
+func (ck *ckStore) record(i, rank, iter int, rk *sessionRank) []byte {
+	_, total := ck.recordSizes(i, rk)
+	buf := make([]byte, 0, total)
+	buf = binary.BigEndian.AppendUint32(buf, recordMagic)
+	buf = binary.BigEndian.AppendUint32(buf, uint32(rank))
+	buf = binary.BigEndian.AppendUint32(buf, uint32(iter))
+	buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(rk.pmLambda))
+	buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(rk.pmPrev))
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(ck.prints[i])))
+	for _, pr := range ck.prints[i] {
+		buf = binary.BigEndian.AppendUint64(buf, pr)
+	}
+	h := fnv.New64a()
+	h.Write(buf)
+	buf = binary.BigEndian.AppendUint64(buf, h.Sum64())
+	sh := ck.shadow[i]
+	for k := range rk.lay.rows {
+		for _, v := range sh[k*rk.b+rk.lay.myLo[k] : k*rk.b+rk.lay.myHi[k]] {
+			buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(v))
+		}
+	}
+	return buf
+}
+
+// load decodes a record of rank at boundary iter into entry i (span words
+// and fingerprints) and rk's convergence scalars. Nothing is written
+// unless the length, checksum, rank and boundary all check out.
+func (ck *ckStore) load(i, rank, iter int, rk *sessionRank, rec []byte) error {
+	head, total := ck.recordSizes(i, rk)
+	if len(rec) != total {
+		return fmt.Errorf("parallel: checkpoint record of rank %d at boundary %d is %d bytes, want %d", rank, iter, len(rec), total)
+	}
+	h := fnv.New64a()
+	h.Write(rec[:head-8])
+	if h.Sum64() != binary.BigEndian.Uint64(rec[head-8:]) {
+		return fmt.Errorf("parallel: checkpoint record of rank %d at boundary %d fails its checksum", rank, iter)
+	}
+	if binary.BigEndian.Uint32(rec) != recordMagic || int(binary.BigEndian.Uint32(rec[28:])) != len(ck.prints[i]) {
+		return fmt.Errorf("parallel: checkpoint record of rank %d at boundary %d has a bad header", rank, iter)
+	}
+	if r, it := int(binary.BigEndian.Uint32(rec[4:])), int(binary.BigEndian.Uint32(rec[8:])); r != rank || it != iter {
+		return fmt.Errorf("parallel: checkpoint record holds rank %d at boundary %d, want rank %d at %d", r, it, rank, iter)
+	}
+	rk.pmLambda = math.Float64frombits(binary.BigEndian.Uint64(rec[12:]))
+	rk.pmPrev = math.Float64frombits(binary.BigEndian.Uint64(rec[20:]))
+	prints := ck.prints[i]
+	for pg := range prints {
+		prints[pg] = binary.BigEndian.Uint64(rec[32+8*pg:])
+	}
+	pos, sh := head, ck.shadow[i]
+	for k := range rk.lay.rows {
+		for t := k*rk.b + rk.lay.myLo[k]; t < k*rk.b+rk.lay.myHi[k]; t++ {
+			sh[t] = math.Float64frombits(binary.BigEndian.Uint64(rec[pos:]))
+			pos += 8
+		}
 	}
 	return nil
 }

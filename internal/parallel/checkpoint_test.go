@@ -2,6 +2,7 @@ package parallel
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -152,5 +153,73 @@ func TestRestoreMismatchDetected(t *testing.T) {
 	}
 	if st := s.RecoveryStats(); st.Rollbacks != base.Rollbacks+1 {
 		t.Errorf("repaired restore did not complete a rollback: %d → %d", base.Rollbacks, st.Rollbacks)
+	}
+}
+
+// TestCheckpointRoundTrip: a rank's durable checkpoint record restores
+// the exact state bits, and every damaged or misdirected record is
+// rejected. A missing record, another rank's, another boundary's and a
+// flipped header byte fail before anything is written; a flipped span
+// word fails the page-fingerprint check a Session restore runs.
+func TestCheckpointRoundTrip(t *testing.T) {
+	part := sphericalPart(t, 2)
+	const b = 12
+	a := tensor.Random(part.M*b, rand.New(rand.NewSource(3)))
+	engine := func(rank int) *RankEngine {
+		e, err := NewRankEngine(a, Options{Part: part, B: b, Wiring: WiringP2P}, rank)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	src := engine(4)
+	src.rk.pmLambda, src.rk.pmPrev = 1.25e-3, math.Inf(1)
+	words := []float64{0, -1.5, math.Pi, 1e-300, math.Copysign(0, -1)}
+	w := 0
+	for k := range src.rk.lay.rows {
+		for i := k*b + src.rk.lay.myLo[k]; i < k*b+src.rk.lay.myHi[k]; i++ {
+			src.rk.chunk[i] = words[w%len(words)]
+			w++
+		}
+	}
+	if w < len(words) {
+		t.Fatalf("rank 4 owns %d words, the test needs %d", w, len(words))
+	}
+	rec := src.Checkpoint(17)
+
+	dst := engine(4)
+	if err := dst.Resume(17, rec); err != nil {
+		t.Fatal(err)
+	}
+	if math.Float64bits(dst.rk.pmLambda) != math.Float64bits(src.rk.pmLambda) ||
+		math.Float64bits(dst.rk.pmPrev) != math.Float64bits(src.rk.pmPrev) {
+		t.Errorf("scalars (%v, %v), want (%v, %v)", dst.rk.pmLambda, dst.rk.pmPrev, src.rk.pmLambda, src.rk.pmPrev)
+	}
+	for i := range src.rk.chunk {
+		if math.Float64bits(dst.rk.chunk[i]) != math.Float64bits(src.rk.chunk[i]) {
+			t.Errorf("chunk[%d] = %v, want %v", i, dst.rk.chunk[i], src.rk.chunk[i])
+		}
+	}
+
+	if err := engine(4).Resume(17, nil); err == nil {
+		t.Error("missing record restored")
+	}
+	if err := engine(4).Resume(16, rec); err == nil {
+		t.Error("record of boundary 17 restored as boundary 16")
+	}
+	if err := engine(3).Resume(17, rec); err == nil {
+		t.Error("rank 4's record restored on rank 3")
+	}
+	flip := func(at int) []byte {
+		bad := append([]byte(nil), rec...)
+		bad[at] ^= 1
+		return bad
+	}
+	if err := engine(4).Resume(17, flip(15)); err == nil {
+		t.Error("record with a flipped λ byte restored")
+	}
+	var mm *RestoreMismatchError
+	if err := engine(4).Resume(17, flip(len(rec)-1)); !errors.As(err, &mm) || mm.Rank != 4 {
+		t.Errorf("record with a flipped span word: %v, want a *RestoreMismatchError on rank 4", err)
 	}
 }

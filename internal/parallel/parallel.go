@@ -139,8 +139,9 @@ func (r *Result) Phase(label string) *PhaseMeter {
 }
 
 // Run executes Algorithm 5 for y = A ×₂ x ×₃ x. The tensor may be nil, in
-// which case all blocks are zero (useful for pure communication
-// measurements at sizes where materializing A would be wasteful).
+// which case every rank packs full-size, zero-valued blocks that the
+// kernel still runs over (pure communication measurements without
+// materializing A, though not without its blocks' memory and compute).
 //
 // Run is a one-shot convenience over Session: it opens a session, applies
 // x once, and closes. Callers applying the same configuration repeatedly

@@ -18,19 +18,18 @@ import (
 //
 // Unlike a Session, a RankEngine has no host: the embedding runtime (see
 // internal/cluster) supplies the machine.Comm of a distributed machine
-// whose only local rank is this one, calls Iterate once per round, and
-// persists State between rounds so a killed process can resume from its
-// last durable checkpoint.
+// whose only local rank is this one, calls Iterate once per dispatched
+// round, and persists a Checkpoint record after each so a killed process
+// can Resume from its last durable boundary.
 type RankEngine struct {
-	part   *partition.Tetrahedral
 	rank   int
-	b      int
 	padded int
 	n      int
 
 	scalar bool
 	blocks []*tensor.Block
 	rk     *sessionRank
+	ck     *ckStore // one-rank store: the record's shadow and fingerprints
 	pr     *phaseRecorder
 }
 
@@ -86,14 +85,13 @@ func NewRankEngine(a *tensor.Symmetric, opts Options, rank int) (*RankEngine, er
 	}
 
 	return &RankEngine{
-		part:   part,
 		rank:   rank,
-		b:      b,
 		padded: padded,
 		n:      a.N,
 		scalar: opts.ScalarKernel,
 		blocks: packed.Blocks,
 		rk:     rk,
+		ck:     newCkStore([]*sessionRank{rk}),
 		pr:     newPhaseRecorder(part.P, "gather", "local", "reduce-scatter", "all-reduce"),
 	}, nil
 }
@@ -121,33 +119,27 @@ func (e *RankEngine) Iterate(c *machine.Comm, tol float64) (stop, converged, sin
 // Lambda returns the current eigenvalue estimate.
 func (e *RankEngine) Lambda() float64 { return e.rk.pmLambda }
 
-// PowerRankState is the complete restartable state of one rank's power
-// method between iterations: the owned iterate chunks (arena layout) and
-// the two convergence scalars. It is what a distributed rank persists per
-// checkpoint and restores after a kill.
-type PowerRankState struct {
-	Lambda float64
-	Prev   float64
-	Chunk  []float64
+// Checkpoint captures the rank's state at boundary iter (after iter
+// rounds) into its one-rank checkpoint store, exactly as a Session
+// checkpoint captures a power iteration, and returns the store's durable
+// record (see ckStore.record).
+func (e *RankEngine) Checkpoint(iter int) []byte {
+	e.ck.syncDirty(0, e.rk)
+	return e.ck.record(0, e.rank, iter, e.rk)
 }
 
-// State captures the rank's restartable state (the chunk is copied).
-func (e *RankEngine) State() PowerRankState {
-	return PowerRankState{
-		Lambda: e.rk.pmLambda,
-		Prev:   e.rk.pmPrev,
-		Chunk:  append([]float64(nil), e.rk.chunk...),
+// Resume restores the rank to boundary iter from a record Checkpoint wrote
+// on an engine of the same configuration. The restored arena is verified
+// against the record's page fingerprints, as a Session restore verifies
+// its own; a mismatch is a *RestoreMismatchError.
+func (e *RankEngine) Resume(iter int, rec []byte) error {
+	if err := e.ck.load(0, e.rank, iter, e.rk, rec); err != nil {
+		return err
 	}
-}
-
-// Restore overwrites the rank's state with a checkpoint captured by State
-// on an engine of the same configuration.
-func (e *RankEngine) Restore(st PowerRankState) error {
-	if len(st.Chunk) != len(e.rk.chunk) {
-		return fmt.Errorf("parallel: checkpoint chunk %d words, engine needs %d", len(st.Chunk), len(e.rk.chunk))
+	copy(e.rk.chunk, e.ck.shadow[0])
+	if pg := e.ck.mismatch(0, e.rk.chunk); pg >= 0 {
+		return &RestoreMismatchError{Rank: e.rank, Page: pg}
 	}
-	copy(e.rk.chunk, st.Chunk)
-	e.rk.pmLambda, e.rk.pmPrev = st.Lambda, st.Prev
 	return nil
 }
 
@@ -159,14 +151,10 @@ func (e *RankEngine) OwnedWords() []float64 {
 	var out []float64
 	for k := range rk.lay.rows {
 		lo, hi := rk.lay.myLo[k], rk.lay.myHi[k]
-		out = append(out, rk.chunk[k*e.b+lo:k*e.b+hi]...)
+		out = append(out, rk.chunk[k*rk.b+lo:k*rk.b+hi]...)
 	}
 	return out
 }
-
-// Phases returns the per-phase meters accumulated so far (this rank's
-// slots only; the other ranks' slots stay zero).
-func (e *RankEngine) Phases() []PhaseMeter { return e.pr.results() }
 
 // AssemblePower reassembles the global iterate from every rank's
 // OwnedWords payload, inverting the span order exactly. owned[p] must come

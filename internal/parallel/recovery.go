@@ -30,6 +30,14 @@ func (o RecoveryOptions) withDefaults() RecoveryOptions {
 	return o
 }
 
+// Exhausted reports whether a dispatch whose attempts have failed
+// failures times has spent its budget of MaxRetries+1 replays. The
+// session supervisor and the multi-process coordinator (internal/cluster)
+// both stop on it.
+func (o RecoveryOptions) Exhausted(failures int) bool {
+	return failures > o.withDefaults().MaxRetries+1
+}
+
 // RecoveryStats counts the supervisor's interventions over a session's
 // lifetime. Logical meters are unaffected by any of them — recovery work
 // shows only on the wire meters and in these counters.
@@ -195,7 +203,7 @@ func (s *Session) dispatch(pr *phaseRecorder, dk dirtyKind, run func(me int, c *
 		if rerr := s.relaunch(ck, pr, replay+1); rerr != nil {
 			return rerr
 		}
-		if replay > s.rec.MaxRetries {
+		if s.rec.Exhausted(replay + 1) {
 			return fmt.Errorf("parallel: recovery budget of %d replays exhausted: %w", replay, err)
 		}
 		s.stats.Retries++

@@ -106,9 +106,10 @@ type sessionRank struct {
 func (rk *sessionRank) stride() int { return rk.maxCols * rk.b }
 
 // OpenSession validates the configuration, precomputes the steady-state
-// layout, and launches the resident ranks. The tensor may be nil (zero
-// blocks — pure communication measurement). Options.MaxCols presizes the
-// arenas for batched operations; ApplyBatch grows them on demand.
+// layout, and launches the resident ranks. The tensor may be nil: the
+// ranks then hold full-size, zero-valued blocks that the kernel still
+// runs over (pure communication measurement). Options.MaxCols presizes
+// the arenas for batched operations; ApplyBatch grows them on demand.
 func OpenSession(a *tensor.Symmetric, opts Options) (*Session, error) {
 	part := opts.Part
 	if part == nil {

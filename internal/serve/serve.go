@@ -182,8 +182,9 @@ type Pool struct {
 }
 
 // Open packs the tensor once, launches the session pool, and starts the
-// batching scheduler. The tensor may be nil (zero blocks — the serving
-// dimension is then the padded partition dimension m·b).
+// batching scheduler. The tensor may be nil (full-size, zero-valued blocks
+// that the kernel still runs over — the serving dimension is then the
+// padded partition dimension m·b).
 func Open(a *tensor.Symmetric, opts Options) (*Pool, error) {
 	o := opts.withDefaults()
 	so := o.Session

@@ -32,8 +32,8 @@ var kindOrder = [...]BlockKind{OffDiagonal, DiagPairHigh, DiagPairLow, Central}
 // into one contiguous kind-grouped buffer. Each block is filled with one
 // copy per stored row out of a's packed storage (see fillBlock), so the
 // cost is about one pass over the packed words plus zeroing the buffer. A
-// nil tensor yields zero blocks (useful for pure communication
-// measurements, mirroring parallel.Run).
+// nil tensor yields full-size, zero-valued blocks, which a kernel still
+// runs over (pure communication measurements, mirroring parallel.Run).
 func PackBlocks(a *Symmetric, coords [][3]int, b int) *BlockPacked {
 	total := 0
 	for _, c := range coords {
