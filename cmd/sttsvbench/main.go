@@ -91,6 +91,7 @@ type report struct {
 	NumCPU          int            `json:"num_cpu"`
 	GOMAXPROCS      int            `json:"gomaxprocs"`
 	FlopsPerTernary int            `json:"flops_per_ternary"`
+	TiledPath       string         `json:"tiled_path"` // sttsv.TiledPath: "avx" or "go"
 	Timestamp       string         `json:"timestamp"`
 	Kernels         []kernelResult `json:"kernels"`
 	LocalPhase      []localResult  `json:"local_phase"`
@@ -209,11 +210,12 @@ func main() {
 		NumCPU:          runtime.NumCPU(),
 		GOMAXPROCS:      runtime.GOMAXPROCS(0),
 		FlopsPerTernary: flopsPerTernary,
+		TiledPath:       sttsv.TiledPath(),
 		Timestamp:       time.Now().UTC().Format(time.RFC3339),
 	}
 
-	fmt.Printf("sttsvbench: %s/%s, %d CPU, GOMAXPROCS=%d, benchtime=%s\n",
-		rep.GOOS, rep.GOARCH, rep.NumCPU, rep.GOMAXPROCS, benchtime)
+	fmt.Printf("sttsvbench: %s/%s, %d CPU, GOMAXPROCS=%d, benchtime=%s, tiled path %s\n",
+		rep.GOOS, rep.GOARCH, rep.NumCPU, rep.GOMAXPROCS, benchtime, rep.TiledPath)
 
 	// Per-kind kernels: scalar (seed) first so the tiled row can quote its
 	// speedup against the matching baseline.

@@ -3,19 +3,31 @@ package cluster
 import (
 	"net"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/partition"
 )
 
-// goProc satisfies Proc for a rank running as a goroutine — it cannot be
-// killed, which is fine for the clean-run conformance path; the kill-9
-// suite uses real processes.
-type goProc struct{}
+// goProc satisfies Proc for a rank running as a goroutine. Kill cannot
+// stop the goroutine, which is fine for the clean-run conformance path
+// (the kill-9 suite uses real processes), so Wait blocks until Kill, as a
+// process's Wait blocks until it exits.
+type goProc struct {
+	once   sync.Once
+	killed chan struct{}
+}
 
-func (goProc) Kill() error { return nil }
-func (goProc) Wait() error { return nil }
+func (p *goProc) Kill() error {
+	p.once.Do(func() { close(p.killed) })
+	return nil
+}
+
+func (p *goProc) Wait() error {
+	<-p.killed
+	return nil
+}
 
 // superviseInProcess runs Supervise with every rank process as a
 // goroutine; onCheckpoint may be nil.
@@ -33,7 +45,7 @@ func superviseInProcess(t *testing.T, cfg Config, onCheckpoint func(rank, iter i
 					t.Errorf("rank %d: %v", rank, err)
 				}
 			}()
-			return goProc{}, nil
+			return &goProc{killed: make(chan struct{})}, nil
 		},
 		OnCheckpoint: onCheckpoint,
 		Timeout:      60 * time.Second,

@@ -37,6 +37,10 @@ func TestHelperRankProcess(t *testing.T) {
 		}
 		return v
 	}
+	if os.Getenv("STTSV_CLUSTER_START_EXIT") != "" {
+		// A respawn that fails at start-up, before it says hello.
+		os.Exit(1)
+	}
 	if os.Getenv("STTSV_CLUSTER_HELLO_EXIT") != "" {
 		// A respawn that registers and dies before it is ready.
 		part, err := partition.NewSpherical(atoi("STTSV_CLUSTER_Q"))
@@ -77,9 +81,11 @@ func TestHelperRankProcess(t *testing.T) {
 // the live process of each rank so the suite can kill one, and every
 // command it started so the suite can check that each was reaped.
 type testSpawner struct {
-	t     *testing.T
-	cfg   Config
-	flaky int // rank whose respawns register and exit at once; -1 for none
+	t       *testing.T
+	cfg     Config
+	flaky   int    // rank whose respawns exit at once; -1 for none
+	exitEnv string // how they exit: the TestHelperRankProcess mode to set
+	timeout time.Duration
 
 	mu     sync.Mutex
 	addr   string
@@ -89,7 +95,8 @@ type testSpawner struct {
 }
 
 func newTestSpawner(t *testing.T, cfg Config) *testSpawner {
-	return &testSpawner{t: t, cfg: cfg, flaky: -1, procs: map[int]*os.Process{}, spawns: map[int]int{}}
+	return &testSpawner{t: t, cfg: cfg, flaky: -1, timeout: 90 * time.Second,
+		procs: map[int]*os.Process{}, spawns: map[int]int{}}
 }
 
 func (s *testSpawner) spawn(rank int) (Proc, error) {
@@ -111,7 +118,7 @@ func (s *testSpawner) spawn(rank int) (Proc, error) {
 		"STTSV_CLUSTER_FAULTS="+s.cfg.Faults,
 	)
 	if respawn && rank == s.flaky {
-		cmd.Env = append(cmd.Env, "STTSV_CLUSTER_HELLO_EXIT=1")
+		cmd.Env = append(cmd.Env, s.exitEnv+"=1")
 	}
 	cmd.Stderr = os.Stderr
 	if err := cmd.Start(); err != nil {
@@ -140,7 +147,7 @@ func (s *testSpawner) supervise(hook func(s *testSpawner, rank, iter int)) (*Out
 				hook(s, rank, iter)
 			}
 		},
-		Timeout: 90 * time.Second,
+		Timeout: s.timeout,
 	})
 }
 
@@ -307,34 +314,45 @@ func TestClusterRejectsCrashPlans(t *testing.T) {
 // TestClusterBudgetExhausted: a rank that dies on every relaunch spends
 // the per-op recovery budget, and Supervise reports the exhausted budget
 // instead of waiting out its timeout. Rank 2 is killed mid-run as in
-// TestClusterKill9Recovery, and every respawn of it registers and exits
-// at once, so each relaunch fails before ready: the kill and MaxRetries+1
-// failed replays (the count a Session dispatch allows) end the run. No
-// rank process outlives Supervise.
+// TestClusterKill9Recovery, and every respawn of it exits at once, so each
+// relaunch fails before ready: the kill and MaxRetries+1 failed replays
+// (the count a Session dispatch allows) end the run, each death counted
+// once. A respawn that registers first is reported by its down event; one
+// that exits before its hello has never registered, so only its exit
+// tells. No rank process outlives Supervise.
 func TestClusterBudgetExhausted(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-process test")
 	}
-	cfg := testConfig(t)
-	sp := newTestSpawner(t, cfg)
-	sp.flaky = 2
-	var once sync.Once
-	_, err := sp.supervise(func(sp *testSpawner, rank, iter int) {
-		if rank == 1 && iter == 3 {
-			once.Do(func() { sp.kill(2) })
-		}
-	})
-	t.Logf("Supervise: %v", err)
-	if err == nil || !strings.Contains(err.Error(), "recovery budget") {
-		t.Fatalf("Supervise = %v, want an exhausted recovery budget", err)
-	}
-	maxRetries := 3 // parallel.RecoveryOptions' default
-	if got, want := sp.spawns[2], 1+maxRetries+1; got != want {
-		t.Errorf("rank 2 spawned %d times, want %d (first launch + MaxRetries+1 replays)", got, want)
-	}
-	for _, cmd := range sp.cmds {
-		if cmd.ProcessState == nil {
-			t.Errorf("rank process %d outlived Supervise", cmd.Process.Pid)
-		}
+	for _, mode := range []struct{ name, env string }{
+		{"exit-after-hello", "STTSV_CLUSTER_HELLO_EXIT"},
+		{"exit-before-hello", "STTSV_CLUSTER_START_EXIT"},
+	} {
+		t.Run(mode.name, func(t *testing.T) {
+			cfg := testConfig(t)
+			sp := newTestSpawner(t, cfg)
+			sp.flaky, sp.exitEnv = 2, mode.env
+			sp.timeout = 8 * time.Second
+			var once sync.Once
+			start := time.Now()
+			_, err := sp.supervise(func(sp *testSpawner, rank, iter int) {
+				if rank == 1 && iter == 3 {
+					once.Do(func() { sp.kill(2) })
+				}
+			})
+			t.Logf("Supervise after %v: %v", time.Since(start).Round(time.Millisecond), err)
+			if err == nil || !strings.Contains(err.Error(), "recovery budget") {
+				t.Fatalf("Supervise = %v, want an exhausted recovery budget", err)
+			}
+			maxRetries := 3 // parallel.RecoveryOptions' default
+			if got, want := sp.spawns[2], 1+maxRetries+1; got != want {
+				t.Errorf("rank 2 spawned %d times, want %d (first launch + MaxRetries+1 replays)", got, want)
+			}
+			for _, cmd := range sp.cmds {
+				if cmd.ProcessState == nil {
+					t.Errorf("rank process %d outlived Supervise", cmd.Process.Pid)
+				}
+			}
+		})
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 	"time"
 
 	"repro/internal/netwire"
@@ -11,7 +12,9 @@ import (
 )
 
 // Proc is a spawned rank process as the supervisor sees it: enough to
-// reap it and to put it down on an error exit.
+// learn of its exit, to reap it and to put it down on an error exit.
+// Wait must block until the process has exited; the supervisor calls it
+// once, from a goroutine of its own, while Kill may come at any time.
 type Proc interface {
 	Kill() error
 	Wait() error
@@ -72,7 +75,7 @@ type supervisor struct {
 	opt      SuperviseOptions
 	co       *netwire.Coordinator
 	p        int
-	procs    []Proc
+	procs    []*child
 	present  []bool
 	owes     []bool
 	epoch    int64
@@ -80,6 +83,18 @@ type supervisor struct {
 	respawns int
 	timeout  time.Duration
 	deadline *time.Timer
+
+	exits   chan *child   // each child, once its Wait has returned
+	stop    chan struct{} // closed as Supervise returns: waiters stop sending
+	waiters sync.WaitGroup
+}
+
+// child is one spawned rank process. Its waiter goroutine closes exited
+// when Wait returns, then reports the exit on the supervisor's exits.
+type child struct {
+	rank   int
+	proc   Proc
+	exited chan struct{}
 }
 
 // Supervise runs the coordinator side of a distributed power method with
@@ -134,17 +149,21 @@ func Supervise(opt SuperviseOptions) (*Outcome, error) {
 	}
 	sv := &supervisor{
 		opt: opt, co: co, p: p,
-		procs:    make([]Proc, p),
+		procs:    make([]*child, p),
 		present:  make([]bool, p),
 		owes:     make([]bool, p),
 		timeout:  timeout,
 		deadline: time.NewTimer(timeout),
+		exits:    make(chan *child),
+		stop:     make(chan struct{}),
 	}
 	defer sv.deadline.Stop()
 	defer func() {
 		for r := range sv.procs {
 			sv.reap(r)
 		}
+		close(sv.stop)
+		sv.waiters.Wait()
 	}()
 	for r := 0; r < p; r++ {
 		if err := sv.spawn(r); err != nil {
@@ -293,19 +312,46 @@ func (sv *supervisor) abort() {
 // and quiesce bookkeeping it carries. A rank's death or self-fence fails
 // the attempt with an *attemptError; ready and done messages of fenced
 // epochs are dropped.
+//
+// A registered rank's death arrives as a down event, when the coordinator
+// sees its connection close. A process that exits before its hello has
+// no registration to lose, so its exit is the only sign: an exit counts
+// as a death when its rank is not registered. Coordinator events go
+// first, so a hello and down already queued for the process are handled
+// before its exit; a hello the coordinator reads only after that is
+// dropped while the rank has no process, and a down for an unregistered
+// rank is stale.
 func (sv *supervisor) next() (netwire.CtlMsg, error) {
 	for {
 		var ev netwire.CtlMsg
 		select {
 		case ev = <-sv.co.Events():
 		case <-sv.deadline.C:
-			return ev, fmt.Errorf("cluster: run exceeded %v (epoch %d)", sv.timeout, sv.epoch)
+			return ev, sv.timedOut()
+		default:
+			select {
+			case ev = <-sv.co.Events():
+			case ch := <-sv.exits:
+				if sv.procs[ch.rank] != ch || sv.present[ch.rank] {
+					continue
+				}
+				sv.procs[ch.rank] = nil
+				return ev, &attemptError{fmt.Sprintf("rank %d exited before registering", ch.rank)}
+			case <-sv.deadline.C:
+				return ev, sv.timedOut()
+			}
 		}
 		r := ev.Rank
 		switch ev.Type {
 		case "hello":
+			if sv.procs[r] == nil {
+				continue
+			}
 			sv.present[r] = true
 		case "down":
+			if !sv.present[r] {
+				continue
+			}
 			sv.present[r], sv.owes[r] = false, false
 			sv.reap(r)
 			return ev, &attemptError{fmt.Sprintf("rank %d died", r)}
@@ -325,23 +371,41 @@ func (sv *supervisor) next() (netwire.CtlMsg, error) {
 	}
 }
 
+func (sv *supervisor) timedOut() error {
+	return fmt.Errorf("cluster: run exceeded %v (epoch %d)", sv.timeout, sv.epoch)
+}
+
+// spawn launches rank r's process and its waiter, which reports the exit
+// until Supervise returns.
 func (sv *supervisor) spawn(r int) error {
 	pr, err := sv.opt.Spawn(r)
 	if err != nil {
 		return fmt.Errorf("cluster: spawn rank %d: %w", r, err)
 	}
-	sv.procs[r] = pr
+	ch := &child{rank: r, proc: pr, exited: make(chan struct{})}
+	sv.procs[r] = ch
+	sv.waiters.Add(1)
+	go func() {
+		defer sv.waiters.Done()
+		// The exit status is moot: the supervisor either caused the death
+		// or counts it as one.
+		_ = pr.Wait()
+		close(ch.exited)
+		select {
+		case sv.exits <- ch:
+		case <-sv.stop:
+		}
+	}()
 	return nil
 }
 
-// reap puts rank r's process down and waits for it, so none outlives the
-// supervisor. Both errors are moot: Kill fails only on a process that has
-// already exited, and Wait reports a death the supervisor either caused
-// or learned of from the control connection.
+// reap puts rank r's process down and waits for it to exit, so none
+// outlives the supervisor. Kill's error is moot: it fails only on a
+// process that has already exited.
 func (sv *supervisor) reap(r int) {
-	if pr := sv.procs[r]; pr != nil {
-		_ = pr.Kill()
-		_ = pr.Wait()
+	if ch := sv.procs[r]; ch != nil {
+		_ = ch.proc.Kill()
+		<-ch.exited
 		sv.procs[r] = nil
 	}
 }

@@ -17,7 +17,7 @@ import (
 type kernelFn func(blk *tensor.Block, xI, xJ, xK, yI, yJ, yK []float64, stats *Stats)
 
 func benchKernel(b *testing.B, I, J, K int, fn kernelFn) {
-	for _, edge := range []int{8, 16, 32, 64} {
+	for _, edge := range []int{8, 16, 24, 32, 64} {
 		b.Run(fmt.Sprintf("b=%d", edge), func(b *testing.B) {
 			rng := rand.New(rand.NewSource(7))
 			blk := tensor.NewBlock(I, J, K, edge)
@@ -60,11 +60,12 @@ func BenchmarkBlockContributeCentral(b *testing.B) {
 // BenchmarkLocalPhase measures one rank-local STTSV application — the
 // compute phase the paper's communication lower bound trades against —
 // through the packed-operator path, scalar kernel against tiled: the
-// paper's (q=3 ⇒ m=10) grid at a small edge, a cache-resident b=32 shape
-// (m=4 ⇒ ~2.9 MB packed, where the kernel speedup is visible), and the
-// large streamed m=10, b=32 shape (~44 MB packed, DRAM-bandwidth-bound).
+// paper's (q=3 ⇒ m=10) grid at a small edge, perfbench power's shape
+// (q=2 ⇒ m=6, b=24), a cache-resident b=32 shape (m=4 ⇒ ~2.9 MB packed,
+// where the kernel speedup is visible), and the large streamed m=10,
+// b=32 shape (~44 MB packed, DRAM-bandwidth-bound).
 func BenchmarkLocalPhase(b *testing.B) {
-	for _, shape := range []struct{ m, edge int }{{10, 8}, {4, 32}, {10, 32}} {
+	for _, shape := range []struct{ m, edge int }{{10, 8}, {6, 24}, {4, 32}, {10, 32}} {
 		n := shape.m * shape.edge
 		rng := rand.New(rand.NewSource(9))
 		a := tensor.Random(n, rng)

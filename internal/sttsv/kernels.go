@@ -8,12 +8,14 @@ import (
 // compute path of Algorithm 5. The seed kernel (BlockContributeScalar)
 // walks elements one at a time and touches yK once per stored element per
 // row; the tiled kernels instead process panels of four rows at once
-// through two micro-kernels, so each yK element is read and written once
-// per four rows and the four running dot products live in registers:
+// through three micro-kernels, so each yK element is read and written once
+// per four (or eight) rows and the running dot products live in registers:
 //
 //   - panelDotAxpy4: four same-length rows r0..r3, one pass over dk
 //     computing the four dots s_t = Σ r_t[dk]·xK[dk] while accumulating the
 //     fused update yK[dk] += c0·r0[dk] + c1·r1[dk] + c2·r2[dk] + c3·r3[dk];
+//   - panelDotAxpy8: two such panels in one pass, for the kinds whose yK
+//     aliases neither yI nor yJ;
 //   - rowDotAxpy: the single-row remainder, 4-wide unrolled with four
 //     independent dot accumulators.
 //
@@ -26,44 +28,121 @@ import (
 // of BlockContributeScalar (shared slices when block coordinates coincide)
 // is preserved.
 //
+// Vector path: on amd64 CPUs with AVX (useAVX, read once from CPUID) the
+// micro-kernels run each row's multiple-of-four prefix in assembly,
+// kernels_amd64.s, four columns per instruction, and the Go loops finish
+// the tail from the same accumulators. Every lane performs the Go loop's
+// own multiplies and adds, each rounded on its own (no FMA), in the Go
+// loop's order, so both paths give the same bits and a result does not
+// depend on the CPU that computed it.
+//
 // Determinism: every kernel is a fixed sequential instruction stream — the
 // output bits depend only on the inputs, never on scheduling. Relative to
 // the scalar reference the summation order is reassociated, so results may
 // differ from it (and from Packed) by a few ulps; the equivalence tests
 // pin the tolerance.
 
-// panelDotAxpy4 is the 4-row fused dot/axpy micro-kernel. All four rows,
-// xk and yk must have the same length.
-func panelDotAxpy4(r0, r1, r2, r3, xk, yk []float64, c0, c1, c2, c3 float64) (s0, s1, s2, s3 float64) {
-	l := len(r0)
-	if l == 0 {
-		return
+// TiledPath names the micro-kernel path BlockContribute runs on this CPU:
+// "avx" (assembly prefixes, Go tails) or "go". Both give the same bits.
+func TiledPath() string {
+	if useAVX {
+		return "avx"
 	}
-	r1 = r1[:l]
-	r2 = r2[:l]
-	r3 = r3[:l]
-	xk = xk[:l]
-	yk = yk[:l]
-	for k := 0; k < l; k++ {
-		v0, v1, v2, v3 := r0[k], r1[k], r2[k], r3[k]
-		x := xk[k]
+	return "go"
+}
+
+// panelDotAxpy4 is the 4-row fused dot/axpy micro-kernel. Row t is
+// rows[t·stride:][:l] with l = len(xk) ≤ len(yk) and stride ≥ 0; it adds
+// Σ_k row_t[k]·xk[k] into s[t], summed in k order, and accumulates
+// yk[k] += ((c[0]·row_0[k] + c[1]·row_1[k]) + c[2]·row_2[k]) + c[3]·row_3[k].
+func panelDotAxpy4(rows []float64, stride int, xk, yk []float64, c, s *[4]float64) {
+	panel4(rows, stride, xk, yk, c, s, useAVX)
+}
+
+// panel4 is panelDotAxpy4 with the path explicit: with vec set the
+// assembly takes the multiple-of-four prefix of the rows and the Go loop
+// the rest, from the same accumulators; without it the Go loop takes all.
+func panel4(rows []float64, stride int, xk, yk []float64, c, s *[4]float64, vec bool) {
+	l := len(xk)
+	_ = rows[3*stride : 3*stride+l] // the assembly reads the rows unchecked
+	k := 0
+	if vec && l >= 4 {
+		k = l &^ 3
+		panel4AVX(rows, stride, xk[:k], yk[:k], c, s)
+		if k == l {
+			return
+		}
+	}
+	xk, yk = xk[k:], yk[k:l]
+	r0 := rows[k:l]
+	r1 := rows[stride+k : stride+l]
+	r2 := rows[2*stride+k : 2*stride+l]
+	r3 := rows[3*stride+k : 3*stride+l]
+	c0, c1, c2, c3 := c[0], c[1], c[2], c[3]
+	s0, s1, s2, s3 := s[0], s[1], s[2], s[3]
+	for i, x := range xk {
+		v0, v1, v2, v3 := r0[i], r1[i], r2[i], r3[i]
 		s0 += v0 * x
 		s1 += v1 * x
 		s2 += v2 * x
 		s3 += v3 * x
-		yk[k] += c0*v0 + c1*v1 + c2*v2 + c3*v3
+		yk[i] += c0*v0 + c1*v1 + c2*v2 + c3*v3
 	}
-	return
+	*s = [4]float64{s0, s1, s2, s3}
+}
+
+// panelDotAxpy8 runs rows 0–3 and rows 4–7 as two panelDotAxpy4 panels in
+// one pass over k: yk[k] becomes (yk[k] + P0[k]) + P1[k], which is what two
+// calls in a row compute, with two independent dot chains. Pairing panels
+// this way is exact only where nothing else writes yk between them, i.e.
+// for blocks whose yK aliases neither yI nor yJ.
+func panelDotAxpy8(rows []float64, stride int, xk, yk []float64, c, s *[8]float64) {
+	panel8(rows, stride, xk, yk, c, s, useAVX)
+}
+
+// panel8 is panelDotAxpy8 with the path explicit, as in panel4; the Go
+// loop finishes each panel in turn.
+func panel8(rows []float64, stride int, xk, yk []float64, c, s *[8]float64, vec bool) {
+	l := len(xk)
+	_ = rows[7*stride : 7*stride+l]
+	k := 0
+	if vec && l >= 4 {
+		k = l &^ 3
+		panel8AVX(rows, stride, xk[:k], yk[:k], c, s)
+		if k == l {
+			return
+		}
+	}
+	rows, xk, yk = rows[k:], xk[k:], yk[k:]
+	panel4(rows, stride, xk, yk, (*[4]float64)(c[:4]), (*[4]float64)(s[:4]), false)
+	panel4(rows[4*stride:], stride, xk, yk, (*[4]float64)(c[4:]), (*[4]float64)(s[4:]), false)
 }
 
 // rowDotAxpy returns Σ r[k]·xk[k] while accumulating yk[k] += c·r[k],
 // unrolled 4-wide with independent dot accumulators.
 func rowDotAxpy(r, xk, yk []float64, c float64) float64 {
+	return row(r, xk, yk, c, useAVX)
+}
+
+// row is rowDotAxpy with the path explicit, as in panel4. Accumulator
+// s_j takes the columns k ≡ j (mod 4) of the multiple-of-four prefix —
+// lane j of one AVX register on the vector path — and s_0 the tail. The
+// vector path starts at two vector steps: one register holds all four
+// accumulators, so its add chain bounds it as the Go loop's four chains
+// bound the Go loop, and on a shorter row the assembly call costs more
+// than the step saves.
+func row(r, xk, yk []float64, c float64, vec bool) float64 {
 	l := len(r)
 	xk = xk[:l]
 	yk = yk[:l]
 	var s0, s1, s2, s3 float64
 	k := 0
+	if vec && l >= 8 {
+		var s [4]float64
+		k = l &^ 3
+		rowAVX(r[:k], xk[:k], yk[:k], c, &s)
+		s0, s1, s2, s3 = s[0], s[1], s[2], s[3]
+	}
 	for ; k+4 <= l; k += 4 {
 		v0, v1, v2, v3 := r[k], r[k+1], r[k+2], r[k+3]
 		s0 += v0 * xk[k]
@@ -107,32 +186,38 @@ func BlockContribute(blk *tensor.Block, xI, xJ, xK, yI, yJ, yK []float64, stats 
 }
 
 // contributeOffDiagonal handles I > J > K: b³ stored values, rows of
-// length b, tiled over dj in panels of four.
+// length b, tiled over dj: eight rows per pass, then four, then single
+// rows. The eight-row pass needs yK to alias neither yI nor yJ, which
+// holds here and in DiagPairHigh blocks.
 func contributeOffDiagonal(blk *tensor.Block, xI, xJ, xK, yI, yJ, yK []float64) {
 	b := blk.B
 	data := blk.Data
 	for di := 0; di < b; di++ {
-		xi := xI[di]
-		txi2 := 2 * xi
-		base := di * b * b
+		txi2 := 2 * xI[di]
+		slab := data[di*b*b:]
 		acc := 0.0
 		dj := 0
-		for ; dj+4 <= b; dj += 4 {
-			o := base + dj*b
-			xj0, xj1, xj2, xj3 := xJ[dj], xJ[dj+1], xJ[dj+2], xJ[dj+3]
-			s0, s1, s2, s3 := panelDotAxpy4(
-				data[o:o+b], data[o+b:o+2*b], data[o+2*b:o+3*b], data[o+3*b:o+4*b],
-				xK, yK, txi2*xj0, txi2*xj1, txi2*xj2, txi2*xj3)
-			acc += s0*xj0 + s1*xj1 + s2*xj2 + s3*xj3
-			yJ[dj] += txi2 * s0
-			yJ[dj+1] += txi2 * s1
-			yJ[dj+2] += txi2 * s2
-			yJ[dj+3] += txi2 * s3
+		for ; dj+8 <= b; dj += 8 {
+			var c, s [8]float64
+			for t := range c {
+				c[t] = txi2 * xJ[dj+t]
+			}
+			panelDotAxpy8(slab[dj*b:], b, xK, yK, &c, &s)
+			acc = foldPanel(acc, txi2, (*[4]float64)(s[:4]), xJ[dj:dj+4], yJ[dj:dj+4])
+			acc = foldPanel(acc, txi2, (*[4]float64)(s[4:]), xJ[dj+4:dj+8], yJ[dj+4:dj+8])
+		}
+		if dj+4 <= b {
+			var c, s [4]float64
+			for t := range c {
+				c[t] = txi2 * xJ[dj+t]
+			}
+			panelDotAxpy4(slab[dj*b:], b, xK, yK, &c, &s)
+			acc = foldPanel(acc, txi2, &s, xJ[dj:dj+4], yJ[dj:dj+4])
+			dj += 4
 		}
 		for ; dj < b; dj++ {
 			xj := xJ[dj]
-			o := base + dj*b
-			s := rowDotAxpy(data[o:o+b], xK, yK, txi2*xj)
+			s := rowDotAxpy(slab[dj*b:(dj+1)*b], xK, yK, txi2*xj)
 			acc += s * xj
 			yJ[dj] += txi2 * s
 		}
@@ -141,41 +226,56 @@ func contributeOffDiagonal(blk *tensor.Block, xI, xJ, xK, yI, yJ, yK []float64) 
 }
 
 // contributeDiagPairHigh handles I == J > K: rows (di, dj <= di) of length
-// b; the dj < di rows are strict triples tiled over dj, the dj == di row
-// carries the i == j > k coefficient xi².
+// b; the dj < di rows are strict triples tiled over dj as in
+// contributeOffDiagonal, the dj == di row carries the i == j > k
+// coefficient xi².
 func contributeDiagPairHigh(blk *tensor.Block, xI, xJ, xK, yI, yJ, yK []float64) {
 	b := blk.B
 	data := blk.Data
 	for di := 0; di < b; di++ {
 		xi := xI[di]
 		txi2 := 2 * xi
-		base := di * (di + 1) / 2 * b
+		slab := data[di*(di+1)/2*b:]
 		acc := 0.0 // Σ_{dj<di} s_dj·xJ[dj]; folded into yI[di] at the end
 		dj := 0
-		for ; dj+4 <= di; dj += 4 {
-			o := base + dj*b
-			xj0, xj1, xj2, xj3 := xJ[dj], xJ[dj+1], xJ[dj+2], xJ[dj+3]
-			s0, s1, s2, s3 := panelDotAxpy4(
-				data[o:o+b], data[o+b:o+2*b], data[o+2*b:o+3*b], data[o+3*b:o+4*b],
-				xK, yK, txi2*xj0, txi2*xj1, txi2*xj2, txi2*xj3)
-			acc += s0*xj0 + s1*xj1 + s2*xj2 + s3*xj3
-			yJ[dj] += txi2 * s0
-			yJ[dj+1] += txi2 * s1
-			yJ[dj+2] += txi2 * s2
-			yJ[dj+3] += txi2 * s3
+		for ; dj+8 <= di; dj += 8 {
+			var c, s [8]float64
+			for t := range c {
+				c[t] = txi2 * xJ[dj+t]
+			}
+			panelDotAxpy8(slab[dj*b:], b, xK, yK, &c, &s)
+			acc = foldPanel(acc, txi2, (*[4]float64)(s[:4]), xJ[dj:dj+4], yJ[dj:dj+4])
+			acc = foldPanel(acc, txi2, (*[4]float64)(s[4:]), xJ[dj+4:dj+8], yJ[dj+4:dj+8])
+		}
+		if dj+4 <= di {
+			var c, s [4]float64
+			for t := range c {
+				c[t] = txi2 * xJ[dj+t]
+			}
+			panelDotAxpy4(slab[dj*b:], b, xK, yK, &c, &s)
+			acc = foldPanel(acc, txi2, &s, xJ[dj:dj+4], yJ[dj:dj+4])
+			dj += 4
 		}
 		for ; dj < di; dj++ {
 			xj := xJ[dj]
-			o := base + dj*b
-			s := rowDotAxpy(data[o:o+b], xK, yK, txi2*xj)
+			s := rowDotAxpy(slab[dj*b:(dj+1)*b], xK, yK, txi2*xj)
 			acc += s * xj
 			yJ[dj] += txi2 * s
 		}
 		// dj == di row.
-		o := base + di*b
-		s := rowDotAxpy(data[o:o+b], xK, yK, xi*xi)
+		s := rowDotAxpy(slab[di*b:(di+1)*b], xK, yK, xi*xi)
 		yI[di] += 2*acc + 2*s*xi
 	}
+}
+
+// foldPanel folds one four-row panel's dots into yj[t] += txi2·s[t] and
+// returns acc + (((s[0]·xj[0] + s[1]·xj[1]) + s[2]·xj[2]) + s[3]·xj[3]).
+func foldPanel(acc, txi2 float64, s *[4]float64, xj, yj []float64) float64 {
+	xj, yj = xj[:4], yj[:4]
+	for t, v := range s {
+		yj[t] += txi2 * v
+	}
+	return acc + (s[0]*xj[0] + s[1]*xj[1] + s[2]*xj[2] + s[3]*xj[3])
 }
 
 // contributeDiagPairLow handles I > J == K: every di-plane is the same
@@ -195,10 +295,10 @@ func contributeDiagPairLow(blk *tensor.Block, xI, xJ, xK, yI, yJ, yK []float64) 
 		for dj := 0; dj < b; dj++ {
 			xj := xJ[dj]
 			txj2 := 2 * xj
-			s0, s1, s2, s3 := panelDotAxpy4(
-				data[b0+off:b0+off+dj], data[b1+off:b1+off+dj],
-				data[b2+off:b2+off+dj], data[b3+off:b3+off+dj],
-				xK, yK, txj2*xi0, txj2*xi1, txj2*xi2, txj2*xi3)
+			c := [4]float64{txj2 * xi0, txj2 * xi1, txj2 * xi2, txj2 * xi3}
+			var s [4]float64
+			panelDotAxpy4(data[b0+off:], tri, xK[:dj], yK[:dj], &c, &s)
+			s0, s1, s2, s3 := s[0], s[1], s[2], s[3]
 			v0, v1, v2, v3 := data[b0+off+dj], data[b1+off+dj], data[b2+off+dj], data[b3+off+dj]
 			xjxj := xj * xj
 			yI[di] += 2*s0*xj + v0*xjxj
