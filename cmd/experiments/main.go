@@ -2,7 +2,7 @@
 // of the paper. With no arguments it prints every experiment's
 // paper-vs-measured rows in Markdown, the source of the numbers recorded
 // in EXPERIMENTS.md; its subcommands print the paper's tables and figure
-// in full, in the paper's own layout.
+// in full, in the paper's own layout, and replay recorded traces.
 //
 // Usage:
 //
@@ -13,6 +13,7 @@
 //	experiments commsched -sqs8         # Figure 1: the 12-step schedule, P=14
 //	experiments steiner -q 3            # build, verify and list a Steiner system
 //	experiments plan -n 1000 -maxp 400  # cost every admissible machine
+//	experiments trace -gantt e.jsonl    # replay a trace from sttsvrun -events
 //
 // Experiments: tables (T1–T3), figure (F1), comm (E1), flops (E2),
 // steps (E3), alltoall (E4), seq (E5), baseline (E6), hopm (E7), cp (E8),
@@ -65,7 +66,8 @@ var experiments = []struct {
 	{"timeline", timelineExp},
 }
 
-// subcommands print one paper artifact in full; each takes its own flags.
+// subcommands print one paper artifact in full or replay a trace; each
+// takes its own flags.
 var subcommands = []struct {
 	name string
 	run  func(args []string, stdout, stderr io.Writer) int
@@ -74,6 +76,7 @@ var subcommands = []struct {
 	{"partition", partitionCmd},
 	{"commsched", commschedCmd},
 	{"plan", planCmd},
+	{"trace", traceCmd},
 }
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }

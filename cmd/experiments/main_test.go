@@ -2,8 +2,15 @@ package main
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/machine"
+	"repro/internal/obs"
+	"repro/internal/parallel"
+	"repro/internal/partition"
 )
 
 // sections splits a command's output at blank lines, dropping empty
@@ -117,6 +124,9 @@ func TestCommands(t *testing.T) {
 		{[]string{"plan", "-maxp"}, 2, nil},
 		{[]string{"steiner", "-q", "6"}, 1, printsOnce("steiner: q=6 is not a prime power")},
 		{[]string{"plan", "-n", "0"}, 1, printsOnce("plan: Enumerate(0, 400)")},
+		{[]string{"trace"}, 2, nil},
+		{[]string{"trace", "-bogus", "e.jsonl"}, 2, nil},
+		{[]string{"trace", "no-such-trace.jsonl"}, 2, nil},
 	}
 	for _, c := range cases {
 		t.Run(strings.Join(c.args, " "), func(t *testing.T) {
@@ -137,5 +147,48 @@ func TestCommands(t *testing.T) {
 				c.check(t, out)
 			}
 		})
+	}
+}
+
+// TestTraceCommand records a q = 2 run of Algorithm 5 in-process, writes
+// it as JSONL and replays it with trace -timeline -gantt: the phase table
+// must count the schedule's 9 steps per exchange, and the timeline and
+// the Gantt chart must list all 10 ranks.
+func TestTraceCommand(t *testing.T) {
+	part, err := partition.NewSpherical(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const b = 6
+	var rec obs.Recorder
+	if _, err := parallel.Run(nil, make([]float64, part.M*b), parallel.Options{
+		Part: part, B: b, Wiring: parallel.WiringP2P,
+		Machine: machine.RunConfig{Observer: rec.Observer()},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "e.jsonl")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := obs.WriteTraceJSONL(f, rec.Trace()); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"trace", "-timeline", "-gantt", path}, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d; stderr:\n%s", code, stderr.String())
+	}
+	out := stdout.String()
+	for _, want := range []string{"| gather | 9 |", "| reduce-scatter | 9 |", "| rank | finish | compute | send | recv-wait | overlap | idle |", "makespan"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("output lacks %q:\n%s", want, out)
+		}
+	}
+	if rows, bars := countPrefix(out, "| 9 | "), countPrefix(out, "   9 |"); rows != 1 || bars != 1 {
+		t.Errorf("rank 9 has %d timeline rows and %d Gantt rows, want 1 each:\n%s", rows, bars, out)
 	}
 }

@@ -20,7 +20,7 @@
 // inserted before the extension):
 //
 //	sttsvrun -n 120 -q 3 -trace trace.json      # chrome://tracing / Perfetto
-//	sttsvrun -n 120 -q 3 -events run.jsonl      # raw events, for sttsvtrace
+//	sttsvrun -n 120 -q 3 -events run.jsonl      # raw events, for experiments trace
 //	sttsvrun -n 120 -q 3 -timeline              # replay summary + ASCII Gantt
 package main
 
@@ -77,7 +77,7 @@ func main() {
 	def := obs.DefaultTimeModel()
 	var oc obsConfig
 	flag.StringVar(&oc.trace, "trace", "", "write a Chrome trace_event JSON of the replayed run (requires -q; load in chrome://tracing or Perfetto)")
-	flag.StringVar(&oc.events, "events", "", "write the raw trace events as JSONL (requires -q; analyze with sttsvtrace)")
+	flag.StringVar(&oc.events, "events", "", "write the raw trace events as JSONL (requires -q; analyze with experiments trace)")
 	flag.StringVar(&oc.metrics, "metrics", "", "write flat per-phase/per-rank metrics JSONL (requires -q)")
 	flag.BoolVar(&oc.timeline, "timeline", false, "print the replayed α-β-γ timeline summary and Gantt chart (requires -q)")
 	flag.Float64Var(&oc.gate, "gate-makespan", 0, "fail unless measured wall-clock makespan stays within this factor of the α-β-γ replay prediction (requires -q; 0 disables)")

@@ -18,39 +18,12 @@ func run(t *testing.T, p int, body func(c *machine.Comm)) *machine.Report {
 	return rep
 }
 
-func TestWorldGroup(t *testing.T) {
-	run(t, 5, func(c *machine.Comm) {
-		g := World(c)
-		if g.Size() != 5 || g.me != c.Rank() || g.ranks[3] != 3 {
-			t.Errorf("world group wrong at rank %d", c.Rank())
-		}
-	})
-}
-
-func TestNewGroupValidation(t *testing.T) {
-	run(t, 4, func(c *machine.Comm) {
-		if c.Rank() != 0 {
-			return
-		}
-		if _, err := NewGroup(c, []int{0, 0, 1}); err == nil {
-			t.Error("duplicate ranks accepted")
-		}
-		if _, err := NewGroup(c, []int{0, 9}); err == nil {
-			t.Error("out-of-range rank accepted")
-		}
-		if _, err := NewGroup(c, []int{1, 2}); err == nil {
-			t.Error("non-member caller accepted")
-		}
-	})
-}
-
 func TestAllToAllFixedPadsEveryPair(t *testing.T) {
 	const p, width = 5, 4
 	rep := run(t, p, func(c *machine.Comm) {
-		g := World(c)
 		send, recv := widthBuffers(p, width), widthBuffers(p, width)
 		send[(c.Rank()+1)%p][0] = 1 // almost everything padding
-		g.AllToAllFixedInto(0, width, send, recv)
+		AllToAllFixedInto(c, 0, width, send, recv)
 		from := (c.Rank() - 1 + p) % p
 		for i := range recv {
 			for k, v := range recv[i] {
@@ -76,12 +49,11 @@ func TestAllToAllFixedPadsEveryPair(t *testing.T) {
 func TestAllGatherV(t *testing.T) {
 	const p = 7
 	run(t, p, func(c *machine.Comm) {
-		g := World(c)
 		mine := make([]float64, c.Rank()+1) // ragged sizes
 		for i := range mine {
 			mine[i] = float64(c.Rank())
 		}
-		got := g.AllGatherV(0, mine)
+		got := AllGatherV(c, 0, mine)
 		for i := range got {
 			if len(got[i]) != i+1 || (i > 0 && got[i][0] != float64(i)) {
 				t.Errorf("rank %d slot %d: %v", c.Rank(), i, got[i])
@@ -93,12 +65,11 @@ func TestAllGatherV(t *testing.T) {
 func TestReduceScatterSum(t *testing.T) {
 	const p = 5
 	run(t, p, func(c *machine.Comm) {
-		g := World(c)
 		contrib := make([][]float64, p)
 		for i := range contrib {
 			contrib[i] = []float64{float64(c.Rank() + i), 1}
 		}
-		got := g.ReduceScatterSum(0, contrib)
+		got := ReduceScatterSum(c, 0, contrib)
 		// Σ_r (r + me) = p·me + p(p-1)/2; second slot sums to p.
 		want0 := float64(p*c.Rank() + p*(p-1)/2)
 		if math.Abs(got[0]-want0) > 1e-12 || math.Abs(got[1]-float64(p)) > 1e-12 {
@@ -111,12 +82,11 @@ func TestBcast(t *testing.T) {
 	for _, p := range []int{1, 2, 3, 4, 5, 8, 13} {
 		for root := 0; root < p; root += (p + 2) / 3 {
 			rep := run(t, p, func(c *machine.Comm) {
-				g := World(c)
 				var data []float64
 				if c.Rank() == root {
 					data = []float64{3, 1, 4}
 				}
-				got := g.Bcast(0, root, data)
+				got := Bcast(c, 0, root, data)
 				if len(got) != 3 || got[0] != 3 || got[2] != 4 {
 					t.Errorf("p=%d root=%d rank %d: got %v", p, root, c.Rank(), got)
 				}
@@ -137,63 +107,9 @@ func TestBcast(t *testing.T) {
 func TestAllReduceSum(t *testing.T) {
 	const p = 6
 	run(t, p, func(c *machine.Comm) {
-		g := World(c)
-		got := g.AllReduceSum(0, []float64{float64(c.Rank()), 1})
+		got := AllReduceSum(c, 0, []float64{float64(c.Rank()), 1})
 		if got[0] != float64(p*(p-1)/2) || got[1] != float64(p) {
 			t.Errorf("rank %d: got %v", c.Rank(), got)
-		}
-	})
-}
-
-func TestSubGroupCollectives(t *testing.T) {
-	// Two disjoint groups run independent collectives concurrently.
-	const p = 8
-	run(t, p, func(c *machine.Comm) {
-		var ranks []int
-		for r := c.Rank() % 2; r < p; r += 2 {
-			ranks = append(ranks, r)
-		}
-		g, err := NewGroup(c, ranks)
-		if err != nil {
-			t.Errorf("rank %d: %v", c.Rank(), err)
-			return
-		}
-		got := g.AllReduceSum(0, []float64{1})
-		if got[0] != float64(p/2) {
-			t.Errorf("rank %d: group sum %g, want %d", c.Rank(), got[0], p/2)
-		}
-	})
-}
-
-func TestOverlappingGroupsSequential(t *testing.T) {
-	// Row-block groups of Algorithm 5 overlap; verify two overlapping
-	// groups can run collectives one after another with distinct tags.
-	const p = 5
-	run(t, p, func(c *machine.Comm) {
-		mk := func(rs []int) *Group {
-			for _, r := range rs {
-				if r == c.Rank() {
-					g, err := NewGroup(c, rs)
-					if err != nil {
-						t.Errorf("%v", err)
-					}
-					return g
-				}
-			}
-			return nil
-		}
-		if g := mk([]int{0, 1, 2, 3}); g != nil {
-			got := g.AllReduceSum(1, []float64{1})
-			if got[0] != 4 {
-				t.Errorf("group A sum %g", got[0])
-			}
-		}
-		c.Barrier()
-		if g := mk([]int{2, 3, 4}); g != nil {
-			got := g.AllReduceSum(2, []float64{1})
-			if got[0] != 3 {
-				t.Errorf("group B sum %g", got[0])
-			}
 		}
 	})
 }
@@ -210,8 +126,7 @@ func widthBuffers(p, width int) [][]float64 {
 func BenchmarkAllToAllFixedInto(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_, err := machine.RunWith(16, machine.RunConfig{Timeout: time.Minute}, func(c *machine.Comm) {
-			g := World(c)
-			g.AllToAllFixedInto(0, 32, widthBuffers(16, 32), widthBuffers(16, 32))
+			AllToAllFixedInto(c, 0, 32, widthBuffers(16, 32), widthBuffers(16, 32))
 		})
 		if err != nil {
 			b.Fatal(err)

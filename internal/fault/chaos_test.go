@@ -226,7 +226,7 @@ func TestChaosCrash(t *testing.T) {
 		if w.Rank == 2 {
 			t.Errorf("crashed rank 2 also listed as waiting: %+v", w)
 		}
-		if w.Kind != machine.BlockSend && w.Kind != machine.BlockRecv && w.Kind != machine.BlockBarrier {
+		if w.Kind != machine.BlockSend && w.Kind != machine.BlockRecv {
 			t.Errorf("rank %d has unexpected wait kind %v", w.Rank, w.Kind)
 		}
 	}

@@ -186,7 +186,7 @@ func (r *reliable) handleData(pkt machine.Packet) {
 // the wire in full: intact data packets are acknowledged, de-duplicated
 // and released to the machine for later Recvs, exactly as during Send's
 // ack-wait. The protocol state stays owned by the rank goroutine; block
-// only waits (at a barrier, or for host input) and touches none of it.
+// only waits (for host input) and touches none of it.
 func (r *reliable) Wait(block func()) {
 	done := make(chan struct{})
 	go func() {

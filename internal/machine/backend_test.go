@@ -69,25 +69,3 @@ func TestPacketQueueAbortWake(t *testing.T) {
 		t.Errorf("PullTimeout got %+v ok=%v", pkt, ok)
 	}
 }
-
-// TestDistributedRunRejectsBarrier: StartWith accepts a distributed
-// machine (LocalRanks a proper subset of P) over a plain wire, and its
-// in-process Barrier, which cannot count remote ranks, panics with an
-// error that says so instead of waiting forever.
-func TestDistributedRunRejectsBarrier(t *testing.T) {
-	var got any
-	rep, err := RunWith(2, RunConfig{LocalRanks: []int{0}}, func(c *Comm) {
-		defer func() { got = recover() }()
-		c.Barrier()
-	})
-	if err != nil {
-		t.Fatalf("distributed run over a plain wire: %v", err)
-	}
-	if rep == nil {
-		t.Fatal("no report")
-	}
-	perr, ok := got.(error)
-	if !ok || !strings.Contains(perr.Error(), "distributed machine") {
-		t.Errorf("Barrier on a distributed machine: recovered %v, want an error naming the distributed machine", got)
-	}
-}

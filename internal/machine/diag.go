@@ -20,8 +20,6 @@ const (
 	BlockSend
 	// BlockRecv: inside Recv, waiting for a matching message.
 	BlockRecv
-	// BlockBarrier: waiting for the other ranks at a barrier.
-	BlockBarrier
 	// BlockDone: the rank's body returned normally.
 	BlockDone
 	// BlockCrashed: the rank's body panicked (fault-injected crash or a
@@ -41,8 +39,6 @@ func (k BlockKind) String() string {
 		return "send"
 	case BlockRecv:
 		return "recv"
-	case BlockBarrier:
-		return "barrier"
 	case BlockDone:
 		return "done"
 	case BlockCrashed:
@@ -82,8 +78,6 @@ func (w RankWait) describe() string {
 		s = fmt.Sprintf("blocked in send to rank %d (tag %d)", w.Peer, w.Tag)
 	case BlockRecv:
 		s = fmt.Sprintf("blocked in recv from rank %d (tag %d)", w.Peer, w.Tag)
-	case BlockBarrier:
-		s = "blocked in barrier"
 	default:
 		s = w.Kind.String()
 	}

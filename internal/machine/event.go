@@ -8,8 +8,8 @@ import (
 
 // EventKind classifies the structured trace events a run can emit. The
 // vocabulary covers everything the paper's cost model charges for: messages
-// (latency and bandwidth), synchronization steps, and local ternary
-// multiplications — plus the phase markers that scope each of them to a
+// (latency and bandwidth) and local ternary multiplications — plus the
+// phase markers that scope each of them to a
 // stage of Algorithm 5 (gather / local / reduce-scatter).
 type EventKind int
 
@@ -21,11 +21,7 @@ const (
 	// EventRecv records a logical message being delivered to its Recv
 	// call, or — with Event.Wire set — a raw datagram being pulled.
 	EventRecv
-	// EventBarrier records a rank passing a global barrier. Event.Step
-	// carries the barrier generation, identical across all P ranks of one
-	// synchronization, so a replayer can align their clocks there. A
-	// barrier does not mark a schedule step: the scheduled exchange runs
-	// without barriers, and obs counts its steps from message tags.
+	// EventBarrier is emitted by nothing; perfbench's layer split still switches on it.
 	EventBarrier
 	// EventPhaseBegin and EventPhaseEnd bracket an algorithm phase on one
 	// rank; every event in between carries the phase's label.
@@ -74,8 +70,6 @@ func (k EventKind) String() string {
 		return "send"
 	case EventRecv:
 		return "recv"
-	case EventBarrier:
-		return "barrier"
 	case EventPhaseBegin:
 		return "phase-begin"
 	case EventPhaseEnd:
@@ -128,8 +122,8 @@ type Event struct {
 	Op string
 	// Seq orders this rank's events: a per-rank counter starting at 0.
 	Seq int64
-	// Step is the global barrier generation for EventBarrier, -1
-	// otherwise.
+	// Step is the recovery markers' index (EventRecoveryBegin,
+	// EventRecoveryEnd, EventRestoreMismatch), -1 otherwise.
 	Step int
 	// Ternary is the ternary-multiplication count of an
 	// EventLocalCompute.

@@ -83,7 +83,6 @@ func StartWith(p int, cfg RunConfig, body func(c *Comm)) (*Handle, error) {
 		raws:       make([]BackendWire, p),
 		localRanks: append([]int(nil), locals...),
 		ranks:      make([]rankState, p),
-		barrier:    newBarrier(len(locals)),
 		observer:   cfg.Observer,
 		wireEvents: cfg.WireEvents,
 		obsState:   make([]rankObsState, p),
@@ -162,7 +161,8 @@ func (h *Handle) runRank(rank int) {
 		return false
 	}()
 	if panicked {
-		if h.cfg.OnRankDown != nil {
+		// A rank the abort unwound did not die: its machine was retired.
+		if h.cfg.OnRankDown != nil && !IsAbort(st.panicVal) {
 			h.cfg.OnRankDown(rank, panicToError(rank, st.panicVal))
 		}
 		return
@@ -185,13 +185,19 @@ func panicToError(rank int, v any) error {
 }
 
 // Wait blocks until every rank goroutine has exited (running the stall
-// watchdog when configured) and returns the cumulative report. Call it
-// exactly once, after the resident body has been released (op channels
-// closed) or to collect a watchdog/crash failure.
+// watchdog when configured) and returns the cumulative report. A watchdog
+// verdict returns at once with its *DeadlockError, after aborting the
+// machine so that the blocked ranks unwind and exit. Call it exactly
+// once, after the resident body has been released (op channels closed) or
+// to collect a watchdog/crash failure.
 func (h *Handle) Wait() (*Report, error) {
 	if h.cfg.Timeout > 0 {
 		if err := h.m.watch(h.done, h.cfg.Timeout); err != nil {
-			h.endLinger() // release finished ranks still answering retransmits
+			// Unwind the ranks the verdict found blocked, which would
+			// otherwise stay parked on their mailboxes for good, and
+			// release finished ranks still answering retransmits.
+			h.Abort()
+			h.endLinger()
 			return nil, err
 		}
 	} else {
@@ -207,9 +213,9 @@ func (h *Handle) Wait() (*Report, error) {
 func (h *Handle) Epoch() int64 { return h.m.epoch }
 
 // Abort unwinds the machine: every rank blocked inside a machine
-// operation (Send ack-waits, Recv, Barrier) panics with the abort
-// sentinel the moment it next touches the machine, and a resident body
-// recovers the sentinel and re-parks. Parked ranks are unaffected — their
+// operation (Send ack-waits, Recv) panics with the abort sentinel the
+// moment it next touches the machine, and a resident body recovers the
+// sentinel and re-parks. Parked ranks are unaffected — their
 // AwaitHost wait is host input, not epoch work. An aborted machine stays
 // aborted: its supervisor releases the parked bodies and starts a
 // successor one epoch later. Idempotent.
@@ -221,7 +227,6 @@ func (h *Handle) Abort() {
 			close(m.abortCh[r])
 		}
 	}
-	m.barrier.abort()
 }
 
 // CrashedRanks lists the local ranks whose bodies have panicked. A remote

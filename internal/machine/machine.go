@@ -14,7 +14,7 @@
 // lock, and the stall watchdog reads them only once progress has stopped.
 //
 // The package is layered: logical point-to-point Send/Recv with tags (plus
-// barriers and per-rank counters) ride on a pluggable Transport over a raw
+// per-rank counters) ride on a pluggable Transport over a raw
 // packet Wire, which the machine layers over one BackendWire per rank from
 // a Backend. Those four interfaces are the whole seam, and every method on
 // them is required: a Transport sends, delivers each rank's logical
@@ -44,7 +44,6 @@ type Machine struct {
 	raws       []BackendWire // per-rank raw endpoints; nil for remote ranks
 	localRanks []int         // ranks running in this process, ascending
 	ranks      []rankState
-	barrier    *barrier
 	observer   func(Event)
 	wireEvents bool
 	obsState   []rankObsState
@@ -137,18 +136,11 @@ type Comm struct {
 	rank int
 	t    Transport
 	st   *rankState
-	// arrive enters the barrier and stores the released generation in
-	// gen (-1 when an abort cut the wait short). It is built once
-	// per rank so that Barrier allocates nothing.
-	arrive func()
-	gen    int
 }
 
 // newComm binds rank's handle over transport t.
 func (m *Machine) newComm(rank int, t Transport) *Comm {
-	c := &Comm{m: m, rank: rank, t: t, st: &m.ranks[rank]}
-	c.arrive = func() { c.gen = m.barrier.await() }
-	return c
+	return &Comm{m: m, rank: rank, t: t, st: &m.ranks[rank]}
 }
 
 // Rank returns this processor's id in 0..P-1.
@@ -255,38 +247,15 @@ func (c *Comm) recv(from, tag int) Packet {
 	}
 }
 
-// Barrier blocks until all P ranks have entered it. The transport's Wait
-// runs the wait, so a transport that owes peers answers (a reliable
-// transport whose ack was lost) keeps servicing the wire meanwhile. The
-// barrier counts in-process arrivals only, so it panics on a distributed
-// machine (LocalRanks a proper subset of P): a rank process parks in
-// AwaitHost between operations instead, and its coordinator, which sees
-// every rank, orders the run.
-func (c *Comm) Barrier() {
-	if n := len(c.m.localRanks); n < c.m.p {
-		panic(fmt.Errorf("machine: Barrier on rank %d of a distributed machine (%d of %d ranks local): the in-process barrier cannot count remote ranks", c.rank, n, c.m.p))
-	}
-	st := c.st
-	st.checkAbort()
-	st.enter(c.m, BlockBarrier, -1, -1)
-	c.t.Wait(c.arrive)
-	st.leave(c.m)
-	if c.gen < 0 {
-		panic(abortPanic{})
-	}
-	c.m.emit(c.rank, Event{Kind: EventBarrier, From: c.rank, To: c.rank, Step: c.gen})
-	st.progress.Add(1)
-}
-
 // AwaitHost runs wait with this rank parked as blocked on host input: a
 // resident body (parallel.Session) calls it around its op-queue receive so
 // the stall watchdog can tell an idle session — every unfinished rank
 // waiting for the host to feed it work — from a genuine deadlock. wait
 // typically blocks on a host-owned channel; returning from it counts as
-// progress. Like Barrier, the wait runs under the transport's Wait: peers
-// may still be finishing the previous operation (or retransmitting a
-// message whose ack was lost), and a rank that went quiet the moment its
-// own part completed would stall them forever.
+// progress. The wait runs under the transport's Wait: peers may still be
+// finishing the previous operation (or retransmitting a message whose ack
+// was lost), and a rank that went quiet the moment its own part completed
+// would stall them forever.
 func (c *Comm) AwaitHost(wait func()) {
 	st := c.st
 	st.enter(c.m, BlockHost, -1, -1)
@@ -327,59 +296,6 @@ func (m *Machine) meters(r int) Meters {
 	}
 }
 
-// barrier is a reusable in-process counting barrier. Its condition-
-// variable wait allocates nothing per generation — part of the
-// zero-allocation steady-state exchange.
-type barrier struct {
-	mu      sync.Mutex
-	cond    sync.Cond
-	p       int
-	count   int
-	gen     int
-	aborted bool // machine aborted: release everyone, arrivals void
-}
-
-func newBarrier(p int) *barrier {
-	b := &barrier{p: p}
-	b.cond.L = &b.mu
-	return b
-}
-
-// await arrives and blocks until the generation completes, returning the
-// generation index (identical for all P participants of one
-// synchronization — the trace's step identifier). Returns -1 when the
-// wait was cut short by an abort.
-func (b *barrier) await() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.aborted {
-		return -1
-	}
-	gen := b.gen
-	b.count++
-	if b.count == b.p {
-		b.count = 0
-		b.gen++
-		b.cond.Broadcast()
-	}
-	for b.gen == gen && !b.aborted {
-		b.cond.Wait()
-	}
-	if b.gen == gen {
-		return -1 // released by the abort, not by the last arriver
-	}
-	return gen
-}
-
-// abort releases every waiter with a void generation; every later
-// arrival is void too.
-func (b *barrier) abort() {
-	b.mu.Lock()
-	b.aborted = true
-	b.cond.Broadcast()
-	b.mu.Unlock()
-}
-
 // RunConfig bundles the optional knobs of a simulated run.
 type RunConfig struct {
 	// Timeout arms the stall watchdog: when positive and no rank
@@ -417,8 +333,8 @@ type RunConfig struct {
 	// LocalRanks names the ranks this process runs; nil means all P (the
 	// single-process default). A distributed launcher starts one machine
 	// per process, each naming its own rank(s) here over a shared
-	// network backend. Comm.Barrier panics on such a machine, and the
-	// stall watchdog should stay disabled (it cannot see remote progress).
+	// network backend. The stall watchdog should stay disabled there (it
+	// cannot see remote progress).
 	LocalRanks []int
 	// StartEpoch is the epoch the machine runs in (normally zero). Every
 	// packet is stamped with it, and a receiving link drops packets of any

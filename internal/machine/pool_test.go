@@ -50,12 +50,19 @@ func TestPayloadPoolReuse(t *testing.T) {
 	}
 }
 
+// sync2 synchronizes the two ranks of a run with one empty message each
+// way, which allocates nothing.
+func sync2(c *Comm) {
+	c.Send(1-c.Rank(), -1, nil)
+	c.RecvInto(1-c.Rank(), -1, nil)
+}
+
 // steadyMallocs runs two ranks, each looping over the round newRound
-// builds for it: three warm-up rounds (payload pool, held list, barrier
-// path), then rounds measured ones. It returns the run's report and the
-// mallocs counted across the measured rounds. Rank 0 counts; rank 1
-// mirrors the same loop and every round ends at a barrier, so an
-// allocation on either side shows up in the global malloc counter.
+// builds for it: three warm-up rounds (payload pool, held list), then
+// rounds measured ones. It returns the run's report and the mallocs
+// counted across the measured rounds. Rank 0 counts; rank 1 mirrors the
+// same loop and every round ends at a sync2, so an allocation on either
+// side shows up in the global malloc counter.
 func steadyMallocs(t *testing.T, rounds int, newRound func(c *Comm) func()) (*Report, uint64) {
 	t.Helper()
 	var mallocs uint64
@@ -64,7 +71,7 @@ func steadyMallocs(t *testing.T, rounds int, newRound func(c *Comm) func()) (*Re
 		for i := 0; i < 3; i++ {
 			round()
 		}
-		c.Barrier()
+		sync2(c)
 		if c.Rank() != 0 {
 			for i := 0; i < rounds; i++ {
 				round()
@@ -87,7 +94,7 @@ func steadyMallocs(t *testing.T, rounds int, newRound func(c *Comm) func()) (*Re
 }
 
 // TestSteadyStateExchangeZeroAlloc pins the machine-layer half of the
-// session engine's zero-allocation guarantee: a Send/RecvInto/Barrier
+// session engine's zero-allocation guarantee: a Send/RecvInto/sync2
 // loop over the direct transport allocates nothing after one warm-up
 // round, because Send draws its defensive copy from the payload pool and
 // RecvInto recycles it on delivery.
@@ -107,7 +114,7 @@ func TestSteadyStateExchangeZeroAlloc(t *testing.T) {
 				c.RecvInto(peer, 7, dst)
 				c.Send(peer, 7, src)
 			}
-			c.Barrier()
+			sync2(c)
 		}
 	})
 	if want := int64((rounds + 3) * words); rep.SentWords[0] != want {
@@ -143,7 +150,7 @@ func TestOutOfOrderReceiveZeroAlloc(t *testing.T) {
 					}
 				}
 			}
-			c.Barrier()
+			sync2(c)
 		}
 	})
 	if mallocs > 50 {

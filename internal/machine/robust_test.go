@@ -2,8 +2,10 @@ package machine
 
 import (
 	"errors"
+	"runtime"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -21,10 +23,12 @@ func TestInboxFloodUnbounded(t *testing.T) {
 			for i := 0; i < perSender; i++ {
 				c.Send(0, i, []float64{float64(c.Rank()), float64(i)})
 			}
-			c.Barrier()
+			c.Send(0, perSender, nil) // done
 			return
 		}
-		c.Barrier() // every sender has finished before rank 0 drains
+		for from := 1; from < p; from++ {
+			c.Recv(from, perSender) // every sender has finished before rank 0 drains
+		}
 		for from := 1; from < p; from++ {
 			for i := 0; i < perSender; i++ {
 				got := c.Recv(from, i)
@@ -36,6 +40,37 @@ func TestInboxFloodUnbounded(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDeadlockVerdictReleasesRanks: once the watchdog's verdict is in,
+// the ranks it found blocked unwind and exit, and the abort that unwinds
+// them is no rank death.
+func TestDeadlockVerdictReleasesRanks(t *testing.T) {
+	before := runtime.NumGoroutine()
+	var downs atomic.Int32
+	_, err := RunWith(3, RunConfig{
+		Timeout:    50 * time.Millisecond,
+		OnRankDown: func(int, error) { downs.Add(1) },
+	}, func(c *Comm) {
+		switch c.Rank() {
+		case 0:
+			c.Recv(1, 5)
+		case 1:
+			c.Recv(0, 6)
+		}
+	})
+	var dead *DeadlockError
+	if !errors.As(err, &dead) {
+		t.Fatalf("err %T (%v), want *DeadlockError", err, err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the verdict, %d before the run", runtime.NumGoroutine(), before)
+		}
+	}
+	if n := downs.Load(); n != 0 {
+		t.Errorf("%d ranks reported down, want none", n)
 	}
 }
 

@@ -104,8 +104,8 @@ type Transport interface {
 	// released outside Recv — during a Send's ack wait, or in Wait — must
 	// go to Wire.Hold too.
 	Recv() (pkt Packet, ok bool)
-	// Wait runs block, which parks the rank outside Send/Recv (at a
-	// barrier, or waiting for host input), and returns after block has.
+	// Wait runs block, which parks the rank outside Send/Recv (waiting
+	// for host input), and returns after block has.
 	// A transport whose peers may still need answers meanwhile — a lost
 	// acknowledgement strands its sender once the receiver stops pulling
 	// its mailbox — services the wire in full while block runs, so block
@@ -239,8 +239,7 @@ func (t *directTransport) Recv() (pkt Packet, ok bool) {
 }
 
 // Wait runs block inline: nothing on a perfect wire needs answering while
-// the rank waits, and the barrier's condition-variable wait stays
-// allocation-free.
+// the rank waits.
 func (t *directTransport) Wait(block func()) { block() }
 
 // Linger returns at once: no peer ever waits on this rank's replies.

@@ -164,7 +164,7 @@ func TestSocketChaosReportsEachLostFrameOnce(t *testing.T) {
 	}
 }
 
-// TestDistributedBarrierServicesTransport is the regression test for the
+// TestParkedRankServicesTransport is the regression test for the
 // park/ack deadlock: rank 0 receives a message, sends the ack, the ack is
 // lost, and rank 0 parks in AwaitHost, as a rank process does between
 // control-plane ops. Rank 1 is still blocked in Send, retransmitting —
@@ -172,7 +172,7 @@ func TestSocketChaosReportsEachLostFrameOnce(t *testing.T) {
 // re-acknowledge the duplicate while rank 0 is parked. A parked rank that
 // stopped servicing its transport would leave rank 1 retransmitting into
 // silence until its attempt budget died, and the run would fail.
-func TestDistributedBarrierServicesTransport(t *testing.T) {
+func TestParkedRankServicesTransport(t *testing.T) {
 	const p = 2
 	co, err := netwire.NewCoordinator("tcp", "127.0.0.1:0", p)
 	if err != nil {

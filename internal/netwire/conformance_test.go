@@ -52,7 +52,6 @@ func TestLoopbackMachineConformance(t *testing.T) {
 				}
 				c.Send(peer, round, data)
 			}
-			c.Barrier()
 		}
 	}
 	ref, err := machine.RunWith(p, machine.RunConfig{Timeout: 30 * time.Second}, body)

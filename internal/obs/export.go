@@ -112,7 +112,6 @@ type jsonlEvent struct {
 var kindNames = map[machine.EventKind]string{
 	machine.EventSend:            "send",
 	machine.EventRecv:            "recv",
-	machine.EventBarrier:         "barrier",
 	machine.EventPhaseBegin:      "phase-begin",
 	machine.EventPhaseEnd:        "phase-end",
 	machine.EventLocalCompute:    "local-compute",
@@ -134,7 +133,7 @@ var kindValues = func() map[string]machine.EventKind {
 
 // WriteTraceJSONL writes the trace as one JSON object per line in
 // canonical (rank, seq) order — the flat interchange format read back by
-// ReadTraceJSONL and by cmd/sttsvtrace.
+// ReadTraceJSONL and by the experiments trace subcommand.
 func WriteTraceJSONL(w io.Writer, t *Trace) error {
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
@@ -146,8 +145,6 @@ func WriteTraceJSONL(w io.Writer, t *Trace) error {
 			Wall: e.Wall,
 		}
 		switch e.Kind {
-		case machine.EventBarrier:
-			je.Step = e.Step + 1 // shift so generation 0 survives omitempty
 		case machine.EventRecoveryBegin:
 			je.Step = e.Step // retry attempt index, 1-based
 		case machine.EventRecoveryEnd:
@@ -192,8 +189,6 @@ func ReadTraceJSONL(r io.Reader) (*Trace, error) {
 			Epoch: je.Epoch, Wall: je.Wall,
 		}
 		switch kind {
-		case machine.EventBarrier:
-			e.Step = je.Step - 1
 		case machine.EventRecoveryBegin:
 			e.Step = je.Step
 		case machine.EventRecoveryEnd, machine.EventRestoreMismatch:
@@ -268,7 +263,7 @@ func WriteMetricsJSONL(w io.Writer, t *Trace, tl *Timeline) error {
 			rec.Finish = tl.Finish[r]
 			rec.Compute = tl.Compute[r]
 			rec.SendTime = tl.SendTime[r]
-			rec.Idle = tl.Idle(r)
+			rec.Idle = tl.RecvWait[r]
 			rec.Overlap = tl.Overlap[r]
 		}
 		if err := enc.Encode(rec); err != nil {

@@ -1,7 +1,7 @@
 // Package obs is the observability layer over the simulated α-β-γ
 // machine: it collects the structured trace events that machine.Comm,
 // package collective, and package parallel emit (phase markers, logical
-// and wire send/recv, barrier passings, local-compute completions),
+// and wire send/recv, local-compute completions, recovery markers),
 // aggregates them into phase-scoped meters, replays them under a
 // configurable α-β-γ time model into a per-rank timeline (critical path,
 // Gantt spans, idle/overlap attribution), and exports both raw traces and
@@ -148,9 +148,8 @@ type PhaseTotals struct {
 // stepCounter counts communication steps from the logical sends. Each
 // step of a scheduled exchange sends under its own tag, and each
 // occurrence of a phase — one per power iteration — opens with its own
-// PhaseBegin, so a step is a distinct (phase occurrence, tag) pair. The
-// count needs no barrier: the exchange may run without one. Each rank's
-// events must be noted in emission order; ranks may interleave.
+// PhaseBegin, so a step is a distinct (phase occurrence, tag) pair. Each
+// rank's events must be noted in emission order; ranks may interleave.
 type stepCounter struct {
 	occ   map[rankPhase]int
 	steps map[string]map[[2]int]bool // label -> {occurrence, tag}

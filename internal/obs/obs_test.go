@@ -16,8 +16,8 @@ import (
 )
 
 // runPipeline is a tiny deterministic phased program: rank 0 sends r
-// words to each other rank inside phase "spread", everyone barriers,
-// then each rank reports a local-compute stage inside phase "work".
+// words to each other rank r inside phase "spread", then each rank
+// reports a local-compute stage inside phase "work".
 func runPipeline(t *testing.T, p int) (*Trace, *machine.Report) {
 	t.Helper()
 	var rec Recorder
@@ -33,11 +33,9 @@ func runPipeline(t *testing.T, p int) (*Trace, *machine.Report) {
 		} else {
 			c.Recv(0, 7)
 		}
-		c.Barrier()
 		c.EndPhase()
 		c.BeginPhase("work")
 		c.LocalCompute(int64(100 * (c.Rank() + 1)))
-		c.Barrier()
 		c.EndPhase()
 	})
 	if err != nil {
@@ -90,15 +88,15 @@ func TestTraceCanonicalOrderAndPhaseTotals(t *testing.T) {
 		}
 	}
 	// A compute phase sends nothing, so it counts no steps (as
-	// PhaseMeter.Steps defines compute phases), barrier or not.
+	// PhaseMeter.Steps defines compute phases).
 	if work.Steps != 0 {
 		t.Errorf("work steps = %d, want 0", work.Steps)
 	}
 }
 
 func TestReplayAnalytic(t *testing.T) {
-	// Two ranks, one 4-word message 0→1 then a barrier: every clock is
-	// computable by hand under α=1, β=0.5, γ=0.
+	// Two ranks, one 4-word message 0→1: every clock is computable by
+	// hand under α=1, β=0.5, γ=0.
 	var rec Recorder
 	_, err := machine.RunWith(2, machine.RunConfig{
 		Timeout: 5 * time.Second, Observer: rec.Observer(),
@@ -109,7 +107,6 @@ func TestReplayAnalytic(t *testing.T) {
 		} else {
 			c.Recv(0, 0)
 		}
-		c.Barrier()
 		c.EndPhase()
 	})
 	if err != nil {
@@ -119,8 +116,8 @@ func TestReplayAnalytic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Send occupies rank 0 for 1 + 4·0.5 = 3; rank 1 waits 3 for it; the
-	// barrier then syncs both at 3.
+	// Send occupies rank 0 for 1 + 4·0.5 = 3; rank 1 waits 3 for it, so
+	// both finish at 3.
 	for r, want := range []float64{3, 3} {
 		if math.Abs(tl.Finish[r]-want) > 1e-12 {
 			t.Errorf("finish[%d] = %g, want %g", r, tl.Finish[r], want)
@@ -144,23 +141,17 @@ func TestReplayAnalytic(t *testing.T) {
 }
 
 func TestReplayAttributionInvariant(t *testing.T) {
-	// Every simulated second is exactly one of compute/send/recv-wait/
-	// barrier-wait: the four must sum to each rank's finish time.
+	// Every simulated second is exactly one of compute/send/recv-wait:
+	// the three must sum to each rank's finish time.
 	tr, _ := runPipeline(t, 5)
 	tl, err := Replay(tr, DefaultTimeModel())
 	if err != nil {
 		t.Fatal(err)
 	}
 	for r := 0; r < tl.P; r++ {
-		sum := tl.Compute[r] + tl.SendTime[r] + tl.RecvWait[r] + tl.BarrierWait[r]
+		sum := tl.Compute[r] + tl.SendTime[r] + tl.RecvWait[r]
 		if math.Abs(sum-tl.Finish[r]) > 1e-12*math.Max(1, tl.Finish[r]) {
 			t.Errorf("rank %d: attribution sum %g != finish %g", r, sum, tl.Finish[r])
-		}
-	}
-	// All ranks end at the final barrier, so all finishes coincide.
-	for r := 1; r < tl.P; r++ {
-		if math.Abs(tl.Finish[r]-tl.Finish[0]) > 1e-15 {
-			t.Errorf("finish[%d] = %g != finish[0] = %g", r, tl.Finish[r], tl.Finish[0])
 		}
 	}
 }
@@ -213,7 +204,7 @@ func FuzzReadTraceJSONL(f *testing.F) {
 	f.Add(buf.String())
 	for _, in := range []string{
 		`{"kind":"send","rank":1,"from":1,"to":0,"tag":101,"words":6,"phase":"gather","seq":3}`,
-		`{"kind":"barrier","rank":0,"from":0,"to":0,"seq":0,"step":1}` + "\n" + `{"kind":"recovery-end","rank":0,"seq":1,"step":-4}`,
+		`{"kind":"restore-mismatch","rank":0,"from":0,"to":0,"seq":0,"step":1}` + "\n" + `{"kind":"recovery-end","rank":0,"seq":1,"step":-4}`,
 		`{"kind":"send","rank":-1,"from":0,"to":0,"seq":0}`,
 		`{"kind":"phase-begin","rank":2,"phase":"<\u00e9>","seq":-9,"wall_ns":5,"epoch":3,"wire":true}`,
 		"\n\n{}\n",
@@ -246,7 +237,7 @@ func TestReadTraceJSONLRejectsNegativeRank(t *testing.T) {
 		`{"kind":"send","rank":0,"from":0,"to":-2,"seq":0,"words":1}`,
 		`{"kind":"recv","rank":1,"from":-1,"to":1,"seq":0,"words":1}`,
 	} {
-		in := `{"kind":"barrier","rank":0,"from":0,"to":0,"seq":0}` + "\n" + line + "\n"
+		in := `{"kind":"phase-begin","rank":0,"from":0,"to":0,"seq":0}` + "\n" + line + "\n"
 		_, err := ReadTraceJSONL(strings.NewReader(in))
 		if err == nil || !strings.Contains(err.Error(), "line 2") || !strings.Contains(err.Error(), "negative rank") {
 			t.Errorf("%s: err = %v, want a line-2 negative-rank error", line, err)
@@ -311,28 +302,24 @@ func fixtureEvents() []machine.Event {
 		if e.Kind != machine.EventSend && e.Kind != machine.EventRecv {
 			e.From, e.To = rank, rank
 		}
-		if e.Kind != machine.EventBarrier {
-			e.Step = -1
-		}
+		e.Step = -1
 		return e
 	}
 	events := []machine.Event{
 		mk(0, 0, machine.EventPhaseBegin, machine.Event{Phase: "gather"}),
 		mk(0, 1, machine.EventSend, machine.Event{From: 0, To: 1, Tag: 100, Words: 6, Phase: "gather"}),
 		mk(0, 2, machine.EventRecv, machine.Event{From: 1, To: 0, Tag: 100, Words: 6, Phase: "gather"}),
-		mk(0, 3, machine.EventBarrier, machine.Event{Phase: "gather", Step: 0}),
-		mk(0, 4, machine.EventPhaseEnd, machine.Event{Phase: "gather"}),
-		mk(0, 5, machine.EventPhaseBegin, machine.Event{Phase: "local"}),
-		mk(0, 6, machine.EventLocalCompute, machine.Event{Phase: "local", Ternary: 4000}),
-		mk(0, 7, machine.EventPhaseEnd, machine.Event{Phase: "local"}),
+		mk(0, 3, machine.EventPhaseEnd, machine.Event{Phase: "gather"}),
+		mk(0, 4, machine.EventPhaseBegin, machine.Event{Phase: "local"}),
+		mk(0, 5, machine.EventLocalCompute, machine.Event{Phase: "local", Ternary: 4000}),
+		mk(0, 6, machine.EventPhaseEnd, machine.Event{Phase: "local"}),
 		mk(1, 0, machine.EventPhaseBegin, machine.Event{Phase: "gather"}),
 		mk(1, 1, machine.EventSend, machine.Event{From: 1, To: 0, Tag: 100, Words: 6, Phase: "gather"}),
 		mk(1, 2, machine.EventRecv, machine.Event{From: 0, To: 1, Tag: 100, Words: 6, Phase: "gather"}),
-		mk(1, 3, machine.EventBarrier, machine.Event{Phase: "gather", Step: 0}),
-		mk(1, 4, machine.EventPhaseEnd, machine.Event{Phase: "gather"}),
-		mk(1, 5, machine.EventPhaseBegin, machine.Event{Phase: "local"}),
-		mk(1, 6, machine.EventLocalCompute, machine.Event{Phase: "local", Ternary: 8000}),
-		mk(1, 7, machine.EventPhaseEnd, machine.Event{Phase: "local"}),
+		mk(1, 3, machine.EventPhaseEnd, machine.Event{Phase: "gather"}),
+		mk(1, 4, machine.EventPhaseBegin, machine.Event{Phase: "local"}),
+		mk(1, 5, machine.EventLocalCompute, machine.Event{Phase: "local", Ternary: 8000}),
+		mk(1, 6, machine.EventPhaseEnd, machine.Event{Phase: "local"}),
 	}
 	return events
 }

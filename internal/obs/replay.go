@@ -14,11 +14,10 @@ import (
 // for Alpha + W·Beta seconds, a receiver proceeds once the message's
 // transfer completes (sends and receives overlap on the bidirectional
 // links of the model), and a local-compute stage of T ternary
-// multiplications costs T·Gamma seconds. Barriers cost no time of their
-// own — they only synchronize. The scheduled exchange runs without them,
-// so a phase replays to its dependency critical path, which never exceeds
-// the stepwise Σ(α + maxWords·β) of §7.2 and equals it when every rank
-// sends the same words in every step.
+// multiplications costs T·Gamma seconds. Nothing else synchronizes the
+// ranks, so a phase replays to its dependency critical path, which never
+// exceeds the stepwise Σ(α + maxWords·β) of §7.2 and equals it when every
+// rank sends the same words in every step.
 type TimeModel struct {
 	// Alpha is the per-message latency in seconds.
 	Alpha float64
@@ -47,8 +46,6 @@ const (
 	SpanCompute SpanKind = "compute"
 	// SpanRecvWait is time spent waiting for a message still in flight.
 	SpanRecvWait SpanKind = "recv-wait"
-	// SpanBarrierWait is time spent waiting at a barrier for slower ranks.
-	SpanBarrierWait SpanKind = "barrier-wait"
 )
 
 // Span is one interval of a rank's replayed timeline (seconds).
@@ -71,13 +68,12 @@ type Timeline struct {
 	Model TimeModel
 	// Finish is each rank's critical-path completion time (seconds).
 	Finish []float64
-	// Compute, SendTime, RecvWait, BarrierWait attribute each rank's
-	// timeline; Finish = Compute + SendTime + RecvWait + BarrierWait for
-	// every rank (each simulated second is exactly one of the four).
-	Compute     []float64
-	SendTime    []float64
-	RecvWait    []float64
-	BarrierWait []float64
+	// Compute, SendTime, RecvWait attribute each rank's timeline;
+	// Finish = Compute + SendTime + RecvWait for every rank (each
+	// simulated second is exactly one of the three).
+	Compute  []float64
+	SendTime []float64
+	RecvWait []float64
 	// Overlap is the portion of each rank's received transfer time it did
 	// not have to wait for — communication hidden behind the rank's own
 	// sending/compute. Higher is better; RecvWait is its complement.
@@ -105,9 +101,6 @@ func (tl *Timeline) Makespan() float64 {
 	}
 	return m
 }
-
-// Idle returns rank r's total waiting time (recv + barrier).
-func (tl *Timeline) Idle(r int) float64 { return tl.RecvWait[r] + tl.BarrierWait[r] }
 
 // PhaseTime returns the maximum over ranks of the summed durations of the
 // given phase's spans — the phase's contribution to the critical path
@@ -137,32 +130,27 @@ type msgKey struct{ from, to, tag int }
 type transfer struct{ start, finish float64 }
 
 // Replay executes the logical events of t on a simulated clock under
-// model m. The trace must be complete (every recv matched by a send,
-// every barrier generation reached by all ranks) — the trace of any
-// successful run is; a crashed or truncated trace yields an error naming
-// the stuck ranks.
+// model m. The trace must be complete (every recv matched by a send) —
+// the trace of any successful run is; a crashed or truncated trace yields
+// an error naming the stuck ranks.
 func Replay(t *Trace, m TimeModel) (*Timeline, error) {
 	perRank := t.Logical().PerRank()
 	p := t.P
 	tl := &Timeline{
-		P:           p,
-		Model:       m,
-		Finish:      make([]float64, p),
-		Compute:     make([]float64, p),
-		SendTime:    make([]float64, p),
-		RecvWait:    make([]float64, p),
-		BarrierWait: make([]float64, p),
-		Overlap:     make([]float64, p),
-		Spans:       make([][]Span, p),
-		PhaseSteps:  make(map[string]int),
+		P:          p,
+		Model:      m,
+		Finish:     make([]float64, p),
+		Compute:    make([]float64, p),
+		SendTime:   make([]float64, p),
+		RecvWait:   make([]float64, p),
+		Overlap:    make([]float64, p),
+		Spans:      make([][]Span, p),
+		PhaseSteps: make(map[string]int),
 	}
 
 	idx := make([]int, p)
 	clock := make([]float64, p)
 	inFlight := make(map[msgKey][]transfer)
-	barrArrived := make(map[int][]bool)     // generation -> per-rank arrived
-	barrArriveAt := make(map[int][]float64) // generation -> per-rank arrival clock
-	barrCount := make(map[int]int)
 	phaseStart := make([]float64, p)
 	phaseSeen := make(map[string]bool)
 	steps := newStepCounter()
@@ -177,7 +165,7 @@ func Replay(t *Trace, m TimeModel) (*Timeline, error) {
 	}
 
 	// step processes rank r's next event; it returns false when the rank
-	// is blocked (recv not yet sent, barrier generation incomplete).
+	// is blocked on a recv whose send has not been replayed yet.
 	step := func(r int) bool {
 		e := perRank[r][idx[r]]
 		switch e.Kind {
@@ -212,33 +200,6 @@ func Replay(t *Trace, m TimeModel) (*Timeline, error) {
 				clock[r] = tr.finish
 			} else {
 				tl.Overlap[r] += xfer
-			}
-
-		case machine.EventBarrier:
-			gen := e.Step
-			if barrArrived[gen] == nil {
-				barrArrived[gen] = make([]bool, p)
-				barrArriveAt[gen] = make([]float64, p)
-			}
-			if !barrArrived[gen][r] {
-				barrArrived[gen][r] = true
-				barrArriveAt[gen][r] = clock[r]
-				barrCount[gen]++
-			}
-			if barrCount[gen] < p {
-				return false // wait for the stragglers
-			}
-			done := 0.0
-			for _, at := range barrArriveAt[gen] {
-				if at > done {
-					done = at
-				}
-			}
-			if wait := done - clock[r]; wait > 0 {
-				tl.Spans[r] = append(tl.Spans[r], Span{Rank: r, Kind: SpanBarrierWait,
-					Label: fmt.Sprintf("barrier %d", gen), Start: clock[r], End: done})
-				tl.BarrierWait[r] += wait
-				clock[r] = done
 			}
 
 		case machine.EventPhaseBegin:
@@ -320,7 +281,7 @@ func less(a, b Span) bool {
 
 // WriteGantt renders an ASCII Gantt chart of the timeline: one row per
 // rank, `width` columns spanning the makespan. Cell glyphs: '#' compute,
-// 's' sending, '.' recv wait, '-' barrier wait, ' ' outside any span.
+// 's' sending, '.' recv wait, ' ' outside any span.
 func WriteGantt(w io.Writer, tl *Timeline, width int) error {
 	if width < 10 {
 		width = 10
@@ -329,7 +290,7 @@ func WriteGantt(w io.Writer, tl *Timeline, width int) error {
 	if span <= 0 {
 		span = 1
 	}
-	glyph := map[SpanKind]byte{SpanCompute: '#', SpanSend: 's', SpanRecvWait: '.', SpanBarrierWait: '-'}
+	glyph := map[SpanKind]byte{SpanCompute: '#', SpanSend: 's', SpanRecvWait: '.'}
 	for r := 0; r < tl.P; r++ {
 		row := make([]byte, width)
 		for i := range row {
@@ -353,10 +314,10 @@ func WriteGantt(w io.Writer, tl *Timeline, width int) error {
 			}
 		}
 		if _, err := fmt.Fprintf(w, "%4d |%s| %8.3gs idle %.1f%%\n", r, row, tl.Finish[r],
-			100*tl.Idle(r)/math.Max(tl.Finish[r], 1e-300)); err != nil {
+			100*tl.RecvWait[r]/math.Max(tl.Finish[r], 1e-300)); err != nil {
 			return err
 		}
 	}
-	_, err := fmt.Fprintf(w, "     makespan %.4gs   (#=compute s=send .=recv-wait -=barrier-wait)\n", tl.Makespan())
+	_, err := fmt.Fprintf(w, "     makespan %.4gs   (#=compute s=send .=recv-wait)\n", tl.Makespan())
 	return err
 }

@@ -46,9 +46,8 @@ func RunRowBaseline(a *tensor.Symmetric, x []float64, p int, cfg machine.RunConf
 		lo, hi := bounds[me], bounds[me+1]
 
 		// All-gather x: every rank contributes its owned range.
-		world := collective.World(c)
 		var pieces [][]float64
-		pr.comm(c, "all-gather", func() { pieces = world.AllGatherV(1, x[lo:hi]) })
+		pr.comm(c, "all-gather", func() { pieces = collective.AllGatherV(c, 1, x[lo:hi]) })
 		xs := make([]float64, n)
 		pos := 0
 		for _, piece := range pieces {
@@ -94,7 +93,7 @@ func RunRowBaseline(a *tensor.Symmetric, x []float64, p int, cfg machine.RunConf
 		for r := 0; r < p; r++ {
 			contrib[r] = partial[bounds[r]:bounds[r+1]]
 		}
-		pr.comm(c, "reduce-scatter", func() { finalY[me] = world.ReduceScatterSum(2, contrib) })
+		pr.comm(c, "reduce-scatter", func() { finalY[me] = collective.ReduceScatterSum(c, 2, contrib) })
 	})
 	if err != nil {
 		return nil, err
@@ -149,9 +148,8 @@ func RunSequenceBaseline(a *tensor.Symmetric, x []float64, p int, cfg machine.Ru
 		lo, hi := bounds[me], bounds[me+1]
 
 		// All-gather x — the only communication of the approach.
-		world := collective.World(c)
 		var pieces [][]float64
-		pr.comm(c, "all-gather", func() { pieces = world.AllGatherV(1, x[lo:hi]) })
+		pr.comm(c, "all-gather", func() { pieces = collective.AllGatherV(c, 1, x[lo:hi]) })
 		xs := make([]float64, n)
 		pos := 0
 		for _, piece := range pieces {

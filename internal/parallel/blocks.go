@@ -41,14 +41,20 @@ func PackRankBlocks(a *tensor.Symmetric, part *partition.Tetrahedral, b int) (*R
 		rb.N = a.N
 	}
 	for p := 0; p < part.P; p++ {
-		cs := part.Blocks(p)
-		coords := make([][3]int, len(cs))
-		for i, c := range cs {
-			coords[i] = [3]int{c.I, c.J, c.K}
-		}
-		rb.per[p] = tensor.PackBlocks(a, coords, b)
+		rb.per[p] = tensor.PackBlocks(a, blockCoords(part, p), b)
 	}
 	return rb, nil
+}
+
+// blockCoords lists rank p's tetrahedral block coordinates in the
+// partition's order: the selection every dense and sparse packing makes.
+func blockCoords(part *partition.Tetrahedral, p int) [][3]int {
+	cs := part.Blocks(p)
+	coords := make([][3]int, len(cs))
+	for i, c := range cs {
+		coords[i] = [3]int{c.I, c.J, c.K}
+	}
+	return coords
 }
 
 // Rank returns rank p's packed block set.

@@ -9,10 +9,12 @@
 // staging, phase meters, dirty-region checkpoints, crash recovery — by
 // synthesizing a one-row-per-rank layout: rank p's single "row block" is
 // its chunk, it owns the whole chunk (no chunk sharing), and the
-// point-to-point schedule is empty, leaving the all-reduce as the only
-// communication. The result bits equal sttsv.CPOperator.ApplyChunked(x, P)
-// exactly: the collective sums the per-rank partials in rank order, which
-// is the chunk order the oracle reproduces.
+// point-to-point schedule is empty. The session's rank step is then
+// project → all-reduce → update instead of gather → contribute →
+// reduce-scatter, and the all-reduce is the only communication. The
+// result bits equal sttsv.CPOperator.ApplyChunked(x, P) exactly: the
+// collective sums the per-rank partials in rank order, which is the chunk
+// order the oracle reproduces.
 package parallel
 
 import (
@@ -58,10 +60,7 @@ func OpenCPSession(op *sttsv.CPOperator, copts CPOptions) (*Session, error) {
 	if op == nil {
 		return nil, fmt.Errorf("parallel: nil CP operator")
 	}
-	p := copts.P
-	if p < 1 {
-		p = 1
-	}
+	p := max(copts.P, 1)
 	b := (op.N + p - 1) / p // chunk width = block edge of the synthetic layout
 
 	// Synthetic one-row-per-rank partition: only P and M are consulted by
@@ -102,105 +101,52 @@ func OpenCPSession(op *sttsv.CPOperator, copts CPOptions) (*Session, error) {
 		rk.maxMsgW = op.R       // sendBuf doubles as the z-partial buffer
 	}
 
-	opts := Options{
-		Part:     part,
-		B:        b,
-		Wiring:   WiringP2P,
-		Machine:  copts.Machine,
-		MaxCols:  copts.MaxCols,
-		Recovery: copts.Recovery,
-	}
 	s := &Session{
-		opts:   opts,
+		opts: Options{
+			Part:     part,
+			B:        b,
+			Wiring:   WiringP2P,
+			Machine:  copts.Machine,
+			MaxCols:  copts.MaxCols,
+			Recovery: copts.Recovery,
+		},
 		part:   part,
 		b:      b,
 		padded: p * b,
 		n:      op.N,
-		cp:     rt,
+		step:   newRankStep(rt.step, "local", "all-reduce"),
 		lay:    lay,
 	}
-	maxCols := opts.MaxCols
-	if maxCols < 1 {
-		maxCols = 1
-	}
-	s.grow(maxCols)
-	if err := s.start(); err != nil {
-		return nil, err
-	}
-	return s, nil
+	return s.open()
 }
 
-// cpProject forms this rank's partial projections for cols staged
-// columns into the (zeroed) z buffer: z[l·r+k] = Σ_i V[i,k]·x_l[i] over
-// the rank's rows. Counted as (hi−lo)·r ternary-equivalent
-// multiplications per column — the projection half of the 2nr apply.
-func (s *Session) cpProject(me int, rk *sessionRank, z []float64, cols int) int64 {
-	op := s.cp.op
-	lo, hi := s.cp.lo[me], s.cp.hi[me]
+// step is the CP session's rank step: project the rank's rows of the cols
+// staged columns (z[l·r+k] = Σ_i V[i,k]·x_l[i]), all-reduce the r·cols
+// partial projections under tag 310, then update the rank's rows,
+// y_l += V·(λ∘z_l²). Each half counts (hi−lo)·r ternary-equivalent
+// multiplications per column, the 2nr apply. The per-rank communication
+// is O(r·cols) words, independent of n — the low-rank analogue of the
+// paper's Θ(n/P^{1/3}) bound.
+func (rt *cpRuntime) step(rk *sessionRank, c *machine.Comm, cols int, pr *phaseRecorder) {
+	me := c.Rank()
+	op, lo, hi := rt.op, rt.lo[me], rt.hi[me]
 	r := op.R
-	for l := 0; l < cols; l++ {
-		op.Project(lo, hi, rk.xRowCol(me, l)[:hi-lo], z[l*r:(l+1)*r])
-	}
-	return int64(hi-lo) * int64(r) * int64(cols)
-}
-
-// cpUpdate finishes the apply on this rank's rows from the all-reduced
-// projections: y_l += V·(λ∘z_l²). The update half of the 2nr accounting.
-func (s *Session) cpUpdate(me int, rk *sessionRank, sums []float64, cols int) int64 {
-	op := s.cp.op
-	lo, hi := s.cp.lo[me], s.cp.hi[me]
-	r := op.R
-	for l := 0; l < cols; l++ {
-		op.Update(lo, hi, sums[l*r:(l+1)*r], s.cp.wk[me], rk.yRowCol(me, l)[:hi-lo])
-	}
-	return int64(hi-lo) * int64(r) * int64(cols)
-}
-
-// cpApplyOp is the rank closure of one (possibly batched) CP application:
-// stage → local projection → r·cols-word all-reduce → local update →
-// publish. The per-rank communication is O(r·cols) words, independent of
-// n — the low-rank analogue of the paper's Θ(n/P^{1/3}) bound.
-func (s *Session) cpApplyOp(cols int, pr *phaseRecorder, deltas []machine.Meters) func(me int, c *machine.Comm) {
-	return func(me int, c *machine.Comm) {
-		rk := s.rk[me]
-		m0 := c.Meters()
-		if rk.world == nil || rk.world.Comm() != c {
-			rk.world = collective.World(c)
+	mults := int64(hi-lo) * int64(r) * int64(cols)
+	rk.zeroY()
+	z := rk.sendBuf[:r*cols]
+	clear(z)
+	pr.local(c, "local", func() int64 {
+		for l := 0; l < cols; l++ {
+			op.Project(lo, hi, rk.xRowCol(me, l)[:hi-lo], z[l*r:(l+1)*r])
 		}
-		rk.stage(s.stageX, cols)
-		rk.zeroY()
-		z := rk.sendBuf[:s.cp.op.R*cols]
-		clear(z)
-		pr.local(c, "local", func() int64 { return s.cpProject(me, rk, z, cols) })
-		var sums []float64
-		pr.comm(c, "all-reduce", func() { sums = rk.world.AllReduceSum(310, z) })
-		pr.local(c, "local", func() int64 { return s.cpUpdate(me, rk, sums, cols) })
-		rk.publish(s.stageY, cols)
-		deltas[me] = c.Meters().Sub(m0)
-	}
-}
-
-// cpPowerIterOp is the CP power-method iteration: the iterate stays
-// distributed in the chunk layout, each iteration is projection →
-// all-reduce → update, and the convergence tail (λ and ‖y‖² all-reduce,
-// test, normalize) is powerAdvance — the identical code the dense and
-// sparse paths run, so convergence semantics cannot drift between
-// operator flavors.
-func (s *Session) cpPowerIterOp(tol float64, pr *phaseRecorder, st *powerIterState) func(me int, c *machine.Comm) {
-	return func(me int, c *machine.Comm) {
-		rk := s.rk[me]
-		if rk.world == nil || rk.world.Comm() != c {
-			rk.world = collective.World(c)
+		return mults
+	})
+	var sums []float64
+	pr.comm(c, "all-reduce", func() { sums = collective.AllReduceSum(c, 310, z) })
+	pr.local(c, "local", func() int64 {
+		for l := 0; l < cols; l++ {
+			op.Update(lo, hi, sums[l*r:(l+1)*r], rt.wk[me], rk.yRowCol(me, l)[:hi-lo])
 		}
-		w := rk.lay.myHi[0]
-		copy(rk.xA[:w], rk.chunk[:w])
-		rk.zeroY()
-		z := rk.sendBuf[:s.cp.op.R]
-		clear(z)
-		pr.local(c, "local", func() int64 { return s.cpProject(me, rk, z, 1) })
-		var sums []float64
-		pr.comm(c, "all-reduce", func() { sums = rk.world.AllReduceSum(310, z) })
-		pr.local(c, "local", func() int64 { return s.cpUpdate(me, rk, sums, 1) })
-		st.stop[me], st.converged[me], st.singular[me] = rk.powerAdvance(c, tol, pr)
-	}
+		return mults
+	})
 }

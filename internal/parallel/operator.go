@@ -1,17 +1,61 @@
 package parallel
 
 import (
+	"slices"
+
+	"repro/internal/machine"
 	"repro/internal/sparse"
 	"repro/internal/sttsv"
 	"repro/internal/tensor"
 )
 
-// localOperator is the session's rank-local compute seam: the one point
-// where the staged x arena is turned into partial y contributions. The
-// communication structure around it — gather, reduce-scatter, the power
-// method's all-reduce, checkpointing, recovery — is operator-agnostic,
-// so a dense tensor, a packed sparse tensor, and (with its own exchange
-// shape) a low-rank CP operator all run through the same Session.
+// rankStep is what a rank computes for one application, chosen when a
+// session opens: run takes the rank's staged x arena to its finished y
+// arena for cols columns, metering each phase into pr. Dense and sparse
+// sessions run Algorithm 5's tetrahedral step (tetraStep); CP sessions
+// project, all-reduce and update (cpRuntime.step). Apply, ApplyBatch,
+// MTTKRP and the power method wrap the same step, so every kind of
+// session dispatches one apply closure and one power iteration.
+type rankStep struct {
+	run func(rk *sessionRank, c *machine.Comm, cols int, pr *phaseRecorder)
+	// labels lists the phases run registers, in order; pmLabels appends
+	// the power method's all-reduce.
+	labels, pmLabels []string
+}
+
+func newRankStep(run func(rk *sessionRank, c *machine.Comm, cols int, pr *phaseRecorder), labels ...string) rankStep {
+	return rankStep{run: run, labels: labels, pmLabels: append(slices.Clip(labels), "all-reduce")}
+}
+
+// tetraStep is Algorithm 5's step (§7): gather the row-block chunks,
+// apply the rank's tetrahedral block set, reduce-scatter the partial
+// sums. The wiring chooses the exchange: the point-to-point schedule
+// (tags 100+si and 200+si) or the fixed-width All-to-All (tags 1 and 2).
+func tetraStep(op localOperator, wiring Wiring, maxChunk int) rankStep {
+	return newRankStep(func(rk *sessionRank, c *machine.Comm, cols int, pr *phaseRecorder) {
+		pr.comm(c, "gather", func() {
+			if wiring == WiringP2P {
+				rk.gatherP2P(c, cols)
+			} else {
+				rk.exchangeA2A(c, maxChunk, 1, cols, true)
+			}
+		})
+		rk.zeroY()
+		pr.local(c, "local", func() int64 { return op.contribute(c.Rank(), rk, cols) })
+		pr.comm(c, "reduce-scatter", func() {
+			if wiring == WiringP2P {
+				rk.scatterP2P(c, cols)
+			} else {
+				rk.exchangeA2A(c, maxChunk, 2, cols, false)
+			}
+		})
+	}, "gather", "local", "reduce-scatter")
+}
+
+// localOperator is the tetrahedral step's rank-local compute seam: the
+// one point where the staged x arena is turned into partial y
+// contributions, so a dense tensor and a packed sparse tensor run the
+// same exchanges, checkpoints and recovery.
 type localOperator interface {
 	// contribute runs rank me's local compute for cols staged columns,
 	// reading x row blocks and accumulating y row blocks through the

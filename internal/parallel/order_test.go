@@ -1,25 +1,34 @@
 package parallel
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/fault"
+	"repro/internal/la"
 	"repro/internal/machine"
+	"repro/internal/partition"
 	"repro/internal/schedule"
+	"repro/internal/sttsv"
 	"repro/internal/tensor"
 )
 
 // orderNet is the state the orderTransports of one session share: the
 // seed of the current operation, which the test sets before dispatching
-// it (the dispatch orders that write before every rank's next read).
-type orderNet struct{ seed atomic.Int64 }
+// it (the dispatch orders that write before every rank's next read), and
+// the mask of ranks allowed to stall (bit r for rank r).
+type orderNet struct {
+	seed  atomic.Int64
+	stall uint64
+}
 
 // orderTransport is the direct transport with adversarial timing. It
 // buffers its rank's arrivals per sender and releases them in a seeded
@@ -49,22 +58,26 @@ func newOrderFactory(net *orderNet) machine.TransportFactory {
 			Transport: machine.NewDirectTransport(w),
 			w:         w,
 			net:       net,
-			seed:      -1,
 			fifo:      make([][]machine.Packet, w.Size()),
 		}
 	}
 }
 
 // step re-seeds the rank at the first call of a new operation and runs
-// the operation's stall when its call comes up.
+// the operation's stall when its call comes up. A rank outside the stall
+// mask draws its stall all the same, so the mask leaves its orders as
+// they are.
 func (t *orderTransport) step() {
-	if s := t.net.seed.Load(); s != t.seed {
+	if s := t.net.seed.Load(); t.rng == nil || s != t.seed {
 		t.seed = s
 		t.rng = rand.New(rand.NewSource(s*1009 + int64(t.w.Rank())))
 		t.calls, t.stallAt = 0, -1
 		if t.rng.Intn(4) == 0 {
 			t.stallAt = t.rng.Intn(16)
 			t.stall = time.Duration(20+t.rng.Intn(300)) * time.Microsecond
+		}
+		if t.net.stall>>uint(t.w.Rank())&1 == 0 {
+			t.stallAt = -1
 		}
 	}
 	if t.calls == t.stallAt {
@@ -147,90 +160,149 @@ func (o orderOutcome) equal(w orderOutcome) bool {
 	return reflect.DeepEqual(o.phases, w.phases)
 }
 
+// orderOp is one operation the delivery-order checks run: on a dense,
+// sparse or CP session, and for the power method over the p2p wiring only.
+type orderOp struct {
+	name string
+	kind string // "dense", "sparse" or "cp"
+	run  func(s *Session) (orderOutcome, error)
+}
+
+func applyOutcome(x []float64) func(s *Session) (orderOutcome, error) {
+	return func(s *Session) (orderOutcome, error) {
+		r, err := s.Apply(x)
+		if err != nil {
+			return orderOutcome{}, err
+		}
+		return orderOutcome{y: [][]float64{r.Y}, phases: r.Phases}, nil
+	}
+}
+
+func batchOutcome(X [][]float64) func(s *Session) (orderOutcome, error) {
+	return func(s *Session) (orderOutcome, error) {
+		r, err := s.ApplyBatch(X)
+		if err != nil {
+			return orderOutcome{}, err
+		}
+		return orderOutcome{y: r.Y, phases: r.Phases}, nil
+	}
+}
+
+func powerOutcome(s *Session) (orderOutcome, error) {
+	r, err := s.PowerMethod(PowerOptions{MaxIter: 3, Seed: 7})
+	if err != nil {
+		return orderOutcome{}, err
+	}
+	return orderOutcome{y: [][]float64{r.X}, lambda: r.Lambda, phases: r.Phases}, nil
+}
+
+// orderFixture is the operators one q's delivery-order checks run on.
+type orderFixture struct {
+	part   *partition.Tetrahedral
+	a      *tensor.Symmetric
+	sparse *SparseRankBlocks
+	cp     *sttsv.CPOperator
+}
+
+const orderB = 4
+
+// newOrderFixture draws q's operators and inputs: a dense tensor, a
+// sparse one, a rank-4 CP operator, one vector, eight batch columns and a
+// rank-4 factor matrix.
+func newOrderFixture(t testing.TB, q int) (orderFixture, []orderOp) {
+	part := sphericalPart(t, q)
+	n := part.M * orderB
+	rng := rand.New(rand.NewSource(int64(300 + q)))
+	f := orderFixture{part: part, a: tensor.Random(n, rng)}
+	x := randVec(n, rng)
+	X := make([][]float64, 8)
+	for l := range X {
+		X[l] = randVec(n, rng)
+	}
+	srb, err := PackSparseRankBlocks(randSparseTensor(t, n, 0.2, rng), part, orderB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.sparse = srb
+	f.cp = randCPOperator(t, n, 4, rng)
+	factor := la.NewMatrix(n, 4)
+	for i := range factor.Data {
+		factor.Data[i] = rng.NormFloat64()
+	}
+	return f, []orderOp{
+		{"apply", "dense", applyOutcome(x)},
+		{"batch8", "dense", batchOutcome(X)},
+		{"power", "dense", powerOutcome},
+		{"sparse", "sparse", applyOutcome(x)},
+		{"mttkrp", "dense", func(s *Session) (orderOutcome, error) {
+			y, r, err := s.MTTKRP(factor, 0)
+			if err != nil {
+				return orderOutcome{}, err
+			}
+			return orderOutcome{y: [][]float64{y.Data}, phases: r.Phases}, nil
+		}},
+		{"cp-apply", "cp", applyOutcome(x)},
+		{"cp-batch8", "cp", batchOutcome(X)},
+		{"cp-power", "cp", powerOutcome},
+	}
+}
+
+// open opens the session kind runs on, P = part.P ranks for CP.
+func (f orderFixture) open(kind string, wiring Wiring, cfg machine.RunConfig) (*Session, error) {
+	opts := Options{Part: f.part, B: orderB, Wiring: wiring, MaxCols: 8, Machine: cfg}
+	switch kind {
+	case "sparse":
+		opts.Sparse = f.sparse
+		return OpenSession(nil, opts)
+	case "cp":
+		return OpenCPSession(f.cp, CPOptions{P: f.part.P, MaxCols: 8, Machine: cfg})
+	}
+	return OpenSession(f.a, opts)
+}
+
+// unperturbed runs o once on a session over the direct transport.
+func (f orderFixture) unperturbed(o orderOp, wiring Wiring) (orderOutcome, error) {
+	s, err := f.open(o.kind, wiring, machine.RunConfig{Timeout: 10 * time.Second})
+	if err != nil {
+		return orderOutcome{}, err
+	}
+	want, err := o.run(s)
+	if cerr := s.Close(); err == nil {
+		err = cerr
+	}
+	return want, err
+}
+
 // TestDeliveryOrderGrid runs the session engine under adversarial
 // delivery orders: at q ∈ {2, 3}, for Apply, an 8-column ApplyBatch,
-// PowerMethod and a sparse Apply, over both wirings where the operation
-// has them (the power method runs p2p only), 200 seeded orders
-// each on one session (re-seeded per operation). Since every rank posts a
-// whole phase before it receives, correctness rests on (source, tag)
-// matching, per-sender FIFO and step-ordered reduction, not on the
-// cross-sender order the scheduler happens to produce. Every operation's
-// Y bits and per-phase meters must equal the unperturbed run's.
+// PowerMethod, a sparse Apply, a rank-4 MTTKRP, and a CP session's Apply,
+// 8-column ApplyBatch and PowerMethod, over both wirings where the
+// operation has them (the power method and CP sessions run p2p only), 200
+// seeded orders each on one session (re-seeded per operation). Since
+// every rank posts a whole phase before it receives, correctness rests on
+// (source, tag) matching, per-sender FIFO and step-ordered reduction, not
+// on the cross-sender order the scheduler happens to produce. Every
+// operation's Y bits and per-phase meters must equal the unperturbed
+// run's.
 func TestDeliveryOrderGrid(t *testing.T) {
 	orders := 200
 	if testing.Short() {
 		orders = 20
 	}
-	type op struct {
-		name string
-		run  func(s *Session) (orderOutcome, error)
-	}
 	for _, q := range []int{2, 3} {
-		part := sphericalPart(t, q)
-		const b = 4
-		n := part.M * b
-		rng := rand.New(rand.NewSource(int64(300 + q)))
-		a := tensor.Random(n, rng)
-		x := randVec(n, rng)
-		X := make([][]float64, 8)
-		for l := range X {
-			X[l] = randVec(n, rng)
-		}
-		srb, err := PackSparseRankBlocks(randSparseTensor(t, n, 0.2, rng), part, b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		apply := func(s *Session) (orderOutcome, error) {
-			r, err := s.Apply(x)
-			if err != nil {
-				return orderOutcome{}, err
-			}
-			return orderOutcome{y: [][]float64{r.Y}, phases: r.Phases}, nil
-		}
-		ops := []op{
-			{"apply", apply},
-			{"batch8", func(s *Session) (orderOutcome, error) {
-				r, err := s.ApplyBatch(X)
-				if err != nil {
-					return orderOutcome{}, err
-				}
-				return orderOutcome{y: r.Y, phases: r.Phases}, nil
-			}},
-			{"power", func(s *Session) (orderOutcome, error) {
-				r, err := s.PowerMethod(PowerOptions{MaxIter: 3, Seed: 7})
-				if err != nil {
-					return orderOutcome{}, err
-				}
-				return orderOutcome{y: [][]float64{r.X}, lambda: r.Lambda, phases: r.Phases}, nil
-			}},
-			{"sparse", apply},
-		}
+		f, ops := newOrderFixture(t, q)
 		for _, o := range ops {
 			for _, wiring := range []Wiring{WiringP2P, WiringAllToAll} {
-				if o.name == "power" && wiring == WiringAllToAll {
-					continue // the power method runs the p2p wiring only
+				if wiring == WiringAllToAll && (o.name == "power" || o.kind == "cp") {
+					continue // the power method and CP sessions run the p2p wiring only
 				}
 				t.Run(fmt.Sprintf("q=%d/%s/%v", q, o.name, wiring), func(t *testing.T) {
-					opts := Options{Part: part, B: b, Wiring: wiring, MaxCols: 8,
-						Machine: machine.RunConfig{Timeout: 10 * time.Second}}
-					ten := a
-					if o.name == "sparse" {
-						opts.Sparse, ten = srb, nil
-					}
-					plain, err := OpenSession(ten, opts)
+					want, err := f.unperturbed(o, wiring)
 					if err != nil {
 						t.Fatal(err)
 					}
-					want, err := o.run(plain)
-					if cerr := plain.Close(); err == nil {
-						err = cerr
-					}
-					if err != nil {
-						t.Fatal(err)
-					}
-					net := &orderNet{}
-					opts.Machine.Transport = newOrderFactory(net)
-					s, err := OpenSession(ten, opts)
+					net := &orderNet{stall: ^uint64(0)}
+					s, err := f.open(o.kind, wiring, machine.RunConfig{Timeout: 10 * time.Second, Transport: newOrderFactory(net)})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -249,6 +321,47 @@ func TestDeliveryOrderGrid(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzDeliveryOrder explores delivery orders past the grid's fixed seeds:
+// the seed (plus i for the i-th operation) picks every rank's
+// cross-sender orders, stall call and stall duration as in
+// TestDeliveryOrderGrid, and rank r may stall only if bit r of stallMask
+// is set. On a q = 2 p2p session, Apply and a 3-iteration
+// PowerMethod must reproduce the unperturbed run's bits and per-phase
+// meters.
+func FuzzDeliveryOrder(f *testing.F) {
+	for _, seed := range []int64{1, 7, 42, 199} {
+		f.Add(seed, ^uint64(0))
+	}
+	f.Add(int64(3), uint64(0b1000000001))
+	fix, ops := newOrderFixture(f, 2)
+	ops = []orderOp{ops[0], ops[2]} // apply, power
+	want := make([]orderOutcome, len(ops))
+	for i, o := range ops {
+		var err error
+		if want[i], err = fix.unperturbed(o, WiringP2P); err != nil {
+			f.Fatal(err)
+		}
+	}
+	f.Fuzz(func(t *testing.T, seed int64, stallMask uint64) {
+		net := &orderNet{stall: stallMask}
+		s, err := fix.open("dense", WiringP2P, machine.RunConfig{Timeout: 10 * time.Second, Transport: newOrderFactory(net)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		for i, o := range ops {
+			net.seed.Store(seed + int64(i))
+			got, err := o.run(s)
+			if err != nil {
+				t.Fatalf("%s: %v", o.name, err)
+			}
+			if !got.equal(want[i]) {
+				t.Fatalf("%s: Y bits or per-phase meters differ from the unperturbed run", o.name)
+			}
+		}
+	})
 }
 
 // TestRelaunchReleasesHeldMessages crashes a rank of a recovering session
@@ -319,9 +432,46 @@ func TestRelaunchReleasesHeldMessages(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
+	waitGoroutines(t, before)
+}
+
+// waitGoroutines fails unless the goroutine count falls back to before,
+// its value before Open, within 5 s of Close.
+func waitGoroutines(t *testing.T, before int) {
+	t.Helper()
 	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
 			t.Fatalf("%d goroutines after Close, %d before Open", runtime.NumGoroutine(), before)
 		}
 	}
+}
+
+// TestDeadlockVerdictReleasesRanks crashes rank 3 of a fail-fast session
+// at its third send, mid-gather, under a 200 ms watchdog. Apply and Close
+// must return the watchdog's DeadlockError naming the crashed rank, and
+// once Close has returned, the survivors, parked on their mailboxes with
+// each other's run-ahead messages held, must have unwound and exited.
+func TestDeadlockVerdictReleasesRanks(t *testing.T) {
+	part := sphericalPart(t, 2)
+	const b = 4
+	n := part.M * b
+	rng := rand.New(rand.NewSource(17))
+	a := tensor.Random(n, rng)
+	before := runtime.NumGoroutine()
+	s, err := OpenSession(a, Options{Part: part, B: b, Wiring: WiringP2P, Machine: machine.RunConfig{
+		Transport: fault.Unreliable(fault.Plan{Seed: 1, Crash: map[int]int{3: 3}}),
+		Timeout:   200 * time.Millisecond,
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var dead *machine.DeadlockError
+	if _, err := s.Apply(randVec(n, rng)); !errors.As(err, &dead) || !slices.Contains(dead.Crashed, 3) {
+		s.Close()
+		t.Fatalf("Apply: %v, want a DeadlockError naming crashed rank 3", err)
+	}
+	if err := s.Close(); !errors.As(err, &dead) {
+		t.Fatalf("Close: %v, want the DeadlockError", err)
+	}
+	waitGoroutines(t, before)
 }

@@ -89,6 +89,16 @@ func (pr *phaseRecorder) meter(label string) *PhaseMeter {
 	return pr.meters[pr.index[label]]
 }
 
+// setSteps sets Steps on each scheduled exchange the recorder registered
+// ("gather" and "reduce-scatter"); a CP step registers none.
+func (pr *phaseRecorder) setSteps(steps int) {
+	for _, label := range [...]string{"gather", "reduce-scatter"} {
+		if i, ok := pr.index[label]; ok {
+			pr.meters[i].Steps = steps
+		}
+	}
+}
+
 // comm runs body inside BeginPhase/EndPhase markers and attributes the
 // rank's logical meter deltas to the label.
 func (pr *phaseRecorder) comm(c *machine.Comm, label string, body func()) {

@@ -12,9 +12,9 @@ import (
 // RankEngine is one rank's share of the distributed power method, packaged
 // for a process that hosts exactly that rank over a real-network backend.
 // It owns the rank's packed block set, arenas and message buffers, and
-// drives iterations through the same sessionRank.powerIterate body the
-// in-process Session dispatches — so a multi-process TCP run computes
-// bit-for-bit the arithmetic of the simulated reference.
+// drives iterations through the same sessionRank.powerIterate and dense
+// rank step the in-process Session dispatches — so a multi-process TCP
+// run computes bit-for-bit the arithmetic of the simulated reference.
 //
 // Unlike a Session, a RankEngine has no host: the embedding runtime (see
 // internal/cluster) supplies the machine.Comm of a distributed machine
@@ -26,11 +26,10 @@ type RankEngine struct {
 	padded int
 	n      int
 
-	scalar bool
-	blocks []*tensor.Block
-	rk     *sessionRank
-	ck     *ckStore // one-rank store: the record's shadow and fingerprints
-	pr     *phaseRecorder
+	step rankStep
+	rk   *sessionRank
+	ck   *ckStore // one-rank store: the record's shadow and fingerprints
+	pr   *phaseRecorder
 }
 
 // NewRankEngine validates the configuration and packs only this rank's
@@ -67,32 +66,19 @@ func NewRankEngine(a *tensor.Symmetric, opts Options, rank int) (*RankEngine, er
 		return nil, err
 	}
 
-	cs := part.Blocks(rank)
-	coords := make([][3]int, len(cs))
-	for i, c := range cs {
-		coords[i] = [3]int{c.I, c.J, c.K}
-	}
-	packed := tensor.PackBlocks(a, coords, b)
-
-	rk := &sessionRank{lay: &lay.perRank[rank], b: b, maxCols: 1}
-	rows := len(rk.lay.rows)
-	rk.xA = make([]float64, rows*b)
-	rk.yA = make([]float64, rows*b)
-	rk.chunk = make([]float64, rows*b)
-	if rk.lay.maxMsgW > 0 {
-		rk.sendBuf = make([]float64, rk.lay.maxMsgW)
-		rk.recvBuf = make([]float64, rk.lay.maxMsgW)
-	}
-
+	blocks := &RankBlocks{P: part.P, B: b, N: a.N, per: make([]*tensor.BlockPacked, part.P)}
+	blocks.per[rank] = tensor.PackBlocks(a, blockCoords(part, rank), b)
+	step := tetraStep(&denseOp{blocks: blocks, scalar: opts.ScalarKernel}, WiringP2P, lay.maxChunk)
+	rk := &sessionRank{lay: &lay.perRank[rank], b: b}
+	rk.grow(1, part.P, 0)
 	return &RankEngine{
 		rank:   rank,
 		padded: padded,
 		n:      a.N,
-		scalar: opts.ScalarKernel,
-		blocks: packed.Blocks,
+		step:   step,
 		rk:     rk,
 		ck:     newCkStore([]*sessionRank{rk}),
-		pr:     newPhaseRecorder(part.P, "gather", "local", "reduce-scatter", "all-reduce"),
+		pr:     newPhaseRecorder(part.P, step.pmLabels...),
 	}, nil
 }
 
@@ -111,9 +97,7 @@ func (e *RankEngine) Iterate(c *machine.Comm, tol float64) (stop, converged, sin
 	if tol <= 0 {
 		tol = 1e-12
 	}
-	return e.rk.powerIterate(c, func() int64 {
-		return e.rk.contributeDense(e.blocks, 1, e.scalar)
-	}, tol, e.pr)
+	return e.rk.powerIterate(c, e.step, tol, e.pr)
 }
 
 // Lambda returns the current eigenvalue estimate.

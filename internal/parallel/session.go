@@ -19,12 +19,15 @@ import (
 // until Close. Between operations the ranks park on a host-fed op queue
 // (Comm.AwaitHost), so the machine, its transports, the packed tensor
 // blocks, and every pack/unpack buffer survive from one application to the
-// next. After one warm-up application the per-rank exchange path (pack →
-// Send → RecvInto → unpack) performs no allocations. The exchange has no
-// global barrier: each schedule step sends under its own tag, and every
-// rank posts all of its messages for a phase before it receives its
-// peers' in step order. A message that arrives before its Recv waits in
-// the receiving Comm.
+// next. Every operation wraps one rank step, chosen at open (see
+// rankStep): gather → contribute → reduce-scatter for dense and sparse
+// sessions, project → all-reduce → update for CP sessions. After one
+// warm-up application the per-rank exchange path (pack → Send → RecvInto
+// → unpack) performs no allocations. Nothing but messages orders the
+// ranks: each schedule step sends under its own tag, and every rank posts
+// all of its messages for a phase before it receives its peers' in step
+// order. A message that arrives before its Recv waits in the receiving
+// Comm.
 //
 // Results are bit-identical to the one-shot Run/RunPowerMethod/RunMTTKRP
 // (which are implemented on top of Session), and each operation's Result
@@ -41,9 +44,8 @@ type Session struct {
 	padded int
 	n      int // logical operator dimension; 0 when unknown (nil tensor)
 
-	op  localOperator // rank-local compute seam (dense or sparse)
-	cp  *cpRuntime    // non-nil for CP sessions (their own exchange shape)
-	lay *sessionLayout
+	step rankStep // what a rank computes for one application
+	lay  *sessionLayout
 
 	maxCols int
 	rk      []*sessionRank
@@ -99,11 +101,36 @@ type sessionRank struct {
 	a2aRecv     [][]float64
 	a2aPay      []int // high-water payload per peer, for stale-tail zeroing
 
-	world *collective.Group
-	pbuf  [2]float64
+	pbuf [2]float64
 }
 
 func (rk *sessionRank) stride() int { return rk.maxCols * rk.b }
+
+// grow (re)allocates the rank's arenas and message buffers for maxCols
+// columns. a2aWidth > 0 adds the All-to-All wiring's p full-width
+// per-peer buffers, a2aWidth words per column.
+func (rk *sessionRank) grow(maxCols, p, a2aWidth int) {
+	rk.maxCols = maxCols
+	rows := len(rk.lay.rows)
+	rk.xA = make([]float64, rows*maxCols*rk.b)
+	rk.yA = make([]float64, rows*maxCols*rk.b)
+	rk.chunk = make([]float64, rows*rk.b)
+	if rk.lay.maxMsgW > 0 {
+		rk.sendBuf = make([]float64, rk.lay.maxMsgW*maxCols)
+		rk.recvBuf = make([]float64, rk.lay.maxMsgW*maxCols)
+	}
+	if a2aWidth > 0 {
+		rk.a2aSendBack = make([][]float64, p)
+		rk.a2aRecvBack = make([][]float64, p)
+		rk.a2aSend = make([][]float64, p)
+		rk.a2aRecv = make([][]float64, p)
+		rk.a2aPay = make([]int, p)
+		for i := 0; i < p; i++ {
+			rk.a2aSendBack[i] = make([]float64, a2aWidth*maxCols)
+			rk.a2aRecvBack[i] = make([]float64, a2aWidth*maxCols)
+		}
+	}
+}
 
 // OpenSession validates the configuration, precomputes the steady-state
 // layout, and launches the resident ranks. The tensor may be nil: the
@@ -174,14 +201,17 @@ func OpenSession(a *tensor.Symmetric, opts Options) (*Session, error) {
 		b:      b,
 		padded: part.M * b,
 		n:      n,
-		op:     op,
+		step:   tetraStep(op, opts.Wiring, lay.maxChunk),
 		lay:    lay,
 	}
-	maxCols := opts.MaxCols
-	if maxCols < 1 {
-		maxCols = 1
-	}
-	s.grow(maxCols)
+	return s.open()
+}
+
+// open sizes the arenas for Options.MaxCols columns (at least one) and
+// launches the resident ranks: the tail OpenSession and OpenCPSession
+// share.
+func (s *Session) open() (*Session, error) {
+	s.grow(max(s.opts.MaxCols, 1))
 	if err := s.start(); err != nil {
 		return nil, err
 	}
@@ -199,28 +229,12 @@ func (s *Session) grow(maxCols int) {
 			s.rk[p] = &sessionRank{lay: &s.lay.perRank[p], b: s.b}
 		}
 	}
+	a2aWidth := 0
+	if s.opts.Wiring == WiringAllToAll {
+		a2aWidth = 2 * s.lay.maxChunk
+	}
 	for _, rk := range s.rk {
-		rk.maxCols = maxCols
-		rows := len(rk.lay.rows)
-		rk.xA = make([]float64, rows*maxCols*s.b)
-		rk.yA = make([]float64, rows*maxCols*s.b)
-		rk.chunk = make([]float64, rows*s.b)
-		if rk.lay.maxMsgW > 0 {
-			rk.sendBuf = make([]float64, rk.lay.maxMsgW*maxCols)
-			rk.recvBuf = make([]float64, rk.lay.maxMsgW*maxCols)
-		}
-		if s.opts.Wiring == WiringAllToAll {
-			width := 2 * s.lay.maxChunk * maxCols
-			rk.a2aSendBack = make([][]float64, s.part.P)
-			rk.a2aRecvBack = make([][]float64, s.part.P)
-			rk.a2aSend = make([][]float64, s.part.P)
-			rk.a2aRecv = make([][]float64, s.part.P)
-			rk.a2aPay = make([]int, s.part.P)
-			for i := 0; i < s.part.P; i++ {
-				rk.a2aSendBack[i] = make([]float64, width)
-				rk.a2aRecvBack[i] = make([]float64, width)
-			}
-		}
+		rk.grow(maxCols, s.part.P, a2aWidth)
 	}
 	s.stageX = make([][]float64, maxCols)
 	s.stageY = make([][]float64, maxCols)
@@ -381,7 +395,7 @@ func (rk *sessionRank) exchangeA2A(c *machine.Comm, maxChunk, tag, cols int, gat
 		}
 		rk.a2aPay[ap.peer] = n
 	}
-	rk.world.AllToAllFixedInto(tag, width, rk.a2aSend, rk.a2aRecv)
+	collective.AllToAllFixedInto(c, tag, width, rk.a2aSend, rk.a2aRecv)
 	for pi := range rk.lay.peers {
 		ap := &rk.lay.peers[pi]
 		if gather {
@@ -438,33 +452,15 @@ func (rk *sessionRank) yRowCol(i, l int) []float64 {
 // ---------------------------------------------------------------------------
 // Operations.
 
-// applyOp is the rank closure of one (possibly batched) STTSV application.
+// applyOp is the rank closure of one (possibly batched) application of
+// any kind of session: stage → step → publish, then the rank's meter
+// delta.
 func (s *Session) applyOp(cols int, pr *phaseRecorder, deltas []machine.Meters) func(me int, c *machine.Comm) {
 	return func(me int, c *machine.Comm) {
 		rk := s.rk[me]
 		m0 := c.Meters()
-		if s.opts.Wiring == WiringAllToAll && (rk.world == nil || rk.world.Comm() != c) {
-			rk.world = collective.World(c)
-		}
 		rk.stage(s.stageX, cols)
-		pr.comm(c, "gather", func() {
-			if s.opts.Wiring == WiringP2P {
-				rk.gatherP2P(c, cols)
-			} else {
-				rk.exchangeA2A(c, s.lay.maxChunk, 1, cols, true)
-			}
-		})
-		rk.zeroY()
-		pr.local(c, "local", func() int64 {
-			return s.op.contribute(me, rk, cols)
-		})
-		pr.comm(c, "reduce-scatter", func() {
-			if s.opts.Wiring == WiringP2P {
-				rk.scatterP2P(c, cols)
-			} else {
-				rk.exchangeA2A(c, s.lay.maxChunk, 2, cols, false)
-			}
-		})
+		s.step.run(rk, c, cols, pr)
 		rk.publish(s.stageY, cols)
 		deltas[me] = c.Meters().Sub(m0)
 	}
@@ -512,19 +508,11 @@ func (s *Session) applyCols(X [][]float64) ([]machine.Meters, *phaseRecorder, er
 		clear(s.stageX[l][len(x):])
 	}
 	deltas := make([]machine.Meters, s.part.P)
-	if s.cp != nil {
-		pr := newPhaseRecorder(s.part.P, "local", "all-reduce")
-		if err := s.dispatch(pr, dirtyNone, s.cpApplyOp(cols, pr, deltas)); err != nil {
-			return nil, nil, err
-		}
-		return deltas, pr, nil
-	}
-	pr := newPhaseRecorder(s.part.P, "gather", "local", "reduce-scatter")
+	pr := newPhaseRecorder(s.part.P, s.step.labels...)
 	if err := s.dispatch(pr, dirtyNone, s.applyOp(cols, pr, deltas)); err != nil {
 		return nil, nil, err
 	}
-	pr.meter("gather").Steps = s.lay.steps
-	pr.meter("reduce-scatter").Steps = s.lay.steps
+	pr.setSteps(s.lay.steps)
 	return deltas, pr, nil
 }
 
@@ -664,48 +652,25 @@ type powerIterState struct {
 }
 
 // powerIterate runs one power-method iteration on this rank: stage the
-// owned iterate chunks, gather, local compute (the operator-specific
-// closure), reduce-scatter, then the scalar all-reduce for λ and the
-// normalization. It is shared between the Session's dispatched op (dense
-// or sparse) and the distributed RankEngine, so a rank process on real
-// sockets executes bit-for-bit the arithmetic of the simulated run.
-func (rk *sessionRank) powerIterate(c *machine.Comm, compute func() int64, tol float64, pr *phaseRecorder) (stop, converged, singular bool) {
-	// The cached group must wrap this incarnation's Comm: a RankEngine
-	// survives machine restarts, and a group bound to a dead epoch's
-	// machine would panic with that machine's abort sentinel.
-	if rk.world == nil || rk.world.Comm() != c {
-		rk.world = collective.World(c)
-	}
+// owned iterate chunks, run the session's step on that one column, then
+// all-reduce λ = xᵀy and ‖y‖² from the owned chunks under tag 300, test
+// convergence and normalize the owned chunks. Session.PowerMethod
+// dispatches it on every kind of session and RankEngine.Iterate runs it
+// on its one rank, so a rank process on real sockets executes bit for bit
+// the arithmetic of the simulated run, and convergence semantics cannot
+// drift between operators.
+func (rk *sessionRank) powerIterate(c *machine.Comm, step rankStep, tol float64, pr *phaseRecorder) (stop, converged, singular bool) {
 	b := rk.b
 	rows := rk.lay.rows
 	stride := rk.stride()
 
-	// Stage the owned chunks; gather fills every other chunk.
+	// Stage the owned chunks; the step's exchange fills every other chunk.
 	for k := range rows {
 		lo, hi := rk.lay.myLo[k], rk.lay.myHi[k]
 		copy(rk.xA[k*stride+lo:k*stride+hi], rk.chunk[k*b+lo:k*b+hi])
 	}
-	pr.comm(c, "gather", func() { rk.gatherP2P(c, 1) })
+	step.run(rk, c, 1, pr)
 
-	rk.zeroY()
-	pr.local(c, "local", compute)
-
-	pr.comm(c, "reduce-scatter", func() { rk.scatterP2P(c, 1) })
-
-	return rk.powerAdvance(c, tol, pr)
-}
-
-// powerAdvance is the operator-agnostic tail of one power iteration: the
-// convergence scalars from the finished y arena, their all-reduce, the
-// shared convergence test, and the normalization of the owned iterate
-// chunks. The CP iteration (its own exchange shape) shares it with the
-// scheduled dense/sparse path.
-func (rk *sessionRank) powerAdvance(c *machine.Comm, tol float64, pr *phaseRecorder) (stop, converged, singular bool) {
-	b := rk.b
-	rows := rk.lay.rows
-	stride := rk.stride()
-
-	// λ = xᵀy and ‖y‖² from owned chunks, combined globally.
 	rk.pbuf[0], rk.pbuf[1] = 0, 0
 	for k := range rows {
 		lo, hi := rk.lay.myLo[k], rk.lay.myHi[k]
@@ -717,7 +682,7 @@ func (rk *sessionRank) powerAdvance(c *machine.Comm, tol float64, pr *phaseRecor
 		}
 	}
 	var sums []float64
-	pr.comm(c, "all-reduce", func() { sums = rk.world.AllReduceSum(300, rk.pbuf[:]) })
+	pr.comm(c, "all-reduce", func() { sums = collective.AllReduceSum(c, 300, rk.pbuf[:]) })
 	lambda := sums[0]
 	ynorm := math.Sqrt(sums[1])
 	rk.pmLambda = lambda
@@ -740,19 +705,6 @@ func (rk *sessionRank) powerAdvance(c *machine.Comm, tol float64, pr *phaseRecor
 		}
 	}
 	return false, false, false
-}
-
-// powerIterOp is the rank closure of one power-method iteration. Making
-// each iteration its own dispatch keeps the crash-recovery checkpoint
-// granularity at one STTSV round: a crash replays the iteration it hit,
-// not the whole method.
-func (s *Session) powerIterOp(tol float64, pr *phaseRecorder, st *powerIterState) func(me int, c *machine.Comm) {
-	return func(me int, c *machine.Comm) {
-		rk := s.rk[me]
-		st.stop[me], st.converged[me], st.singular[me] = rk.powerIterate(c, func() int64 {
-			return s.op.contribute(me, rk, 1)
-		}, tol, pr)
-	}
 }
 
 // PowerMethod runs the distributed higher-order power method (Algorithm 1)
@@ -793,26 +745,23 @@ func (s *Session) PowerMethod(po PowerOptions) (*EigenResult, error) {
 	p := s.part.P
 	b := s.b
 
-	var pr *phaseRecorder
-	if s.cp != nil {
-		pr = newPhaseRecorder(p, "local", "all-reduce")
-	} else {
-		pr = newPhaseRecorder(p, "gather", "local", "reduce-scatter", "all-reduce")
-	}
+	pr := newPhaseRecorder(p, s.step.pmLabels...)
 	base := make([]machine.Meters, p)
 	for r := range base {
 		base[r] = s.cur.h.RankMeters(r)
 	}
 
+	// Each iteration is its own dispatch, which keeps the crash-recovery
+	// checkpoint granularity at one STTSV round: a crash replays the
+	// iteration it hit, not the whole method.
 	st := &powerIterState{stop: make([]bool, p), converged: make([]bool, p), singular: make([]bool, p)}
-	iterOp := s.powerIterOp
-	if s.cp != nil {
-		iterOp = s.cpPowerIterOp
+	iterate := func(me int, c *machine.Comm) {
+		st.stop[me], st.converged[me], st.singular[me] = s.rk[me].powerIterate(c, s.step, po.Tol, pr)
 	}
 	iterations := 0
 	for iterations < po.MaxIter {
 		iterations++
-		if err := s.dispatch(pr, dirtyIterate, iterOp(po.Tol, pr, st)); err != nil {
+		if err := s.dispatch(pr, dirtyIterate, iterate); err != nil {
 			return nil, err
 		}
 		if st.stop[0] {
@@ -835,13 +784,8 @@ func (s *Session) PowerMethod(po PowerOptions) (*EigenResult, error) {
 		}
 	}
 
-	// The two exchanges ran the full schedule once per iteration (CP
-	// sessions have no scheduled exchange — their all-reduce is the whole
-	// communication).
-	if s.cp == nil {
-		pr.meter("gather").Steps = s.lay.steps * iterations
-		pr.meter("reduce-scatter").Steps = s.lay.steps * iterations
-	}
+	// The exchanges ran the full schedule once per iteration.
+	pr.setSteps(s.lay.steps * iterations)
 	return &EigenResult{
 		Lambda:     s.rk[0].pmLambda,
 		X:          xOut[:n],

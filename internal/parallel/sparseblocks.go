@@ -59,12 +59,7 @@ func PackSparseRankBlocks(sp *sparse.Tensor, part *partition.Tetrahedral, b int)
 	}
 	srb := &SparseRankBlocks{P: part.P, B: b, N: sp.N, per: make([][]*sparse.Block, part.P)}
 	for p := 0; p < part.P; p++ {
-		cs := part.Blocks(p)
-		coords := make([][3]int, len(cs))
-		for i, c := range cs {
-			coords[i] = [3]int{c.I, c.J, c.K}
-		}
-		srb.per[p] = pk.Select(coords)
+		srb.per[p] = pk.Select(blockCoords(part, p))
 	}
 	return srb, nil
 }

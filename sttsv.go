@@ -344,7 +344,7 @@ type TimeModel = obs.TimeModel
 func DefaultTimeModel() TimeModel { return obs.DefaultTimeModel() }
 
 // Timeline is a replayed trace: per-rank critical-path times, activity
-// attribution (compute / send / recv-wait / barrier-wait / overlap),
+// attribution (compute / send / recv-wait / overlap),
 // Gantt spans and per-phase step counts.
 type Timeline = obs.Timeline
 
