@@ -1,7 +1,6 @@
 package fault
 
 import (
-	"math"
 	"time"
 
 	"repro/internal/machine"
@@ -100,7 +99,7 @@ func (r *reliable) Send(to, tag int, data []float64) {
 	r.nextSeq[to]++
 	pkt := machine.Packet{
 		From: r.w.Rank(), To: to, Tag: tag, Seq: seq,
-		Kind: machine.PacketData, Data: data, Check: checksum(data),
+		Kind: machine.PacketData, Data: data, Check: machine.Checksum(data),
 	}
 	r.w.Deliver(pkt)
 	attempts := 1
@@ -150,7 +149,7 @@ func (r *reliable) Recv() (machine.Packet, bool) {
 // handleData acknowledges, de-duplicates, order-restores and releases an
 // incoming data packet.
 func (r *reliable) handleData(pkt machine.Packet) {
-	if pkt.Check != checksum(pkt.Data) {
+	if pkt.Check != machine.Checksum(pkt.Data) {
 		return // corrupted in flight: no ack, the sender will retransmit
 	}
 	r.w.Deliver(machine.Packet{
@@ -219,17 +218,4 @@ func (r *reliable) service(stop <-chan struct{}, dupOnly bool) {
 		}
 		r.handleData(in)
 	}
-}
-
-// checksum is FNV-1a over the payload's IEEE-754 bit patterns.
-func checksum(data []float64) uint64 {
-	h := uint64(0xcbf29ce484222325)
-	for _, v := range data {
-		bits := math.Float64bits(v)
-		for s := 0; s < 64; s += 8 {
-			h ^= (bits >> s) & 0xff
-			h *= 0x100000001b3
-		}
-	}
-	return h
 }

@@ -2,6 +2,7 @@ package machine
 
 import (
 	"fmt"
+	"math"
 	"time"
 )
 
@@ -54,6 +55,39 @@ type Packet struct {
 	// incarnations (RunConfig.StartEpoch) that fences off a retired
 	// machine's stale retransmissions.
 	Epoch int64
+}
+
+// 64-bit FNV-1a: the one checksum of the repository's wire and
+// checkpoint formats.
+const (
+	fnvOffset = 0xcbf29ce484222325
+	fnvPrime  = 0x100000001b3
+)
+
+// Checksum is FNV-1a over the words' IEEE-754 bit patterns, each word
+// low byte first: the payload checksum a reliable transport puts in
+// Packet.Check, and a checkpoint record's page fingerprint.
+func Checksum(words []float64) uint64 {
+	h := uint64(fnvOffset)
+	for _, v := range words {
+		bits := math.Float64bits(v)
+		for s := 0; s < 64; s += 8 {
+			h ^= (bits >> s) & 0xff
+			h *= fnvPrime
+		}
+	}
+	return h
+}
+
+// ChecksumBytes is FNV-1a over b: a netwire frame's trailer, and a
+// checkpoint record's header checksum.
+func ChecksumBytes(b []byte) uint64 {
+	h := uint64(fnvOffset)
+	for _, c := range b {
+		h ^= uint64(c)
+		h *= fnvPrime
+	}
+	return h
 }
 
 // Wire is a rank's raw endpoint on the simulated network: push a packet

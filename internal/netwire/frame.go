@@ -55,20 +55,6 @@ const (
 // errChecksum reports a frame whose FNV-1a trailer does not match.
 var errChecksum = errors.New("netwire: frame checksum mismatch")
 
-const (
-	fnvOffset64 = 14695981039346656037
-	fnvPrime64  = 1099511628211
-)
-
-func fnv1a(b []byte) uint64 {
-	h := uint64(fnvOffset64)
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= fnvPrime64
-	}
-	return h
-}
-
 // FrameWords returns the full framed size — prefix, header, payload and
 // trailer — of an n-word packet, in 8-byte words rounded up. This is what
 // a netwire run's wire meters count, so the Report's wire-vs-logical
@@ -96,7 +82,7 @@ func AppendFrame(dst []byte, pkt machine.Packet) []byte {
 	for _, v := range pkt.Data {
 		dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(v))
 	}
-	return binary.BigEndian.AppendUint64(dst, fnv1a(dst[start:]))
+	return binary.BigEndian.AppendUint64(dst, machine.ChecksumBytes(dst[start:]))
 }
 
 // DecodeFrame parses one frame body (the bytes after the length prefix).
@@ -107,7 +93,7 @@ func DecodeFrame(body []byte) (machine.Packet, error) {
 		return machine.Packet{}, fmt.Errorf("netwire: frame body %d bytes, need at least %d", len(body), frameHeaderLen+frameTrailerLen)
 	}
 	sumAt := len(body) - frameTrailerLen
-	if got := binary.BigEndian.Uint64(body[sumAt:]); got != fnv1a(body[:sumAt]) {
+	if got := binary.BigEndian.Uint64(body[sumAt:]); got != machine.ChecksumBytes(body[:sumAt]) {
 		return machine.Packet{}, errChecksum
 	}
 	pkt := machine.Packet{

@@ -39,7 +39,7 @@ func RunRowBaseline(a *tensor.Symmetric, x []float64, p int, cfg machine.RunConf
 	}
 
 	finalY := make([][]float64, p)
-	pr := newPhaseRecorder(p, "all-gather", "local", "reduce-scatter")
+	pr := newPhaseRecorder(p, nil, "all-gather", "local", "reduce-scatter")
 
 	report, err := machine.RunWith(p, cfg, func(c *machine.Comm) {
 		me := c.Rank()
@@ -98,6 +98,7 @@ func RunRowBaseline(a *tensor.Symmetric, x []float64, p int, cfg machine.RunConf
 	if err != nil {
 		return nil, err
 	}
+	pr.commit()
 
 	y := make([]float64, n)
 	for r := 0; r < p; r++ {
@@ -108,7 +109,7 @@ func RunRowBaseline(a *tensor.Symmetric, x []float64, p int, cfg machine.RunConf
 	return &Result{
 		Y:       y,
 		Report:  report,
-		Phases:  pr.results(),
+		Phases:  pr.meters.rows,
 		Ternary: pr.meter("local").Ternary,
 		Steps:   2 * (p - 1),
 	}, nil
@@ -142,7 +143,7 @@ func RunSequenceBaseline(a *tensor.Symmetric, x []float64, p int, cfg machine.Ru
 	}
 
 	finalY := make([][]float64, p)
-	pr := newPhaseRecorder(p, "all-gather", "local")
+	pr := newPhaseRecorder(p, nil, "all-gather", "local")
 	report, err := machine.RunWith(p, cfg, func(c *machine.Comm) {
 		me := c.Rank()
 		lo, hi := bounds[me], bounds[me+1]
@@ -183,6 +184,7 @@ func RunSequenceBaseline(a *tensor.Symmetric, x []float64, p int, cfg machine.Ru
 	if err != nil {
 		return nil, err
 	}
+	pr.commit()
 
 	y := make([]float64, n)
 	for r := 0; r < p; r++ {
@@ -192,7 +194,7 @@ func RunSequenceBaseline(a *tensor.Symmetric, x []float64, p int, cfg machine.Ru
 	return &Result{
 		Y:       y,
 		Report:  report,
-		Phases:  pr.results(),
+		Phases:  pr.meters.rows,
 		Ternary: pr.meter("local").Ternary,
 		Steps:   p - 1,
 	}, nil

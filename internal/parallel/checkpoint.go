@@ -2,29 +2,27 @@ package parallel
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
-	"hash/fnv"
 	"math"
 	"time"
 
 	"repro/internal/machine"
 )
 
-// This file is the session's incremental checkpoint store. It tracks
-// dirty regions: each operation declares (via dirtyKind) which state it
-// mutates, and the checkpointer copies only those regions into a
-// persistent per-rank shadow mirror.
-// Apply/ApplyBatch/MTTKRP never touch the checkpointed state at all (the
-// x/y arenas are rebuilt from host staging on every attempt), so their
-// steady-state checkpoint cost is a handful of scalar snapshots — zero
-// words copied and zero allocations. The power method rewrites only the
-// owned spans of the chunk iterate plus two convergence scalars per rank,
-// so its cost is O(owned words), independent of arena padding.
+// This file is the crash-recovery checkpoint. A rank's checkpoint is one
+// record (see encodeRecord): its convergence scalars, a fingerprint of
+// every page of its chunk arena, and its owned span words. A recovering
+// Session encodes every rank's record in memory at each dirtyIterate
+// boundary, and a multi-process rank writes the same bytes to disk after
+// every round (RankEngine.Checkpoint); one function loads a record back
+// and verifies it for both (loadRecord). Each operation declares which
+// state it mutates (dirtyKind): Apply, ApplyBatch and MTTKRP rebuild their
+// x/y arenas from host staging on every attempt and touch neither the
+// iterate nor the scalars, so their boundaries encode nothing.
 //
-// Every chunk arena additionally carries Merkle-style page fingerprints
-// (FNV-1a leaves over fixed-size pages, matching the wire checksum's
-// constants). Dirty pages are re-hashed at checkpoint time; every restore
-// re-verifies the full restored arena against the stored fingerprints, so
+// Every restore re-verifies the whole restored arena against the record's
+// page fingerprints (FNV-1a leaves, the wire checksum's construction), so
 // a corrupted rollback surfaces as a structured RestoreMismatchError
 // instead of silently replaying bad state.
 
@@ -34,7 +32,7 @@ import (
 const checkpointPageWords = 64
 
 // dirtyKind declares which checkpointed state a dispatched operation can
-// mutate; the checkpointer copies only that.
+// mutate; the checkpointer encodes only that.
 type dirtyKind int
 
 const (
@@ -65,217 +63,66 @@ func (e *RestoreMismatchError) Error() string {
 	return fmt.Sprintf("parallel: restore verification failed: rank %d chunk page %d does not match its checkpoint fingerprint", e.Rank, e.Page)
 }
 
-// ckSlot is one generation of the double-buffered checkpoint state that
-// is cheap enough to capture wholesale each dispatch: per-rank logical
-// meters, power-method scalars, per-rank trace sequence numbers (the
-// rollback markers need them to segment committed from aborted events),
-// and the phase recorder's accumulated rows. All storage is pooled in the
-// slot and reused — after the first checkpoint of each operation shape
-// the capture path performs no allocations.
-type ckSlot struct {
-	meters   []machine.Meters
-	pmLambda []float64
-	pmPrev   []float64
-	seqs     []int64
-	phases   []phaseSnap
-	backing  []int64
-}
-
-// ckStore is the session's incremental checkpoint store: two alternating
-// scalar slots plus a single persistent per-rank shadow mirror of the
-// chunk arenas with page fingerprints. One shadow suffices because a
-// rollback always targets the latest dispatch boundary, and the host
-// syncs the shadow only while every rank is parked — the copy cannot be
-// torn by a rank crash.
+// ckStore is a recovering session's checkpoint: every rank's meters and
+// trace sequence number (the rollback markers need it to segment
+// committed from aborted events) at the latest dispatch boundary, and its
+// record from the latest dirtyIterate boundary, or from open. The host
+// writes it only while every rank is parked, so a rank crash cannot tear
+// it, and it reuses every buffer: a capture allocates nothing.
 type ckStore struct {
-	slots [2]ckSlot
-	turn  int
-	// shadow[r] mirrors rank r's committed chunk arena; prints[r] holds
-	// its page fingerprints, maintained incrementally (only pages under a
-	// dirty span are re-hashed at checkpoint time).
-	shadow [][]float64
-	prints [][]uint64
+	meters []machine.Meters
+	seqs   []int64
+	recs   [][]byte
 }
 
-func newCkStore(rks []*sessionRank) *ckStore {
-	ck := &ckStore{
-		shadow: make([][]float64, len(rks)),
-		prints: make([][]uint64, len(rks)),
+// checkpoint captures the committed state at a dispatch boundary (all
+// ranks parked, so the host may read their counters and arenas). Only a
+// dirtyIterate boundary encodes records: a dirtyNone operation neither
+// reads nor writes the iterate or the scalars, so a rollback may restore
+// the last records under it, and the next power method seeds afresh.
+func (s *Session) checkpoint(dk dirtyKind) {
+	start := time.Now()
+	for r := range s.rk {
+		s.ck.meters[r] = s.cur.h.RankMeters(r)
+		s.ck.seqs[r] = s.cur.h.RankEventSeq(r)
 	}
-	ck.resync(rks)
-	return ck
-}
-
-// resync rebuilds the shadow mirrors against freshly (re)allocated chunk
-// arenas (session open, or an arena-growing ApplyBatch). Chunk arenas
-// start zeroed and are only ever written inside their owned spans, so a
-// zeroed shadow is already a faithful mirror — no full-arena copy is
-// needed here or anywhere else.
-func (ck *ckStore) resync(rks []*sessionRank) {
-	for r, rk := range rks {
-		n := len(rk.chunk)
-		if len(ck.shadow[r]) != n {
-			ck.shadow[r] = make([]float64, n)
-			ck.prints[r] = make([]uint64, (n+checkpointPageWords-1)/checkpointPageWords)
-		} else {
-			sh := ck.shadow[r]
-			for i := range sh {
-				sh[i] = 0
-			}
-		}
-		sh := ck.shadow[r]
-		for pg := range ck.prints[r] {
-			lo, hi := pageBounds(pg, n)
-			ck.prints[r][pg] = pageprint(sh[lo:hi])
-		}
+	if dk == dirtyIterate {
+		s.stats.CheckpointWords += s.encodeRecords()
 	}
+	s.stats.CheckpointNanos += time.Since(start).Nanoseconds()
 }
 
-// syncDirty folds rank r's owned chunk spans into the shadow and
-// re-fingerprints exactly the pages they cover, returning the word count
-// copied. Spans are visited in ascending arena order (owned rows are laid
-// out by local index k), so the page dedup below only needs to remember
-// the last page hashed.
-func (ck *ckStore) syncDirty(r int, rk *sessionRank) int64 {
-	sh := ck.shadow[r]
+// encodeRecords writes every rank's record at boundary 0 into its reused
+// buffer and returns the owned words the records carry.
+func (s *Session) encodeRecords() int64 {
 	var words int64
-	for k := range rk.lay.rows {
-		lo := k*rk.b + rk.lay.myLo[k]
-		hi := k*rk.b + rk.lay.myHi[k]
-		if hi <= lo {
-			continue
-		}
-		copy(sh[lo:hi], rk.chunk[lo:hi])
-		words += int64(hi - lo)
-	}
-	// Re-hash after all spans landed: adjacent spans may share a page, and
-	// hashing it mid-copy would freeze a stale prefix into the fingerprint.
-	prints := ck.prints[r]
-	last := -1
-	for k := range rk.lay.rows {
-		lo := k*rk.b + rk.lay.myLo[k]
-		hi := k*rk.b + rk.lay.myHi[k]
-		if hi <= lo {
-			continue
-		}
-		for pg := lo / checkpointPageWords; pg <= (hi-1)/checkpointPageWords; pg++ {
-			if pg <= last {
-				continue
-			}
-			plo, phi := pageBounds(pg, len(sh))
-			prints[pg] = pageprint(sh[plo:phi])
-			last = pg
-		}
+	for r, rk := range s.rk {
+		s.ck.recs[r] = rk.encodeRecord(s.ck.recs[r], r, 0)
+		words += int64(rk.ownedWords())
 	}
 	return words
 }
 
-// mismatch verifies a restored chunk arena against the fingerprints of
-// store entry i and returns the first page that differs, or -1.
-func (ck *ckStore) mismatch(i int, chunk []float64) int {
-	prints := ck.prints[i]
-	for pg := range prints {
-		lo, hi := pageBounds(pg, len(chunk))
-		if pageprint(chunk[lo:hi]) != prints[pg] {
-			return pg
-		}
-	}
-	return -1
-}
-
-func pageBounds(pg, n int) (lo, hi int) {
-	lo = pg * checkpointPageWords
-	hi = lo + checkpointPageWords
-	if hi > n {
-		hi = n
-	}
-	return lo, hi
-}
-
-// pageprint is FNV-1a over a page's IEEE-754 bit patterns — the same
-// construction (and constants) the reliable transport uses for payload
-// checksums, applied here as the Merkle leaf over a checkpoint page.
-func pageprint(words []float64) uint64 {
-	h := uint64(0xcbf29ce484222325)
-	for _, v := range words {
-		bits := math.Float64bits(v)
-		for s := 0; s < 64; s += 8 {
-			h ^= (bits >> s) & 0xff
-			h *= 0x100000001b3
-		}
-	}
-	return h
-}
-
-// checkpoint captures the committed state at a dispatch boundary (all
-// ranks parked, so the host may read their counters and arenas). Only
-// state the operation's dirtyKind can mutate is copied: a dirtyNone
-// checkpoint moves no arena words at all. Steady state this path
-// allocates nothing — the slots are double-buffered and pooled.
-func (s *Session) checkpoint(pr *phaseRecorder, dk dirtyKind) *ckSlot {
-	start := time.Now()
-	ck := s.ck
-	slot := &ck.slots[ck.turn]
-	ck.turn ^= 1
-	p := s.part.P
-	if slot.meters == nil {
-		slot.meters = make([]machine.Meters, p)
-		slot.pmLambda = make([]float64, p)
-		slot.pmPrev = make([]float64, p)
-		slot.seqs = make([]int64, p)
-	}
-	for r := 0; r < p; r++ {
-		slot.meters[r] = s.cur.h.RankMeters(r)
-		slot.pmLambda[r] = s.rk[r].pmLambda
-		slot.pmPrev[r] = s.rk[r].pmPrev
-		slot.seqs[r] = s.cur.h.RankEventSeq(r)
-	}
-	if dk == dirtyIterate {
-		var words int64
-		for r := 0; r < p; r++ {
-			words += ck.syncDirty(r, s.rk[r])
-		}
-		s.stats.CheckpointWords += words
-	}
-	if pr != nil {
-		slot.phases, slot.backing = pr.snapshotInto(slot.phases, slot.backing)
-	} else {
-		slot.phases = slot.phases[:0]
-	}
-	s.stats.CheckpointNanos += time.Since(start).Nanoseconds()
-	return slot
-}
-
-// restore rolls every rank back to the checkpoint on the relaunched
-// machine (relaunch has already carried the meters over): the chunk
-// iterate from the shadow mirror, the power-method scalars, and the phase
-// recorder rows.
-//
-// Every restored arena is then re-verified page by page against the
-// checkpoint-time fingerprints. A mismatch is surfaced as a
+// restore rolls every rank back to its record on the relaunched machine
+// (relaunch has already carried the meters over) and verifies each
+// restored arena page by page. A mismatch is surfaced as a
 // RestoreMismatchError (plus a trace event and a stats counter), never
 // absorbed into a replay.
-func (s *Session) restore(ck *ckSlot, pr *phaseRecorder) error {
+func (s *Session) restore() error {
 	start := time.Now()
 	l := s.cur
-	p := s.part.P
-	for r := 0; r < p; r++ {
-		copy(s.rk[r].chunk, s.ck.shadow[r])
-		s.rk[r].pmLambda = ck.pmLambda[r]
-		s.rk[r].pmPrev = ck.pmPrev[r]
-	}
-	if pr != nil {
-		pr.restore(ck.phases)
-	}
 	s.stats.Verifications++
 	pages := 0
-	for r := 0; r < p; r++ {
-		if pg := s.ck.mismatch(r, s.rk[r].chunk); pg >= 0 {
-			s.stats.Mismatches++
-			l.h.Emit(r, machine.Event{Kind: machine.EventRestoreMismatch, From: r, To: r, Step: pg})
-			return &RestoreMismatchError{Rank: r, Page: pg}
+	for r, rk := range s.rk {
+		if err := rk.loadRecord(r, 0, s.ck.recs[r]); err != nil {
+			var mm *RestoreMismatchError
+			if errors.As(err, &mm) {
+				s.stats.Mismatches++
+				l.h.Emit(r, machine.Event{Kind: machine.EventRestoreMismatch, From: r, To: r, Step: mm.Page})
+			}
+			return err
 		}
-		pages += len(s.ck.prints[r])
+		pages += rk.pages()
 	}
 	l.h.Emit(0, machine.Event{Kind: machine.EventRestoreVerify, From: 0, To: 0, Words: pages, Step: -1})
 	s.stats.Rollbacks++
@@ -283,15 +130,13 @@ func (s *Session) restore(ck *ckSlot, pr *phaseRecorder) error {
 	// Per-rank rollback markers carrying the checkpoint-time event
 	// sequence: every logical event a rank emitted at or after Step
 	// belongs to the aborted attempt (see obs.CheckCommittedAgainstReport).
-	for r := 0; r < p; r++ {
-		l.h.Emit(r, machine.Event{Kind: machine.EventRecoveryEnd, From: r, To: r, Step: int(ck.seqs[r])})
+	for r := range s.rk {
+		l.h.Emit(r, machine.Event{Kind: machine.EventRecoveryEnd, From: r, To: r, Step: int(s.ck.seqs[r])})
 	}
 	return nil
 }
 
-// The durable record of one store entry: what a Session checkpoint holds
-// for that rank, written by a multi-process rank after every round (see
-// RankEngine.Checkpoint). Format (big-endian):
+// A rank's checkpoint record. Format (big-endian):
 //
 //	u32 magic "STCK" | u32 rank | u32 iter | u64 λ bits | u64 prev bits |
 //	u32 npages | npages × u64 page fingerprint | u64 FNV-1a over all prior
@@ -301,57 +146,76 @@ func (s *Session) restore(ck *ckSlot, pr *phaseRecorder) error {
 // span words are checked by the fingerprints once they are restored.
 const recordMagic = 0x5354434b // "STCK"
 
-// recordSizes returns the length of entry i's record up to and including
-// the checksum, and its full length.
-func (ck *ckStore) recordSizes(i int, rk *sessionRank) (head, total int) {
-	head = 32 + 8*len(ck.prints[i]) + 8
-	total = head
-	for k := range rk.lay.rows {
-		total += 8 * (rk.lay.myHi[k] - rk.lay.myLo[k])
-	}
-	return head, total
+// pages returns the number of fingerprint pages of the chunk arena.
+func (rk *sessionRank) pages() int {
+	return (len(rk.chunk) + checkpointPageWords - 1) / checkpointPageWords
 }
 
-// record encodes entry i, holding rank's state at boundary iter, with
-// rk's convergence scalars.
-func (ck *ckStore) record(i, rank, iter int, rk *sessionRank) []byte {
-	_, total := ck.recordSizes(i, rk)
-	buf := make([]byte, 0, total)
-	buf = binary.BigEndian.AppendUint32(buf, recordMagic)
+// ownedWords returns the number of words in the rank's owned spans.
+func (rk *sessionRank) ownedWords() int {
+	w := 0
+	for k := range rk.lay.rows {
+		w += rk.lay.myHi[k] - rk.lay.myLo[k]
+	}
+	return w
+}
+
+// ownedSpan returns the arena bounds of the rank's owned span in row k.
+func (rk *sessionRank) ownedSpan(k int) (lo, hi int) {
+	return k*rk.b + rk.lay.myLo[k], k*rk.b + rk.lay.myHi[k]
+}
+
+// page returns the chunk arena words of fingerprint page pg.
+func (rk *sessionRank) page(pg int) []float64 {
+	lo := pg * checkpointPageWords
+	return rk.chunk[lo:min(lo+checkpointPageWords, len(rk.chunk))]
+}
+
+// recordHead is the length of a record up to and including its checksum.
+func recordHead(pages int) int { return 32 + 8*pages + 8 }
+
+// encodeRecord encodes the rank's state at boundary iter, as rank, into
+// dst's storage, which it grows only when its capacity is short.
+func (rk *sessionRank) encodeRecord(dst []byte, rank, iter int) []byte {
+	np := rk.pages()
+	if total := recordHead(np) + 8*rk.ownedWords(); cap(dst) < total {
+		dst = make([]byte, 0, total)
+	}
+	buf := binary.BigEndian.AppendUint32(dst[:0], recordMagic)
 	buf = binary.BigEndian.AppendUint32(buf, uint32(rank))
 	buf = binary.BigEndian.AppendUint32(buf, uint32(iter))
 	buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(rk.pmLambda))
 	buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(rk.pmPrev))
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(ck.prints[i])))
-	for _, pr := range ck.prints[i] {
-		buf = binary.BigEndian.AppendUint64(buf, pr)
+	buf = binary.BigEndian.AppendUint32(buf, uint32(np))
+	for pg := 0; pg < np; pg++ {
+		buf = binary.BigEndian.AppendUint64(buf, machine.Checksum(rk.page(pg)))
 	}
-	h := fnv.New64a()
-	h.Write(buf)
-	buf = binary.BigEndian.AppendUint64(buf, h.Sum64())
-	sh := ck.shadow[i]
+	buf = binary.BigEndian.AppendUint64(buf, machine.ChecksumBytes(buf))
 	for k := range rk.lay.rows {
-		for _, v := range sh[k*rk.b+rk.lay.myLo[k] : k*rk.b+rk.lay.myHi[k]] {
+		lo, hi := rk.ownedSpan(k)
+		for _, v := range rk.chunk[lo:hi] {
 			buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(v))
 		}
 	}
 	return buf
 }
 
-// load decodes a record of rank at boundary iter into entry i (span words
-// and fingerprints) and rk's convergence scalars. Nothing is written
-// unless the length, checksum, rank and boundary all check out.
-func (ck *ckStore) load(i, rank, iter int, rk *sessionRank, rec []byte) error {
-	head, total := ck.recordSizes(i, rk)
-	if len(rec) != total {
+// loadRecord restores the rank, as rank at boundary iter, from rec: the
+// convergence scalars, and the owned span words into the chunk arena.
+// Nothing is written unless the length, checksum, header, rank and
+// boundary all check out. Every page of the arena must then match the
+// record's fingerprint, else the error is a *RestoreMismatchError. A
+// Session rollback and RankEngine.Resume both restore through it.
+func (rk *sessionRank) loadRecord(rank, iter int, rec []byte) error {
+	np := rk.pages()
+	head := recordHead(np)
+	if total := head + 8*rk.ownedWords(); len(rec) != total {
 		return fmt.Errorf("parallel: checkpoint record of rank %d at boundary %d is %d bytes, want %d", rank, iter, len(rec), total)
 	}
-	h := fnv.New64a()
-	h.Write(rec[:head-8])
-	if h.Sum64() != binary.BigEndian.Uint64(rec[head-8:]) {
+	if machine.ChecksumBytes(rec[:head-8]) != binary.BigEndian.Uint64(rec[head-8:]) {
 		return fmt.Errorf("parallel: checkpoint record of rank %d at boundary %d fails its checksum", rank, iter)
 	}
-	if binary.BigEndian.Uint32(rec) != recordMagic || int(binary.BigEndian.Uint32(rec[28:])) != len(ck.prints[i]) {
+	if binary.BigEndian.Uint32(rec) != recordMagic || int(binary.BigEndian.Uint32(rec[28:])) != np {
 		return fmt.Errorf("parallel: checkpoint record of rank %d at boundary %d has a bad header", rank, iter)
 	}
 	if r, it := int(binary.BigEndian.Uint32(rec[4:])), int(binary.BigEndian.Uint32(rec[8:])); r != rank || it != iter {
@@ -359,15 +223,17 @@ func (ck *ckStore) load(i, rank, iter int, rk *sessionRank, rec []byte) error {
 	}
 	rk.pmLambda = math.Float64frombits(binary.BigEndian.Uint64(rec[12:]))
 	rk.pmPrev = math.Float64frombits(binary.BigEndian.Uint64(rec[20:]))
-	prints := ck.prints[i]
-	for pg := range prints {
-		prints[pg] = binary.BigEndian.Uint64(rec[32+8*pg:])
-	}
-	pos, sh := head, ck.shadow[i]
+	pos := head
 	for k := range rk.lay.rows {
-		for t := k*rk.b + rk.lay.myLo[k]; t < k*rk.b+rk.lay.myHi[k]; t++ {
-			sh[t] = math.Float64frombits(binary.BigEndian.Uint64(rec[pos:]))
+		lo, hi := rk.ownedSpan(k)
+		for t := lo; t < hi; t++ {
+			rk.chunk[t] = math.Float64frombits(binary.BigEndian.Uint64(rec[pos:]))
 			pos += 8
+		}
+	}
+	for pg := 0; pg < np; pg++ {
+		if machine.Checksum(rk.page(pg)) != binary.BigEndian.Uint64(rec[32+8*pg:]) {
+			return &RestoreMismatchError{Rank: rank, Page: pg}
 		}
 	}
 	return nil

@@ -1,6 +1,8 @@
 package parallel
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"math"
 	"math/rand"
@@ -13,7 +15,7 @@ import (
 // on the default (fault-free) transport: checkpoints are taken at every
 // dispatch boundary but no restore ever runs — the configuration that
 // measures pure checkpoint overhead.
-func openRecovering(t *testing.T, q, b int, seed int64) (*Session, []float64, *rand.Rand) {
+func openRecovering(t testing.TB, q, b int, seed int64) (*Session, []float64, *rand.Rand) {
 	t.Helper()
 	part := sphericalPart(t, q)
 	n := part.M * b
@@ -26,31 +28,54 @@ func openRecovering(t *testing.T, q, b int, seed int64) (*Session, []float64, *r
 	return s, randVec(n, rng), rng
 }
 
-// TestCheckpointSteadyStateZeroAlloc pins the incremental checkpointer's
-// allocation contract: after the double-buffered slots warmed up (two
-// captures per operation shape), the checkpoint path allocates nothing —
-// not for the scalar snapshot, not for the dirty-span copy, not for the
-// phase-recorder rows.
+// TestCheckpointSteadyStateZeroAlloc pins the checkpointer's allocation
+// contract: once warm, the checkpoint path allocates nothing — not for
+// the meter snapshot, not for the records.
 func TestCheckpointSteadyStateZeroAlloc(t *testing.T) {
 	s, x, _ := openRecovering(t, 3, 6, 61)
 	defer s.Close()
-	for i := 0; i < 3; i++ { // warm-up: session arenas and both ck slots
+	for i := 0; i < 3; i++ { // warm-up: session arenas
 		if _, err := s.Apply(x); err != nil {
 			t.Fatal(err)
 		}
 	}
-	pr := newPhaseRecorder(s.part.P, "gather", "local", "reduce-scatter", "all-gather")
-	s.checkpoint(pr, dirtyIterate)
-	s.checkpoint(pr, dirtyIterate) // second capture warms the other slot
+	s.checkpoint(dirtyIterate)
 	for _, dk := range []dirtyKind{dirtyNone, dirtyIterate} {
 		dk := dk
 		allocs := testing.AllocsPerRun(100, func() {
-			s.checkpoint(pr, dk)
+			s.checkpoint(dk)
 		})
 		if allocs != 0 {
 			t.Errorf("warm checkpoint (dirtyKind %d) allocates %.1f objects per capture, want 0", dk, allocs)
 		}
 	}
+}
+
+// BenchmarkSessionCheckpoint times the checkpoint layer on a parked
+// recovering session at perfbench power's shape (q = 2, b = 24): a warm
+// dirtyIterate capture (every rank's meters, trace sequence and record)
+// and a verified restore (every rank's record loaded and every page of
+// its arena checked).
+func BenchmarkSessionCheckpoint(b *testing.B) {
+	s, _, _ := openRecovering(b, 2, 24, 64)
+	defer s.Close()
+	if _, err := s.PowerMethod(PowerOptions{MaxIter: 2, Seed: 1}); err != nil {
+		b.Fatal(err)
+	}
+	b.Run("capture", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			s.checkpoint(dirtyIterate)
+		}
+	})
+	b.Run("restore", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if err := s.restore(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // TestCheckpointCostScalesWithDirty pins the O(dirty) contract from both
@@ -117,17 +142,24 @@ func TestRestoreMismatchDetected(t *testing.T) {
 	if _, err := s.PowerMethod(PowerOptions{MaxIter: 2, Seed: 5}); err != nil {
 		t.Fatal(err)
 	}
-	ck := s.checkpoint(nil, dirtyIterate)
+	s.checkpoint(dirtyIterate)
 	const wantRank = 1
-	pg := len(s.ck.prints[wantRank]) - 1 // last page: exercises the short-tail bounds
-	lo := pg * checkpointPageWords
-	s.ck.shadow[wantRank][lo] += 1.5 // flip bits after the fingerprint was taken
+	// The record's last word is the last owned word of the rank's last
+	// row, on the arena's last page: exercises the short-tail bounds.
+	rk := s.rk[wantRank]
+	last := len(rk.lay.rows) - 1
+	pg := (last*rk.b + rk.lay.myHi[last] - 1) / checkpointPageWords
+	if pg != rk.pages()-1 {
+		t.Fatalf("last owned word on page %d of %d", pg, rk.pages())
+	}
+	rec := s.ck.recs[wantRank]
+	rec[len(rec)-1] ^= 1 // flip a bit after the fingerprint was taken
 
 	base := s.RecoveryStats()
-	err := s.restore(ck, nil)
+	err := s.restore()
 	var mm *RestoreMismatchError
 	if !errors.As(err, &mm) {
-		t.Fatalf("restore over corrupted shadow returned %v, want *RestoreMismatchError", err)
+		t.Fatalf("restore over a corrupted record returned %v, want *RestoreMismatchError", err)
 	}
 	if mm.Rank != wantRank || mm.Page != pg {
 		t.Errorf("mismatch located at rank %d page %d, corruption was rank %d page %d",
@@ -145,10 +177,9 @@ func TestRestoreMismatchDetected(t *testing.T) {
 			base.Rollbacks, st.Rollbacks)
 	}
 
-	// Undamaged shadow verifies again: repair the word and re-sync.
-	s.ck.shadow[wantRank][lo] -= 1.5
-	ck = s.checkpoint(nil, dirtyIterate)
-	if err := s.restore(ck, nil); err != nil {
+	// The repaired record verifies again.
+	rec[len(rec)-1] ^= 1
+	if err := s.restore(); err != nil {
 		t.Fatalf("restore after repair: %v", err)
 	}
 	if st := s.RecoveryStats(); st.Rollbacks != base.Rollbacks+1 {
@@ -221,5 +252,42 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	var mm *RestoreMismatchError
 	if err := engine(4).Resume(17, flip(len(rec)-1)); !errors.As(err, &mm) || mm.Rank != 4 {
 		t.Errorf("record with a flipped span word: %v, want a *RestoreMismatchError on rank 4", err)
+	}
+}
+
+// TestCheckpointRecordBytes pins the record format byte for byte, since
+// a rank process's checkpoint files carry it: the records of three ranks
+// at q = 3, b = 20 hash to fixed digests. Rank 29 owns fewer words (a
+// shorter span tail) than ranks 0 and 7.
+func TestCheckpointRecordBytes(t *testing.T) {
+	part := sphericalPart(t, 3)
+	const b = 20
+	a := tensor.Random(part.M*b, rand.New(rand.NewSource(3)))
+	for _, tc := range []struct {
+		rank, size int
+		sum        string
+	}{
+		{0, 120, "740ac82e90d730cffdd59f2bde615845dec41c0109fda2a0de6aa2a831ca56a0"},
+		{7, 120, "2ac714806d7d1c660363feadae9ab1e1f7d4131c381d77b4bff4aea7ab9c4d7c"},
+		{29, 88, "c113dca19da9cdacd02167b8c1642c17a2efef7b5086e5e18409ca3ed6a9eaa2"},
+	} {
+		e, err := NewRankEngine(a, Options{Part: part, B: b, Wiring: WiringP2P}, tc.rank)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.rk.pmLambda, e.rk.pmPrev = 1.25e-3, math.Inf(1)
+		words := []float64{0, -1.5, math.Pi, 1e-300, math.Copysign(0, -1)}
+		w := 0
+		for k := range e.rk.lay.rows {
+			for i := k*b + e.rk.lay.myLo[k]; i < k*b+e.rk.lay.myHi[k]; i++ {
+				e.rk.chunk[i] = words[w%len(words)]
+				w++
+			}
+		}
+		rec := e.Checkpoint(17)
+		sum := sha256.Sum256(rec)
+		if len(rec) != tc.size || hex.EncodeToString(sum[:]) != tc.sum {
+			t.Errorf("rank %d record: %d bytes, sha256 %x; want %d bytes, %s", tc.rank, len(rec), sum, tc.size, tc.sum)
+		}
 	}
 }

@@ -1,8 +1,6 @@
 package parallel
 
 import (
-	"fmt"
-
 	"repro/internal/machine"
 	"repro/internal/tensor"
 )
@@ -65,23 +63,6 @@ func (r *EigenResult) Phase(label string) *PhaseMeter {
 // RunPowerMethod is the one-shot form of Session.PowerMethod: it opens a
 // session, runs the method as a single resident operation, and closes.
 func RunPowerMethod(a *tensor.Symmetric, opts Options, po PowerOptions) (*EigenResult, error) {
-	part := opts.Part
-	if part == nil {
-		return nil, fmt.Errorf("parallel: nil partition")
-	}
-	if a == nil {
-		return nil, fmt.Errorf("parallel: power method requires a tensor")
-	}
-	b := opts.B
-	if b < 1 {
-		return nil, fmt.Errorf("parallel: block edge %d", b)
-	}
-	if a.N > part.M*b {
-		return nil, fmt.Errorf("parallel: n=%d exceeds padded dimension %d", a.N, part.M*b)
-	}
-	if opts.Wiring != WiringP2P {
-		return nil, fmt.Errorf("parallel: power method supports the p2p wiring only")
-	}
 	s, err := OpenSession(a, opts)
 	if err != nil {
 		return nil, err

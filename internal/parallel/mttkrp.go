@@ -1,8 +1,6 @@
 package parallel
 
 import (
-	"fmt"
-
 	"repro/internal/la"
 	"repro/internal/tensor"
 )
@@ -22,19 +20,8 @@ import (
 // RunMTTKRP is the one-shot form of Session.MTTKRP: the batched product is
 // a multi-column application of the session engine.
 func RunMTTKRP(a *tensor.Symmetric, x *la.Matrix, r int, opts Options) (*la.Matrix, *Result, error) {
-	part := opts.Part
-	if part == nil {
-		return nil, nil, fmt.Errorf("parallel: nil partition")
-	}
-	b := opts.B
-	if b < 1 {
-		return nil, nil, fmt.Errorf("parallel: block edge %d", b)
-	}
 	if x != nil {
 		r = x.Cols
-	}
-	if r < 1 {
-		return nil, nil, fmt.Errorf("parallel: rank %d", r)
 	}
 	if opts.MaxCols < r {
 		opts.MaxCols = r

@@ -149,22 +149,6 @@ func (r *Result) Phase(label string) *PhaseMeter {
 // precomputation, and all buffers are then paid once rather than per
 // application. The results are identical either way, bit for bit.
 func Run(a *tensor.Symmetric, x []float64, opts Options) (*Result, error) {
-	part := opts.Part
-	if part == nil {
-		return nil, fmt.Errorf("parallel: nil partition")
-	}
-	b := opts.B
-	if b < 1 {
-		return nil, fmt.Errorf("parallel: block edge %d", b)
-	}
-	n := len(x)
-	padded := part.M * b
-	if n > padded {
-		return nil, fmt.Errorf("parallel: n=%d exceeds padded dimension %d (m=%d, b=%d)", n, padded, part.M, b)
-	}
-	if a != nil && a.N != n {
-		return nil, fmt.Errorf("parallel: tensor dimension %d, vector length %d", a.N, n)
-	}
 	s, err := OpenSession(a, opts)
 	if err != nil {
 		return nil, err

@@ -58,35 +58,63 @@ func (m *PhaseMeter) TotalTernary() int64 {
 // phaseRecorder builds the []PhaseMeter of a Result. All labels are
 // registered host-side before the run, so during the run each rank only
 // reads the shared index map and writes its own slice slots — no locks.
+// Ranks count into the running dispatch attempt's rows, never into the
+// meters: commit folds a completed attempt in, and a failed attempt's
+// rows are discarded once its machine is retired, so a replay counts
+// its phases once.
 type phaseRecorder struct {
-	p      int
-	meters []*PhaseMeter
 	index  map[string]int
+	meters phaseTable
+	att    *phaseTable
 }
 
-func newPhaseRecorder(p int, labels ...string) *phaseRecorder {
-	pr := &phaseRecorder{p: p, index: make(map[string]int, len(labels))}
-	for _, label := range labels {
-		if _, ok := pr.index[label]; ok {
-			continue
+// phaseTable is one PhaseMeter per label with every counter a view of
+// one backing array, five rows of p per meter.
+type phaseTable struct {
+	rows []PhaseMeter
+	back []int64
+}
+
+func newPhaseTable(p, n int) phaseTable {
+	t := phaseTable{rows: make([]PhaseMeter, n), back: make([]int64, 5*p*n)}
+	for i := range t.rows {
+		c := t.back[5*p*i:]
+		t.rows[i] = PhaseMeter{
+			SentWords: c[0:p:p],
+			RecvWords: c[p : 2*p : 2*p],
+			SentMsgs:  c[2*p : 3*p : 3*p],
+			RecvMsgs:  c[3*p : 4*p : 4*p],
+			Ternary:   c[4*p : 5*p : 5*p],
 		}
-		pr.index[label] = len(pr.meters)
-		pr.meters = append(pr.meters, &PhaseMeter{
-			Label:     label,
-			SentWords: make([]int64, p),
-			RecvWords: make([]int64, p),
-			SentMsgs:  make([]int64, p),
-			RecvMsgs:  make([]int64, p),
-			Ternary:   make([]int64, p),
-		})
 	}
+	return t
+}
+
+// newPhaseRecorder registers labels, a repeated one once. att lends the
+// attempt rows, at least one per label and all zero; nil allocates them.
+func newPhaseRecorder(p int, att *phaseTable, labels ...string) *phaseRecorder {
+	pr := &phaseRecorder{index: make(map[string]int, len(labels))}
+	for _, label := range labels {
+		if _, ok := pr.index[label]; !ok {
+			pr.index[label] = len(pr.index)
+		}
+	}
+	pr.meters = newPhaseTable(p, len(pr.index))
+	for label, i := range pr.index {
+		pr.meters.rows[i].Label = label
+	}
+	if att == nil {
+		t := newPhaseTable(p, len(pr.index))
+		att = &t
+	}
+	pr.att = att
 	return pr
 }
 
 // meter returns the registered meter for label; it panics on an
 // unregistered label (a driver bug, not a runtime condition).
 func (pr *phaseRecorder) meter(label string) *PhaseMeter {
-	return pr.meters[pr.index[label]]
+	return &pr.meters.rows[pr.index[label]]
 }
 
 // setSteps sets Steps on each scheduled exchange the recorder registered
@@ -94,7 +122,7 @@ func (pr *phaseRecorder) meter(label string) *PhaseMeter {
 func (pr *phaseRecorder) setSteps(steps int) {
 	for _, label := range [...]string{"gather", "reduce-scatter"} {
 		if i, ok := pr.index[label]; ok {
-			pr.meters[i].Steps = steps
+			pr.meters.rows[i].Steps = steps
 		}
 	}
 }
@@ -102,92 +130,40 @@ func (pr *phaseRecorder) setSteps(steps int) {
 // comm runs body inside BeginPhase/EndPhase markers and attributes the
 // rank's logical meter deltas to the label.
 func (pr *phaseRecorder) comm(c *machine.Comm, label string, body func()) {
-	m := pr.meter(label)
+	a := &pr.att.rows[pr.index[label]]
 	r := c.Rank()
 	m0 := c.Meters()
 	c.BeginPhase(label)
 	body()
 	c.EndPhase()
 	d := c.Meters().Sub(m0)
-	m.SentWords[r] += d.SentWords
-	m.RecvWords[r] += d.RecvWords
-	m.SentMsgs[r] += d.SentMsgs
-	m.RecvMsgs[r] += d.RecvMsgs
+	a.SentWords[r] += d.SentWords
+	a.RecvWords[r] += d.RecvWords
+	a.SentMsgs[r] += d.SentMsgs
+	a.RecvMsgs[r] += d.RecvMsgs
 }
 
 // local runs a compute stage returning its ternary count, emitting the
 // phase markers and the LocalCompute trace event, and attributes the
 // count to the label.
 func (pr *phaseRecorder) local(c *machine.Comm, label string, body func() int64) {
-	m := pr.meter(label)
+	a := &pr.att.rows[pr.index[label]]
 	c.BeginPhase(label)
 	t := body()
 	c.LocalCompute(t)
 	c.EndPhase()
-	m.Ternary[c.Rank()] += t
+	a.Ternary[c.Rank()] += t
 }
 
-// phaseSnap is one phase meter's counters at a checkpoint. The recovery
-// supervisor snapshots the recorder at each dispatch boundary and rolls
-// it back before a replay: ranks that completed phases of the aborted
-// attempt already accumulated into the meters, and without the rollback
-// the replay would double-count them.
-type phaseSnap struct {
-	sentW, recvW, sentM, recvM, tern []int64
+// commit folds a completed attempt's rows into the meters and clears
+// them for the next attempt.
+func (pr *phaseRecorder) commit() {
+	for i, v := range pr.att.back[:len(pr.meters.back)] {
+		pr.meters.back[i] += v
+	}
+	pr.discard()
 }
 
-// snapshotInto copies every registered meter's per-rank counters into
-// the caller-pooled snaps/backing storage, growing it only when capacity
-// is short (first checkpoint of each operation shape); at steady state
-// the capture allocates nothing. The returned slices must be stored back
-// by the caller — they may have been regrown.
-func (pr *phaseRecorder) snapshotInto(snaps []phaseSnap, backing []int64) ([]phaseSnap, []int64) {
-	need := len(pr.meters) * 5 * pr.p
-	if cap(backing) < need {
-		backing = make([]int64, need)
-	}
-	backing = backing[:need]
-	if cap(snaps) < len(pr.meters) {
-		snaps = make([]phaseSnap, len(pr.meters))
-	}
-	snaps = snaps[:len(pr.meters)]
-	off := 0
-	take := func() []int64 {
-		sl := backing[off : off+pr.p : off+pr.p]
-		off += pr.p
-		return sl
-	}
-	for i, m := range pr.meters {
-		sn := &snaps[i]
-		sn.sentW, sn.recvW, sn.sentM, sn.recvM, sn.tern = take(), take(), take(), take(), take()
-		copy(sn.sentW, m.SentWords)
-		copy(sn.recvW, m.RecvWords)
-		copy(sn.sentM, m.SentMsgs)
-		copy(sn.recvM, m.RecvMsgs)
-		copy(sn.tern, m.Ternary)
-	}
-	return snaps, backing
-}
-
-// restore overwrites the meters with a snapshot taken by the same
-// recorder (label registration is fixed at construction, so index i in
-// the snapshot is meter i).
-func (pr *phaseRecorder) restore(snaps []phaseSnap) {
-	for i, sn := range snaps {
-		m := pr.meters[i]
-		copy(m.SentWords, sn.sentW)
-		copy(m.RecvWords, sn.recvW)
-		copy(m.SentMsgs, sn.sentM)
-		copy(m.RecvMsgs, sn.recvM)
-		copy(m.Ternary, sn.tern)
-	}
-}
-
-// results finalizes the meters in registration order.
-func (pr *phaseRecorder) results() []PhaseMeter {
-	out := make([]PhaseMeter, len(pr.meters))
-	for i, m := range pr.meters {
-		out[i] = *m
-	}
-	return out
-}
+// discard clears the attempt rows. After a failed attempt it may run
+// only once no rank of the attempt's machine can still write them.
+func (pr *phaseRecorder) discard() { clear(pr.att.back) }

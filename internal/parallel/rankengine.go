@@ -28,8 +28,7 @@ type RankEngine struct {
 
 	step rankStep
 	rk   *sessionRank
-	ck   *ckStore // one-rank store: the record's shadow and fingerprints
-	pr   *phaseRecorder
+	pr   *phaseRecorder // never read: a rank process reports no phases
 }
 
 // NewRankEngine validates the configuration and packs only this rank's
@@ -77,8 +76,7 @@ func NewRankEngine(a *tensor.Symmetric, opts Options, rank int) (*RankEngine, er
 		n:      a.N,
 		step:   step,
 		rk:     rk,
-		ck:     newCkStore([]*sessionRank{rk}),
-		pr:     newPhaseRecorder(part.P, step.pmLabels...),
+		pr:     newPhaseRecorder(part.P, nil, step.pmLabels...),
 	}, nil
 }
 
@@ -103,28 +101,19 @@ func (e *RankEngine) Iterate(c *machine.Comm, tol float64) (stop, converged, sin
 // Lambda returns the current eigenvalue estimate.
 func (e *RankEngine) Lambda() float64 { return e.rk.pmLambda }
 
-// Checkpoint captures the rank's state at boundary iter (after iter
-// rounds) into its one-rank checkpoint store, exactly as a Session
-// checkpoint captures a power iteration, and returns the store's durable
-// record (see ckStore.record).
+// Checkpoint returns the rank's durable record at boundary iter (after
+// iter rounds): the bytes a recovering Session keeps for the rank at a
+// power-iteration boundary (see sessionRank.encodeRecord).
 func (e *RankEngine) Checkpoint(iter int) []byte {
-	e.ck.syncDirty(0, e.rk)
-	return e.ck.record(0, e.rank, iter, e.rk)
+	return e.rk.encodeRecord(nil, e.rank, iter)
 }
 
 // Resume restores the rank to boundary iter from a record Checkpoint wrote
-// on an engine of the same configuration. The restored arena is verified
-// against the record's page fingerprints, as a Session restore verifies
-// its own; a mismatch is a *RestoreMismatchError.
+// on an engine of the same configuration, verified against the record's
+// page fingerprints exactly as a Session rollback is; a mismatch is a
+// *RestoreMismatchError.
 func (e *RankEngine) Resume(iter int, rec []byte) error {
-	if err := e.ck.load(0, e.rank, iter, e.rk, rec); err != nil {
-		return err
-	}
-	copy(e.rk.chunk, e.ck.shadow[0])
-	if pg := e.ck.mismatch(0, e.rk.chunk); pg >= 0 {
-		return &RestoreMismatchError{Rank: e.rank, Page: pg}
-	}
-	return nil
+	return e.rk.loadRecord(e.rank, iter, rec)
 }
 
 // OwnedWords returns the rank's owned spans of the iterate, concatenated

@@ -62,8 +62,8 @@ type RecoveryStats struct {
 	// Mismatches counts restores whose fingerprint verification failed
 	// (each surfaced a RestoreMismatchError instead of replaying).
 	Mismatches int
-	// CheckpointWords counts dirty words the incremental checkpointer
-	// copied over the session lifetime. Apply-style operations contribute
+	// CheckpointWords counts the owned span words the checkpoint records
+	// carried over the session lifetime. Apply-style operations contribute
 	// zero; power-method iterations contribute their owned spans.
 	CheckpointWords int64
 	// CheckpointNanos and RestoreNanos accumulate wall time spent in the
@@ -104,7 +104,11 @@ func (s *Session) start() error {
 			// wait for a retired incarnation that will not exit.
 			s.opts.Machine.Timeout = 5 * time.Second
 		}
-		s.ck = newCkStore(s.rk)
+		p := s.part.P
+		s.ck = &ckStore{meters: make([]machine.Meters, p), seqs: make([]int64, p), recs: make([][]byte, p)}
+		// Every rank gets a record of its zero iterate, so a rollback
+		// before any power iteration verifies every rank too.
+		s.encodeRecords()
 	}
 	return s.launchMachine(s.opts.Machine.StartEpoch)
 }
@@ -187,20 +191,27 @@ func (op *sessionOp) serve(c *machine.Comm) {
 }
 
 // dispatch hands one operation to every rank and waits for completion,
-// supervising the run when recovery is armed. pr may be nil for
-// operations without phase meters; dk declares which checkpointed state
-// the operation mutates, bounding what the checkpointer copies.
+// supervising the run when recovery is armed. The attempt that completes
+// commits its phase meters to pr; dk declares which checkpointed state
+// the operation mutates, bounding what the checkpointer encodes.
 func (s *Session) dispatch(pr *phaseRecorder, dk dirtyKind, run func(me int, c *machine.Comm)) error {
-	if s.rec == nil {
-		return s.attempt(run) // fail fast: any machine death is the error
+	if s.rec != nil {
+		s.checkpoint(dk)
 	}
-	ck := s.checkpoint(pr, dk)
 	for replay := 0; ; replay++ {
 		err := s.attempt(run)
 		if err == nil {
+			pr.commit()
 			return nil
 		}
-		if rerr := s.relaunch(ck, pr, replay+1); rerr != nil {
+		if s.rec == nil {
+			return err // fail fast: any machine death is the error
+		}
+		rerr := s.relaunch(replay + 1)
+		// relaunch retired the failed machine, so no survivor of the
+		// attempt still counts into its rows.
+		pr.discard()
+		if rerr != nil {
 			return rerr
 		}
 		if s.rec.Exhausted(replay + 1) {
@@ -238,13 +249,13 @@ func (s *Session) attempt(run func(me int, c *machine.Comm)) error {
 // relaunch is the recovery protocol. It retires the current incarnation —
 // abort (survivors unwind to their park), close the op channels, wait for
 // every rank to exit — and starts its successor one epoch later, rolled
-// back to ck. The successor carries the checkpoint's logical meters
-// (committed work only), the retired machine's cumulative wire meters
-// (recovery traffic stays visible) and its per-rank event sequences. No
-// wire is drained: a backend the two incarnations share still holds stale
-// packets, and the new epoch's fence drops them on Pull. attempt labels
-// the EventRecoveryBegin marker.
-func (s *Session) relaunch(ck *ckSlot, pr *phaseRecorder, attempt int) error {
+// back to the checkpoint. The successor carries the checkpoint's logical
+// meters (committed work only), the retired machine's cumulative wire
+// meters (recovery traffic stays visible) and its per-rank event
+// sequences. No wire is drained: a backend the two incarnations share
+// still holds stale packets, and the new epoch's fence drops them on
+// Pull. attempt labels the EventRecoveryBegin marker.
+func (s *Session) relaunch(attempt int) error {
 	old := s.cur
 	old.h.Abort()
 	old.stop()
@@ -255,7 +266,7 @@ func (s *Session) relaunch(ck *ckSlot, pr *phaseRecorder, attempt int) error {
 	}
 	h := s.cur.h
 	for r := 0; r < s.part.P; r++ {
-		mt, wm := ck.meters[r], old.h.RankMeters(r)
+		mt, wm := s.ck.meters[r], old.h.RankMeters(r)
 		mt.WireSentWords, mt.WireRecvWords = wm.WireSentWords, wm.WireRecvWords
 		mt.WireSentMsgs, mt.WireRecvMsgs = wm.WireSentMsgs, wm.WireRecvMsgs
 		h.RestoreMeters(r, mt)
@@ -271,8 +282,5 @@ func (s *Session) relaunch(ck *ckSlot, pr *phaseRecorder, attempt int) error {
 	h.Emit(0, machine.Event{Kind: machine.EventRecoveryBegin, From: 0, To: 0, Step: attempt})
 	s.stats.Relaunches++
 	s.stats.RankDowns += len(dead)
-	return s.restore(ck, pr)
+	return s.restore()
 }
-
-// The checkpoint store itself — incremental capture, shadow mirrors, page
-// fingerprints, and verified restore — lives in checkpoint.go.

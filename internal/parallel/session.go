@@ -37,7 +37,6 @@ import (
 // A Session is not safe for concurrent use: operations are dispatched one
 // at a time by a single host goroutine.
 type Session struct {
-	a      *tensor.Symmetric
 	opts   Options
 	part   *partition.Tetrahedral
 	b      int
@@ -52,10 +51,15 @@ type Session struct {
 	stageX  [][]float64 // host staging, maxCols × padded
 	stageY  [][]float64
 
-	cur      *launch          // current machine incarnation
-	rec      *RecoveryOptions // nil: fail fast on any crash
-	ck       *ckStore         // incremental checkpoint store; nil when fail-fast
-	stats    RecoveryStats
+	cur   *launch          // current machine incarnation
+	rec   *RecoveryOptions // nil: fail fast on any crash
+	ck    *ckStore         // nil when fail-fast
+	stats RecoveryStats
+	// att holds the running dispatch attempt's phase counters, sized at
+	// open for the power method's labels and lent to one operation at a
+	// time (see phaseRecorder).
+	att phaseTable
+
 	inflight atomic.Bool
 	report   *machine.Report
 	closed   bool
@@ -114,7 +118,11 @@ func (rk *sessionRank) grow(maxCols, p, a2aWidth int) {
 	rows := len(rk.lay.rows)
 	rk.xA = make([]float64, rows*maxCols*rk.b)
 	rk.yA = make([]float64, rows*maxCols*rk.b)
-	rk.chunk = make([]float64, rows*rk.b)
+	if rk.chunk == nil {
+		// The iterate does not depend on the column count: a regrow
+		// keeps it, and with it the checkpoint records, current.
+		rk.chunk = make([]float64, rows*rk.b)
+	}
 	if rk.lay.maxMsgW > 0 {
 		rk.sendBuf = make([]float64, rk.lay.maxMsgW*maxCols)
 		rk.recvBuf = make([]float64, rk.lay.maxMsgW*maxCols)
@@ -154,8 +162,20 @@ func OpenSession(a *tensor.Symmetric, opts Options) (*Session, error) {
 		}
 		sched = s
 	}
-	var op localOperator
 	n := 0
+	if opts.Sparse != nil {
+		n = opts.Sparse.N
+	} else if a != nil {
+		n = a.N
+	}
+	if n > part.M*b {
+		return nil, fmt.Errorf("parallel: n=%d exceeds padded dimension %d (m=%d, b=%d)", n, part.M*b, part.M, b)
+	}
+	if a != nil && n == 0 {
+		// n = 0 stands for "no tensor" from here on.
+		return nil, fmt.Errorf("parallel: empty tensor")
+	}
+	var op localOperator
 	if srb := opts.Sparse; srb != nil {
 		if a != nil {
 			return nil, fmt.Errorf("parallel: sparse session takes no dense tensor")
@@ -168,16 +188,12 @@ func OpenSession(a *tensor.Symmetric, opts Options) (*Session, error) {
 			return nil, err
 		}
 		op = &sparseOp{blocks: srb}
-		n = srb.N
 	} else {
 		blocks, err := rankBlocksFor(&opts, a, part, b)
 		if err != nil {
 			return nil, err
 		}
 		op = &denseOp{blocks: blocks, scalar: opts.ScalarKernel}
-		if a != nil {
-			n = a.N
-		}
 	}
 	lay, err := buildLayout(part, sched, opts.Wiring, b)
 	if err != nil {
@@ -195,7 +211,6 @@ func OpenSession(a *tensor.Symmetric, opts Options) (*Session, error) {
 	}
 
 	s := &Session{
-		a:      a,
 		opts:   opts,
 		part:   part,
 		b:      b,
@@ -212,6 +227,7 @@ func OpenSession(a *tensor.Symmetric, opts Options) (*Session, error) {
 // share.
 func (s *Session) open() (*Session, error) {
 	s.grow(max(s.opts.MaxCols, 1))
+	s.att = newPhaseTable(s.part.P, len(s.step.pmLabels))
 	if err := s.start(); err != nil {
 		return nil, err
 	}
@@ -241,11 +257,6 @@ func (s *Session) grow(maxCols int) {
 	for l := 0; l < maxCols; l++ {
 		s.stageX[l] = make([]float64, s.padded)
 		s.stageY[l] = make([]float64, s.padded)
-	}
-	if s.ck != nil {
-		// The chunk arenas above were reallocated (and zeroed); the shadow
-		// mirrors and their fingerprints must follow.
-		s.ck.resync(s.rk)
 	}
 }
 
@@ -453,17 +464,33 @@ func (rk *sessionRank) yRowCol(i, l int) []float64 {
 // Operations.
 
 // applyOp is the rank closure of one (possibly batched) application of
-// any kind of session: stage → step → publish, then the rank's meter
-// delta.
-func (s *Session) applyOp(cols int, pr *phaseRecorder, deltas []machine.Meters) func(me int, c *machine.Comm) {
+// any kind of session: stage → step → publish.
+func (s *Session) applyOp(cols int, pr *phaseRecorder) func(me int, c *machine.Comm) {
 	return func(me int, c *machine.Comm) {
 		rk := s.rk[me]
-		m0 := c.Meters()
 		rk.stage(s.stageX, cols)
 		s.step.run(rk, c, cols, pr)
 		rk.publish(s.stageY, cols)
-		deltas[me] = c.Meters().Sub(m0)
 	}
+}
+
+// rankMeters snapshots every rank's meters on the current machine.
+func (s *Session) rankMeters() []machine.Meters {
+	ms := make([]machine.Meters, s.part.P)
+	for r := range ms {
+		ms[r] = s.cur.h.RankMeters(r)
+	}
+	return ms
+}
+
+// since turns a rankMeters snapshot into the meters accrued since, in
+// place: an operation's Report. A replayed attempt's logical traffic was
+// rolled back with its machine, and its wire traffic stays in.
+func (s *Session) since(base []machine.Meters) []machine.Meters {
+	for r := range base {
+		base[r] = s.cur.h.RankMeters(r).Sub(base[r])
+	}
+	return base
 }
 
 // applyCols stages the input columns, dispatches one application, and
@@ -491,9 +518,6 @@ func (s *Session) applyCols(X [][]float64) ([]machine.Meters, *phaseRecorder, er
 		if len(x) > s.padded {
 			return nil, nil, fmt.Errorf("parallel: n=%d exceeds padded dimension %d (m=%d, b=%d)", len(x), s.padded, s.part.M, s.b)
 		}
-		if s.a != nil && s.a.N != len(x) {
-			return nil, nil, fmt.Errorf("parallel: tensor dimension %d, vector length %d", s.a.N, len(x))
-		}
 		if s.n > 0 && s.n != len(x) {
 			return nil, nil, fmt.Errorf("parallel: operator dimension %d, vector length %d", s.n, len(x))
 		}
@@ -507,13 +531,13 @@ func (s *Session) applyCols(X [][]float64) ([]machine.Meters, *phaseRecorder, er
 		copy(s.stageX[l], x)
 		clear(s.stageX[l][len(x):])
 	}
-	deltas := make([]machine.Meters, s.part.P)
-	pr := newPhaseRecorder(s.part.P, s.step.labels...)
-	if err := s.dispatch(pr, dirtyNone, s.applyOp(cols, pr, deltas)); err != nil {
+	pr := newPhaseRecorder(s.part.P, &s.att, s.step.labels...)
+	base := s.rankMeters()
+	if err := s.dispatch(pr, dirtyNone, s.applyOp(cols, pr)); err != nil {
 		return nil, nil, err
 	}
 	pr.setSteps(s.lay.steps)
-	return deltas, pr, nil
+	return s.since(base), pr, nil
 }
 
 // Apply computes y = A ×₂ x ×₃ x on the resident machine. The result (Y
@@ -527,7 +551,7 @@ func (s *Session) Apply(x []float64) (*Result, error) {
 	return &Result{
 		Y:       append([]float64(nil), s.stageY[0][:len(x)]...),
 		Report:  machine.NewReport(deltas),
-		Phases:  pr.results(),
+		Phases:  pr.meters.rows,
 		Ternary: pr.meter("local").Ternary,
 		Steps:   s.lay.steps,
 	}, nil
@@ -608,7 +632,7 @@ func (s *Session) ApplyBatch(X [][]float64) (*BatchResult, error) {
 	return &BatchResult{
 		Y:       ys,
 		Report:  machine.NewReport(deltas),
-		Phases:  pr.results(),
+		Phases:  pr.meters.rows,
 		Ternary: pr.meter("local").Ternary,
 		Steps:   s.lay.steps,
 	}, nil
@@ -723,10 +747,6 @@ func (s *Session) PowerMethod(po PowerOptions) (*EigenResult, error) {
 	if s.opts.Wiring != WiringP2P {
 		return nil, fmt.Errorf("parallel: power method supports the p2p wiring only")
 	}
-	n := s.n
-	if n > s.padded {
-		return nil, fmt.Errorf("parallel: n=%d exceeds padded dimension %d", n, s.padded)
-	}
 	if po.MaxIter <= 0 {
 		po.MaxIter = 200
 	}
@@ -740,16 +760,13 @@ func (s *Session) PowerMethod(po PowerOptions) (*EigenResult, error) {
 
 	// Seed the distributed iterate host-side (every rank is parked
 	// between operations, so its chunk arena is the host's to write).
-	seedPower(s.rk, n, s.padded, po.Seed)
+	seedPower(s.rk, s.n, s.padded, po.Seed)
 
 	p := s.part.P
 	b := s.b
 
-	pr := newPhaseRecorder(p, s.step.pmLabels...)
-	base := make([]machine.Meters, p)
-	for r := range base {
-		base[r] = s.cur.h.RankMeters(r)
-	}
+	pr := newPhaseRecorder(p, &s.att, s.step.pmLabels...)
+	base := s.rankMeters()
 
 	// Each iteration is its own dispatch, which keeps the crash-recovery
 	// checkpoint granularity at one STTSV round: a crash replays the
@@ -772,10 +789,7 @@ func (s *Session) PowerMethod(po PowerOptions) (*EigenResult, error) {
 	// Iterations counts dispatched STTSV rounds exactly: a run stopped by
 	// the MaxIter cap reports MaxIter, not MaxIter+1, and Converged stays
 	// false for both the cap exit and the singular exit.
-	deltas := make([]machine.Meters, p)
-	for r := range deltas {
-		deltas[r] = s.cur.h.RankMeters(r).Sub(base[r])
-	}
+	deltas := s.since(base)
 	xOut := make([]float64, s.padded)
 	for _, rk := range s.rk {
 		for k, row := range rk.lay.rows {
@@ -788,12 +802,12 @@ func (s *Session) PowerMethod(po PowerOptions) (*EigenResult, error) {
 	pr.setSteps(s.lay.steps * iterations)
 	return &EigenResult{
 		Lambda:     s.rk[0].pmLambda,
-		X:          xOut[:n],
+		X:          xOut[:s.n],
 		Iterations: iterations,
 		Converged:  st.converged[0],
 		Singular:   st.singular[0],
 		Report:     machine.NewReport(deltas),
-		Phases:     pr.results(),
+		Phases:     pr.meters.rows,
 	}, nil
 }
 
@@ -815,12 +829,6 @@ func (s *Session) MTTKRP(x *la.Matrix, r int) (*la.Matrix, *Result, error) {
 		n = s.n
 	default:
 		n = s.padded
-	}
-	if n > s.padded {
-		return nil, nil, fmt.Errorf("parallel: n=%d exceeds padded dimension %d", n, s.padded)
-	}
-	if s.a != nil && s.a.N != n {
-		return nil, nil, fmt.Errorf("parallel: tensor dimension %d, factor rows %d", s.a.N, n)
 	}
 	X := make([][]float64, r)
 	for l := 0; l < r; l++ {
@@ -844,7 +852,7 @@ func (s *Session) MTTKRP(x *la.Matrix, r int) (*la.Matrix, *Result, error) {
 	}
 	res := &Result{
 		Report:  machine.NewReport(deltas),
-		Phases:  pr.results(),
+		Phases:  pr.meters.rows,
 		Ternary: pr.meter("local").Ternary,
 		Steps:   s.lay.steps,
 	}

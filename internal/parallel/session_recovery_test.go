@@ -6,7 +6,10 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
+	"repro/internal/fault"
+	"repro/internal/machine"
 	"repro/internal/tensor"
 )
 
@@ -115,5 +118,54 @@ func TestPowerMethodSingularExit(t *testing.T) {
 	}
 	if res.Lambda != 0 {
 		t.Errorf("Lambda = %g, want 0", res.Lambda)
+	}
+}
+
+// TestReplayedApplyReportsRecoveryTraffic: the Report of an Apply that a
+// crash replayed carries the aborted attempt's wire traffic, as a
+// replayed power method's does, while its logical meters stay those of a
+// crash-free run.
+func TestReplayedApplyReportsRecoveryTraffic(t *testing.T) {
+	part := sphericalPart(t, 2)
+	const b = 6
+	n := part.M * b
+	rng := rand.New(rand.NewSource(44))
+	a := tensor.Random(n, rng)
+	x := randVec(n, rng)
+	want, err := Run(a, x, Options{Part: part, B: b, Wiring: WiringP2P})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := OpenSession(a, Options{
+		Part: part, B: b, Wiring: WiringP2P,
+		Machine: machine.RunConfig{
+			Transport: fault.Transport(fault.Plan{Seed: 5, Crash: map[int]int{2: 30}},
+				fault.ReliableOptions{MaxAttempts: 1 << 20}),
+			Timeout: 2 * time.Second,
+		},
+		Recovery: &RecoveryOptions{},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	got, err := s.Apply(x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := s.RecoveryStats(); st.Relaunches != 1 {
+		t.Fatalf("%d relaunches, want the planned crash to replay the Apply once", st.Relaunches)
+	}
+	if !bitsEqual(got.Y, want.Y) {
+		t.Error("replayed Apply's Y differs from the crash-free run")
+	}
+	for r := range want.Report.SentWords {
+		if got.Report.SentWords[r] != want.Report.SentWords[r] || got.Report.RecvWords[r] != want.Report.RecvWords[r] ||
+			got.Report.SentMsgs[r] != want.Report.SentMsgs[r] || got.Report.RecvMsgs[r] != want.Report.RecvMsgs[r] {
+			t.Errorf("rank %d logical meters differ from the crash-free run", r)
+		}
+	}
+	if w, l := got.Report.TotalWireSentWords(), got.Report.TotalSentWords(); w <= l {
+		t.Errorf("replayed Apply reports %d wire words for %d logical words, want the aborted attempt's traffic on the wire", w, l)
 	}
 }

@@ -86,8 +86,5 @@ func sparseBlocksFor(srb *SparseRankBlocks, part *partition.Tetrahedral, b int) 
 		return nil, fmt.Errorf("parallel: cached sparse blocks built for (P=%d, b=%d), run needs (P=%d, b=%d)",
 			srb.P, srb.B, part.P, b)
 	}
-	if srb.N > part.M*b {
-		return nil, fmt.Errorf("parallel: n=%d exceeds padded dimension %d (m=%d, b=%d)", srb.N, part.M*b, part.M, b)
-	}
 	return srb, nil
 }

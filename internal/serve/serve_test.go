@@ -448,6 +448,28 @@ func TestApplyValidation(t *testing.T) {
 	}
 }
 
+// TestOpenRejectsOversizeTensor: a tensor one row past the padded
+// dimension M·b, or one of dimension 0, fails at open — a session, a
+// pool and a one-shot Run — rather than opening something whose every
+// operation fails.
+func TestOpenRejectsOversizeTensor(t *testing.T) {
+	_, so := testSetup(t, 2, 3, 1113)
+	for _, n := range []int{so.Part.M*so.B + 1, 0} {
+		a := tensor.Random(n, rand.New(rand.NewSource(1114)))
+		if s, err := parallel.OpenSession(a, so); err == nil {
+			s.Close()
+			t.Errorf("OpenSession accepted n=%d with padded dimension %d", n, so.Part.M*so.B)
+		}
+		if pool, err := Open(a, Options{Session: so}); err == nil {
+			pool.Close()
+			t.Errorf("Open accepted n=%d with padded dimension %d", n, so.Part.M*so.B)
+		}
+		if _, err := parallel.Run(a, make([]float64, n), so); err == nil {
+			t.Errorf("Run accepted n=%d with padded dimension %d", n, so.Part.M*so.B)
+		}
+	}
+}
+
 // TestOpenSharedBlocks: the pool packs the tensor once and shares the
 // blocks across sessions; a caller-packed RankBlocks is used as-is.
 func TestOpenSharedBlocks(t *testing.T) {

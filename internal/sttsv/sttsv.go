@@ -23,7 +23,6 @@ package sttsv
 import (
 	"fmt"
 
-	"repro/internal/intmath"
 	"repro/internal/tensor"
 )
 
@@ -121,58 +120,6 @@ func Packed(a *tensor.Symmetric, x []float64, stats *Stats) []float64 {
 // Algorithm 4 performs for dimension n: n²(n+1)/2 (§3).
 func PackedTernaryCount(n int) int64 {
 	return int64(n) * int64(n) * int64(n+1) / 2
-}
-
-// ContractMode3 computes the symmetric matricization product
-// M = A ×₃ x, the n×n symmetric matrix M_ij = Σ_k a_ijk·x_k, returned
-// row-major. This is the first step of the sequence approach of §8.
-func ContractMode3(a *tensor.Symmetric, x []float64) []float64 {
-	n := a.N
-	if len(x) != n {
-		panic(fmt.Sprintf("sttsv: vector length %d, tensor dimension %d", len(x), n))
-	}
-	m := make([]float64, n*n)
-	a.ForEach(func(i, j, k int, v float64) {
-		// Element a_ijk (sorted i >= j >= k) contributes v·x_c to M_ab for
-		// every permutation (a, b, c) of (i, j, k); equal permutations
-		// collapse automatically because we enumerate the distinct ones.
-		for _, p := range distinctPerms(i, j, k) {
-			m[p[0]*n+p[1]] += v * x[p[2]]
-		}
-	})
-	return m
-}
-
-// distinctPerms returns the distinct permutations of a sorted triple.
-func distinctPerms(i, j, k int) [][3]int {
-	switch intmath.ClassifyTriple(i, j, k) {
-	case intmath.TripleDiagonal:
-		return [][3]int{{i, i, i}}
-	case intmath.TriplePairHigh: // i == j > k
-		return [][3]int{{i, i, k}, {i, k, i}, {k, i, i}}
-	case intmath.TriplePairLow: // i > j == k
-		return [][3]int{{i, j, j}, {j, i, j}, {j, j, i}}
-	default:
-		return [][3]int{{i, j, k}, {i, k, j}, {j, i, k}, {j, k, i}, {k, i, j}, {k, j, i}}
-	}
-}
-
-// Sequence computes y = A ×₂ x ×₃ x via the two-step approach of §8:
-// M = A ×₃ x followed by y = M·x (≈ 2n³ + 2n² elementary operations, no
-// reuse of symmetry in the second step).
-func Sequence(a *tensor.Symmetric, x []float64) []float64 {
-	n := a.N
-	m := ContractMode3(a, x)
-	y := make([]float64, n)
-	for i := 0; i < n; i++ {
-		s := 0.0
-		row := m[i*n : (i+1)*n]
-		for j := 0; j < n; j++ {
-			s += row[j] * x[j]
-		}
-		y[i] = s
-	}
-	return y
 }
 
 // Dot returns xᵀy; with y = A ×₂ x ×₃ x this is λ = A ×₁ x ×₂ x ×₃ x

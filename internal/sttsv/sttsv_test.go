@@ -57,43 +57,6 @@ func TestPackedMatchesNaive(t *testing.T) {
 	}
 }
 
-func TestSequenceMatchesNaive(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	for _, n := range []int{1, 2, 4, 9, 16} {
-		a := tensor.Random(n, rng)
-		x := randVec(n, rng)
-		want := Naive(a.Dense(), x, nil)
-		got := Sequence(a, x)
-		if d := maxAbsDiff(got, want); d > tol {
-			t.Fatalf("n=%d: Sequence differs from Naive by %g", n, d)
-		}
-	}
-}
-
-func TestContractMode3Symmetric(t *testing.T) {
-	rng := rand.New(rand.NewSource(22))
-	n := 7
-	a := tensor.Random(n, rng)
-	x := randVec(n, rng)
-	m := ContractMode3(a, x)
-	// M must equal the dense contraction and be symmetric.
-	d := a.Dense()
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			want := 0.0
-			for k := 0; k < n; k++ {
-				want += d.At(i, j, k) * x[k]
-			}
-			if math.Abs(m[i*n+j]-want) > tol {
-				t.Fatalf("M[%d,%d] = %g, want %g", i, j, m[i*n+j], want)
-			}
-			if math.Abs(m[i*n+j]-m[j*n+i]) > tol {
-				t.Fatalf("M not symmetric at (%d,%d)", i, j)
-			}
-		}
-	}
-}
-
 func TestTernaryCounts(t *testing.T) {
 	// Algorithm 3 does n³; Algorithm 4 does n²(n+1)/2 (§3).
 	rng := rand.New(rand.NewSource(23))

@@ -21,8 +21,6 @@ type BlockPacked struct {
 	// Data is the shared backing buffer; every Blocks[i].Data aliases a
 	// full-capacity sub-slice of it.
 	Data []float64
-
-	index map[[3]int]*Block
 }
 
 // kindOrder is the grouping order of BlockPacked layouts.
@@ -43,7 +41,6 @@ func PackBlocks(a *Symmetric, coords [][3]int, b int) *BlockPacked {
 		B:      b,
 		Blocks: make([]*Block, 0, len(coords)),
 		Data:   make([]float64, total),
-		index:  make(map[[3]int]*Block, len(coords)),
 	}
 	off := 0
 	for _, kind := range kindOrder {
@@ -59,7 +56,6 @@ func PackBlocks(a *Symmetric, coords [][3]int, b int) *BlockPacked {
 			}
 			off += l
 			bp.Blocks = append(bp.Blocks, blk)
-			bp.index[c] = blk
 		}
 	}
 	return bp
@@ -75,10 +71,6 @@ func PackTetrahedron(a *Symmetric, m, b int) *BlockPacked {
 	})
 	return PackBlocks(a, coords, b)
 }
-
-// At returns the packed block with the given coordinates, or nil when the
-// set does not contain it.
-func (bp *BlockPacked) At(I, J, K int) *Block { return bp.index[[3]int{I, J, K}] }
 
 // NumBlocks returns the number of packed blocks.
 func (bp *BlockPacked) NumBlocks() int { return len(bp.Blocks) }
