@@ -82,13 +82,13 @@ type recordWire struct {
 	delivered  []machine.Packet
 }
 
-func (w *recordWire) Rank() int                { return w.rank }
-func (w *recordWire) Size() int                { return w.size }
-func (w *recordWire) Deliver(p machine.Packet) { w.delivered = append(w.delivered, p) }
-func (w *recordWire) Pull() machine.Packet     { panic("recordWire: Pull") }
-func (w *recordWire) Hold(machine.Packet)      {}
-func (w *recordWire) Aborting() bool           { return false }
-func (w *recordWire) Epoch() int64             { return 0 }
+func (w *recordWire) Rank() int                    { return w.rank }
+func (w *recordWire) Size() int                    { return w.size }
+func (w *recordWire) Deliver(p machine.Packet)     { w.delivered = append(w.delivered, p) }
+func (w *recordWire) Pull(int, int) machine.Packet { panic("recordWire: Pull") }
+func (w *recordWire) Hold(machine.Packet)          {}
+func (w *recordWire) Aborting() bool               { return false }
+func (w *recordWire) Epoch() int64                 { return 0 }
 func (w *recordWire) PullTimeout(time.Duration) (machine.Packet, bool) {
 	return machine.Packet{}, false
 }

@@ -136,10 +136,12 @@ func (r *reliable) Send(to, tag int, data []float64) {
 }
 
 // Recv services one packet and returns !ok: whatever it releases has gone
-// to Wire.Hold. The sender's Recycle mark is never set, because the
-// sender's retransmission window may still alias the buffer.
-func (r *reliable) Recv() (machine.Packet, bool) {
-	if in := r.w.Pull(); in.Kind == machine.PacketData {
+// to Wire.Hold. It pulls any packet, whatever the rank awaits: acks and
+// out-of-sequence data must be serviced too. The sender's Recycle mark is
+// never set, because the sender's retransmission window may still alias
+// the buffer.
+func (r *reliable) Recv(int, int) (machine.Packet, bool) {
+	if in := r.w.Pull(-1, -1); in.Kind == machine.PacketData {
 		r.handleData(in)
 	}
 	// Stray acks while not sending are duplicates; drop them.

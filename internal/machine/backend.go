@@ -2,6 +2,7 @@ package machine
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 )
@@ -42,14 +43,18 @@ type BackendWire interface {
 	// OnDrop; a recovery supervisor, not the wire, resolves the resulting
 	// stall.
 	Deliver(pkt Packet)
-	// Pull blocks until a packet addressed to this rank arrives. A close
-	// of the abort channel wakes the wait with ok == false.
-	Pull(abort <-chan struct{}) (Packet, bool)
-	// PullTimeout is Pull with a deadline; ok is false on timeout.
+	// Pull blocks until a packet addressed to this rank arrives and
+	// returns the oldest one. from and tag name the packet the rank awaits
+	// (from < 0: any packet): a rank parked on an empty wire wakes only
+	// when that packet arrives. A close of the abort channel wakes the
+	// wait with ok == false.
+	Pull(from, tag int, abort <-chan struct{}) (Packet, bool)
+	// PullTimeout waits at most d for any packet; ok is false on timeout.
+	// A non-positive d only polls.
 	PullTimeout(d time.Duration) (Packet, bool)
-	// Depth reports the number of buffered undelivered packets (deadlock
-	// diagnostics).
-	Depth() int
+	// Queued returns a copy of the buffered undelivered packets, oldest
+	// first (deadlock diagnostics).
+	Queued() []Packet
 	// PacketCost prices pkt for the wire meters. The simulator charges
 	// len(Data) words; a real-network wire returns the framed size in
 	// 8-byte words (header, payload and frame checksum included), so the
@@ -75,16 +80,19 @@ type PacketQueue struct {
 	mu   sync.Mutex
 	q    []Packet
 	head int
-	// waiting is set by a consumer about to wait on notify; a producer
-	// that finds it set clears it and sends the wake-up, so a push to a
-	// queue whose consumer is busy touches no channel.
-	waiting bool
-	notify  chan struct{} // consumer wake-up; a stale token costs one spurious loop
+	// wantFrom and wantTag name the packet a consumer about to wait on
+	// notify awaits: wantFrom is -1 for any packet and noWaiter while no
+	// consumer waits. Only a push of that packet clears it and sends the
+	// wake-up, so a push the consumer does not await touches no channel.
+	wantFrom, wantTag int
+	notify            chan struct{} // consumer wake-up; a stale token costs one spurious loop
 }
+
+const noWaiter = -2
 
 // NewPacketQueue returns an empty queue.
 func NewPacketQueue() *PacketQueue {
-	return &PacketQueue{notify: make(chan struct{}, 1)}
+	return &PacketQueue{wantFrom: noWaiter, notify: make(chan struct{}, 1)}
 }
 
 // Push appends a packet; it never blocks.
@@ -100,8 +108,10 @@ func (b *PacketQueue) Push(p Packet) {
 		b.head = 0
 	}
 	b.q = append(b.q, p)
-	wake := b.waiting
-	b.waiting = false
+	wake := b.wantFrom == -1 || b.wantFrom == p.From && b.wantTag == p.Tag
+	if wake {
+		b.wantFrom = noWaiter
+	}
 	b.mu.Unlock()
 	if wake {
 		select {
@@ -111,24 +121,23 @@ func (b *PacketQueue) Push(p Packet) {
 	}
 }
 
-// Pull removes the oldest packet, blocking until one arrives. A close of
+// Pull removes the oldest packet. On an empty queue it waits until a
+// packet from (from, tag) arrives, or any packet when from < 0. A close of
 // the abort channel (nil to wait forever) wakes the wait with ok == false
 // so a rank blocked on an empty queue can unwind during an abort.
-func (b *PacketQueue) Pull(abort <-chan struct{}) (Packet, bool) {
-	return b.pull(-1, abort)
+func (b *PacketQueue) Pull(from, tag int, abort <-chan struct{}) (Packet, bool) {
+	return b.pull(from, tag, -1, abort)
 }
 
-// PullTimeout is Pull with a deadline; ok is false on timeout. A
+// PullTimeout waits at most d for any packet; ok is false on timeout. A
 // non-positive d only polls.
 func (b *PacketQueue) PullTimeout(d time.Duration) (Packet, bool) {
-	if d < 0 {
-		d = 0
-	}
-	return b.pull(d, nil)
+	return b.pull(-1, 0, max(d, 0), nil)
 }
 
-// pull waits at most d for a packet, without limit when d < 0.
-func (b *PacketQueue) pull(d time.Duration, abort <-chan struct{}) (Packet, bool) {
+// pull removes the oldest packet, waiting on an empty queue for one from
+// (from, tag) at most d, without limit when d < 0.
+func (b *PacketQueue) pull(from, tag int, d time.Duration, abort <-chan struct{}) (Packet, bool) {
 	var expired <-chan time.Time
 	for {
 		b.mu.Lock()
@@ -147,7 +156,7 @@ func (b *PacketQueue) pull(d time.Duration, abort <-chan struct{}) (Packet, bool
 			b.mu.Unlock()
 			return Packet{}, false
 		}
-		b.waiting = true
+		b.wantFrom, b.wantTag = max(from, -1), tag
 		b.mu.Unlock()
 		if d > 0 && expired == nil {
 			t := time.NewTimer(d)
@@ -164,11 +173,11 @@ func (b *PacketQueue) pull(d time.Duration, abort <-chan struct{}) (Packet, bool
 	}
 }
 
-// Depth returns the number of buffered packets.
-func (b *PacketQueue) Depth() int {
+// Queued returns a copy of the buffered packets, oldest first.
+func (b *PacketQueue) Queued() []Packet {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return len(b.q) - b.head
+	return slices.Clone(b.q[b.head:])
 }
 
 // SimBackend is the default backend: per-rank in-memory mailboxes, exactly
@@ -203,7 +212,7 @@ func (b *SimBackend) NewWire(rank, size int) (BackendWire, error) {
 	if rank < 0 || rank >= size {
 		return nil, fmt.Errorf("machine: SimBackend wire for rank %d of %d", rank, size)
 	}
-	return &simWire{boxes: b.boxes, in: b.boxes[rank]}, nil
+	return &simWire{boxes: b.boxes, PacketQueue: b.boxes[rank]}, nil
 }
 
 // Close is a no-op: mailboxes hold no OS resources.
@@ -212,13 +221,10 @@ func (b *SimBackend) Close() error { return nil }
 // simWire is a rank's raw endpoint on the mailbox backend. It prices a
 // packet at its payload words and never drops one.
 type simWire struct {
-	boxes []*PacketQueue
-	in    *PacketQueue // this rank's mailbox
+	boxes        []*PacketQueue
+	*PacketQueue // this rank's mailbox: Pull, PullTimeout and Queued
 }
 
-func (w *simWire) Deliver(pkt Packet)                         { w.boxes[pkt.To].Push(pkt) }
-func (w *simWire) Pull(abort <-chan struct{}) (Packet, bool)  { return w.in.Pull(abort) }
-func (w *simWire) PullTimeout(d time.Duration) (Packet, bool) { return w.in.PullTimeout(d) }
-func (w *simWire) Depth() int                                 { return w.in.Depth() }
-func (w *simWire) PacketCost(pkt Packet) int64                { return int64(len(pkt.Data)) }
-func (w *simWire) OnDrop(func(Packet, string))                {}
+func (w *simWire) Deliver(pkt Packet)          { w.boxes[pkt.To].Push(pkt) }
+func (w *simWire) PacketCost(pkt Packet) int64 { return int64(len(pkt.Data)) }
+func (w *simWire) OnDrop(func(Packet, string)) {}

@@ -49,7 +49,7 @@ func TestPacketQueueAbortWake(t *testing.T) {
 	abort := make(chan struct{})
 	done := make(chan bool, 1)
 	go func() {
-		_, ok := q.Pull(abort)
+		_, ok := q.Pull(-1, 0, abort)
 		done <- ok
 	}()
 	close(abort)

@@ -13,10 +13,11 @@ import (
 type BlockKind int
 
 const (
-	// BlockNone: the rank is computing (not inside a machine operation).
+	// BlockNone: the rank is computing, or in a machine operation that
+	// has not waited.
 	BlockNone BlockKind = iota
-	// BlockSend: inside Send — under a reliable transport this means
-	// waiting for an acknowledgement.
+	// BlockSend: waiting inside Send, which only a reliable transport
+	// does, for an acknowledgement.
 	BlockSend
 	// BlockRecv: inside Recv, waiting for a matching message.
 	BlockRecv
@@ -145,9 +146,13 @@ func (e UnreachableError) Error() string {
 
 // A rank's block word packs what it is blocked on into one atomic word
 // that only the rank writes, and the watchdog marks frozen: kind in bits
-// 0–3, the frozen mark in bit 4, peer+1 in bits 8–31, the tag in bits
-// 32–63. Peers past 2²⁴−2 and tags outside int32 read back truncated.
-const blockFrozen = 1 << 4
+// 0–3, the frozen mark in bit 4, the targeted-wait mark in bit 5, peer+1
+// in bits 8–31, the tag in bits 32–63. Peers past 2²⁴−2 and tags outside
+// int32 read back truncated.
+const (
+	blockFrozen   = 1 << 4
+	blockTargeted = 1 << 5 // parked until one (from, tag) arrives
+)
 
 func blockWord(k BlockKind, peer, tag int) uint64 {
 	return uint64(k) | uint64(uint32(peer+1)&0xffffff)<<8 | uint64(uint32(int32(tag)))<<32
@@ -159,13 +164,28 @@ func decodeBlock(w uint64) (k BlockKind, peer, tag int) {
 
 func (st *rankState) blocked() (BlockKind, int, int) { return decodeBlock(st.block.Load()) }
 
-// enter marks the rank blocked in a machine operation; leave marks it
-// running again and returns the word it was blocked with.
-func (st *rankState) enter(m *Machine, k BlockKind, peer, tag int) {
-	st.set(m, blockWord(k, peer, tag))
+// publish writes the block word of the machine call the rank is in to
+// block the first time the call is about to wait, marked targeted when
+// the rank parks until one (from, tag) arrives. A call that never waits
+// writes no atomic word.
+func (st *rankState) publish(m *Machine, targeted bool) {
+	if w := st.op; w != 0 {
+		if targeted {
+			w |= blockTargeted
+		}
+		st.op = 0
+		st.set(m, w)
+	}
 }
 
-func (st *rankState) leave(m *Machine) uint64 { return st.set(m, uint64(BlockNone)) }
+// ready ends the rank's machine call, clearing its block word if the call
+// published it.
+func (st *rankState) ready(m *Machine) {
+	if st.op == 0 {
+		st.set(m, uint64(BlockNone))
+	}
+	st.op = 0
+}
 
 // set replaces the rank's block word and returns the old one, unfrozen. A
 // frozen word means the watchdog is reading the rank's held list, so the
@@ -179,26 +199,95 @@ func (st *rankState) set(m *Machine, w uint64) uint64 {
 	return old &^ blockFrozen
 }
 
-// take removes and returns the oldest held message from (from, tag). The
-// list keeps its backing array, so a steady out-of-order exchange stops
-// allocating once the list has grown to its high-water length.
-func (st *rankState) take(from, tag int) (Packet, bool) {
-	for i, pkt := range st.held {
-		if pkt.From == from && pkt.Tag == tag {
-			n := copy(st.held[i:], st.held[i+1:])
-			st.held[i+n] = Packet{}
-			st.held = st.held[:i+n]
-			return pkt, true
-		}
-	}
-	return Packet{}, false
+// A rank holds its messages in one arena, each linked to the one its
+// sender released before it, and a sender's lane points at its newest.
+// Links are arena index+1, so 0 ends a chain; free chains the unused
+// slots. The arena grows to the most messages the rank held at once.
+type heldMsg struct {
+	pkt  Packet
+	next int32
 }
 
-// pending summarizes the held list per (from, tag), sorted by sender then
-// tag. The watchdog calls it only on a rank it froze.
-func (st *rankState) pending() []PendingEntry {
+// heldLane is one sender's chain: from is the sender+1, 0 in a free slot.
+type heldLane struct{ from, head int32 }
+
+// lane returns from's lane, making it if mk, else nil if from has none. A
+// lane sits within 8 slots past its sender's rank modulo the table's
+// power-of-two length, and the table doubles when a new sender finds no
+// free slot there, so it grows with the senders held, not with P.
+func (st *rankState) lane(from int, mk bool) *heldLane {
+	for i := range min(len(st.lanes), 8) {
+		l := &st.lanes[(from+i)&(len(st.lanes)-1)]
+		if int(l.from) == from+1 {
+			return l
+		}
+		if l.from == 0 {
+			if !mk {
+				return nil
+			}
+			l.from = int32(from + 1)
+			return l
+		}
+	}
+	if !mk {
+		return nil
+	}
+	old := st.lanes
+	st.lanes = make([]heldLane, max(64, 2*len(old)))
+	for _, l := range old {
+		if l.from != 0 {
+			*st.lane(int(l.from-1), true) = l
+		}
+	}
+	return st.lane(from, true)
+}
+
+// hold adds pkt to its sender's chain.
+func (st *rankState) hold(pkt Packet) {
+	l := st.lane(pkt.From, true)
+	i := st.free
+	if i == 0 {
+		st.held = append(st.held, heldMsg{})
+		i = int32(len(st.held))
+	} else {
+		st.free = st.held[i-1].next
+	}
+	m := &st.held[i-1] // set field by field: an 80-byte heldMsg copies through duffcopy
+	m.pkt, m.next = pkt, l.head
+	l.head = i
+	st.nheld++
+}
+
+// take removes and returns the oldest held message from (from, tag),
+// looking only at from's chain.
+func (st *rankState) take(from, tag int) (Packet, bool) {
+	l := st.lane(from, false)
+	if l == nil {
+		return Packet{}, false
+	}
+	var at *int32 // the link to the oldest match
+	for link := &l.head; *link != 0; link = &st.held[*link-1].next {
+		if st.held[*link-1].pkt.Tag == tag {
+			at = link
+		}
+	}
+	if at == nil {
+		return Packet{}, false
+	}
+	i := *at
+	m := &st.held[i-1]
+	pkt := m.pkt
+	*at, m.pkt, m.next, st.free = m.next, Packet{}, st.free, i
+	st.nheld--
+	return pkt, true
+}
+
+// pending summarizes the held messages, and the inbox packets of epoch
+// epoch, per (from, tag), sorted by sender then tag. The watchdog calls
+// it only on a rank it froze.
+func (st *rankState) pending(inbox []Packet, epoch int64) []PendingEntry {
 	var out []PendingEntry
-	for _, pkt := range st.held {
+	add := func(pkt *Packet) {
 		key := PendingEntry{From: pkt.From, Tag: pkt.Tag}
 		i, found := slices.BinarySearchFunc(out, key, func(a, b PendingEntry) int {
 			return cmp.Or(cmp.Compare(a.From, b.From), cmp.Compare(a.Tag, b.Tag))
@@ -208,6 +297,16 @@ func (st *rankState) pending() []PendingEntry {
 		}
 		out[i].Msgs++
 		out[i].Words += len(pkt.Data)
+	}
+	for _, l := range st.lanes {
+		for i := l.head; i != 0; i = st.held[i-1].next {
+			add(&st.held[i-1].pkt)
+		}
+	}
+	for i := range inbox {
+		if inbox[i].Epoch == epoch {
+			add(&inbox[i])
+		}
 	}
 	return out
 }

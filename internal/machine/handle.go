@@ -34,7 +34,6 @@ type Handle struct {
 	stopLinger chan struct{}
 	stopOnce   sync.Once
 	done       chan struct{}
-	doneOnce   sync.Once
 	alive      atomic.Int64 // outstanding rank goroutines
 	ownedBE    Backend      // built by cfg.BackendFactory; closed with done
 }
@@ -137,12 +136,10 @@ func (h *Handle) endLinger() { h.stopOnce.Do(func() { close(h.stopLinger) }) }
 func (h *Handle) runRank(rank int) {
 	defer func() {
 		if h.alive.Add(-1) == 0 {
-			h.doneOnce.Do(func() {
-				close(h.done)
-				if h.ownedBE != nil {
-					h.ownedBE.Close()
-				}
-			})
+			close(h.done)
+			if h.ownedBE != nil {
+				h.ownedBE.Close()
+			}
 		}
 	}()
 	m := h.m

@@ -32,6 +32,7 @@
 package machine
 
 import (
+	"cmp"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -74,11 +75,18 @@ type rankState struct {
 	sent, recv         meter
 	wireSent, wireRecv wireMeter
 	progress           atomic.Int64  // logical operations completed
-	block              atomic.Uint64 // what the rank is blocked on (see blockWord)
+	block              atomic.Uint64 // what the rank waits on (see blockWord)
 	aborting           atomic.Bool
-	// held lists the messages released to the rank that no Recv has
-	// taken yet, in release order.
-	held     []Packet
+	// op is the block word of the machine call the rank is in, until the
+	// call waits and publishes it in block (see rankState.publish); it is
+	// 0 after that and outside a call.
+	op uint64
+	// held holds the messages released to the rank that no Recv has
+	// taken yet, in one chain per sender (see heldMsg); nheld counts them.
+	held     []heldMsg
+	lanes    []heldLane
+	free     int32
+	nheld    int
 	pool     payloadPool
 	panicVal any // set as the rank's goroutine dies; read after it exited
 	_        [64]byte
@@ -167,9 +175,9 @@ func (c *Comm) Send(to, tag int, data []float64) {
 	copy(cp, data)
 	st.sent.add(int64(len(data)))
 	c.m.emitMsg(c.rank, EventSend, c.rank, to, tag, len(data), false)
-	st.enter(c.m, BlockSend, to, tag)
+	st.op = blockWord(BlockSend, to, tag)
 	c.t.Send(to, tag, cp)
-	st.leave(c.m)
+	st.ready(c.m)
 	st.progress.Add(1)
 }
 
@@ -220,30 +228,30 @@ func (c *Comm) received(from, tag, words int) {
 // return one, or both; what it returns was released after what it held,
 // so when it held any, the result queues behind them and the held list
 // is scanned again. A lone mismatch needs no scan, since it cannot match.
-// The rank is marked blocked only while it waits, so it changes its held
-// list only while marked running, where the watchdog never reads it.
+// The rank reads as blocked only while it waits, so it changes its held
+// list only while it reads as running, where the watchdog never reads it.
 func (c *Comm) recv(from, tag int) Packet {
 	st := c.st
 	st.checkAbort()
 	scan := true
 	for {
-		if scan && len(st.held) > 0 {
+		if scan && st.nheld > 0 {
 			if pkt, ok := st.take(from, tag); ok {
 				return pkt
 			}
 		}
-		n := len(st.held)
-		st.enter(c.m, BlockRecv, from, tag)
-		pkt, ok := c.t.Recv()
-		st.leave(c.m)
-		scan = len(st.held) > n
+		n := st.nheld
+		st.op = blockWord(BlockRecv, from, tag)
+		pkt, ok := c.t.Recv(from, tag)
+		st.ready(c.m)
+		scan = st.nheld > n
 		if !ok {
 			continue
 		}
 		if !scan && pkt.From == from && pkt.Tag == tag {
 			return pkt
 		}
-		st.held = append(st.held, pkt)
+		st.hold(pkt)
 	}
 }
 
@@ -258,9 +266,10 @@ func (c *Comm) recv(from, tag int) Packet {
 // would stall them forever.
 func (c *Comm) AwaitHost(wait func()) {
 	st := c.st
-	st.enter(c.m, BlockHost, -1, -1)
+	st.op = blockWord(BlockHost, -1, -1)
+	st.publish(c.m, false)
 	c.t.Wait(wait)
-	st.leave(c.m)
+	st.ready(c.m)
 	st.progress.Add(1)
 }
 
@@ -456,7 +465,10 @@ func (m *Machine) hostQuiescent() bool {
 // A held list belongs to its rank, so the watchdog reads only the lists of
 // ranks it froze: under snapMu, it marks each blocked rank's block word,
 // and a frozen rank that wakes waits on snapMu before it goes on (see
-// rankState.set). A rank found computing is reported without its list.
+// rankState.set). A rank found computing is reported without its list. A
+// rank parked on a targeted wait may leave messages it does not want in
+// its inbox, so its report lists them too; they are read first, since the
+// frozen rank can still move one from its inbox but cannot hold it.
 func (m *Machine) deadlockError(timeout time.Duration) *DeadlockError {
 	m.snapMu.Lock()
 	defer m.snapMu.Unlock()
@@ -476,9 +488,13 @@ func (m *Machine) deadlockError(timeout time.Duration) *DeadlockError {
 			e.Crashed = append(e.Crashed, r)
 			continue
 		}
-		wait := RankWait{Rank: r, Kind: kind, Peer: peer, Tag: tag, InboxPackets: m.raws[r].Depth()}
+		inbox := m.raws[r].Queued()
+		wait := RankWait{Rank: r, Kind: kind, Peer: peer, Tag: tag, InboxPackets: len(inbox)}
 		if kind != BlockNone {
-			wait.Pending = st.pending()
+			if w&blockTargeted == 0 {
+				inbox = nil // a reliable transport's inbox is protocol traffic
+			}
+			wait.Pending = st.pending(inbox, m.epoch)
 			st.block.CompareAndSwap(w|blockFrozen, w) // thaw unless the rank already woke
 		}
 		e.Waits = append(e.Waits, wait)
@@ -486,39 +502,24 @@ func (m *Machine) deadlockError(timeout time.Duration) *DeadlockError {
 	return e
 }
 
-// panicError converts recorded rank panics into the run error, giving
-// fault-typed panics (injected crashes, exhausted retransmission budgets)
-// structured error values. It runs after every rank goroutine exited.
+// panicError converts recorded rank panics into the run error: the
+// first injected crash, else the first exhausted retransmission budget,
+// else the first other panic. It runs after every rank goroutine exited.
 func (m *Machine) panicError() error {
-	var generic error
-	var unreach *UnreachableError
-	var crash *CrashError
+	var first [3]error
 	for _, rank := range m.localRanks {
-		pv := m.ranks[rank].panicVal
-		switch v := pv.(type) {
-		case nil:
-		case CrashError:
-			if crash == nil {
-				c := v
-				crash = &c
+		if pv := m.ranks[rank].panicVal; pv != nil {
+			err, k := panicToError(rank, pv), 2
+			switch err.(type) {
+			case CrashError:
+				k = 0
+			case UnreachableError:
+				k = 1
 			}
-		case UnreachableError:
-			if unreach == nil {
-				u := v
-				unreach = &u
-			}
-		default:
-			if generic == nil {
-				generic = fmt.Errorf("machine: rank %d panicked: %v", rank, v)
+			if first[k] == nil {
+				first[k] = err
 			}
 		}
 	}
-	switch {
-	case crash != nil:
-		return *crash
-	case unreach != nil:
-		return *unreach
-	default:
-		return generic
-	}
+	return cmp.Or(first[0], first[1], first[2])
 }

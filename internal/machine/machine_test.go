@@ -121,20 +121,32 @@ func TestTagsDisambiguate(t *testing.T) {
 	})
 }
 
+// TestFIFOPerSenderTag: messages from one (source, tag) are received in
+// send order, whether each meets its Recv as it arrives or all of them
+// wait held, behind a later tag the receiver takes first.
 func TestFIFOPerSenderTag(t *testing.T) {
-	mustRun(t, 2, func(c *Comm) {
-		if c.Rank() == 0 {
-			for i := 0; i < 10; i++ {
-				c.Send(1, 0, []float64{float64(i)})
+	for _, heldFirst := range []bool{false, true} {
+		mustRun(t, 2, func(c *Comm) {
+			if c.Rank() == 0 {
+				for i := 0; i < 10; i++ {
+					c.Send(1, 0, []float64{float64(i)})
+				}
+				c.Send(1, 1, nil)
+				return
 			}
-		} else {
+			if heldFirst {
+				c.Recv(0, 1)
+			}
 			for i := 0; i < 10; i++ {
 				if got := c.Recv(0, 0); got[0] != float64(i) {
-					t.Errorf("message %d got %v", i, got)
+					t.Errorf("heldFirst=%v: message %d got %v", heldFirst, i, got)
 				}
 			}
-		}
-	})
+			if !heldFirst {
+				c.Recv(0, 1)
+			}
+		})
+	}
 }
 
 func TestExchange(t *testing.T) {

@@ -2,7 +2,9 @@ package machine
 
 import (
 	"errors"
+	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -142,6 +144,45 @@ func TestDeadlockErrorReportsPendingMessages(t *testing.T) {
 	if len(rank1.Pending) != 1 || rank1.Pending[0].From != 0 || rank1.Pending[0].Tag != 3 ||
 		rank1.Pending[0].Msgs != 1 || rank1.Pending[0].Words != 4 {
 		t.Errorf("rank 1 pending = %+v, want one 4-word message from 0 tag 3", rank1.Pending)
+	}
+}
+
+// TestDeadlockReportListsInboxMessages: a rank parked on a receive wakes
+// only for the (source, tag) it awaits, so a message it does not want can
+// stay in its inbox instead of moving to its held list. The report must
+// list it either way: when rank 1 parks in Recv(0, 9) before rank 0 sends
+// tag 3 (the message stays queued), and when the message arrives first
+// (rank 1 holds it, then parks).
+func TestDeadlockReportListsInboxMessages(t *testing.T) {
+	for _, parkFirst := range []bool{true, false} {
+		_, err := RunWith(2, RunConfig{Timeout: 100 * time.Millisecond}, func(c *Comm) {
+			if c.Rank() == 0 {
+				for parkFirst && c.m.ranks[1].block.Load() == 0 {
+					time.Sleep(time.Millisecond) // until rank 1 is about to park
+				}
+				time.Sleep(20 * time.Millisecond)
+				c.Send(1, 3, []float64{1, 2, 3, 4})
+				c.Recv(1, 0) // never sent
+				return
+			}
+			for !parkFirst && c.m.ranks[0].progress.Load() == 0 {
+				time.Sleep(time.Millisecond) // until rank 0's message is queued
+			}
+			c.Recv(0, 9) // wrong tag: waits forever
+		})
+		var dead *DeadlockError
+		if !errors.As(err, &dead) {
+			t.Fatalf("parkFirst=%v: err %T (%v), want *DeadlockError", parkFirst, err, err)
+		}
+		inbox := 0
+		if parkFirst {
+			inbox = 1
+		}
+		want := RankWait{Rank: 1, Kind: BlockRecv, Peer: 0, Tag: 9, InboxPackets: inbox,
+			Pending: []PendingEntry{{From: 0, Tag: 3, Msgs: 1, Words: 4}}}
+		if i := slices.IndexFunc(dead.Waits, func(w RankWait) bool { return w.Rank == 1 }); i < 0 || !reflect.DeepEqual(dead.Waits[i], want) {
+			t.Errorf("parkFirst=%v: waits %+v, want rank 1's to be %+v", parkFirst, dead.Waits, want)
+		}
 	}
 }
 

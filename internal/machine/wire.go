@@ -105,9 +105,11 @@ type Wire interface {
 	// and messages at the sender.
 	Deliver(pkt Packet)
 	// Pull blocks until a packet addressed to this rank arrives and
-	// returns it, metering wire words at the receiver.
-	Pull() Packet
-	// PullTimeout is Pull with a deadline; ok is false on timeout.
+	// returns the oldest one, metering wire words at the receiver. from
+	// and tag name the packet the rank awaits (from < 0: any packet); a
+	// rank parked on an empty mailbox wakes only when that packet arrives.
+	Pull(from, tag int) Packet
+	// PullTimeout waits at most d for any packet; ok is false on timeout.
 	PullTimeout(d time.Duration) (Packet, bool)
 	// Hold hands a released logical message to the machine, which keeps
 	// it, in hold order, until a Recv for its (From, Tag) takes it. The
@@ -131,13 +133,14 @@ type Transport interface {
 	Send(to, tag int, data []float64)
 	// Recv blocks until the transport has a logical message for this rank
 	// and returns it with ok true; pkt.Recycle tells whether the payload
-	// may go back to its sender's payload pool once copied out. A
-	// transport may also hand messages it released to Wire.Hold, either
-	// before the one it returns or instead of one (ok false); the caller
-	// then looks at its held messages again, oldest first. Messages
-	// released outside Recv — during a Send's ack wait, or in Wait — must
-	// go to Wire.Hold too.
-	Recv() (pkt Packet, ok bool)
+	// may go back to its sender's payload pool once copied out. from and
+	// tag name the message the rank awaits, a wake hint for Wire.Pull; the
+	// result may be any message. A transport may also hand messages it
+	// released to Wire.Hold, either before the one it returns or instead
+	// of one (ok false); the caller then looks at its held messages again,
+	// oldest first. Messages released outside Recv — during a Send's ack
+	// wait, or in Wait — must go to Wire.Hold too.
+	Recv(from, tag int) (pkt Packet, ok bool)
 	// Wait runs block, which parks the rank outside Send/Recv (waiting
 	// for host input), and returns after block has.
 	// A transport whose peers may still need answers meanwhile — a lost
@@ -204,13 +207,17 @@ func (l *link) Deliver(pkt Packet) {
 }
 
 // Pull returns into a named result for the reason directTransport.Recv
-// does: it saves two copies of the packet on every pull.
-func (l *link) Pull() (pkt Packet) {
+// does: it saves two copies of the packet on every pull. A rank that finds
+// its mailbox empty publishes its block word before it parks.
+func (l *link) Pull(from, tag int) (pkt Packet) {
 	for {
 		l.st.checkAbort()
 		var ok bool
-		if pkt, ok = l.raw.Pull(l.m.abortCh[l.rank]); !ok {
-			continue // the abort channel woke us; the check above unwinds
+		if pkt, ok = l.raw.PullTimeout(0); !ok {
+			l.st.publish(l.m, from >= 0)
+			if pkt, ok = l.raw.Pull(from, tag, l.m.abortCh[l.rank]); !ok {
+				continue // the abort channel woke us; the check above unwinds
+			}
 		}
 		if pkt.Epoch == l.m.epoch { // else stale traffic of a retired incarnation
 			l.pulled(&pkt)
@@ -221,8 +228,11 @@ func (l *link) Pull() (pkt Packet) {
 
 // PullTimeout reads a stale-epoch packet as silence, never as a panic:
 // this path also serves the transports' Wait and Linger loops, which must
-// survive an abort intact.
+// survive an abort intact. A wait (d > 0) publishes the block word.
 func (l *link) PullTimeout(d time.Duration) (Packet, bool) {
+	if d > 0 {
+		l.st.publish(l.m, false)
+	}
 	pkt, ok := l.raw.PullTimeout(d)
 	if !ok || pkt.Epoch != l.m.epoch {
 		return Packet{}, false
@@ -241,11 +251,12 @@ func (l *link) pulled(pkt *Packet) {
 
 func (l *link) Aborting() bool { return l.st.aborting.Load() }
 
-// Hold appends a message the transport released while the rank was
-// blocked (in its Send, Recv or Wait), leaving the rank blocked as it was.
+// Hold holds a message the transport released in its Send, Recv or Wait,
+// leaving the rank's block word as it was: the rank reads as running while
+// it changes its held messages.
 func (l *link) Hold(pkt Packet) {
-	w := l.st.leave(l.m)
-	l.st.held = append(l.st.held, pkt)
+	w := l.st.set(l.m, uint64(BlockNone))
+	l.st.hold(pkt)
 	l.st.set(l.m, w)
 }
 
@@ -264,11 +275,12 @@ func (t *directTransport) Send(to, tag int, data []float64) {
 	t.w.Deliver(Packet{From: t.w.Rank(), To: to, Tag: tag, Kind: PacketData, Data: data, Recycle: true})
 }
 
-// Recv returns the next packet as it arrives. With the named result the
-// compiler copies the packet once; returning t.w.Pull() directly copies
-// it three times (go1.24 amd64 listing).
-func (t *directTransport) Recv() (pkt Packet, ok bool) {
-	pkt = t.w.Pull()
+// Recv returns the next packet as it arrives, passing the wake hint
+// through. With the named result the compiler copies the packet once;
+// returning t.w.Pull() directly copies it three times (go1.24 amd64
+// listing).
+func (t *directTransport) Recv(from, tag int) (pkt Packet, ok bool) {
+	pkt = t.w.Pull(from, tag)
 	return pkt, true
 }
 

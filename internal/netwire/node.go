@@ -327,10 +327,11 @@ func (w *Wire) OnDrop(fn func(pkt machine.Packet, reason string)) {
 	w.nd.onDrop.Store(&fn)
 }
 
-// Pull blocks for the next inbound packet; a closed abort channel wakes
-// it with ok == false.
-func (w *Wire) Pull(abort <-chan struct{}) (machine.Packet, bool) {
-	return w.nd.inbox.Pull(abort)
+// Pull blocks for the next inbound packet, parked on an empty inbox until
+// one from (from, tag) arrives; a closed abort channel wakes it with ok ==
+// false.
+func (w *Wire) Pull(from, tag int, abort <-chan struct{}) (machine.Packet, bool) {
+	return w.nd.inbox.Pull(from, tag, abort)
 }
 
 // PullTimeout is Pull with a deadline.
@@ -338,8 +339,8 @@ func (w *Wire) PullTimeout(d time.Duration) (machine.Packet, bool) {
 	return w.nd.inbox.PullTimeout(d)
 }
 
-// Depth reports the decoded-but-unpulled packet count.
-func (w *Wire) Depth() int { return w.nd.inbox.Depth() }
+// Queued returns the decoded-but-unpulled packets.
+func (w *Wire) Queued() []machine.Packet { return w.nd.inbox.Queued() }
 
 // PacketCost prices pkt at its framed size in 8-byte words, so wire
 // meters count what crossed the socket.

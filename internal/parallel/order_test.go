@@ -104,11 +104,13 @@ func (t *orderTransport) drain() {
 	}
 }
 
-func (t *orderTransport) Recv() (machine.Packet, bool) {
+// Recv asks the direct transport for any packet, since it buffers every
+// arrival.
+func (t *orderTransport) Recv(int, int) (machine.Packet, bool) {
 	t.step()
 	t.drain()
 	if t.buffered == 0 {
-		pkt, _ := t.Transport.Recv() // blocks; unwinds on abort
+		pkt, _ := t.Transport.Recv(-1, -1) // blocks; unwinds on abort
 		t.fifo[pkt.From] = append(t.fifo[pkt.From], pkt)
 		t.buffered++
 		t.drain()
@@ -274,51 +276,83 @@ func (f orderFixture) unperturbed(o orderOp, wiring Wiring) (orderOutcome, error
 }
 
 // TestDeliveryOrderGrid runs the session engine under adversarial
-// delivery orders: at q ∈ {2, 3}, for Apply, an 8-column ApplyBatch,
+// delivery orders: at q ∈ {2, 3, 4}, for Apply, an 8-column ApplyBatch,
 // PowerMethod, a sparse Apply, a rank-4 MTTKRP, and a CP session's Apply,
 // 8-column ApplyBatch and PowerMethod, over both wirings where the
-// operation has them (the power method and CP sessions run p2p only), 200
-// seeded orders each on one session (re-seeded per operation). Since
-// every rank posts a whole phase before it receives, correctness rests on
-// (source, tag) matching, per-sender FIFO and step-ordered reduction, not
-// on the cross-sender order the scheduler happens to produce. Every
-// operation's Y bits and per-phase meters must equal the unperturbed
-// run's.
+// operation has them (the power method and CP sessions run p2p only),
+// seeded orders on one session (re-seeded per operation): 200 each at
+// q ∈ {2, 3}, 25 at q = 4. Since every rank posts a whole phase before it
+// receives, correctness rests on (source, tag) matching, per-sender FIFO
+// and step-ordered reduction, not on the cross-sender order the scheduler
+// happens to produce. Every operation's Y bits and per-phase meters must
+// equal the unperturbed run's.
+//
+// The order transport asks its wire for any packet, so two slices at
+// q = 3 run each operation five times over faulted wires instead: the
+// reliable transport under a benign plan, which waits for any packet and
+// releases through Wire.Hold, and the plain direct transport under a
+// stall-only plan, whose receives park until their own (source, tag)
+// arrives while senders stall.
 func TestDeliveryOrderGrid(t *testing.T) {
-	orders := 200
-	if testing.Short() {
-		orders = 20
-	}
-	for _, q := range []int{2, 3} {
+	for _, q := range []int{2, 3, 4} {
+		orders := 200
+		if q == 4 {
+			orders = 25
+		}
+		if testing.Short() {
+			orders = min(orders, 20)
+		}
 		f, ops := newOrderFixture(t, q)
-		for _, o := range ops {
-			for _, wiring := range []Wiring{WiringP2P, WiringAllToAll} {
-				if wiring == WiringAllToAll && (o.name == "power" || o.kind == "cp") {
-					continue // the power method and CP sessions run the p2p wiring only
-				}
-				t.Run(fmt.Sprintf("q=%d/%s/%v", q, o.name, wiring), func(t *testing.T) {
-					want, err := f.unperturbed(o, wiring)
-					if err != nil {
-						t.Fatal(err)
-					}
-					net := &orderNet{stall: ^uint64(0)}
-					s, err := f.open(o.kind, wiring, machine.RunConfig{Timeout: 10 * time.Second, Transport: newOrderFactory(net)})
-					if err != nil {
-						t.Fatal(err)
-					}
-					defer s.Close()
-					for seed := 1; seed <= orders; seed++ {
-						net.seed.Store(int64(seed))
-						got, err := o.run(s)
-						if err != nil {
-							t.Fatalf("seed %d: %v", seed, err)
-						}
-						if !got.equal(want) {
-							t.Fatalf("seed %d: Y bits or per-phase meters differ from the unperturbed run", seed)
-						}
-					}
-				})
+		f.grid(t, fmt.Sprintf("q=%d", q), ops, orders, func() (machine.TransportFactory, func(int)) {
+			net := &orderNet{stall: ^uint64(0)}
+			return newOrderFactory(net), func(seed int) { net.seed.Store(int64(seed)) }
+		})
+	}
+	f, ops := newOrderFixture(t, 3)
+	for _, wire := range []struct {
+		name string
+		tf   machine.TransportFactory
+	}{
+		{"reliable", fault.Transport(fault.Plan{Seed: 5, Drop: 0.03, Dup: 0.03, Reorder: 0.05, Corrupt: 0.02}, fault.ReliableOptions{})},
+		{"stalls", fault.Unreliable(fault.Plan{Seed: 6, Stall: 0.02, StallDelay: 200 * time.Microsecond})},
+	} {
+		f.grid(t, "q=3/"+wire.name, ops, 5, func() (machine.TransportFactory, func(int)) { return wire.tf, func(int) {} })
+	}
+}
+
+// grid runs each operation n times on one session per wiring it has (the
+// power method and CP sessions run p2p only), as subtest
+// prefix/operation/wiring. wire gives each session's transport and a hook
+// every run calls first with its number, from 1. Every run must reproduce
+// the unperturbed run's Y bits and per-phase meters.
+func (f orderFixture) grid(t *testing.T, prefix string, ops []orderOp, n int, wire func() (machine.TransportFactory, func(int))) {
+	for _, o := range ops {
+		for _, wiring := range []Wiring{WiringP2P, WiringAllToAll} {
+			if wiring == WiringAllToAll && (o.name == "power" || o.kind == "cp") {
+				continue
 			}
+			t.Run(fmt.Sprintf("%s/%s/%v", prefix, o.name, wiring), func(t *testing.T) {
+				want, err := f.unperturbed(o, wiring)
+				if err != nil {
+					t.Fatal(err)
+				}
+				tf, start := wire()
+				s, err := f.open(o.kind, wiring, machine.RunConfig{Timeout: 10 * time.Second, Transport: tf})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer s.Close()
+				for i := 1; i <= n; i++ {
+					start(i)
+					got, err := o.run(s)
+					if err != nil {
+						t.Fatalf("run %d: %v", i, err)
+					}
+					if !got.equal(want) {
+						t.Fatalf("run %d: Y bits or per-phase meters differ from the unperturbed run", i)
+					}
+				}
+			})
 		}
 	}
 }

@@ -1,6 +1,10 @@
 package parallel
 
-import "repro/internal/machine"
+import (
+	"fmt"
+
+	"repro/internal/machine"
+)
 
 // PhaseMeter carries one labeled phase's per-rank communication and
 // compute meters, measured from the machine's logical counters (snapshot
@@ -111,10 +115,19 @@ func newPhaseRecorder(p int, att *phaseTable, labels ...string) *phaseRecorder {
 	return pr
 }
 
-// meter returns the registered meter for label; it panics on an
-// unregistered label (a driver bug, not a runtime condition).
+// meter returns the registered meter for label.
 func (pr *phaseRecorder) meter(label string) *PhaseMeter {
-	return &pr.meters.rows[pr.index[label]]
+	return &pr.meters.rows[pr.row(label)]
+}
+
+// row returns label's row; it panics on an unregistered label (a driver
+// bug, not a runtime condition) before anything is metered.
+func (pr *phaseRecorder) row(label string) int {
+	i, ok := pr.index[label]
+	if !ok {
+		panic(fmt.Sprintf("parallel: phase label %q is not registered", label))
+	}
+	return i
 }
 
 // setSteps sets Steps on each scheduled exchange the recorder registered
@@ -130,7 +143,7 @@ func (pr *phaseRecorder) setSteps(steps int) {
 // comm runs body inside BeginPhase/EndPhase markers and attributes the
 // rank's logical meter deltas to the label.
 func (pr *phaseRecorder) comm(c *machine.Comm, label string, body func()) {
-	a := &pr.att.rows[pr.index[label]]
+	a := &pr.att.rows[pr.row(label)]
 	r := c.Rank()
 	m0 := c.Meters()
 	c.BeginPhase(label)
@@ -147,7 +160,7 @@ func (pr *phaseRecorder) comm(c *machine.Comm, label string, body func()) {
 // phase markers and the LocalCompute trace event, and attributes the
 // count to the label.
 func (pr *phaseRecorder) local(c *machine.Comm, label string, body func() int64) {
-	a := &pr.att.rows[pr.index[label]]
+	a := &pr.att.rows[pr.row(label)]
 	c.BeginPhase(label)
 	t := body()
 	c.LocalCompute(t)

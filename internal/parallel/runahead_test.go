@@ -37,7 +37,7 @@ func (t *runAheadTransport) Send(to, tag int, data []float64) {
 	}
 }
 
-func (t *runAheadTransport) Recv() (machine.Packet, bool) {
+func (t *runAheadTransport) Recv(from, tag int) (machine.Packet, bool) {
 	if t.rank == 0 && !t.waited {
 		t.waited = true
 		select {
@@ -46,7 +46,7 @@ func (t *runAheadTransport) Recv() (machine.Packet, bool) {
 		}
 		t.shared.sentAt.Store(t.shared.sent.Load())
 	}
-	return t.Transport.Recv()
+	return t.Transport.Recv(from, tag)
 }
 
 // TestScheduledExchangeRunsAhead: every rank posts all of a phase's

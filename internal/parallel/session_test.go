@@ -403,6 +403,40 @@ func BenchmarkSessionApply(b *testing.B) {
 	}
 }
 
+// BenchmarkSessionApplyScale times one warm dense Apply at b=2 on the
+// q=5 (P=130) and q=9 (P=738) partitions, where a rank holds many
+// senders' messages at once and the exchange's per-message costs show
+// at scale: at q=9 an Apply moves about 716k messages. Opening each
+// session, its first Apply and closing it stay outside the timer.
+func BenchmarkSessionApplyScale(b *testing.B) {
+	for _, q := range []int{5, 9} {
+		b.Run(fmt.Sprintf("q=%d", q), func(b *testing.B) {
+			part := sphericalPart(b, q)
+			const blockEdge = 2
+			n := part.M * blockEdge
+			rng := rand.New(rand.NewSource(7))
+			a := tensor.Random(n, rng)
+			s, err := OpenSession(a, Options{Part: part, B: blockEdge, Wiring: WiringP2P})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer s.Close()
+			x := randVec(n, rng)
+			if _, err := s.Apply(x); err != nil { // warm-up
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := s.Apply(x); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer() // before the deferred Close retires P ranks
+		})
+	}
+}
+
 // TestSessionClosedErrors: operations on a closed session fail cleanly.
 func TestSessionClosedErrors(t *testing.T) {
 	part := sphericalPart(t, 2)
