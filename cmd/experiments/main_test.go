@@ -150,11 +150,10 @@ func TestCommands(t *testing.T) {
 	}
 }
 
-// TestTraceCommand records a q = 2 run of Algorithm 5 in-process, writes
-// it as JSONL and replays it with trace -timeline -gantt: the phase table
-// must count the schedule's 9 steps per exchange, and the timeline and
-// the Gantt chart must list all 10 ranks.
-func TestTraceCommand(t *testing.T) {
+// recordTrace records a q = 2 run of Algorithm 5 in-process and writes
+// its trace as JSONL, the way sttsvrun -events does; it returns the path.
+func recordTrace(t *testing.T) string {
+	t.Helper()
 	part, err := partition.NewSpherical(2)
 	if err != nil {
 		t.Fatal(err)
@@ -178,17 +177,80 @@ func TestTraceCommand(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
+	return path
+}
+
+// TestTraceCommand replays a recorded trace with trace -timeline -gantt:
+// the phase table must count the schedule's 9 steps per exchange, the
+// makespan line must set the measured wall span beside the replayed one,
+// and the timeline and the Gantt chart must list all 10 ranks.
+func TestTraceCommand(t *testing.T) {
+	path := recordTrace(t)
 	var stdout, stderr bytes.Buffer
 	if code := run([]string{"trace", "-timeline", "-gantt", path}, &stdout, &stderr); code != 0 {
 		t.Fatalf("exit %d; stderr:\n%s", code, stderr.String())
 	}
 	out := stdout.String()
-	for _, want := range []string{"| gather | 9 |", "| reduce-scatter | 9 |", "| rank | finish | compute | send | recv-wait | overlap | idle |", "makespan"} {
+	for _, want := range []string{"| gather | 9 |", "| reduce-scatter | 9 |", "| rank | finish | compute | send | recv-wait | overlap | idle |", "over 10 ranks; measured "} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output lacks %q:\n%s", want, out)
 		}
 	}
 	if rows, bars := countPrefix(out, "| 9 | "), countPrefix(out, "   9 |"); rows != 1 || bars != 1 {
 		t.Errorf("rank 9 has %d timeline rows and %d Gantt rows, want 1 each:\n%s", rows, bars, out)
+	}
+}
+
+// TestTraceGate gates a recorded trace's measured makespan against its
+// replay. A model that charges a second per message passes at factor 1;
+// an all-zero model replays to zero time, so any measured time fails the
+// gate, and the summary and the idle column must print no NaN or Inf.
+// A failed gate exits 1 with nothing on stdout and the three numbers on
+// stderr, like every failed command.
+func TestTraceGate(t *testing.T) {
+	path := recordTrace(t)
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"trace", "-alpha", "1", "-gate-makespan", "1", path}, &stdout, &stderr); code != 0 {
+		t.Fatalf("generous model: exit %d; stderr:\n%s", code, stderr.String())
+	}
+	stdout.Reset()
+	if code := run([]string{"trace", "-alpha", "0", "-beta", "0", "-gamma", "0", "-timeline", path}, &stdout, &stderr); code != 0 {
+		t.Fatalf("zero model: exit %d; stderr:\n%s", code, stderr.String())
+	}
+	if out := stdout.String(); strings.Contains(out, "NaN") || strings.Contains(out, "Inf") {
+		t.Errorf("zero model prints NaN or Inf:\n%s", out)
+	}
+	stdout.Reset()
+	stderr.Reset()
+	if code := run([]string{"trace", "-alpha", "0", "-beta", "0", "-gamma", "0", "-gate-makespan", "3", path}, &stdout, &stderr); code != 1 {
+		t.Fatalf("zero model gate: exit %d, want 1", code)
+	}
+	if stdout.Len() != 0 {
+		t.Errorf("failed gate printed to stdout:\n%s", stdout.String())
+	}
+	if msg := stderr.String(); !strings.Contains(msg, "measured makespan") || !strings.Contains(msg, "exceeds 3× the α-β-γ replay 0s") {
+		t.Errorf("stderr %q does not name the measured makespan, the factor and the replay", msg)
+	}
+}
+
+// TestTraceRejectsRankGap: one line naming rank 4,000,000 used to replay
+// into per-rank state for four million ranks (hundreds of MB, and GB
+// with -chrome). The reader rejects a trace whose ranks below the
+// highest have no events, so the command exits 1 before allocating.
+func TestTraceRejectsRankGap(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "gap.jsonl")
+	line := `{"kind":"send","rank":4000000,"from":4000000,"to":0,"seq":0,"words":1}` + "\n"
+	if err := os.WriteFile(path, []byte(line), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"trace", path}, &stdout, &stderr); code != 1 {
+		t.Fatalf("exit %d, want 1; stderr:\n%s", code, stderr.String())
+	}
+	if stdout.Len() != 0 {
+		t.Errorf("rejected trace printed to stdout:\n%s", stdout.String())
+	}
+	if !strings.Contains(stderr.String(), "rank 4000000") {
+		t.Errorf("stderr %q does not name the rank", stderr.String())
 	}
 }

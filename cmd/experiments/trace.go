@@ -5,15 +5,17 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 
 	"repro/internal/obs"
 )
 
-// traceCmd summarizes and converts a trace recorded by sttsvrun -events
-// (one JSON event per line). It replays the logical event stream under a
-// configurable α-β-γ time model and can emit the Chrome trace_event JSON
-// understood by chrome://tracing and Perfetto.
+// traceCmd summarizes, converts and gates a trace recorded by sttsvrun
+// -events (one JSON event per line). It replays the logical event stream
+// under a configurable α-β-γ time model, can emit the Chrome trace_event
+// JSON understood by chrome://tracing and Perfetto, and can fail when the
+// run's measured wall-clock makespan exceeds a factor of the replayed one.
 //
 //	trace run.jsonl                 # phase/rank summary
 //	trace -timeline run.jsonl       # per-rank replay attribution
@@ -21,9 +23,11 @@ import (
 //	trace -chrome out.json run.jsonl
 //	trace -metrics out.jsonl run.jsonl
 //	trace -alpha 5e-6 -beta 2e-9 -gamma 0 -timeline run.jsonl
+//	trace -alpha 5e-3 -gate-makespan 3 run.jsonl
 //
 // A bad flag, a missing trace argument or an unreadable trace file exits
-// 2; a trace that does not parse or replay exits 1.
+// 2; a trace that does not parse or replay, or a failed gate, exits 1 and
+// prints nothing to stdout.
 func traceCmd(args []string, stdout, stderr io.Writer) int {
 	fs := newFlagSet("trace", stderr)
 	chrome := fs.String("chrome", "", "write Chrome trace_event JSON to this file")
@@ -35,13 +39,14 @@ func traceCmd(args []string, stdout, stderr io.Writer) int {
 	alpha := fs.Float64("alpha", def.Alpha, "per-message latency (seconds)")
 	beta := fs.Float64("beta", def.Beta, "per-word transfer time (seconds)")
 	gamma := fs.Float64("gamma", def.Gamma, "per-ternary-multiplication compute time (seconds)")
+	gate := fs.Float64("gate-makespan", 0, "fail unless the measured wall-clock makespan stays within this factor of the replayed one (0 disables)")
 	if err := fs.Parse(args); errors.Is(err, flag.ErrHelp) {
 		return 0
 	} else if err != nil {
 		return 2
 	}
-	if fs.NArg() != 1 {
-		fmt.Fprintln(stderr, "usage: experiments trace [flags] trace.jsonl")
+	if fs.NArg() != 1 || !(*gate >= 0) {
+		fmt.Fprintln(stderr, "usage: experiments trace [flags] trace.jsonl (-gate-makespan ≥ 0)")
 		fs.PrintDefaults()
 		return 2
 	}
@@ -62,6 +67,12 @@ func traceCmd(args []string, stdout, stderr io.Writer) int {
 	tl, err := obs.Replay(tr, model)
 	if err != nil {
 		return fail(1, fmt.Errorf("replay: %w", err))
+	}
+	if measured, replayed := tr.WallSpan(), tl.Makespan(); *gate > 0 && !(measured > 0 && measured <= *gate*replayed) {
+		if measured == 0 {
+			return fail(1, errors.New("-gate-makespan: the trace has no wall-clock stamps"))
+		}
+		return fail(1, fmt.Errorf("measured makespan %.4gs exceeds %.3g× the α-β-γ replay %.4gs", measured, *gate, replayed))
 	}
 	summarize(stdout, tr, tl, model)
 	if *timeline {
@@ -105,7 +116,15 @@ func summarize(w io.Writer, tr *obs.Trace, tl *obs.Timeline, model obs.TimeModel
 		fmt.Fprintf(w, "| %s | %d | %d | %d | %d | %d | %.4gs |\n",
 			label, pt.Steps, maxW, totW, maxM, tern, tl.PhaseTime(label))
 	}
-	fmt.Fprintf(w, "\nmakespan %.4gs over %d ranks\n", tl.Makespan(), tl.P)
+	replayed := tl.Makespan()
+	fmt.Fprintf(w, "\nmakespan %.4gs over %d ranks", replayed, tl.P)
+	if measured := tr.WallSpan(); measured > 0 {
+		fmt.Fprintf(w, "; measured %.4gs", measured)
+		if replayed > 0 {
+			fmt.Fprintf(w, " (×%.2f)", measured/replayed)
+		}
+	}
+	fmt.Fprintln(w)
 }
 
 // printTimeline prints the per-rank critical-path attribution.
@@ -116,7 +135,7 @@ func printTimeline(w io.Writer, tl *obs.Timeline) {
 	for r := 0; r < tl.P; r++ {
 		fmt.Fprintf(w, "| %d | %.4g | %.4g | %.4g | %.4g | %.4g | %.1f%% |\n",
 			r, tl.Finish[r], tl.Compute[r], tl.SendTime[r], tl.RecvWait[r],
-			tl.Overlap[r], 100*tl.RecvWait[r]/tl.Makespan())
+			tl.Overlap[r], 100*tl.RecvWait[r]/math.Max(tl.Makespan(), 1e-300))
 	}
 }
 

@@ -15,13 +15,14 @@
 //
 //	sttsvrun -n 120 -q 3 -faults seed=7,drop=0.2,reorder=0.1
 //
-// The simulated runs can be traced and replayed under an α-β-γ time
-// model; each wiring writes its own file (a .p2p / .all-to-all suffix is
-// inserted before the extension):
+// With -q, -events records each wiring's run as JSONL trace events,
+// checked against the run's meters before they are written (a .p2p /
+// .all-to-all suffix is inserted before the extension). experiments trace
+// replays a recording under an α-β-γ time model, converts it and gates
+// its measured makespan:
 //
-//	sttsvrun -n 120 -q 3 -trace trace.json      # chrome://tracing / Perfetto
-//	sttsvrun -n 120 -q 3 -events run.jsonl      # raw events, for experiments trace
-//	sttsvrun -n 120 -q 3 -timeline              # replay summary + ASCII Gantt
+//	sttsvrun -n 120 -q 3 -events run.jsonl
+//	experiments trace -timeline -gantt run.p2p.jsonl
 package main
 
 import (
@@ -47,20 +48,6 @@ import (
 	"repro/internal/tensor"
 )
 
-// obsConfig gathers the observability flags applied to the parallel runs.
-type obsConfig struct {
-	trace    string  // Chrome trace_event JSON path
-	events   string  // raw trace JSONL path
-	metrics  string  // flat metrics JSONL path
-	timeline bool    // print replay summary + Gantt
-	gate     float64 // fail if measured wall-clock exceeds gate × predicted makespan
-	model    obs.TimeModel
-}
-
-func (o *obsConfig) active() bool {
-	return o.trace != "" || o.events != "" || o.metrics != "" || o.timeline || o.gate > 0
-}
-
 func main() {
 	n := flag.Int("n", 128, "tensor dimension")
 	seed := flag.Int64("seed", 1, "random seed")
@@ -74,16 +61,7 @@ func main() {
 	ckptDir := flag.String("ckptdir", "", "checkpoint directory for distributed runs (default: a temporary directory)")
 	maxIter := flag.Int("maxiter", 200, "power-method iteration bound (distributed modes)")
 	tol := flag.Float64("tol", 1e-12, "power-method convergence tolerance (distributed modes)")
-	def := obs.DefaultTimeModel()
-	var oc obsConfig
-	flag.StringVar(&oc.trace, "trace", "", "write a Chrome trace_event JSON of the replayed run (requires -q; load in chrome://tracing or Perfetto)")
-	flag.StringVar(&oc.events, "events", "", "write the raw trace events as JSONL (requires -q; analyze with experiments trace)")
-	flag.StringVar(&oc.metrics, "metrics", "", "write flat per-phase/per-rank metrics JSONL (requires -q)")
-	flag.BoolVar(&oc.timeline, "timeline", false, "print the replayed α-β-γ timeline summary and Gantt chart (requires -q)")
-	flag.Float64Var(&oc.gate, "gate-makespan", 0, "fail unless measured wall-clock makespan stays within this factor of the α-β-γ replay prediction (requires -q; 0 disables)")
-	flag.Float64Var(&oc.model.Alpha, "alpha", def.Alpha, "replay time model: per-message latency in seconds")
-	flag.Float64Var(&oc.model.Beta, "beta", def.Beta, "replay time model: per-word time in seconds")
-	flag.Float64Var(&oc.model.Gamma, "gamma", def.Gamma, "replay time model: per-ternary-multiplication time in seconds")
+	events := flag.String("events", "", "write each wiring's trace events as JSONL (requires -q; replay, convert and gate with experiments trace)")
 	flag.Parse()
 
 	if err := bf.Validate(true); err != nil {
@@ -118,8 +96,8 @@ func main() {
 		os.Exit(runDistMode(bf, ccfg))
 	}
 
-	if oc.active() && *q <= 0 {
-		fmt.Fprintln(os.Stderr, "sttsvrun: -trace/-events/-metrics/-timeline require -q (they observe the simulated machine)")
+	if *events != "" && *q <= 0 {
+		fmt.Fprintln(os.Stderr, "sttsvrun: -events requires -q (it observes the simulated machine)")
 		os.Exit(2)
 	}
 
@@ -161,7 +139,7 @@ func main() {
 		os.Exit(2)
 	}
 	if *q > 0 {
-		runParallel(a, x, yp, *q, plan, *rec, &oc, bf)
+		runParallel(a, x, yp, *q, plan, *rec, *events, bf)
 	} else if plan.Active() {
 		fmt.Fprintln(os.Stderr, "sttsvrun: -faults requires -q (faults apply to the simulated machine)")
 		os.Exit(2)
@@ -177,7 +155,7 @@ func main() {
 	}
 }
 
-func runParallel(a *tensor.Symmetric, x, want []float64, q int, plan fault.Plan, recoverCrash bool, oc *obsConfig, bf *backendflag.Options) {
+func runParallel(a *tensor.Symmetric, x, want []float64, q int, plan fault.Plan, recoverCrash bool, events string, bf *backendflag.Options) {
 	part, err := partition.NewSpherical(q)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "sttsvrun:", err)
@@ -190,7 +168,7 @@ func runParallel(a *tensor.Symmetric, x, want []float64, q int, plan fault.Plan,
 	for _, wiring := range []parallel.Wiring{parallel.WiringP2P, parallel.WiringAllToAll} {
 		var rec obs.Recorder
 		var cfg machine.RunConfig
-		if oc.active() {
+		if events != "" {
 			cfg.Observer = rec.Observer()
 		}
 		bf.Apply(&cfg)
@@ -209,70 +187,11 @@ func runParallel(a *tensor.Symmetric, x, want []float64, q int, plan fault.Plan,
 			wiring, res.Steps, res.Report.MaxSentWords(),
 			costmodel.LowerBoundWords(n, part.P), maxDiff)
 		fmt.Printf("              %s\n", res.Report)
-		if oc.active() {
-			exportObservability(rec.Trace(), res, wiring, oc)
+		if events != "" {
+			writeEvents(rec.Trace(), res.Report, wiringPath(events, wiring))
 		}
 		if plan.Active() {
 			runFaulted(a, x, wiring, part, b, plan, recoverCrash, res, bf)
-		}
-	}
-}
-
-// exportObservability replays one wiring's trace and writes/prints the
-// requested artifacts.
-func exportObservability(tr *obs.Trace, res *parallel.Result, wiring parallel.Wiring, oc *obsConfig) {
-	if err := tr.CheckAgainstReport(res.Report); err != nil {
-		fmt.Fprintln(os.Stderr, "sttsvrun: trace conformance:", err)
-		os.Exit(1)
-	}
-	tl, err := obs.Replay(tr, oc.model)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "sttsvrun: replay:", err)
-		os.Exit(1)
-	}
-	if oc.events != "" {
-		writeFile(wiringPath(oc.events, wiring), func(f *os.File) error {
-			return obs.WriteTraceJSONL(f, tr)
-		})
-	}
-	if oc.trace != "" {
-		writeFile(wiringPath(oc.trace, wiring), func(f *os.File) error {
-			return obs.WriteChromeTrace(f, tl)
-		})
-	}
-	if oc.metrics != "" {
-		writeFile(wiringPath(oc.metrics, wiring), func(f *os.File) error {
-			return obs.WriteMetricsJSONL(f, tr, tl)
-		})
-	}
-	if oc.timeline || oc.gate > 0 {
-		measured := tr.WallSpan()
-		predicted := tl.Makespan()
-		ratio := 0.0
-		if predicted > 0 {
-			ratio = measured / predicted
-		}
-		fmt.Printf("              makespan: measured %.4gs, α-β-γ predicted %.4gs (×%.2f)\n",
-			measured, predicted, ratio)
-		if oc.gate > 0 && measured > oc.gate*predicted {
-			fmt.Fprintf(os.Stderr, "sttsvrun: measured makespan %.4gs exceeds %.3g× the α-β-γ prediction %.4gs\n",
-				measured, oc.gate, predicted)
-			os.Exit(1)
-		}
-	}
-	if oc.timeline {
-		fmt.Printf("              replay (α=%.3g β=%.3g γ=%.3g): makespan %.4gs\n",
-			oc.model.Alpha, oc.model.Beta, oc.model.Gamma, tl.Makespan())
-		for _, label := range tl.PhaseOrder {
-			fmt.Printf("                %-15s %.4gs", label, tl.PhaseTime(label))
-			if s := tl.PhaseSteps[label]; s > 0 {
-				fmt.Printf("  (%d steps)", s)
-			}
-			fmt.Println()
-		}
-		if err := obs.WriteGantt(os.Stdout, tl, 72); err != nil {
-			fmt.Fprintln(os.Stderr, "sttsvrun:", err)
-			os.Exit(1)
 		}
 	}
 }
@@ -284,10 +203,16 @@ func wiringPath(path string, w parallel.Wiring) string {
 	return strings.TrimSuffix(path, ext) + "." + w.String() + ext
 }
 
-func writeFile(path string, write func(*os.File) error) {
+// writeEvents checks one wiring's trace against the run's logical meters
+// and writes it as JSONL.
+func writeEvents(tr *obs.Trace, rep *machine.Report, path string) {
+	if err := tr.CheckAgainstReport(rep); err != nil {
+		fmt.Fprintln(os.Stderr, "sttsvrun: trace conformance:", err)
+		os.Exit(1)
+	}
 	f, err := os.Create(path)
 	if err == nil {
-		err = write(f)
+		err = obs.WriteTraceJSONL(f, tr)
 		if cerr := f.Close(); err == nil {
 			err = cerr
 		}

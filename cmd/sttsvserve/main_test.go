@@ -79,6 +79,24 @@ func TestApplyOversizeBodyRejected(t *testing.T) {
 	}
 }
 
+// TestApplyLongTenantRejected: a tenant name over 256 bytes, from the
+// body or the X-Tenant header, answers 400 with a JSON error, so client
+// names cannot grow the tenant ledger without bound.
+func TestApplyLongTenantRejected(t *testing.T) {
+	s := newTestServer(t)
+	long := strings.Repeat("a", 257)
+	if code, er := apply(t, s, xBody(long, s.info.N, "1")); code != http.StatusBadRequest || er.Error == "" {
+		t.Fatalf("257-byte tenant in the body: status %d, error %q; want 400 with a JSON error", code, er.Error)
+	}
+	rec := httptest.NewRecorder()
+	req := httptest.NewRequest(http.MethodPost, "/v1/apply", strings.NewReader(xBody("", s.info.N, "1")))
+	req.Header.Set("X-Tenant", long)
+	s.handleApply(rec, req)
+	if rec.Code != http.StatusBadRequest {
+		t.Fatalf("257-byte X-Tenant: status %d, want 400", rec.Code)
+	}
+}
+
 // FuzzApplyHandler posts arbitrary bodies to the apply handler. Every
 // response must be one JSON object with status 200, 400, 413 or 422, and a
 // 200 must carry the operator's n outputs, all finite.

@@ -230,7 +230,7 @@ func assertRecovered(t *testing.T, want, got *sessionOutcome, trace *obs.Trace, 
 	// Epoch-aware trace conformance: with the aborted attempts cut away at
 	// the per-rank rollback markers, the committed logical trace must equal
 	// the session-lifetime report exactly.
-	if err := trace.CheckCommittedAgainstReport(got.final); err != nil {
+	if err := trace.CheckAgainstReport(got.final); err != nil {
 		t.Errorf("committed trace conformance: %v", err)
 	}
 }

@@ -64,8 +64,9 @@ type BackendWire interface {
 	// OnDrop registers fn to be called for every packet the wire loses —
 	// a send to a dead peer, a write error, an injected chaos fault — so
 	// the machine can count drops as EventDrop wire events. fn runs on
-	// whatever goroutine performed the Deliver. A wire that never drops a
-	// packet ignores it.
+	// whatever goroutine lost the packet: the one that performed the
+	// Deliver, or a socket reader that refused a misaddressed frame. A
+	// wire that never drops a packet ignores it.
 	OnDrop(fn func(pkt Packet, reason string))
 }
 

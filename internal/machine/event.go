@@ -57,45 +57,52 @@ const (
 	// it into a RestoreMismatchError instead of replaying corrupt state.
 	EventRestoreMismatch
 	// EventDrop records a raw datagram the wire lost — a socket send to a
-	// dead peer, a write error, or an injected chaos fault. Always a wire
-	// event (Wire == true, emitted only when RunConfig.WireEvents is set);
-	// it never enters the logical meters, which count only what the
-	// Send/Recv layer commits.
+	// dead peer, a write error, an injected chaos fault, or a frame the
+	// socket refused on arrival as misaddressed. Always a wire event (Wire
+	// == true, emitted only when RunConfig.WireEvents is set) with no
+	// phase or op scope; it never enters the logical meters, which count
+	// only what the Send/Recv layer commits.
 	EventDrop
 )
 
+// kindNames spells each event kind as String and the JSONL trace format
+// write it. EventBarrier has no name: nothing emits it.
+var kindNames = [...]string{
+	EventSend:            "send",
+	EventRecv:            "recv",
+	EventPhaseBegin:      "phase-begin",
+	EventPhaseEnd:        "phase-end",
+	EventLocalCompute:    "local-compute",
+	EventRankDown:        "rank-down",
+	EventRecoveryBegin:   "recovery-begin",
+	EventRecoveryEnd:     "recovery-end",
+	EventRestoreVerify:   "restore-verify",
+	EventRestoreMismatch: "restore-mismatch",
+	EventDrop:            "drop",
+}
+
 func (k EventKind) String() string {
-	switch k {
-	case EventSend:
-		return "send"
-	case EventRecv:
-		return "recv"
-	case EventPhaseBegin:
-		return "phase-begin"
-	case EventPhaseEnd:
-		return "phase-end"
-	case EventLocalCompute:
-		return "local-compute"
-	case EventRankDown:
-		return "rank-down"
-	case EventRecoveryBegin:
-		return "recovery-begin"
-	case EventRecoveryEnd:
-		return "recovery-end"
-	case EventRestoreVerify:
-		return "restore-verify"
-	case EventRestoreMismatch:
-		return "restore-mismatch"
-	case EventDrop:
-		return "drop"
+	if k >= 0 && int(k) < len(kindNames) && kindNames[k] != "" {
+		return kindNames[k]
 	}
 	return fmt.Sprintf("EventKind(%d)", int(k))
 }
 
+// ParseEventKind returns the kind whose String is name; ok is false for
+// a name no kind has.
+func ParseEventKind(name string) (k EventKind, ok bool) {
+	for i, n := range kindNames {
+		if n != "" && n == name {
+			return EventKind(i), true
+		}
+	}
+	return 0, false
+}
+
 // Event is one structured trace record. Events are emitted synchronously
-// from the goroutine of the rank they happen on; an observer collecting
-// them must be safe for concurrent use (see obs.Recorder for a ready-made
-// collector).
+// from the goroutine of the rank they happen on (a wire may report an
+// EventDrop from its own); an observer collecting them must be safe for
+// concurrent use (see obs.Recorder for a ready-made collector).
 //
 // Logical events (Wire == false) account exactly for the quantities the
 // paper's theory bounds: summed per rank they equal the Report's logical
@@ -175,13 +182,20 @@ func (m *Machine) emitMsg(rank int, kind EventKind, from, to, tag, words int, wi
 // record is emit's body for an installed observer.
 func (m *Machine) record(rank int, e Event) {
 	st := &m.obsState[rank]
-	e.Rank = rank
 	if e.Phase == "" {
 		e.Phase = st.phase
 	}
 	e.Op = st.op
+	m.stamp(rank, e)
+}
+
+// stamp sets the event's rank, epoch, sequence number and wall time and
+// hands it to the installed observer. Unlike record it reads none of the
+// rank's scope, so it is safe off the rank's goroutine.
+func (m *Machine) stamp(rank int, e Event) {
+	e.Rank = rank
 	e.Epoch = m.epoch
-	e.Seq = st.seq.Add(1) - 1
+	e.Seq = m.obsState[rank].seq.Add(1) - 1
 	e.Wall = int64(time.Since(m.start))
 	m.observer(e)
 }

@@ -184,8 +184,12 @@ func newLink(m *Machine, rank int, raw BackendWire) *link {
 		// Promote the wire's loss reports into the structured event
 		// stream: one EventDrop per lost datagram. Wire-only — drops never
 		// touch the logical meters the paper's bounds are checked against.
+		// A drop may be reported off the rank's goroutine, so it is
+		// stamped without the rank's phase and op scope.
 		raw.OnDrop(func(pkt Packet, reason string) {
-			m.emit(rank, Event{Kind: EventDrop, From: rank, To: pkt.To, Tag: pkt.Tag, Words: len(pkt.Data), Step: -1, Wire: true})
+			if m.observer != nil {
+				m.stamp(rank, Event{Kind: EventDrop, From: rank, To: pkt.To, Tag: pkt.Tag, Words: len(pkt.Data), Step: -1, Wire: true})
+			}
 		})
 	}
 	return &link{m: m, rank: rank, st: &m.ranks[rank], raw: raw}

@@ -78,7 +78,7 @@ func NewClient(network, ctlAddr string, rank, size int, opt ClientOptions) (*Cli
 		cl.dir = dir
 		listen = filepath.Join(dir, fmt.Sprintf("r%d.sock", rank))
 	}
-	nd, err := newNode(network, listen, rank, cl.resolve)
+	nd, err := newNode(network, listen, rank, size, cl.resolve)
 	if err != nil {
 		if cl.dir != "" {
 			os.RemoveAll(cl.dir)

@@ -107,7 +107,7 @@ func (b *Loopback) setupLocked(size int) error {
 		if b.network == "unix" {
 			listen = filepath.Join(dir, fmt.Sprintf("r%d.sock", r))
 		}
-		nd, err := newNode(b.network, listen, r, resolve)
+		nd, err := newNode(b.network, listen, r, size, resolve)
 		if err != nil {
 			for _, p := range nodes[:r] {
 				p.close()

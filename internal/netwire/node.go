@@ -44,6 +44,7 @@ type dialer func(network, addr string, timeout time.Duration) (net.Conn, error)
 type node struct {
 	network string // "tcp" or "unix"
 	rank    int
+	size    int // ranks in the machine: a frame from outside [0, size) is refused
 	ln      net.Listener
 	resolve resolver
 	dial    dialer
@@ -80,8 +81,9 @@ type dialFailure struct {
 	err     error         // the dial error, replayed to fast-failed sends
 }
 
-// newNode listens on addr and starts the accept loop.
-func newNode(network, addr string, rank int, resolve resolver) (*node, error) {
+// newNode listens on addr for rank of a size-rank machine and starts the
+// accept loop.
+func newNode(network, addr string, rank, size int, resolve resolver) (*node, error) {
 	ln, err := net.Listen(network, addr)
 	if err != nil {
 		return nil, fmt.Errorf("netwire: rank %d listen %s %s: %w", rank, network, addr, err)
@@ -89,6 +91,7 @@ func newNode(network, addr string, rank int, resolve resolver) (*node, error) {
 	nd := &node{
 		network:  network,
 		rank:     rank,
+		size:     size,
 		ln:       ln,
 		resolve:  resolve,
 		dial:     net.DialTimeout,
@@ -137,7 +140,11 @@ func (nd *node) acceptLoop() {
 // readLoop decodes frames off one inbound connection into the inbox. Any
 // framing error — torn frame, checksum mismatch, reset — drops the whole
 // connection: the stream past a corrupt length prefix is garbage, and a
-// reliable transport (or the recovery supervisor) owns re-delivery.
+// reliable transport (or the recovery supervisor) owns re-delivery. A
+// well-formed frame that is not for this rank, or not from a rank of the
+// machine, is dropped alone and reported: the checksum proves only that
+// the bytes are intact, not who wrote them, and the machine indexes its
+// per-sender state by From.
 func (nd *node) readLoop(c net.Conn) {
 	defer nd.wg.Done()
 	defer func() {
@@ -157,6 +164,10 @@ func (nd *node) readLoop(c net.Conn) {
 		case <-nd.done:
 			return
 		default:
+		}
+		if pkt.To != nd.rank || pkt.From < 0 || pkt.From >= nd.size {
+			nd.reportDrop(pkt, "misaddressed frame")
+			continue
 		}
 		nd.inbox.Push(pkt)
 	}

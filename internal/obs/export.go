@@ -109,28 +109,6 @@ type jsonlEvent struct {
 	Wall    int64  `json:"wall_ns,omitempty"`
 }
 
-var kindNames = map[machine.EventKind]string{
-	machine.EventSend:            "send",
-	machine.EventRecv:            "recv",
-	machine.EventPhaseBegin:      "phase-begin",
-	machine.EventPhaseEnd:        "phase-end",
-	machine.EventLocalCompute:    "local-compute",
-	machine.EventRankDown:        "rank-down",
-	machine.EventRecoveryBegin:   "recovery-begin",
-	machine.EventRecoveryEnd:     "recovery-end",
-	machine.EventRestoreVerify:   "restore-verify",
-	machine.EventRestoreMismatch: "restore-mismatch",
-	machine.EventDrop:            "drop",
-}
-
-var kindValues = func() map[string]machine.EventKind {
-	m := make(map[string]machine.EventKind, len(kindNames))
-	for k, n := range kindNames {
-		m[n] = k
-	}
-	return m
-}()
-
 // WriteTraceJSONL writes the trace as one JSON object per line in
 // canonical (rank, seq) order — the flat interchange format read back by
 // ReadTraceJSONL and by the experiments trace subcommand.
@@ -139,7 +117,7 @@ func WriteTraceJSONL(w io.Writer, t *Trace) error {
 	enc := json.NewEncoder(bw)
 	for _, e := range t.Events {
 		je := jsonlEvent{
-			Kind: kindNames[e.Kind], Rank: e.Rank, From: e.From, To: e.To,
+			Kind: e.Kind.String(), Rank: e.Rank, From: e.From, To: e.To,
 			Tag: e.Tag, Words: e.Words, Phase: e.Phase, Op: e.Op,
 			Seq: e.Seq, Ternary: e.Ternary, Wire: e.Wire, Epoch: e.Epoch,
 			Wall: e.Wall,
@@ -175,7 +153,7 @@ func ReadTraceJSONL(r io.Reader) (*Trace, error) {
 		if err := json.Unmarshal(raw, &je); err != nil {
 			return nil, fmt.Errorf("obs: trace line %d: %w", line, err)
 		}
-		kind, ok := kindValues[je.Kind]
+		kind, ok := machine.ParseEventKind(je.Kind)
 		if !ok {
 			return nil, fmt.Errorf("obs: trace line %d: unknown kind %q", line, je.Kind)
 		}
@@ -199,13 +177,26 @@ func ReadTraceJSONL(r io.Reader) (*Trace, error) {
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
-	return NewTrace(events), nil
+	// Every rank of a run emits events, so a rank below the highest with
+	// none marks a damaged trace. Rejecting it keeps the per-rank state of
+	// a replay proportional to the file, not to the highest rank a line
+	// names.
+	t := NewTrace(events)
+	seen := 0
+	for i, e := range t.Events {
+		if i == 0 || e.Rank != t.Events[i-1].Rank {
+			seen++
+		}
+	}
+	if seen != t.P {
+		return nil, fmt.Errorf("obs: trace names rank %d, but only %d rank(s) have events", t.P-1, seen)
+	}
+	return t, nil
 }
 
-// metricsRecord is one flat metrics line: a per-phase aggregate, a
-// per-rank aggregate, the run's recovery summary, or a serving-tier
-// aggregate. Scope is "phase", "rank", "recovery", "serving", or
-// "tenant".
+// metricsRecord is one flat metrics line of a run: a per-phase
+// aggregate, a per-rank aggregate, or the run's recovery summary. Scope
+// is "phase", "rank" or "recovery".
 type metricsRecord struct {
 	Scope     string  `json:"scope"`
 	Phase     string  `json:"phase,omitempty"`
@@ -288,66 +279,41 @@ func WriteMetricsJSONL(w io.Writer, t *Trace, tl *Timeline) error {
 // its request count and its amortized share of the coalesced batches'
 // traffic. Word and compute shares are exact (they scale linearly with
 // batch columns); message shares are the fractional 1/cols split that
-// coalescing buys, so they are reported as a float.
+// coalescing buys, so they are reported as a float. Its JSON form is the
+// body of a scope:"tenant" serving line.
 type ServingTenant struct {
-	Tenant         string  `json:"tenant"`
+	Tenant         string  `json:"tenant,omitempty"`
 	Requests       int64   `json:"requests"`
 	Rejected       int64   `json:"rejected,omitempty"`
-	SentWords      int64   `json:"sent_words"`
-	SentMsgs       float64 `json:"sent_msgs"`
-	QueueWaitAvgUs float64 `json:"queue_wait_avg_us"`
-	QueueWaitMaxUs float64 `json:"queue_wait_max_us"`
+	SentWords      int64   `json:"sent_words,omitempty"`
+	SentMsgs       float64 `json:"sent_msgs,omitempty"`
+	QueueWaitAvgUs float64 `json:"queue_wait_avg_us,omitempty"`
+	QueueWaitMaxUs float64 `json:"queue_wait_max_us,omitempty"`
 }
 
 // ServingSnapshot aggregates a serving pool's admission and batching
 // counters at one instant: the dual-trigger flush split, batch occupancy,
 // queue-wait and service-time attribution, and the per-tenant ledger.
-// Produced by the serve package; exported here so serving metrics flow
-// through the same JSONL metrics convention as run traces.
+// Produced by the serve package; its JSON form, Tenants aside, is the
+// body of the scope:"serving" line.
 type ServingSnapshot struct {
-	Sessions       int             `json:"sessions"`
-	MaxCols        int             `json:"max_cols"`
-	MaxWaitUs      float64         `json:"max_wait_us"`
+	Sessions       int             `json:"sessions,omitempty"`
+	MaxCols        int             `json:"max_cols,omitempty"`
+	MaxWaitUs      float64         `json:"max_wait_us,omitempty"`
 	Requests       int64           `json:"requests"`
-	Rejected       int64           `json:"rejected"`
-	Batches        int64           `json:"batches"`
+	Rejected       int64           `json:"rejected,omitempty"`
+	Batches        int64           `json:"batches,omitempty"`
 	BatchErrors    int64           `json:"batch_errors,omitempty"`
-	SizeFlushes    int64           `json:"size_flushes"`
-	WaitFlushes    int64           `json:"wait_flushes"`
-	DrainFlushes   int64           `json:"drain_flushes"`
-	AvgOccupancy   float64         `json:"avg_occupancy"`
-	MaxOccupancy   int             `json:"max_occupancy"`
-	QueueWaitAvgUs float64         `json:"queue_wait_avg_us"`
-	QueueWaitMaxUs float64         `json:"queue_wait_max_us"`
-	ServiceAvgUs   float64         `json:"service_avg_us"`
-	ServiceMaxUs   float64         `json:"service_max_us"`
-	Tenants        []ServingTenant `json:"tenants,omitempty"`
-}
-
-// servingRecord is the flat JSONL shape of serving metrics: one
-// scope:"serving" line for the pool aggregate, then one scope:"tenant"
-// line per tenant, matching the metricsRecord file convention.
-type servingRecord struct {
-	Scope          string  `json:"scope"`
-	Tenant         string  `json:"tenant,omitempty"`
-	Sessions       int     `json:"sessions,omitempty"`
-	MaxCols        int     `json:"max_cols,omitempty"`
-	MaxWaitUs      float64 `json:"max_wait_us,omitempty"`
-	Requests       int64   `json:"requests"`
-	Rejected       int64   `json:"rejected,omitempty"`
-	Batches        int64   `json:"batches,omitempty"`
-	BatchErrors    int64   `json:"batch_errors,omitempty"`
-	SizeFlushes    int64   `json:"size_flushes,omitempty"`
-	WaitFlushes    int64   `json:"wait_flushes,omitempty"`
-	DrainFlushes   int64   `json:"drain_flushes,omitempty"`
-	AvgOccupancy   float64 `json:"avg_occupancy,omitempty"`
-	MaxOccupancy   int     `json:"max_occupancy,omitempty"`
-	SentWords      int64   `json:"sent_words,omitempty"`
-	SentMsgs       float64 `json:"sent_msgs,omitempty"`
-	QueueWaitAvgUs float64 `json:"queue_wait_avg_us,omitempty"`
-	QueueWaitMaxUs float64 `json:"queue_wait_max_us,omitempty"`
-	ServiceAvgUs   float64 `json:"service_avg_us,omitempty"`
-	ServiceMaxUs   float64 `json:"service_max_us,omitempty"`
+	SizeFlushes    int64           `json:"size_flushes,omitempty"`
+	WaitFlushes    int64           `json:"wait_flushes,omitempty"`
+	DrainFlushes   int64           `json:"drain_flushes,omitempty"`
+	AvgOccupancy   float64         `json:"avg_occupancy,omitempty"`
+	MaxOccupancy   int             `json:"max_occupancy,omitempty"`
+	QueueWaitAvgUs float64         `json:"queue_wait_avg_us,omitempty"`
+	QueueWaitMaxUs float64         `json:"queue_wait_max_us,omitempty"`
+	ServiceAvgUs   float64         `json:"service_avg_us,omitempty"`
+	ServiceMaxUs   float64         `json:"service_max_us,omitempty"`
+	Tenants        []ServingTenant `json:"-"`
 }
 
 // WriteServingMetricsJSONL writes a serving snapshot as flat JSONL metric
@@ -356,24 +322,17 @@ type servingRecord struct {
 func WriteServingMetricsJSONL(w io.Writer, s *ServingSnapshot) error {
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
-	if err := enc.Encode(servingRecord{
-		Scope: "serving", Sessions: s.Sessions, MaxCols: s.MaxCols, MaxWaitUs: s.MaxWaitUs,
-		Requests: s.Requests, Rejected: s.Rejected,
-		Batches: s.Batches, BatchErrors: s.BatchErrors,
-		SizeFlushes: s.SizeFlushes, WaitFlushes: s.WaitFlushes, DrainFlushes: s.DrainFlushes,
-		AvgOccupancy: s.AvgOccupancy, MaxOccupancy: s.MaxOccupancy,
-		QueueWaitAvgUs: s.QueueWaitAvgUs, QueueWaitMaxUs: s.QueueWaitMaxUs,
-		ServiceAvgUs: s.ServiceAvgUs, ServiceMaxUs: s.ServiceMaxUs,
-	}); err != nil {
+	if err := enc.Encode(struct {
+		Scope string `json:"scope"`
+		*ServingSnapshot
+	}{"serving", s}); err != nil {
 		return err
 	}
 	for _, tn := range s.Tenants {
-		if err := enc.Encode(servingRecord{
-			Scope: "tenant", Tenant: tn.Tenant,
-			Requests: tn.Requests, Rejected: tn.Rejected,
-			SentWords: tn.SentWords, SentMsgs: tn.SentMsgs,
-			QueueWaitAvgUs: tn.QueueWaitAvgUs, QueueWaitMaxUs: tn.QueueWaitMaxUs,
-		}); err != nil {
+		if err := enc.Encode(struct {
+			Scope string `json:"scope"`
+			ServingTenant
+		}{"tenant", tn}); err != nil {
 			return err
 		}
 	}

@@ -316,14 +316,6 @@ func (t *Trace) RecoveryCounts() RecoveryCounts {
 	return rc
 }
 
-// CheckAgainstReport verifies the trace-conformance invariant: the summed
-// logical trace events equal the report's logical meters exactly, per
-// rank. A mismatch means the event stream and the counters disagree about
-// the run — the one thing an observability layer must never do.
-func (t *Trace) CheckAgainstReport(rep *machine.Report) error {
-	return t.checkTotals(rep, t.RankTotals())
-}
-
 // CommittedTotals sums the logical trace per rank counting committed work
 // exactly once: events a crash recovery rolled back are excluded. The
 // supervisor marks each rollback with a per-rank EventRecoveryEnd whose
@@ -359,17 +351,14 @@ func (t *Trace) CommittedTotals() *PhaseTotals {
 	return out
 }
 
-// CheckCommittedAgainstReport verifies the epoch-aware trace-conformance
-// invariant for supervised runs: the committed logical events — aborted
-// attempts excluded via the rollback markers — must equal the report's
-// logical meters exactly, per rank, because the supervisor rolls the
-// logical counters back to the same checkpoints it marks. For a
-// crash-free run this is identical to CheckAgainstReport.
-func (t *Trace) CheckCommittedAgainstReport(rep *machine.Report) error {
-	return t.checkTotals(rep, t.CommittedTotals())
-}
-
-func (t *Trace) checkTotals(rep *machine.Report, tot *PhaseTotals) error {
+// CheckAgainstReport verifies the trace-conformance invariant: the
+// committed logical events (CommittedTotals: every logical event of a
+// crash-free trace, and those no rollback superseded otherwise) equal
+// the report's logical meters exactly, per rank. A mismatch means the
+// event stream and the counters disagree about the run — the one thing
+// an observability layer must never do.
+func (t *Trace) CheckAgainstReport(rep *machine.Report) error {
+	tot := t.CommittedTotals()
 	if t.P > rep.P {
 		return fmt.Errorf("obs: trace has %d ranks, report %d", t.P, rep.P)
 	}

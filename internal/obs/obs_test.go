@@ -245,6 +245,51 @@ func TestReadTraceJSONLRejectsNegativeRank(t *testing.T) {
 	}
 }
 
+// TestReadTraceJSONLRejectsRankGap: a trace whose ranks below the
+// highest have no events is rejected, naming the highest rank and the
+// ranks seen. One line naming rank 4,000,000 used to read as a
+// four-million-rank trace, whose replay and Chrome export allocate per
+// rank.
+func TestReadTraceJSONLRejectsRankGap(t *testing.T) {
+	for in, want := range map[string]string{
+		`{"kind":"send","rank":4000000,"from":4000000,"to":0,"seq":0,"words":1}`:                     "names rank 4000000, but only 1 rank(s) have events",
+		`{"kind":"phase-begin","rank":0,"seq":0}` + "\n" + `{"kind":"phase-begin","rank":2,"seq":0}`: "names rank 2, but only 2 rank(s) have events",
+	} {
+		if _, err := ReadTraceJSONL(strings.NewReader(in)); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: err = %v, want %q", in, err, want)
+		}
+	}
+}
+
+// TestEventKindsRoundTrip: every named event kind writes to JSONL under
+// its String and reads back to itself. EventBarrier, which nothing
+// emits, has no name to read.
+func TestEventKindsRoundTrip(t *testing.T) {
+	for k := machine.EventKind(0); k <= machine.EventDrop; k++ {
+		if k == machine.EventBarrier {
+			if _, ok := machine.ParseEventKind(k.String()); ok {
+				t.Errorf("EventBarrier parses from %q", k.String())
+			}
+			continue
+		}
+		e := machine.Event{Kind: k, Step: -1}
+		var buf bytes.Buffer
+		if err := WriteTraceJSONL(&buf, NewTrace([]machine.Event{e})); err != nil {
+			t.Fatal(err)
+		}
+		if !strings.HasPrefix(buf.String(), `{"kind":"`+k.String()+`"`) {
+			t.Errorf("%v writes as %s", k, buf.String())
+		}
+		back, err := ReadTraceJSONL(&buf)
+		if err != nil {
+			t.Fatalf("%v: %v", k, err)
+		}
+		if back.Events[0] != e {
+			t.Errorf("%v reads back as %+v", k, back.Events[0])
+		}
+	}
+}
+
 func TestMetricsJSONLWellFormed(t *testing.T) {
 	tr, _ := runPipeline(t, 3)
 	tl, err := Replay(tr, DefaultTimeModel())
@@ -414,49 +459,41 @@ func TestChromeTraceStructure(t *testing.T) {
 	}
 }
 
-// TestServingMetricsJSONL: the serving snapshot must flatten into one
-// scope:"serving" record plus one scope:"tenant" record per tenant, each
-// a parseable JSON line carrying the dual-trigger flush split and the
-// per-tenant amortized traffic shares.
+// TestServingMetricsJSONL pins the serving lines byte for byte: one
+// scope:"serving" line for the pool aggregate, then one scope:"tenant"
+// line per tenant, zero fields omitted except requests. An empty snapshot
+// is one line.
 func TestServingMetricsJSONL(t *testing.T) {
-	snap := &ServingSnapshot{
+	full := &ServingSnapshot{
 		Sessions: 2, MaxCols: 8, MaxWaitUs: 500,
-		Requests: 100, Rejected: 3, Batches: 14,
-		SizeFlushes: 12, WaitFlushes: 2,
+		Requests: 100, Rejected: 3, Batches: 14, BatchErrors: 1,
+		SizeFlushes: 11, WaitFlushes: 2, DrainFlushes: 1,
 		AvgOccupancy: 100.0 / 14, MaxOccupancy: 8,
 		QueueWaitAvgUs: 120, QueueWaitMaxUs: 900,
 		ServiceAvgUs: 2400, ServiceMaxUs: 4100,
 		Tenants: []ServingTenant{
 			{Tenant: "a", Requests: 60, SentWords: 60 * 95, SentMsgs: 60 * 6.875, QueueWaitAvgUs: 110, QueueWaitMaxUs: 700},
 			{Tenant: "b", Requests: 40, Rejected: 3, SentWords: 40 * 95, SentMsgs: 40 * 6.875, QueueWaitAvgUs: 135, QueueWaitMaxUs: 900},
+			{},
 		},
 	}
-	var buf bytes.Buffer
-	if err := WriteServingMetricsJSONL(&buf, snap); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("got %d lines, want 3 (serving + 2 tenants):\n%s", len(lines), buf.String())
-	}
-	var head map[string]any
-	if err := json.Unmarshal([]byte(lines[0]), &head); err != nil {
-		t.Fatalf("serving record not JSON: %v", err)
-	}
-	if head["scope"] != "serving" || head["requests"] != float64(100) ||
-		head["size_flushes"] != float64(12) || head["wait_flushes"] != float64(2) {
-		t.Fatalf("serving record fields wrong: %v", head)
-	}
-	for i, want := range []struct {
-		tenant string
-		reqs   float64
-	}{{"a", 60}, {"b", 40}} {
-		var rec map[string]any
-		if err := json.Unmarshal([]byte(lines[i+1]), &rec); err != nil {
-			t.Fatalf("tenant line %d not JSON: %v", i, err)
+	for _, c := range []struct {
+		snap *ServingSnapshot
+		want string
+	}{
+		{&ServingSnapshot{}, `{"scope":"serving","requests":0}` + "\n"},
+		{full, `{"scope":"serving","sessions":2,"max_cols":8,"max_wait_us":500,"requests":100,"rejected":3,"batches":14,"batch_errors":1,"size_flushes":11,"wait_flushes":2,"drain_flushes":1,"avg_occupancy":7.142857142857143,"max_occupancy":8,"queue_wait_avg_us":120,"queue_wait_max_us":900,"service_avg_us":2400,"service_max_us":4100}
+{"scope":"tenant","tenant":"a","requests":60,"sent_words":5700,"sent_msgs":412.5,"queue_wait_avg_us":110,"queue_wait_max_us":700}
+{"scope":"tenant","tenant":"b","requests":40,"rejected":3,"sent_words":3800,"sent_msgs":275,"queue_wait_avg_us":135,"queue_wait_max_us":900}
+{"scope":"tenant","requests":0}
+`},
+	} {
+		var buf bytes.Buffer
+		if err := WriteServingMetricsJSONL(&buf, c.snap); err != nil {
+			t.Fatal(err)
 		}
-		if rec["scope"] != "tenant" || rec["tenant"] != want.tenant || rec["requests"] != want.reqs {
-			t.Fatalf("tenant record %d wrong: %v", i, rec)
+		if got := buf.String(); got != c.want {
+			t.Errorf("serving lines:\n%s\nwant:\n%s", got, c.want)
 		}
 	}
 }

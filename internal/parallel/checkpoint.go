@@ -129,7 +129,7 @@ func (s *Session) restore() error {
 	s.stats.RestoreNanos += time.Since(start).Nanoseconds()
 	// Per-rank rollback markers carrying the checkpoint-time event
 	// sequence: every logical event a rank emitted at or after Step
-	// belongs to the aborted attempt (see obs.CheckCommittedAgainstReport).
+	// belongs to the aborted attempt (see obs.Trace.CommittedTotals).
 	for r := range s.rk {
 		l.h.Emit(r, machine.Event{Kind: machine.EventRecoveryEnd, From: r, To: r, Step: int(s.ck.seqs[r])})
 	}

@@ -46,6 +46,15 @@ type tenantAgg struct {
 	queueWaitMaxNs int64
 }
 
+// Tenant names come from clients, so the ledger is bounded: Pool.Apply
+// refuses a name longer than maxTenantName bytes, and past maxTenants
+// named rows every new name is counted under the otherTenants row.
+const (
+	maxTenantName = 256
+	maxTenants    = 1024
+	otherTenants  = "(other)"
+)
+
 func newMetrics() *metrics {
 	return &metrics{tenants: make(map[string]*tenantAgg)}
 }
@@ -53,6 +62,12 @@ func newMetrics() *metrics {
 func (m *metrics) tenant(name string) *tenantAgg {
 	t := m.tenants[name]
 	if t == nil {
+		if len(m.tenants) >= maxTenants {
+			name = otherTenants
+			if t = m.tenants[name]; t != nil {
+				return t
+			}
+		}
 		t = &tenantAgg{}
 		m.tenants[name] = t
 	}

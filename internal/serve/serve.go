@@ -312,10 +312,14 @@ func (p *Pool) Dim() int { return p.n }
 // The call is safe from any number of goroutines; requests are admitted
 // FIFO and coalesced with concurrent arrivals. A full queue fails fast
 // with *BusyError (matching errors.Is(err, parallel.ErrSessionBusy)); a
-// closed pool fails with ErrPoolClosed.
+// closed pool fails with ErrPoolClosed. A tenant name longer than 256
+// bytes is refused.
 func (p *Pool) Apply(tenant string, x []float64) (*Response, error) {
 	if len(x) != p.n {
 		return nil, fmt.Errorf("serve: vector length %d, serving dimension %d", len(x), p.n)
+	}
+	if len(tenant) > maxTenantName {
+		return nil, fmt.Errorf("serve: tenant name of %d bytes, at most %d", len(tenant), maxTenantName)
 	}
 	req := &request{tenant: tenant, x: x, enq: time.Now(), done: make(chan outcome, 1)}
 	p.mu.RLock()
@@ -481,6 +485,7 @@ func (p *Pool) flush(sess *parallel.Session, batch []*request, trig Trigger) {
 
 // Metrics returns the pool's serving counters so far, in the obs
 // serving-metrics shape (exportable with obs.WriteServingMetricsJSONL).
+// Past 1,024 tenants, later names share one "(other)" row.
 func (p *Pool) Metrics() obs.ServingSnapshot {
 	return p.met.snapshot(p.opts.Sessions, p.opts.MaxCols, p.opts.MaxWait)
 }

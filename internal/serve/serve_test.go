@@ -2,9 +2,11 @@ package serve
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -431,8 +433,9 @@ func floodClose(t *testing.T, n int, open func(Options) (*Pool, error)) {
 	}
 }
 
-// TestApplyValidation: a wrong-length vector is rejected before
-// admission — no queue slot consumed, no batch formed.
+// TestApplyValidation: a wrong-length vector and a tenant name over 256
+// bytes are rejected before admission — no queue slot consumed, no batch
+// formed, no ledger row. A 256-byte name is served.
 func TestApplyValidation(t *testing.T) {
 	a, so := testSetup(t, 2, 2, 1110)
 	pool, err := Open(a, Options{Session: so})
@@ -443,8 +446,41 @@ func TestApplyValidation(t *testing.T) {
 	if _, err := pool.Apply("bad", make([]float64, a.N+1)); err == nil {
 		t.Fatal("oversized vector accepted")
 	}
-	if m := pool.Metrics(); m.Requests != 0 || m.Batches != 0 {
+	if _, err := pool.Apply(strings.Repeat("t", 257), make([]float64, a.N)); err == nil {
+		t.Fatal("257-byte tenant name accepted")
+	}
+	if m := pool.Metrics(); m.Requests != 0 || m.Batches != 0 || len(m.Tenants) != 0 {
 		t.Errorf("validation failure reached the scheduler: %+v", m)
+	}
+	if _, err := pool.Apply(strings.Repeat("t", 256), make([]float64, a.N)); err != nil {
+		t.Fatalf("256-byte tenant name: %v", err)
+	}
+}
+
+// TestTenantLedgerBounded: tenant names come from clients, so the ledger
+// keeps at most 1,024 named rows and counts every later name under one
+// "(other)" row, while a named row keeps counting its own requests.
+func TestTenantLedgerBounded(t *testing.T) {
+	m := newMetrics()
+	for i := 0; i < 1030; i++ {
+		m.reject(fmt.Sprintf("tenant-%04d", i))
+	}
+	m.reject("tenant-0000")
+	rows := m.snapshot(1, 1, 0).Tenants
+	if len(rows) != 1025 {
+		t.Fatalf("%d ledger rows, want 1,024 named and one (other)", len(rows))
+	}
+	for _, row := range rows {
+		want := int64(1)
+		switch row.Tenant {
+		case "(other)":
+			want = 6
+		case "tenant-0000":
+			want = 2
+		}
+		if row.Rejected != want {
+			t.Errorf("row %q rejected %d, want %d", row.Tenant, row.Rejected, want)
+		}
 	}
 }
 
