@@ -34,6 +34,7 @@ import (
 
 	"repro/internal/costmodel"
 	"repro/internal/hopm"
+	"repro/internal/intmath"
 	"repro/internal/la"
 	"repro/internal/machine"
 	"repro/internal/memsim"
@@ -164,12 +165,13 @@ func parseFlags(fs *flag.FlagSet, args []string) (code int, ok bool) {
 // schedule-length formulas: the barrier-free P2P wiring's q³/2+3q²/2−1
 // steps replaying to Σ(α + maxWords·β) — at these b every rank sends equal
 // words in every step, so the dependency critical path is the stepwise
-// sum — and the All-to-All wiring's nominal P−1 rounds (metered).
+// sum — and the All-to-All wiring's P−1 rounds of 2·maxChunk-word
+// messages replaying to (P−1)(α + 2·maxChunk·β).
 func timelineExp(w io.Writer) error {
 	fmt.Fprintln(w, "## E11: replayed timeline vs schedule-length formulas (α=10µs, β=10ns, γ=0)")
 	fmt.Fprintln(w)
-	fmt.Fprintln(w, "| q | P | p2p replay steps | q³/2+3q²/2−1 | p2p replay time | Σ(α+maxW·β) | a2a meter steps | P−1 |")
-	fmt.Fprintln(w, "|---|---|---|---|---|---|---|---|")
+	fmt.Fprintln(w, "| q | P | p2p replay steps | q³/2+3q²/2−1 | p2p replay time | Σ(α+maxW·β) | a2a meter steps | a2a replay steps | P−1 | a2a replay time | (P−1)(α+2·maxChunk·β) |")
+	fmt.Fprintln(w, "|---|---|---|---|---|---|---|---|---|---|---|")
 	model := obs.TimeModel{Alpha: 1e-5, Beta: 1e-8, Gamma: 0}
 	for _, q := range []int{2, 3, 4} {
 		part, err := partition.NewSpherical(q)
@@ -205,9 +207,10 @@ func timelineExp(w io.Writer) error {
 		if math.Abs(gotTime-wantTime) > 1e-9*wantTime {
 			return fmt.Errorf("q=%d: replay time %g, closed form %g", q, gotTime, wantTime)
 		}
+		var recA obs.Recorder
 		resA, err := parallel.Run(nil, x, parallel.Options{
 			Part: part, B: b, Wiring: parallel.WiringAllToAll,
-			Machine: machine.RunConfig{Timeout: time.Minute},
+			Machine: machine.RunConfig{Timeout: time.Minute, Observer: recA.Observer()},
 		})
 		if err != nil {
 			return err
@@ -216,8 +219,24 @@ func timelineExp(w io.Writer) error {
 		if a2aSteps != part.P-1 {
 			return fmt.Errorf("q=%d: all-to-all meters %d steps, want P-1 = %d", q, a2aSteps, part.P-1)
 		}
-		fmt.Fprintf(w, "| %d | %d | %d | %d | %.4gs | %.4gs | %d | %d |\n",
-			q, part.P, gotSteps, wantSteps, gotTime, wantTime, a2aSteps, part.P-1)
+		tlA, err := obs.Replay(recA.Trace(), model)
+		if err != nil {
+			return err
+		}
+		maxChunk := 0
+		for _, sharers := range part.Qi {
+			maxChunk = max(maxChunk, intmath.CeilDiv(b, len(sharers)))
+		}
+		gotStepsA, gotTimeA := tlA.PhaseSteps["gather"], tlA.PhaseTime("gather")
+		wantTimeA := schedule.AllToAllMakespan(part.P, 2*maxChunk, model.Alpha, model.Beta)
+		if gotStepsA != part.P-1 {
+			return fmt.Errorf("q=%d: all-to-all replay counts %d steps, want P-1 = %d", q, gotStepsA, part.P-1)
+		}
+		if math.Abs(gotTimeA-wantTimeA) > 1e-9*wantTimeA {
+			return fmt.Errorf("q=%d: all-to-all replay time %g, closed form %g", q, gotTimeA, wantTimeA)
+		}
+		fmt.Fprintf(w, "| %d | %d | %d | %d | %.4gs | %.4gs | %d | %d | %d | %.4gs | %.4gs |\n",
+			q, part.P, gotSteps, wantSteps, gotTime, wantTime, a2aSteps, gotStepsA, part.P-1, gotTimeA, wantTimeA)
 	}
 	return nil
 }

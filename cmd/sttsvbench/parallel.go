@@ -392,16 +392,18 @@ func measureRecoverySize(q, b int) recoverySize {
 		fatal(fmt.Errorf("recovery bench q=%d: Apply checkpoints copied %d arena words, want 0",
 			q, applyStats.CheckpointWords))
 	}
-	// One resident power method pins the dirty-span cost: every checkpoint
-	// copies the owned chunk spans, which tile the global vector exactly.
-	if _, err := sr.PowerMethod(parallel.PowerOptions{MaxIter: 6, Tol: 1e-300}); err != nil {
+	// One resident power method pins the dirty-span cost: every iteration's
+	// checkpoint copies the owned chunk spans, which tile the global vector
+	// exactly.
+	const pmIters = 6
+	if _, err := sr.PowerMethod(parallel.PowerOptions{MaxIter: pmIters, Tol: 1e-300}); err != nil {
 		fatal(err)
 	}
 	pmWords := sr.RecoveryStats().CheckpointWords
 	sr.Close()
-	if pmWords <= 0 || pmWords%int64(n) != 0 {
-		fatal(fmt.Errorf("recovery bench q=%d: power-method checkpoint words %d not a positive multiple of n=%d",
-			q, pmWords, n))
+	if pmWords != pmIters*int64(n) {
+		fatal(fmt.Errorf("recovery bench q=%d: power-method checkpoints copied %d words in %d iterations, want n=%d per iteration",
+			q, pmWords, pmIters, n))
 	}
 
 	totalApplies := (1 + reps*applies) // warm-up + measured reps
@@ -410,7 +412,7 @@ func measureRecoverySize(q, b int) recoverySize {
 		BaseNsPerApply:       float64(baseT.Nanoseconds()) / applies,
 		RecNsPerApply:        float64(recT.Nanoseconds()) / applies,
 		ApplyCheckpointWords: 0,
-		PowerCheckpointWords: int64(n),
+		PowerCheckpointWords: pmWords / pmIters,
 		CheckpointNsPerApply: float64(applyStats.CheckpointNanos) / float64(totalApplies),
 	}
 	sz.OverheadRatio = sz.RecNsPerApply / sz.BaseNsPerApply

@@ -1,14 +1,15 @@
 // Package collective layers MPI-style collective operations over the
-// machine simulator: the fixed-width All-to-All whose cost the paper
-// charges in §7.2, all-gather, reduce-scatter, broadcast, and all-reduce.
-// Each is a function of a rank's *machine.Comm and runs over all P ranks:
-// every rank calls the same collectives in the same order.
+// machine simulator: all-gather, reduce-scatter, broadcast, and
+// all-reduce. Each is a function of a rank's *machine.Comm and runs over
+// all P ranks: every rank calls the same collectives in the same order.
+// (Algorithm 5's fixed-width All-to-All is not here: package parallel
+// lays it out as pairwise steps of its session exchange.)
 //
-// The exchange collectives use the P−1-step pairwise-exchange schedule
-// that Thakur et al. describe as bandwidth-optimal — the algorithm the
-// paper's All-to-All analysis assumes. In step r each rank sends to the
-// rank r positions ahead and receives from the rank r positions behind,
-// so every rank sends and receives at most one message per step.
+// All-gather and reduce-scatter use the P−1-step pairwise-exchange
+// schedule that Thakur et al. describe as bandwidth-optimal. In step r
+// each rank sends to the rank r positions ahead and receives from the
+// rank r positions behind, so every rank sends and receives at most one
+// message per step.
 //
 // Every collective labels the trace events it generates with its operation
 // name (machine.Event.Op), so a recorded trace can attribute each word
@@ -20,37 +21,6 @@ import (
 
 	"repro/internal/machine"
 )
-
-// AllToAllFixedInto performs an all-to-all where every ordered pair
-// exchanges exactly width words. This is the MPI_Alltoall-style
-// fixed-width collective whose bandwidth the paper charges in §7.2: each
-// of the P−1 steps costs width words even between pairs that share
-// nothing, which is why Algorithm 5 wired this way costs twice the lower
-// bound. send[i] and recv[i] are caller-owned and must all hold exactly
-// width words (the caller pads once and reuses the buffers across calls);
-// incoming payloads are copied into recv via RecvInto, so a steady-state
-// loop performs no allocations. The self slot is copied locally without
-// communication.
-func AllToAllFixedInto(c *machine.Comm, tag, width int, send, recv [][]float64) {
-	c.BeginOp("all-to-all")
-	defer c.EndOp()
-	p, me := c.Size(), c.Rank()
-	if len(send) != p || len(recv) != p {
-		panic(fmt.Sprintf("collective: AllToAllFixedInto with %d/%d buffers for %d ranks", len(send), len(recv), p))
-	}
-	for i := 0; i < p; i++ {
-		if len(send[i]) != width || len(recv[i]) != width {
-			panic(fmt.Sprintf("collective: AllToAllFixedInto slot %d has %d/%d words, width %d", i, len(send[i]), len(recv[i]), width))
-		}
-	}
-	copy(recv[me], send[me])
-	for r := 1; r < p; r++ {
-		to := (me + r) % p
-		from := (me - r + p) % p
-		c.Send(to, tag, send[to])
-		c.RecvInto(from, tag, recv[from])
-	}
-}
 
 // AllGatherV gathers each rank's buffer on every rank: the result's slot
 // i is rank i's mine. Buffers may have different lengths.

@@ -18,34 +18,6 @@ func run(t *testing.T, p int, body func(c *machine.Comm)) *machine.Report {
 	return rep
 }
 
-func TestAllToAllFixedPadsEveryPair(t *testing.T) {
-	const p, width = 5, 4
-	rep := run(t, p, func(c *machine.Comm) {
-		send, recv := widthBuffers(p, width), widthBuffers(p, width)
-		send[(c.Rank()+1)%p][0] = 1 // almost everything padding
-		AllToAllFixedInto(c, 0, width, send, recv)
-		from := (c.Rank() - 1 + p) % p
-		for i := range recv {
-			for k, v := range recv[i] {
-				want := 0.0
-				if i == from && k == 0 {
-					want = 1
-				}
-				if v != want {
-					t.Errorf("rank %d slot %d word %d: %g, want %g", c.Rank(), i, k, v, want)
-				}
-			}
-		}
-	})
-	// Fixed-width semantics: every rank sends width·(p−1) words regardless
-	// of payload — the §7.2 accounting.
-	for r, w := range rep.SentWords {
-		if w != width*(p-1) {
-			t.Errorf("rank %d sent %d words, want %d", r, w, width*(p-1))
-		}
-	}
-}
-
 func TestAllGatherV(t *testing.T) {
 	const p = 7
 	run(t, p, func(c *machine.Comm) {
@@ -112,24 +84,4 @@ func TestAllReduceSum(t *testing.T) {
 			t.Errorf("rank %d: got %v", c.Rank(), got)
 		}
 	})
-}
-
-// widthBuffers returns p zeroed buffers of width words each.
-func widthBuffers(p, width int) [][]float64 {
-	bufs := make([][]float64, p)
-	for i := range bufs {
-		bufs[i] = make([]float64, width)
-	}
-	return bufs
-}
-
-func BenchmarkAllToAllFixedInto(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		_, err := machine.RunWith(16, machine.RunConfig{Timeout: time.Minute}, func(c *machine.Comm) {
-			AllToAllFixedInto(c, 0, 32, widthBuffers(16, 32), widthBuffers(16, 32))
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
 }

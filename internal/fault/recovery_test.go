@@ -11,6 +11,7 @@ package fault_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"reflect"
 	"strings"
@@ -376,7 +377,10 @@ func TestChaosRecoveryMTTKRP(t *testing.T) {
 
 // TestChaosRecoveryObservability: recovery must be visible in the obs
 // layer — rank-down and recovery span markers in the trace, an epoch > 0
-// after a relaunch, and a "recovery" scope record in the metrics export.
+// after a relaunch, and a "recovery" scope record in the metrics export —
+// while the aggregations count committed work only: the metrics export's
+// rank lines equal the session Report, and an α=1, β=γ=0 replay charges
+// each rank one second per committed message.
 func TestChaosRecoveryObservability(t *testing.T) {
 	part, a, xs, b := recoverySetup(t, 2)
 	var rec obs.Recorder
@@ -402,6 +406,7 @@ func TestChaosRecoveryObservability(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
+	rep := s.Report()
 
 	tr := rec.Trace()
 	rc := tr.RecoveryCounts()
@@ -421,6 +426,43 @@ func TestChaosRecoveryObservability(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), `"scope":"recovery"`) {
 		t.Errorf("metrics export missing the recovery record:\n%s", buf.String())
+	}
+	ranks := 0
+	for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
+		var m struct {
+			Scope     string
+			Rank      int
+			SentWords int64 `json:"sent_words"`
+			RecvWords int64 `json:"recv_words"`
+			SentMsgs  int64 `json:"sent_msgs"`
+			RecvMsgs  int64 `json:"recv_msgs"`
+		}
+		if err := json.Unmarshal([]byte(line), &m); err != nil {
+			t.Fatal(err)
+		}
+		if m.Scope != "rank" {
+			continue
+		}
+		ranks++
+		r := m.Rank
+		if m.SentWords != rep.SentWords[r] || m.RecvWords != rep.RecvWords[r] ||
+			m.SentMsgs != rep.SentMsgs[r] || m.RecvMsgs != rep.RecvMsgs[r] {
+			t.Errorf("metrics rank %d: sent %dw/%dm recv %dw/%dm, Report sent %dw/%dm recv %dw/%dm", r,
+				m.SentWords, m.SentMsgs, m.RecvWords, m.RecvMsgs,
+				rep.SentWords[r], rep.SentMsgs[r], rep.RecvWords[r], rep.RecvMsgs[r])
+		}
+	}
+	if ranks != part.P {
+		t.Errorf("metrics export has %d rank lines, want %d", ranks, part.P)
+	}
+	tl, err := obs.Replay(tr, obs.TimeModel{Alpha: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r := 0; r < part.P; r++ {
+		if tl.SendTime[r] != float64(rep.SentMsgs[r]) {
+			t.Errorf("α=1 replay: rank %d sends for %gs, Report counts %d messages", r, tl.SendTime[r], rep.SentMsgs[r])
+		}
 	}
 
 	// The JSONL trace round-trips the recovery markers (kind names and

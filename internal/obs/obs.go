@@ -116,15 +116,35 @@ func (t *Trace) WallSpan() float64 {
 	return float64(max) / 1e9
 }
 
-// Logical returns the trace restricted to logical events (Wire == false).
-func (t *Trace) Logical() *Trace {
+// committed returns the logical events (Wire == false) that count
+// committed work, in canonical order: the logical aggregations and Replay
+// read these, and the raw Events keep everything. A crash recovery
+// marks each rollback with a per-rank EventRecoveryEnd whose Step field
+// carries the rank's event sequence at the restored checkpoint; every
+// event the rank emitted at or after that sequence belongs to an aborted
+// attempt and is dropped, with the marker. The filter is idempotent
+// across retries of the same dispatch (each retry's marker re-drops from
+// the same checkpoint boundary), and a crash-free trace keeps every
+// logical event. Wire events are not filtered: a replayed attempt's wire
+// traffic crossed the wire, and the Report's wire meters keep it.
+func (t *Trace) committed() []machine.Event {
 	var out []machine.Event
-	for _, e := range t.Events {
+	start := 0 // where the current rank's events begin in out
+	for i, e := range t.Events {
+		if i == 0 || e.Rank != t.Events[i-1].Rank {
+			start = len(out)
+		}
+		if e.Kind == machine.EventRecoveryEnd && e.Step >= 0 {
+			for len(out) > start && out[len(out)-1].Seq >= int64(e.Step) {
+				out = out[:len(out)-1]
+			}
+			continue
+		}
 		if !e.Wire {
 			out = append(out, e)
 		}
 	}
-	return &Trace{Events: out, P: t.P}
+	return out
 }
 
 // PhaseTotals aggregates one phase label's traffic across the whole
@@ -219,15 +239,12 @@ func (pt *PhaseTotals) accumulate(e machine.Event) {
 	}
 }
 
-// totalsOf aggregates events passing the filter, grouped by phase label.
-func (t *Trace) totalsOf(wire bool) (map[string]*PhaseTotals, []string) {
+// totalsOf aggregates events, grouped by phase label.
+func (t *Trace) totalsOf(events []machine.Event) (map[string]*PhaseTotals, []string) {
 	totals := make(map[string]*PhaseTotals)
 	steps := newStepCounter()
 	var order []string
-	for _, e := range t.Events {
-		if e.Wire != wire {
-			continue
-		}
+	for _, e := range events {
 		pt, ok := totals[e.Phase]
 		if !ok {
 			pt = newPhaseTotals(e.Phase, t.P)
@@ -243,28 +260,31 @@ func (t *Trace) totalsOf(wire bool) (map[string]*PhaseTotals, []string) {
 	return totals, order
 }
 
-// PhaseTotals aggregates the logical events by phase label (the label ""
-// collects events outside any phase). The second return value lists the
-// labels in first-appearance order.
+// PhaseTotals aggregates the committed logical events by phase label (the
+// label "" collects events outside any phase). The second return value
+// lists the labels in first-appearance order.
 func (t *Trace) PhaseTotals() (map[string]*PhaseTotals, []string) {
-	return t.totalsOf(false)
+	return t.totalsOf(t.committed())
 }
 
 // WireTotals aggregates the wire events by phase label; empty unless the
 // run was configured with RunConfig.WireEvents.
 func (t *Trace) WireTotals() (map[string]*PhaseTotals, []string) {
-	return t.totalsOf(true)
+	var wire []machine.Event
+	for _, e := range t.Events {
+		if e.Wire {
+			wire = append(wire, e)
+		}
+	}
+	return t.totalsOf(wire)
 }
 
-// RankTotals sums the logical trace per rank across all phases, in the
-// shape of a machine.Report's logical meters.
+// RankTotals sums the committed logical events per rank across all
+// phases, in the shape of a machine.Report's logical meters.
 func (t *Trace) RankTotals() *PhaseTotals {
 	out := newPhaseTotals("", t.P)
 	steps := newStepCounter()
-	for _, e := range t.Events {
-		if e.Wire {
-			continue
-		}
+	for _, e := range t.committed() {
 		out.accumulate(e)
 		steps.note(e)
 	}
@@ -316,49 +336,14 @@ func (t *Trace) RecoveryCounts() RecoveryCounts {
 	return rc
 }
 
-// CommittedTotals sums the logical trace per rank counting committed work
-// exactly once: events a crash recovery rolled back are excluded. The
-// supervisor marks each rollback with a per-rank EventRecoveryEnd whose
-// Step field carries the rank's event sequence at the restored
-// checkpoint; every logical event the rank emitted at or after that
-// sequence belongs to an aborted attempt and is dropped. The filter is
-// idempotent across retries of the same dispatch (each retry's marker
-// re-drops from the same checkpoint boundary), and on a crash-free trace
-// it degenerates to RankTotals.
-func (t *Trace) CommittedTotals() *PhaseTotals {
-	out := newPhaseTotals("", t.P)
-	steps := newStepCounter()
-	for _, evs := range t.PerRank() {
-		kept := make([]machine.Event, 0, len(evs))
-		for _, e := range evs {
-			if e.Kind == machine.EventRecoveryEnd && e.Step >= 0 {
-				ckSeq := int64(e.Step)
-				for len(kept) > 0 && kept[len(kept)-1].Seq >= ckSeq {
-					kept = kept[:len(kept)-1]
-				}
-				continue
-			}
-			kept = append(kept, e)
-		}
-		for _, e := range kept {
-			if !e.Wire {
-				out.accumulate(e)
-				steps.note(e)
-			}
-		}
-	}
-	out.Steps = steps.total()
-	return out
-}
-
 // CheckAgainstReport verifies the trace-conformance invariant: the
-// committed logical events (CommittedTotals: every logical event of a
+// committed logical events (RankTotals: every logical event of a
 // crash-free trace, and those no rollback superseded otherwise) equal
 // the report's logical meters exactly, per rank. A mismatch means the
 // event stream and the counters disagree about the run — the one thing
 // an observability layer must never do.
 func (t *Trace) CheckAgainstReport(rep *machine.Report) error {
-	tot := t.CommittedTotals()
+	tot := t.RankTotals()
 	if t.P > rep.P {
 		return fmt.Errorf("obs: trace has %d ranks, report %d", t.P, rep.P)
 	}

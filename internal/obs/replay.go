@@ -129,12 +129,13 @@ type msgKey struct{ from, to, tag int }
 // transfer is one in-flight message's interval on the simulated clock.
 type transfer struct{ start, finish float64 }
 
-// Replay executes the logical events of t on a simulated clock under
-// model m. The trace must be complete (every recv matched by a send) —
-// the trace of any successful run is; a crashed or truncated trace yields
-// an error naming the stuck ranks.
+// Replay executes the committed logical events of t (those no crash
+// recovery rolled back) on a simulated clock under model m. The trace
+// must be complete (every recv matched by a send) — the trace of any
+// successful run is; a crashed or truncated trace yields an error naming
+// the stuck ranks.
 func Replay(t *Trace, m TimeModel) (*Timeline, error) {
-	perRank := t.Logical().PerRank()
+	perRank := (&Trace{Events: t.committed(), P: t.P}).PerRank()
 	p := t.P
 	tl := &Timeline{
 		P:          p,

@@ -74,7 +74,7 @@ func OpenCPSession(op *sttsv.CPOperator, copts CPOptions) (*Session, error) {
 		part.Qi[r] = []int{r}
 	}
 
-	lay := &sessionLayout{perRank: make([]rankLayout, p), maxChunk: b}
+	lay := &sessionLayout{perRank: make([]rankLayout, p)}
 	rt := &cpRuntime{op: op, lo: make([]int, p), hi: make([]int, p), wk: make([][]float64, p)}
 	for r := 0; r < p; r++ {
 		lo := r * b
@@ -105,7 +105,6 @@ func OpenCPSession(op *sttsv.CPOperator, copts CPOptions) (*Session, error) {
 		opts: Options{
 			Part:     part,
 			B:        b,
-			Wiring:   WiringP2P,
 			Machine:  copts.Machine,
 			MaxCols:  copts.MaxCols,
 			Recovery: copts.Recovery,

@@ -9,11 +9,12 @@ import (
 )
 
 // This file precomputes the steady-state exchange layout a Session rank
-// runs on: which arena words each schedule step moves, in which order, and
-// how many. Everything the seed Run derived per message inside the hot
-// loop — sharedRowsOf scans, OwnedRange lookups, append-grown payloads —
-// is resolved here once at session open, so the per-application path is
-// pure copy/add over precomputed segments.
+// runs on: which arena words each step moves, in which order, and how
+// many. Everything the seed Run derived per message inside the hot loop —
+// sharedRowsOf scans, OwnedRange lookups, append-grown payloads — is
+// resolved here once at session open, so the per-application path is
+// pure copy/add over precomputed segments. Both wirings are laid out as
+// steps of the same shape; this is the only place that tells them apart.
 
 // segment addresses one row-block chunk inside a rank's arena: local row
 // index k (position in the rank's owned-row list) and the chunk bounds
@@ -27,32 +28,25 @@ type segment struct {
 
 func (s segment) words() int { return s.hi - s.lo }
 
-// sessStep is one rank's role in one point-to-point schedule step, with
-// segment lists for both phases: the gather phase sends the rank's own
-// chunks (gSend) and copies in the peer's chunks (gRecv); the
-// reduce-scatter phase sends the peer's chunks of the partial results
-// (sSend) and adds received partials into the rank's own chunks (sRecv).
+// sessStep is one rank's role in one step of an exchange, with segment
+// lists for both phases: the gather phase sends the rank's own chunks
+// (gSend) and copies in the peer's chunks (gRecv); the reduce-scatter
+// phase sends the peer's chunks of the partial results (sSend) and adds
+// received partials into the rank's own chunks (sRecv). A message is
+// tagged with its sender's step index (100+index in the gather phase,
+// 200+index in the reduce-scatter phase): sendTag is this step's index,
+// recvTag the index of the peer's step that sends what this one receives.
 type sessStep struct {
-	sendTo   int // -1 when idle
-	recvFrom int // -1 when idle
-	gSend    []segment
-	gRecv    []segment
-	sSend    []segment
-	sRecv    []segment
-	// words per column of each message (exact payload sizes)
+	sendTo           int // -1 when idle
+	recvFrom         int // -1 when idle
+	sendTag, recvTag int
+	gSend            []segment
+	gRecv            []segment
+	sSend            []segment
+	sRecv            []segment
+	// words per column of each message; a message is zero past its
+	// segments' payload
 	gSendW, gRecvW, sSendW, sRecvW int
-}
-
-// a2aPeer is one rank's precomputed exchange with one peer under the
-// All-to-All wiring: mySegs are the rank's own chunks of the shared rows
-// (gather pack / scatter unpack), peerSegs the peer's chunks (gather
-// unpack / scatter pack).
-type a2aPeer struct {
-	peer     int
-	mySegs   []segment
-	peerSegs []segment
-	myW      int // words per column of my chunks
-	peerW    int // words per column of the peer's chunks
 }
 
 // rankLayout is one rank's full precomputed layout.
@@ -61,8 +55,7 @@ type rankLayout struct {
 	rowIdx []int // global row block -> local k, -1 when unowned
 	myLo   []int // owned chunk bounds per local row
 	myHi   []int
-	steps  []sessStep // point-to-point wiring; nil otherwise
-	peers  []a2aPeer  // all-to-all wiring; nil otherwise
+	steps  []sessStep
 	// maxMsgW is the largest single-message word count per column this
 	// rank sends or receives — the step-buffer size.
 	maxMsgW int
@@ -70,16 +63,13 @@ type rankLayout struct {
 
 // sessionLayout is the whole machine's layout.
 type sessionLayout struct {
-	perRank  []rankLayout
-	steps    int // communication steps per exchange phase
-	maxChunk int // largest chunk width (All-to-All message sizing)
+	perRank []rankLayout
+	steps   int // communication steps per exchange phase
 }
 
-// buildLayout precomputes every rank's layout for the wiring. The shared
-// rows of each pair are derived in one O(P·q²) pass over the partition
-// (each row names its q+1 sharers) instead of the O(P²·q) pairwise scans
-// of the seed.
-func buildLayout(part *partition.Tetrahedral, sched *schedule.Schedule, wiring Wiring, b int) (*sessionLayout, error) {
+// buildLayout precomputes every rank's layout for the wiring: the
+// point-to-point schedule's steps, or the All-to-All's P−1 rounds.
+func buildLayout(part *partition.Tetrahedral, wiring Wiring, b int) (*sessionLayout, error) {
 	L := &sessionLayout{perRank: make([]rankLayout, part.P)}
 	for p := 0; p < part.P; p++ {
 		rk := &L.perRank[p]
@@ -99,22 +89,21 @@ func buildLayout(part *partition.Tetrahedral, sched *schedule.Schedule, wiring W
 			rk.myLo[k], rk.myHi[k] = lo, hi
 		}
 	}
-	L.maxChunk = 0
-	for i := 0; i < part.M; i++ {
-		if w := intmath.CeilDiv(b, len(part.Qi[i])); w > L.maxChunk {
-			L.maxChunk = w
-		}
-	}
 
+	var err error
 	switch wiring {
 	case WiringP2P:
-		if err := buildP2PLayout(L, part, sched, b); err != nil {
-			return nil, err
+		var sched *schedule.Schedule
+		if sched, err = schedule.Build(part); err == nil {
+			err = buildP2PLayout(L, part, sched, b)
 		}
 	case WiringAllToAll:
-		buildA2ALayout(L, part, b)
+		err = buildA2ALayout(L, part, b)
 	default:
-		return nil, fmt.Errorf("parallel: unknown wiring %v", wiring)
+		err = fmt.Errorf("parallel: unknown wiring %v", wiring)
+	}
+	if err != nil {
+		return nil, err
 	}
 	return L, nil
 }
@@ -140,14 +129,15 @@ func segsFor(part *partition.Tetrahedral, lay *rankLayout, owner int, rows []int
 }
 
 // buildP2PLayout fills every rank's sessStep table straight from the
-// schedule's transfers.
+// schedule's transfers: step si sends and receives exact-size messages
+// under tag si.
 func buildP2PLayout(L *sessionLayout, part *partition.Tetrahedral, sched *schedule.Schedule, b int) error {
 	L.steps = sched.NumSteps()
 	for p := range L.perRank {
 		rk := &L.perRank[p]
 		rk.steps = make([]sessStep, L.steps)
 		for si := range rk.steps {
-			rk.steps[si].sendTo, rk.steps[si].recvFrom = -1, -1
+			rk.steps[si] = sessStep{sendTo: -1, recvFrom: -1, sendTag: si, recvTag: si}
 		}
 	}
 	for si, step := range sched.Steps {
@@ -178,15 +168,27 @@ func buildP2PLayout(L *sessionLayout, part *partition.Tetrahedral, sched *schedu
 	return nil
 }
 
-func buildA2ALayout(L *sessionLayout, part *partition.Tetrahedral, b int) {
-	L.steps = part.P - 1
+// buildA2ALayout lays the fixed-width All-to-All of Algorithm 5's
+// pseudocode out as the P−1 rounds of the pairwise exchange: in step si
+// rank p sends to rank p+si+1 (mod P), and every message of either phase
+// is 2·maxChunk words per column, the rank pair's shared chunks followed
+// by zeros, even between ranks that share no row — the padding §7.2.2
+// charges. A rank receives from its peers in ascending order, which is
+// the order its reduce-scatter adds their partials in.
+func buildA2ALayout(L *sessionLayout, part *partition.Tetrahedral, b int) error {
+	P := part.P
+	maxChunk := 0
+	for i := 0; i < part.M; i++ {
+		maxChunk = max(maxChunk, intmath.CeilDiv(b, len(part.Qi[i])))
+	}
+	width := 2 * maxChunk
 	// shared[p][peer] lists R_p ∩ R_peer in R_p order — one pass over each
 	// rank's rows and their sharer lists.
-	shared := make([][][]int, part.P)
+	shared := make([][][]int, P)
 	for p := range shared {
-		shared[p] = make([][]int, part.P)
+		shared[p] = make([][]int, P)
 	}
-	for p := 0; p < part.P; p++ {
+	for p := 0; p < P; p++ {
 		for _, row := range part.Rp[p] {
 			for _, peer := range part.Qi[row] {
 				if peer != p {
@@ -195,23 +197,41 @@ func buildA2ALayout(L *sessionLayout, part *partition.Tetrahedral, b int) {
 			}
 		}
 	}
-	for p := 0; p < part.P; p++ {
+	L.steps = P - 1
+	mine, theirs := make([][]segment, P), make([][]segment, P)
+	for p := 0; p < P; p++ {
 		rk := &L.perRank[p]
-		for peer := 0; peer < part.P; peer++ {
-			rows := shared[p][peer]
-			if peer == p || len(rows) == 0 {
+		for peer := 0; peer < P; peer++ {
+			if peer == p {
 				continue
 			}
-			ap := a2aPeer{peer: peer}
-			// Both owners hold every shared row, so segsFor cannot fail.
-			ap.mySegs, ap.myW, _ = segsFor(part, rk, p, rows, b)
-			ap.peerSegs, ap.peerW, _ = segsFor(part, rk, peer, rows, b)
-			rk.peers = append(rk.peers, ap)
-			for _, w := range [...]int{ap.myW, ap.peerW} {
-				if w > rk.maxMsgW {
-					rk.maxMsgW = w
-				}
+			// mine holds the rank's own chunks of the rows it shares with
+			// the peer, theirs the peer's; both owners hold every shared
+			// row, so segsFor cannot fail.
+			var myW, peerW int
+			mine[peer], myW, _ = segsFor(part, rk, p, shared[p][peer], b)
+			theirs[peer], peerW, _ = segsFor(part, rk, peer, shared[p][peer], b)
+			if myW > width || peerW > width {
+				return fmt.Errorf("parallel: rank %d shares %d+%d words with rank %d, exceeding All-to-All width %d",
+					p, myW, peerW, peer, width)
 			}
 		}
+		rk.steps = make([]sessStep, L.steps)
+		for si := range rk.steps {
+			to := (p + si + 1) % P
+			from := si
+			if from >= p {
+				from++
+			}
+			rk.steps[si] = sessStep{
+				sendTo: to, recvFrom: from,
+				sendTag: si, recvTag: (p-from+P)%P - 1,
+				gSend: mine[to], gRecv: theirs[from],
+				sSend: theirs[to], sRecv: mine[from],
+				gSendW: width, gRecvW: width, sSendW: width, sRecvW: width,
+			}
+		}
+		rk.maxMsgW = width
 	}
+	return nil
 }

@@ -29,26 +29,14 @@ func newRankStep(run func(rk *sessionRank, c *machine.Comm, cols int, pr *phaseR
 
 // tetraStep is Algorithm 5's step (§7): gather the row-block chunks,
 // apply the rank's tetrahedral block set, reduce-scatter the partial
-// sums. The wiring chooses the exchange: the point-to-point schedule
-// (tags 100+si and 200+si) or the fixed-width All-to-All (tags 1 and 2).
-func tetraStep(op localOperator, wiring Wiring, maxChunk int) rankStep {
+// sums. Both exchanges run over the rank's layout, whichever wiring
+// built it.
+func tetraStep(op localOperator) rankStep {
 	return newRankStep(func(rk *sessionRank, c *machine.Comm, cols int, pr *phaseRecorder) {
-		pr.comm(c, "gather", func() {
-			if wiring == WiringP2P {
-				rk.gatherP2P(c, cols)
-			} else {
-				rk.exchangeA2A(c, maxChunk, 1, cols, true)
-			}
-		})
+		pr.comm(c, "gather", func() { rk.gather(c, cols) })
 		rk.zeroY()
 		pr.local(c, "local", func() int64 { return op.contribute(c.Rank(), rk, cols) })
-		pr.comm(c, "reduce-scatter", func() {
-			if wiring == WiringP2P {
-				rk.scatterP2P(c, cols)
-			} else {
-				rk.exchangeA2A(c, maxChunk, 2, cols, false)
-			}
-		})
+		pr.comm(c, "reduce-scatter", func() { rk.scatter(c, cols) })
 	}, "gather", "local", "reduce-scatter")
 }
 

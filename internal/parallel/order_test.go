@@ -16,7 +16,6 @@ import (
 	"repro/internal/la"
 	"repro/internal/machine"
 	"repro/internal/partition"
-	"repro/internal/schedule"
 	"repro/internal/sttsv"
 	"repro/internal/tensor"
 )
@@ -162,8 +161,8 @@ func (o orderOutcome) equal(w orderOutcome) bool {
 	return reflect.DeepEqual(o.phases, w.phases)
 }
 
-// orderOp is one operation the delivery-order checks run: on a dense,
-// sparse or CP session, and for the power method over the p2p wiring only.
+// orderOp is one operation the delivery-order checks run, on a dense,
+// sparse or CP session.
 type orderOp struct {
 	name string
 	kind string // "dense", "sparse" or "cp"
@@ -279,7 +278,7 @@ func (f orderFixture) unperturbed(o orderOp, wiring Wiring) (orderOutcome, error
 // delivery orders: at q ∈ {2, 3, 4}, for Apply, an 8-column ApplyBatch,
 // PowerMethod, a sparse Apply, a rank-4 MTTKRP, and a CP session's Apply,
 // 8-column ApplyBatch and PowerMethod, over both wirings where the
-// operation has them (the power method and CP sessions run p2p only),
+// session has them (a CP session has no tetrahedral exchange to wire),
 // seeded orders on one session (re-seeded per operation): 200 each at
 // q ∈ {2, 3}, 25 at q = 4. Since every rank posts a whole phase before it
 // receives, correctness rests on (source, tag) matching, per-sender FIFO
@@ -320,15 +319,15 @@ func TestDeliveryOrderGrid(t *testing.T) {
 	}
 }
 
-// grid runs each operation n times on one session per wiring it has (the
-// power method and CP sessions run p2p only), as subtest
+// grid runs each operation n times on one session per wiring it has (a
+// CP session runs once, as p2p), as subtest
 // prefix/operation/wiring. wire gives each session's transport and a hook
 // every run calls first with its number, from 1. Every run must reproduce
 // the unperturbed run's Y bits and per-phase meters.
 func (f orderFixture) grid(t *testing.T, prefix string, ops []orderOp, n int, wire func() (machine.TransportFactory, func(int))) {
 	for _, o := range ops {
 		for _, wiring := range []Wiring{WiringP2P, WiringAllToAll} {
-			if wiring == WiringAllToAll && (o.name == "power" || o.kind == "cp") {
+			if wiring == WiringAllToAll && o.kind == "cp" {
 				continue
 			}
 			t.Run(fmt.Sprintf("%s/%s/%v", prefix, o.name, wiring), func(t *testing.T) {
@@ -361,26 +360,36 @@ func (f orderFixture) grid(t *testing.T, prefix string, ops []orderOp, n int, wi
 // the seed (plus i for the i-th operation) picks every rank's
 // cross-sender orders, stall call and stall duration as in
 // TestDeliveryOrderGrid, and rank r may stall only if bit r of stallMask
-// is set. On a q = 2 p2p session, Apply and a 3-iteration
-// PowerMethod must reproduce the unperturbed run's bits and per-phase
-// meters.
+// is set. On a q = 2 session wired p2p, or All-to-All when allToAll is
+// set, Apply and a 3-iteration PowerMethod must reproduce the unperturbed
+// run's bits and per-phase meters.
 func FuzzDeliveryOrder(f *testing.F) {
-	for _, seed := range []int64{1, 7, 42, 199} {
-		f.Add(seed, ^uint64(0))
+	for _, allToAll := range []bool{false, true} {
+		for _, seed := range []int64{1, 7, 42, 199} {
+			f.Add(seed, ^uint64(0), allToAll)
+		}
+		f.Add(int64(3), uint64(0b1000000001), allToAll)
 	}
-	f.Add(int64(3), uint64(0b1000000001))
 	fix, ops := newOrderFixture(f, 2)
 	ops = []orderOp{ops[0], ops[2]} // apply, power
-	want := make([]orderOutcome, len(ops))
-	for i, o := range ops {
-		var err error
-		if want[i], err = fix.unperturbed(o, WiringP2P); err != nil {
-			f.Fatal(err)
+	wirings := [2]Wiring{WiringP2P, WiringAllToAll}
+	var want [2][]orderOutcome
+	for w, wiring := range wirings {
+		want[w] = make([]orderOutcome, len(ops))
+		for i, o := range ops {
+			var err error
+			if want[w][i], err = fix.unperturbed(o, wiring); err != nil {
+				f.Fatal(err)
+			}
 		}
 	}
-	f.Fuzz(func(t *testing.T, seed int64, stallMask uint64) {
+	f.Fuzz(func(t *testing.T, seed int64, stallMask uint64, allToAll bool) {
+		w := 0
+		if allToAll {
+			w = 1
+		}
 		net := &orderNet{stall: stallMask}
-		s, err := fix.open("dense", WiringP2P, machine.RunConfig{Timeout: 10 * time.Second, Transport: newOrderFactory(net)})
+		s, err := fix.open("dense", wirings[w], machine.RunConfig{Timeout: 10 * time.Second, Transport: newOrderFactory(net)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -391,7 +400,7 @@ func FuzzDeliveryOrder(f *testing.F) {
 			if err != nil {
 				t.Fatalf("%s: %v", o.name, err)
 			}
-			if !got.equal(want[i]) {
+			if !got.equal(want[w][i]) {
 				t.Fatalf("%s: Y bits or per-phase meters differ from the unperturbed run", o.name)
 			}
 		}
@@ -421,11 +430,7 @@ func TestRelaunchReleasesHeldMessages(t *testing.T) {
 	// crash rank's sends in one Apply are its steps' gather and
 	// reduce-scatter sends; the crash lands halfway through the second
 	// Apply's gather.
-	sched, err := schedule.Build(part)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lay, err := buildLayout(part, sched, WiringP2P, b)
+	lay, err := buildLayout(part, WiringP2P, b)
 	if err != nil {
 		t.Fatal(err)
 	}

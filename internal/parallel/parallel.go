@@ -14,15 +14,18 @@
 //     pattern and summed, leaving p with its final chunk of y[i] for each
 //     i ∈ R_p.
 //
-// Two wirings of the two communication phases are provided:
+// Two wirings of the two communication phases are provided. Each is only
+// a layout (layout.go): a sequence of pairwise steps that one exchange
+// loop runs for either wiring.
 //
 //   - WiringP2P: the direct point-to-point schedule of §7.2.2 (package
 //     schedule), whose measured bandwidth matches the Theorem 5.2 lower
 //     bound's leading term exactly;
 //   - WiringAllToAll: the fixed-width All-to-All collectives of the
-//     pseudocode (lines 10–21 and 38–50), which cost twice the leading
-//     term (§7.2.2, "Communication cost of our algorithm with All-to-All
-//     collectives").
+//     pseudocode (lines 10–21 and 38–50), laid out as the P−1 rounds of
+//     the pairwise exchange with every message padded to 2·maxChunk words
+//     per column, which cost twice the leading term (§7.2.2,
+//     "Communication cost of our algorithm with All-to-All collectives").
 //
 // RunRowBaseline implements the natural 1D row partition (all-gather x,
 // reduce-scatter y): Θ(n) words per processor versus Θ(n/P^{1/3}) for
@@ -45,7 +48,9 @@ const (
 	// optimal, q³/2+3q²/2−1 steps for the spherical family).
 	WiringP2P Wiring = iota
 	// WiringAllToAll uses fixed-width All-to-All collectives (P−1 steps,
-	// 2× the optimal bandwidth) as written in Algorithm 5's pseudocode.
+	// 2× the optimal bandwidth) as written in Algorithm 5's pseudocode:
+	// in round r rank p sends to p+r mod P, every pair exchanging
+	// 2·maxChunk words per column.
 	WiringAllToAll
 )
 

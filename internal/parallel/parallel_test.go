@@ -3,7 +3,9 @@ package parallel
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
+	"time"
 
 	"repro/internal/costmodel"
 	"repro/internal/machine"
@@ -165,6 +167,123 @@ func TestAlg5AllToAllCostsTwice(t *testing.T) {
 		approx := 2 * float64(q*q+1) / float64((q+1)*(q+1))
 		if math.Abs(ratio-approx) > 0.2 {
 			t.Fatalf("q=%d: all-to-all/optimal ratio %g, want ≈ %g", q, ratio, approx)
+		}
+	}
+}
+
+// sentMsg is one logical message a recordingTransport saw its rank send.
+type sentMsg struct {
+	to, tag int
+	data    []float64
+}
+
+// recordingTransport is the direct transport keeping a copy of every
+// message its rank sends in sent[rank], which only that rank writes.
+type recordingTransport struct {
+	machine.Transport
+	rank int
+	sent [][]sentMsg
+}
+
+func (t *recordingTransport) Send(to, tag int, data []float64) {
+	t.sent[t.rank] = append(t.sent[t.rank], sentMsg{to, tag, append([]float64(nil), data...)})
+	t.Transport.Send(to, tag, data)
+}
+
+// TestAllToAllPadsEveryPair checks the All-to-All wiring on the wire:
+// in each phase of a 3-column ApplyBatch and a later Apply, every rank
+// sends each peer exactly one message of exactly 2·maxChunk·cols words,
+// whose words past the rank pair's shared chunks are all zero — also
+// after a message with a longer payload left the same send buffer, and
+// between ranks that share no row (q = 3).
+func TestAllToAllPadsEveryPair(t *testing.T) {
+	for _, q := range []int{2, 3} {
+		part := sphericalPart(t, q)
+		const b = 7 // chunks of 1 or 2 words at q=2, 0 or 1 at q=3
+		n := part.M * b
+		rng := rand.New(rand.NewSource(int64(90 + q)))
+		a := tensor.Random(n, rng)
+		maxChunk := 0
+		for i := range part.Qi {
+			maxChunk = max(maxChunk, (b+len(part.Qi[i])-1)/len(part.Qi[i]))
+		}
+		// chunk is owner's chunk width of row: p's gather message to t
+		// carries p's chunks of the rows they share, its reduce-scatter
+		// message t's chunks of them.
+		chunk := func(owner, row int) int {
+			lo, hi, _ := part.OwnedRange(owner, row, b)
+			return hi - lo
+		}
+		sent := make([][]sentMsg, part.P)
+		s, err := OpenSession(a, Options{Part: part, B: b, Wiring: WiringAllToAll, MaxCols: 3,
+			Machine: machine.RunConfig{Timeout: 10 * time.Second, Transport: func(w machine.Wire) machine.Transport {
+				return &recordingTransport{Transport: machine.NewDirectTransport(w), rank: w.Rank(), sent: sent}
+			}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, cols := range []int{3, 1} {
+			for r := range sent {
+				sent[r] = sent[r][:0]
+			}
+			X := make([][]float64, cols)
+			for l := range X {
+				X[l] = randVec(n, rng)
+			}
+			if _, err := s.ApplyBatch(X); err != nil {
+				s.Close()
+				t.Fatal(err)
+			}
+			nonzero := 0
+			for p := 0; p < part.P; p++ {
+				for phase, base := range [2]int{100, 200} {
+					seen := make([]int, part.P)
+					for _, m := range sent[p] {
+						if m.tag < base || m.tag >= base+100 {
+							continue
+						}
+						seen[m.to]++
+						pay := 0
+						for _, row := range part.Rp[p] {
+							if slices.Contains(part.Qi[row], m.to) {
+								if phase == 0 {
+									pay += chunk(p, row)
+								} else {
+									pay += chunk(m.to, row)
+								}
+							}
+						}
+						if len(m.data) != 2*maxChunk*cols {
+							t.Fatalf("q=%d cols=%d: rank %d sent %d words to %d under tag %d, want 2·%d·%d", q, cols, p, len(m.data), m.to, m.tag, maxChunk, cols)
+						}
+						for k, v := range m.data[pay*cols:] {
+							if v != 0 {
+								t.Fatalf("q=%d cols=%d: rank %d → %d tag %d: pad word %d of %d is %g", q, cols, p, m.to, m.tag, k, len(m.data)-pay*cols, v)
+							}
+						}
+						for _, v := range m.data[:pay*cols] {
+							if v != 0 {
+								nonzero++
+							}
+						}
+					}
+					for to, k := range seen {
+						want := 1
+						if to == p {
+							want = 0
+						}
+						if k != want {
+							t.Errorf("q=%d cols=%d phase %d: rank %d sent %d messages to rank %d, want %d", q, cols, base, p, k, to, want)
+						}
+					}
+				}
+			}
+			if nonzero == 0 {
+				t.Fatalf("q=%d cols=%d: every payload word is zero; the pad check checks nothing", q, cols)
+			}
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
 		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/machine"
 	"repro/internal/partition"
-	"repro/internal/schedule"
 	"repro/internal/tensor"
 )
 
@@ -49,27 +48,20 @@ func NewRankEngine(a *tensor.Symmetric, opts Options, rank int) (*RankEngine, er
 	if a == nil {
 		return nil, fmt.Errorf("parallel: power method requires a tensor")
 	}
-	if opts.Wiring != WiringP2P {
-		return nil, fmt.Errorf("parallel: power method supports the p2p wiring only")
-	}
 	padded := part.M * b
 	if a.N > padded {
 		return nil, fmt.Errorf("parallel: n=%d exceeds padded dimension %d", a.N, padded)
 	}
-	sched, err := schedule.Build(part)
-	if err != nil {
-		return nil, err
-	}
-	lay, err := buildLayout(part, sched, WiringP2P, b)
+	lay, err := buildLayout(part, opts.Wiring, b)
 	if err != nil {
 		return nil, err
 	}
 
 	blocks := &RankBlocks{P: part.P, B: b, N: a.N, per: make([]*tensor.BlockPacked, part.P)}
 	blocks.per[rank] = tensor.PackBlocks(a, blockCoords(part, rank), b)
-	step := tetraStep(&denseOp{blocks: blocks, scalar: opts.ScalarKernel}, WiringP2P, lay.maxChunk)
+	step := tetraStep(&denseOp{blocks: blocks, scalar: opts.ScalarKernel})
 	rk := &sessionRank{lay: &lay.perRank[rank], b: b}
-	rk.grow(1, part.P, 0)
+	rk.grow(1)
 	return &RankEngine{
 		rank:   rank,
 		padded: padded,

@@ -9,7 +9,6 @@ import (
 	"repro/internal/la"
 	"repro/internal/machine"
 	"repro/internal/partition"
-	"repro/internal/schedule"
 	"repro/internal/tensor"
 )
 
@@ -24,10 +23,10 @@ import (
 // sessions, project → all-reduce → update for CP sessions. After one
 // warm-up application the per-rank exchange path (pack → Send → RecvInto
 // → unpack) performs no allocations. Nothing but messages orders the
-// ranks: each schedule step sends under its own tag, and every rank posts
-// all of its messages for a phase before it receives its peers' in step
-// order. A message that arrives before its Recv waits in the receiving
-// Comm.
+// ranks: each step of the wiring's layout sends under its own tag, and
+// every rank posts all of its messages for a phase before it receives its
+// peers' in step order. A message that arrives before its Recv waits in
+// the receiving Comm.
 //
 // Results are bit-identical to the one-shot Run/RunPowerMethod/RunMTTKRP
 // (which are implemented on top of Session), and each operation's Result
@@ -97,23 +96,14 @@ type sessionRank struct {
 	sendBuf []float64 // one message, reused across steps (Send copies)
 	recvBuf []float64
 
-	// All-to-All wiring: full-width per-peer buffers (tails stay zero —
-	// the collective's padding) plus the reusable width-resliced views.
-	a2aSendBack [][]float64
-	a2aRecvBack [][]float64
-	a2aSend     [][]float64
-	a2aRecv     [][]float64
-	a2aPay      []int // high-water payload per peer, for stale-tail zeroing
-
 	pbuf [2]float64
 }
 
 func (rk *sessionRank) stride() int { return rk.maxCols * rk.b }
 
 // grow (re)allocates the rank's arenas and message buffers for maxCols
-// columns. a2aWidth > 0 adds the All-to-All wiring's p full-width
-// per-peer buffers, a2aWidth words per column.
-func (rk *sessionRank) grow(maxCols, p, a2aWidth int) {
+// columns.
+func (rk *sessionRank) grow(maxCols int) {
 	rk.maxCols = maxCols
 	rows := len(rk.lay.rows)
 	rk.xA = make([]float64, rows*maxCols*rk.b)
@@ -126,17 +116,6 @@ func (rk *sessionRank) grow(maxCols, p, a2aWidth int) {
 	if rk.lay.maxMsgW > 0 {
 		rk.sendBuf = make([]float64, rk.lay.maxMsgW*maxCols)
 		rk.recvBuf = make([]float64, rk.lay.maxMsgW*maxCols)
-	}
-	if a2aWidth > 0 {
-		rk.a2aSendBack = make([][]float64, p)
-		rk.a2aRecvBack = make([][]float64, p)
-		rk.a2aSend = make([][]float64, p)
-		rk.a2aRecv = make([][]float64, p)
-		rk.a2aPay = make([]int, p)
-		for i := 0; i < p; i++ {
-			rk.a2aSendBack[i] = make([]float64, a2aWidth*maxCols)
-			rk.a2aRecvBack[i] = make([]float64, a2aWidth*maxCols)
-		}
 	}
 }
 
@@ -154,13 +133,9 @@ func OpenSession(a *tensor.Symmetric, opts Options) (*Session, error) {
 	if b < 1 {
 		return nil, fmt.Errorf("parallel: block edge %d", b)
 	}
-	var sched *schedule.Schedule
-	if opts.Wiring == WiringP2P {
-		s, err := schedule.Build(part)
-		if err != nil {
-			return nil, err
-		}
-		sched = s
+	lay, err := buildLayout(part, opts.Wiring, b)
+	if err != nil {
+		return nil, err
 	}
 	n := 0
 	if opts.Sparse != nil {
@@ -195,20 +170,6 @@ func OpenSession(a *tensor.Symmetric, opts Options) (*Session, error) {
 		}
 		op = &denseOp{blocks: blocks, scalar: opts.ScalarKernel}
 	}
-	lay, err := buildLayout(part, sched, opts.Wiring, b)
-	if err != nil {
-		return nil, err
-	}
-	if opts.Wiring == WiringAllToAll {
-		for p := range lay.perRank {
-			for _, ap := range lay.perRank[p].peers {
-				if ap.myW > 2*lay.maxChunk || ap.peerW > 2*lay.maxChunk {
-					return nil, fmt.Errorf("parallel: rank %d shares %d+%d words with rank %d, exceeding All-to-All width %d",
-						p, ap.myW, ap.peerW, ap.peer, 2*lay.maxChunk)
-				}
-			}
-		}
-	}
 
 	s := &Session{
 		opts:   opts,
@@ -216,7 +177,7 @@ func OpenSession(a *tensor.Symmetric, opts Options) (*Session, error) {
 		b:      b,
 		padded: part.M * b,
 		n:      n,
-		step:   tetraStep(op, opts.Wiring, lay.maxChunk),
+		step:   tetraStep(op),
 		lay:    lay,
 	}
 	return s.open()
@@ -245,12 +206,8 @@ func (s *Session) grow(maxCols int) {
 			s.rk[p] = &sessionRank{lay: &s.lay.perRank[p], b: s.b}
 		}
 	}
-	a2aWidth := 0
-	if s.opts.Wiring == WiringAllToAll {
-		a2aWidth = 2 * s.lay.maxChunk
-	}
 	for _, rk := range s.rk {
-		rk.grow(maxCols, s.part.P, a2aWidth)
+		rk.grow(maxCols)
 	}
 	s.stageX = make([][]float64, maxCols)
 	s.stageY = make([][]float64, maxCols)
@@ -337,82 +294,47 @@ func (rk *sessionRank) unpackAdd(payload, arena []float64, segs []segment, cols 
 	}
 }
 
-// gatherP2P runs the gather phase over the point-to-point schedule, step
-// si under tag 100+si. A gather message carries only the sender's owned
-// chunks, which no receive of the phase writes, so the rank first sends
-// every step's message and then receives in step order; a peer's later
-// steps never wait for this rank's earlier receives.
-func (rk *sessionRank) gatherP2P(c *machine.Comm, cols int) {
+// gather runs the gather phase over the layout's steps. A gather message
+// carries only the sender's owned chunks, which no receive of the phase
+// writes, so the rank first sends every step's message and then receives
+// in step order; a peer's later steps never wait for this rank's earlier
+// receives. The clear zeroes a message's padding past its payload, which
+// only the All-to-All's fixed-width messages have.
+func (rk *sessionRank) gather(c *machine.Comm, cols int) {
 	for si := range rk.lay.steps {
 		if st := &rk.lay.steps[si]; st.sendTo >= 0 {
-			n := rk.pack(rk.sendBuf, rk.xA, st.gSend, cols)
-			c.Send(st.sendTo, 100+si, rk.sendBuf[:n])
+			n, w := rk.pack(rk.sendBuf, rk.xA, st.gSend, cols), st.gSendW*cols
+			clear(rk.sendBuf[n:w])
+			c.Send(st.sendTo, 100+st.sendTag, rk.sendBuf[:w])
 		}
 	}
 	for si := range rk.lay.steps {
 		if st := &rk.lay.steps[si]; st.recvFrom >= 0 {
 			w := st.gRecvW * cols
-			c.RecvInto(st.recvFrom, 100+si, rk.recvBuf[:w])
+			c.RecvInto(st.recvFrom, 100+st.recvTag, rk.recvBuf[:w])
 			rk.unpackCopy(rk.recvBuf[:w], rk.xA, st.gRecv, cols)
 		}
 	}
 }
 
-// scatterP2P runs the reduce-scatter phase over the schedule, step si
-// under tag 200+si, sends first like gatherP2P: a message carries the
-// finished partial sums of the receiver's chunks, and receives add only
-// into this rank's own chunks. Receiving in step order keeps the
-// addition order, and so the result bits, of the stepwise exchange.
-func (rk *sessionRank) scatterP2P(c *machine.Comm, cols int) {
+// scatter runs the reduce-scatter phase over the layout's steps, sends
+// first like gather: a message carries the finished partial sums of the
+// receiver's chunks, and receives add only into this rank's own chunks.
+// Receiving in step order fixes the addition order, and so the result
+// bits, whatever order the messages arrive in.
+func (rk *sessionRank) scatter(c *machine.Comm, cols int) {
 	for si := range rk.lay.steps {
 		if st := &rk.lay.steps[si]; st.sendTo >= 0 {
-			n := rk.pack(rk.sendBuf, rk.yA, st.sSend, cols)
-			c.Send(st.sendTo, 200+si, rk.sendBuf[:n])
+			n, w := rk.pack(rk.sendBuf, rk.yA, st.sSend, cols), st.sSendW*cols
+			clear(rk.sendBuf[n:w])
+			c.Send(st.sendTo, 200+st.sendTag, rk.sendBuf[:w])
 		}
 	}
 	for si := range rk.lay.steps {
 		if st := &rk.lay.steps[si]; st.recvFrom >= 0 {
 			w := st.sRecvW * cols
-			c.RecvInto(st.recvFrom, 200+si, rk.recvBuf[:w])
+			c.RecvInto(st.recvFrom, 200+st.recvTag, rk.recvBuf[:w])
 			rk.unpackAdd(rk.recvBuf[:w], rk.yA, st.sRecv, cols)
-		}
-	}
-}
-
-// exchangeA2A runs one phase over the fixed-width All-to-All collective.
-// gather selects direction: pack my chunks / copy in the peer's for the
-// gather phase; pack the peer's chunks / add into mine for reduce-scatter.
-func (rk *sessionRank) exchangeA2A(c *machine.Comm, maxChunk, tag, cols int, gather bool) {
-	width := 2 * maxChunk * cols
-	for i := range rk.a2aSend {
-		rk.a2aSend[i] = rk.a2aSendBack[i][:width]
-		rk.a2aRecv[i] = rk.a2aRecvBack[i][:width]
-	}
-	arena := rk.xA
-	if !gather {
-		arena = rk.yA
-	}
-	for pi := range rk.lay.peers {
-		ap := &rk.lay.peers[pi]
-		segs := ap.mySegs
-		if !gather {
-			segs = ap.peerSegs
-		}
-		n := rk.pack(rk.a2aSend[ap.peer], arena, segs, cols)
-		// Keep the padding invariant: words past the payload must be zero,
-		// exactly as the seed's freshly allocated padded buffers were.
-		if rk.a2aPay[ap.peer] > n {
-			clear(rk.a2aSend[ap.peer][n:rk.a2aPay[ap.peer]])
-		}
-		rk.a2aPay[ap.peer] = n
-	}
-	collective.AllToAllFixedInto(c, tag, width, rk.a2aSend, rk.a2aRecv)
-	for pi := range rk.lay.peers {
-		ap := &rk.lay.peers[pi]
-		if gather {
-			rk.unpackCopy(rk.a2aRecv[ap.peer], rk.xA, ap.peerSegs, cols)
-		} else {
-			rk.unpackAdd(rk.a2aRecv[ap.peer], rk.yA, ap.mySegs, cols)
 		}
 	}
 }
@@ -743,9 +665,6 @@ func (s *Session) PowerMethod(po PowerOptions) (*EigenResult, error) {
 	}
 	if s.n == 0 {
 		return nil, fmt.Errorf("parallel: power method requires a tensor")
-	}
-	if s.opts.Wiring != WiringP2P {
-		return nil, fmt.Errorf("parallel: power method supports the p2p wiring only")
 	}
 	if po.MaxIter <= 0 {
 		po.MaxIter = 200

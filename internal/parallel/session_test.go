@@ -1,11 +1,15 @@
 package parallel
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -72,6 +76,43 @@ func TestSessionApplyConformance(t *testing.T) {
 			if err := s.Close(); err != nil {
 				t.Fatalf("q=%d wiring=%v: close: %v", q, wiring, err)
 			}
+		}
+	}
+}
+
+// TestExchangeResultDigests pins the output bits of one Apply per wiring
+// and partition size, which the reduce-scatter's addition order decides:
+// schedule step order for p2p, ascending peer order for the All-to-All.
+// It runs on amd64 only, where Go does not fuse multiply-adds.
+func TestExchangeResultDigests(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("digests are recorded for amd64, where Go does not fuse multiply-adds (GOARCH=%s)", runtime.GOARCH)
+	}
+	for _, tc := range []struct {
+		q      int
+		wiring Wiring
+		sum    string
+	}{
+		{2, WiringP2P, "9c3ae974fbeecbb4406f7be57c6ea2730f9e630f92686d65234e7f4e320ad2b7"},
+		{2, WiringAllToAll, "01dd78e811beadf7db0a5744dc8eabae61df49d4ea072784bb4ef60733d7fa52"},
+		{3, WiringP2P, "4e4fda906553f6ea816fc0d4cc741a13224cc4dd0a177a83cf9a15a3679533f7"},
+		{3, WiringAllToAll, "d5e70074e1602cb7e48df101795cd80eb7ebc9fbcc273df02af328d933169b83"},
+	} {
+		part := sphericalPart(t, tc.q)
+		const b = 7
+		n := part.M * b
+		rng := rand.New(rand.NewSource(int64(950 + tc.q)))
+		a := tensor.Random(n, rng)
+		res, err := Run(a, randVec(n, rng), Options{Part: part, B: b, Wiring: tc.wiring})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf []byte
+		for _, v := range res.Y {
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
+		}
+		if sum := sha256.Sum256(buf); hex.EncodeToString(sum[:]) != tc.sum {
+			t.Errorf("q=%d %v: Y sha256 %x, want %s", tc.q, tc.wiring, sum, tc.sum)
 		}
 	}
 }

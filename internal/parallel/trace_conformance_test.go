@@ -18,7 +18,7 @@ import (
 // Result's snapshot-based PhaseMeters exactly, per rank — two independent
 // measurement paths (event stream vs counter deltas) agreeing on every
 // number.
-func checkTraceMatchesPhases(t *testing.T, tr *obs.Trace, phases []PhaseMeter, p int, wiring Wiring) {
+func checkTraceMatchesPhases(t *testing.T, tr *obs.Trace, phases []PhaseMeter, p int) {
 	t.Helper()
 	totals, _ := tr.PhaseTotals()
 	for _, m := range phases {
@@ -44,11 +44,10 @@ func checkTraceMatchesPhases(t *testing.T, tr *obs.Trace, phases []PhaseMeter, p
 			}
 		}
 		// The trace counts one step per message tag in each phase
-		// occurrence. Only the P2P schedule sends each of its steps under
-		// its own tag; an All-to-All sends its P−1 rounds under one tag,
-		// and the meter does not count the all-reduce's steps.
+		// occurrence, and both wirings send each step of an exchange under
+		// its own tag; the meter does not count the all-reduce's steps.
 		scheduled := m.Label == "gather" || m.Label == "reduce-scatter"
-		if wiring == WiringP2P && scheduled && pt.Steps != m.Steps {
+		if scheduled && pt.Steps != m.Steps {
 			t.Errorf("phase %q: trace counts %d steps, meter %d", m.Label, pt.Steps, m.Steps)
 		}
 	}
@@ -85,7 +84,7 @@ func TestTraceConformanceP2P(t *testing.T) {
 		if err := tr.CheckAgainstReport(res.Report); err != nil {
 			t.Fatalf("q=%d: %v", q, err)
 		}
-		checkTraceMatchesPhases(t, tr, res.Phases, part.P, WiringP2P)
+		checkTraceMatchesPhases(t, tr, res.Phases, part.P)
 
 		// γ=0 keeps every rank's phase entry synchronized, so each phase
 		// replays to exactly the closed-form stepwise makespan (with γ>0
@@ -143,21 +142,27 @@ func TestTraceConformanceAllToAll(t *testing.T) {
 	if err := tr.CheckAgainstReport(res.Report); err != nil {
 		t.Fatal(err)
 	}
-	checkTraceMatchesPhases(t, tr, res.Phases, part.P, WiringAllToAll)
+	checkTraceMatchesPhases(t, tr, res.Phases, part.P)
 
-	// The All-to-All collective sends all P−1 rounds of a phase under one
-	// tag, so the trace counts exactly one step per phase; the nominal
-	// P−1 lives on the meter instead.
-	tl, err := obs.Replay(tr, obs.DefaultTimeModel())
+	// Each of the P−1 rounds sends under its own tag, so the trace counts
+	// P−1 steps per phase, as the meter does, and with γ=0 each phase
+	// replays to P−1 rounds of one 2·maxChunk-word message (maxChunk = 1
+	// at b = |Q_i| = q(q+1)).
+	model := obs.TimeModel{Alpha: 1e-5, Beta: 1e-8, Gamma: 0}
+	tl, err := obs.Replay(tr, model)
 	if err != nil {
 		t.Fatal(err)
 	}
+	want := schedule.AllToAllMakespan(part.P, 2, model.Alpha, model.Beta)
 	for _, label := range []string{"gather", "reduce-scatter"} {
-		if tl.PhaseSteps[label] != 1 {
-			t.Errorf("phase %q: replay counts %d steps, want 1 (one tag)", label, tl.PhaseSteps[label])
+		if tl.PhaseSteps[label] != part.P-1 {
+			t.Errorf("phase %q: replay counts %d steps, want P-1 = %d", label, tl.PhaseSteps[label], part.P-1)
 		}
 		if m := res.Phase(label); m == nil || m.Steps != part.P-1 {
 			t.Errorf("phase %q: meter steps = %+v, want P-1 = %d", label, m, part.P-1)
+		}
+		if got := tl.PhaseTime(label); math.Abs(got-want) > 1e-9*want {
+			t.Errorf("phase %q: replay time %g, (P−1)(α+2β) = %g", label, got, want)
 		}
 	}
 }
@@ -196,7 +201,7 @@ func TestTraceConformanceUnderFaults(t *testing.T) {
 	if err := tr.CheckAgainstReport(res.Report); err != nil {
 		t.Fatal(err)
 	}
-	checkTraceMatchesPhases(t, tr, res.Phases, part.P, WiringP2P)
+	checkTraceMatchesPhases(t, tr, res.Phases, part.P)
 
 	// The wire actually diverged: acks at minimum, plus retransmissions
 	// and duplicates, mean strictly more wire packets than logical
@@ -257,7 +262,7 @@ func TestTraceConformancePowerMethod(t *testing.T) {
 	if err := tr.CheckAgainstReport(res.Report); err != nil {
 		t.Fatal(err)
 	}
-	checkTraceMatchesPhases(t, tr, res.Phases, part.P, WiringP2P)
+	checkTraceMatchesPhases(t, tr, res.Phases, part.P)
 
 	wantSteps := schedule.TheoreticalSteps(q) * iters
 	for _, label := range []string{"gather", "reduce-scatter"} {
