@@ -43,7 +43,7 @@ func TestGeneratorDigests(t *testing.T) {
 		{20, 60, 0, 21, 60, 0x58c58f1fbe837e99},               // TestFacadeFastPathPools
 		{40, 400, 0, 1, 400, 0xd47c559adc386151},              // sttsvserve -workload hypergraph defaults
 		{100000, 1000000, 0, 36, 1000000, 0x7d6f11d987527b21}, // the acceptance seed at a tenth of n
-		{15000, 360000, 1, 1, 360000, 0xdc725d9f8cfffa74},     // BenchmarkPackSparseRankBlocks, perfbench sparse seed 1
+		{15000, 360000, 1, 1, 360000, 0xdc725d9f8cfffa74},     // BenchmarkPackSparseRankBlocks, BenchmarkBlockApply, perfbench sparse seed 1
 		{15000, 360000, 1, 7, 360000, 0x3928ed1c86a80c8},      // perfbench sparse seed 7
 		{80, 2560, 1.3, 35, 2560, 0xd8c6f77486fade5e},         // sttsvbench -sparse imbalance
 		{80, 2560, 1.3, 19, 2560, 0x5bf7439e7143a2b0},         // TestFacadeWeightedPartition

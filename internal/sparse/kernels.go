@@ -15,6 +15,7 @@ package sparse
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/sttsv"
 	"repro/internal/tensor"
@@ -35,6 +36,13 @@ func checkBlockLens(blk *Block, xI, xJ, xK, yI, yJ, yK []float64) {
 // coincide; the kernel only accumulates, so aliasing is safe). A (di, dj)
 // run ends where the next nonzero's (di, dj) differs from its own, and
 // each run is folded exactly as the scalar kernel folds that row.
+//
+// No branch on the per-nonzero path follows the tensor's group sizes,
+// which in a hypergraph are short and patternless: run ends test dj
+// first (within a di group dj ascends, so that test fails at almost
+// every run end and predicts well), and the off-diagonal kind carries
+// its per-di accumulator across group ends with bit masks instead of a
+// loop per di.
 func BlockApply(blk *Block, xI, xJ, xK, yI, yJ, yK []float64, stats *sttsv.Stats) {
 	checkBlockLens(blk, xI, xJ, xK, yI, yJ, yK)
 	vals := blk.Vals
@@ -42,31 +50,39 @@ func BlockApply(blk *Block, xI, xJ, xK, yI, yJ, yK []float64, stats *sttsv.Stats
 	dis, djs, dks := blk.DI[:n], blk.DJ[:n], blk.DK[:n]
 	switch blk.Kind {
 	case tensor.OffDiagonal:
-		// Every element is a strict global triple i > j > k. The dense
-		// kernel keeps a per-di accumulator across the dj row; runs
-		// sharing a di are contiguous, so one outer pass per di group
-		// reproduces it.
+		// Every element is a strict global triple i > j > k, and yI is
+		// disjoint from yJ and yK. The scalar kernel ends each di row
+		// with yI[di] += 2·acc over the row's per-dj terms; here every
+		// run stores base + 2·acc, where base is yI[di] as the group
+		// found it, so a group's last store is that same sum. Between
+		// runs, same is all ones while the next run shares di and zero
+		// at a group end, where acc becomes +0.0 (as acc := 0.0 does,
+		// whatever acc held) and base the next group's yI, loaded
+		// before this run's store.
+		if n == 0 {
+			break
+		}
+		base, acc := yI[dis[0]], 0.0
 		for t := 0; t < n; {
-			di := dis[t]
-			xi := xI[di]
-			acc := 0.0
-			for t < n && dis[t] == di {
-				dj := djs[t]
-				end := runEnd(dis, djs, t)
-				xj := xJ[dj]
-				s := 0.0
-				txi2 := 2 * xi
-				txij2 := 2 * xi * xj
-				for ; t < end; t++ {
-					v := vals[t]
-					k := dks[t]
-					s += v * xK[k]
-					yK[k] += txij2 * v
-				}
-				acc += s * xj
-				yJ[dj] += txi2 * s
+			di, dj := dis[t], djs[t]
+			end := runEnd(dis, djs, t)
+			xi, xj := xI[di], xJ[dj]
+			s := 0.0
+			txij2 := 2 * xi * xj
+			for ; t < end; t++ {
+				v := vals[t]
+				k := dks[t]
+				s += v * xK[k]
+				yK[k] += txij2 * v
 			}
-			yI[di] += 2 * acc
+			yJ[dj] += 2 * xi * s
+			acc += s * xj
+			ndi := dis[min(end, n-1)]
+			next := yI[ndi]
+			yI[di] = base + 2*acc
+			same := eqMask(ndi, di)
+			acc = math.Float64frombits(math.Float64bits(acc) & same)
+			base = math.Float64frombits(math.Float64bits(base)&same | math.Float64bits(next)&^same)
 		}
 	case tensor.DiagPairHigh:
 		// I == J > K: di > dj is a strict triple, di == dj is i == j > k.
@@ -148,14 +164,24 @@ func BlockApply(blk *Block, xI, xJ, xK, yI, yJ, yK []float64, stats *sttsv.Stats
 }
 
 // runEnd returns the end of the (di, dj) run that starts at nonzero t:
-// the first later nonzero whose (di, dj) differs from t's.
+// the first later nonzero whose (di, dj) differs from t's. It tests dj
+// first: a run rarely continues, and a dj that matches the run's own
+// almost always means it does, while the next di matches about as often
+// as not.
 func runEnd(dis, djs []int32, t int) int {
 	di, dj := dis[t], djs[t]
 	end := t + 1
-	for end < len(dis) && dis[end] == di && djs[end] == dj {
+	for end < len(dis) && djs[end] == dj && dis[end] == di {
 		end++
 	}
 	return end
+}
+
+// eqMask returns all ones when a == b and zero otherwise, without a
+// branch. Both are non-negative, so a^b-1 is negative only when they
+// are equal.
+func eqMask(a, b int32) uint64 {
+	return uint64((int64(a^b) - 1) >> 63)
 }
 
 // Contribute applies a block list against padded row-major vectors:

@@ -91,9 +91,10 @@ func TestPackTernaryOracle(t *testing.T) {
 // TestBlockApplyBitwiseScalarOracle: BlockApply on a sparse block must be
 // bit-for-bit BlockContributeScalar on the dense expansion of the same
 // block — across all four kinds, paddings, sparsity levels and run
-// shapes. DiagPairLow and central runs must end both with and without
-// their dk == dj diagonal element, the one element the kernel splits off
-// a run.
+// shapes. Each block starts from the same random y on both sides, so a
+// fold that loses or misplaces what y already held shows. DiagPairLow
+// and central runs must end both with and without their dk == dj
+// diagonal element, the one element the kernel splits off a run.
 func TestBlockApplyBitwiseScalarOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	// runEnds[kind][d] counts the runs of that kind that end with (d = 1)
@@ -118,7 +119,10 @@ func TestBlockApplyBitwiseScalarOracle(t *testing.T) {
 		for _, blk := range pk.Select(allCoords(pk.M)) {
 			dblk := tensor.ExtractBlock(ad, blk.I, blk.J, blk.K, b)
 			ys := make([]float64, padded)
-			yd := make([]float64, padded)
+			for i := range ys {
+				ys[i] = rng.NormFloat64()
+			}
+			yd := slices.Clone(ys)
 			BlockApply(blk, row(x, blk.I), row(x, blk.J), row(x, blk.K),
 				row(ys, blk.I), row(ys, blk.J), row(ys, blk.K), nil)
 			sttsv.BlockContributeScalar(dblk, row(x, dblk.I), row(x, dblk.J), row(x, dblk.K),
